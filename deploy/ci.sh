@@ -12,7 +12,9 @@
 #            tool; the GitHub runners cache it, so it is selectable rather
 #            than part of the offline default lane)
 #   build  - go build everything
-#   test   - full suite under the race detector
+#   test   - full suite under the race detector (the checked-in fuzz corpora
+#            run as ordinary tests), then vet + tests of the benchmark module,
+#            which `./...` does not descend into
 #   bench  - E8/E10 hot-path smoke gated against BENCH_ntcp.json (deploy/benchgate)
 #   smoke  - trace round-trip + graceful-shutdown end-to-end smokes
 #   obs    - observability smoke: the aggregator over a two-site run must
@@ -25,7 +27,8 @@
 #            pushed roll-ups with exactly-merged counters
 #   chaos  - step-1493 (classic, pipelined, and relay-topology lanes) and
 #            partition scenarios, each run twice; the two verdict reports
-#            must be byte-identical (determinism gate)
+#            must be byte-identical (determinism gate); then 10 s of
+#            differential fuzzing per single-pass codec against encoding/json
 #
 # Every stage is timed; a summary table prints at the end. The pipeline
 # stops at the first failing stage.
@@ -66,7 +69,11 @@ stage_build() {
 }
 
 stage_test() {
-    go test -race ./...
+    go test -race ./... || return 1
+    # bench/ is its own module (BENCHMARK.json's contract), so the line above
+    # never compiles it: an API change here could break the benchmark's build
+    # and nobody would know until the next benchmark run.
+    (cd bench && go vet . && go test .)
 }
 
 stage_bench() {
@@ -188,7 +195,27 @@ stage_chaos() {
         echo "-- scenario $sc: completed and byte-replayed --"
     done
     rm -rf "$out"
-    return $rc
+    [ "$rc" -eq 0 ] || return $rc
+
+    # Generated adversaries for the hand-rolled parsers on the step path:
+    # each target holds a single-pass codec to encoding/json (equal values or
+    # both fail, byte-equal encodings). A failing input lands in the
+    # package's testdata/fuzz/<target>/ — check it in with the fix.
+    while read -r target pkg; do
+        echo "-- fuzz $target ($pkg) --"
+        if ! go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$pkg"; then
+            for f in "$pkg/testdata/fuzz/$target"/*; do
+                save_artifact "$f" "$target-$(basename "$f")"
+            done
+            return 1
+        fi
+    done <<TARGETS
+FuzzOpenWire ./internal/gsi
+FuzzDecodeRequest ./internal/ogsi
+FuzzDecodeResponse ./internal/ogsi
+FuzzRecordCodec ./internal/core
+FuzzValue ./internal/wirejson
+TARGETS
 }
 
 run_stage() {

@@ -697,7 +697,7 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		// The step histogram carries the step's root trace as its exemplar:
 		// a fleet-wide p99 on coord.step.seconds resolves straight to the
 		// `mostctl trace` timeline of the slowest step.
-		stepHist.ObserveDurationExemplar(time.Since(stepStart), span.Context().TraceID.String())
+		stepHist.ObserveDurationExemplar(time.Since(stepStart), span.Context().TraceID)
 		if err != nil {
 			span.SetError(err)
 			span.End()

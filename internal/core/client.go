@@ -104,6 +104,7 @@ func NewClient(og *ogsi.Client, retry RetryPolicy) *Client {
 // into reg (nil allocates a private registry). Metric names: ntcp.client.*.
 func NewClientWithTelemetry(og *ogsi.Client, retry RetryPolicy, reg *telemetry.Registry) *Client {
 	reg = telemetry.OrNew(reg)
+	og.UseTelemetry(reg)
 	return &Client{
 		og:          og,
 		ServiceName: "ntcp",
@@ -137,7 +138,7 @@ func (c *Client) LabelSite(site string) *Client {
 // labeled, per-site) histogram, attaching the calling step's trace ID as
 // the exemplar so a slow p99 resolves to a `mostctl trace` timeline.
 func (c *Client) observeRTT(ctx context.Context, d time.Duration) {
-	traceID := trace.SpanContextFromContext(ctx).TraceID.String()
+	traceID := trace.SpanContextFromContext(ctx).TraceID
 	c.rtt.ObserveDurationExemplar(d, traceID)
 	if c.siteRTT != nil {
 		c.siteRTT.ObserveDurationExemplar(d, traceID)

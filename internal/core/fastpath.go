@@ -48,7 +48,7 @@ func (s *Server) ProposeAndExecute(ctx context.Context, client string, p *Propos
 func (s *Server) registerFastPathOp() {
 	s.svc.RegisterOp("proposeAndExecute", func(ctx context.Context, caller ogsi.Caller, params json.RawMessage) (any, error) {
 		var p Proposal
-		if err := json.Unmarshal(params, &p); err != nil {
+		if err := s.decodeParams(params, &p); err != nil {
 			return nil, ogsi.Errf(ogsi.CodeBadRequest, "bad proposal: %v", err)
 		}
 		return s.ProposeAndExecute(ctx, caller.Identity, &p)

@@ -12,6 +12,7 @@ import (
 	"neesgrid/internal/ogsi"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
+	"neesgrid/internal/wirejson"
 )
 
 // ServerOptions tunes an NTCP server.
@@ -117,7 +118,7 @@ func NewServer(plugin Plugin, policy *SitePolicy, opts ServerOptions) *Server {
 	// scrapers and the obs aggregator cannot tell a missing counter from a
 	// site that never wired telemetry.
 	for _, name := range []string{cProposed, cAccepted, cRejected,
-		cExecuted, cFailed, cCancelled, cDeduped} {
+		cExecuted, cFailed, cCancelled, cDeduped, ogsi.MetricDecodeFallbacks} {
 		s.tel.Counter(name)
 	}
 	s.tel.Histogram("ntcp.server.validate.seconds")
@@ -145,9 +146,10 @@ func (s *Server) Stats() Stats {
 func txSDE(name string) string { return "tx:" + name }
 
 // publish exposes a transaction snapshot as SDEs. rec MUST be a private
-// clone taken while s.mu was held: publish runs outside the lock, and a live
-// *Record can be mutated concurrently by runExecution (the data race the
-// -race suite caught).
+// clone taken while s.mu was held, and nobody may touch it afterwards:
+// publish runs outside the lock, a live *Record can be mutated concurrently
+// by runExecution (the data race the -race suite caught), and the SDE store
+// keeps rec itself until a reader asks for its encoding.
 func (s *Server) publish(rec *Record) {
 	_ = s.svc.SDEs.Set(txSDE(rec.Name), rec)
 	_ = s.svc.SDEs.Set("last-transaction", rec.Name)
@@ -264,9 +266,9 @@ func (s *Server) Propose(ctx context.Context, client string, p *Proposal) (*Reco
 		ttl = time.Duration(p.TTLSeconds * float64(time.Second))
 	}
 	s.svc.Lifetimes.Register(p.Name, ttl, func() { s.expire(p.Name) })
-	// out is a private clone and SDEs.Set marshals synchronously, so
-	// publishing it cannot race with the caller.
-	s.publish(out)
+	// SDEs.Set encodes its value only when somebody reads it, so the store
+	// gets a clone of its own: out is the caller's to change.
+	s.publish(out.clone())
 	return out, nil
 }
 
@@ -501,7 +503,7 @@ func (s *Server) cancelDecided(tx *transaction, name string) (*Record, error) {
 		s.mu.Unlock()
 		s.tel.Counter(cCancelled).Inc()
 		s.tel.Event("ntcp", "tx-cancelled", map[string]any{"name": name})
-		s.publish(out)
+		s.publish(out.clone())
 		return out, nil
 	case StateCancelled, StateRejected:
 		out := rec.clone()
@@ -530,24 +532,34 @@ type nameParams struct {
 	Name string `json:"name"`
 }
 
+// decodeParams decodes an op's params through the shape's strict decoder,
+// counting the ones that needed encoding/json after all.
+func (s *Server) decodeParams(params json.RawMessage, v any) error {
+	fellBack, err := wirejson.Unmarshal(params, v)
+	if fellBack {
+		s.tel.Counter(ogsi.MetricDecodeFallbacks).Inc()
+	}
+	return err
+}
+
 func (s *Server) registerOps() {
 	s.svc.RegisterOp("propose", func(ctx context.Context, caller ogsi.Caller, params json.RawMessage) (any, error) {
 		var p Proposal
-		if err := json.Unmarshal(params, &p); err != nil {
+		if err := s.decodeParams(params, &p); err != nil {
 			return nil, ogsi.Errf(ogsi.CodeBadRequest, "bad proposal: %v", err)
 		}
 		return s.Propose(ctx, caller.Identity, &p)
 	})
 	s.svc.RegisterOp("execute", func(ctx context.Context, caller ogsi.Caller, params json.RawMessage) (any, error) {
 		var p nameParams
-		if err := json.Unmarshal(params, &p); err != nil {
+		if err := s.decodeParams(params, &p); err != nil {
 			return nil, ogsi.Errf(ogsi.CodeBadRequest, "bad execute params: %v", err)
 		}
 		return s.Execute(ctx, caller.Identity, p.Name)
 	})
 	s.svc.RegisterOp("cancel", func(ctx context.Context, caller ogsi.Caller, params json.RawMessage) (any, error) {
 		var p nameParams
-		if err := json.Unmarshal(params, &p); err != nil {
+		if err := s.decodeParams(params, &p); err != nil {
 			return nil, ogsi.Errf(ogsi.CodeBadRequest, "bad cancel params: %v", err)
 		}
 		return s.Cancel(ctx, caller.Identity, p.Name)
@@ -555,7 +567,7 @@ func (s *Server) registerOps() {
 	s.registerFastPathOp()
 	s.svc.RegisterOp("get", func(_ context.Context, _ ogsi.Caller, params json.RawMessage) (any, error) {
 		var p nameParams
-		if err := json.Unmarshal(params, &p); err != nil {
+		if err := s.decodeParams(params, &p); err != nil {
 			return nil, ogsi.Errf(ogsi.CodeBadRequest, "bad get params: %v", err)
 		}
 		return s.Get(p.Name)

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -264,6 +265,44 @@ func TestPathEscapeRejected(t *testing.T) {
 	src, _ := writeTemp(t, 10, 8)
 	if err := cl.Put(src, "/abs/ok.bin", 1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPathEscapeConfinedToRoot: a path that climbs is folded back under the
+// root, so a file that really exists outside it cannot be reached.
+func TestPathEscapeConfinedToRoot(t *testing.T) {
+	srv, cl, root := fixture(t)
+	outside := filepath.Join(filepath.Dir(root), "outside-"+filepath.Base(root)+".bin")
+	if err := os.WriteFile(outside, []byte("secret"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.Remove(outside) })
+	for _, p := range []string{"../" + filepath.Base(outside), "a/../../" + filepath.Base(outside), "/../" + filepath.Base(outside)} {
+		if _, _, err := cl.Stat(p); err == nil {
+			t.Fatalf("%q reached a file outside the root", p)
+		}
+		got, err := srv.resolve(p)
+		if err != nil || !strings.HasPrefix(got, root+string(filepath.Separator)) {
+			t.Fatalf("resolve(%q) = %q, %v: not under %q", p, got, err, root)
+		}
+	}
+}
+
+// TestDotsInsideNamesAreOrdinary: only a ".." path element is a parent
+// reference. Names that merely contain two dots used to be refused.
+func TestDotsInsideNamesAreOrdinary(t *testing.T) {
+	_, cl, root := fixture(t)
+	src, _ := writeTemp(t, 64, 9)
+	for _, name := range []string{"run..1.bin", "a..b/c.bin", "..hidden", "trailing../x.bin"} {
+		if err := cl.Put(src, name, 1); err != nil {
+			t.Fatalf("put %q: %v", name, err)
+		}
+		if size, _, err := cl.Stat(name); err != nil || size != 64 {
+			t.Fatalf("stat %q: %d %v", name, size, err)
+		}
+		if _, err := os.Stat(filepath.Join(root, name)); err != nil {
+			t.Fatalf("%q is not where its name says: %v", name, err)
+		}
 	}
 }
 

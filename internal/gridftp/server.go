@@ -71,11 +71,17 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// resolve maps a protocol path into the root, rejecting escapes.
+// resolve maps a protocol path into the root. Cleaning the path as a rooted
+// one folds every parent reference away ("/../../etc/passwd" is "/etc/passwd",
+// under the root), so nothing can climb out; a ".." element surviving that is
+// rejected all the same. Only elements are looked at: "run..1.bin" and
+// "a..b/c" are ordinary names.
 func (s *Server) resolve(p string) (string, error) {
 	clean := filepath.Clean("/" + p)
-	if strings.Contains(clean, "..") {
-		return "", fmt.Errorf("gridftp: bad path %q", p)
+	for _, elem := range strings.Split(clean, string(filepath.Separator)) {
+		if elem == ".." {
+			return "", fmt.Errorf("gridftp: bad path %q", p)
+		}
 	}
 	return filepath.Join(s.root, clean), nil
 }

@@ -1,6 +1,7 @@
 package gsi
 
 import (
+	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
@@ -42,20 +43,27 @@ func (w *validityWindow) contains(now time.Time) bool {
 
 // chainCacheEntry is one fully verified chain: its base identity and the
 // window during which every certificate in the chain (and its CA) remains
-// valid.
+// valid. Entries keyed by wire digest also carry the leaf's public key, which
+// is all OpenWire needs of the chain to check a message signature.
 type chainCacheEntry struct {
 	identity string
 	window   validityWindow
+	leaf     ed25519.PublicKey
 }
 
-// chainCache remembers verified chains by content digest. Safety argument:
-// a hit requires the presented chain to hash (SHA-256 over every field of
-// every certificate, signatures included) to the digest of a chain that
-// previously passed the full cryptographic path, and requires `now` to fall
-// inside the chain's validity intersection. Tampering with any field
-// changes the digest; expiry falls out of the window check; unknown chains
-// miss. Negative results are never cached, so a failed verification never
-// shadows a later legitimate one.
+// chainCache remembers verified chains by digest: of the parsed content
+// (digest, for VerifyChain) or of the raw encoded bytes (wireDigest, for
+// OpenWire). Safety argument, the same for both: a hit requires the presented
+// chain to hash (SHA-256 over every field of every certificate, signatures
+// included — or over every byte of their encoding) to the digest of a chain
+// that previously passed the full cryptographic path, and requires `now` to
+// fall inside the chain's validity intersection. Tampering with any field or
+// byte changes the digest; expiry falls out of the window check; unknown
+// chains miss. Negative results are never cached, so a failed verification
+// never shadows a later legitimate one. The two digests share one map: a
+// content preimage starts with a big-endian certificate count (a zero byte)
+// and a wire preimage with the '[' of a JSON array, so a key of one kind
+// matching one of the other would be a SHA-256 collision.
 type chainCache struct {
 	mu       sync.RWMutex
 	entries  map[[sha256.Size]byte]chainCacheEntry
@@ -72,10 +80,7 @@ type chainCache struct {
 // so no two distinct chains share an encoding. Returns false when caching
 // is disabled.
 func (cc *chainCache) digest(chain []*Certificate) ([sha256.Size]byte, bool) {
-	cc.mu.RLock()
-	enabled := cc.capacity > 0
-	cc.mu.RUnlock()
-	if !enabled {
+	if !cc.enabled() {
 		return [sha256.Size]byte{}, false
 	}
 	h := sha256.New()
@@ -112,17 +117,32 @@ func (cc *chainCache) digest(chain []*Certificate) ([sha256.Size]byte, bool) {
 	return key, true
 }
 
+func (cc *chainCache) enabled() bool {
+	cc.mu.RLock()
+	defer cc.mu.RUnlock()
+	return cc.capacity > 0
+}
+
+// wireDigest hashes the raw encoded chain as it appears in an envelope.
+// Returns false when caching is disabled.
+func (cc *chainCache) wireDigest(chain []byte) ([sha256.Size]byte, bool) {
+	if !cc.enabled() {
+		return [sha256.Size]byte{}, false
+	}
+	return sha256.Sum256(chain), true
+}
+
 // lookup serves a cached verdict when the digest is known and now falls in
 // the chain's validity window. An expired entry is treated as a miss (and
 // evicted) so the slow path produces the precise error.
-func (cc *chainCache) lookup(key [sha256.Size]byte, now time.Time) (string, bool) {
+func (cc *chainCache) lookup(key [sha256.Size]byte, now time.Time) (chainCacheEntry, bool) {
 	cc.mu.RLock()
 	e, ok := cc.entries[key]
 	cc.mu.RUnlock()
 	if ok && e.window.contains(now) {
 		cc.hits.Add(1)
 		cc.note(true)
-		return e.identity, true
+		return e, true
 	}
 	if ok {
 		// Outside the window: the entry can never be served again once the
@@ -135,11 +155,11 @@ func (cc *chainCache) lookup(key [sha256.Size]byte, now time.Time) (string, bool
 	}
 	cc.misses.Add(1)
 	cc.note(false)
-	return "", false
+	return chainCacheEntry{}, false
 }
 
 // store records a verified chain, evicting an arbitrary entry at capacity.
-func (cc *chainCache) store(key [sha256.Size]byte, identity string, window validityWindow) {
+func (cc *chainCache) store(key [sha256.Size]byte, e chainCacheEntry) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if cc.capacity <= 0 {
@@ -154,7 +174,7 @@ func (cc *chainCache) store(key [sha256.Size]byte, identity string, window valid
 			break
 		}
 	}
-	cc.entries[key] = chainCacheEntry{identity: identity, window: window}
+	cc.entries[key] = e
 }
 
 // flush drops every cached verdict. Called when the trust set changes

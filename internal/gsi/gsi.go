@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
@@ -298,6 +299,9 @@ type VerifyInfo struct {
 	// CacheHit is true when the verdict came from the verified-chain cache
 	// rather than the full per-certificate cryptographic path.
 	CacheHit bool
+	// WireFallback is true when OpenWire was handed a body that is not in
+	// the canonical envelope layout and went through encoding/json.
+	WireFallback bool
 }
 
 func (ts *TrustStore) verifyChainInfo(chain []*Certificate, now time.Time) (string, VerifyInfo, error) {
@@ -307,9 +311,9 @@ func (ts *TrustStore) verifyChainInfo(chain []*Certificate, now time.Time) (stri
 	}
 	key, cacheable := ts.cache.digest(chain)
 	if cacheable {
-		if identity, ok := ts.cache.lookup(key, now); ok {
+		if e, ok := ts.cache.lookup(key, now); ok {
 			info.CacheHit = true
-			return identity, info, nil
+			return e.identity, info, nil
 		}
 	}
 	identity, window, err := ts.verifyChainSlow(chain, now)
@@ -317,7 +321,7 @@ func (ts *TrustStore) verifyChainInfo(chain []*Certificate, now time.Time) (stri
 		return "", info, err
 	}
 	if cacheable {
-		ts.cache.store(key, identity, window)
+		ts.cache.store(key, chainCacheEntry{identity: identity, window: window})
 	}
 	return identity, info, nil
 }
@@ -357,11 +361,18 @@ func (ts *TrustStore) verifyChainSlow(chain []*Certificate, now time.Time) (stri
 			window.intersect(ca.NotBefore, ca.NotAfter)
 			issuerKey = ca.PublicKey
 		}
-		if !ed25519.Verify(issuerKey, cert.tbs(), cert.Signature) {
+		if !verifySig(issuerKey, cert.tbs(), cert.Signature) {
 			return "", window, fmt.Errorf("%w: %s", ErrBadSignature, cert.Subject)
 		}
 	}
 	return BaseIdentity(chain[0].Subject), window, nil
+}
+
+// verifySig is ed25519.Verify for keys that come off the wire: a certificate
+// in a presented chain may carry a public key of any length, which
+// ed25519.Verify answers with a panic rather than false.
+func verifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
+	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
 }
 
 // Envelope is a signed message: payload, signer chain, signature by the
@@ -446,10 +457,161 @@ func (ts *TrustStore) OpenInfo(env *Envelope, now time.Time) (payload []byte, id
 	if err != nil {
 		return nil, "", info, err
 	}
-	if !ed25519.Verify(env.Chain[0].PublicKey, env.Payload, env.Signature) {
+	if !verifySig(env.Chain[0].PublicKey, env.Payload, env.Signature) {
 		return nil, "", info, ErrBadSignature
 	}
 	return env.Payload, identity, info, nil
+}
+
+// ErrBadEnvelope marks a body OpenWire could not decode as an envelope at
+// all — as opposed to one that decoded and then failed verification.
+var ErrBadEnvelope = errors.New("gsi: malformed envelope")
+
+// The canonical envelope layout, exactly as AppendSignedEnvelope writes it:
+//
+//	{"payload":"<base64>","chain":<chain JSON>,"signature":"<base64>"}
+const (
+	wireHead      = `{"payload":"`
+	wireChainKey  = `","chain":`
+	wireSigKey    = `,"signature":"`
+	wireTail      = `"}`
+	wireSigLength = 88 // base64 of a 64-byte Ed25519 signature
+)
+
+// isBase64 marks the bytes of the standard base64 alphabet and its padding.
+// The decoder itself also skips \r and \n, which encoding/json would refuse
+// inside a string, so the wire path checks membership first.
+var isBase64 = func() (t [256]bool) {
+	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=" {
+		t[c] = true
+	}
+	return t
+}()
+
+// splitWire slices the three fields out of a body in the canonical layout
+// without parsing it. The chain is whatever lies between the two keys; that
+// it is one JSON value (and so the value encoding/json sees under "chain")
+// is checked once, before its digest is allowed into the cache.
+func splitWire(body []byte) (payload64, chain, sig64 []byte, ok bool) {
+	if len(body) < len(wireHead)+len(wireTail) || !bytes.HasPrefix(body, []byte(wireHead)) || !bytes.HasSuffix(body, []byte(wireTail)) {
+		return nil, nil, nil, false
+	}
+	rest := body[len(wireHead) : len(body)-len(wireTail)]
+	n := 0
+	for n < len(rest) && isBase64[rest[n]] {
+		n++
+	}
+	payload64, rest = rest[:n], rest[n:]
+	if !bytes.HasPrefix(rest, []byte(wireChainKey)) || len(rest) < len(wireChainKey)+len(wireSigKey)+wireSigLength {
+		return nil, nil, nil, false
+	}
+	rest = rest[len(wireChainKey):]
+	chain, sig64 = rest[:len(rest)-wireSigLength], rest[len(rest)-wireSigLength:]
+	for _, c := range sig64 {
+		if !isBase64[c] {
+			return nil, nil, nil, false
+		}
+	}
+	if !bytes.HasSuffix(chain, []byte(wireSigKey)) {
+		return nil, nil, nil, false
+	}
+	chain = chain[:len(chain)-len(wireSigKey)]
+	return payload64, chain, sig64, len(chain) > 0
+}
+
+// OpenWire is OpenInfo over the encoded envelope: it verifies body against
+// the trust store and appends the payload to dst. For a body in the layout
+// AppendSignedEnvelope emits whose chain has verified before, that is one
+// SHA-256 over the raw chain bytes, two base64 decodes and one Ed25519
+// verification — no certificate is parsed. The verified-chain cache is keyed
+// by that digest too, next to the content digests VerifyChain stores, under
+// the same capacity, window check, flush on Add and hit/miss accounting.
+//
+// Everything else takes the path it always took: a first or expired chain
+// is parsed and verified in full (and only then remembered); a body that is
+// not byte-for-byte the canonical layout — escapes, reordered, duplicate or
+// extra keys, whitespace, a null payload — goes through json.Unmarshal and
+// OpenInfo, which info.WireFallback reports. A tampered chain hashes
+// differently and misses; a tampered payload or signature fails the Ed25519
+// check; failures are never cached. A body that is not an envelope at all
+// fails with ErrBadEnvelope.
+func (ts *TrustStore) OpenWire(dst, body []byte, now time.Time) (payload []byte, identity string, info VerifyInfo, err error) {
+	payload64, chain, sig64, canonical := splitWire(body)
+	var (
+		sig  [66]byte // DecodedLen(wireSigLength)
+		nsig int
+	)
+	start := len(dst)
+	if canonical {
+		nsig, err = base64.StdEncoding.Decode(sig[:], sig64)
+		canonical = err == nil
+	}
+	if canonical {
+		dst = append(dst, make([]byte, base64.StdEncoding.DecodedLen(len(payload64)))...)
+		n, err := base64.StdEncoding.Decode(dst[start:], payload64)
+		dst, canonical = dst[:start+n], err == nil
+	}
+	if !canonical {
+		return ts.openFallback(dst[:start], body, now)
+	}
+	key, cacheable := ts.cache.wireDigest(chain)
+	if cacheable {
+		if e, ok := ts.cache.lookup(key, now); ok {
+			info.CacheHit = true
+			if !verifySig(e.leaf, dst[start:], sig[:nsig]) {
+				return nil, "", info, ErrBadSignature
+			}
+			return dst, e.identity, info, nil
+		}
+	}
+	// First sight of these chain bytes, or their window has lapsed.
+	return ts.openMissed(dst[:start], body, chain, key, now)
+}
+
+// openFallback is OpenWire for a body outside the canonical layout:
+// json.Unmarshal and OpenInfo, as before there was a wire path.
+func (ts *TrustStore) openFallback(dst, body []byte, now time.Time) ([]byte, string, VerifyInfo, error) {
+	var env Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return nil, "", VerifyInfo{WireFallback: true}, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
+	}
+	payload, identity, info, err := ts.OpenInfo(&env, now)
+	info.WireFallback = true
+	if err != nil {
+		return nil, "", info, err
+	}
+	return append(dst, payload...), identity, info, nil
+}
+
+// openMissed is OpenWire for a canonical body whose chain bytes are not in
+// the cache: the envelope is parsed and taken through the full cryptographic
+// path — every field as encoding/json reads it, nothing from the slices —
+// and a chain that passes is remembered under key.
+func (ts *TrustStore) openMissed(dst, body, chain []byte, key [sha256.Size]byte, now time.Time) ([]byte, string, VerifyInfo, error) {
+	var info VerifyInfo
+	var env Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return nil, "", info, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
+	}
+	if len(env.Chain) == 0 {
+		return nil, "", info, ErrBadChain
+	}
+	identity, window, err := ts.verifyChainSlow(env.Chain, now)
+	if err != nil {
+		return nil, "", info, err
+	}
+	leaf := env.Chain[0].PublicKey
+	if !verifySig(leaf, env.Payload, env.Signature) {
+		return nil, "", info, ErrBadSignature
+	}
+	// The digest may stand for this chain only if the sliced bytes are
+	// exactly the one value encoding/json read under "chain" — not, say, a
+	// chain followed by a second "payload" key. (store drops the entry when
+	// the cache is disabled.)
+	if json.Valid(chain) {
+		ts.cache.store(key, chainCacheEntry{identity: identity, window: window, leaf: leaf})
+	}
+	return append(dst, env.Payload...), identity, info, nil
 }
 
 // Gridmap maps Grid identities to site-local account names — the classic

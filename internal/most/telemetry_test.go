@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"neesgrid/internal/core"
+	"neesgrid/internal/ogsi"
+	"neesgrid/internal/telemetry"
 )
 
 // TestRunTelemetryEndToEnd: after a run, the coordinator-side registry holds
@@ -72,5 +74,52 @@ func TestRunTelemetryEndToEnd(t *testing.T) {
 		if h.Count == 0 {
 			t.Fatalf("site %s: no execute latency recorded", site.Spec.Name)
 		}
+	}
+}
+
+// TestCleanRunsStayOnTheFastPath makes fast-path coverage observable instead
+// of assumed. Every envelope of a clean three-site run — classic, FastPath
+// and Pipeline — must be verified from its bytes and decoded by the strict
+// single-pass readers: both fallback counters, pre-registered at zero in the
+// coordinator's registry and in every site's, still read zero afterwards. A
+// codec change that makes an encoder and its strict decoder disagree fails
+// here, instead of showing up as a slow day.
+func TestCleanRunsStayOnTheFastPath(t *testing.T) {
+	for name, tweak := range map[string]func(*Spec){
+		"classic":  func(*Spec) {},
+		"fastpath": func(s *Spec) { s.FastPath = true },
+		"pipeline": func(s *Spec) { s.Pipeline = true },
+	} {
+		t.Run(name, func(t *testing.T) {
+			const steps = 40
+			spec := DryRunSpec(VariantSimulation)
+			spec.Steps = steps
+			tweak(&spec)
+			exp, res := runSpec(t, spec)
+			if res.Err != nil || !res.Report.Completed {
+				t.Fatalf("run: %v (completed %v)", res.Err, res.Report.Completed)
+			}
+			registries := map[string]telemetry.Snapshot{"coordinator": exp.Telemetry.Snapshot()}
+			for _, site := range exp.Sites {
+				registries[site.Spec.Name] = site.Telemetry.Snapshot()
+			}
+			for who, snap := range registries {
+				for _, counter := range []string{ogsi.MetricWireFallbacks, ogsi.MetricDecodeFallbacks} {
+					n, registered := snap.Counters[counter]
+					if !registered {
+						t.Errorf("%s: %s is not registered", who, counter)
+					}
+					if n != 0 {
+						t.Errorf("%s: %s = %d after a clean run", who, counter, n)
+					}
+				}
+			}
+			// The run did go through the path being watched: every envelope
+			// but each credential's first was served by the wire-keyed cache.
+			hits, misses := exp.Trust.CacheStats()
+			if hits < uint64(steps*len(exp.Sites)*2) || misses > uint64(2*(len(exp.Sites)+1)) {
+				t.Errorf("chain cache: %d hits, %d misses", hits, misses)
+			}
+		})
 	}
 }

@@ -19,21 +19,22 @@ func TestAppendBatchItemsJSONMatchesMarshal(t *testing.T) {
 		{{Op: "html <escapes> & entities", Params: []int{1, 2, 3}}},
 	}
 	for _, ops := range cases {
-		raws := make([][]byte, len(ops))
 		items := make([]batchItem, len(ops))
 		for i := range ops {
 			raw, err := json.Marshal(ops[i].Params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			raws[i] = raw
 			items[i] = batchItem{Op: ops[i].Op, Params: raw}
 		}
 		want, err := json.Marshal(items)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendBatchItemsJSON(nil, ops, raws)
+		got, err := appendBatchItemsJSON(nil, ops)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("append %s != marshal %s", got, want)
 		}

@@ -8,11 +8,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
+	"neesgrid/internal/wirejson"
 )
 
 // Client calls operations on a remote container, signing each request with
@@ -32,6 +36,62 @@ type Client struct {
 	// tracing (the traceparent of any span already in ctx still
 	// propagates, so an untraced client does not break the chain).
 	Tracer *trace.Tracer
+
+	tel      *telemetry.Registry
+	endpoint atomic.Pointer[endpoint]
+}
+
+// endpoint is BaseURL+"/ogsi" parsed once; base remembers the BaseURL it was
+// parsed from, so a caller that repoints the client gets a fresh parse.
+type endpoint struct {
+	base string
+	url  *url.URL
+}
+
+func (c *Client) endpointURL() (*url.URL, error) {
+	if ep := c.endpoint.Load(); ep != nil && ep.base == c.BaseURL {
+		return ep.url, nil
+	}
+	u, err := url.Parse(c.BaseURL + "/ogsi")
+	if err != nil {
+		return nil, err
+	}
+	c.endpoint.Store(&endpoint{base: c.BaseURL, url: u})
+	return u, nil
+}
+
+// Names of the counters that watch the single-pass receive path: envelopes
+// (gsi) and request, response, params or result documents (ogsi, and the
+// NTCP shapes core decodes on top of it) that were not in the canonical
+// layout and went through encoding/json. Both stay 0 between peers built
+// from this tree; a non-zero rate means codec drift has silently turned the
+// fast path off.
+const (
+	MetricWireFallbacks   = "gsi.wire.fallbacks"
+	MetricDecodeFallbacks = "ogsi.decode.fallbacks"
+)
+
+// registerFallbackCounters pre-registers both counters at zero, so a scrape
+// can tell "no fallbacks" from "not wired".
+func registerFallbackCounters(reg *telemetry.Registry) {
+	reg.Counter(MetricWireFallbacks)
+	reg.Counter(MetricDecodeFallbacks)
+}
+
+// UseTelemetry makes the client count receive-path fallbacks into reg (see
+// MetricWireFallbacks). Call before traffic flows; nil disables counting.
+func (c *Client) UseTelemetry(reg *telemetry.Registry) {
+	if reg != nil {
+		registerFallbackCounters(reg)
+	}
+	c.tel = reg
+}
+
+// noteFallback counts one fallback under name when telemetry is wired.
+func (c *Client) noteFallback(name string, fellBack bool) {
+	if fellBack && c.tel != nil {
+		c.tel.Counter(name).Inc()
+	}
 }
 
 // NewClient builds a client for the container at baseURL
@@ -77,46 +137,76 @@ func IsRemoteCode(err error, code string) bool {
 // service faults come back as *RemoteError (not retryable unless the code
 // says so).
 func (c *Client) Call(ctx context.Context, service, op string, params, out any) error {
-	rawParams, err := json.Marshal(params)
-	if err != nil {
+	paramsBuf := getBuf()
+	defer putBuf(paramsBuf)
+	var err error
+	if *paramsBuf, err = wirejson.Append((*paramsBuf)[:0], params); err != nil {
 		return fmt.Errorf("ogsi: marshal params: %w", err)
 	}
-	return c.callRaw(ctx, service, op, rawParams, out)
+	return c.callRaw(ctx, service, op, *paramsBuf, out)
+}
+
+// jsonContentType is shared by every request: net/http does not modify a
+// header's value slice.
+var jsonContentType = []string{"application/json"}
+
+// newPost builds the POST of body to the client's endpoint: what
+// http.NewRequestWithContext builds for a *bytes.Reader (content length,
+// rewindable GetBody), without re-parsing the URL on every call.
+func (c *Client) newPost(ctx context.Context, body []byte) (*http.Request, error) {
+	u, err := c.endpointURL()
+	if err != nil {
+		return nil, err
+	}
+	req := &http.Request{
+		Method:        http.MethodPost,
+		URL:           u,
+		Host:          u.Host,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        http.Header{"Content-Type": jsonContentType},
+		Body:          io.NopCloser(bytes.NewReader(body)),
+		ContentLength: int64(len(body)),
+		GetBody: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(body)), nil
+		},
+	}
+	return req.WithContext(ctx), nil
 }
 
 // callRaw is Call with the params already encoded: one signed envelope out,
 // one verified envelope back.
 func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []byte, out any) (err error) {
-	ctx, span := c.Tracer.Start(ctx, service+"."+op, trace.KindClient)
-	if span != nil {
+	var span *trace.Span
+	if c.Tracer != nil {
+		ctx, span = c.Tracer.Start(ctx, service+"."+op, trace.KindClient)
 		span.SetAttr("peer.url", c.BaseURL)
 		defer func() {
 			span.SetError(err)
 			span.End()
 		}()
 	}
-	// The traceparent carried in the signed payload: the client span when
-	// tracing here, else whatever span the caller's context already holds.
-	traceparent := trace.SpanContextFromContext(ctx).Traceparent()
 
 	// Single-pass encoding into pooled buffers: the request wire form is
 	// appended directly (no intermediate request struct marshal), signed,
 	// and wrapped in an envelope whose chain encoding is memoized on the
-	// credential.
+	// credential. The traceparent carried in the signed payload is the
+	// client span's when tracing here, else that of whatever span the
+	// caller's context already holds.
 	payloadBuf := getBuf()
 	defer putBuf(payloadBuf)
-	*payloadBuf = appendRequestJSON((*payloadBuf)[:0], service, op, rawParams, c.now(), traceparent)
+	*payloadBuf = appendRequestJSON((*payloadBuf)[:0], service, op, rawParams, c.now(), trace.SpanContextFromContext(ctx))
 	bodyBuf := getBuf()
 	defer putBuf(bodyBuf)
 	*bodyBuf, err = gsi.AppendSignedEnvelope((*bodyBuf)[:0], c.Cred, *payloadBuf)
 	if err != nil {
 		return fmt.Errorf("ogsi: sign request: %w", err)
 	}
-	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/ogsi", bytes.NewReader(*bodyBuf))
+	httpReq, err := c.newPost(ctx, *bodyBuf)
 	if err != nil {
 		return fmt.Errorf("ogsi: build request: %w", err)
 	}
-	httpReq.Header.Set("Content-Type", "application/json")
 	httpResp, err := c.httpClient().Do(httpReq)
 	if err != nil {
 		return fmt.Errorf("ogsi: transport: %w", err)
@@ -132,12 +222,13 @@ func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []by
 	if httpResp.StatusCode != http.StatusOK {
 		return fmt.Errorf("ogsi: http %d: %s", httpResp.StatusCode, bytes.TrimSpace(respBody))
 	}
-	var respEnv gsi.Envelope
-	if err := json.Unmarshal(respBody, &respEnv); err != nil {
-		return fmt.Errorf("ogsi: bad response envelope: %w", err)
-	}
+	// The receive side mirrors the send side: the response envelope is
+	// verified from its bytes and its payload decoded into the buffer the
+	// request payload no longer needs. Everything decoded below aliases that
+	// buffer, and nothing of it outlives this call: results are copied out by
+	// their decoders.
 	verifyStart := time.Now()
-	payload, _, vinfo, err := c.Trust.OpenInfo(&respEnv, c.now())
+	payload, _, vinfo, err := c.Trust.OpenWire((*payloadBuf)[:0], respBody, c.now())
 	if span != nil {
 		c.Tracer.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal,
 			verifyStart, time.Now(), map[string]string{
@@ -145,11 +236,18 @@ func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []by
 				"cached": strconv.FormatBool(vinfo.CacheHit),
 			})
 	}
+	c.noteFallback(MetricWireFallbacks, vinfo.WireFallback)
+	if errors.Is(err, gsi.ErrBadEnvelope) {
+		return fmt.Errorf("ogsi: bad response envelope: %w", err)
+	}
 	if err != nil {
 		return fmt.Errorf("ogsi: response authentication: %w", err)
 	}
+	*payloadBuf = payload
 	var resp response
-	if err := json.Unmarshal(payload, &resp); err != nil {
+	fellBack, err := wirejson.Unmarshal(payload, &resp)
+	c.noteFallback(MetricDecodeFallbacks, fellBack)
+	if err != nil {
 		return fmt.Errorf("ogsi: bad response: %w", err)
 	}
 	// The server's span id, echoed in the signed response: lets the
@@ -162,7 +260,9 @@ func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []by
 		return &RemoteError{Code: resp.Code, Message: resp.Error}
 	}
 	if out != nil && len(resp.Result) > 0 {
-		if err := json.Unmarshal(resp.Result, out); err != nil {
+		fellBack, err := wirejson.Unmarshal(resp.Result, out)
+		c.noteFallback(MetricDecodeFallbacks, fellBack)
+		if err != nil {
 			return fmt.Errorf("ogsi: unmarshal result: %w", err)
 		}
 	}
@@ -219,18 +319,13 @@ func (c *Client) CallBatch(ctx context.Context, service string, ops []BatchOp) (
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("ogsi: empty batch")
 	}
-	raws := make([][]byte, len(ops))
-	for i := range ops {
-		raw, err := json.Marshal(ops[i].Params)
-		if err != nil {
-			return nil, fmt.Errorf("ogsi: marshal batch params[%d]: %w", i, err)
-		}
-		raws[i] = raw
-	}
 	paramsBuf := getBuf()
 	defer putBuf(paramsBuf)
-	*paramsBuf = appendBatchItemsJSON((*paramsBuf)[:0], ops, raws)
-	var results []BatchResult
+	var err error
+	if *paramsBuf, err = appendBatchItemsJSON((*paramsBuf)[:0], ops); err != nil {
+		return nil, err
+	}
+	results := make(batchResults, 0, len(ops))
 	if err := c.callRaw(ctx, service, "batch", *paramsBuf, &results); err != nil {
 		return nil, err
 	}

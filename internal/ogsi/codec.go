@@ -1,13 +1,17 @@
 package ogsi
 
 import (
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf8"
+
+	"neesgrid/internal/trace"
+	"neesgrid/internal/wirejson"
 )
 
 // DefaultTransport is the shared HTTP transport for OGSI clients that do
@@ -105,72 +109,15 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 	}
 }
 
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal, byte-identical to
-// encoding/json's default encoder: short escapes for quote, backslash and
-// \b \f \n \r \t, \u00xx for the remaining control bytes, HTML escaping
-// of < > & as \u003c \u003e \u0026, \u2028/\u2029 for the JS line
-// separators, and the literal \ufffd escape for invalid UTF-8 bytes.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if c := s[i]; c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch c {
-			case '"', '\\':
-				dst = append(dst, '\\', c)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
-			i++
-			start = i
-			continue
-		}
-		if r == 0x2028 || r == 0x2029 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
-}
-
 // appendRequestJSON encodes the request wire form in one pass; params must
-// already be JSON (empty means null), and traceparent (empty means absent)
-// matches the struct's omitempty semantics.
-func appendRequestJSON(dst []byte, service, op string, params []byte, sent time.Time, traceparent string) []byte {
+// already be JSON (empty means null), and the traceparent of sc (absent when
+// sc is invalid, matching the struct's omitempty semantics) is hex-encoded
+// straight into dst.
+func appendRequestJSON(dst []byte, service, op string, params []byte, sent time.Time, sc trace.SpanContext) []byte {
 	dst = append(dst, `{"service":`...)
-	dst = appendJSONString(dst, service)
+	dst = wirejson.AppendString(dst, service)
 	dst = append(dst, `,"op":`...)
-	dst = appendJSONString(dst, op)
+	dst = wirejson.AppendString(dst, op)
 	dst = append(dst, `,"params":`...)
 	if len(params) == 0 {
 		dst = append(dst, "null"...)
@@ -180,34 +127,33 @@ func appendRequestJSON(dst []byte, service, op string, params []byte, sent time.
 	dst = append(dst, `,"sent":"`...)
 	dst = sent.AppendFormat(dst, time.RFC3339Nano)
 	dst = append(dst, '"')
-	if traceparent != "" {
-		dst = append(dst, `,"trace":`...)
-		dst = appendJSONString(dst, traceparent)
+	if sc.IsValid() {
+		dst = append(dst, `,"trace":"`...)
+		dst = sc.AppendTraceparent(dst)
+		dst = append(dst, '"')
 	}
 	return append(dst, '}')
 }
 
 // appendBatchItemsJSON encodes the params of a "batch" op — the (op,
 // params) list — in one pass, byte-identical to json.Marshal of the
-// corresponding []batchItem; raws[i] must already be JSON (empty means
-// null).
-func appendBatchItemsJSON(dst []byte, ops []BatchOp, raws [][]byte) []byte {
+// corresponding []batchItem with each op's params marshalled.
+func appendBatchItemsJSON(dst []byte, ops []BatchOp) ([]byte, error) {
 	dst = append(dst, '[')
 	for i := range ops {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = append(dst, `{"op":`...)
-		dst = appendJSONString(dst, ops[i].Op)
+		dst = wirejson.AppendString(dst, ops[i].Op)
 		dst = append(dst, `,"params":`...)
-		if len(raws[i]) == 0 {
-			dst = append(dst, "null"...)
-		} else {
-			dst = append(dst, raws[i]...)
+		var err error
+		if dst, err = wirejson.Append(dst, ops[i].Params); err != nil {
+			return dst, fmt.Errorf("ogsi: marshal batch params[%d]: %w", i, err)
 		}
 		dst = append(dst, '}')
 	}
-	return append(dst, ']')
+	return append(dst, ']'), nil
 }
 
 // appendResponseListJSON encodes a batch's per-item responses in one pass,
@@ -230,11 +176,11 @@ func appendResponseJSON(dst []byte, resp *response) []byte {
 	dst = strconv.AppendBool(dst, resp.OK)
 	if resp.Code != "" {
 		dst = append(dst, `,"code":`...)
-		dst = appendJSONString(dst, resp.Code)
+		dst = wirejson.AppendString(dst, resp.Code)
 	}
 	if resp.Error != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, resp.Error)
+		dst = wirejson.AppendString(dst, resp.Error)
 	}
 	if len(resp.Result) > 0 {
 		dst = append(dst, `,"result":`...)
@@ -242,7 +188,120 @@ func appendResponseJSON(dst []byte, resp *response) []byte {
 	}
 	if resp.Trace != "" {
 		dst = append(dst, `,"trace":`...)
-		dst = appendJSONString(dst, resp.Trace)
+		dst = wirejson.AppendString(dst, resp.Trace)
 	}
 	return append(dst, '}')
+}
+
+// The strict decoders below read exactly what the appenders above write, in
+// one pass and without reflection; wirejson.Unmarshal hands anything else to
+// encoding/json. Raw params and results alias the decoded document.
+
+// DecodeStrict implements wirejson.StrictDecoder.
+func (r *request) DecodeStrict(data []byte) bool {
+	var out request
+	d := wirejson.NewDec(data)
+	d.Lit(`{"service":`)
+	out.Service = d.String()
+	d.Lit(`,"op":`)
+	out.Op = d.String()
+	d.Lit(`,"params":`)
+	out.Params = d.Value()
+	d.Lit(`,"sent":`)
+	out.Sent = d.Time()
+	if d.Has(`,"trace":`) {
+		out.Trace = d.String()
+	}
+	d.Lit("}")
+	if !d.Done() {
+		return false
+	}
+	*r = out
+	return true
+}
+
+// DecodeStrict implements wirejson.StrictDecoder.
+func (r *response) DecodeStrict(data []byte) bool {
+	var out response
+	d := wirejson.NewDec(data)
+	out.OK, out.Code, out.Error, out.Result = decodeOutcome(&d)
+	if d.Has(`,"trace":`) {
+		out.Trace = d.String()
+	}
+	d.Lit("}")
+	if !d.Done() {
+		return false
+	}
+	*r = out
+	return true
+}
+
+// decodeOutcome reads the fields a response and a batch result share, up to
+// but not including the closing brace.
+func decodeOutcome(d *wirejson.Dec) (ok bool, code, errMsg string, result json.RawMessage) {
+	d.Lit(`{"ok":`)
+	ok = d.Bool()
+	if d.Has(`,"code":`) {
+		code = d.String()
+	}
+	if d.Has(`,"error":`) {
+		errMsg = d.String()
+	}
+	if d.Has(`,"result":`) {
+		result = d.Value()
+	}
+	return ok, code, errMsg, result
+}
+
+// batchItems is the params of a "batch" op on the server side.
+type batchItems []batchItem
+
+// DecodeStrict implements wirejson.StrictDecoder.
+func (b *batchItems) DecodeStrict(data []byte) bool {
+	out := batchItems{}
+	d := wirejson.NewDec(data)
+	d.Lit("[")
+	for !d.Has("]") && d.OK() {
+		if len(out) > 0 {
+			d.Lit(",")
+		}
+		var it batchItem
+		d.Lit(`{"op":`)
+		it.Op = d.String()
+		d.Lit(`,"params":`)
+		it.Params = d.Value()
+		d.Lit("}")
+		out = append(out, it)
+	}
+	if !d.Done() {
+		return false
+	}
+	*b = out
+	return true
+}
+
+// batchResults is the result of a "batch" op on the client side.
+type batchResults []BatchResult
+
+// DecodeStrict implements wirejson.StrictDecoder. The results are handed to
+// CallBatch's caller, so they alias a private copy of data rather than the
+// transport's pooled buffer.
+func (b *batchResults) DecodeStrict(data []byte) bool {
+	out := make(batchResults, 0, cap(*b))
+	d := wirejson.NewDec(append([]byte(nil), data...))
+	d.Lit("[")
+	for !d.Has("]") && d.OK() {
+		if len(out) > 0 {
+			d.Lit(",")
+		}
+		var r BatchResult
+		r.OK, r.Code, r.Error, r.Result = decodeOutcome(&d)
+		d.Lit("}")
+		out = append(out, r)
+	}
+	if !d.Done() {
+		return false
+	}
+	*b = out
+	return true
 }

@@ -7,45 +7,14 @@ import (
 	"strings"
 	"testing"
 	"time"
-)
 
-func TestAppendJSONStringMatchesEncodingJSON(t *testing.T) {
-	cases := []string{
-		"",
-		"ntcp",
-		"propose",
-		`with "quotes" and \backslashes\`,
-		"control\x00\x1fchars\nand\ttabs\r",
-		"backspace\band\fformfeed",
-		"unicode — π/2 ≤ θ",
-		"html <escapes> & entities",
-		"js line separators \u2028 and \u2029",
-		"invalid utf-8 \xff\xfe mid\xc3string",
-		"\x7fdel passes through",
-	}
-	for _, s := range cases {
-		got := appendJSONString(nil, s)
-		want, err := json.Marshal(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%q: append %s != marshal %s", s, got, want)
-		}
-		var back string
-		if err := json.Unmarshal(got, &back); err != nil {
-			t.Fatalf("%q: output does not parse: %v (%s)", s, err, got)
-		}
-		if !strings.Contains(s, "\xff") && !strings.Contains(s, "\xfe") && !strings.Contains(s, "\xc3s") && back != s {
-			t.Fatalf("%q round-tripped to %q", s, back)
-		}
-	}
-}
+	"neesgrid/internal/trace"
+)
 
 func TestAppendRequestJSONDecodesToRequest(t *testing.T) {
 	params, _ := json.Marshal(map[string]int{"step": 7})
 	sent := time.Date(2026, 8, 5, 12, 30, 45, 123456789, time.UTC)
-	enc := appendRequestJSON(nil, "ntcp", "propose", params, sent, "")
+	enc := appendRequestJSON(nil, "ntcp", "propose", params, sent, trace.SpanContext{})
 	var req request
 	if err := json.Unmarshal(enc, &req); err != nil {
 		t.Fatalf("bad encoding: %v\n%s", err, enc)
@@ -62,7 +31,7 @@ func TestAppendRequestJSONDecodesToRequest(t *testing.T) {
 	}
 
 	// Nil params must encode as null, like json.Marshal of a nil RawMessage.
-	enc = appendRequestJSON(nil, "svc", "op", nil, sent, "")
+	enc = appendRequestJSON(nil, "svc", "op", nil, sent, trace.SpanContext{})
 	if !bytes.Contains(enc, []byte(`"params":null`)) {
 		t.Fatalf("nil params: %s", enc)
 	}
@@ -78,14 +47,22 @@ func TestAppendRequestJSONMatchesMarshal(t *testing.T) {
 		{Service: "ntcp", Op: "propose", Params: params, Sent: sent},
 		{Service: "ntcp", Op: "propose", Params: params, Sent: sent,
 			Trace: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
-		{Service: "svc", Op: "op", Sent: sent, Trace: `odd "trace" value`},
+		{Service: "svc", Op: "op", Sent: sent},
 	}
 	for _, rq := range cases {
 		want, err := json.Marshal(&rq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := appendRequestJSON(nil, rq.Service, rq.Op, rq.Params, rq.Sent, rq.Trace)
+		// The appender takes the span context itself, so only a well-formed
+		// traceparent (or none) can reach the wire.
+		var sc trace.SpanContext
+		if rq.Trace != "" {
+			if sc, err = trace.ParseTraceparent(rq.Trace); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := appendRequestJSON(nil, rq.Service, rq.Op, rq.Params, rq.Sent, sc)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("append %s != marshal %s", got, want)
 		}

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,6 +15,7 @@ import (
 	"neesgrid/internal/gsi"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
+	"neesgrid/internal/wirejson"
 )
 
 // Caller identifies the authenticated, authorized origin of a request.
@@ -25,7 +26,9 @@ type Caller struct {
 	Account string
 }
 
-// Handler implements one operation of a grid service.
+// Handler implements one operation of a grid service. params aliases the
+// transport's pooled receive buffer and is valid only until the handler
+// returns: decode it, do not keep it.
 type Handler func(ctx context.Context, caller Caller, params json.RawMessage) (any, error)
 
 // OpError is a structured service fault with a machine-readable code, so
@@ -160,6 +163,7 @@ type Container struct {
 	mu       sync.RWMutex
 	services map[string]*Service
 	tel      *telemetry.Registry
+	ops      map[opKey]*opMetrics // per-op series in tel; reset with it
 	tracer   *trace.Tracer
 
 	httpServer *http.Server
@@ -188,14 +192,17 @@ const (
 // the /metrics HTTP endpoint and as a computed "metrics" SDE on every
 // hosted service.
 func NewContainer(cred *gsi.Credential, trust *gsi.TrustStore, gridmap *gsi.Gridmap) *Container {
-	return &Container{
+	c := &Container{
 		cred:     cred,
 		trust:    trust,
 		gridmap:  gridmap,
 		clock:    time.Now,
 		services: make(map[string]*Service),
 		tel:      telemetry.NewRegistry(),
+		ops:      make(map[opKey]*opMetrics),
 	}
+	registerFallbackCounters(c.tel)
+	return c
 }
 
 // UseTelemetry replaces the container's registry — the way a site shares one
@@ -205,9 +212,11 @@ func (c *Container) UseTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
+	registerFallbackCounters(reg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tel = reg
+	c.ops = make(map[opKey]*opMetrics)
 }
 
 // Telemetry returns the container's metrics registry.
@@ -294,17 +303,50 @@ func (c *Container) Service(name string) (*Service, bool) {
 // Identity returns the container's own Grid identity.
 func (c *Container) Identity() string { return c.cred.Identity() }
 
+// opKey names one operation of one service.
+type opKey struct{ service, op string }
+
+// opMetrics are the per-op series dispatch records into, resolved once per
+// (service, op) rather than by building three metric names per request.
+type opMetrics struct {
+	prefix   string // "ogsi.<service>.<op>"
+	requests *telemetry.Counter
+	seconds  *telemetry.Histogram
+}
+
+// metricsFor returns the registry and the op's series in it.
+func (c *Container) metricsFor(service, op string) (*telemetry.Registry, *opMetrics) {
+	key := opKey{service, op}
+	c.mu.RLock()
+	tel, m := c.tel, c.ops[key]
+	c.mu.RUnlock()
+	if m != nil {
+		return tel, m
+	}
+	prefix := "ogsi." + service + "." + op
+	m = &opMetrics{
+		prefix:   prefix,
+		requests: tel.Counter(prefix + ".requests"),
+		seconds:  tel.Histogram(prefix + ".seconds"),
+	}
+	c.mu.Lock()
+	if c.tel == tel { // else UseTelemetry swapped the registry meanwhile: do not cache
+		c.ops[key] = m
+	}
+	c.mu.Unlock()
+	return tel, m
+}
+
 // dispatch runs one decoded request, recording per-service/per-op request
 // counts, fault codes, and handler latency.
 func (c *Container) dispatch(ctx context.Context, caller Caller, req *request) *response {
-	tel := c.Telemetry()
-	prefix := "ogsi." + req.Service + "." + req.Op
-	tel.Counter(prefix + ".requests").Inc()
+	tel, m := c.metricsFor(req.Service, req.Op)
+	m.requests.Inc()
 	start := time.Now()
 	resp := c.dispatchInner(ctx, caller, req)
-	tel.Histogram(prefix + ".seconds").ObserveDuration(time.Since(start))
+	m.seconds.ObserveDuration(time.Since(start))
 	if !resp.OK {
-		tel.Counter(prefix + ".faults." + resp.Code).Inc()
+		tel.Counter(m.prefix + ".faults." + resp.Code).Inc()
 		tel.Event("ogsi", "fault", map[string]any{
 			"service": req.Service, "op": req.Op, "code": resp.Code, "error": resp.Error,
 		})
@@ -374,7 +416,7 @@ func (c *Container) dispatchInner(ctx context.Context, caller Caller, req *reque
 	if err != nil {
 		return faultResponse(err)
 	}
-	raw, merr := json.Marshal(result)
+	raw, merr := wirejson.Append(nil, result)
 	if merr != nil {
 		return faultResponse(Errf(CodeInternal, "marshal result: %v", merr))
 	}
@@ -389,8 +431,12 @@ func (c *Container) dispatchInner(ctx context.Context, caller Caller, req *reque
 // dispatch. A per-item fault does not fail the envelope — the caller reads
 // it from that item's response. Nested batches are rejected.
 func (c *Container) runBatch(ctx context.Context, caller Caller, req *request) *response {
-	var items []batchItem
-	if err := json.Unmarshal(req.Params, &items); err != nil {
+	var items batchItems
+	fellBack, err := wirejson.Unmarshal(req.Params, &items)
+	if fellBack {
+		c.Telemetry().Counter(MetricDecodeFallbacks).Inc()
+	}
+	if err != nil {
 		return faultResponse(Errf(CodeBadRequest, "bad batch params: %v", err))
 	}
 	if len(items) == 0 {
@@ -430,6 +476,9 @@ func faultResponse(err error) *response {
 	return &response{OK: false, Code: CodeInternal, Error: err.Error()}
 }
 
+// maxBodyBytes bounds one request body.
+const maxBodyBytes = 16 << 20
+
 // ServeHTTP handles one signed service call.
 func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -438,38 +487,56 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	bodyBuf := getBuf()
 	defer putBuf(bodyBuf)
-	body, err := readAllInto((*bodyBuf)[:0], io.LimitReader(r.Body, 16<<20))
+	body, err := readAllInto((*bodyBuf)[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	*bodyBuf = body
 	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "ogsi: body exceeds 16 MiB", http.StatusRequestEntityTooLarge)
+			return
+		}
 		http.Error(w, "ogsi: read body", http.StatusBadRequest)
 		return
 	}
-	// Unmarshal copies every []byte field (base64 decode) and RawMessage, so
-	// nothing below aliases the pooled body buffer.
-	var env gsi.Envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		http.Error(w, "ogsi: bad envelope", http.StatusBadRequest)
-		return
-	}
+	tel := c.Telemetry()
+	// The envelope is verified from its bytes and its payload decoded into a
+	// pooled buffer. The request decoded from it — params included — aliases
+	// that buffer, which goes back to the pool when this call returns; the
+	// response is encoded from fresh memory before then.
+	//
 	// Chain verification runs before the payload — and thus the caller's
 	// traceparent — is readable, so its extent is measured here and
 	// recorded as a retroactive child span once the server span exists.
+	payloadBuf := getBuf()
+	defer putBuf(payloadBuf)
 	verifyStart := time.Now()
-	payload, identity, vinfo, err := c.trust.OpenInfo(&env, c.clock())
+	payload, identity, vinfo, err := c.trust.OpenWire((*payloadBuf)[:0], body, c.clock())
 	verifyEnd := time.Now()
+	if vinfo.WireFallback {
+		tel.Counter(MetricWireFallbacks).Inc()
+	}
+	if errors.Is(err, gsi.ErrBadEnvelope) {
+		http.Error(w, "ogsi: bad envelope", http.StatusBadRequest)
+		return
+	}
 	if err != nil {
-		c.Telemetry().Counter("ogsi.auth.failed").Inc()
+		tel.Counter("ogsi.auth.failed").Inc()
 		c.reply(w, faultResponse(Errf(CodeDenied, "authentication failed: %v", err)))
 		return
 	}
+	*payloadBuf = payload
 	account, err := c.gridmap.Authorize(identity)
 	if err != nil {
-		c.Telemetry().Counter("ogsi.auth.denied").Inc()
+		tel.Counter("ogsi.auth.denied").Inc()
 		c.reply(w, faultResponse(Errf(CodeDenied, "not authorized: %s", identity)))
 		return
 	}
 	var req request
-	if err := json.Unmarshal(payload, &req); err != nil {
+	fellBack, err := wirejson.Unmarshal(payload, &req)
+	if fellBack {
+		tel.Counter(MetricDecodeFallbacks).Inc()
+	}
+	if err != nil {
 		c.reply(w, faultResponse(Errf(CodeBadRequest, "bad request: %v", err)))
 		return
 	}
@@ -484,7 +551,7 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		tr.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal,
 			verifyStart, verifyEnd, map[string]string{
 				"side":   "request",
-				"cached": fmt.Sprintf("%t", vinfo.CacheHit),
+				"cached": strconv.FormatBool(vinfo.CacheHit),
 			})
 	}
 	resp := c.dispatch(ctx, Caller{Identity: identity, Account: account}, &req)

@@ -21,7 +21,7 @@ type testFabric struct {
 	addr      string
 }
 
-func newFabric(t *testing.T, wire func(*Container)) *testFabric {
+func newFabric(t testing.TB, wire func(*Container)) *testFabric {
 	t.Helper()
 	ca, err := gsi.NewAuthority("/O=NEES/CN=CA", time.Hour)
 	if err != nil {

@@ -1,0 +1,119 @@
+package ogsi
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"neesgrid/internal/trace"
+	"neesgrid/internal/wirejson/wiretest"
+)
+
+// canonicalRaw reports whether raw is what json.Marshal would re-emit for
+// it: compact and HTML-escaped. The appenders copy raw values verbatim, so
+// byte-equality with json.Marshal is only promised for such values — which
+// is what every producer in the tree hands them.
+func canonicalRaw(raw json.RawMessage) bool {
+	if len(raw) == 0 {
+		return true
+	}
+	out, err := json.Marshal(raw)
+	return err == nil && bytes.Equal(out, raw)
+}
+
+func FuzzDecodeRequest(f *testing.F) {
+	sent := time.Date(2026, 8, 5, 12, 30, 45, 123456789, time.UTC)
+	sc := trace.SpanContext{TraceID: trace.TraceID{1, 2, 3}, SpanID: trace.SpanID{4, 5}}
+	params := []byte(`{"name":"run/step-7/uiuc","actions":[{"control_point":"drift","displacements":[0.001]}]}`)
+	items, _ := appendBatchItemsJSON(nil, []BatchOp{{Op: "execute", Params: map[string]string{"name": "a"}}, {Op: "propose", Params: nil}})
+	for _, seed := range [][]byte{
+		appendRequestJSON(nil, "ntcp", "propose", params, sent, sc),
+		appendRequestJSON(nil, "ntcp", "execute", nil, sent.In(time.FixedZone("cdt", -5*3600)), trace.SpanContext{}),
+		appendRequestJSON(nil, "ntcp", "batch", items, sent, sc),
+		items,
+		[]byte(`[]`), []byte(`null`), []byte(`[{"op":"x","params":null},]`),
+		[]byte(`{"service":"a\"b","op":"x","params":1,"sent":"2026-08-05T12:30:45Z"}`),
+		[]byte(`{"service":"a","op":"x","params": 1,"sent":"2026-08-05T12:30:45Z"}`),
+		[]byte(`{"service":"a","op":"x","params":1,"sent":"2026-08-05 12:30:45"}`),
+		[]byte(`{"service":"a","op":"x","params":1,"sent":"2026-08-05T12:30:45Z","trace":""}`),
+		[]byte(`{"op":"x","service":"a","params":1,"sent":"2026-08-05T12:30:45Z"}`),
+		[]byte("{\"service\":\"a\xff\",\"op\":\"x\",\"params\":1,\"sent\":\"2026-08-05T12:30:45Z\"}"),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.AgreeWithEncodingJSON(t, data, new(request), new(request))
+		wiretest.AgreeWithEncodingJSON(t, data, new(batchItems), new(batchItems))
+
+		// Encoder side: whatever encoding/json decodes, the appender
+		// re-encodes byte for byte as json.Marshal does.
+		var req request
+		if json.Unmarshal(data, &req) != nil || !canonicalRaw(req.Params) {
+			return
+		}
+		var sc trace.SpanContext
+		if req.Trace != "" {
+			var err error
+			if sc, err = trace.ParseTraceparent(req.Trace); err != nil || sc.Traceparent() != req.Trace {
+				return // the appender only takes a well-formed span context
+			}
+		}
+		want, err := json.Marshal(&req)
+		if err != nil {
+			return // a time encoding/json itself refuses to re-encode
+		}
+		if got := appendRequestJSON(nil, req.Service, req.Op, req.Params, req.Sent, sc); !bytes.Equal(got, want) {
+			t.Fatalf("append %s\nmarshal %s", got, want)
+		}
+	})
+}
+
+func FuzzDecodeResponse(f *testing.F) {
+	record := json.RawMessage(`{"name":"t1","state":"executed","results":[{"control_point":"drift","displacements":[0.001],"forces":[770]}]}`)
+	tp := "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"
+	for _, seed := range [][]byte{
+		appendResponseJSON(nil, &response{OK: true, Result: record, Trace: tp}),
+		appendResponseJSON(nil, &response{OK: true}),
+		appendResponseJSON(nil, &response{OK: false, Code: CodeConflict, Error: "transaction is executing"}),
+		appendResponseJSON(nil, &response{OK: false, Code: CodeDenied, Error: `authentication "failed"`}),
+		appendResponseListJSON(nil, []*response{{OK: true, Result: record}, {OK: false, Code: CodeUnavailable, Error: "draining"}}),
+		appendResponseListJSON(nil, []*response{{OK: true, Trace: tp}}),
+		[]byte(`[]`), []byte(`null`), []byte(`[{"ok":true},]`), []byte(`{"ok":true,"result":null}`),
+		[]byte(`{"ok":true,"code":""}`), []byte(`{"ok":true,"result":{"a": [1, 2]}}`), []byte(`{"ok":1}`),
+		[]byte(`{"ok":true,"trace":"x","result":1}`), []byte(`{"ok":true}{"ok":false}`),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wiretest.AgreeWithEncodingJSON(t, data, new(response), new(response))
+		wiretest.AgreeWithEncodingJSON(t, data, new(batchResults), new(batchResults))
+
+		var resp response
+		if json.Unmarshal(data, &resp) == nil && canonicalRaw(resp.Result) {
+			want, err := json.Marshal(&resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := appendResponseJSON(nil, &resp); !bytes.Equal(got, want) {
+				t.Fatalf("append %s\nmarshal %s", got, want)
+			}
+		}
+	})
+}
+
+// TestBatchResultsDoNotAliasTheDocument: CallBatch hands its results to the
+// caller, so they must survive the transport reusing its receive buffer.
+func TestBatchResultsDoNotAliasTheDocument(t *testing.T) {
+	doc := appendResponseListJSON(nil, []*response{{OK: true, Result: json.RawMessage(`{"n":1}`)}, {OK: true, Result: json.RawMessage(`[2]`)}})
+	var results batchResults
+	if !results.DecodeStrict(doc) {
+		t.Fatal("canonical batch result declined")
+	}
+	for i := range doc {
+		doc[i] = 'X'
+	}
+	if string(results[0].Result) != `{"n":1}` || string(results[1].Result) != `[2]` {
+		t.Fatalf("results changed with the buffer: %s %s", results[0].Result, results[1].Result)
+	}
+}

@@ -1,0 +1,366 @@
+package ogsi
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"neesgrid/internal/gsi"
+	"neesgrid/internal/telemetry"
+	"neesgrid/internal/trace"
+)
+
+var noSpan trace.SpanContext
+
+// post sends body to the fabric's /ogsi endpoint as-is.
+func post(t *testing.T, f *testFabric, body io.Reader) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post("http://"+f.addr+"/ogsi", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, out
+}
+
+// sealRequest returns a signed envelope around a request payload.
+func sealRequest(t *testing.T, f *testFabric, payload []byte) []byte {
+	t.Helper()
+	body, err := gsi.AppendSignedEnvelope(nil, f.client.Cred, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// openReply verifies a container reply and decodes the response in it.
+func openReply(t *testing.T, f *testFabric, reply []byte) response {
+	t.Helper()
+	payload, _, _, err := f.trust.OpenWire(nil, reply, time.Now())
+	if err != nil {
+		t.Fatalf("reply does not verify: %v\n%s", err, reply)
+	}
+	var resp response
+	if err := json.Unmarshal(payload, &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestServeHTTPStatusContract pins what the receive path answers before a
+// request exists: 400 for a body that is not an envelope, a signed CodeDenied
+// for one that does not verify, a signed CodeBadRequest for a verified payload
+// that is not a request — as before the single-pass path.
+func TestServeHTTPStatusContract(t *testing.T) {
+	f := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	for _, junk := range []string{``, `{`, `not json`, `{"payload":"!!!","chain":[],"signature":""}`} {
+		if status, body := post(t, f, strings.NewReader(junk)); status != http.StatusBadRequest || !bytes.Contains(body, []byte("bad envelope")) {
+			t.Errorf("%q: status %d body %q, want 400 bad envelope", junk, status, body)
+		}
+	}
+
+	good := sealRequest(t, f, appendRequestJSON(nil, "echo", "echo", []byte(`{"msg":"hi"}`), time.Now(), noSpan))
+	tampered := append([]byte(nil), good...)
+	if i := bytes.Index(tampered, []byte(`"signature":"`)) + len(`"signature":"`); tampered[i] == 'A' {
+		tampered[i] = 'B'
+	} else {
+		tampered[i] = 'A'
+	}
+	status, reply := post(t, f, bytes.NewReader(tampered))
+	if resp := openReply(t, f, reply); status != http.StatusOK || resp.OK || resp.Code != CodeDenied {
+		t.Fatalf("tampered signature: status %d, response %+v", status, resp)
+	}
+	if n := f.container.Telemetry().Snapshot().Counters["ogsi.auth.failed"]; n != 1 {
+		t.Fatalf("ogsi.auth.failed = %d", n)
+	}
+
+	status, reply = post(t, f, bytes.NewReader(sealRequest(t, f, []byte(`{"service":`))))
+	if resp := openReply(t, f, reply); status != http.StatusOK || resp.OK || resp.Code != CodeBadRequest {
+		t.Fatalf("undecodable request: status %d, response %+v", status, resp)
+	}
+}
+
+// TestServeHTTPBodyLimit: a body over the limit is answered 413, not silently
+// truncated and then called a bad envelope; one of exactly the limit is read
+// whole and judged for what it is.
+func TestServeHTTPBodyLimit(t *testing.T) {
+	f := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	junk := bytes.Repeat([]byte{'x'}, maxBodyBytes+1)
+	if status, body := post(t, f, bytes.NewReader(junk)); status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body of limit+1 bytes: status %d (%q), want 413", status, body)
+	}
+	if status, body := post(t, f, bytes.NewReader(junk[:maxBodyBytes])); status != http.StatusBadRequest || !bytes.Contains(body, []byte("bad envelope")) {
+		t.Fatalf("body of exactly the limit: status %d (%q), want 400 bad envelope", status, body)
+	}
+	// And a large real request is read to the end and dispatched.
+	pad := strings.Repeat("x", 1<<20)
+	var out map[string]string
+	if err := f.client.Call(context.Background(), "echo", "echo", map[string]string{"msg": pad}, &out); err != nil || out["msg"] != pad {
+		t.Fatalf("1 MiB request: %v (%d bytes echoed)", err, len(out["msg"]))
+	}
+}
+
+// TestFallbackCounters: both counters exist at zero on a fresh container and
+// client registry, stay there across canonical traffic, and count exactly the
+// envelopes and documents that went through encoding/json.
+func TestFallbackCounters(t *testing.T) {
+	f := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	clientReg := telemetry.NewRegistry()
+	f.client.UseTelemetry(clientReg)
+	counters := func(reg *telemetry.Registry) (wire, decode int64) {
+		snap := reg.Snapshot()
+		for _, name := range []string{MetricWireFallbacks, MetricDecodeFallbacks} {
+			if _, ok := snap.Counters[name]; !ok {
+				t.Fatalf("%s is not pre-registered", name)
+			}
+		}
+		return snap.Counters[MetricWireFallbacks], snap.Counters[MetricDecodeFallbacks]
+	}
+	if w, d := counters(f.container.Telemetry()); w != 0 || d != 0 {
+		t.Fatalf("fresh container: wire=%d decode=%d", w, d)
+	}
+
+	ctx := context.Background()
+	var out map[string]string
+	for i := 0; i < 5; i++ {
+		if err := f.client.Call(ctx, "echo", "echo", map[string]string{"msg": "hi"}, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := f.client.CallBatch(ctx, "echo", []BatchOp{{Op: "echo", Params: map[string]string{"a": "b"}}, {Op: "fail"}}); err != nil {
+		t.Fatal(err)
+	}
+	for name, reg := range map[string]*telemetry.Registry{"container": f.container.Telemetry(), "client": clientReg} {
+		if w, d := counters(reg); w != 0 || d != 0 {
+			t.Fatalf("%s after canonical traffic: wire=%d decode=%d", name, w, d)
+		}
+	}
+
+	// The same request, valid but not canonical: an indented envelope (gsi
+	// falls back) around a request with its keys reordered (ogsi falls back).
+	payload := []byte(`{"op":"echo","service":"echo","params":{"msg":"hi"},"sent":"2026-08-05T12:30:45Z"}`)
+	var env gsi.Envelope
+	if err := json.Unmarshal(sealRequest(t, f, payload), &env); err != nil {
+		t.Fatal(err)
+	}
+	indented, _ := json.MarshalIndent(&env, "", " ")
+	status, reply := post(t, f, bytes.NewReader(indented))
+	if resp := openReply(t, f, reply); status != http.StatusOK || !resp.OK {
+		t.Fatalf("non-canonical request refused: %d %+v", status, resp)
+	}
+	if w, d := counters(f.container.Telemetry()); w != 1 || d != 1 {
+		t.Fatalf("container after one non-canonical request: wire=%d decode=%d, want 1/1", w, d)
+	}
+
+	// A fault message with a quote in it is escaped on the wire, which the
+	// strict response decoder leaves to encoding/json: counted on the client.
+	err := f.client.Call(ctx, "echo", "nope", nil, nil)
+	if !IsRemoteCode(err, CodeNotFound) || !strings.Contains(err.Error(), `"nope"`) {
+		t.Fatalf("err = %v", err)
+	}
+	if w, d := counters(clientReg); w != 0 || d != 1 {
+		t.Fatalf("client after an escaped fault: wire=%d decode=%d, want 0/1", w, d)
+	}
+}
+
+// TestHandlerParamsDoNotOutliveTheCall is the aliasing proof for the pooled
+// receive buffers: handlers see the right params under concurrency (run with
+// -race), and what a client got back is untouched by later traffic through
+// the same pools.
+func TestHandlerParamsDoNotOutliveTheCall(t *testing.T) {
+	f := newFabric(t, func(c *Container) {
+		svc := NewService("mirror")
+		svc.RegisterOp("mirror", func(_ context.Context, _ Caller, params json.RawMessage) (any, error) {
+			var in struct {
+				ID  int    `json:"id"`
+				Pad string `json:"pad"`
+			}
+			if err := json.Unmarshal(params, &in); err != nil {
+				return nil, Errf(CodeBadRequest, "%v", err)
+			}
+			if in.Pad != strings.Repeat(fmt.Sprint(in.ID%10), 64+in.ID) {
+				return nil, Errf(CodeInternal, "params of request %d were overwritten: %q", in.ID, in.Pad)
+			}
+			return in, nil
+		})
+		c.AddService(svc)
+	})
+	type reply struct {
+		ID  int    `json:"id"`
+		Pad string `json:"pad"`
+	}
+	var wg sync.WaitGroup
+	kept := make([][]BatchResult, 8)
+	for g := range kept {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				id := g*1000 + i
+				in := reply{ID: id, Pad: strings.Repeat(fmt.Sprint(id%10), 64+id)}
+				var out reply
+				if err := f.client.Call(context.Background(), "mirror", "mirror", in, &out); err != nil || out != in {
+					t.Errorf("request %d: %v (got id %d)", id, err, out.ID)
+					return
+				}
+				results, err := f.client.CallBatch(context.Background(), "mirror", []BatchOp{{Op: "mirror", Params: in}})
+				if err != nil {
+					t.Errorf("batch %d: %v", id, err)
+					return
+				}
+				if i == 0 {
+					kept[g] = results // decoded only after everything else has run
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g, results := range kept {
+		var out reply
+		if err := results[0].Decode(&out); err != nil || out.ID != g*1000 {
+			t.Fatalf("batch result kept by goroutine %d changed under later traffic: %+v %v", g, out, err)
+		}
+	}
+}
+
+// TestClientFollowsBaseURL: the endpoint is parsed once per BaseURL, not once
+// per client — a caller that repoints the client is followed.
+func TestClientFollowsBaseURL(t *testing.T) {
+	a := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	b := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	cl := NewClient("http://"+a.addr, a.client.Cred, a.trust)
+	var out map[string]string
+	if err := cl.Call(context.Background(), "echo", "echo", map[string]string{"m": "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	cl.BaseURL = "http://" + b.addr // b trusts another CA: the call must reach it and be refused
+	if err := cl.Call(context.Background(), "echo", "echo", map[string]string{"m": "1"}, &out); err == nil {
+		t.Fatal("call after repointing still went to the first container")
+	}
+	if n := b.container.Telemetry().Snapshot().Counters["ogsi.auth.failed"]; n != 1 {
+		t.Fatalf("second container saw %d refused requests, want 1", n)
+	}
+	cl.BaseURL = "http://bad host/"
+	if err := cl.Call(context.Background(), "echo", "echo", nil, nil); err == nil || !strings.Contains(err.Error(), "build request") {
+		t.Fatalf("unparsable BaseURL: %v", err)
+	}
+}
+
+// selfEncoded is a wirejson.Appender whose encoding can be made to fail.
+type selfEncoded struct {
+	n     int
+	fail  bool
+	calls *int
+}
+
+func (v selfEncoded) AppendJSON(dst []byte) ([]byte, error) {
+	*v.calls++
+	if v.fail {
+		return dst, errors.New("cannot encode")
+	}
+	return append(dst, fmt.Sprintf(`{"n":%d}`, v.n)...), nil
+}
+
+// TestSDESetEncodesOnFirstRead pins the lazy-publication contract: a value
+// that owns its encoding is not encoded by Set, is encoded once by the first
+// reader and served from the memo afterwards, and keeps its version,
+// timestamp and last-changed bookkeeping from the moment of the Set.
+func TestSDESetEncodesOnFirstRead(t *testing.T) {
+	s := NewSDEStore()
+	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	s.SetClock(func() time.Time { return now })
+	calls := 0
+	for n := 1; n <= 3; n++ {
+		if err := s.Set("tx", selfEncoded{n: n, calls: &calls}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if calls != 0 {
+		t.Fatalf("Set encoded %d times with no reader", calls)
+	}
+	now = now.Add(time.Hour) // reads happen later; UpdatedAt must not move
+	for i := 0; i < 3; i++ {
+		sde, ok := s.Get("tx")
+		if !ok || string(sde.Value) != `{"n":3}` || sde.Version != 3 || !sde.UpdatedAt.Equal(now.Add(-time.Hour)) {
+			t.Fatalf("Get = %+v %v", sde, ok)
+		}
+	}
+	if last, ok := s.LastChanged(); !ok || string(last.Value) != `{"n":3}` {
+		t.Fatalf("LastChanged = %+v %v", last, ok)
+	}
+	if all := s.Query(); len(all) != 1 || string(all[0].Value) != `{"n":3}` {
+		t.Fatalf("Query = %+v", all)
+	}
+	if calls != 1 {
+		t.Fatalf("value encoded %d times across five reads, want once", calls)
+	}
+
+	// A watcher is a reader: it gets the encoded element.
+	ch, cancel := s.Watch(1)
+	defer cancel()
+	_ = s.Set("tx", selfEncoded{n: 4, calls: &calls})
+	if sde := <-ch; string(sde.Value) != `{"n":4}` || sde.Version != 4 {
+		t.Fatalf("watcher got %+v", sde)
+	}
+
+	// Plain values that cannot fail are deferred too, and read back the same.
+	_ = s.Set("name", "step-7")
+	_ = s.Set("count", 42)
+	var name string
+	var count int
+	if err := s.GetInto("name", &name); err != nil || name != "step-7" {
+		t.Fatalf("name = %q %v", name, err)
+	}
+	if err := s.GetInto("count", &count); err != nil || count != 42 {
+		t.Fatalf("count = %d %v", count, err)
+	}
+}
+
+// TestSDESetEncodingFailure is the one behavioural edge of lazy publication.
+// A value of a type that could fail to encode still fails at Set, leaving the
+// store untouched. A value that owns its encoding is taken on trust: if it
+// then fails at first read, the element reads as absent — as a computed
+// element whose function fails always has.
+func TestSDESetEncodingFailure(t *testing.T) {
+	s := NewSDEStore()
+	_ = s.Set("kept", "v1")
+	if err := s.Set("kept", math.NaN()); err == nil {
+		t.Fatal("Set of a NaN succeeded")
+	}
+	if err := s.Set("kept", map[string]any{"f": func() {}}); err == nil {
+		t.Fatal("Set of a func succeeded")
+	}
+	if sde, ok := s.Get("kept"); !ok || string(sde.Value) != `"v1"` || sde.Version != 1 {
+		t.Fatalf("failed Set disturbed the element: %+v %v", sde, ok)
+	}
+
+	calls := 0
+	if err := s.Set("broken", selfEncoded{fail: true, calls: &calls}); err != nil {
+		t.Fatalf("Set of a self-encoding value reported %v before anyone read it", err)
+	}
+	if _, ok := s.Get("broken"); ok {
+		t.Fatal("unencodable element served")
+	}
+	if _, ok := s.LastChanged(); ok {
+		t.Fatal("unencodable element served as last-changed")
+	}
+	if all := s.Query(); len(all) != 1 || all[0].Name != "kept" {
+		t.Fatalf("Query = %+v", all)
+	}
+	if err := s.GetInto("broken", new(int)); err == nil {
+		t.Fatal("GetInto of an unencodable element succeeded")
+	}
+	if calls != 1 {
+		t.Fatalf("failing encoder ran %d times, want once", calls)
+	}
+}

@@ -16,6 +16,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"neesgrid/internal/wirejson"
 )
 
 // SDE is one service data element: a named, versioned, timestamped value
@@ -32,7 +34,7 @@ type SDE struct {
 // change tracking.
 type SDEStore struct {
 	mu          sync.RWMutex
-	elements    map[string]SDE
+	elements    map[string]*element
 	computed    map[string]func() any
 	lastChanged string
 	clock       func() time.Time
@@ -40,10 +42,41 @@ type SDEStore struct {
 	nextWatcher int
 }
 
+// element is one stored SDE. A value handed to Set is encoded when the
+// element is first read, not when it is written: NTCP publishes three
+// elements on every transaction state change and, during a run, nothing reads
+// them. Until then sde.Value is nil and pending holds the value.
+type element struct {
+	sde     SDE
+	pending any
+	encode  sync.Once
+	err     error
+}
+
+// read returns the element with its value encoded, encoding it on the first
+// call. ok is false for a value that cannot be encoded.
+func (e *element) read() (SDE, bool) {
+	e.encode.Do(func() {
+		e.sde.Value, e.err = wirejson.Append(nil, e.pending)
+		e.pending = nil
+	})
+	return e.sde, e.err == nil
+}
+
+// deferrable reports whether encoding v may wait for the first read: it
+// cannot fail, or v owns its encoding.
+func deferrable(v any) bool {
+	switch v.(type) {
+	case wirejson.Appender, string, bool, int:
+		return true
+	}
+	return false
+}
+
 // NewSDEStore returns an empty store.
 func NewSDEStore() *SDEStore {
 	return &SDEStore{
-		elements: make(map[string]SDE),
+		elements: make(map[string]*element),
 		computed: make(map[string]func() any),
 		clock:    time.Now,
 		watchers: make(map[int]chan SDE),
@@ -79,22 +112,41 @@ func (s *SDEStore) SetClock(clock func() time.Time) {
 	s.clock = clock
 }
 
-// Set marshals v and stores it under name, bumping the version.
+// Set stores v under name, bumping the version. v is encoded on first read
+// (Get, Query, LastChanged, delivery to a watcher), so it must not change
+// after Set returns: pass a private copy. A value that encodes itself
+// (wirejson.Appender — the NTCP transaction record and counters) is taken on
+// trust; if its encoding fails at that first read the element reads as
+// absent, like a computed element whose function fails. A value of any other
+// type that could fail to encode is encoded now, and Set fails as it always
+// did.
 func (s *SDEStore) Set(name string, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("ogsi: marshal SDE %s: %w", name, err)
+	e := &element{sde: SDE{Name: name}, pending: v}
+	if !deferrable(v) {
+		if _, ok := e.read(); !ok {
+			return fmt.Errorf("ogsi: marshal SDE %s: %w", name, e.err)
+		}
 	}
 	s.mu.Lock()
-	prev := s.elements[name]
-	sde := SDE{Name: name, Value: raw, Version: prev.Version + 1, UpdatedAt: s.clock()}
-	s.elements[name] = sde
+	if prev := s.elements[name]; prev != nil {
+		e.sde.Version = prev.sde.Version
+	}
+	e.sde.Version++
+	e.sde.UpdatedAt = s.clock()
+	s.elements[name] = e
 	s.lastChanged = name
 	watchers := make([]chan SDE, 0, len(s.watchers))
 	for _, ch := range s.watchers {
 		watchers = append(watchers, ch)
 	}
 	s.mu.Unlock()
+	if len(watchers) == 0 {
+		return nil
+	}
+	sde, ok := e.read()
+	if !ok {
+		return nil
+	}
 	for _, ch := range watchers {
 		select {
 		case ch <- sde:
@@ -118,11 +170,14 @@ func (s *SDEStore) Delete(name string) {
 // Get returns the element and whether it exists.
 func (s *SDEStore) Get(name string) (SDE, bool) {
 	s.mu.RLock()
-	sde, ok := s.elements[name]
+	e := s.elements[name]
 	fn := s.computed[name]
 	s.mu.RUnlock()
-	if ok || fn == nil {
-		return sde, ok
+	if e != nil {
+		return e.read()
+	}
+	if fn == nil {
+		return SDE{}, false
 	}
 	return s.materialize(name, fn)
 }
@@ -141,9 +196,9 @@ func (s *SDEStore) GetInto(name string, out any) error {
 func (s *SDEStore) Query(names ...string) []SDE {
 	if len(names) == 0 {
 		s.mu.RLock()
-		out := make([]SDE, 0, len(s.elements)+len(s.computed))
-		for _, sde := range s.elements {
-			out = append(out, sde)
+		stored := make([]*element, 0, len(s.elements))
+		for _, e := range s.elements {
+			stored = append(stored, e)
 		}
 		pending := make(map[string]func() any, len(s.computed))
 		for n, fn := range s.computed {
@@ -152,6 +207,12 @@ func (s *SDEStore) Query(names ...string) []SDE {
 			}
 		}
 		s.mu.RUnlock()
+		out := make([]SDE, 0, len(stored)+len(pending))
+		for _, e := range stored {
+			if sde, ok := e.read(); ok {
+				out = append(out, sde)
+			}
+		}
 		for n, fn := range pending {
 			if sde, ok := s.materialize(n, fn); ok {
 				out = append(out, sde)
@@ -173,12 +234,13 @@ func (s *SDEStore) Query(names ...string) []SDE {
 // uses to monitor server behaviour as a whole.
 func (s *SDEStore) LastChanged() (SDE, bool) {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.lastChanged == "" {
+	e := s.elements[s.lastChanged]
+	none := s.lastChanged == ""
+	s.mu.RUnlock()
+	if none || e == nil {
 		return SDE{}, false
 	}
-	sde, ok := s.elements[s.lastChanged]
-	return sde, ok
+	return e.read()
 }
 
 // Len returns the number of elements, computed ones included.

@@ -292,3 +292,25 @@ func TestConcurrentSnapshotWhileObserve(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestObserveDurationExemplarTakesBinaryID: the step path hands the trace ID
+// over in binary; it appears hex-encoded on the exemplar when — and only
+// when — the observation is retained.
+func TestObserveDurationExemplarTakesBinaryID(t *testing.T) {
+	h := NewRegistry().Histogram("rtt")
+	slow := [16]byte{0xde, 0xad, 0xbe, 0xef, 15: 0x01}
+	fast := [16]byte{0xfa, 0x57}
+	h.ObserveDurationExemplar(200*time.Millisecond, slow)
+	h.ObserveDurationExemplar(time.Millisecond, fast)  // faster than a fresh exemplar: not retained
+	h.ObserveDurationExemplar(time.Second, [16]byte{}) // no trace: counted, never the exemplar
+	snap := h.Snapshot()
+	if snap.Count != 3 || snap.Max != 1 {
+		t.Fatalf("count %d max %v", snap.Count, snap.Max)
+	}
+	if snap.Exemplar == nil || snap.Exemplar.TraceID != "deadbeef000000000000000000000001" || snap.Exemplar.Value != 0.2 {
+		t.Fatalf("exemplar = %+v", snap.Exemplar)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { h.ObserveDurationExemplar(time.Millisecond, fast) }); allocs != 0 {
+		t.Fatalf("an observation that is not retained allocated %v times", allocs)
+	}
+}

@@ -13,6 +13,7 @@
 package telemetry
 
 import (
+	"encoding/hex"
 	"math"
 	"sort"
 	"sync"
@@ -152,7 +153,7 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	}
 	for {
 		cur := h.ex.Load()
-		if cur != nil && v < cur.Value && time.Since(cur.TS) < ExemplarTTL {
+		if !supersedes(v, cur) {
 			return
 		}
 		if h.ex.CompareAndSwap(cur, &Exemplar{TraceID: traceID, Value: v, TS: time.Now()}) {
@@ -161,9 +162,23 @@ func (h *Histogram) ObserveExemplar(v float64, traceID string) {
 	}
 }
 
-// ObserveDurationExemplar is ObserveExemplar for a duration in seconds.
-func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID string) {
-	h.ObserveExemplar(d.Seconds(), traceID)
+// supersedes reports whether an observation of v replaces the retained
+// exemplar cur.
+func supersedes(v float64, cur *Exemplar) bool {
+	return cur == nil || v >= cur.Value || time.Since(cur.TS) >= ExemplarTTL
+}
+
+// ObserveDurationExemplar is ObserveExemplar for a duration in seconds and
+// a trace ID still in binary (all-zero means none): the step path observes
+// every round trip, and the ID is only worth hex-encoding for the rare
+// observation that is retained.
+func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID [16]byte) {
+	v := d.Seconds()
+	if traceID == ([16]byte{}) || !supersedes(v, h.ex.Load()) {
+		h.Observe(v)
+		return
+	}
+	h.ObserveExemplar(v, hex.EncodeToString(traceID[:]))
 }
 
 // Time runs fn and records its wall-clock duration.

@@ -14,10 +14,22 @@ const DefaultCapacity = 8192
 // never blocking the hot path).
 type Recorder struct {
 	mu      sync.Mutex
-	ring    []SpanData
+	ring    []slot
 	next    int
 	wrapped bool
 	dropped int64
+}
+
+// slot is one retained span. A span recorded by a Tracer keeps its IDs in
+// binary (sc, parent) with the hex fields of sd empty: hex-encoding three
+// IDs per span was a fifth of the step path's allocations, and most spans
+// are evicted unread. The hex form is filled in, once, when a snapshot
+// first reads the slot.
+type slot struct {
+	sd     SpanData
+	sc     SpanContext
+	parent SpanID
+	binary bool
 }
 
 // NewRecorder builds a recorder keeping the most recent capacity spans
@@ -26,12 +38,19 @@ func NewRecorder(capacity int) *Recorder {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
-	return &Recorder{ring: make([]SpanData, capacity)}
+	return &Recorder{ring: make([]slot, capacity)}
 }
 
 // Record appends a finished span, evicting the oldest when full. Safe on
 // a nil recorder (drops).
-func (r *Recorder) Record(sd SpanData) {
+func (r *Recorder) Record(sd SpanData) { r.put(slot{sd: sd}) }
+
+// record is Record for a span whose IDs are still binary.
+func (r *Recorder) record(sd SpanData, sc SpanContext, parent SpanID) {
+	r.put(slot{sd: sd, sc: sc, parent: parent, binary: true})
+}
+
+func (r *Recorder) put(s slot) {
 	if r == nil {
 		return
 	}
@@ -39,7 +58,7 @@ func (r *Recorder) Record(sd SpanData) {
 	if r.wrapped {
 		r.dropped++
 	}
-	r.ring[r.next] = sd
+	r.ring[r.next] = s
 	r.next++
 	if r.next == len(r.ring) {
 		r.next = 0
@@ -55,12 +74,29 @@ func (r *Recorder) Spans() []SpanData {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrapped {
-		return append([]SpanData(nil), r.ring[:r.next]...)
+	// Oldest first: once wrapped, the slots from next on precede those before.
+	var older []slot
+	if r.wrapped {
+		older = r.ring[r.next:]
 	}
-	out := make([]SpanData, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	return append(out, r.ring[:r.next]...)
+	newer := r.ring[:r.next]
+	if len(older)+len(newer) == 0 {
+		return nil
+	}
+	out := make([]SpanData, 0, len(older)+len(newer))
+	for _, part := range [][]slot{older, newer} {
+		for i := range part {
+			s := &part[i]
+			if s.binary {
+				s.sd.TraceID = s.sc.TraceID.String()
+				s.sd.SpanID = s.sc.SpanID.String()
+				s.sd.Parent = s.parent.String()
+				s.binary = false
+			}
+			out = append(out, s.sd)
+		}
+	}
+	return out
 }
 
 // Trace returns the retained spans of one trace (hex ID), oldest first.

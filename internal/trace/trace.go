@@ -22,7 +22,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -120,14 +119,29 @@ type SpanContext struct {
 // IsValid reports whether both IDs are present.
 func (sc SpanContext) IsValid() bool { return sc.TraceID.IsValid() && sc.SpanID.IsValid() }
 
+// traceparentLen is the length of the W3C traceparent form.
+const traceparentLen = 55
+
 // Traceparent renders the W3C traceparent header form,
 // "00-<32 hex trace>-<16 hex span>-01" ("" when invalid). The flags byte
 // is always 01 (sampled): the recorder ring is the sampling policy here.
 func (sc SpanContext) Traceparent() string {
+	var buf [traceparentLen]byte
+	return string(sc.AppendTraceparent(buf[:0]))
+}
+
+// AppendTraceparent appends the traceparent form to dst (nothing when
+// invalid) — the allocation-free form for a caller that is already building
+// a message in a buffer.
+func (sc SpanContext) AppendTraceparent(dst []byte) []byte {
 	if !sc.IsValid() {
-		return ""
+		return dst
 	}
-	return fmt.Sprintf("00-%s-%s-01", sc.TraceID, sc.SpanID)
+	dst = append(dst, "00-"...)
+	dst = hex.AppendEncode(dst, sc.TraceID[:])
+	dst = append(dst, '-')
+	dst = hex.AppendEncode(dst, sc.SpanID[:])
+	return append(dst, "-01"...)
 }
 
 var errBadTraceparent = errors.New("trace: malformed traceparent")
@@ -137,7 +151,7 @@ var errBadTraceparent = errors.New("trace: malformed traceparent")
 // field layout matches version 00; zero IDs are rejected.
 func ParseTraceparent(s string) (SpanContext, error) {
 	var sc SpanContext
-	if len(s) != 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' {
+	if len(s) != traceparentLen || s[2] != '-' || s[35] != '-' || s[52] != '-' {
 		return sc, errBadTraceparent
 	}
 	if _, err := hex.Decode(sc.TraceID[:], []byte(s[3:35])); err != nil {
@@ -185,9 +199,10 @@ func (sd SpanData) Duration() time.Duration { return sd.End.Sub(sd.Start) }
 type Span struct {
 	tracer *Tracer
 	sc     SpanContext
+	parent SpanID
 
 	mu    sync.Mutex
-	data  SpanData
+	data  SpanData // the ID fields stay empty: sc and parent hold them in binary
 	ended bool
 }
 
@@ -258,7 +273,7 @@ func (s *Span) End() {
 	s.data.End = now
 	sd := s.data
 	s.mu.Unlock()
-	s.tracer.rec.Record(sd)
+	s.tracer.rec.record(sd, s.sc, s.parent)
 }
 
 // Tracer creates spans for one service (one process-side identity: a site
@@ -324,10 +339,8 @@ func (t *Tracer) Start(ctx context.Context, name, kind string) (context.Context,
 	s := &Span{
 		tracer: t,
 		sc:     sc,
+		parent: parent.SpanID,
 		data: SpanData{
-			TraceID: sc.TraceID.String(),
-			SpanID:  sc.SpanID.String(),
-			Parent:  parent.SpanID.String(),
 			Service: t.service,
 			Name:    name,
 			Kind:    kind,
@@ -348,9 +361,6 @@ func (t *Tracer) RecordSpan(parent SpanContext, name, kind string, start, end ti
 		return
 	}
 	sd := SpanData{
-		TraceID: parent.TraceID.String(),
-		SpanID:  NewSpanID().String(),
-		Parent:  parent.SpanID.String(),
 		Service: t.service,
 		Name:    name,
 		Kind:    kind,
@@ -363,7 +373,7 @@ func (t *Tracer) RecordSpan(parent SpanContext, name, kind string, start, end ti
 			sd.Attrs[k] = v
 		}
 	}
-	t.rec.Record(sd)
+	t.rec.record(sd, SpanContext{TraceID: parent.TraceID, SpanID: NewSpanID()}, parent.SpanID)
 }
 
 type spanKey struct{}

@@ -310,3 +310,59 @@ func TestDebugMuxServesPprofAndTrace(t *testing.T) {
 		}
 	}
 }
+
+// TestSpanJSONUnchangedByLazyIDs: spans keep their IDs in binary until a
+// snapshot is taken, and the snapshot — SpanData, its JSON, the traceparent
+// — is what it was when IDs were hex-encoded at Start.
+func TestSpanJSONUnchangedByLazyIDs(t *testing.T) {
+	rec := NewRecorder(8)
+	tr := NewTracer("coordinator", rec)
+	at := time.Date(2026, 8, 5, 12, 30, 45, 0, time.UTC)
+	tr.SetClock(func() time.Time { return at })
+
+	ctx, root := tr.Start(context.Background(), "coord.step", KindInternal)
+	_, child := tr.Start(ctx, "ntcp.propose", KindClient)
+	child.SetAttr("tx", "step-1")
+	child.End()
+	tr.RecordSpan(root.Context(), "gsi.verify", KindInternal, at, at.Add(time.Millisecond), map[string]string{"cached": "true"})
+	root.End()
+
+	rsc, csc := root.Context(), child.Context()
+	for round := 0; round < 2; round++ { // the second snapshot reads the memoised hex form
+		spans := rec.Spans()
+		if len(spans) != 3 {
+			t.Fatalf("recorded %d spans", len(spans))
+		}
+		got, err := json.Marshal(spans[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf(`{"trace_id":"%x","span_id":"%x","parent_id":"%x","service":"coordinator","name":"ntcp.propose","kind":"client",`+
+			`"start":"2026-08-05T12:30:45Z","end":"2026-08-05T12:30:45Z","attrs":{"tx":"step-1"}}`,
+			rsc.TraceID[:], csc.SpanID[:], rsc.SpanID[:])
+		if string(got) != want {
+			t.Fatalf("round %d:\ngot  %s\nwant %s", round, got, want)
+		}
+		if retro := spans[1]; retro.TraceID != rsc.TraceID.String() || retro.Parent != rsc.SpanID.String() || len(retro.SpanID) != 16 {
+			t.Fatalf("retroactive span lineage: %+v", retro)
+		}
+		if rootData := spans[2]; rootData.SpanID != rsc.SpanID.String() || rootData.Parent != "" {
+			t.Fatalf("root span: %+v", rootData)
+		}
+		if byTrace := rec.Trace(rsc.TraceID.String()); len(byTrace) != 3 {
+			t.Fatalf("trace filter found %d spans", len(byTrace))
+		}
+	}
+
+	// The appended traceparent is the string one, with nothing for an
+	// invalid context.
+	if got := string(csc.AppendTraceparent([]byte("x"))); got != "x"+csc.Traceparent() || len(csc.Traceparent()) != 55 {
+		t.Fatalf("AppendTraceparent = %q, Traceparent = %q", got, csc.Traceparent())
+	}
+	if got := (SpanContext{}).AppendTraceparent([]byte("x")); string(got) != "x" || (SpanContext{}).Traceparent() != "" {
+		t.Fatalf("invalid context rendered %q", got)
+	}
+	if back, err := ParseTraceparent(csc.Traceparent()); err != nil || back != csc {
+		t.Fatalf("round trip: %+v %v", back, err)
+	}
+}
