@@ -2,7 +2,7 @@
 # Staged CI pipeline. Usage:
 #
 #   deploy/ci.sh                 # default lane (tier 1): vet build test bench smoke obs fleet
-#   deploy/ci.sh chaos           # nightly lane: chaos scenarios, twice each, byte-compared
+#   deploy/ci.sh chaos           # nightly lane: chaos scenarios, twice each, byte-compared (and against golden)
 #   deploy/ci.sh vet test        # any subset, in the order given
 #   deploy/ci.sh all             # every stage including lint and chaos
 #
@@ -27,7 +27,11 @@
 #            pushed roll-ups with exactly-merged counters
 #   chaos  - step-1493 (classic, pipelined, and relay-topology lanes) and
 #            partition scenarios, each run twice; the two verdict reports
-#            must be byte-identical (determinism gate); then 10 s of
+#            must be byte-identical (determinism gate), and on amd64 also
+#            byte-identical to deploy/scenarios/golden/<name>.json, the
+#            verdict checked in from the last commit that meant to change
+#            behaviour (re-record with `mostctl chaos -q -scenario F -out
+#            golden/<name>.json` in the PR that does); then 10 s of
 #            differential fuzzing per single-pass codec against encoding/json
 #
 # Every stage is timed; a summary table prints at the end. The pipeline
@@ -172,6 +176,14 @@ stage_fleet() {
 stage_chaos() {
     out=$(mktemp -d) || return 1
     rc=0
+    # The golden verdicts hold trajectory digests: floats, recorded on amd64.
+    # Architectures that fuse multiply-add round differently, so only the
+    # run-1 vs run-2 comparison applies there.
+    golden=deploy/scenarios/golden
+    if [ "$(go env GOARCH)" != amd64 ]; then
+        echo "-- GOARCH $(go env GOARCH): skipping the comparison against $golden (recorded on amd64) --"
+        golden=""
+    fi
     for sc in step-1493 step-1493-pipelined step-1493-relay partition; do
         file="deploy/scenarios/$sc.json"
         echo "-- scenario $sc: run 1 --"
@@ -189,6 +201,13 @@ stage_chaos() {
             diff "$out/$sc-1.json" "$out/$sc-2.json" || true
             save_artifact "$out/$sc-1.json" "$sc-verdict-1.json"
             save_artifact "$out/$sc-2.json" "$sc-verdict-2.json"
+            rc=1
+            break
+        fi
+        if [ -n "$golden" ] && ! cmp "$out/$sc-1.json" "$golden/$sc.json"; then
+            echo "scenario $sc: verdict differs from $golden/$sc.json (behaviour changed since it was recorded)"
+            diff "$golden/$sc.json" "$out/$sc-1.json" || true
+            save_artifact "$out/$sc-1.json" "$sc-verdict-1.json"
             rc=1
             break
         fi

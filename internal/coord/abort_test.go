@@ -2,6 +2,8 @@ package coord
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"neesgrid/internal/core"
@@ -12,37 +14,45 @@ import (
 // WITHOUT cancelling the proposals the other sites had already accepted —
 // the cancel sweep only ran on an explicit policy rejection. The orphaned
 // transactions then pinned server state (and, after a resume, replayed as
-// stale accepts). Any phase-1 abort must cancel the accepted siblings.
+// stale accepts). Any abort of the propose barrier must cancel the accepted
+// siblings, in every configuration that has one.
 func TestTransportAbortCancelsAcceptedSiblings(t *testing.T) {
-	h := newHarness(t, []structural.Element{
-		structural.NewLinearElastic(1000),
-		structural.NewLinearElastic(1000),
-	}, nil)
-	cfg := sdofConfig(100, 2000, 30)
-	cfg.OnStep = func(st structural.State) {
-		if st.Step == 9 {
-			// Site 0's next call — its step-10 propose — fails.
-			h.sites[0].injector.FailNext(1)
+	eachStepping(t, func(t *testing.T, sc stepping) {
+		h := newHarness(t, []structural.Element{
+			structural.NewLinearElastic(1000),
+			structural.NewLinearElastic(1000),
+		}, nil)
+		cfg := sdofConfig(100, 2000, 30)
+		sc.set(&cfg)
+		// Site 0's first call fails: its step-0 propose, in the one barrier
+		// every barrier configuration runs (pipelined steps skip it on a hit) —
+		// or, without a barrier, its step-0 proposeAndExecute.
+		h.sites[0].injector.FailNext(1)
+		c, err := New(cfg, h.coordSites(core.NoRetry)...)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	c, err := New(cfg, h.coordSites(core.NoRetry)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := c.Run(context.Background())
-	if err == nil {
-		t.Fatal("run should abort on the unretried transport failure")
-	}
-	if IsRejection(err) {
-		t.Fatalf("err = %v: a transport abort is not a rejection", err)
-	}
-	if report.FailedStep != 10 {
-		t.Fatalf("failed at step %d, want 10", report.FailedStep)
-	}
-	// Site 1 accepted its step-10 proposal; the abort must have cancelled it.
-	if got := h.sites[1].server.Stats().Cancelled; got == 0 {
-		t.Fatalf("sibling cancellations = %d, want > 0 (orphaned proposal)", got)
-	}
+		_, report, err := c.Run(context.Background())
+		if err == nil {
+			t.Fatal("run should abort on the unretried transport failure")
+		}
+		if IsRejection(err) {
+			t.Fatalf("err = %v: a transport abort is not a rejection", err)
+		}
+		if report.FailedStep != 0 {
+			t.Fatalf("failed at step %d, want 0", report.FailedStep)
+		}
+		// Site 1 accepted its step-0 proposal; the abort must have cancelled
+		// it. Without a barrier there was nothing left to cancel: it had
+		// executed already.
+		wantCancelled, wantExecuted := 1, 0
+		if !sc.barrier {
+			wantCancelled, wantExecuted = 0, 1
+		}
+		if got := h.sites[1].server.Stats(); got.Cancelled != wantCancelled || got.Executed != wantExecuted {
+			t.Fatalf("sibling stats = %+v, want %d cancelled, %d executed", got, wantCancelled, wantExecuted)
+		}
+	})
 }
 
 // Sibling cancels must be delivered even when the step context that carried
@@ -68,9 +78,7 @@ func TestCancelAcceptedSurvivesCancelledContext(t *testing.T) {
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
-	c.cancelAccepted(dead,
-		[]siteOutcome{{site: 0, rec: rec}},
-		[]string{rec.Name})
+	c.cancelAccepted(dead, []*core.Record{rec})
 
 	if got := h.sites[0].server.Stats().Cancelled; got != 1 {
 		t.Fatalf("cancelled = %d, want 1 despite the dead step context", got)
@@ -79,38 +87,51 @@ func TestCancelAcceptedSurvivesCancelledContext(t *testing.T) {
 
 // After an abort cancelled a step's proposals, a resumed coordinator
 // re-proposing the same deterministic name gets the CANCELLED record
-// replayed from the dedupe table. The propose path must walk to a revision
-// suffix rather than spin on (or die of) the terminal replay.
+// replayed from the dedupe table. The propose walk must step to a revision
+// suffix rather than spin on (or die of) the terminal replay. FastPath has
+// no propose of its own to walk with: its proposeAndExecute replays the
+// cancelled record, and the step must fail saying so (it used to pass the
+// state check by and report "malformed results").
 func TestProposeWalksPastCancelledReplays(t *testing.T) {
-	h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, nil)
-	sites := h.coordSites(core.DefaultRetry)
-	ctx := context.Background()
+	eachStepping(t, func(t *testing.T, sc stepping) {
+		h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, nil)
+		sites := h.coordSites(core.DefaultRetry)
+		ctx := context.Background()
 
-	// Leave a cancelled husk of step 1's transaction behind, as a dead
-	// incarnation's abort sweep would.
-	cl := sites[0].Client
-	if _, err := cl.Propose(ctx, &core.Proposal{
-		Name: "test/step-1/uiuc",
-		Actions: []core.Action{{
-			ControlPoint:  "drift",
-			Displacements: []float64{0.0001},
-		}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.Cancel(ctx, "test/step-1/uiuc"); err != nil {
-		t.Fatal(err)
-	}
+		// Leave a cancelled husk of step 1's transaction behind, as a dead
+		// incarnation's abort sweep would.
+		cl := sites[0].Client
+		if _, err := cl.Propose(ctx, &core.Proposal{
+			Name: "test/step-1/uiuc",
+			Actions: []core.Action{{
+				ControlPoint:  "drift",
+				Displacements: []float64{0.0001},
+			}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Cancel(ctx, "test/step-1/uiuc"); err != nil {
+			t.Fatal(err)
+		}
 
-	c, err := New(sdofConfig(100, 1000, 20), sites...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := c.Run(ctx)
-	if err != nil || !report.Completed {
-		t.Fatalf("run = %+v, %v", report, err)
-	}
-	if got := report.Telemetry.Counters["coord.proposals.revised"]; got == 0 {
-		t.Fatal("no revision recorded: step 1 should have walked past the cancelled replay")
-	}
+		cfg := sdofConfig(100, 1000, 20)
+		sc.set(&cfg)
+		c, err := New(cfg, sites...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, report, err := c.Run(ctx)
+		if cfg.FastPath {
+			if !errors.Is(err, core.ErrFailed) || !strings.Contains(err.Error(), "test/step-1/uiuc: cancelled") || report.FailedStep != 1 {
+				t.Fatalf("run = %+v, %v; want step 1 failed by its cancelled transaction", report, err)
+			}
+			return
+		}
+		if err != nil || !report.Completed {
+			t.Fatalf("run = %+v, %v", report, err)
+		}
+		if got := report.Telemetry.Counters["coord.proposals.revised"]; got == 0 {
+			t.Fatal("no revision recorded: step 1 should have walked past the cancelled replay")
+		}
+	})
 }

@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -57,34 +58,31 @@ type Config struct {
 	// StepTimeout bounds one whole distributed step (all sites). Zero
 	// means 60 s.
 	StepTimeout time.Duration
-	// OnStep observes each committed state (streaming, ingestion, UI).
-	OnStep func(structural.State)
-	// OnStepCtx is OnStep with the step's trace context attached: work done
-	// inside it (DAQ scans, streaming publishes) parents under the step's
-	// root span. When both are set only OnStepCtx is called.
-	OnStepCtx func(context.Context, structural.State)
+	// OnStep observes each committed state (streaming, ingestion, UI). Its
+	// context carries the step's trace: work done inside it (DAQ scans,
+	// streaming publishes) parents under the step's root span.
+	OnStep func(context.Context, structural.State)
 	// RunID prefixes transaction names so re-runs against long-lived
 	// servers do not collide. Empty means "run".
 	RunID string
-	// FastPath uses the combined proposeAndExecute operation (§5 NTCP
-	// performance work): one round trip per site per step instead of two.
-	// The trade-off is the loss of the cross-site accept barrier — a site
-	// rejecting a step can no longer prevent the other sites from having
-	// executed theirs — so it is appropriate for rehearsed near-real-time
-	// experiments whose proposals are known to satisfy site policy.
+	// FastPath and Pipeline select the step schedule (see restore); with
+	// neither set it is the classic one, propose barrier then execute.
+	//
+	// FastPath drops the cross-site accept barrier: each site gets one
+	// proposeAndExecute per step, one round trip instead of two. A site
+	// rejecting a step can then no longer prevent the other sites from
+	// having executed theirs, so it is appropriate for rehearsed
+	// near-real-time experiments whose proposals are known to satisfy site
+	// policy.
 	FastPath bool
-	// Pipeline overlaps consecutive steps (the §5 "ongoing work" protocol):
-	// once step N's displacement is known, the coordinator fuses execute(N)
-	// with a speculative propose(N+1) at the integrator's predicted
-	// displacement into one batched signed envelope per site, so the
-	// steady-state WAN cost of a step is one one-way-latency-bound round
-	// trip instead of ~2.5 RTTs. When step N's forces move the trajectory
-	// beyond PipelineTolerance, the speculative proposals are cancelled and
-	// step N+1 is re-proposed at its actual displacement. Unlike FastPath,
-	// the cross-site accept barrier is preserved: a proposal is never
-	// executed before every site has accepted it. Defaults off so the
-	// baseline E8 numbers stay comparable. Mutually exclusive with
-	// FastPath.
+	// Pipeline keeps the barrier but moves it a step earlier: execute(N)
+	// travels with a speculative propose(N+1) at the integrator's predicted
+	// displacement in one batched signed envelope per site, so the
+	// steady-state WAN cost of a step is one round trip instead of ~2.5.
+	// When step N's forces move the trajectory beyond PipelineTolerance the
+	// speculative proposals are cancelled and step N+1 is re-proposed at its
+	// actual displacement behind an explicit barrier. Mutually exclusive
+	// with FastPath.
 	Pipeline bool
 	// PipelineTolerance is the per-DOF displacement error (model units —
 	// metres for MOST) within which a speculatively accepted step equals
@@ -113,8 +111,8 @@ type Config struct {
 	Checkpoint *CheckpointConfig
 	// Resume, when non-nil, starts the run from a checkpoint instead of
 	// from rest: the integrator is reconstructed at Resume.Step and the
-	// loop continues at Resume.Step+1, re-proposing through the normal
-	// restore path — already-decided transactions at the sites replay from
+	// loop continues at Resume.Step+1, re-proposing through restore —
+	// already-decided transactions at the sites replay from
 	// their dedupe tables, fresh ones execute normally.
 	Resume *Checkpoint
 	// Interrupt, when set, is consulted before each step is integrated; a
@@ -163,10 +161,10 @@ type Coordinator struct {
 	sites  []Site
 	tel    *telemetry.Registry
 	tracer *trace.Tracer
-	// pipe carries the speculative-proposal state between consecutive
-	// restore calls when Pipeline is on. Run resets it at start; the Run
-	// loop is single-goroutine so no locking is needed.
-	pipe pipeState
+	// spec carries the speculative proposals from one restore call to the
+	// next when Pipeline is on. Run resets it at start; the Run loop is
+	// single-goroutine so no locking is needed.
+	spec speculation
 }
 
 // New validates the topology and returns a coordinator.
@@ -232,13 +230,6 @@ func New(cfg Config, sites ...Site) (*Coordinator, error) {
 	return c, nil
 }
 
-// siteOutcome is one site's response to a step.
-type siteOutcome struct {
-	site int
-	rec  *core.Record
-	err  error
-}
-
 // stepError wraps a step failure with its step number.
 type stepError struct {
 	step int
@@ -268,159 +259,214 @@ func revisionName(base string, rev int) string {
 	return base + "/r" + strconv.Itoa(rev)
 }
 
-// proposeRevised proposes p, walking past cancelled incarnations of the
-// same transaction. A propose replayed against the dedupe table returns
-// whatever record the name resolved to — including one a previous
-// incarnation cancelled on its abort path. Executing a cancelled
-// transaction is a conflict, so the coordinator deterministically bumps a
-// revision suffix (base, base/r1, base/r2, …) until it reaches a live or
-// fresh transaction. Every incarnation replays the same walk, so names
-// stay a pure function of the fault history. On success p.Name holds the
-// name actually proposed (the one execute and cancel must use).
-func (c *Coordinator) proposeRevised(ctx context.Context, cl *core.Client, p *core.Proposal) (*core.Record, error) {
-	base := p.Name
-	for rev := 0; rev <= maxProposalRevisions; rev++ {
-		p.Name = revisionName(base, rev)
-		rec, err := cl.Propose(ctx, p)
-		if err != nil || rec.State != core.StateCancelled {
-			return rec, err
-		}
-		c.tel.Counter("coord.proposals.revised").Inc()
-	}
-	return nil, fmt.Errorf("transaction %s: %d revisions all cancelled", base, maxProposalRevisions)
-}
-
-// cancelAccepted cancels every accepted transaction in outcomes,
-// concurrently (the abort path should cost one round trip, not
-// O(sites × RTT)) and on a context that survives the step context:
-// the step is being torn down — possibly because its deadline already
-// expired — and a cancel that is never delivered leaves an orphaned
-// accepted transaction pinning server state.
-func (c *Coordinator) cancelAccepted(ctx context.Context, outcomes []siteOutcome, names []string) {
-	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cancelDeliveryTimeout)
-	defer cancel()
-	var wg sync.WaitGroup
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil || o.rec == nil || o.rec.State != core.StateAccepted {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sctx, sp := c.tracer.Start(cctx, "coord.cancel", trace.KindInternal)
-			sp.SetAttr("site", c.sites[i].Name)
-			_, err := c.sites[i].Client.Cancel(sctx, names[i])
-			sp.SetError(err)
-			sp.End()
-		}(i)
-	}
-	wg.Wait()
-}
-
-// restore performs one distributed restoring-force evaluation: propose to
-// every site, and if all accept, execute everywhere and gather forces.
-// On any rejection the sibling transactions are cancelled (the negotiation
-// behaviour §2.1 calls out).
-func (c *Coordinator) restore(ctx context.Context, step *int, d []float64) ([]float64, error) {
-	n := len(d)
-	stepCtx, cancel := context.WithTimeout(ctx, c.cfg.StepTimeout)
-	defer cancel()
-
-	if c.cfg.FastPath {
-		return c.restoreFast(stepCtx, *step, d, n)
-	}
-	if c.cfg.Pipeline {
-		return c.restorePipelined(stepCtx, *step, d, n)
-	}
-
-	// Phase 1: propose everywhere in parallel.
-	proposals := make([]*core.Proposal, len(c.sites))
-	outcomes := make([]siteOutcome, len(c.sites))
-	var wg sync.WaitGroup
+// proposals builds every site's proposal for step at the global
+// displacement d.
+func (c *Coordinator) proposals(step int, d []float64) []*core.Proposal {
+	ps := make([]*core.Proposal, len(c.sites))
 	for i, s := range c.sites {
 		local := make([]float64, len(s.DOFs))
 		for j, g := range s.DOFs {
 			local[j] = d[g]
 		}
-		proposals[i] = &core.Proposal{
-			Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, *step, s.Name),
+		ps[i] = &core.Proposal{
+			Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, step, s.Name),
 			Actions: []core.Action{{
 				ControlPoint:  s.ControlPoint,
 				Displacements: local,
 			}},
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			pctx, sp := c.tracer.Start(stepCtx, "coord.propose", trace.KindInternal)
-			sp.SetAttr("site", c.sites[i].Name)
-			rec, err := c.proposeRevised(pctx, c.sites[i].Client, proposals[i])
-			sp.SetError(err)
-			sp.End()
-			outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
-		}(i)
 	}
-	wg.Wait()
+	return ps
+}
 
-	// names[i] is the transaction name site i actually holds — the base
-	// name or a revision — and the one phase 2 and the abort path must use.
-	names := make([]string, len(c.sites))
-	for i := range proposals {
-		names[i] = proposals[i].Name
-	}
-
-	var rejected *siteOutcome
-	var abortErr error
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil && abortErr == nil {
-			abortErr = fmt.Errorf("site %s propose: %w", c.sites[o.site].Name, o.err)
-		}
-		if o.err == nil && o.rec.State == core.StateRejected && rejected == nil {
-			rejected = o
-		}
-	}
-	if rejected != nil || abortErr != nil {
-		// Any phase-1 abort — rejection or transport failure — must cancel
-		// the siblings that already accepted, or their transactions pin
-		// server-side state and collide with this step's replay after a
-		// resume.
-		c.cancelAccepted(stepCtx, outcomes, names)
-		if rejected != nil {
-			return nil, fmt.Errorf("site %s rejected proposal: %s: %w",
-				c.sites[rejected.site].Name, rejected.rec.Error, core.ErrRejected)
-		}
-		return nil, abortErr
-	}
-
-	// Phase 2: execute everywhere in parallel.
+// eachSite runs fn for every site that want selects (nil selects all),
+// concurrently — a phase should cost one round trip, not O(sites × RTT) —
+// each under a child span that records fn's error, and waits for all.
+func (c *Coordinator) eachSite(ctx context.Context, span string, want func(i int) bool, fn func(ctx context.Context, i int) error) {
+	var wg sync.WaitGroup
 	for i := range c.sites {
+		if want != nil && !want(i) {
+			continue
+		}
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ectx, sp := c.tracer.Start(stepCtx, "coord.execute", trace.KindInternal)
+			sctx, sp := c.tracer.Start(ctx, span, trace.KindInternal)
 			sp.SetAttr("site", c.sites[i].Name)
-			rec, err := c.sites[i].Client.Execute(ectx, proposals[i].Name)
-			sp.SetError(err)
+			sp.SetError(fn(sctx, i))
 			sp.End()
-			outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
 		}(i)
 	}
 	wg.Wait()
+}
 
+// displacementsWithin reports whether a record's proposed action matches
+// the intended displacements within tol on every DOF.
+func displacementsWithin(rec *core.Record, want []float64, tol float64) bool {
+	if len(rec.Actions) != 1 || len(rec.Actions[0].Displacements) != len(want) {
+		return false
+	}
+	for j, v := range want {
+		if math.Abs(rec.Actions[0].Displacements[j]-v) > tol {
+			return false
+		}
+	}
+	return true
+}
+
+// proposeRevised proposes p, walking past incarnations of the same
+// transaction that must not be executed. A propose replayed against the
+// dedupe table returns whatever record the name resolved to (the server
+// ignores params on a replay), including:
+//
+//   - one a previous incarnation cancelled on its abort path. Executing a
+//     cancelled transaction is a conflict, so the walk bumps a revision
+//     suffix (base, base/r1, base/r2, …) until it reaches a live or fresh
+//     transaction;
+//   - an ACCEPTED speculation a dead pipelined incarnation left behind,
+//     carrying that incarnation's *predicted* displacements. Executing it
+//     would apply the wrong displacement, so a mismatch beyond the
+//     speculation tolerance cancels the stale transaction and bumps the
+//     revision. A fresh accept echoes the proposal exactly and a replayed
+//     non-speculative accept is bit-identical, so this never fires on them.
+//
+// Every incarnation replays the same walk, so names stay a pure function of
+// the fault history. On success p.Name holds the name actually proposed
+// (the one execute and cancel must use).
+func (c *Coordinator) proposeRevised(ctx context.Context, cl *core.Client, p *core.Proposal) (*core.Record, error) {
+	base := p.Name
+	want := p.Actions[0].Displacements
+	tol := math.Max(0, c.cfg.PipelineTolerance)
+	for rev := 0; rev <= maxProposalRevisions; rev++ {
+		p.Name = revisionName(base, rev)
+		rec, err := cl.Propose(ctx, p)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case rec.State == core.StateCancelled:
+			c.tel.Counter("coord.proposals.revised").Inc()
+		case rec.State == core.StateAccepted && !displacementsWithin(rec, want, tol):
+			if _, cerr := cl.Cancel(ctx, p.Name); cerr != nil {
+				return nil, fmt.Errorf("cancel stale speculation %s: %w", p.Name, cerr)
+			}
+			c.tel.Counter("coord.proposals.stale_cancelled").Inc()
+		default:
+			return rec, nil
+		}
+	}
+	return nil, fmt.Errorf("transaction %s: %d revisions all cancelled", base, maxProposalRevisions)
+}
+
+// cancelAccepted cancels the accepted transactions among recs (recs[i] is
+// site i's, nil where it has none) on a context that survives the step
+// context: the step is being torn down — possibly because its deadline
+// already expired — and a cancel that is never delivered leaves an orphaned
+// accepted transaction pinning server state.
+func (c *Coordinator) cancelAccepted(ctx context.Context, recs []*core.Record) {
+	cctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), cancelDeliveryTimeout)
+	defer cancel()
+	accepted := func(i int) bool { return recs[i] != nil && recs[i].State == core.StateAccepted }
+	c.eachSite(cctx, "coord.cancel", accepted, func(ctx context.Context, i int) error {
+		_, err := c.sites[i].Client.Cancel(ctx, recs[i].Name)
+		return err
+	})
+}
+
+// proposeBarrier proposes ps everywhere and returns nil once every site
+// holds its transaction, under the name left in ps[i].Name. Any abort —
+// rejection or transport failure — first cancels the siblings that already
+// accepted, or their transactions pin server-side state and collide with
+// this step's replay after a resume (the negotiation behaviour §2.1 calls
+// out).
+func (c *Coordinator) proposeBarrier(ctx context.Context, ps []*core.Proposal) error {
+	recs := make([]*core.Record, len(ps))
+	errs := make([]error, len(ps))
+	c.eachSite(ctx, "coord.propose", nil, func(ctx context.Context, i int) error {
+		recs[i], errs[i] = c.proposeRevised(ctx, c.sites[i].Client, ps[i])
+		return errs[i]
+	})
+	var rejected, failed error
+	for i, s := range c.sites {
+		switch {
+		case errs[i] != nil:
+			if failed == nil {
+				failed = fmt.Errorf("site %s propose: %w", s.Name, errs[i])
+			}
+		case recs[i].State == core.StateRejected && rejected == nil:
+			rejected = fmt.Errorf("site %s rejected proposal: %s: %w", s.Name, recs[i].Error, core.ErrRejected)
+		}
+	}
+	abort := rejected // a rejection, when there is one, is the better explanation
+	if abort == nil {
+		abort = failed
+	}
+	if abort != nil {
+		c.cancelAccepted(ctx, recs)
+	}
+	return abort
+}
+
+// siteOutcome is one site's execute outcome for a step.
+type siteOutcome struct {
+	rec *core.Record
+	err error
+}
+
+// commit sends every site the step's commit envelope: the schedule's
+// execute of cur, fused with the speculative propose of next when there is
+// one. It returns the execute outcomes and, separately, the speculative
+// propose records (nil where next is nil or the propose faulted): a site
+// whose execute faulted may still have accepted next, and that transaction
+// must be cancelled like any other.
+func (c *Coordinator) commit(ctx context.Context, cur, next []*core.Proposal) ([]siteOutcome, []*core.Record) {
+	span := "coord.execute"
+	switch {
+	case c.cfg.FastPath:
+		span = "coord.faststep"
+	case c.cfg.Pipeline:
+		span = "coord.pipebatch"
+	}
+	execs := make([]siteOutcome, len(c.sites))
+	specs := make([]*core.Record, len(c.sites))
+	c.eachSite(ctx, span, nil, func(ctx context.Context, i int) (err error) {
+		cl, o := c.sites[i].Client, &execs[i]
+		switch {
+		case c.cfg.FastPath:
+			o.rec, o.err = cl.RunFast(ctx, cur[i])
+			return o.err
+		case next == nil:
+			o.rec, o.err = cl.Execute(ctx, cur[i].Name)
+			return o.err
+		}
+		o.rec, specs[i], err = cl.ExecuteAndPropose(ctx, cur[i].Name, next[i])
+		if o.rec == nil {
+			// With an execute record in hand the error belongs to the
+			// speculative propose, which merely voids the speculation.
+			o.err = err
+		}
+		return err
+	})
+	return execs, specs
+}
+
+// gather sums the executed sites' restoring forces into the global vector
+// of n DOFs; the first site (in site order) that did not deliver a
+// well-formed executed record fails the step.
+func (c *Coordinator) gather(n int, execs []siteOutcome) ([]float64, error) {
 	forces := make([]float64, n)
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil {
-			return nil, fmt.Errorf("site %s execute: %w", c.sites[o.site].Name, o.err)
-		}
-		if o.rec.State != core.StateExecuted {
-			return nil, fmt.Errorf("site %s transaction %s: %s: %w",
-				c.sites[o.site].Name, o.rec.Name, o.rec.Error, core.ErrFailed)
-		}
-		s := c.sites[o.site]
-		if len(o.rec.Results) != 1 || len(o.rec.Results[0].Forces) != len(s.DOFs) {
+	for i, o := range execs {
+		s := c.sites[i]
+		switch {
+		case o.err != nil:
+			return nil, fmt.Errorf("site %s execute: %w", s.Name, o.err)
+		case o.rec.State != core.StateExecuted:
+			why := o.rec.Error
+			if why == "" {
+				why = string(o.rec.State)
+			}
+			return nil, fmt.Errorf("site %s transaction %s: %s: %w", s.Name, o.rec.Name, why, core.ErrFailed)
+		case len(o.rec.Results) != 1 || len(o.rec.Results[0].Forces) != len(s.DOFs):
 			return nil, fmt.Errorf("site %s returned malformed results", s.Name)
 		}
 		for j, g := range s.DOFs {
@@ -430,48 +476,65 @@ func (c *Coordinator) restore(ctx context.Context, step *int, d []float64) ([]fl
 	return forces, nil
 }
 
-// restoreFast is the single-round-trip variant of restore: every site gets
-// one proposeAndExecute call. Rejections and failures still abort the step.
-func (c *Coordinator) restoreFast(ctx context.Context, step int, d []float64, n int) ([]float64, error) {
-	outcomes := make([]siteOutcome, len(c.sites))
-	var wg sync.WaitGroup
-	for i, s := range c.sites {
-		local := make([]float64, len(s.DOFs))
-		for j, g := range s.DOFs {
-			local[j] = d[g]
-		}
-		p := &core.Proposal{
-			Name: fmt.Sprintf("%s/step-%d/%s", c.cfg.RunID, step, s.Name),
-			Actions: []core.Action{{
-				ControlPoint:  s.ControlPoint,
-				Displacements: local,
-			}},
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			fctx, sp := c.tracer.Start(ctx, "coord.faststep", trace.KindInternal)
-			sp.SetAttr("site", c.sites[i].Name)
-			rec, err := c.sites[i].Client.RunFast(fctx, p)
-			sp.SetError(err)
-			sp.End()
-			outcomes[i] = siteOutcome{site: i, rec: rec, err: err}
-		}(i)
-	}
-	wg.Wait()
+// restore performs one distributed restoring-force evaluation. Every
+// stepping variant is a schedule of the three NTCP verbs over the same four
+// pieces (proposals, proposeBarrier, commit, gather):
+//
+//	classic   barrier, then commit [execute(N)]
+//	FastPath  no barrier,   commit [proposeAndExecute(N)]
+//	Pipeline  barrier only when no usable speculation is held,
+//	          commit [execute(N), propose(N+1) at the predicted displacement]
+//
+// Under Pipeline the barrier did not disappear, it moved a step earlier: no
+// proposal is executed before every site has accepted it. Rollback rule:
+// when the held speculation is unusable — a site did not accept it, or the
+// actual displacement differs from the prediction by more than
+// PipelineTolerance on any DOF — its accepted transactions are cancelled
+// and the step is re-proposed at the actual displacement, so correctness
+// never depends on the predictor. Speculation is safe for the reason
+// retries and checkpoint/resume are: names are deterministic and the server
+// dedupes by name, so a wrong speculation is only ever cancelled, and one a
+// crash orphans is walked past by proposeRevised on resume.
+func (c *Coordinator) restore(ctx context.Context, step int, d []float64) ([]float64, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.StepTimeout)
+	defer cancel()
 
-	forces := make([]float64, n)
-	for i := range outcomes {
-		o := &outcomes[i]
-		if o.err != nil {
-			return nil, fmt.Errorf("site %s fast step: %w", c.sites[o.site].Name, o.err)
+	held := c.spec
+	c.spec = speculation{} // consumed, whatever happens next
+	cur := held.proposals
+	if held.usableFor(step, d, c.cfg.PipelineTolerance) {
+		c.tel.Counter("coord.pipeline.hits").Inc()
+	} else {
+		if held.proposals != nil {
+			c.tel.Counter("coord.pipeline.mispredicts").Inc()
+			c.cancelAccepted(ctx, held.recs)
 		}
-		s := c.sites[o.site]
-		if len(o.rec.Results) != 1 || len(o.rec.Results[0].Forces) != len(s.DOFs) {
-			return nil, fmt.Errorf("site %s returned malformed results", s.Name)
+		cur = c.proposals(step, d)
+		if !c.cfg.FastPath {
+			if err := c.proposeBarrier(ctx, cur); err != nil {
+				return nil, err
+			}
 		}
-		for j, g := range s.DOFs {
-			forces[g] += o.rec.Results[0].Forces[j]
+	}
+
+	var predicted []float64
+	var next []*core.Proposal
+	if c.cfg.Pipeline && step < c.cfg.Steps {
+		predicted = predict(d, held.lastD)
+		next = c.proposals(step+1, predicted)
+	}
+	execs, specs := c.commit(ctx, cur, next)
+	forces, err := c.gather(len(d), execs)
+	if err != nil {
+		// The step is dead; take the speculative proposals accepted in its
+		// envelopes down with it, or they orphan.
+		c.cancelAccepted(ctx, specs)
+		return nil, err
+	}
+	if next != nil {
+		c.spec = speculation{
+			step: step + 1, predicted: predicted, proposals: next, recs: specs,
+			lastD: append(held.lastD[:0], d...),
 		}
 	}
 	return forces, nil
@@ -479,7 +542,8 @@ func (c *Coordinator) restoreFast(ctx context.Context, step int, d []float64, n 
 
 // Run executes the distributed experiment and returns the response history
 // and a run report. The history contains every committed step even when the
-// run aborts early (the E2 experiment inspects exactly that).
+// run aborts early (the E2 experiment inspects exactly that); it is nil when
+// the integrator never started.
 func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, error) {
 	start := time.Now()
 	n := c.cfg.M.Rows
@@ -490,8 +554,8 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 	step := 0
 	// A fresh run (or a resume) starts with no speculation in flight: any
 	// speculative transaction a previous incarnation left behind is walked
-	// past by the revision/mismatch guards in the propose path.
-	c.pipe = pipeState{}
+	// past by proposeRevised.
+	c.spec = speculation{}
 	// stepCtx carries the current step's root span into the restoring-force
 	// evaluation the integrator triggers; the Run loop (single goroutine)
 	// reassigns it each step.
@@ -501,7 +565,7 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		C: c.cfg.C,
 		K: c.cfg.K,
 		R: func(d []float64) ([]float64, error) {
-			return c.restore(stepCtx, &step, d)
+			return c.restore(stepCtx, step, d)
 		},
 	}
 	report := &Report{ResumedFrom: -1}
@@ -509,7 +573,7 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 	// Pre-register the run's counters at zero so the Prometheus exposition
 	// (and the obs aggregator's merged view) carries every coord.* series
 	// from the first scrape, not only after the first increment.
-	c.tel.Counter("coord.steps.completed")
+	stepsCompleted := c.tel.Counter("coord.steps.completed")
 	c.tel.Counter("coord.steps.failed")
 	c.tel.Counter("coord.proposals.revised")
 	c.tel.Counter("coord.resumes")
@@ -524,7 +588,15 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 	// the fleet dashboard watches. Meaningful only when checkpointing is on.
 	ckLag := c.tel.Gauge("coord.checkpoint.lag_steps")
 	lastCheckpointStep := -1
-	finish := func(err error, failedStep int) (*structural.History, *Report, error) {
+
+	var hist *structural.History
+	// finish closes the report — exactly once per run, so a failure's event
+	// and telemetry snapshot are recorded once and the returned error is the
+	// value the report carries. A non-nil err is the failure of failedStep.
+	finish := func(failedStep int, err error) (*structural.History, *Report, error) {
+		if err != nil {
+			err = &stepError{step: failedStep, err: err}
+		}
 		report.Elapsed = time.Since(start)
 		report.Err = err
 		report.Completed = err == nil
@@ -551,22 +623,8 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		}
 		report.StepLatency = stepHist.Snapshot()
 		report.Telemetry = c.tel.Snapshot()
-		return nil, report, err
+		return hist, report, err
 	}
-
-	// notify routes each committed state to OnStepCtx (trace-aware) or
-	// OnStep, whichever the caller wired.
-	notify := func(sctx context.Context, st structural.State) {
-		if c.cfg.OnStepCtx != nil {
-			c.cfg.OnStepCtx(sctx, st)
-			return
-		}
-		if c.cfg.OnStep != nil {
-			c.cfg.OnStep(st)
-		}
-	}
-
-	hist := structural.NewHistory(n, c.cfg.Steps)
 
 	// lastTraceID remembers the root-span trace of the last committed step;
 	// it lands in each checkpoint so a resumed run's spans can link back to
@@ -616,6 +674,37 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		return nil
 	}
 
+	// beginStep opens step s's root span — the unit of the paper's latency
+	// breakdown: every per-site NTCP span and (via OnStep) every
+	// DAQ/streaming span of the step nests under it — and points the
+	// restoring-force evaluation at it.
+	beginStep := func(s int) *trace.Span {
+		var span *trace.Span
+		stepCtx, span = c.tracer.Start(ctx, "coord.step", trace.KindInternal)
+		span.SetAttr("run", c.cfg.RunID)
+		span.SetAttr("step", strconv.Itoa(s))
+		step = s
+		return span
+	}
+	// endStep closes the step's span; a state the integrator produced
+	// (stepErr nil) is first committed: recorded, checkpointed, shown to the
+	// observer.
+	endStep := func(span *trace.Span, st structural.State, stepErr error) error {
+		if stepErr == nil {
+			hist.Record(st)
+			report.StepsCompleted = st.Step
+			if id := span.Context().TraceID.String(); id != "" {
+				lastTraceID = id
+			}
+			if stepErr = saveCheckpoint(st); stepErr == nil && c.cfg.OnStep != nil {
+				c.cfg.OnStep(stepCtx, st)
+			}
+		}
+		span.SetError(stepErr)
+		span.End()
+		return stepErr
+	}
+
 	startStep := 1
 	if cp := c.cfg.Resume; cp != nil {
 		// Reconstruct the integrator at the checkpointed step instead of
@@ -623,9 +712,9 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		// re-proposing under the same deterministic transaction names so the
 		// sites' dedupe tables replay anything already decided.
 		if err := c.cfg.Integrator.(structural.Resumable).Resume(sys, c.cfg.Dt, cp.IntegratorState); err != nil {
-			_, rep, ferr := finish(&stepError{step: cp.Step, err: err}, cp.Step)
-			return nil, rep, ferr
+			return finish(cp.Step, err)
 		}
+		hist = structural.NewHistory(n, c.cfg.Steps)
 		for _, st := range cp.Tail {
 			hist.Record(st)
 		}
@@ -639,92 +728,48 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 			"step": cp.Step, "trace": cp.TraceID,
 		})
 	} else {
-		d0 := make([]float64, n)
-		v0 := make([]float64, n)
-		sctx, span := c.tracer.Start(ctx, "coord.step", trace.KindInternal)
-		span.SetAttr("run", c.cfg.RunID)
-		span.SetAttr("step", "0")
-		stepCtx = sctx
-		st, err := c.cfg.Integrator.Init(sys, c.cfg.Dt, d0, v0,
+		span := beginStep(0)
+		st, err := c.cfg.Integrator.Init(sys, c.cfg.Dt, make([]float64, n), make([]float64, n),
 			structural.GroundLoad(c.cfg.M, iota, c.cfg.Ground(0)))
-		if err != nil {
-			span.SetError(err)
-			span.End()
-			_, rep, err := finish(&stepError{step: 0, err: err}, 0)
-			return nil, rep, err
+		if err == nil {
+			hist = structural.NewHistory(n, c.cfg.Steps)
 		}
-		hist.Record(st)
-		if id := span.Context().TraceID.String(); id != "" {
-			lastTraceID = id
+		if err := endStep(span, st, err); err != nil {
+			return finish(0, err)
 		}
-		if cerr := saveCheckpoint(st); cerr != nil {
-			span.SetError(cerr)
-			span.End()
-			_, rep, ferr := finish(&stepError{step: 0, err: cerr}, 0)
-			return hist, rep, ferr
-		}
-		notify(sctx, st)
-		span.End()
 	}
 
 	for s := startStep; s <= c.cfg.Steps; s++ {
-		step = s
 		if c.cfg.Interrupt != nil {
 			// The chaos kill hook: abort here, before any network traffic for
 			// step s, so the number of calls each fault injector has seen is a
 			// pure function of the committed step count — the property that
 			// makes a chaos scenario byte-replayable.
 			if err := c.cfg.Interrupt(s); err != nil {
-				_, rep, ferr := finish(&stepError{step: s, err: err}, s)
-				return hist, rep, ferr
+				return finish(s, err)
 			}
 		}
-		// One root span per time step: the unit of the paper's latency
-		// breakdown. Every per-site NTCP span and (via OnStepCtx) every
-		// DAQ/streaming span of this step nests under it.
-		sctx, span := c.tracer.Start(ctx, "coord.step", trace.KindInternal)
-		span.SetAttr("run", c.cfg.RunID)
-		span.SetAttr("step", strconv.Itoa(s))
+		span := beginStep(s)
 		if cp := c.cfg.Resume; cp != nil && s == startStep {
 			span.SetAttr("resume.from_step", strconv.Itoa(cp.Step))
 			if cp.TraceID != "" {
 				span.SetAttr("resume.trace", cp.TraceID)
 			}
 		}
-		stepCtx = sctx
 		stepStart := time.Now()
 		st, err := c.cfg.Integrator.Step(structural.GroundLoad(c.cfg.M, iota, c.cfg.Ground(s)))
 		// The step histogram carries the step's root trace as its exemplar:
 		// a fleet-wide p99 on coord.step.seconds resolves straight to the
 		// `mostctl trace` timeline of the slowest step.
 		stepHist.ObserveDurationExemplar(time.Since(stepStart), span.Context().TraceID)
-		if err != nil {
-			span.SetError(err)
-			span.End()
-			// One stepError, reported through finish exactly once, so the
-			// failure event and telemetry snapshot are recorded once and the
-			// returned error is the same value the report carries.
-			_, rep, ferr := finish(&stepError{step: s, err: err}, s)
-			return hist, rep, ferr
+		if err == nil {
+			stepsCompleted.Inc()
 		}
-		c.tel.Counter("coord.steps.completed").Inc()
-		hist.Record(st)
-		report.StepsCompleted = s
-		if id := span.Context().TraceID.String(); id != "" {
-			lastTraceID = id
+		if err := endStep(span, st, err); err != nil {
+			return finish(s, err)
 		}
-		if cerr := saveCheckpoint(st); cerr != nil {
-			span.SetError(cerr)
-			span.End()
-			_, rep, ferr := finish(&stepError{step: s, err: cerr}, s)
-			return hist, rep, ferr
-		}
-		notify(sctx, st)
-		span.End()
 	}
-	_, rep, _ := finish(nil, 0)
-	rep.StepsCompleted = c.cfg.Steps
-	return hist, rep, nil
+	return finish(0, nil)
 }
 
 // IsRejection reports whether a run error came from a site policy

@@ -2,9 +2,7 @@ package coord
 
 import (
 	"context"
-	"errors"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"neesgrid/internal/core"
@@ -87,51 +85,6 @@ func TestPipelinedForcedRollbackIsBitExact(t *testing.T) {
 	}
 }
 
-func TestPipelinedRejectionAborts(t *testing.T) {
-	pol := []*core.SitePolicy{{PointLimits: map[string]core.Limits{
-		"drift": {MaxDisplacement: 1e-9},
-	}}}
-	h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, pol)
-	cfg := sdofConfig(100, 1000, 30)
-	cfg.Pipeline = true
-	c, err := New(cfg, h.coordSites(core.DefaultRetry)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := c.Run(context.Background())
-	if err == nil || report.Completed {
-		t.Fatalf("pipelined run should abort on rejection: %+v", report)
-	}
-	if !IsRejection(err) {
-		t.Fatalf("err = %v, want rejection", err)
-	}
-	if !errors.Is(err, core.ErrRejected) {
-		t.Fatalf("err = %v, want core.ErrRejected identity", err)
-	}
-}
-
-func TestPipelinedRecoversTransientFaults(t *testing.T) {
-	h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, nil)
-	cfg := sdofConfig(100, 1000, 60)
-	cfg.Pipeline = true
-	cfg.OnStep = func(st structural.State) {
-		if st.Step == 20 || st.Step == 40 {
-			h.sites[0].injector.FailNext(2)
-		}
-	}
-	c, err := New(cfg, h.coordSites(core.DefaultRetry)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, report, err := c.Run(context.Background())
-	if err != nil || !report.Completed {
-		t.Fatalf("report = %+v, %v", report, err)
-	}
-	if report.Recovered == 0 {
-		t.Fatal("pipelined run did not recover injected faults")
-	}
-}
-
 func TestPipelineFastPathMutuallyExclusive(t *testing.T) {
 	h := newHarness(t, []structural.Element{structural.NewLinearElastic(1000)}, nil)
 	cfg := sdofConfig(100, 1000, 10)
@@ -142,67 +95,43 @@ func TestPipelineFastPathMutuallyExclusive(t *testing.T) {
 	}
 }
 
-// Checkpoint/resume under the pipelined protocol with forced rollback: the
-// crash leaves an orphaned speculative proposal at the site, holding the
-// dead incarnation's PREDICTED displacement. The resumed run must cancel
-// that stale accept (the displacement-mismatch guard), walk to a revision,
-// and still reproduce the classic trajectory bit-for-bit on a hysteretic
-// (path-dependent) specimen.
-func TestPipelinedCheckpointResumeExact(t *testing.T) {
-	// Kill at the step right after a checkpoint: the dead incarnation's
-	// last batch accepted a speculation for step 31, so the resumed run's
-	// very first propose replays that stale accept.
-	const steps, killAt = 60, 31
-
-	refH := newHarness(t, []structural.Element{bilinearElement()}, nil)
-	refHist, _ := mustRun(t, checkpointConfig(steps), refH.coordSites(core.DefaultRetry))
-
-	h := newHarness(t, []structural.Element{bilinearElement()}, nil)
-	path := filepath.Join(t.TempDir(), "coord.ckpt")
-	mkCfg := func() Config {
-		cfg := checkpointConfig(steps)
-		cfg.Pipeline = true
-		cfg.PipelineTolerance = -1 // exactness mode: every step executes the actual displacement
-		cfg.Checkpoint = &CheckpointConfig{Path: path, Every: 10}
-		return cfg
-	}
-	killErr := errors.New("chaos: scheduled coordinator kill")
-	cfg := mkCfg()
-	cfg.Interrupt = func(s int) error {
-		if s == killAt {
-			return killErr
+// Regression: a site whose execute(N) faults may still have accepted the
+// propose(N+1) that travelled in the same envelope. The commit used to file
+// that site's speculative outcome under the envelope's error, and the abort
+// sweep skips outcomes with an error — so the speculative transaction was
+// never cancelled and pinned the site. Here uiuc's step-11 transaction is
+// cancelled out of band, so its execute(11) conflicts while both sites
+// accept propose(12); the dying step must cancel step 12 at BOTH sites.
+func TestPipelinedExecuteFaultCancelsItsSpeculation(t *testing.T) {
+	h := newHarness(t, pipelineSprings(), nil)
+	sites := h.coordSites(core.NoRetry)
+	ctx := context.Background()
+	cfg := sdofConfig(100, 2000, 30)
+	cfg.Pipeline = true
+	cfg.OnStep = func(_ context.Context, st structural.State) {
+		if st.Step == 10 {
+			// The speculation for step 11 is held (accepted) by now.
+			if rec, err := sites[0].Client.Cancel(ctx, "test/step-11/uiuc"); err != nil || rec.State != core.StateCancelled {
+				t.Errorf("out-of-band cancel = %+v, %v", rec, err)
+			}
 		}
-		return nil
 	}
-	sites := h.coordSites(core.DefaultRetry)
-	c1, err := New(cfg, sites...)
+	c, err := New(cfg, sites...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c1.Run(context.Background()); !errors.Is(err, killErr) {
-		t.Fatalf("run error = %v, want the interrupt error", err)
+	_, report, err := c.Run(ctx)
+	if err == nil || report.FailedStep != 11 {
+		t.Fatalf("run = %+v, %v; want a failure at step 11", report, err)
 	}
-
-	cp, err := LoadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg2 := mkCfg()
-	cfg2.Resume = cp
-	hist2, rep2 := mustRun(t, cfg2, sites)
-	if !rep2.Completed || rep2.StepsCompleted != steps {
-		t.Fatalf("resumed report = %+v", rep2)
-	}
-	for _, st := range hist2.States {
-		if !sameState(refHist.States[st.Step], st) {
-			t.Fatalf("post-resume step %d diverged from reference:\nref %+v\ngot %+v",
-				st.Step, refHist.States[st.Step], st)
+	for _, s := range sites {
+		name := "test/step-12/" + s.Name
+		rec, err := s.Client.Get(ctx, name)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The dead incarnation's orphaned speculation replayed as a stale
-	// accept; the guard must have cancelled it rather than execute the
-	// wrong displacement.
-	if got := rep2.Telemetry.Counters["coord.proposals.stale_cancelled"]; got == 0 {
-		t.Fatal("stale speculative accept was never cancelled on resume")
+		if rec.State != core.StateCancelled {
+			t.Errorf("%s ended %s, want cancelled (orphaned speculation)", name, rec.State)
+		}
 	}
 }

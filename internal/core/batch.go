@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"neesgrid/internal/ogsi"
 )
@@ -11,84 +10,33 @@ import (
 // ExecuteAndPropose fuses execute(execName) with a speculative
 // propose(next) into one batched signed envelope — both NTCP phases of
 // adjacent steps cross the WAN in a single round trip. This is the client
-// half of the pipelined stepping protocol: the coordinator commits step N
+// half of the pipelined stepping schedule: the coordinator commits step N
 // and opens step N+1 at the predicted displacement without paying a second
-// latency.
-//
-// The whole envelope is retried under the client's retry policy on
-// transport failures and on "unavailable" backpressure from either item:
-// name-based dedupe makes the replay safe — a half that already finished
-// replays its terminal record, a half that never arrived runs fresh.
+// latency. The envelope is retried as one unit (see send).
 //
 // Both records are returned even when err is non-nil (nil where that item
 // faulted): a failed execute alongside an accepted speculative propose
 // means the caller must still cancel the speculative transaction, so it
 // needs that record.
 func (c *Client) ExecuteAndPropose(ctx context.Context, execName string, next *Proposal) (*Record, *Record, error) {
-	ops := []ogsi.BatchOp{
+	recs := make([]Record, 2)
+	faults, err := c.send(ctx, []ogsi.BatchOp{
 		{Op: "execute", Params: nameParams{Name: execName}},
 		{Op: "propose", Params: next},
+	}, recs)
+	if err != nil {
+		return nil, nil, err
 	}
-	var lastErr error
-	attempts := c.Retry.attempts()
-	for try := 0; try < attempts; try++ {
-		if try > 0 {
-			c.retries.Inc()
-			select {
-			case <-time.After(c.Retry.delay(try - 1)):
-			case <-ctx.Done():
-				return nil, nil, fmt.Errorf("ntcp: batch: %w (last error: %v)", ctx.Err(), lastErr)
-			}
+	execRec, propRec := &recs[0], &recs[1]
+	if faults != nil {
+		// The execute fault is assigned last: it is the one err reports
+		// when both items faulted.
+		if faults[1] != nil {
+			propRec, err = nil, fmt.Errorf("ntcp: propose %s: %w", next.Name, faults[1])
 		}
-		c.calls.Inc()
-		start := time.Now()
-		results, err := c.og.CallBatch(ctx, c.ServiceName, ops)
-		if err != nil {
-			c.failedRTT.ObserveDuration(time.Since(start))
-			lastErr = err
-			if !transient(err) || ctx.Err() != nil {
-				return nil, nil, err
-			}
-			continue
+		if faults[0] != nil {
+			execRec, err = nil, fmt.Errorf("ntcp: execute %s: %w", execName, faults[0])
 		}
-		c.observeRTT(ctx, time.Since(start))
-		var execRec, propRec *Record
-		execErr := results[0].Err()
-		propErr := results[1].Err()
-		if execErr == nil {
-			execRec = new(Record)
-			if derr := results[0].Decode(execRec); derr != nil {
-				return nil, nil, derr
-			}
-		}
-		if propErr == nil {
-			propRec = new(Record)
-			if derr := results[1].Decode(propRec); derr != nil {
-				return execRec, nil, derr
-			}
-		}
-		// "Still executing" / draining backpressure on either item retries
-		// the whole envelope; the finished half just replays from the
-		// dedupe table.
-		if transient(execErr) || transient(propErr) {
-			if execErr != nil {
-				lastErr = execErr
-			} else {
-				lastErr = propErr
-			}
-			continue
-		}
-		if try > 0 {
-			c.recovered.Inc()
-			c.tel.Event("ntcp-client", "recovered", map[string]any{"op": "batch", "attempt": try + 1})
-		}
-		switch {
-		case execErr != nil:
-			return nil, propRec, fmt.Errorf("ntcp: execute %s: %w", execName, execErr)
-		case propErr != nil:
-			return execRec, nil, fmt.Errorf("ntcp: propose %s: %w", next.Name, propErr)
-		}
-		return execRec, propRec, nil
 	}
-	return nil, nil, fmt.Errorf("ntcp: batch failed after %d attempts: %w", attempts, lastErr)
+	return execRec, propRec, err
 }

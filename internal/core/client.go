@@ -168,8 +168,22 @@ func transient(err error) bool {
 	return true // transport-level failure
 }
 
-// call performs one operation under the retry policy.
-func (c *Client) call(ctx context.Context, op string, params any) (*Record, error) {
+// send delivers ops to the site in one signed envelope — a plain call for a
+// single op, the batch frame for several, so the wire carries what it always
+// has — and decodes op i's record into recs[i]. It owns the client's only
+// retry loop: the whole envelope is re-sent under the retry policy on
+// transport failures and on "unavailable" backpressure from any op.
+// Name-based dedupe makes the replay safe — an op that already finished
+// replays its terminal record, one that never arrived runs fresh.
+//
+// Per-op service faults of a multi-op envelope come back in faults (nil when
+// every op succeeded); a lone op's fault is the envelope's error, as
+// ogsi.Client.Call reports it.
+func (c *Client) send(ctx context.Context, ops []ogsi.BatchOp, recs []Record) (faults []error, err error) {
+	wireOp := ops[0].Op
+	if len(ops) > 1 {
+		wireOp = "batch"
+	}
 	var lastErr error
 	attempts := c.Retry.attempts()
 	for try := 0; try < attempts; try++ {
@@ -178,31 +192,77 @@ func (c *Client) call(ctx context.Context, op string, params any) (*Record, erro
 			select {
 			case <-time.After(c.Retry.delay(try - 1)):
 			case <-ctx.Done():
-				return nil, fmt.Errorf("ntcp: %s: %w (last error: %v)", op, ctx.Err(), lastErr)
+				return nil, fmt.Errorf("ntcp: %s: %w (last error: %v)", wireOp, ctx.Err(), lastErr)
 			}
+			clear(recs) // nothing of a failed attempt's reply may show through the next one
 		}
 		c.calls.Inc()
-		var rec Record
 		start := time.Now()
-		err := c.og.Call(ctx, c.ServiceName, op, params, &rec)
-		if err == nil {
-			// The round-trip histogram is success-only: a retry storm's
-			// instantly-failing attempts would otherwise drag p99 for the
-			// round trips that actually completed.
-			c.observeRTT(ctx, time.Since(start))
-			if try > 0 {
-				c.recovered.Inc()
-				c.tel.Event("ntcp-client", "recovered", map[string]any{"op": op, "attempt": try + 1})
+		faults, err = c.roundTrip(ctx, ops, recs)
+		if err != nil {
+			c.failedRTT.ObserveDuration(time.Since(start))
+			lastErr = err
+			if !transient(err) || ctx.Err() != nil {
+				return nil, err
 			}
-			return &rec, nil
+			continue
 		}
-		c.failedRTT.ObserveDuration(time.Since(start))
-		lastErr = err
-		if !transient(err) || ctx.Err() != nil {
+		// The round-trip histogram is success-only: a retry storm's
+		// instantly-failing attempts would otherwise drag p99 for the
+		// round trips that actually completed.
+		c.observeRTT(ctx, time.Since(start))
+		if lastErr = firstTransient(faults); lastErr != nil {
+			continue
+		}
+		if try > 0 {
+			c.recovered.Inc()
+			c.tel.Event("ntcp-client", "recovered", map[string]any{"op": wireOp, "attempt": try + 1})
+		}
+		return faults, nil
+	}
+	return nil, fmt.Errorf("ntcp: %s failed after %d attempts: %w", wireOp, attempts, lastErr)
+}
+
+// roundTrip is one attempt of send.
+func (c *Client) roundTrip(ctx context.Context, ops []ogsi.BatchOp, recs []Record) ([]error, error) {
+	if len(ops) == 1 {
+		return nil, c.og.Call(ctx, c.ServiceName, ops[0].Op, ops[0].Params, &recs[0])
+	}
+	results, err := c.og.CallBatch(ctx, c.ServiceName, ops)
+	if err != nil {
+		return nil, err
+	}
+	var faults []error
+	for i := range results {
+		if fault := results[i].Err(); fault != nil {
+			if faults == nil {
+				faults = make([]error, len(ops))
+			}
+			faults[i] = fault
+		} else if err := results[i].Decode(&recs[i]); err != nil {
 			return nil, err
 		}
 	}
-	return nil, fmt.Errorf("ntcp: %s failed after %d attempts: %w", op, attempts, lastErr)
+	return faults, nil
+}
+
+// firstTransient returns the first fault worth retrying the envelope for.
+func firstTransient(faults []error) error {
+	for _, f := range faults {
+		if transient(f) {
+			return f
+		}
+	}
+	return nil
+}
+
+// call sends one operation and returns its record.
+func (c *Client) call(ctx context.Context, op string, params any) (*Record, error) {
+	recs := make([]Record, 1)
+	if _, err := c.send(ctx, []ogsi.BatchOp{{Op: op, Params: params}}, recs); err != nil {
+		return nil, err
+	}
+	return &recs[0], nil
 }
 
 // Propose submits a proposal and returns the resulting record (accepted or
@@ -233,32 +293,38 @@ var ErrRejected = errors.New("ntcp: proposal rejected")
 // ErrFailed is returned by Run when execution fails.
 var ErrFailed = errors.New("ntcp: execution failed")
 
+// outcome pairs a record with the error Run and RunFast report for it: a
+// rejection or an execution failure is an outcome the caller must see, not a
+// transport error.
+func outcome(rec *Record) (*Record, error) {
+	switch rec.State {
+	case StateRejected:
+		return rec, &RejectionError{Record: rec}
+	case StateFailed:
+		return rec, &ExecutionError{Record: rec}
+	}
+	return rec, nil
+}
+
 // Run is the full propose→execute cycle one MS-PSDS step performs against
-// one site. On rejection it returns the record joined with ErrRejected so
-// the coordinator can cancel sibling transactions at other sites.
+// one site. On rejection it returns the record with an error matching
+// ErrRejected so the coordinator can cancel sibling transactions at other
+// sites.
 func (c *Client) Run(ctx context.Context, p *Proposal) (*Record, error) {
 	rec, err := c.Propose(ctx, p)
 	if err != nil {
 		return nil, err
 	}
 	switch rec.State {
-	case StateRejected:
-		return rec, fmt.Errorf("%w: %s", ErrRejected, rec.Error)
-	case StateAccepted:
-	case StateExecuted:
-		return rec, nil // deduplicated replay of a finished transaction
-	case StateFailed:
-		return rec, fmt.Errorf("%w: %s", ErrFailed, rec.Error)
-	default:
-		// Executing or another transient state: fall through to Execute,
-		// which waits for the outcome.
+	case StateRejected, StateExecuted, StateFailed:
+		// Decided already (Executed/Failed: a deduplicated replay of a
+		// finished transaction).
+		return outcome(rec)
 	}
+	// Accepted, or still in flight: Execute waits for the outcome.
 	rec, err = c.Execute(ctx, p.Name)
 	if err != nil {
 		return rec, err
 	}
-	if rec.State == StateFailed {
-		return rec, fmt.Errorf("%w: %s", ErrFailed, rec.Error)
-	}
-	return rec, nil
+	return outcome(rec)
 }

@@ -63,17 +63,11 @@ func (c *Client) RunFast(ctx context.Context, p *Proposal) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch rec.State {
-	case StateRejected:
-		return rec, &RejectionError{Record: rec}
-	case StateFailed:
-		return rec, &ExecutionError{Record: rec}
-	}
-	return rec, nil
+	return outcome(rec)
 }
 
-// RejectionError wraps a rejected fast-path record; errors.Is(err,
-// ErrRejected) holds.
+// RejectionError is what Run and RunFast return with a rejected record;
+// errors.Is(err, ErrRejected) holds.
 type RejectionError struct{ Record *Record }
 
 func (e *RejectionError) Error() string { return "ntcp: proposal rejected: " + e.Record.Error }
@@ -81,8 +75,8 @@ func (e *RejectionError) Error() string { return "ntcp: proposal rejected: " + e
 // Is matches ErrRejected.
 func (e *RejectionError) Is(target error) bool { return target == ErrRejected }
 
-// ExecutionError wraps a failed fast-path record; errors.Is(err, ErrFailed)
-// holds.
+// ExecutionError is what Run and RunFast return with a failed record;
+// errors.Is(err, ErrFailed) holds.
 type ExecutionError struct{ Record *Record }
 
 func (e *ExecutionError) Error() string { return "ntcp: execution failed: " + e.Record.Error }

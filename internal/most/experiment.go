@@ -439,7 +439,7 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 		Checkpoint: spec.Checkpoint,
 		Resume:     spec.Resume,
 		Interrupt:  spec.Interrupt,
-		OnStepCtx: func(ctx context.Context, st structural.State) {
+		OnStep: func(ctx context.Context, st structural.State) {
 			// Faults scheduled for step N+1 are armed after step N commits.
 			applyFaults(st.Step + 1)
 			if spec.DAQEvery > 0 && st.Step%spec.DAQEvery == 0 {

@@ -482,7 +482,7 @@ func (h *Hub) PublishBatch(samples []Sample) {
 
 // PublishBatchContext is PublishBatch with trace propagation: when the
 // hub has a tracer and ctx carries a span (the coordinator's step span,
-// via OnStepCtx → daq.ScanContext), the fan-out is recorded as an
+// via OnStep → daq.ScanContext), the fan-out is recorded as an
 // "nsds.publish" child span — the DAQ-readback leg of the paper's step
 // breakdown. Without a tracer or without a parent span the path is
 // byte-for-byte the old PublishBatch.
