@@ -71,6 +71,12 @@ func run() int {
 	})
 
 	cont := ogsi.NewContainer(id.Cred, id.Trust, id.Gridmap)
+	// The transfer server, and the client the bridge fetches through, count
+	// into the container's registry, so GET /metrics shows gridftp.* too.
+	ftp.UseTelemetry(cont.Telemetry())
+	transport := &nfms.GridFTPTransport{}
+	transport.UseTelemetry(cont.Telemetry())
+	r.Files.RegisterTransport("gridftp", transport)
 	cont.AddService(nmds.NewService(r.Meta))
 	cont.AddService(nfms.NewService(r.Files))
 	sup.Add("container", runtime.Funcs{

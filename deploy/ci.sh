@@ -31,8 +31,9 @@
 #            byte-identical to deploy/scenarios/golden/<name>.json, the
 #            verdict checked in from the last commit that meant to change
 #            behaviour (re-record with `mostctl chaos -q -scenario F -out
-#            golden/<name>.json` in the PR that does); then 10 s of
-#            differential fuzzing per single-pass codec against encoding/json
+#            golden/<name>.json` in the PR that does); then 10 s of fuzzing
+#            per target: each single-pass codec against encoding/json, and
+#            the GridFTP session loop against its escapes-the-root oracle
 #
 # Every stage is timed; a summary table prints at the end. The pipeline
 # stops at the first failing stage.
@@ -218,8 +219,11 @@ stage_chaos() {
 
     # Generated adversaries for the hand-rolled parsers on the step path:
     # each target holds a single-pass codec to encoding/json (equal values or
-    # both fail, byte-equal encodings). A failing input lands in the
-    # package's testdata/fuzz/<target>/ — check it in with the fix.
+    # both fail, byte-equal encodings). FuzzServerSession is the archive
+    # path's: arbitrary bytes as one session on the unauthenticated GridFTP
+    # port must not crash, stall, balloon, or touch anything outside the
+    # root. A failing input lands in the package's testdata/fuzz/<target>/ —
+    # check it in with the fix.
     while read -r target pkg; do
         echo "-- fuzz $target ($pkg) --"
         if ! go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$pkg"; then
@@ -234,6 +238,7 @@ FuzzDecodeRequest ./internal/ogsi
 FuzzDecodeResponse ./internal/ogsi
 FuzzRecordCodec ./internal/core
 FuzzValue ./internal/wirejson
+FuzzServerSession ./internal/gridftp
 TARGETS
 }
 

@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/csv"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -296,15 +297,26 @@ func ReadBlock(path string) ([]Reading, error) {
 		return nil, err
 	}
 	defer f.Close()
-	rows, err := csv.NewReader(f).ReadAll()
-	if err != nil {
+	r := csv.NewReader(f)
+	r.ReuseRecord = true
+	if _, err := r.Read(); err != nil { // the column names
+		if err == io.EOF {
+			return nil, fmt.Errorf("daq: empty block %s", path)
+		}
 		return nil, err
 	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("daq: empty block %s", path)
+	var out []Reading
+	if info, err := f.Stat(); err == nil {
+		out = make([]Reading, 0, info.Size()/blockRowBytes)
 	}
-	out := make([]Reading, 0, len(rows)-1)
-	for _, row := range rows[1:] {
+	for {
+		row, err := r.Read()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, err
+		}
 		if len(row) != 6 {
 			return nil, fmt.Errorf("daq: malformed row in %s", path)
 		}
@@ -325,5 +337,9 @@ func ReadBlock(path string) ([]Reading, error) {
 			Step: step, T: t, Value: v,
 		})
 	}
-	return out, nil
 }
+
+// blockRowBytes is a low estimate of one CSV row of a block (a spooled row
+// is about 50 bytes), from which ReadBlock sizes its result: erring low
+// leaves a spare tail, where erring high would regrow and copy the slice.
+const blockRowBytes = 40

@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"neesgrid/internal/nsds"
@@ -194,12 +195,33 @@ func TestReadBlockErrors(t *testing.T) {
 	if _, err := ReadBlock(filepath.Join(t.TempDir(), "missing.csv")); err == nil {
 		t.Fatal("missing block should fail")
 	}
-	bad := filepath.Join(t.TempDir(), "bad.csv")
-	if err := os.WriteFile(bad, []byte("channel,kind,units,step,t,value\na,b,c,notanint,0,0\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadBlock(bad); err == nil {
-		t.Fatal("malformed step should fail")
+	const names = "channel,kind,units,step,t,value\n"
+	for _, tc := range []struct {
+		name, content, want string // want: part of the error; "" = parses
+		rows                int
+	}{
+		{"malformed step", names + "a,b,c,notanint,0,0\n", "notanint", 0},
+		{"malformed time", names + "a,b,c,1,soon,0\n", "soon", 0},
+		{"malformed value", names + "a,b,c,1,0,big\n", "big", 0},
+		{"empty file", "", "empty block", 0},
+		{"five columns throughout", "channel,kind,units,step,t\na,b,c,1,0\n", "malformed row", 0},
+		{"a short row", names + "a,b,c,1,0\n", "wrong number of fields", 0},
+		{"a bare quote", names + "a,b,c,1,0,0\na\"b,c,d,1,0,0\n", "bare \"", 0},
+		{"a good row before a bad one", names + "a,b,c,1,0,0\na,b,c,x,0,0\n", "\"x\"", 0},
+		{"column names only", names, "", 0},
+		{"two rows", names + "a,b,c,1,0.5,2\nd,e,f,2,1.5,-3\n", "", 2},
+	} {
+		path := filepath.Join(t.TempDir(), "block.csv")
+		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, err := ReadBlock(path)
+		switch {
+		case tc.want == "" && (err != nil || out == nil || len(out) != tc.rows):
+			t.Errorf("%s: %d readings (nil %v), %v; want %d", tc.name, len(out), out == nil, err, tc.rows)
+		case tc.want != "" && (err == nil || out != nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: %d readings, error %v; want none and an error naming %q", tc.name, len(out), err, tc.want)
+		}
 	}
 }
 

@@ -5,20 +5,49 @@
 // the GridFTP capabilities the NEESgrid repository depends on (paper §2.3,
 // [3]); the wire protocol is our own (JSON headers + binary block frames)
 // rather than RFC 959 extensions, per the substitution policy in DESIGN.md.
+//
+// A connection is a session: any number of exchanges, one after the other,
+// each a header line, its reply line, and for put-data and get-data a binary
+// phase. Either end keeps a session only while both agree where the next
+// header starts, and closes it otherwise; the client holds idle sessions
+// between transfers and redials one found dead (DESIGN.md §5j).
 package gridftp
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net"
+	"time"
 )
 
 // DefaultBlockSize is the transfer block granularity.
 const DefaultBlockSize = 64 << 10
 
-// request is the header every connection opens with.
+// The session limits are constants, not options: no caller at this commit
+// needs a second value of any of them, and each option would be one more
+// configuration for the tests and the benchmark to cover.
+const (
+	// maxBlockSize bounds the block a put-init may ask for: the server
+	// allocates one block per data stream.
+	maxBlockSize = 4 << 20
+	// maxHeaderLine bounds one JSON header line.
+	maxHeaderLine = 1 << 20
+	// readerSize is each session's read buffer: a header line, or a block
+	// frame's 12 bytes and the head of its payload, in one read(2). Larger
+	// reads bypass it, so the rest of a payload is not copied twice.
+	readerSize = 4 << 10
+	// idleTimeout is how long the server waits for a session's next request
+	// or next block before it closes the connection. The client needs no
+	// matching timer: it finds a reaped session stale and redials.
+	idleTimeout = 60 * time.Second
+	// maxIdleSessions caps the connections a Client keeps between transfers.
+	maxIdleSessions = 8
+)
+
+// request is the header that opens every exchange of a session.
 type request struct {
 	Op      string `json:"op"`
 	Path    string `json:"path,omitempty"`
@@ -58,51 +87,77 @@ func writeBlockHeader(w io.Writer, h blockHeader) error {
 	return err
 }
 
-func readBlockHeader(r io.Reader) (blockHeader, error) {
-	var buf [12]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+func readBlockHeader(br *bufio.Reader) (blockHeader, error) {
+	buf, err := br.Peek(12)
+	if err != nil {
 		return blockHeader{}, err
 	}
-	return blockHeader{
+	h := blockHeader{
 		Offset: int64(binary.BigEndian.Uint64(buf[0:8])),
 		Length: int32(binary.BigEndian.Uint32(buf[8:12])),
-	}, nil
+	}
+	_, err = br.Discard(12)
+	return h, err
 }
 
+// session is one connection as either end holds it between and during
+// exchanges. Every read, header line or binary frame, goes through the one
+// buffered reader, so bytes buffered past a header are the start of the data
+// phase rather than lost; writes and sendfile go to the embedded raw
+// connection.
+type session struct {
+	net.Conn
+	br *bufio.Reader
+	// reused marks a client session taken from the idle list: only such a
+	// session may be stale, so only it earns the retry on a fresh dial.
+	reused bool
+}
+
+func newSession(conn net.Conn) *session {
+	return &session{Conn: conn, br: bufio.NewReaderSize(conn, readerSize)}
+}
+
+func (s *session) Read(p []byte) (int, error) { return s.br.Read(p) }
+
 // sendJSON writes one JSON line.
-func sendJSON(conn net.Conn, v any) error {
+func sendJSON(w io.Writer, v any) error {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return err
 	}
 	b = append(b, '\n')
-	_, err = conn.Write(b)
+	_, err = w.Write(b)
 	return err
 }
 
 // recvJSON reads one JSON line (bounded).
-func recvJSON(r io.Reader, v any) error {
-	line, err := readLine(r, 1<<20)
+func recvJSON(s *session, v any) error {
+	line, err := readLine(s.br, maxHeaderLine)
 	if err != nil {
 		return err
 	}
 	return json.Unmarshal(line, v)
 }
 
-// readLine reads bytes up to a newline without buffering past it (the
-// connection switches to binary framing right after the header).
-func readLine(r io.Reader, max int) ([]byte, error) {
-	var line []byte
-	buf := make([]byte, 1)
+// readLine returns the bytes up to the next newline. A line that fits the
+// reader's buffer is returned in place (valid until the next read); a longer
+// one is gathered up to max.
+func readLine(br *bufio.Reader, max int) ([]byte, error) {
+	var long []byte
 	for {
-		if _, err := io.ReadFull(r, buf); err != nil {
+		chunk, err := br.ReadSlice('\n')
+		if err == nil {
+			if long == nil {
+				return chunk[:len(chunk)-1], nil
+			}
+			long = append(long, chunk...)
+			return long[:len(long)-1], nil
+		}
+		if err != bufio.ErrBufferFull {
 			return nil, err
 		}
-		if buf[0] == '\n' {
-			return line, nil
-		}
-		line = append(line, buf[0])
-		if len(line) > max {
+		long = append(long, chunk...)
+		if len(long) > max {
 			return nil, fmt.Errorf("gridftp: header line too long")
 		}
 	}

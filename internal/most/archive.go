@@ -80,6 +80,13 @@ func (e *Experiment) setupArchive(cfg *ArchiveConfig) error {
 	if err != nil {
 		return err
 	}
+	// Both ends of the archive's transfers count into the coordinator-side
+	// registry, so <run>-metrics.json says how many connections the run's
+	// blocks cost (gridftp.client.dials against gridftp.client.reuses).
+	ftp.UseTelemetry(e.Telemetry)
+	transport := &nfms.GridFTPTransport{}
+	transport.UseTelemetry(e.Telemetry)
+	r.Files.RegisterTransport("gridftp", transport)
 	a := &archive{repo: r, ftp: ftp, ftpAddr: ftpAddr}
 	// Pre-experiment metadata (§3.3: uploaded prior to the experiment).
 	siteNames := make([]any, 0, len(e.Sites))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -257,6 +258,24 @@ func TestIncrementalArchivalDuringRun(t *testing.T) {
 	}
 	if len(readings) == 0 {
 		t.Fatal("downloaded block empty")
+	}
+	// The archived roll-up says what the blocks cost in connections: the
+	// ingestors share the archive's sessions instead of dialing per block.
+	b, err := os.ReadFile(filepath.Join(spec.Archive.StoreDir, "most-metrics.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rollup MetricsRollup
+	if err := json.Unmarshal(b, &rollup); err != nil {
+		t.Fatal(err)
+	}
+	counters := rollup.Fleet.Merged.Counters
+	dials, reuses := counters["gridftp.client.dials"], counters["gridftp.client.reuses"]
+	t.Logf("archived roll-up: %d dials and %d reuses for %d committed blocks",
+		dials, reuses, counters["gridftp.server.requests.put-commit"])
+	if dials < 1 || dials > 2 || reuses < 10*dials || counters["gridftp.server.requests.put-commit"] == 0 {
+		t.Fatalf("archived roll-up: %d dials, %d reuses, %d commits; want two streams' worth of dials reused throughout",
+			dials, reuses, counters["gridftp.server.requests.put-commit"])
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"neesgrid/internal/gridftp"
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/telemetry"
 )
 
 // Replica is one physical copy of a logical file.
@@ -47,10 +48,15 @@ type Transport interface {
 	Store(localPath string, r Replica) error
 }
 
-// GridFTPTransport moves files with the gridftp client.
+// GridFTPTransport moves files with the gridftp client. It holds one client
+// per replica address, so successive transfers to a server share its sessions.
 type GridFTPTransport struct {
 	// Streams is the stripe count per transfer (default 2).
 	Streams int
+
+	mu      sync.Mutex
+	clients map[string]*gridftp.Client
+	tel     *telemetry.Registry
 }
 
 func (g *GridFTPTransport) streams() int {
@@ -60,16 +66,44 @@ func (g *GridFTPTransport) streams() int {
 	return 2
 }
 
+// UseTelemetry makes every client of the transport, present and future,
+// count its dials and session reuses into reg (gridftp.Client.UseTelemetry).
+func (g *GridFTPTransport) UseTelemetry(reg *telemetry.Registry) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.tel = reg
+	for _, cl := range g.clients {
+		cl.UseTelemetry(reg)
+	}
+	// Register the series at zero now: the first client is made by the first
+	// transfer, and "no dials yet" should not read as "not wired".
+	new(gridftp.Client).UseTelemetry(reg)
+}
+
+// client returns the transport's client for a replica address.
+func (g *GridFTPTransport) client(addr string) *gridftp.Client {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	cl := g.clients[addr]
+	if cl == nil {
+		cl = &gridftp.Client{Addr: addr}
+		cl.UseTelemetry(g.tel)
+		if g.clients == nil {
+			g.clients = make(map[string]*gridftp.Client)
+		}
+		g.clients[addr] = cl
+	}
+	return cl
+}
+
 // Fetch downloads via gridftp.
 func (g *GridFTPTransport) Fetch(r Replica, localPath string) error {
-	cl := &gridftp.Client{Addr: r.Addr}
-	return cl.Get(r.Path, localPath, g.streams())
+	return g.client(r.Addr).Get(r.Path, localPath, g.streams())
 }
 
 // Store uploads via gridftp.
 func (g *GridFTPTransport) Store(localPath string, r Replica) error {
-	cl := &gridftp.Client{Addr: r.Addr}
-	return cl.Put(localPath, r.Path, g.streams())
+	return g.client(r.Addr).Put(localPath, r.Path, g.streams())
 }
 
 // LocalTransport copies files on the local filesystem (the degenerate

@@ -2,12 +2,16 @@ package nfms
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"neesgrid/internal/gridftp"
+	"neesgrid/internal/telemetry"
 )
 
 const alice = "/O=NEES/CN=alice"
@@ -233,3 +237,81 @@ type transportFunc func()
 
 func (f transportFunc) Fetch(Replica, string) error { f(); return nil }
 func (f transportFunc) Store(string, Replica) error { f(); return nil }
+
+// TestConcurrentUploadsDoNotCollide: eight uploads at once through one
+// service to one server. Every transfer used to be named put-<pid>-1 (a new
+// gridftp client, so a new counter, per call) and the server joined them all
+// to the first one's file: crc mismatches and resets.
+func TestConcurrentUploadsDoNotCollide(t *testing.T) {
+	addr, root := gridftpServer(t)
+	s := New()
+	const n = 8
+	srcs, want := make([]string, n), make([][]byte, n)
+	for i := range srcs {
+		srcs[i], want[i] = tempFile(t, 1<<20, int64(100+i))
+	}
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			name := fmt.Sprintf("concurrent/%d.bin", i)
+			_, err := s.Upload(alice, name, srcs[i], Replica{Transport: "gridftp", Addr: addr, Path: name})
+			errs <- err
+		}(i)
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 0; i < n; i++ {
+		got, err := os.ReadFile(filepath.Join(root, fmt.Sprintf("concurrent/%d.bin", i)))
+		if err != nil || !bytes.Equal(got, want[i]) {
+			t.Errorf("file %d: stored bytes differ (%v)", i, err)
+		}
+	}
+}
+
+// TestTransfersShareSessions: twenty uploads and downloads of a two-block
+// file through one service open as many connections as a transfer has
+// streams, where each used to open seven; the transport's counters agree
+// with the dialer's.
+func TestTransfersShareSessions(t *testing.T) {
+	addr, _ := gridftpServer(t)
+	tr := &GridFTPTransport{}
+	reg := telemetry.NewRegistry()
+	tr.UseTelemetry(reg)
+	var dials atomic.Int64
+	tr.client(addr).Dial = func(network, addr string) (net.Conn, error) {
+		dials.Add(1)
+		return net.Dial(network, addr)
+	}
+	s := New()
+	s.RegisterTransport("gridftp", tr)
+
+	src, data := tempFile(t, gridftp.DefaultBlockSize+1000, 6)
+	dst := filepath.Join(t.TempDir(), "back.bin")
+	const rounds = 20
+	for i := 0; i < rounds; i++ {
+		name := fmt.Sprintf("shared/%d.bin", i)
+		if _, err := s.Upload(alice, name, src, Replica{Transport: "gridftp", Addr: addr, Path: name}); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Download(name, dst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, _ := os.ReadFile(dst); !bytes.Equal(got, data) {
+		t.Fatal("round trip corrupt")
+	}
+	if n := dials.Load(); n > int64(tr.streams()) {
+		t.Fatalf("%d transfers dialed %d connections, want at most %d", 2*rounds, n, tr.streams())
+	}
+	counted := reg.Counter("gridftp.client.dials").Value()
+	reused := reg.Counter("gridftp.client.reuses").Value()
+	if counted != dials.Load() || counted+reused != rounds*7 {
+		t.Fatalf("counters: %d dials (dialer saw %d) + %d reuses, want %d exchanges", counted, dials.Load(), reused, rounds*7)
+	}
+	if tr.client(addr) != tr.client(addr) || tr.client(addr) == tr.client("other:1") {
+		t.Fatal("want one client per replica address")
+	}
+}
