@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,7 +21,6 @@ import (
 	"neesgrid/internal/core"
 	"neesgrid/internal/daq"
 	"neesgrid/internal/faultnet"
-	"neesgrid/internal/gridftp"
 	"neesgrid/internal/groundmotion"
 	"neesgrid/internal/gsi"
 	"neesgrid/internal/most"
@@ -295,37 +292,6 @@ func BenchmarkE9Ingestion(b *testing.B) {
 	}
 	if ing.Uploaded() != b.N {
 		b.Fatalf("uploaded %d of %d blocks", ing.Uploaded(), b.N)
-	}
-}
-
-// BenchmarkE9GridFTPStreams measures striped-transfer throughput vs stream
-// count — the GridFTP parallelism NFMS negotiates for.
-func BenchmarkE9GridFTPStreams(b *testing.B) {
-	srv, err := gridftp.NewServer(b.TempDir())
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr, err := srv.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { _ = srv.Close() })
-
-	const size = 4 << 20
-	src := filepath.Join(b.TempDir(), "src.bin")
-	if err := os.WriteFile(src, make([]byte, size), 0o644); err != nil {
-		b.Fatal(err)
-	}
-	for _, streams := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("streams-%d", streams), func(b *testing.B) {
-			cl := &gridftp.Client{Addr: addr}
-			b.SetBytes(size)
-			for i := 0; i < b.N; i++ {
-				if err := cl.Put(src, fmt.Sprintf("bench/%d/%d.bin", streams, i), streams); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

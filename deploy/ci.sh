@@ -32,8 +32,9 @@
 #            verdict checked in from the last commit that meant to change
 #            behaviour (re-record with `mostctl chaos -q -scenario F -out
 #            golden/<name>.json` in the PR that does); then 10 s of fuzzing
-#            per target: each single-pass codec against encoding/json, and
-#            the GridFTP session loop against its escapes-the-root oracle
+#            per target: each single-pass codec against encoding/json, the
+#            GridFTP session loop against its escapes-the-root oracle, and
+#            the spool's block formatter against encoding/csv
 #
 # Every stage is timed; a summary table prints at the end. The pipeline
 # stops at the first failing stage.
@@ -219,11 +220,13 @@ stage_chaos() {
 
     # Generated adversaries for the hand-rolled parsers on the step path:
     # each target holds a single-pass codec to encoding/json (equal values or
-    # both fail, byte-equal encodings). FuzzServerSession is the archive
-    # path's: arbitrary bytes as one session on the unauthenticated GridFTP
-    # port must not crash, stall, balloon, or touch anything outside the
-    # root. A failing input lands in the package's testdata/fuzz/<target>/ —
-    # check it in with the fix.
+    # both fail, byte-equal encodings). The archive path has two:
+    # FuzzServerSession (arbitrary bytes as one session on the
+    # unauthenticated GridFTP port must not crash, stall, balloon, or touch
+    # anything outside the root) and FuzzSpoolBlockMatchesCSV (the spool's
+    # block formatter against encoding/csv's bytes, and ReadBlock returning
+    # what went in). A failing input lands in the package's
+    # testdata/fuzz/<target>/ — check it in with the fix.
     while read -r target pkg; do
         echo "-- fuzz $target ($pkg) --"
         if ! go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$pkg"; then
@@ -239,6 +242,7 @@ FuzzDecodeResponse ./internal/ogsi
 FuzzRecordCodec ./internal/core
 FuzzValue ./internal/wirejson
 FuzzServerSession ./internal/gridftp
+FuzzSpoolBlockMatchesCSV ./internal/daq
 TARGETS
 }
 

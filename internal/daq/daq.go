@@ -17,9 +17,15 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
+	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"neesgrid/internal/nsds"
+	"neesgrid/internal/telemetry"
 )
 
 // SensorKind labels the instrument type (metadata for NMDS).
@@ -180,13 +186,79 @@ type Spool struct {
 	// BlockSize is the number of scan batches per deposited file.
 	BlockSize int
 
+	tel atomic.Pointer[spoolCounters]
+
 	mu      sync.Mutex
 	pending []Reading
 	batches int
 	seq     int
+	buf     []byte // the block being formatted; kept from one flush to the next
+	// deposited holds the summary of every block this Spool wrote and no poll
+	// has uploaded yet, by file name.
+	deposited map[string]BlockSummary
 }
 
-// NewSpool creates (if needed) the spool directory.
+// BlockSummary is what the repository's metadata says about one block.
+type BlockSummary struct {
+	// Channels are the distinct channel names, in order of first appearance.
+	Channels []string
+	// FirstStep and LastStep are the lowest and the highest step of any
+	// reading; both are -1 for a block without readings.
+	FirstStep, LastStep int
+	// Parsed reports that the block was read back from its file to learn the
+	// rest: some earlier Spool on the directory deposited it, not this one.
+	Parsed bool
+}
+
+// Summarize reduces the readings of one block to its summary. It is the one
+// reduction behind every summary, whether the readings are a Spool's pending
+// ones or came from ReadBlock.
+func Summarize(readings []Reading) BlockSummary {
+	sum := BlockSummary{Channels: []string{}, FirstStep: -1, LastStep: -1}
+	seen := make(map[string]struct{})
+	for i, r := range readings {
+		if i == 0 || r.Step < sum.FirstStep {
+			sum.FirstStep = r.Step
+		}
+		if i == 0 || r.Step > sum.LastStep {
+			sum.LastStep = r.Step
+		}
+		if _, dup := seen[r.Channel]; dup {
+			continue
+		}
+		seen[r.Channel] = struct{}{}
+		sum.Channels = append(sum.Channels, r.Channel)
+	}
+	return sum
+}
+
+// spoolCounters are the spool's series in a shared registry.
+type spoolCounters struct {
+	blocks, bytes *telemetry.Counter
+	flushS        *telemetry.Histogram
+}
+
+// UseTelemetry exports the spool's deposits into reg: daq.spool.blocks and
+// daq.spool.bytes (blocks deposited and their size) and the histogram
+// daq.spool.flush_s (formatting, writing and renaming one block). Spools
+// sharing a registry add into the same series. A nil registry disables the
+// export.
+func (s *Spool) UseTelemetry(reg *telemetry.Registry) {
+	if reg == nil {
+		s.tel.Store(nil)
+		return
+	}
+	s.tel.Store(&spoolCounters{
+		blocks: reg.Counter("daq.spool.blocks"),
+		bytes:  reg.Counter("daq.spool.bytes"),
+		flushS: reg.Histogram("daq.spool.flush_s"),
+	})
+}
+
+// NewSpool creates (if needed) the spool directory. Blocks an earlier Spool
+// left there stay for the next poll and numbering resumes after the highest of
+// them; a half-written block (*.tmp) is removed, its readings having gone with
+// the process that held them.
 func NewSpool(dir string, blockSize int) (*Spool, error) {
 	if blockSize < 1 {
 		blockSize = 100
@@ -194,7 +266,38 @@ func NewSpool(dir string, blockSize int) (*Spool, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("daq: spool dir: %w", err)
 	}
-	return &Spool{Dir: dir, BlockSize: blockSize}, nil
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("daq: spool dir: %w", err)
+	}
+	s := &Spool{Dir: dir, BlockSize: blockSize, deposited: make(map[string]BlockSummary)}
+	for _, e := range entries {
+		if stale, isTmp := strings.CutSuffix(e.Name(), ".tmp"); isTmp {
+			if _, ours := blockSeq(stale); ours {
+				if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+					return nil, fmt.Errorf("daq: spool dir: %w", err)
+				}
+			}
+		} else if seq, ok := blockSeq(e.Name()); ok && seq >= s.seq {
+			s.seq = seq + 1
+		}
+	}
+	return s, nil
+}
+
+func blockName(seq int) string { return fmt.Sprintf("block-%06d.csv", seq) }
+
+// blockSeq is the inverse of blockName.
+func blockSeq(name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, "block-")
+	if !ok {
+		return 0, false
+	}
+	if digits, ok = strings.CutSuffix(digits, ".csv"); !ok {
+		return 0, false
+	}
+	seq, err := strconv.Atoi(digits)
+	return seq, err == nil && seq >= 0
 }
 
 // Append adds one scan batch, flushing a file when the block fills.
@@ -219,51 +322,92 @@ func (s *Spool) Flush() error {
 	return s.flushLocked()
 }
 
+// blockColumns is the first line of every block.
+const blockColumns = "channel,kind,units,step,t,value\n"
+
+// flushLocked deposits the pending readings as the next block: formatted
+// once, into the buffer the Spool keeps, and written with one write.
 func (s *Spool) flushLocked() error {
-	name := filepath.Join(s.Dir, fmt.Sprintf("block-%06d.csv", s.seq))
+	start := time.Now()
+	buf := append(s.buf[:0], blockColumns...)
+	for i := range s.pending {
+		r := &s.pending[i]
+		buf = appendCSVField(buf, r.Channel)
+		buf = append(buf, ',')
+		buf = appendCSVField(buf, r.Kind)
+		buf = append(buf, ',')
+		buf = appendCSVField(buf, r.Units)
+		buf = append(buf, ',')
+		buf = strconv.AppendInt(buf, int64(r.Step), 10)
+		buf = append(buf, ',')
+		buf = strconv.AppendFloat(buf, r.T, 'g', -1, 64)
+		buf = append(buf, ',')
+		buf = strconv.AppendFloat(buf, r.Value, 'g', -1, 64)
+		buf = append(buf, '\n')
+	}
+	s.buf = buf
+	block := blockName(s.seq)
+	name := filepath.Join(s.Dir, block)
 	tmp := name + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := csv.NewWriter(f)
-	if err := w.Write([]string{"channel", "kind", "units", "step", "t", "value"}); err != nil {
-		_ = f.Close()
-		return err
-	}
-	for _, r := range s.pending {
-		if err := w.Write([]string{
-			r.Channel, r.Kind, r.Units,
-			strconv.Itoa(r.Step),
-			strconv.FormatFloat(r.T, 'g', -1, 64),
-			strconv.FormatFloat(r.Value, 'g', -1, 64),
-		}); err != nil {
-			_ = f.Close()
-			return err
-		}
-	}
-	w.Flush()
-	if err := w.Error(); err != nil {
-		_ = f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(tmp, buf, 0o666); err != nil {
 		return err
 	}
 	// Atomic rename so the poller never sees a half-written block.
 	if err := os.Rename(tmp, name); err != nil {
 		return err
 	}
+	s.deposited[block] = Summarize(s.pending)
 	s.pending = s.pending[:0]
 	s.batches = 0
 	s.seq++
+	if t := s.tel.Load(); t != nil {
+		t.blocks.Inc()
+		t.bytes.Add(int64(len(buf)))
+		t.flushS.ObserveDuration(time.Since(start))
+	}
 	return nil
 }
 
-// PollOnce finds deposited blocks, hands each to upload (oldest first), and
-// removes blocks that uploaded successfully. It returns the uploaded file
-// names.
-func (s *Spool) PollOnce(upload func(path string) error) ([]string, error) {
+// appendCSVField appends one field as encoding/csv's Writer writes it: bare
+// unless it holds a comma, a quote, a CR or LF, starts with a space, or is
+// `\.`; quoted with its quotes doubled otherwise.
+func appendCSVField(buf []byte, field string) []byte {
+	if !csvFieldNeedsQuotes(field) {
+		return append(buf, field...)
+	}
+	buf = append(buf, '"')
+	for i := 0; i < len(field); i++ {
+		if field[i] == '"' {
+			buf = append(buf, '"')
+		}
+		buf = append(buf, field[i])
+	}
+	return append(buf, '"')
+}
+
+func csvFieldNeedsQuotes(field string) bool {
+	if field == "" {
+		return false
+	}
+	if field == `\.` {
+		return true
+	}
+	for i := 0; i < len(field); i++ {
+		switch field[i] {
+		case ',', '"', '\r', '\n':
+			return true
+		}
+	}
+	first, _ := utf8.DecodeRuneInString(field)
+	return unicode.IsSpace(first)
+}
+
+// PollOnce finds deposited blocks, hands each with its summary to upload
+// (oldest first), and removes blocks that uploaded successfully. It returns
+// the uploaded file names. The summary of a block this Spool deposited is the
+// one it took from the readings in memory; a block found in the directory that
+// it did not deposit is parsed (ReadBlock) and summarised the same way.
+func (s *Spool) PollOnce(upload func(path string, sum BlockSummary) error) ([]string, error) {
 	entries, err := os.ReadDir(s.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("daq: poll: %w", err)
@@ -279,12 +423,26 @@ func (s *Spool) PollOnce(upload func(path string) error) ([]string, error) {
 	var uploaded []string
 	for _, b := range blocks {
 		path := filepath.Join(s.Dir, b)
-		if err := upload(path); err != nil {
+		s.mu.Lock()
+		sum, known := s.deposited[b]
+		s.mu.Unlock()
+		if !known {
+			readings, err := ReadBlock(path)
+			if err != nil {
+				return uploaded, fmt.Errorf("daq: summarise %s: %w", b, err)
+			}
+			sum = Summarize(readings)
+			sum.Parsed = true
+		}
+		if err := upload(path, sum); err != nil {
 			return uploaded, fmt.Errorf("daq: upload %s: %w", b, err)
 		}
 		if err := os.Remove(path); err != nil {
 			return uploaded, fmt.Errorf("daq: remove %s: %w", b, err)
 		}
+		s.mu.Lock()
+		delete(s.deposited, b)
+		s.mu.Unlock()
 		uploaded = append(uploaded, b)
 	}
 	return uploaded, nil

@@ -113,7 +113,7 @@ func TestSpoolRotationAndPoll(t *testing.T) {
 	}
 
 	var uploaded [][]Reading
-	names, err := sp.PollOnce(func(path string) error {
+	names, err := sp.PollOnce(func(path string, _ BlockSummary) error {
 		rs, err := ReadBlock(path)
 		if err != nil {
 			return err
@@ -151,7 +151,7 @@ func TestPollStopsOnUploadFailure(t *testing.T) {
 	_, _ = d.Scan(1, 0.01)
 
 	calls := 0
-	_, err := sp.PollOnce(func(string) error {
+	_, err := sp.PollOnce(func(string, BlockSummary) error {
 		calls++
 		return os.ErrPermission
 	})

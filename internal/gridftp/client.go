@@ -261,7 +261,7 @@ func (c *Client) getRange(remotePath string, f *os.File, off, length int64) (err
 		return err
 	}
 	defer func() { c.finish(sess, err) }()
-	buf := make([]byte, 64<<10)
+	buf := sess.buffer(DefaultBlockSize)
 	remaining := resp.Size
 	pos := off
 	for remaining > 0 {
@@ -404,7 +404,7 @@ func (c *Client) putStripe(f *os.File, id string, stripe, streams, blocks, bs in
 		return err
 	}
 	defer func() { c.finish(sess, err) }()
-	buf := make([]byte, bs)
+	buf := sess.buffer(bs)
 	for b := stripe; b < blocks; b += streams {
 		if have[b] {
 			continue

@@ -111,6 +111,9 @@ type session struct {
 	// reused marks a client session taken from the idle list: only such a
 	// session may be stale, so only it earns the retry on a fresh dial.
 	reused bool
+	// scratch is the session's transfer buffer, made by the first exchange
+	// that moves bytes and kept for those that follow (see buffer).
+	scratch []byte
 }
 
 func newSession(conn net.Conn) *session {
@@ -118,6 +121,22 @@ func newSession(conn net.Conn) *session {
 }
 
 func (s *session) Read(p []byte) (int, error) { return s.br.Read(p) }
+
+// buffer returns n bytes for the exchange in progress to move data through.
+// Up to DefaultBlockSize they are the session's own and the next exchange gets
+// the same bytes, so one exchange at a time may use them, as one exchange at a
+// time uses the connection. A larger buffer (a put-init may ask for blocks up
+// to maxBlockSize) is made for the exchange and goes with it: a session that
+// idles, whoever opened it, holds 64 KiB at most.
+func (s *session) buffer(n int) []byte {
+	if n > DefaultBlockSize {
+		return make([]byte, n)
+	}
+	if s.scratch == nil {
+		s.scratch = make([]byte, DefaultBlockSize)
+	}
+	return s.scratch[:n]
+}
 
 // sendJSON writes one JSON line.
 func sendJSON(w io.Writer, v any) error {

@@ -264,12 +264,13 @@ func (s *Server) handleUnknown(sess *session, req *request) bool {
 	return fail(sess, "unknown op %s", req.Op)
 }
 
-// checksum is the CRC and length of everything left in f. It gives up when
-// the server closes, so that Close does not wait out a pass over a file as
-// large as a peer cared to declare.
-func (s *Server) checksum(f *os.File) (crc uint32, n int64, err error) {
+// checksum is the CRC and length of everything left in f, read through the
+// buffer of the session that asked. It gives up when the server closes, so
+// that Close does not wait out a pass over a file as large as a peer cared to
+// declare.
+func (s *Server) checksum(sess *session, f *os.File) (crc uint32, n int64, err error) {
 	h := crc32.NewIEEE()
-	buf := make([]byte, 32<<10)
+	buf := sess.buffer(DefaultBlockSize)
 	for !s.isClosed() {
 		read, err := f.Read(buf)
 		h.Write(buf[:read])
@@ -294,7 +295,7 @@ func (s *Server) handleStat(sess *session, req *request) bool {
 		return fail(sess, "open: %v", err)
 	}
 	defer f.Close()
-	crc, n, err := s.checksum(f)
+	crc, n, err := s.checksum(sess, f)
 	if err != nil {
 		return fail(sess, "read: %v", err)
 	}
@@ -421,7 +422,7 @@ func (s *Server) handlePutData(sess *session, req *request) bool {
 	if !reply(sess, response{}) {
 		return false
 	}
-	buf := make([]byte, up.block)
+	buf := sess.buffer(up.block)
 	for {
 		_ = sess.SetReadDeadline(time.Now().Add(idleTimeout))
 		h, err := readBlockHeader(sess.br)
@@ -480,7 +481,7 @@ func (s *Server) handlePutCommit(sess *session, req *request) bool {
 	if _, err := up.file.Seek(0, io.SeekStart); err != nil {
 		return fail(sess, "seek: %v", err)
 	}
-	crc, _, err := s.checksum(up.file)
+	crc, _, err := s.checksum(sess, up.file)
 	if err != nil {
 		return fail(sess, "read: %v", err)
 	}

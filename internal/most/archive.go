@@ -80,9 +80,11 @@ func (e *Experiment) setupArchive(cfg *ArchiveConfig) error {
 	if err != nil {
 		return err
 	}
-	// Both ends of the archive's transfers count into the coordinator-side
-	// registry, so <run>-metrics.json says how many connections the run's
-	// blocks cost (gridftp.client.dials against gridftp.client.reuses).
+	// The whole archive path counts into the coordinator-side registry, so
+	// <run>-metrics.json says what the run's blocks cost: deposits
+	// (daq.spool.*), ingests and whether any block had to be parsed back
+	// (repo.ingest.*), and connections (gridftp.client.dials against
+	// gridftp.client.reuses).
 	ftp.UseTelemetry(e.Telemetry)
 	transport := &nfms.GridFTPTransport{}
 	transport.UseTelemetry(e.Telemetry)
@@ -107,6 +109,7 @@ func (e *Experiment) setupArchive(cfg *ArchiveConfig) error {
 		if err != nil {
 			return err
 		}
+		spool.UseTelemetry(e.Telemetry)
 		site.DAQ.AttachSpool(spool)
 		siteName := site.Spec.Name
 		ing := &repo.Ingestor{
@@ -123,6 +126,7 @@ func (e *Experiment) setupArchive(cfg *ArchiveConfig) error {
 				}
 			},
 		}
+		ing.UseTelemetry(e.Telemetry)
 		a.ingestors = append(a.ingestors, ing)
 		a.spools = append(a.spools, spool)
 	}

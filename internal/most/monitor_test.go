@@ -277,6 +277,16 @@ func TestIncrementalArchivalDuringRun(t *testing.T) {
 		t.Fatalf("archived roll-up: %d dials, %d reuses, %d commits; want two streams' worth of dials reused throughout",
 			dials, reuses, counters["gridftp.server.requests.put-commit"])
 	}
+	// And what they cost in CSV: every block deposited was archived from the
+	// summary its spool kept, none parsed back. (The roll-up is written before
+	// the last poll, so it may trail the final count by the tail blocks.)
+	deposited, ingested := counters["daq.spool.blocks"], counters["repo.ingest.blocks"]
+	orphans, ok := counters["repo.ingest.orphan_blocks"]
+	if !ok || orphans != 0 || counters["repo.ingest.rollbacks"] != 0 || ingested == 0 || ingested > deposited ||
+		counters["daq.spool.bytes"] == 0 || rollup.Fleet.Merged.Histograms["repo.ingest.block_s"].Count != ingested {
+		t.Fatalf("archived roll-up: %d blocks deposited, %d ingested, %d parsed back (present %v): %v",
+			deposited, ingested, orphans, ok, counters)
+	}
 }
 
 // The paper ran the full experiment twice on the same apparatus: "once as a

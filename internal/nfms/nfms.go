@@ -275,13 +275,19 @@ func (s *Service) Download(logical, localPath string, preferred ...string) error
 }
 
 // Upload stores localPath at the replica location and registers the
-// logical name.
+// logical name. A name already registered is refused before any byte moves,
+// so the replica it names is not overwritten; Register after the store stays
+// the authority when two uploads of one new name race.
 func (s *Service) Upload(owner, logical, localPath string, r Replica) (*Entry, error) {
 	s.mu.Lock()
 	tr, ok := s.transports[r.Transport]
+	_, taken := s.entries[logical]
 	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("nfms: unknown transport %q", r.Transport)
+	}
+	if taken {
+		return nil, fmt.Errorf("nfms: logical file %q already registered", logical)
 	}
 	info, err := os.Stat(localPath)
 	if err != nil {

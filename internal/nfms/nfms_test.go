@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -313,5 +314,41 @@ func TestTransfersShareSessions(t *testing.T) {
 	}
 	if tr.client(addr) != tr.client(addr) || tr.client(addr) == tr.client("other:1") {
 		t.Fatal("want one client per replica address")
+	}
+}
+
+// TestUploadRefusesTakenNameBeforeStore: an upload under a logical name that
+// is already registered must fail before the transport runs; it used to store
+// first, overwriting the archived replica, and fail afterwards.
+func TestUploadRefusesTakenNameBeforeStore(t *testing.T) {
+	s := New()
+	stores := 0
+	s.RegisterTransport("counting", transportFunc(func() { stores++ }))
+	first, _ := tempFile(t, 10, 6)
+	if _, err := s.Upload(alice, "f", first, Replica{Transport: "counting", Path: "x"}); err != nil {
+		t.Fatal(err)
+	}
+	if stores != 1 {
+		t.Fatalf("%d Store calls for the first upload", stores)
+	}
+	second, _ := tempFile(t, 10, 7)
+	if _, err := s.Upload(alice, "f", second, Replica{Transport: "counting", Path: "x"}); err == nil || !strings.Contains(err.Error(), "already registered") {
+		t.Fatalf("second upload of a taken name: %v", err)
+	}
+	if stores != 1 {
+		t.Fatalf("the refused upload reached the transport: %d Store calls, want 1", stores)
+	}
+
+	// With the real thing: the archived bytes survive the refused upload.
+	target := filepath.Join(t.TempDir(), "stored.bin")
+	src, data := tempFile(t, 1000, 8)
+	if _, err := s.Upload(alice, "g", src, Replica{Transport: "local", Path: target}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Upload(alice, "g", second, Replica{Transport: "local", Path: target}); err == nil {
+		t.Fatal("second upload of a taken name accepted")
+	}
+	if stored, _ := os.ReadFile(target); !bytes.Equal(stored, data) {
+		t.Fatal("the refused upload overwrote the archived replica")
 	}
 }

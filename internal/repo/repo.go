@@ -12,12 +12,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"neesgrid/internal/daq"
 	"neesgrid/internal/nfms"
 	"neesgrid/internal/nmds"
+	"neesgrid/internal/telemetry"
 )
 
 // SensorDataSchema is the built-in schema for ingested sensor blocks.
@@ -78,10 +79,18 @@ func (r *Repository) DescribeExperiment(owner, id string, body map[string]any) (
 }
 
 // IngestFile uploads one file via a replica target and records a metadata
-// object describing it, linked by logical name.
+// object describing it, linked by logical name. If the metadata is refused
+// the registration is withdrawn again, so the logical name is free for a
+// corrected retry; the bytes at the replica stay until it overwrites them.
 func (r *Repository) IngestFile(owner, experiment, site, logical, localPath string, replica nfms.Replica, extra map[string]any) (*nmds.Object, error) {
+	obj, _, err := r.ingestFile(owner, experiment, site, logical, localPath, replica, extra)
+	return obj, err
+}
+
+// ingestFile is IngestFile, and says whether it withdrew a registration.
+func (r *Repository) ingestFile(owner, experiment, site, logical, localPath string, replica nfms.Replica, extra map[string]any) (obj *nmds.Object, rolledBack bool, err error) {
 	if _, err := r.Files.Upload(owner, logical, localPath, replica); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	body := map[string]any{
 		"experiment": experiment,
@@ -92,11 +101,15 @@ func (r *Repository) IngestFile(owner, experiment, site, logical, localPath stri
 		body[k] = v
 	}
 	metaID := "data:" + logical
-	obj, err := r.Meta.Create(owner, metaID, SensorDataSchema, body)
+	obj, err = r.Meta.Create(owner, metaID, SensorDataSchema, body)
 	if err != nil {
-		return nil, fmt.Errorf("repo: metadata for %q: %w", logical, err)
+		err = fmt.Errorf("repo: metadata for %q: %w", logical, err)
+		if undo := r.Files.Delete(owner, logical); undo != nil {
+			return nil, false, fmt.Errorf("%w; the file stays registered: %v", err, undo)
+		}
+		return nil, true, err
 	}
-	return obj, nil
+	return obj, false, nil
 }
 
 // Fetch downloads a logical file to localPath.
@@ -120,53 +133,68 @@ type Ingestor struct {
 	// Replica returns the upload target for a block file name.
 	Replica func(blockName string) nfms.Replica
 
-	mu       sync.Mutex
-	uploaded int
+	tel      atomic.Pointer[ingestCounters]
+	uploaded atomic.Int64
+}
+
+// ingestCounters are the ingestor's series in a shared registry.
+type ingestCounters struct {
+	blocks, orphans, rollbacks *telemetry.Counter
+	blockS                     *telemetry.Histogram
+}
+
+// UseTelemetry exports the ingestor's work into reg: repo.ingest.blocks
+// (blocks archived), the histogram repo.ingest.block_s (upload plus both
+// catalogue writes of one block), repo.ingest.orphan_blocks (archived blocks
+// whose summary had to be parsed back from the file, daq.BlockSummary.Parsed)
+// and repo.ingest.rollbacks (registrations withdrawn because the metadata was
+// refused). Ingestors sharing a registry add into the same series. A nil
+// registry disables the export.
+func (ing *Ingestor) UseTelemetry(reg *telemetry.Registry) {
+	if reg == nil {
+		ing.tel.Store(nil)
+		return
+	}
+	ing.tel.Store(&ingestCounters{
+		blocks:    reg.Counter("repo.ingest.blocks"),
+		orphans:   reg.Counter("repo.ingest.orphan_blocks"),
+		rollbacks: reg.Counter("repo.ingest.rollbacks"),
+		blockS:    reg.Histogram("repo.ingest.block_s"),
+	})
 }
 
 // Uploaded returns how many blocks have been ingested.
-func (ing *Ingestor) Uploaded() int {
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	return ing.uploaded
-}
+func (ing *Ingestor) Uploaded() int { return int(ing.uploaded.Load()) }
 
-// PollOnce ingests every deposited block currently in the spool.
+// PollOnce ingests every deposited block currently in the spool. The
+// metadata of a block is the summary the spool hands over with it; the file
+// is not read here except by the transport.
 func (ing *Ingestor) PollOnce() ([]string, error) {
-	return ing.Spool.PollOnce(func(path string) error {
+	return ing.Spool.PollOnce(func(path string, sum daq.BlockSummary) error {
+		start := time.Now()
 		block := filepath.Base(path)
-		readings, err := daq.ReadBlock(path)
-		if err != nil {
-			return err
-		}
-		channels := make([]any, 0, 4)
-		seen := make(map[string]bool)
-		firstStep, lastStep := -1, -1
-		for _, rd := range readings {
-			if !seen[rd.Channel] {
-				seen[rd.Channel] = true
-				channels = append(channels, rd.Channel)
-			}
-			if firstStep < 0 || rd.Step < firstStep {
-				firstStep = rd.Step
-			}
-			if rd.Step > lastStep {
-				lastStep = rd.Step
-			}
-		}
-		logical := fmt.Sprintf("%s/%s/%s", ing.Experiment, ing.Site, block)
-		_, err = ing.Repo.IngestFile(ing.Owner, ing.Experiment, ing.Site, logical, path,
+		logical := ing.Experiment + "/" + ing.Site + "/" + block
+		_, rolledBack, err := ing.Repo.ingestFile(ing.Owner, ing.Experiment, ing.Site, logical, path,
 			ing.Replica(block), map[string]any{
-				"channels":   channels,
-				"first_step": firstStep,
-				"last_step":  lastStep,
+				"channels":   sum.Channels,
+				"first_step": sum.FirstStep,
+				"last_step":  sum.LastStep,
 			})
+		t := ing.tel.Load()
+		if rolledBack && t != nil {
+			t.rollbacks.Inc()
+		}
 		if err != nil {
 			return err
 		}
-		ing.mu.Lock()
-		ing.uploaded++
-		ing.mu.Unlock()
+		ing.uploaded.Add(1)
+		if t != nil {
+			t.blocks.Inc()
+			if sum.Parsed {
+				t.orphans.Inc()
+			}
+			t.blockS.ObserveDuration(time.Since(start))
+		}
 		return nil
 	})
 }
