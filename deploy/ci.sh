@@ -1,7 +1,7 @@
 #!/bin/sh
 # Staged CI pipeline. Usage:
 #
-#   deploy/ci.sh                 # default lane (tier 1): vet build test bench smoke obs fleet
+#   deploy/ci.sh                 # default lane (tier 1): vet build test smoke obs fleet
 #   deploy/ci.sh chaos           # nightly lane: chaos scenarios, twice each, byte-compared (and against golden)
 #   deploy/ci.sh vet test        # any subset, in the order given
 #   deploy/ci.sh all             # every stage including lint and chaos
@@ -15,7 +15,6 @@
 #   test   - full suite under the race detector (the checked-in fuzz corpora
 #            run as ordinary tests), then vet + tests of the benchmark module,
 #            which `./...` does not descend into
-#   bench  - E8/E10 hot-path smoke gated against BENCH_ntcp.json (deploy/benchgate)
 #   smoke  - trace round-trip + graceful-shutdown end-to-end smokes
 #   obs    - observability smoke: the aggregator over a two-site run must
 #            serve per-site + fleet-wide merged series, link the fleet p99
@@ -33,8 +32,13 @@
 #            behaviour (re-record with `mostctl chaos -q -scenario F -out
 #            golden/<name>.json` in the PR that does); then 10 s of fuzzing
 #            per target: each single-pass codec against encoding/json, the
-#            GridFTP session loop against its escapes-the-root oracle, and
-#            the spool's block formatter against encoding/csv
+#            MAC'd envelope opener against its replay/tamper/cross-context
+#            oracle, the GridFTP session loop against its escapes-the-root
+#            oracle, and the spool's block formatter against encoding/csv
+#
+# Performance is not a stage: the benchmark in bench/ (BENCHMARK.json) is
+# compared on interleaved runs of two commits, `bash bench/run.sh --compare
+# a.jsonl b.jsonl`, which a single run on a shared runner cannot stand in for.
 #
 # Every stage is timed; a summary table prints at the end. The pipeline
 # stops at the first failing stage.
@@ -80,16 +84,6 @@ stage_test() {
     # never compiles it: an API change here could break the benchmark's build
     # and nobody would know until the next benchmark run.
     (cd bench && go vet . && go test .)
-}
-
-stage_bench() {
-    # Fastest-of-5 at 100x against the floor recorded in the ci_baseline
-    # block; >15% above the floor fails the stage. The minimum over repeats
-    # is what makes a 15% gate workable on a noisy shared runner.
-    go run ./deploy/benchgate -count 5 -benchtime 100x -bench 'E8|E10Streaming' || return 1
-    # The viewer-scale fan-out benchmarks run 100k-subscriber sweeps, so
-    # they get a shorter repeat budget of their own.
-    go run ./deploy/benchgate -count 3 -benchtime 20x -bench 'E10FanOut'
 }
 
 stage_smoke() {
@@ -220,7 +214,10 @@ stage_chaos() {
 
     # Generated adversaries for the hand-rolled parsers on the step path:
     # each target holds a single-pass codec to encoding/json (equal values or
-    # both fail, byte-equal encodings). The archive path has two:
+    # both fail, byte-equal encodings), and FuzzOpenContext holds the MAC'd
+    # envelope opener to its promise (arbitrary bytes never open; replayed,
+    # reordered, cross-context, reflected, tampered, expired and revoked
+    # messages are each refused with their own error). The archive path has two:
     # FuzzServerSession (arbitrary bytes as one session on the
     # unauthenticated GridFTP port must not crash, stall, balloon, or touch
     # anything outside the root) and FuzzSpoolBlockMatchesCSV (the spool's
@@ -237,6 +234,7 @@ stage_chaos() {
         fi
     done <<TARGETS
 FuzzOpenWire ./internal/gsi
+FuzzOpenContext ./internal/gsi
 FuzzDecodeRequest ./internal/ogsi
 FuzzDecodeResponse ./internal/ogsi
 FuzzRecordCodec ./internal/core
@@ -274,16 +272,16 @@ finish() {
 }
 
 if [ $# -eq 0 ]; then
-    set -- vet build test bench smoke obs fleet
+    set -- vet build test smoke obs fleet
 elif [ "$1" = all ]; then
-    set -- vet lint build test bench smoke obs fleet chaos
+    set -- vet lint build test smoke obs fleet chaos
 fi
 
 for stage in "$@"; do
     case "$stage" in
-    vet | lint | build | test | bench | smoke | obs | fleet | chaos) ;;
+    vet | lint | build | test | smoke | obs | fleet | chaos) ;;
     *)
-        echo "ci: unknown stage '$stage' (stages: vet lint build test bench smoke obs fleet chaos)" >&2
+        echo "ci: unknown stage '$stage' (stages: vet lint build test smoke obs fleet chaos)" >&2
         exit 2
         ;;
     esac

@@ -19,6 +19,7 @@ type fixture struct {
 	ca     *gsi.Authority
 	trust  *gsi.TrustStore
 	addr   string
+	cont   *ogsi.Container
 	server *Server
 	cred   *gsi.Credential
 }
@@ -45,7 +46,7 @@ func newFixture(t *testing.T, plugin Plugin, policy *SitePolicy) *fixture {
 		defer cancel()
 		_ = cont.Stop(ctx)
 	})
-	return &fixture{ca: ca, trust: trust, addr: addr, server: srv, cred: clientCred}
+	return &fixture{ca: ca, trust: trust, addr: addr, cont: cont, server: srv, cred: clientCred}
 }
 
 func (f *fixture) ogsiClient() *ogsi.Client {

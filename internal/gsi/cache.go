@@ -49,6 +49,7 @@ type chainCacheEntry struct {
 	identity string
 	window   validityWindow
 	leaf     ed25519.PublicKey
+	gen      uint64 // trust generation the chain was verified under
 }
 
 // chainCache remembers verified chains by digest: of the parsed content
@@ -68,6 +69,10 @@ type chainCache struct {
 	mu       sync.RWMutex
 	entries  map[[sha256.Size]byte]chainCacheEntry
 	capacity int
+	// gen is the trust generation: bumped by flush under mu, read freely.
+	// store refuses a verdict from an older generation, so a verification
+	// that raced a TrustStore.Add cannot re-populate the flushed cache.
+	gen atomic.Uint64
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -158,11 +163,12 @@ func (cc *chainCache) lookup(key [sha256.Size]byte, now time.Time) (chainCacheEn
 	return chainCacheEntry{}, false
 }
 
-// store records a verified chain, evicting an arbitrary entry at capacity.
+// store records a verified chain, evicting an arbitrary entry at capacity. A
+// verdict computed under an older trust generation is dropped.
 func (cc *chainCache) store(key [sha256.Size]byte, e chainCacheEntry) {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if cc.capacity <= 0 {
+	if cc.capacity <= 0 || e.gen != cc.gen.Load() {
 		return
 	}
 	if cc.entries == nil {
@@ -177,13 +183,15 @@ func (cc *chainCache) store(key [sha256.Size]byte, e chainCacheEntry) {
 	cc.entries[key] = e
 }
 
-// flush drops every cached verdict. Called when the trust set changes
-// (TrustStore.Add): cached identities were verified against the previous CA
-// set and must not outlive it — in particular a chain signed by a rotated
-// CA key must re-verify (and fail) rather than be served from cache.
+// flush drops every cached verdict and starts a new trust generation. Called
+// when the trust set changes (TrustStore.Add): cached identities were
+// verified against the previous CA set and must not outlive it — in
+// particular a chain signed by a rotated CA key must re-verify (and fail)
+// rather than be served from cache.
 func (cc *chainCache) flush() {
 	cc.mu.Lock()
 	cc.entries = nil
+	cc.gen.Add(1)
 	cc.mu.Unlock()
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -111,6 +112,129 @@ func FuzzOpenWire(f *testing.F) {
 			if gotID != wantID || !bytes.Equal(got, append([]byte("dst:"), want...)) {
 				t.Fatalf("round %d: OpenWire (%q, %q), reference (%q, %q)", round, got, gotID, want, wantID)
 			}
+		}
+	})
+}
+
+// The structured mutations FuzzOpenContext applies to a legitimate message,
+// and the refusal each must meet.
+const (
+	mutReplayed = iota
+	mutBeyondWindow
+	mutCrossContext
+	mutReflected
+	mutTamperedPayload
+	mutTamperedSeq
+	mutTamperedContext
+	mutTamperedMAC
+	mutPostExpiry
+	mutPostRotation
+	mutKinds
+)
+
+// FuzzOpenContext holds the MAC'd path to its one promise: a body opens only
+// if the context's other end sealed it, for this direction, and it has not
+// been opened before. Arbitrary bytes must neither panic nor open, on the
+// server's opener or the client's; and a legitimate exchange carrying the
+// fuzzed payload, once opened, must refuse every structured mutation with its
+// own error, before any payload is handed out: replayed, reordered beyond the
+// window, relabelled to another context, a reply presented as a request,
+// tampered payload, sequence number, context ID or MAC, opened after the
+// context's expiry, opened after a trust-set change.
+func FuzzOpenContext(f *testing.F) {
+	seeds := [][]byte{
+		[]byte(`{"service":"ntcp","op":"propose","params":{"name":"run/step-7/uiuc"},"sent":"2026-01-01T00:01:00Z"}`),
+		[]byte(`{"ok":true}`),
+		{},
+		[]byte(`{"payload":"","context":"AAAAAAAAAAAAAAAAAAAAAA==","seq":1,"mac":"AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA="}`),
+		[]byte(`{"payload":"e30=","context":"AAAAAAAAAAAAAAAAAAAAAA==","seq":01,"mac":""}`),
+	}
+	for i, seed := range seeds {
+		for kind := 0; kind < mutKinds; kind++ {
+			f.Add(seed, uint8(kind), uint64(i*7919+kind))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte, kind uint8, arg uint64) {
+		fab := newConvFabric(t)
+		a, b := fab.handshake(t), fab.handshake(t)
+		if _, _, _, err := fab.table.Open(nil, data, fab.now); err == nil {
+			t.Fatalf("arbitrary bytes opened on the server: %q", data)
+		}
+		if _, err := a.OpenReply(nil, data, arg); err == nil {
+			t.Fatalf("arbitrary bytes opened on the client: %q", data)
+		}
+
+		seq := a.NextSeq()
+		req := a.Seal(nil, data, seq)
+		got, server, gotSeq, err := fab.table.Open([]byte("dst:"), req, fab.now)
+		if err != nil || !bytes.Equal(got, append([]byte("dst:"), data...)) || gotSeq != seq {
+			t.Fatalf("legitimate request: %q seq %d, %v", got, gotSeq, err)
+		}
+		reply := server.Seal(nil, data, seq)
+
+		// fresh is a legitimate, never-opened message, sliced into its fields.
+		fresh, ok := splitSealed(a.Seal(nil, data, a.NextSeq()))
+		if !ok {
+			t.Fatal("Seal wrote a body splitSealed refuses")
+		}
+		payload, err := base64.StdEncoding.DecodeString(string(fresh.payload64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		now := fab.now
+		var bad []byte
+		var want error
+		switch kind % mutKinds {
+		case mutReplayed:
+			bad, want = req, ErrReplay
+		case mutBeyondWindow:
+			ahead := a.seq.Load() + replayWindow + arg%1000
+			if _, _, _, err := fab.table.Open(nil, a.Seal(nil, data, ahead), now); err != nil {
+				t.Fatalf("message far ahead: %v", err)
+			}
+			bad, want = appendSealed(nil, payload, &fresh.id, fresh.seq, &fresh.mac), ErrReplay
+		case mutCrossContext:
+			bad, want = appendSealed(nil, payload, &b.id, fresh.seq, &fresh.mac), ErrBadMAC
+		case mutReflected:
+			bad, want = reply, ErrBadMAC
+		case mutTamperedPayload:
+			if len(payload) == 0 {
+				payload = append(payload, byte(arg))
+			} else {
+				payload[arg%uint64(len(payload))] ^= 1 << (arg / 64 % 8)
+			}
+			bad, want = appendSealed(nil, payload, &fresh.id, fresh.seq, &fresh.mac), ErrBadMAC
+		case mutTamperedSeq:
+			bad, want = appendSealed(nil, payload, &fresh.id, fresh.seq+1+arg%(1<<40), &fresh.mac), ErrBadMAC
+		case mutTamperedContext:
+			fresh.id[arg%contextIDSize] ^= 1 << (arg / contextIDSize % 8)
+			bad, want = appendSealed(nil, payload, &fresh.id, fresh.seq, &fresh.mac), ErrContextUnknown
+		case mutTamperedMAC:
+			fresh.mac[arg%macSize] ^= 1 << (arg / macSize % 8)
+			bad, want = appendSealed(nil, payload, &fresh.id, fresh.seq, &fresh.mac), ErrBadMAC
+		case mutPostExpiry:
+			now = a.expiry.Add(time.Duration(1 + arg%uint64(time.Hour)))
+			bad, want = appendSealed(nil, payload, &fresh.id, fresh.seq, &fresh.mac), ErrContextExpired
+		case mutPostRotation:
+			fab.trust.Add(fixedAuthority(fab.ca.Name, 2).Cert)
+			bad, want = appendSealed(nil, payload, &fresh.id, fresh.seq, &fresh.mac), ErrContextRevoked
+		}
+		if out, _, _, err := fab.table.Open(nil, bad, now); !errors.Is(err, want) || out != nil {
+			t.Fatalf("mutation %d: %v (payload %q), want %v", kind%mutKinds, err, out, want)
+		}
+
+		// The client holds a reply to its request, and to nothing else.
+		if _, err := a.OpenReply(nil, reply, seq+1+arg%8); !errors.Is(err, ErrBadMAC) {
+			t.Fatalf("reply opened for another request: %v", err)
+		}
+		if _, err := b.OpenReply(nil, reply, seq); !errors.Is(err, ErrBadMAC) {
+			t.Fatalf("reply opened under another context: %v", err)
+		}
+		if _, err := a.OpenReply(nil, req, seq); !errors.Is(err, ErrBadMAC) {
+			t.Fatalf("request opened as a reply: %v", err)
+		}
+		if back, err := a.OpenReply(nil, reply, seq); err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("legitimate reply: %q %v", back, err)
 		}
 	})
 }

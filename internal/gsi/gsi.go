@@ -1,7 +1,8 @@
 // Package gsi implements a Grid Security Infrastructure in the style used by
 // NEESgrid: certificate-based mutual authentication, short-lived delegated
-// proxy credentials, message-level signatures, and gridmap authorization
-// mapping Grid identities to site-local accounts.
+// proxy credentials, signed envelopes, security contexts that authenticate
+// later messages with a MAC (context.go), and gridmap authorization mapping
+// Grid identities to site-local accounts.
 //
 // The paper's deployment used X.509/GSI from the Globus Toolkit. This
 // package keeps the trust *model* — a chain CA → identity → proxy → proxy…,
@@ -247,8 +248,10 @@ func (c *Credential) Delegate(validity time.Duration) (*Credential, error) {
 
 // TrustStore holds the CA certificates a site trusts, plus a bounded cache
 // of verified chains (see cache.go) that lets repeated calls with a
-// byte-identical chain skip the per-certificate signature checks.
+// byte-identical chain skip the per-certificate signature checks. It is safe
+// for concurrent use, Add included.
 type TrustStore struct {
+	mu    sync.RWMutex // guards cas; Add bumps the trust generation under it
 	cas   map[string]*Certificate
 	cache chainCache
 }
@@ -266,15 +269,28 @@ func NewTrustStore(cas ...*Certificate) *TrustStore {
 }
 
 // Add registers a trusted CA certificate. Any change to the trust set —
-// including a key rotation that replaces an existing subject — flushes the
-// verified-chain cache, so no verdict computed against the old CA set
-// outlives it.
+// including a key rotation that replaces an existing subject — starts a new
+// trust generation: the verified-chain cache is flushed, a verification still
+// in flight against the old CA set cannot store its verdict afterwards, and
+// every security context established before is dead (context.go). No verdict
+// computed against the old CA set outlives it.
 func (ts *TrustStore) Add(c *Certificate) {
 	if c == nil || !c.IsCA {
 		return
 	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
 	ts.cas[c.Subject] = c
 	ts.cache.flush()
+}
+
+// trusted returns the CA certificate for subject together with the trust
+// generation it belongs to, read as one consistent pair.
+func (ts *TrustStore) trusted(subject string) (*Certificate, uint64, bool) {
+	ts.mu.RLock()
+	defer ts.mu.RUnlock()
+	ca, ok := ts.cas[subject]
+	return ca, ts.cache.gen.Load(), ok
 }
 
 // VerifyChain validates a leaf-first chain at time now: every certificate
@@ -293,8 +309,10 @@ func (ts *TrustStore) VerifyChain(chain []*Certificate, now time.Time) (string, 
 	return identity, err
 }
 
-// VerifyInfo reports how a verification was satisfied — observability
-// metadata for trace spans, never a security signal.
+// VerifyInfo reports how a verification was satisfied. Its exported fields
+// are observability metadata for trace spans, never a security signal; the
+// unexported ones are what a security context established on this
+// verification inherits (Handshake.Complete, ContextTable.Accept).
 type VerifyInfo struct {
 	// CacheHit is true when the verdict came from the verified-chain cache
 	// rather than the full per-certificate cryptographic path.
@@ -302,6 +320,13 @@ type VerifyInfo struct {
 	// WireFallback is true when OpenWire was handed a body that is not in
 	// the canonical envelope layout and went through encoding/json.
 	WireFallback bool
+
+	notAfter time.Time // end of the chain's validity intersection, CA included
+	gen      uint64    // trust generation the verdict was computed under
+}
+
+func (info *VerifyInfo) bind(e *chainCacheEntry) {
+	info.notAfter, info.gen = e.window.notAfter, e.gen
 }
 
 func (ts *TrustStore) verifyChainInfo(chain []*Certificate, now time.Time) (string, VerifyInfo, error) {
@@ -313,59 +338,64 @@ func (ts *TrustStore) verifyChainInfo(chain []*Certificate, now time.Time) (stri
 	if cacheable {
 		if e, ok := ts.cache.lookup(key, now); ok {
 			info.CacheHit = true
+			info.bind(&e)
 			return e.identity, info, nil
 		}
 	}
-	identity, window, err := ts.verifyChainSlow(chain, now)
+	e, err := ts.verifyChainSlow(chain, now)
 	if err != nil {
 		return "", info, err
 	}
 	if cacheable {
-		ts.cache.store(key, chainCacheEntry{identity: identity, window: window})
+		ts.cache.store(key, e)
 	}
-	return identity, info, nil
+	info.bind(&e)
+	return e.identity, info, nil
 }
 
-// verifyChainSlow is the full cryptographic path. On success it also
-// returns the validity window of the whole chain — the intersection of
-// every certificate's window including the trusted CA's — which bounds how
-// long a cached verdict may be served.
-func (ts *TrustStore) verifyChainSlow(chain []*Certificate, now time.Time) (string, validityWindow, error) {
-	var window validityWindow
+// verifyChainSlow is the full cryptographic path. On success it returns the
+// chain's identity, its validity window — the intersection of every
+// certificate's window including the trusted CA's, which bounds how long a
+// cached verdict may be served — and the trust generation of the CA set it
+// was checked against.
+func (ts *TrustStore) verifyChainSlow(chain []*Certificate, now time.Time) (chainCacheEntry, error) {
+	var e chainCacheEntry
 	for i, cert := range chain {
 		if !cert.ValidAt(now) {
-			return "", window, fmt.Errorf("%w: %s", ErrExpired, cert.Subject)
+			return e, fmt.Errorf("%w: %s", ErrExpired, cert.Subject)
 		}
-		window.intersect(cert.NotBefore, cert.NotAfter)
+		e.window.intersect(cert.NotBefore, cert.NotAfter)
 		var issuerKey ed25519.PublicKey
 		if i+1 < len(chain) {
 			parent := chain[i+1]
 			if cert.Issuer != parent.Subject {
-				return "", window, fmt.Errorf("%w: issuer %q != parent subject %q", ErrBadChain, cert.Issuer, parent.Subject)
+				return e, fmt.Errorf("%w: issuer %q != parent subject %q", ErrBadChain, cert.Issuer, parent.Subject)
 			}
 			if cert.IsProxy && cert.Subject != parent.Subject+"/proxy" {
-				return "", window, fmt.Errorf("%w: proxy subject %q does not extend %q", ErrBadChain, cert.Subject, parent.Subject)
+				return e, fmt.Errorf("%w: proxy subject %q does not extend %q", ErrBadChain, cert.Subject, parent.Subject)
 			}
 			if !cert.IsProxy {
-				return "", window, fmt.Errorf("%w: non-proxy certificate %q below chain head", ErrBadChain, cert.Subject)
+				return e, fmt.Errorf("%w: non-proxy certificate %q below chain head", ErrBadChain, cert.Subject)
 			}
 			issuerKey = parent.PublicKey
 		} else {
-			ca, ok := ts.cas[cert.Issuer]
+			ca, gen, ok := ts.trusted(cert.Issuer)
 			if !ok {
-				return "", window, fmt.Errorf("%w: issuer %q", ErrUntrusted, cert.Issuer)
+				return e, fmt.Errorf("%w: issuer %q", ErrUntrusted, cert.Issuer)
 			}
 			if !ca.ValidAt(now) {
-				return "", window, fmt.Errorf("%w: CA %s", ErrExpired, ca.Subject)
+				return e, fmt.Errorf("%w: CA %s", ErrExpired, ca.Subject)
 			}
-			window.intersect(ca.NotBefore, ca.NotAfter)
+			e.window.intersect(ca.NotBefore, ca.NotAfter)
+			e.gen = gen
 			issuerKey = ca.PublicKey
 		}
 		if !verifySig(issuerKey, cert.tbs(), cert.Signature) {
-			return "", window, fmt.Errorf("%w: %s", ErrBadSignature, cert.Subject)
+			return e, fmt.Errorf("%w: %s", ErrBadSignature, cert.Subject)
 		}
 	}
-	return BaseIdentity(chain[0].Subject), window, nil
+	e.identity = BaseIdentity(chain[0].Subject)
+	return e, nil
 }
 
 // verifySig is ed25519.Verify for keys that come off the wire: a certificate
@@ -376,8 +406,8 @@ func verifySig(pub ed25519.PublicKey, msg, sig []byte) bool {
 }
 
 // Envelope is a signed message: payload, signer chain, signature by the
-// chain's leaf key. This is the message-level security layer every NEESgrid
-// service call travels under.
+// chain's leaf key. A service call travels under one to establish a security
+// context (context.go) and MAC'd under that context afterwards.
 type Envelope struct {
 	Payload   []byte         `json:"payload"`
 	Chain     []*Certificate `json:"chain"`
@@ -561,6 +591,7 @@ func (ts *TrustStore) OpenWire(dst, body []byte, now time.Time) (payload []byte,
 			if !verifySig(e.leaf, dst[start:], sig[:nsig]) {
 				return nil, "", info, ErrBadSignature
 			}
+			info.bind(&e)
 			return dst, e.identity, info, nil
 		}
 	}
@@ -596,22 +627,23 @@ func (ts *TrustStore) openMissed(dst, body, chain []byte, key [sha256.Size]byte,
 	if len(env.Chain) == 0 {
 		return nil, "", info, ErrBadChain
 	}
-	identity, window, err := ts.verifyChainSlow(env.Chain, now)
+	e, err := ts.verifyChainSlow(env.Chain, now)
 	if err != nil {
 		return nil, "", info, err
 	}
-	leaf := env.Chain[0].PublicKey
-	if !verifySig(leaf, env.Payload, env.Signature) {
+	e.leaf = env.Chain[0].PublicKey
+	if !verifySig(e.leaf, env.Payload, env.Signature) {
 		return nil, "", info, ErrBadSignature
 	}
 	// The digest may stand for this chain only if the sliced bytes are
 	// exactly the one value encoding/json read under "chain" — not, say, a
 	// chain followed by a second "payload" key. (store drops the entry when
-	// the cache is disabled.)
+	// the cache is disabled, or when the trust set changed meanwhile.)
 	if json.Valid(chain) {
-		ts.cache.store(key, chainCacheEntry{identity: identity, window: window, leaf: leaf})
+		ts.cache.store(key, e)
 	}
-	return append(dst, env.Payload...), identity, info, nil
+	info.bind(&e)
+	return append(dst, env.Payload...), e.identity, info, nil
 }
 
 // Gridmap maps Grid identities to site-local account names — the classic

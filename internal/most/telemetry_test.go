@@ -83,7 +83,9 @@ func TestRunTelemetryEndToEnd(t *testing.T) {
 // single-pass readers: both fallback counters, pre-registered at zero in the
 // coordinator's registry and in every site's, still read zero afterwards. A
 // codec change that makes an encoder and its strict decoder disagree fails
-// here, instead of showing up as a slow day.
+// here, instead of showing up as a slow day. The same holds for message
+// security: exactly one signed envelope each way per site — the handshake —
+// every other envelope MAC'd, and no context ever refused.
 func TestCleanRunsStayOnTheFastPath(t *testing.T) {
 	for name, tweak := range map[string]func(*Spec){
 		"classic":  func(*Spec) {},
@@ -114,11 +116,42 @@ func TestCleanRunsStayOnTheFastPath(t *testing.T) {
 					}
 				}
 			}
-			// The run did go through the path being watched: every envelope
-			// but each credential's first was served by the wire-keyed cache.
-			hits, misses := exp.Trust.CacheStats()
-			if hits < uint64(steps*len(exp.Sites)*2) || misses > uint64(2*(len(exp.Sites)+1)) {
-				t.Errorf("chain cache: %d hits, %d misses", hits, misses)
+			// The run did go through the paths being watched: each site's
+			// container verified one signed request, the handshake, and took
+			// every other envelope MAC'd; the coordinator verified one signed
+			// reply per site.
+			sites := int64(len(exp.Sites))
+			coordinator := registries["coordinator"]
+			var envelopes int64
+			for _, site := range exp.Sites {
+				snap := registries[site.Spec.Name]
+				if n := snap.Counters["ogsi.auth.signed"]; n != 1 {
+					t.Errorf("%s: %d signed requests, want 1", site.Spec.Name, n)
+				}
+				if n := snap.Counters["ogsi.context.established"]; n != 1 {
+					t.Errorf("%s: %d contexts established, want 1", site.Spec.Name, n)
+				}
+				for _, reason := range []string{"unknown", "expired", "replay", "mac", "revoked"} {
+					n, registered := snap.Counters["ogsi.context.rejected."+reason]
+					if !registered || n != 0 {
+						t.Errorf("%s: ogsi.context.rejected.%s = %d (registered %v)", site.Spec.Name, reason, n, registered)
+					}
+				}
+				envelopes += snap.Counters["ogsi.auth.signed"] + snap.Counters["ogsi.auth.mac"]
+			}
+			if envelopes != coordinator.Counters["faultnet.calls"] {
+				t.Errorf("sites authenticated %d envelopes, the coordinator sent %d", envelopes, coordinator.Counters["faultnet.calls"])
+			}
+			if coordinator.Counters["ogsi.auth.signed"] != sites || coordinator.Counters["ogsi.context.established"] != sites ||
+				coordinator.Counters["ogsi.auth.mac"] != envelopes-sites {
+				t.Errorf("coordinator: %d signed, %d MAC'd replies, %d contexts; want %d, %d, %d",
+					coordinator.Counters["ogsi.auth.signed"], coordinator.Counters["ogsi.auth.mac"],
+					coordinator.Counters["ogsi.context.established"], sites, envelopes-sites, sites)
+			}
+			// Only the handshakes consult the chain cache: one request and
+			// one reply per site.
+			if hits, misses := exp.Trust.CacheStats(); hits+misses != uint64(2*sites) {
+				t.Errorf("chain cache: %d hits, %d misses, want %d lookups", hits, misses, 2*sites)
 			}
 		})
 	}

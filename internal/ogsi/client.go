@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,8 +20,11 @@ import (
 	"neesgrid/internal/wirejson"
 )
 
-// Client calls operations on a remote container, signing each request with
-// its credential and verifying the container's response signature.
+// Client calls operations on a remote container. Its first call to a
+// container is a signed envelope that also offers a security-context
+// handshake; every later call goes MAC'd under the context the container
+// accepted, and so does the container's reply (DESIGN.md §5a). A context the
+// container no longer holds is re-established inside the same Call.
 type Client struct {
 	BaseURL string
 	Cred    *gsi.Credential
@@ -29,10 +33,11 @@ type Client struct {
 	// harness substitute clients whose dialers misbehave. Nil means
 	// http.DefaultClient.
 	HTTP *http.Client
-	// Clock overrides the time source used for envelope verification.
+	// Clock overrides the time source used for envelope verification and
+	// for the lifetime of the client's security context.
 	Clock func() time.Time
 	// Tracer, when set, opens a client span around every Call and carries
-	// its traceparent inside the signed request payload. Nil disables
+	// its traceparent inside the authenticated request payload. Nil disables
 	// tracing (the traceparent of any span already in ctx still
 	// propagates, so an untraced client does not break the chain).
 	Tracer *trace.Tracer
@@ -41,23 +46,89 @@ type Client struct {
 	endpoint atomic.Pointer[endpoint]
 }
 
-// endpoint is BaseURL+"/ogsi" parsed once; base remembers the BaseURL it was
-// parsed from, so a caller that repoints the client gets a fresh parse.
+// endpoint is BaseURL+"/ogsi" parsed once, and the security context the
+// client holds with the container behind it. base remembers the BaseURL it
+// was parsed from, so a caller that repoints the client gets a fresh parse
+// and a fresh handshake.
 type endpoint struct {
-	base string
-	url  *url.URL
+	base   string
+	url    *url.URL
+	secure atomic.Pointer[gsi.Context] // nil until a reply accepts a handshake
+
+	mu      sync.Mutex
+	pending *gsi.Handshake // offered and not yet accepted
 }
 
-func (c *Client) endpointURL() (*url.URL, error) {
-	if ep := c.endpoint.Load(); ep != nil && ep.base == c.BaseURL {
-		return ep.url, nil
+// endpointFor returns the endpoint for the current BaseURL. Calls racing to
+// make it agree on one, and so on one handshake.
+func (c *Client) endpointFor() (*endpoint, error) {
+	for {
+		cur := c.endpoint.Load()
+		if cur != nil && cur.base == c.BaseURL {
+			return cur, nil
+		}
+		u, err := url.Parse(c.BaseURL + "/ogsi")
+		if err != nil {
+			return nil, err
+		}
+		if ep := (&endpoint{base: c.BaseURL, url: u}); c.endpoint.CompareAndSwap(cur, ep) {
+			return ep, nil
+		}
 	}
-	u, err := url.Parse(c.BaseURL + "/ogsi")
-	if err != nil {
-		return nil, err
+}
+
+// live returns the context to send under, dropping one that has expired or
+// outlived a trust-set change.
+func (ep *endpoint) live(now time.Time, trust *gsi.TrustStore) *gsi.Context {
+	sc := ep.secure.Load()
+	if sc != nil && !sc.Live(now, trust) {
+		ep.secure.CompareAndSwap(sc, nil)
+		return nil
 	}
-	c.endpoint.Store(&endpoint{base: c.BaseURL, url: u})
-	return u, nil
+	return sc
+}
+
+// prepare decides how the next request goes: under the live context, or —
+// when there is none, or signed is forced after a refusal — signed, carrying
+// the handshake outstanding on this endpoint (drawn here if there is none).
+// Calls racing to make the first handshake all offer the same one, which the
+// container answers with one context.
+func (ep *endpoint) prepare(now time.Time, trust *gsi.TrustStore, signed bool) (*gsi.Context, *gsi.Handshake, error) {
+	if !signed {
+		if sc := ep.live(now, trust); sc != nil {
+			return sc, nil, nil
+		}
+	}
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if !signed {
+		if sc := ep.live(now, trust); sc != nil {
+			return sc, nil, nil
+		}
+	}
+	if ep.pending == nil {
+		h, err := gsi.NewHandshake()
+		if err != nil {
+			return nil, nil, err
+		}
+		ep.pending = h
+	}
+	return nil, ep.pending, nil
+}
+
+// install makes sc the context to send under if h is still the handshake
+// outstanding: the first reply to accept it installs the context; later
+// replies to the same offer carry the same context and must not reset its
+// sequence numbers.
+func (ep *endpoint) install(h *gsi.Handshake, sc *gsi.Context) bool {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.pending != h {
+		return false
+	}
+	ep.pending = nil
+	ep.secure.Store(sc)
+	return true
 }
 
 // Names of the counters that watch the single-pass receive path: envelopes
@@ -71,25 +142,66 @@ const (
 	MetricDecodeFallbacks = "ogsi.decode.fallbacks"
 )
 
-// registerFallbackCounters pre-registers both counters at zero, so a scrape
-// can tell "no fallbacks" from "not wired".
-func registerFallbackCounters(reg *telemetry.Registry) {
-	reg.Counter(MetricWireFallbacks)
-	reg.Counter(MetricDecodeFallbacks)
+// Names of the series that watch message security (DESIGN.md §5a), on both
+// ends: envelopes authenticated by signature and by MAC (a container counts
+// requests, a client replies) and contexts established. A container also
+// exports the contexts it holds and the MAC'd requests it refused, by
+// reason. Between peers built from this tree a clean run reads one signed
+// envelope each way per client–container pair and no refusal.
+const (
+	metricAuthSigned         = "ogsi.auth.signed"
+	metricAuthMAC            = "ogsi.auth.mac"
+	metricContextEstablished = "ogsi.context.established"
+	metricContextActive      = "ogsi.context.active"
+	metricContextRejected    = "ogsi.context.rejected."
+)
+
+// contextRefusals names each reason a container refuses a MAC'd request.
+var contextRefusals = []struct {
+	err    error
+	reason string
+}{
+	{gsi.ErrContextUnknown, "unknown"},
+	{gsi.ErrContextExpired, "expired"},
+	{gsi.ErrReplay, "replay"},
+	{gsi.ErrBadMAC, "mac"},
+	{gsi.ErrContextRevoked, "revoked"},
 }
 
-// UseTelemetry makes the client count receive-path fallbacks into reg (see
-// MetricWireFallbacks). Call before traffic flows; nil disables counting.
+// registerCounters pre-registers the receive-path and message-security
+// series at zero, so a scrape can tell "none" from "not wired".
+func registerCounters(reg *telemetry.Registry, container bool) {
+	for _, name := range []string{MetricWireFallbacks, MetricDecodeFallbacks, metricAuthSigned, metricAuthMAC, metricContextEstablished} {
+		reg.Counter(name)
+	}
+	if container {
+		reg.Gauge(metricContextActive)
+		for _, r := range contextRefusals {
+			reg.Counter(metricContextRejected + r.reason)
+		}
+	}
+}
+
+// UseTelemetry makes the client count receive-path fallbacks (see
+// MetricWireFallbacks) and message-security events into reg. Call before
+// traffic flows; nil disables counting.
 func (c *Client) UseTelemetry(reg *telemetry.Registry) {
 	if reg != nil {
-		registerFallbackCounters(reg)
+		registerCounters(reg, false)
 	}
 	c.tel = reg
 }
 
 // noteFallback counts one fallback under name when telemetry is wired.
 func (c *Client) noteFallback(name string, fellBack bool) {
-	if fellBack && c.tel != nil {
+	if fellBack {
+		c.count(name)
+	}
+}
+
+// count increments a counter when telemetry is wired.
+func (c *Client) count(name string) {
+	if c.tel != nil {
 		c.tel.Counter(name).Inc()
 	}
 }
@@ -150,14 +262,10 @@ func (c *Client) Call(ctx context.Context, service, op string, params, out any) 
 // header's value slice.
 var jsonContentType = []string{"application/json"}
 
-// newPost builds the POST of body to the client's endpoint: what
-// http.NewRequestWithContext builds for a *bytes.Reader (content length,
-// rewindable GetBody), without re-parsing the URL on every call.
-func (c *Client) newPost(ctx context.Context, body []byte) (*http.Request, error) {
-	u, err := c.endpointURL()
-	if err != nil {
-		return nil, err
-	}
+// newPost builds the POST of body to u: what http.NewRequestWithContext
+// builds for a *bytes.Reader (content length, rewindable GetBody), without
+// re-parsing the URL on every call.
+func newPost(ctx context.Context, u *url.URL, body []byte) *http.Request {
 	req := &http.Request{
 		Method:        http.MethodPost,
 		URL:           u,
@@ -172,11 +280,13 @@ func (c *Client) newPost(ctx context.Context, body []byte) (*http.Request, error
 			return io.NopCloser(bytes.NewReader(body)), nil
 		},
 	}
-	return req.WithContext(ctx), nil
+	return req.WithContext(ctx)
 }
 
-// callRaw is Call with the params already encoded: one signed envelope out,
-// one verified envelope back.
+// callRaw is Call with the params already encoded: one authenticated
+// envelope out, one verified envelope back — or, when the container refused
+// the context the request went under, a second exchange, signed, in which
+// the request runs for the first time.
 func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []byte, out any) (err error) {
 	var span *trace.Span
 	if c.Tracer != nil {
@@ -187,70 +297,24 @@ func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []by
 			span.End()
 		}()
 	}
-
-	// Single-pass encoding into pooled buffers: the request wire form is
-	// appended directly (no intermediate request struct marshal), signed,
-	// and wrapped in an envelope whose chain encoding is memoized on the
-	// credential. The traceparent carried in the signed payload is the
-	// client span's when tracing here, else that of whatever span the
-	// caller's context already holds.
-	payloadBuf := getBuf()
-	defer putBuf(payloadBuf)
-	*payloadBuf = appendRequestJSON((*payloadBuf)[:0], service, op, rawParams, c.now(), trace.SpanContextFromContext(ctx))
-	bodyBuf := getBuf()
-	defer putBuf(bodyBuf)
-	*bodyBuf, err = gsi.AppendSignedEnvelope((*bodyBuf)[:0], c.Cred, *payloadBuf)
-	if err != nil {
-		return fmt.Errorf("ogsi: sign request: %w", err)
-	}
-	httpReq, err := c.newPost(ctx, *bodyBuf)
+	ep, err := c.endpointFor()
 	if err != nil {
 		return fmt.Errorf("ogsi: build request: %w", err)
 	}
-	httpResp, err := c.httpClient().Do(httpReq)
-	if err != nil {
-		return fmt.Errorf("ogsi: transport: %w", err)
-	}
-	defer httpResp.Body.Close()
-	respBuf := getBuf()
-	defer putBuf(respBuf)
-	respBody, err := readAllInto((*respBuf)[:0], io.LimitReader(httpResp.Body, 16<<20))
-	*respBuf = respBody
-	if err != nil {
-		return fmt.Errorf("ogsi: read response: %w", err)
-	}
-	if httpResp.StatusCode != http.StatusOK {
-		return fmt.Errorf("ogsi: http %d: %s", httpResp.StatusCode, bytes.TrimSpace(respBody))
-	}
-	// The receive side mirrors the send side: the response envelope is
-	// verified from its bytes and its payload decoded into the buffer the
-	// request payload no longer needs. Everything decoded below aliases that
-	// buffer, and nothing of it outlives this call: results are copied out by
-	// their decoders.
-	verifyStart := time.Now()
-	payload, _, vinfo, err := c.Trust.OpenWire((*payloadBuf)[:0], respBody, c.now())
-	if span != nil {
-		c.Tracer.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal,
-			verifyStart, time.Now(), map[string]string{
-				"side":   "response",
-				"cached": strconv.FormatBool(vinfo.CacheHit),
-			})
-	}
-	c.noteFallback(MetricWireFallbacks, vinfo.WireFallback)
-	if errors.Is(err, gsi.ErrBadEnvelope) {
-		return fmt.Errorf("ogsi: bad response envelope: %w", err)
+	bufs := [3]*[]byte{getBuf(), getBuf(), getBuf()}
+	defer func() {
+		for _, b := range bufs {
+			putBuf(b)
+		}
+	}()
+	resp, refused, err := c.exchange(ctx, span, ep, false, service, op, rawParams, bufs)
+	if err == nil && refused {
+		resp, _, err = c.exchange(ctx, span, ep, true, service, op, rawParams, bufs)
 	}
 	if err != nil {
-		return fmt.Errorf("ogsi: response authentication: %w", err)
+		return err
 	}
-	*payloadBuf = payload
-	var resp response
-	fellBack, err := wirejson.Unmarshal(payload, &resp)
-	c.noteFallback(MetricDecodeFallbacks, fellBack)
-	if err != nil {
-		return fmt.Errorf("ogsi: bad response: %w", err)
-	}
-	// The server's span id, echoed in the signed response: lets the
+	// The server's span id, echoed in the authenticated response: lets the
 	// timeline renderer pair this client span with its server span even
 	// when a recorder ring has since evicted one side.
 	if resp.Trace != "" {
@@ -267,6 +331,114 @@ func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []by
 		}
 	}
 	return nil
+}
+
+// exchange is one request and its reply, encoded in one pass into the pooled
+// bufs (payload, body, reply). The request goes MAC'd under the endpoint's
+// live context unless signed is set or there is none; then it goes signed,
+// offering the endpoint's outstanding handshake, and a reply that accepts the
+// offer installs the context. The traceparent carried in the authenticated
+// payload is the client span's when tracing here, else that of whatever span
+// the caller's context already holds.
+//
+// The reply is verified from its bytes and decoded into the payload buffer
+// the request no longer needs; the response returned aliases it. refused
+// reports the container turning the context down: nothing ran, the context
+// is dropped, and the caller resends with signed set.
+func (c *Client) exchange(ctx context.Context, span *trace.Span, ep *endpoint, signed bool, service, op string, rawParams []byte, bufs [3]*[]byte) (resp response, refused bool, err error) {
+	payloadBuf, bodyBuf, respBuf := bufs[0], bufs[1], bufs[2]
+	sc, hs, err := ep.prepare(c.now(), c.Trust, signed)
+	if err != nil {
+		return resp, false, fmt.Errorf("ogsi: handshake: %w", err)
+	}
+	offer := ""
+	if hs != nil {
+		offer = hs.Offer()
+	}
+	*payloadBuf = appendRequestJSON((*payloadBuf)[:0], service, op, rawParams, c.now(), trace.SpanContextFromContext(ctx), offer)
+	var seq uint64
+	if sc != nil {
+		seq = sc.NextSeq()
+		*bodyBuf = sc.Seal((*bodyBuf)[:0], *payloadBuf, seq)
+	} else if *bodyBuf, err = gsi.AppendSignedEnvelope((*bodyBuf)[:0], c.Cred, *payloadBuf); err != nil {
+		return resp, false, fmt.Errorf("ogsi: sign request: %w", err)
+	}
+	respBody, err := c.post(ctx, ep.url, *bodyBuf, respBuf)
+	if err != nil {
+		return resp, false, err
+	}
+
+	verifyStart := time.Now()
+	mode, authenticated := "mac", metricAuthMAC
+	var (
+		payload []byte
+		server  string
+		vinfo   gsi.VerifyInfo
+	)
+	if sc != nil {
+		payload, err = sc.OpenReply((*payloadBuf)[:0], respBody, seq)
+	}
+	if sc == nil || errors.Is(err, gsi.ErrNotSealed) {
+		mode, authenticated = "signed", metricAuthSigned
+		payload, server, vinfo, err = c.Trust.OpenWire((*payloadBuf)[:0], respBody, c.now())
+	}
+	if span != nil {
+		c.Tracer.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal,
+			verifyStart, time.Now(), map[string]string{
+				"side":   "response",
+				"mode":   mode,
+				"cached": strconv.FormatBool(vinfo.CacheHit),
+			})
+	}
+	c.noteFallback(MetricWireFallbacks, vinfo.WireFallback)
+	if errors.Is(err, gsi.ErrBadEnvelope) {
+		return resp, false, fmt.Errorf("ogsi: bad response envelope: %w", err)
+	}
+	if err != nil {
+		return resp, false, fmt.Errorf("ogsi: response authentication: %w", err)
+	}
+	c.count(authenticated)
+	*payloadBuf = payload
+	fellBack, err := wirejson.Unmarshal(payload, &resp)
+	c.noteFallback(MetricDecodeFallbacks, fellBack)
+	if err != nil {
+		return resp, false, fmt.Errorf("ogsi: bad response: %w", err)
+	}
+	if sc != nil && mode == "signed" {
+		// To a MAC'd request the container signs one thing only: its refusal
+		// of the context. Any other signed reply could be an old one replayed.
+		if resp.OK || resp.Code != CodeContextRefused {
+			return resp, false, fmt.Errorf("ogsi: signed reply to a request under a security context")
+		}
+		ep.secure.CompareAndSwap(sc, nil)
+		return resp, true, nil
+	}
+	// An accept that does not complete leaves the endpoint signing, as a
+	// container that makes no accept does.
+	if hs != nil && resp.Accept != "" {
+		if next, err := hs.Complete(resp.Accept, c.Cred.Identity(), server, vinfo); err == nil && ep.install(hs, next) {
+			c.count(metricContextEstablished)
+		}
+	}
+	return resp, false, nil
+}
+
+// post sends body to u and reads the reply into respBuf.
+func (c *Client) post(ctx context.Context, u *url.URL, body []byte, respBuf *[]byte) ([]byte, error) {
+	httpResp, err := c.httpClient().Do(newPost(ctx, u, body))
+	if err != nil {
+		return nil, fmt.Errorf("ogsi: transport: %w", err)
+	}
+	defer httpResp.Body.Close()
+	respBody, err := readAllInto((*respBuf)[:0], io.LimitReader(httpResp.Body, 16<<20))
+	*respBuf = respBody
+	if err != nil {
+		return nil, fmt.Errorf("ogsi: read response: %w", err)
+	}
+	if httpResp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("ogsi: http %d: %s", httpResp.StatusCode, bytes.TrimSpace(respBody))
+	}
+	return respBody, nil
 }
 
 // BatchOp is one operation of a CallBatch.

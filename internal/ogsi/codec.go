@@ -112,8 +112,8 @@ func readAllInto(dst []byte, r io.Reader) ([]byte, error) {
 // appendRequestJSON encodes the request wire form in one pass; params must
 // already be JSON (empty means null), and the traceparent of sc (absent when
 // sc is invalid, matching the struct's omitempty semantics) is hex-encoded
-// straight into dst.
-func appendRequestJSON(dst []byte, service, op string, params []byte, sent time.Time, sc trace.SpanContext) []byte {
+// straight into dst. offer is a handshake offer ("" for none).
+func appendRequestJSON(dst []byte, service, op string, params []byte, sent time.Time, sc trace.SpanContext, offer string) []byte {
 	dst = append(dst, `{"service":`...)
 	dst = wirejson.AppendString(dst, service)
 	dst = append(dst, `,"op":`...)
@@ -131,6 +131,10 @@ func appendRequestJSON(dst []byte, service, op string, params []byte, sent time.
 		dst = append(dst, `,"trace":"`...)
 		dst = sc.AppendTraceparent(dst)
 		dst = append(dst, '"')
+	}
+	if offer != "" {
+		dst = append(dst, `,"offer":`...)
+		dst = wirejson.AppendString(dst, offer)
 	}
 	return append(dst, '}')
 }
@@ -190,6 +194,10 @@ func appendResponseJSON(dst []byte, resp *response) []byte {
 		dst = append(dst, `,"trace":`...)
 		dst = wirejson.AppendString(dst, resp.Trace)
 	}
+	if resp.Accept != "" {
+		dst = append(dst, `,"accept":`...)
+		dst = wirejson.AppendString(dst, resp.Accept)
+	}
 	return append(dst, '}')
 }
 
@@ -212,6 +220,9 @@ func (r *request) DecodeStrict(data []byte) bool {
 	if d.Has(`,"trace":`) {
 		out.Trace = d.String()
 	}
+	if d.Has(`,"offer":`) {
+		out.Offer = d.String()
+	}
 	d.Lit("}")
 	if !d.Done() {
 		return false
@@ -227,6 +238,9 @@ func (r *response) DecodeStrict(data []byte) bool {
 	out.OK, out.Code, out.Error, out.Result = decodeOutcome(&d)
 	if d.Has(`,"trace":`) {
 		out.Trace = d.String()
+	}
+	if d.Has(`,"accept":`) {
+		out.Accept = d.String()
 	}
 	d.Lit("}")
 	if !d.Done() {

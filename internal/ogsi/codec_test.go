@@ -14,7 +14,7 @@ import (
 func TestAppendRequestJSONDecodesToRequest(t *testing.T) {
 	params, _ := json.Marshal(map[string]int{"step": 7})
 	sent := time.Date(2026, 8, 5, 12, 30, 45, 123456789, time.UTC)
-	enc := appendRequestJSON(nil, "ntcp", "propose", params, sent, trace.SpanContext{})
+	enc := appendRequestJSON(nil, "ntcp", "propose", params, sent, trace.SpanContext{}, "")
 	var req request
 	if err := json.Unmarshal(enc, &req); err != nil {
 		t.Fatalf("bad encoding: %v\n%s", err, enc)
@@ -31,7 +31,7 @@ func TestAppendRequestJSONDecodesToRequest(t *testing.T) {
 	}
 
 	// Nil params must encode as null, like json.Marshal of a nil RawMessage.
-	enc = appendRequestJSON(nil, "svc", "op", nil, sent, trace.SpanContext{})
+	enc = appendRequestJSON(nil, "svc", "op", nil, sent, trace.SpanContext{}, "")
 	if !bytes.Contains(enc, []byte(`"params":null`)) {
 		t.Fatalf("nil params: %s", enc)
 	}
@@ -48,6 +48,10 @@ func TestAppendRequestJSONMatchesMarshal(t *testing.T) {
 		{Service: "ntcp", Op: "propose", Params: params, Sent: sent,
 			Trace: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
 		{Service: "svc", Op: "op", Sent: sent},
+		{Service: "ntcp", Op: "propose", Params: params, Sent: sent,
+			Trace: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01",
+			Offer: "MDEyMzQ1Njc4OWFiY2RlZjAxMjM0NTY3ODlhYmNkZWYwMTIzNDU2Nzg5YWJjZGVm"},
+		{Service: "svc", Op: "op", Sent: sent, Offer: `needs "escaping"`},
 	}
 	for _, rq := range cases {
 		want, err := json.Marshal(&rq)
@@ -62,7 +66,7 @@ func TestAppendRequestJSONMatchesMarshal(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got := appendRequestJSON(nil, rq.Service, rq.Op, rq.Params, rq.Sent, sc)
+		got := appendRequestJSON(nil, rq.Service, rq.Op, rq.Params, rq.Sent, sc, rq.Offer)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("append %s != marshal %s", got, want)
 		}
@@ -78,6 +82,8 @@ func TestAppendResponseJSONMatchesMarshal(t *testing.T) {
 		{OK: true, Trace: "00-0123456789abcdef0123456789abcdef-0123456789abcdef-01"},
 		{OK: true, Result: json.RawMessage(`7`), Trace: `needs "escaping"`},
 		{OK: false, Code: CodeInternal, Error: "boom", Trace: "00-x-x-01"},
+		{OK: true, Result: json.RawMessage(`{}`), Trace: "00-x-x-01", Accept: "AAAA"},
+		{OK: false, Code: CodeContextRefused, Error: "gone", Accept: `needs "escaping"`},
 	}
 	for _, resp := range cases {
 		want, err := json.Marshal(resp)

@@ -55,6 +55,12 @@ const (
 	CodeInternal     = "internal"
 	CodeUnavailable  = "unavailable"
 	CodePolicyReject = "policy-reject"
+	// CodeContextRefused answers a MAC'd request whose security context the
+	// container does not hold (unknown, evicted, expired, revoked) or whose
+	// MAC or sequence number does not check. It comes in a signed envelope,
+	// before anything is dispatched; Client.Call drops the context and resends
+	// once as a signed handshake.
+	CodeContextRefused = "context-refused"
 )
 
 // Service is one stateful grid service: a set of named operations plus its
@@ -98,26 +104,32 @@ func (s *Service) handler(op string) (Handler, bool) {
 	return h, ok
 }
 
-// request is the wire form of a service call (carried inside a signed
-// envelope). Trace is the caller's W3C traceparent: carrying it inside
-// the signed payload (rather than an HTTP header) means the trace lineage
-// is covered by the envelope signature like everything else.
+// request is the wire form of a service call (carried inside a signed or
+// MAC'd envelope). Trace is the caller's W3C traceparent: carrying it inside
+// the authenticated payload (rather than an HTTP header) means the trace
+// lineage is covered by the envelope signature or MAC like everything else.
+// Offer is a security-context handshake offer (gsi.Handshake), carried by a
+// signed request only.
 type request struct {
 	Service string          `json:"service"`
 	Op      string          `json:"op"`
 	Params  json.RawMessage `json:"params"`
 	Sent    time.Time       `json:"sent"`
 	Trace   string          `json:"trace,omitempty"`
+	Offer   string          `json:"offer,omitempty"`
 }
 
 // response is the wire form of a service reply. Trace echoes the server
 // span's traceparent so the client can link its span to the server's.
+// Accept answers the request's Offer (gsi.ContextTable.Accept), in a signed
+// reply.
 type response struct {
 	OK     bool            `json:"ok"`
 	Code   string          `json:"code,omitempty"`
 	Error  string          `json:"error,omitempty"`
 	Result json.RawMessage `json:"result,omitempty"`
 	Trace  string          `json:"trace,omitempty"`
+	Accept string          `json:"accept,omitempty"`
 }
 
 // inspectParams is the FindServiceData request body.
@@ -155,10 +167,11 @@ const maxBatchOps = 16
 // process-level unit the paper calls an "NTCP server" host: one container
 // per site, hosting that site's services.
 type Container struct {
-	cred    *gsi.Credential
-	trust   *gsi.TrustStore
-	gridmap *gsi.Gridmap
-	clock   func() time.Time
+	cred     *gsi.Credential
+	trust    *gsi.TrustStore
+	gridmap  *gsi.Gridmap
+	contexts *gsi.ContextTable
+	clock    func() time.Time
 
 	mu       sync.RWMutex
 	services map[string]*Service
@@ -196,12 +209,13 @@ func NewContainer(cred *gsi.Credential, trust *gsi.TrustStore, gridmap *gsi.Grid
 		cred:     cred,
 		trust:    trust,
 		gridmap:  gridmap,
+		contexts: gsi.NewContextTable(trust),
 		clock:    time.Now,
 		services: make(map[string]*Service),
 		tel:      telemetry.NewRegistry(),
 		ops:      make(map[opKey]*opMetrics),
 	}
-	registerFallbackCounters(c.tel)
+	registerCounters(c.tel, true)
 	return c
 }
 
@@ -212,7 +226,7 @@ func (c *Container) UseTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	registerFallbackCounters(reg)
+	registerCounters(reg, true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tel = reg
@@ -247,9 +261,10 @@ func (c *Container) Tracer() *trace.Tracer {
 // verified-chain cache totals into it, so /metrics and the computed
 // "metrics" SDE expose the security hot-path hit rate alongside the
 // per-op counters. Gauges (not counters) because the trust store may be
-// shared between containers and the totals are store-wide. Process
-// self-metrics refresh here too, so container-hosted daemons export the
-// process.* gauges the obs aggregator's health view reads.
+// shared between containers and the totals are store-wide. The number of
+// security contexts held is mirrored the same way. Process self-metrics
+// refresh here too, so container-hosted daemons export the process.* gauges
+// the obs aggregator's health view reads.
 func (c *Container) metricsSnapshot() telemetry.Snapshot {
 	tel := c.Telemetry()
 	if c.trust != nil {
@@ -257,6 +272,7 @@ func (c *Container) metricsSnapshot() telemetry.Snapshot {
 		tel.Gauge("gsi.chaincache.hits").Set(float64(hits))
 		tel.Gauge("gsi.chaincache.misses").Set(float64(misses))
 	}
+	tel.Gauge(metricContextActive).Set(float64(c.contexts.Len()))
 	telemetry.ProcessMetrics(tel)
 	return tel.Snapshot()
 }
@@ -479,7 +495,9 @@ func faultResponse(err error) *response {
 // maxBodyBytes bounds one request body.
 const maxBodyBytes = 16 << 20
 
-// ServeHTTP handles one signed service call.
+// ServeHTTP handles one service call: a MAC'd envelope under a security
+// context the container holds, or a signed envelope — which may offer a
+// handshake, answered in the signed reply.
 func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "ogsi: POST only", http.StatusMethodNotAllowed)
@@ -504,13 +522,25 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// that buffer, which goes back to the pool when this call returns; the
 	// response is encoded from fresh memory before then.
 	//
-	// Chain verification runs before the payload — and thus the caller's
+	// Verification runs before the payload — and thus the caller's
 	// traceparent — is readable, so its extent is measured here and
 	// recorded as a retroactive child span once the server span exists.
 	payloadBuf := getBuf()
 	defer putBuf(payloadBuf)
+	now := c.clock()
 	verifyStart := time.Now()
-	payload, identity, vinfo, err := c.trust.OpenWire((*payloadBuf)[:0], body, c.clock())
+	mode, authenticated := "mac", metricAuthMAC
+	var (
+		identity string
+		vinfo    gsi.VerifyInfo
+	)
+	payload, sc, seq, err := c.contexts.Open((*payloadBuf)[:0], body, now)
+	if errors.Is(err, gsi.ErrNotSealed) {
+		mode, authenticated = "signed", metricAuthSigned
+		payload, identity, vinfo, err = c.trust.OpenWire((*payloadBuf)[:0], body, now)
+	} else if err == nil {
+		identity = sc.Peer()
+	}
 	verifyEnd := time.Now()
 	if vinfo.WireFallback {
 		tel.Counter(MetricWireFallbacks).Inc()
@@ -519,16 +549,24 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "ogsi: bad envelope", http.StatusBadRequest)
 		return
 	}
-	if err != nil {
-		tel.Counter("ogsi.auth.failed").Inc()
-		c.reply(w, faultResponse(Errf(CodeDenied, "authentication failed: %v", err)))
+	if err != nil && mode == "mac" {
+		tel.Counter(metricContextRejected + refusalReason(err)).Inc()
+		c.reply(w, nil, 0, faultResponse(Errf(CodeContextRefused, "security context refused: %v", err)))
 		return
 	}
+	if err != nil {
+		tel.Counter("ogsi.auth.failed").Inc()
+		c.reply(w, nil, 0, faultResponse(Errf(CodeDenied, "authentication failed: %v", err)))
+		return
+	}
+	tel.Counter(authenticated).Inc()
 	*payloadBuf = payload
+	// A MAC'd request is authorized like a signed one: a gridmap entry
+	// revoked mid-context takes effect on the very next call.
 	account, err := c.gridmap.Authorize(identity)
 	if err != nil {
 		tel.Counter("ogsi.auth.denied").Inc()
-		c.reply(w, faultResponse(Errf(CodeDenied, "not authorized: %s", identity)))
+		c.reply(w, sc, seq, faultResponse(Errf(CodeDenied, "not authorized: %s", identity)))
 		return
 	}
 	var req request
@@ -537,48 +575,77 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		tel.Counter(MetricDecodeFallbacks).Inc()
 	}
 	if err != nil {
-		c.reply(w, faultResponse(Errf(CodeBadRequest, "bad request: %v", err)))
+		c.reply(w, sc, seq, faultResponse(Errf(CodeBadRequest, "bad request: %v", err)))
 		return
+	}
+	var accept string
+	if req.Offer != "" && sc == nil {
+		var created bool
+		if accept, created, err = c.contexts.Accept(req.Offer, identity, vinfo, c.cred, now); err != nil {
+			c.reply(w, nil, 0, faultResponse(Errf(CodeBadRequest, "handshake: %v", err)))
+			return
+		}
+		if created {
+			tel.Counter(metricContextEstablished).Inc()
+		}
 	}
 	ctx := r.Context()
 	var span *trace.Span
 	if tr := c.Tracer(); tr != nil {
-		if sc, perr := trace.ParseTraceparent(req.Trace); perr == nil {
-			ctx = trace.ContextWithRemote(ctx, sc)
+		if tp, perr := trace.ParseTraceparent(req.Trace); perr == nil {
+			ctx = trace.ContextWithRemote(ctx, tp)
 		}
 		ctx, span = tr.Start(ctx, req.Service+"."+req.Op, trace.KindServer)
 		span.SetAttr("caller", identity)
 		tr.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal,
 			verifyStart, verifyEnd, map[string]string{
 				"side":   "request",
+				"mode":   mode,
 				"cached": strconv.FormatBool(vinfo.CacheHit),
 			})
 	}
 	resp := c.dispatch(ctx, Caller{Identity: identity, Account: account}, &req)
+	resp.Accept = accept
 	if span != nil {
 		if !resp.OK {
 			span.SetAttr("fault", resp.Code)
 		}
-		// Echo the server span inside the signed response so the client
-		// can pair its span with this one.
+		// Echo the server span inside the authenticated response so the
+		// client can pair its span with this one.
 		resp.Trace = span.Context().Traceparent()
 	}
-	c.reply(w, resp)
+	c.reply(w, sc, seq, resp)
 	span.End()
 }
 
-// reply signs and writes a response envelope, encoding response and
-// envelope in one pass through pooled buffers.
-func (c *Container) reply(w http.ResponseWriter, resp *response) {
+// refusalReason names the metric label of a context refusal.
+func refusalReason(err error) string {
+	for _, r := range contextRefusals {
+		if errors.Is(err, r.err) {
+			return r.reason
+		}
+	}
+	return "unknown"
+}
+
+// reply writes a response envelope, encoding response and envelope in one
+// pass through pooled buffers: MAC'd under sc and bound to the request's
+// sequence number when the request came under a context, signed otherwise.
+func (c *Container) reply(w http.ResponseWriter, sc *gsi.Context, seq uint64, resp *response) {
 	rawBuf := getBuf()
 	defer putBuf(rawBuf)
 	*rawBuf = appendResponseJSON((*rawBuf)[:0], resp)
 	envBuf := getBuf()
 	defer putBuf(envBuf)
-	env, err := gsi.AppendSignedEnvelope((*envBuf)[:0], c.cred, *rawBuf)
-	if err != nil {
-		http.Error(w, "ogsi: sign response", http.StatusInternalServerError)
-		return
+	var env []byte
+	if sc != nil {
+		env = sc.Seal((*envBuf)[:0], *rawBuf, seq)
+	} else {
+		var err error
+		if env, err = gsi.AppendSignedEnvelope((*envBuf)[:0], c.cred, *rawBuf); err != nil {
+			http.Error(w, "ogsi: sign response", http.StatusInternalServerError)
+			return
+		}
 	}
 	*envBuf = env
 	w.Header().Set("Content-Type", "application/json")

@@ -28,9 +28,10 @@ func FuzzDecodeRequest(f *testing.F) {
 	params := []byte(`{"name":"run/step-7/uiuc","actions":[{"control_point":"drift","displacements":[0.001]}]}`)
 	items, _ := appendBatchItemsJSON(nil, []BatchOp{{Op: "execute", Params: map[string]string{"name": "a"}}, {Op: "propose", Params: nil}})
 	for _, seed := range [][]byte{
-		appendRequestJSON(nil, "ntcp", "propose", params, sent, sc),
-		appendRequestJSON(nil, "ntcp", "execute", nil, sent.In(time.FixedZone("cdt", -5*3600)), trace.SpanContext{}),
-		appendRequestJSON(nil, "ntcp", "batch", items, sent, sc),
+		appendRequestJSON(nil, "ntcp", "propose", params, sent, sc, ""),
+		appendRequestJSON(nil, "ntcp", "propose", params, sent, sc, "MDEyMzQ1Njc4OWFiY2RlZjAxMjM0NTY3ODlhYmNkZWYwMTIzNDU2Nzg5YWJjZGVm"),
+		appendRequestJSON(nil, "ntcp", "execute", nil, sent.In(time.FixedZone("cdt", -5*3600)), trace.SpanContext{}, ""),
+		appendRequestJSON(nil, "ntcp", "batch", items, sent, sc, ""),
 		items,
 		[]byte(`[]`), []byte(`null`), []byte(`[{"op":"x","params":null},]`),
 		[]byte(`{"service":"a\"b","op":"x","params":1,"sent":"2026-08-05T12:30:45Z"}`),
@@ -63,7 +64,7 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return // a time encoding/json itself refuses to re-encode
 		}
-		if got := appendRequestJSON(nil, req.Service, req.Op, req.Params, req.Sent, sc); !bytes.Equal(got, want) {
+		if got := appendRequestJSON(nil, req.Service, req.Op, req.Params, req.Sent, sc, req.Offer); !bytes.Equal(got, want) {
 			t.Fatalf("append %s\nmarshal %s", got, want)
 		}
 	})
@@ -75,6 +76,7 @@ func FuzzDecodeResponse(f *testing.F) {
 	for _, seed := range [][]byte{
 		appendResponseJSON(nil, &response{OK: true, Result: record, Trace: tp}),
 		appendResponseJSON(nil, &response{OK: true}),
+		appendResponseJSON(nil, &response{OK: true, Result: record, Trace: tp, Accept: "AAAA"}),
 		appendResponseJSON(nil, &response{OK: false, Code: CodeConflict, Error: "transaction is executing"}),
 		appendResponseJSON(nil, &response{OK: false, Code: CodeDenied, Error: `authentication "failed"`}),
 		appendResponseListJSON(nil, []*response{{OK: true, Result: record}, {OK: false, Code: CodeUnavailable, Error: "draining"}}),

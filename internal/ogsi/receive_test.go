@@ -69,7 +69,7 @@ func TestServeHTTPStatusContract(t *testing.T) {
 		}
 	}
 
-	good := sealRequest(t, f, appendRequestJSON(nil, "echo", "echo", []byte(`{"msg":"hi"}`), time.Now(), noSpan))
+	good := sealRequest(t, f, appendRequestJSON(nil, "echo", "echo", []byte(`{"msg":"hi"}`), time.Now(), noSpan, ""))
 	tampered := append([]byte(nil), good...)
 	if i := bytes.Index(tampered, []byte(`"signature":"`)) + len(`"signature":"`); tampered[i] == 'A' {
 		tampered[i] = 'B'
