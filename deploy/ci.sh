@@ -34,7 +34,8 @@
 #            per target: each single-pass codec against encoding/json, the
 #            MAC'd envelope opener against its replay/tamper/cross-context
 #            oracle, the GridFTP session loop against its escapes-the-root
-#            oracle, and the spool's block formatter against encoding/csv
+#            oracle, the spool's block formatter against encoding/csv, and
+#            the NTCP server's transaction table against its invariants
 #
 # Performance is not a stage: the benchmark in bench/ (BENCHMARK.json) is
 # compared on interleaved runs of two commits, `bash bench/run.sh --compare
@@ -222,7 +223,12 @@ stage_chaos() {
     # unauthenticated GridFTP port must not crash, stall, balloon, or touch
     # anything outside the root) and FuzzSpoolBlockMatchesCSV (the spool's
     # block formatter against encoding/csv's bytes, and ReadBlock returning
-    # what went in). A failing input lands in the package's
+    # what went in). FuzzServerTransitions scripts propose, execute, cancel,
+    # get, keepalives and clock advances by two clients over a few names
+    # against one NTCP server: no transaction executes twice, no client gets
+    # a record it does not own, tx:<name> reads the record's own bytes and
+    # version, and the table, the tx:<name> family and the lifetime index
+    # stay one size. A failing input lands in the package's
     # testdata/fuzz/<target>/ — check it in with the fix.
     while read -r target pkg; do
         echo "-- fuzz $target ($pkg) --"
@@ -238,6 +244,7 @@ FuzzOpenContext ./internal/gsi
 FuzzDecodeRequest ./internal/ogsi
 FuzzDecodeResponse ./internal/ogsi
 FuzzRecordCodec ./internal/core
+FuzzServerTransitions ./internal/core
 FuzzValue ./internal/wirejson
 FuzzServerSession ./internal/gridftp
 FuzzSpoolBlockMatchesCSV ./internal/daq

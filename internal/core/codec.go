@@ -2,7 +2,6 @@ package core
 
 import (
 	"strconv"
-	"time"
 
 	"neesgrid/internal/wirejson"
 )
@@ -115,7 +114,7 @@ func (r *Record) AppendJSON(dst []byte) ([]byte, error) {
 		b = append(b, `,"client":`...)
 		b = wirejson.AppendString(b, r.Client)
 		b = append(b, `,"timestamps":`...)
-		b, ok = appendTimestamps(b, r.Timestamps)
+		b, ok = appendTimestamps(b, &r.Timestamps)
 	}
 	if !ok {
 		return wirejson.AppendMarshal(dst, r)
@@ -144,11 +143,12 @@ func (r *Record) DecodeStrict(data []byte) bool {
 	d.Lit(`,"client":`)
 	out.Client = d.String()
 	d.Lit(`,"timestamps":`)
-	out.Timestamps = decodeTimestamps(&d)
+	ts, known := decodeTimestamps(&d)
 	d.Lit("}")
-	if !d.Done() {
+	if !known || !d.Done() {
 		return false
 	}
+	out.Timestamps = ts
 	*r = out
 	return true
 }
@@ -282,55 +282,45 @@ func decodeResults(d *wirejson.Dec) []Result {
 	return out
 }
 
-// appendTimestamps writes the map as encoding/json does: keys in byte order.
-// A transaction passes through at most five of the seven states, so the keys
-// are sorted in a fixed array; a map too big for it (not a record this server
-// made) reports false.
-func appendTimestamps(b []byte, ts map[TxState]time.Time) (_ []byte, ok bool) {
-	if ts == nil {
-		return append(b, "null"...), true
-	}
-	var keys [8]TxState
-	if len(ts) > len(keys) {
-		return b, false
-	}
-	n := 0
-	for k := range ts {
-		i := n
-		for ; i > 0 && keys[i-1] > k; i-- {
-			keys[i] = keys[i-1]
-		}
-		keys[i] = k
-		n++
-	}
+// appendTimestamps writes ts as encoding/json writes the map it stands for:
+// the states present, in byte order. A time encoding/json would be asked to
+// format (an unrepresentable year, an offset in seconds) reports false.
+func appendTimestamps(b []byte, ts *Timestamps) (_ []byte, ok bool) {
 	b = append(b, '{')
-	for i, k := range keys[:n] {
-		if i > 0 {
+	sep := false
+	for i, s := range states {
+		if ts.set&(1<<i) == 0 {
+			continue
+		}
+		if sep {
 			b = append(b, ',')
 		}
-		b = wirejson.AppendString(b, string(k))
+		sep = true
+		b = wirejson.AppendString(b, string(s))
 		b = append(b, ':')
-		if b, ok = wirejson.AppendTime(b, ts[k]); !ok {
+		if b, ok = wirejson.AppendTime(b, ts.at[i]); !ok {
 			return b, false
 		}
 	}
 	return append(b, '}'), true
 }
 
-// decodeTimestamps reads null (a nil map) or an object of state → time.
-func decodeTimestamps(d *wirejson.Dec) map[TxState]time.Time {
+// decodeTimestamps reads null (none) or an object of state → time; ok is
+// false for a state outside Fig. 1.
+func decodeTimestamps(d *wirejson.Dec) (ts Timestamps, ok bool) {
 	if d.Has("null") {
-		return nil
+		return ts, true
 	}
-	out := make(map[TxState]time.Time, 4)
 	d.Lit("{")
-	for !d.Has("}") && d.OK() {
-		if len(out) > 0 {
+	for sep := false; !d.Has("}") && d.OK(); sep = true {
+		if sep {
 			d.Lit(",")
 		}
-		k := txStateOf(d.Str())
+		s := txStateOf(d.Str())
 		d.Lit(":")
-		out[k] = d.Time()
+		if !ts.Set(s, d.Time()) {
+			return ts, false
+		}
 	}
-	return out
+	return ts, true
 }

@@ -18,22 +18,37 @@ var (
 	codecT1 = time.Date(2026, 8, 5, 7, 30, 46, 0, time.FixedZone("cdt", -5*3600))
 )
 
+// stamped builds a Timestamps from a map.
+func stamped(at map[TxState]time.Time) Timestamps {
+	var ts Timestamps
+	for s, t := range at {
+		ts.Set(s, t)
+	}
+	return ts
+}
+
 func codecRecords() []*Record {
 	actions := []Action{{ControlPoint: "left-column", Displacements: []float64{0.00125, -3.5e-7}},
 		{ControlPoint: "drift", Displacements: []float64{0}, HoldSeconds: 0.5}}
+	every := map[TxState]time.Time{}
+	for i, s := range states {
+		every[s] = codecT0.Add(time.Duration(i) * time.Microsecond)
+	}
 	return []*Record{
 		{Name: "run/step-7/uiuc", State: StateExecuted, Actions: actions, Timeout: 30,
 			Results: []Result{{ControlPoint: "left-column", Displacements: []float64{0.00125, -3.5e-7}, Forces: []float64{962.5, 1e21}},
 				{ControlPoint: "drift"}},
 			Client: "/O=NEES/CN=coordinator",
-			Timestamps: map[TxState]time.Time{StateProposed: codecT0, StateAccepted: codecT0.Add(time.Millisecond),
-				StateExecuting: codecT1, StateExecuted: codecT1.Add(time.Second)}},
+			Timestamps: stamped(map[TxState]time.Time{StateProposed: codecT0, StateAccepted: codecT0.Add(time.Millisecond),
+				StateExecuting: codecT1, StateExecuted: codecT1.Add(time.Second)})},
 		{Name: "t-rejected", State: StateRejected, Actions: actions[:1], Error: `force limit "exceeded" <policy>`,
-			Client: "c", Timestamps: map[TxState]time.Time{StateProposed: codecT0, StateRejected: codecT0}},
-		{Name: "empty-not-nil", State: StateAccepted, Actions: []Action{}, Results: []Result{}, Timestamps: map[TxState]time.Time{}},
+			Client: "c", Timestamps: stamped(map[TxState]time.Time{StateProposed: codecT0, StateRejected: codecT0})},
+		{Name: "empty-not-nil", State: StateAccepted, Actions: []Action{}, Results: []Result{}},
 		{Name: "all-nil"},
 		{Name: "odd state", State: "paused", Actions: []Action{{ControlPoint: "π", Displacements: []float64{}}},
-			Timestamps: map[TxState]time.Time{"paused": codecT0, "": codecT1}},
+			Timestamps: stamped(every)},
+		{Name: "offset in seconds", State: StateProposed,
+			Timestamps: stamped(map[TxState]time.Time{StateProposed: codecT0.In(time.FixedZone("lmt", 30))})},
 		nil,
 	}
 }
@@ -78,17 +93,12 @@ func TestAppendersMatchMarshal(t *testing.T) {
 func TestAppendersFailWhereMarshalFails(t *testing.T) {
 	nan := []float64{1, math.NaN()}
 	far := time.Date(10000, 1, 1, 0, 0, 0, 0, time.UTC)
-	nine := map[TxState]time.Time{}
-	for _, s := range []TxState{"a", "b", "c", "d", "e", "f", "g", "h", "i"} {
-		nine[s] = codecT0
-	}
 	for name, v := range map[string]wirejson.Appender{
-		"NaN displacement":                      &Proposal{Name: "p", Actions: []Action{{ControlPoint: "a", Displacements: nan}}},
-		"infinite timeout":                      &Proposal{Name: "p", ExecuteTimeoutSeconds: math.Inf(1)},
-		"NaN hold":                              &Record{Name: "r", Actions: []Action{{ControlPoint: "a", HoldSeconds: math.NaN()}}},
-		"NaN force":                             &Record{Name: "r", Results: []Result{{ControlPoint: "a", Forces: nan}}},
-		"year 10000":                            &Record{Name: "r", Timestamps: map[TxState]time.Time{StateProposed: far}},
-		"more states than the sort array holds": &Record{Name: "r", Timestamps: nine},
+		"NaN displacement": &Proposal{Name: "p", Actions: []Action{{ControlPoint: "a", Displacements: nan}}},
+		"infinite timeout": &Proposal{Name: "p", ExecuteTimeoutSeconds: math.Inf(1)},
+		"NaN hold":         &Record{Name: "r", Actions: []Action{{ControlPoint: "a", HoldSeconds: math.NaN()}}},
+		"NaN force":        &Record{Name: "r", Results: []Result{{ControlPoint: "a", Forces: nan}}},
+		"year 10000":       &Record{Name: "r", Timestamps: stamped(map[TxState]time.Time{StateProposed: far})},
 	} {
 		want, wantErr := json.Marshal(v)
 		got, err := v.AppendJSON([]byte("prefix"))
@@ -155,6 +165,7 @@ func FuzzRecordCodec(f *testing.F) {
 		`{"name":"t","actions":[{"control_point":"a","displacements":null,"hold_seconds":0}],"ttl_seconds":1}`,
 		`{"name":"t","actions":[{"control_point":"a","displacements":[01]}]}`,
 		`{"name":"t","state":"executed","actions":[],"execute_timeout_seconds":0,"client":"c","timestamps":{"proposed":"2026-13-05T12:30:45Z"}}`,
+		`{"name":"t","state":"accepted","actions":[],"execute_timeout_seconds":0,"client":"c","timestamps":{"proposed":"2026-08-05T12:30:45Z","accepted":"2026-08-05T12:30:46Z","proposed":"2026-08-05T12:30:47+01:00"}}`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -176,9 +187,9 @@ func FuzzRecordCodec(f *testing.F) {
 	})
 }
 
-// TestPublishedRecordIsNotTheReturnedOne: the SDE store now keeps the record
-// it was given until somebody reads the element, so what Propose and Cancel
-// return must be a different copy — a caller is free to change its own.
+// TestPublishedRecordIsNotTheReturnedOne: the tx:<name> element is read from
+// the table, so what Propose and Cancel return must be a copy — a caller is
+// free to change its own.
 func TestPublishedRecordIsNotTheReturnedOne(t *testing.T) {
 	s := NewServer(springPlugin(10), nil, ServerOptions{})
 	ctx := context.Background()
@@ -196,12 +207,12 @@ func TestPublishedRecordIsNotTheReturnedOne(t *testing.T) {
 		}
 		state := rec.State
 		rec.State, rec.Name = "scribbled", "scribbled"
-		rec.Timestamps["scribbled"] = time.Now()
+		rec.Timestamps.Set(StateFailed, time.Now())
 		var published Record
 		if err := s.Service().SDEs.GetInto("tx:t1", &published); err != nil {
 			t.Fatal(err)
 		}
-		if published.State != state || published.Name != "t1" || len(published.Timestamps) != len(rec.Timestamps)-1 {
+		if published.State != state || published.Name != "t1" || published.Timestamps.Len() != rec.Timestamps.Len()-1 {
 			t.Fatalf("after %s the published record follows the caller's copy: %+v", name, published)
 		}
 	}

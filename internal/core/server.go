@@ -73,8 +73,10 @@ type Server struct {
 	policy     *SitePolicy
 	svc        *ogsi.Service
 	tel        *telemetry.Registry
+	m          serverMetrics
 	tracer     *trace.Tracer
 	pluginName string
+	expireFn   func(name string) // s.expire, made once: the lifetime index keeps it per entry
 
 	// execCtx is the base context of every detached execution; Stop's
 	// deadline path cancels it to reclaim executions that outlive the
@@ -86,16 +88,44 @@ type Server struct {
 	txs      map[string]*transaction
 	lastPos  map[string][]float64
 	stats    Stats
+	pub      published
 	draining bool
 	stopped  bool
 	inflight int           // executions currently running
 	idle     chan struct{} // non-nil while Stop waits for inflight to hit 0
 }
 
+// transaction is the table's entry, and the only copy of a transaction the
+// server keeps: the tx:<name> service data element is read from it and its
+// lifetime is an entry in the service's deadline index.
 type transaction struct {
-	rec     *Record
-	decided chan struct{} // closed when the propose decision (accept/reject) lands
-	done    chan struct{} // closed when execution reaches a terminal state
+	rec Record
+	// sde is the element's name, "tx:" + rec.Name; rec.Name is its tail, so
+	// the name is stored once.
+	sde string
+	// version counts the state changes published as the element; 0 until
+	// the propose decision, while the element does not exist yet. The time
+	// of the last one is rec.Timestamps' entry for rec.State.
+	version int
+	decided chan struct{} // closed when the propose decision lands, then dropped
+	done    chan struct{} // closed when execution reaches a terminal state, then dropped
+}
+
+// published is what the last-transaction and stats elements read: the
+// transaction of the last published state change, the counters as they
+// stood then, and the version and time both elements carry.
+type published struct {
+	name    string
+	stats   Stats
+	version int
+	at      time.Time
+}
+
+// serverMetrics are the server's series, resolved once.
+type serverMetrics struct {
+	proposed, accepted, rejected, executed, failed, cancelled, deduped, expired *telemetry.Counter
+	transactions                                                                *telemetry.Gauge
+	validate, execute                                                           *telemetry.Histogram
 }
 
 // NewServer builds an NTCP server over the given plugin and site policy
@@ -112,19 +142,30 @@ func NewServer(plugin Plugin, policy *SitePolicy, opts ServerOptions) *Server {
 		txs:        make(map[string]*transaction),
 		lastPos:    make(map[string][]float64),
 	}
+	s.expireFn = s.expire
 	s.execCtx, s.execCancel = context.WithCancel(context.Background())
-	// Pre-register every outcome series at zero: a freshly started daemon's
-	// /metrics must show ntcp.server.proposed = 0, not omit the series —
-	// scrapers and the obs aggregator cannot tell a missing counter from a
-	// site that never wired telemetry.
-	for _, name := range []string{cProposed, cAccepted, cRejected,
-		cExecuted, cFailed, cCancelled, cDeduped, ogsi.MetricDecodeFallbacks} {
-		s.tel.Counter(name)
+	// Every series is registered at construction, so a freshly started
+	// daemon's /metrics shows ntcp.server.proposed = 0 rather than omitting
+	// it — scrapers and the obs aggregator cannot tell a missing counter
+	// from a site that never wired telemetry.
+	s.m = serverMetrics{
+		proposed:     s.tel.Counter(cProposed),
+		accepted:     s.tel.Counter(cAccepted),
+		rejected:     s.tel.Counter(cRejected),
+		executed:     s.tel.Counter(cExecuted),
+		failed:       s.tel.Counter(cFailed),
+		cancelled:    s.tel.Counter(cCancelled),
+		deduped:      s.tel.Counter(cDeduped),
+		expired:      s.tel.Counter(cExpired),
+		transactions: s.tel.Gauge(gTransactions),
+		validate:     s.tel.Histogram("ntcp.server.validate.seconds"),
+		execute:      s.tel.Histogram("ntcp.server.plugin.execute.seconds"),
 	}
-	s.tel.Histogram("ntcp.server.validate.seconds")
-	s.tel.Histogram("ntcp.server.plugin.execute.seconds")
+	s.m.transactions.Set(0) // a server restarted on a shared registry starts empty
+	s.tel.Counter(ogsi.MetricDecodeFallbacks)
 	s.svc = ogsi.NewService(opts.ServiceName)
 	s.svc.SDEs.SetClock(opts.Clock)
+	s.svc.SDEs.AddSource((*sdeSource)(s))
 	s.svc.Lifetimes.SetClock(opts.Clock)
 	s.registerOps()
 	return s
@@ -143,36 +184,61 @@ func (s *Server) Stats() Stats {
 	return s.stats
 }
 
-func txSDE(name string) string { return "tx:" + name }
-
-// publish exposes a transaction snapshot as SDEs. rec MUST be a private
-// clone taken while s.mu was held, and nobody may touch it afterwards:
-// publish runs outside the lock, a live *Record can be mutated concurrently
-// by runExecution (the data race the -race suite caught), and the SDE store
-// keeps rec itself until a reader asks for its encoding.
-func (s *Server) publish(rec *Record) {
-	_ = s.svc.SDEs.Set(txSDE(rec.Name), rec)
-	_ = s.svc.SDEs.Set("last-transaction", rec.Name)
-	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
-	_ = s.svc.SDEs.Set("stats", st)
-}
-
-// ntcp.server.* counter names, mirrored from the Stats struct into the
+// ntcp.server.* series names. The counters mirror the Stats struct into the
 // telemetry registry so remote /metrics shows the same outcomes.
 const (
-	cProposed  = "ntcp.server.proposed"
-	cAccepted  = "ntcp.server.accepted"
-	cRejected  = "ntcp.server.rejected"
-	cExecuted  = "ntcp.server.executed"
-	cFailed    = "ntcp.server.failed"
-	cCancelled = "ntcp.server.cancelled"
-	cDeduped   = "ntcp.server.deduped_replays"
+	cProposed     = "ntcp.server.proposed"
+	cAccepted     = "ntcp.server.accepted"
+	cRejected     = "ntcp.server.rejected"
+	cExecuted     = "ntcp.server.executed"
+	cFailed       = "ntcp.server.failed"
+	cCancelled    = "ntcp.server.cancelled"
+	cDeduped      = "ntcp.server.deduped_replays"
+	cExpired      = "ntcp.server.expired"      // records reaped when their lifetime lapsed
+	gTransactions = "ntcp.server.transactions" // records in the table
 )
 
+// The service data elements the server publishes: tx:<name> per
+// transaction, and two for the server as a whole.
+const (
+	txPrefix = "tx:"
+	sdeLast  = "last-transaction"
+	sdeStats = "stats"
+)
+
+// advance moves tx to state st now and makes it the published state: the
+// element's version moves on, and last-transaction and stats follow it.
+// Counters must already include the change. Called with s.mu held; the
+// caller then calls s.announce(tx) once the lock is released.
+func (s *Server) advance(tx *transaction, st TxState) {
+	now := s.opts.Clock()
+	tx.rec.State = st
+	tx.rec.Timestamps.Set(st, now)
+	tx.version++
+	s.pub = published{name: tx.rec.Name, stats: s.stats, version: s.pub.version + 1, at: now}
+}
+
+// announce tells the service data store, and through it any watcher, that
+// tx's element, last-transaction and stats have new versions.
+func (s *Server) announce(tx *transaction) {
+	s.svc.SDEs.Changed(tx.sde, sdeLast, sdeStats)
+}
+
+// snapshot copies tx's record for a caller. Called with s.mu held.
+func snapshot(tx *transaction) *Record {
+	rec := tx.rec
+	return &rec
+}
+
+// denied is the fault for a client naming a transaction another client owns.
+func denied(rec *Record) error {
+	return ogsi.Errf(ogsi.CodeDenied, "transaction %q belongs to %q", rec.Name, rec.Client)
+}
+
 // Propose handles a proposal with at-most-once semantics: a name already in
-// the transaction table is answered from the table, whatever its state.
+// the transaction table is answered from the table, whatever its state — to
+// the client that proposed it. Another client naming it is denied, as
+// Execute and Cancel deny it, and gets none of the record.
 func (s *Server) Propose(ctx context.Context, client string, p *Proposal) (*Record, error) {
 	if err := p.Validate(); err != nil {
 		return nil, ogsi.Errf(ogsi.CodeBadRequest, "%v", err)
@@ -185,10 +251,15 @@ func (s *Server) Propose(ctx context.Context, client string, p *Proposal) (*Reco
 	}
 	s.mu.Lock()
 	if tx, ok := s.txs[p.Name]; ok {
+		if tx.rec.Client != client {
+			err := denied(&tx.rec)
+			s.mu.Unlock()
+			return nil, err
+		}
 		s.stats.DedupedReplay++
-		rec := tx.rec.clone()
+		rec := snapshot(tx)
 		s.mu.Unlock()
-		s.tel.Counter(cDeduped).Inc()
+		s.m.deduped.Inc()
 		return rec, nil
 	}
 	if s.draining {
@@ -200,92 +271,90 @@ func (s *Server) Propose(ctx context.Context, client string, p *Proposal) (*Reco
 		s.mu.Unlock()
 		return nil, ogsi.Errf(ogsi.CodeUnavailable, "server draining, not accepting new transactions")
 	}
-	now := s.opts.Clock()
-	rec := &Record{
-		Name:       p.Name,
-		State:      StateProposed,
-		Actions:    append([]Action(nil), p.Actions...),
-		Timeout:    p.ExecuteTimeoutSeconds,
-		Client:     client,
-		Timestamps: map[TxState]time.Time{StateProposed: now},
+	sde := txPrefix + p.Name
+	tx := &transaction{
+		rec: Record{
+			Name:    sde[len(txPrefix):],
+			State:   StateProposed,
+			Actions: append([]Action(nil), p.Actions...),
+			Timeout: p.ExecuteTimeoutSeconds,
+			Client:  client,
+		},
+		sde:     sde,
+		decided: make(chan struct{}),
 	}
-	tx := &transaction{rec: rec, decided: make(chan struct{})}
-	s.txs[p.Name] = tx
+	tx.rec.Timestamps.Set(StateProposed, s.opts.Clock())
+	s.txs[tx.rec.Name] = tx
+	s.m.transactions.Set(float64(len(s.txs)))
 	s.stats.Proposed++
-	lastSnapshot := make(map[string][]float64, len(s.lastPos))
-	for k, v := range s.lastPos {
-		lastSnapshot[k] = v
-	}
-	s.mu.Unlock()
-	s.tel.Counter(cProposed).Inc()
-
-	// Validation happens outside the lock: policy first, then plugin.
+	// The policy screen reads the positions the last executions left, so it
+	// runs under the lock; the plugin's validation runs outside it.
 	valStart := time.Now()
-	verdict := s.policy.Check(client, p.Actions, lastSnapshot)
+	verdict := s.policy.Check(client, p.Actions, s.lastPos)
+	s.mu.Unlock()
+	s.m.proposed.Inc()
+
 	if verdict == nil {
 		verdict = s.plugin.Validate(ctx, p.Actions)
 	}
-	s.tel.Histogram("ntcp.server.validate.seconds").ObserveDuration(time.Since(valStart))
+	s.m.validate.ObserveDuration(time.Since(valStart))
 	if span != nil {
-		attrs := map[string]string{"tx": p.Name}
+		attrs := []trace.Attr{{Key: "tx", Value: p.Name}}
 		if verdict != nil {
-			attrs["rejected"] = verdict.Error()
-		}
-		s.tracer.RecordSpan(span.Context(), "ntcp.validate", trace.KindInternal,
-			valStart, time.Now(), attrs)
-		if verdict != nil {
+			attrs = append(attrs, trace.Attr{Key: "rejected", Value: verdict.Error()})
 			span.SetAttr("rejected", "true")
 		}
+		s.tracer.RecordSpan(span.Context(), "ntcp.validate", trace.KindInternal,
+			valStart, time.Now(), attrs...)
 	}
 
 	s.mu.Lock()
 	if verdict != nil {
-		rec.State = StateRejected
-		rec.Error = verdict.Error()
-		rec.Timestamps[StateRejected] = s.opts.Clock()
+		tx.rec.Error = verdict.Error()
 		s.stats.Rejected++
+		s.advance(tx, StateRejected)
 	} else {
-		rec.State = StateAccepted
-		rec.Timestamps[StateAccepted] = s.opts.Clock()
 		s.stats.Accepted++
+		s.advance(tx, StateAccepted)
 	}
 	// Wake any Execute that raced in mid-validation and is waiting for the
 	// propose decision.
 	close(tx.decided)
-	out := rec.clone()
+	tx.decided = nil
+	out := snapshot(tx)
 	s.mu.Unlock()
 	if verdict != nil {
-		s.tel.Counter(cRejected).Inc()
+		s.m.rejected.Inc()
 		s.tel.Event("ntcp", "tx-rejected", map[string]any{"name": p.Name, "error": out.Error})
 	} else {
-		s.tel.Counter(cAccepted).Inc()
+		s.m.accepted.Inc()
 	}
 
 	ttl := s.opts.DefaultTTL
 	if p.TTLSeconds > 0 {
 		ttl = time.Duration(p.TTLSeconds * float64(time.Second))
 	}
-	s.svc.Lifetimes.Register(p.Name, ttl, func() { s.expire(p.Name) })
-	// SDEs.Set encodes its value only when somebody reads it, so the store
-	// gets a clone of its own: out is the caller's to change.
-	s.publish(out.clone())
+	s.svc.Lifetimes.Register(tx.rec.Name, ttl, s.expireFn)
+	s.announce(tx)
 	return out, nil
 }
 
-// expire removes a transaction whose soft-state lifetime lapsed.
+// expire removes a transaction whose soft-state lifetime lapsed — unless it
+// is executing, which is never reaped: it gets another DefaultTTL.
 func (s *Server) expire(name string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	tx, ok := s.txs[name]
-	if ok && tx.rec.State == StateExecuting {
-		// Never reap a transaction mid-execution; it re-registers on
-		// completion via publish and will be swept on a later pass.
-		s.mu.Unlock()
-		s.svc.Lifetimes.Register(name, s.opts.DefaultTTL, func() { s.expire(name) })
+	if !ok {
+		return
+	}
+	if tx.rec.State == StateExecuting {
+		s.svc.Lifetimes.Register(tx.rec.Name, s.opts.DefaultTTL, s.expireFn)
 		return
 	}
 	delete(s.txs, name)
-	s.mu.Unlock()
-	s.svc.SDEs.Delete(txSDE(name))
+	s.m.transactions.Set(float64(len(s.txs)))
+	s.m.expired.Inc()
 }
 
 // Execute runs an accepted transaction at most once. Concurrent or retried
@@ -310,31 +379,25 @@ func (s *Server) Execute(ctx context.Context, client, name string) (*Record, err
 			s.mu.Unlock()
 			return nil, ogsi.Errf(ogsi.CodeNotFound, "no transaction %q", name)
 		}
-		rec := tx.rec
-		if rec.Client != client {
+		if tx.rec.Client != client {
+			err := denied(&tx.rec)
 			s.mu.Unlock()
-			return nil, ogsi.Errf(ogsi.CodeDenied, "transaction %q belongs to %q", name, rec.Client)
+			return nil, err
 		}
-		switch rec.State {
+		switch st := tx.rec.State; st {
 		case StateExecuted, StateFailed:
 			s.stats.DedupedReplay++
-			out := rec.clone()
+			out := snapshot(tx)
 			s.mu.Unlock()
-			s.tel.Counter(cDeduped).Inc()
+			s.m.deduped.Inc()
 			return out, nil
 		case StateRejected, StateCancelled:
-			st := rec.State
 			s.mu.Unlock()
 			return nil, ogsi.Errf(ogsi.CodeConflict, "transaction %q is %s", name, st)
 		case StateProposed:
 			// Mid-validation: wait for Propose to decide, then re-evaluate.
 			decided := tx.decided
 			s.mu.Unlock()
-			if decided == nil {
-				// No deciding goroutine to wait on (should not happen):
-				// transient, so the client retry loop takes another look.
-				return nil, ogsi.Errf(ogsi.CodeUnavailable, "transaction %q awaiting propose decision", name)
-			}
 			select {
 			case <-decided:
 				continue
@@ -345,33 +408,21 @@ func (s *Server) Execute(ctx context.Context, client, name string) (*Record, err
 			done := tx.done
 			s.stats.DedupedReplay++
 			s.mu.Unlock()
-			s.tel.Counter(cDeduped).Inc()
-			select {
-			case <-done:
-				s.mu.Lock()
-				out := rec.clone()
-				s.mu.Unlock()
-				return out, nil
-			case <-ctx.Done():
-				return nil, ogsi.Errf(ogsi.CodeUnavailable, "transaction %q still executing", name)
-			}
+			s.m.deduped.Inc()
+			return s.await(ctx, tx, done)
 		case StateAccepted:
-			rec.State = StateExecuting
-			rec.Timestamps[StateExecuting] = s.opts.Clock()
+			s.advance(tx, StateExecuting)
 			tx.done = make(chan struct{})
 			done := tx.done
-			actions := append([]Action(nil), rec.Actions...)
 			timeout := s.opts.DefaultExecuteTimeout
-			if rec.Timeout > 0 {
-				timeout = time.Duration(rec.Timeout * float64(time.Second))
+			if tx.rec.Timeout > 0 {
+				timeout = time.Duration(tx.rec.Timeout * float64(time.Second))
 			}
 			s.inflight++
-			pub := rec.clone()
 			s.mu.Unlock()
-			// Publish the executing snapshot before the execution goroutine
-			// can finish: SDE updates stay ordered and never touch the live
-			// record outside the lock.
-			s.publish(pub)
+			// Announce the executing state before the execution goroutine
+			// can finish, so watchers see the changes in order.
+			s.announce(tx)
 
 			// Execution deliberately detaches from the request context: once
 			// an action starts against a physical rig it completes (or fails)
@@ -379,75 +430,70 @@ func (s *Server) Execute(ctx context.Context, client, name string) (*Record, err
 			// retry collects the cached outcome — the at-most-once contract.
 			// The initiating span's context rides along so the plugin run is
 			// recorded as its child even after the request returns.
-			go s.runExecution(name, actions, timeout, done, span.Context())
-
-			select {
-			case <-done:
-				s.mu.Lock()
-				out := rec.clone()
-				s.mu.Unlock()
-				return out, nil
-			case <-ctx.Done():
-				return nil, ogsi.Errf(ogsi.CodeUnavailable, "transaction %q still executing", name)
-			}
+			go s.runExecution(tx, timeout, done, span.Context())
+			return s.await(ctx, tx, done)
 		default:
 			s.mu.Unlock()
-			return nil, ogsi.Errf(ogsi.CodeInternal, "transaction %q in unexpected state %s", name, rec.State)
+			return nil, ogsi.Errf(ogsi.CodeInternal, "transaction %q in unexpected state %s", name, st)
 		}
 	}
 }
 
-func (s *Server) runExecution(name string, actions []Action, timeout time.Duration, done chan struct{}, parent trace.SpanContext) {
+// await returns tx's record once its execution, signalled by done, is over.
+func (s *Server) await(ctx context.Context, tx *transaction, done chan struct{}) (*Record, error) {
+	select {
+	case <-done:
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return snapshot(tx), nil
+	case <-ctx.Done():
+		return nil, ogsi.Errf(ogsi.CodeUnavailable, "transaction %q still executing", tx.rec.Name)
+	}
+}
+
+func (s *Server) runExecution(tx *transaction, timeout time.Duration, done chan struct{}, parent trace.SpanContext) {
 	defer close(done)
 	defer s.execDone()
 	// Derived from the server's base context (not the request's): the
 	// at-most-once contract means an action outlives its connection, but
 	// not the server's drain deadline — Stop cancels execCtx when the
-	// drain budget runs out.
+	// drain budget runs out. The actions are the record's own: nothing
+	// changes them once proposed.
 	execCtx, cancel := context.WithTimeout(s.execCtx, timeout)
 	defer cancel()
 	start := time.Now()
-	results, err := s.plugin.Execute(execCtx, actions)
-	s.tel.Histogram("ntcp.server.plugin.execute.seconds").ObserveDuration(time.Since(start))
+	results, err := s.plugin.Execute(execCtx, tx.rec.Actions)
+	s.m.execute.ObserveDuration(time.Since(start))
 	if s.tracer != nil {
-		attrs := map[string]string{"tx": name, "plugin": s.pluginName}
+		attrs := []trace.Attr{{Key: "tx", Value: tx.rec.Name}, {Key: "plugin", Value: s.pluginName}}
 		if err != nil {
-			attrs["error"] = err.Error()
+			attrs = append(attrs, trace.Attr{Key: "error", Value: err.Error()})
 		}
-		s.tracer.RecordSpan(parent, "ntcp.plugin.execute", trace.KindInternal, start, time.Now(), attrs)
+		s.tracer.RecordSpan(parent, "ntcp.plugin.execute", trace.KindInternal, start, time.Now(), attrs...)
 	}
 
 	s.mu.Lock()
-	tx, ok := s.txs[name]
-	if !ok {
-		s.mu.Unlock()
-		return
-	}
-	rec := tx.rec
-	now := s.opts.Clock()
 	if err != nil {
-		rec.State = StateFailed
-		rec.Error = err.Error()
-		rec.Timestamps[StateFailed] = now
+		tx.rec.Error = err.Error()
 		s.stats.Failed++
+		s.advance(tx, StateFailed)
 	} else {
-		rec.State = StateExecuted
-		rec.Results = results
-		rec.Timestamps[StateExecuted] = now
+		tx.rec.Results = results
 		s.stats.Executed++
+		s.advance(tx, StateExecuted)
 		for _, r := range results {
 			s.lastPos[r.ControlPoint] = append([]float64(nil), r.Displacements...)
 		}
 	}
-	pub := rec.clone()
+	tx.done = nil
 	s.mu.Unlock()
 	if err != nil {
-		s.tel.Counter(cFailed).Inc()
-		s.tel.Event("ntcp", "tx-failed", map[string]any{"name": name, "error": err.Error()})
+		s.m.failed.Inc()
+		s.tel.Event("ntcp", "tx-failed", map[string]any{"name": tx.rec.Name, "error": err.Error()})
 	} else {
-		s.tel.Counter(cExecuted).Inc()
+		s.m.executed.Inc()
 	}
-	s.publish(pub)
+	s.announce(tx)
 }
 
 // Cancel aborts an accepted transaction before execution. Cancelling an
@@ -468,51 +514,38 @@ func (s *Server) Cancel(ctx context.Context, client, name string) (*Record, erro
 			s.mu.Unlock()
 			return nil, ogsi.Errf(ogsi.CodeNotFound, "no transaction %q", name)
 		}
-		rec := tx.rec
-		if rec.Client != client {
+		if tx.rec.Client != client {
+			err := denied(&tx.rec)
 			s.mu.Unlock()
-			return nil, ogsi.Errf(ogsi.CodeDenied, "transaction %q belongs to %q", name, rec.Client)
+			return nil, err
 		}
-		if rec.State == StateProposed {
+		switch st := tx.rec.State; st {
+		case StateProposed:
 			decided := tx.decided
 			s.mu.Unlock()
-			if decided == nil {
-				return nil, ogsi.Errf(ogsi.CodeUnavailable, "transaction %q awaiting propose decision", name)
-			}
 			select {
 			case <-decided:
 				continue
 			case <-ctx.Done():
 				return nil, ogsi.Errf(ogsi.CodeUnavailable, "transaction %q awaiting propose decision", name)
 			}
+		case StateAccepted:
+			s.stats.Cancelled++
+			s.advance(tx, StateCancelled)
+			out := snapshot(tx)
+			s.mu.Unlock()
+			s.m.cancelled.Inc()
+			s.tel.Event("ntcp", "tx-cancelled", map[string]any{"name": name})
+			s.announce(tx)
+			return out, nil
+		case StateCancelled, StateRejected:
+			out := snapshot(tx)
+			s.mu.Unlock()
+			return out, nil
+		default:
+			s.mu.Unlock()
+			return nil, ogsi.Errf(ogsi.CodeConflict, "cannot cancel transaction %q in state %s", name, st)
 		}
-		return s.cancelDecided(tx, name)
-	}
-}
-
-// cancelDecided finishes Cancel once the transaction is past StateProposed.
-// Called with s.mu held; releases it.
-func (s *Server) cancelDecided(tx *transaction, name string) (*Record, error) {
-	rec := tx.rec
-	switch rec.State {
-	case StateAccepted:
-		rec.State = StateCancelled
-		rec.Timestamps[StateCancelled] = s.opts.Clock()
-		s.stats.Cancelled++
-		out := rec.clone()
-		s.mu.Unlock()
-		s.tel.Counter(cCancelled).Inc()
-		s.tel.Event("ntcp", "tx-cancelled", map[string]any{"name": name})
-		s.publish(out.clone())
-		return out, nil
-	case StateCancelled, StateRejected:
-		out := rec.clone()
-		s.mu.Unlock()
-		return out, nil
-	default:
-		st := rec.State
-		s.mu.Unlock()
-		return nil, ogsi.Errf(ogsi.CodeConflict, "cannot cancel transaction %q in state %s", name, st)
 	}
 }
 
@@ -524,7 +557,70 @@ func (s *Server) Get(name string) (*Record, error) {
 	if !ok {
 		return nil, ogsi.Errf(ogsi.CodeNotFound, "no transaction %q", name)
 	}
-	return tx.rec.clone(), nil
+	return snapshot(tx), nil
+}
+
+// getFor is the get op: Get, for the client that owns the transaction.
+func (s *Server) getFor(client, name string) (*Record, error) {
+	rec, err := s.Get(name)
+	if err == nil && rec.Client != client {
+		return nil, denied(rec)
+	}
+	return rec, err
+}
+
+// sdeSource answers for the server's service data from its table: tx:<name>
+// for every transaction past its propose decision, and last-transaction and
+// stats once anything was published. Values are encoded here, when read.
+type sdeSource Server
+
+// SDE implements ogsi.SDESource.
+func (src *sdeSource) SDE(name string) (ogsi.SDE, bool) {
+	s := (*Server)(src)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if name == sdeLast || name == sdeStats {
+		if s.pub.version == 0 {
+			return ogsi.SDE{}, false
+		}
+		var v []byte
+		if name == sdeStats {
+			v, _ = s.pub.stats.AppendJSON(nil)
+		} else {
+			v = wirejson.AppendString(nil, s.pub.name)
+		}
+		return ogsi.SDE{Name: name, Value: v, Version: s.pub.version, UpdatedAt: s.pub.at}, true
+	}
+	key, ok := strings.CutPrefix(name, txPrefix)
+	if !ok {
+		return ogsi.SDE{}, false
+	}
+	tx := s.txs[key]
+	if tx == nil || tx.version == 0 {
+		return ogsi.SDE{}, false
+	}
+	v, err := tx.rec.AppendJSON(nil)
+	if err != nil {
+		return ogsi.SDE{}, false
+	}
+	at, _ := tx.rec.Timestamps.Get(tx.rec.State)
+	return ogsi.SDE{Name: name, Value: v, Version: tx.version, UpdatedAt: at}, true
+}
+
+// SDENames implements ogsi.SDESource.
+func (src *sdeSource) SDENames(dst []string) []string {
+	s := (*Server)(src)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.pub.version > 0 {
+		dst = append(dst, sdeLast, sdeStats)
+	}
+	for _, tx := range s.txs {
+		if tx.version > 0 {
+			dst = append(dst, tx.sde)
+		}
+	}
+	return dst
 }
 
 // wire types for the service operations.
@@ -565,7 +661,7 @@ func (s *Server) registerOps() {
 		return s.Cancel(ctx, caller.Identity, p.Name)
 	})
 	s.registerFastPathOp()
-	s.svc.RegisterOp("get", func(_ context.Context, _ ogsi.Caller, params json.RawMessage) (any, error) {
+	s.svc.RegisterOp("get", func(_ context.Context, caller ogsi.Caller, params json.RawMessage) (any, error) {
 		var p nameParams
 		if err := s.decodeParams(params, &p); err != nil {
 			return nil, ogsi.Errf(ogsi.CodeBadRequest, "bad get params: %v", err)

@@ -48,7 +48,7 @@ func TestProposeExecuteHappyPath(t *testing.T) {
 	}
 	// Every state change must be timestamped.
 	for _, st := range []TxState{StateProposed, StateAccepted, StateExecuting, StateExecuted} {
-		if _, ok := rec.Timestamps[st]; !ok {
+		if _, ok := rec.Timestamps.Get(st); !ok {
 			t.Errorf("missing timestamp for %s", st)
 		}
 	}

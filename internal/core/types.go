@@ -14,7 +14,9 @@
 package core
 
 import (
+	"encoding/json"
 	"fmt"
+	"math/bits"
 	"time"
 )
 
@@ -112,28 +114,95 @@ type Proposal struct {
 // Record is the full transaction state published as an OGSI service data
 // element: name, state, the proposal that created it, results when
 // available, and a timestamp for every state change in its lifetime
-// (paper §2.1).
+// (paper §2.1). The server's table holds the one copy of each; what it
+// hands out is a snapshot whose Actions and Results share the table's
+// slices, which nobody changes once set, and must not be changed by the
+// receiver either.
 type Record struct {
-	Name       string                `json:"name"`
-	State      TxState               `json:"state"`
-	Actions    []Action              `json:"actions"`
-	Timeout    float64               `json:"execute_timeout_seconds"`
-	Results    []Result              `json:"results,omitempty"`
-	Error      string                `json:"error,omitempty"`
-	Client     string                `json:"client"`
-	Timestamps map[TxState]time.Time `json:"timestamps"`
+	Name       string     `json:"name"`
+	State      TxState    `json:"state"`
+	Actions    []Action   `json:"actions"`
+	Timeout    float64    `json:"execute_timeout_seconds"`
+	Results    []Result   `json:"results,omitempty"`
+	Error      string     `json:"error,omitempty"`
+	Client     string     `json:"client"`
+	Timestamps Timestamps `json:"timestamps"`
 }
 
-// clone returns a deep copy safe to hand to callers.
-func (r *Record) clone() *Record {
-	c := *r
-	c.Actions = append([]Action(nil), r.Actions...)
-	c.Results = append([]Result(nil), r.Results...)
-	c.Timestamps = make(map[TxState]time.Time, len(r.Timestamps))
-	for k, v := range r.Timestamps {
-		c.Timestamps[k] = v
+// states lists the seven states of Fig. 1 in byte order of their names,
+// which is the order encoding/json writes a map keyed by them in.
+var states = [...]TxState{StateAccepted, StateCancelled, StateExecuted,
+	StateExecuting, StateFailed, StateProposed, StateRejected}
+
+// stateIndex is the position of s in states.
+func stateIndex(s TxState) (int, bool) {
+	for i, st := range states {
+		if st == s {
+			return i, true
+		}
 	}
-	return &c
+	return 0, false
+}
+
+// Timestamps holds when a transaction entered each state it passed
+// through: one slot per state of Fig. 1, so a record carries no map. It
+// encodes as encoding/json encodes a map[TxState]time.Time — the states
+// present, in byte order — and decodes only states of Fig. 1.
+type Timestamps struct {
+	set uint8 // bit i: states[i] has a time
+	at  [len(states)]time.Time
+}
+
+// Set records that the transaction entered s at t. It reports false, and
+// records nothing, for a state outside Fig. 1.
+func (ts *Timestamps) Set(s TxState, t time.Time) bool {
+	i, ok := stateIndex(s)
+	if ok {
+		ts.set |= 1 << i
+		ts.at[i] = t
+	}
+	return ok
+}
+
+// Get returns when the transaction entered s, if it did.
+func (ts *Timestamps) Get(s TxState) (time.Time, bool) {
+	i, ok := stateIndex(s)
+	if !ok || ts.set&(1<<i) == 0 {
+		return time.Time{}, false
+	}
+	return ts.at[i], true
+}
+
+// Len is the number of states with a time.
+func (ts *Timestamps) Len() int { return bits.OnesCount8(ts.set) }
+
+// MarshalJSON implements json.Marshaler. The appenders write the same bytes
+// in one pass; this is the form they fall back to.
+func (ts Timestamps) MarshalJSON() ([]byte, error) {
+	m := make(map[TxState]time.Time, ts.Len())
+	for i, s := range states {
+		if ts.set&(1<<i) != 0 {
+			m[s] = ts.at[i]
+		}
+	}
+	return json.Marshal(m)
+}
+
+// UnmarshalJSON implements json.Unmarshaler: an object of state → time, or
+// null for none.
+func (ts *Timestamps) UnmarshalJSON(data []byte) error {
+	var m map[TxState]time.Time
+	if err := json.Unmarshal(data, &m); err != nil {
+		return err
+	}
+	var out Timestamps
+	for s, t := range m {
+		if !out.Set(s, t) {
+			return fmt.Errorf("ntcp: timestamp for unknown state %q", s)
+		}
+	}
+	*ts = out
+	return nil
 }
 
 // Validate checks structural validity of a proposal (not policy).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"testing"
 	"testing/quick"
 	"time"
@@ -89,22 +90,41 @@ func TestProposalValidate(t *testing.T) {
 	}
 }
 
-func TestRecordClone(t *testing.T) {
-	r := &Record{
-		Name:       "t",
-		State:      StateExecuted,
-		Actions:    []Action{{ControlPoint: "cp", Displacements: []float64{1}}},
-		Results:    []Result{{ControlPoint: "cp", Forces: []float64{2}}},
-		Timestamps: map[TxState]time.Time{StateExecuted: time.Unix(5, 0)},
+// TestTimestampsLikeAMap: the fixed array reads, counts and encodes as the
+// map of state to time it replaced, and refuses a state outside Fig. 1 both
+// when set and when decoded.
+func TestTimestampsLikeAMap(t *testing.T) {
+	var ts Timestamps
+	t0 := time.Date(2026, 8, 5, 12, 30, 45, 0, time.UTC)
+	m := map[TxState]time.Time{}
+	for i, s := range []TxState{StateProposed, StateAccepted, StateExecuting, StateExecuted} {
+		m[s] = t0.Add(time.Duration(i) * time.Millisecond)
+		if !ts.Set(s, m[s]) {
+			t.Fatalf("Set(%s) refused", s)
+		}
 	}
-	c := r.clone()
-	c.Actions[0].ControlPoint = "other"
-	c.Results[0].Forces[0] = 99 // note: inner slices are shared; header copy only
-	c.Timestamps[StateFailed] = time.Unix(9, 0)
-	if r.Actions[0].ControlPoint != "cp" {
-		t.Fatal("clone shares the actions slice")
+	ts.Set(StateAccepted, m[StateAccepted]) // again: still one entry
+	if ts.Set("paused", t0) || ts.Len() != len(m) {
+		t.Fatalf("Len = %d after an unknown state, want %d", ts.Len(), len(m))
 	}
-	if _, leaked := r.Timestamps[StateFailed]; leaked {
-		t.Fatal("clone shares the timestamps map")
+	for s, want := range m {
+		if got, ok := ts.Get(s); !ok || !got.Equal(want) {
+			t.Fatalf("Get(%s) = %v %v", s, got, ok)
+		}
+	}
+	if _, ok := ts.Get(StateFailed); ok {
+		t.Fatal("Get of a state never entered")
+	}
+	got, err := json.Marshal(ts)
+	want, _ := json.Marshal(m)
+	if err != nil || string(got) != string(want) {
+		t.Fatalf("JSON %s (%v), the map's %s", got, err, want)
+	}
+	var back Timestamps
+	if err := json.Unmarshal(got, &back); err != nil || back != ts {
+		t.Fatalf("round trip: %+v %v", back, err)
+	}
+	if err := json.Unmarshal([]byte(`{"paused":"2026-08-05T12:30:45Z"}`), &back); err == nil {
+		t.Fatal("decoded a timestamp for a state outside Fig. 1")
 	}
 }

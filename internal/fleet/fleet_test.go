@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"neesgrid/internal/core"
+	"neesgrid/internal/ogsi"
 	"neesgrid/internal/telemetry"
 )
 
@@ -270,5 +272,56 @@ func TestTenantStorePathsNeverCollide(t *testing.T) {
 		if _, err := os.Stat(filepath.Join(view.Store, "checkpoint.json")); err != nil {
 			t.Fatalf("job %s checkpoint: %v", view.ID, err)
 		}
+	}
+}
+
+// TestReleaseKeepsTheTransactionTable: Release resets the specimen, not the
+// slot's NTCP transaction table. A late retry from the previous lease is
+// still answered to its owner from the table — clearing it would execute
+// that step a second time, on the next tenant's specimen — and the next
+// tenant, naming the same transaction, is refused.
+func TestReleaseKeepsTheTransactionTable(t *testing.T) {
+	t.Parallel()
+	pool := newTestPool(t, 1, telemetry.NewRegistry())
+	sites, err := pool.Lease(1)
+	if err != nil {
+		t.Fatalf("Lease: %v", err)
+	}
+	site := sites[0]
+	ctx := context.Background()
+	alpha, beta := "/O=NEES/OU=alpha/CN=alpha-shake-1", "/O=NEES/OU=beta/CN=beta-shake-2"
+	p := &core.Proposal{Name: "alpha-shake-1/step-7/slot-0",
+		Actions: []core.Action{{ControlPoint: site.Spec.Point, Displacements: []float64{0.001}}}}
+	first, err := site.Server.ProposeAndExecute(ctx, alpha, p)
+	if err != nil || first.State != core.StateExecuted {
+		t.Fatalf("alpha's step: %+v %v", first, err)
+	}
+	if err := pool.Release(sites); err != nil {
+		t.Fatalf("Release: %v", err)
+	}
+
+	again, err := site.Server.ProposeAndExecute(ctx, alpha, p)
+	if err != nil || again.State != core.StateExecuted || again.Results[0].Forces[0] != first.Results[0].Forces[0] {
+		t.Fatalf("alpha's late retry: %+v %v, want the recorded outcome %+v", again, err, first)
+	}
+	if st := site.Server.Stats(); st.Executed != 1 || st.DedupedReplay != 1 {
+		t.Fatalf("after the retry: %+v, want one execution and one replay", st)
+	}
+
+	if _, err := pool.Lease(1); err != nil {
+		t.Fatalf("second lease: %v", err)
+	}
+	for op, call := range map[string]func() (*core.Record, error){
+		"ProposeAndExecute": func() (*core.Record, error) { return site.Server.ProposeAndExecute(ctx, beta, p) },
+		"Execute":           func() (*core.Record, error) { return site.Server.Execute(ctx, beta, p.Name) },
+		"Cancel":            func() (*core.Record, error) { return site.Server.Cancel(ctx, beta, p.Name) },
+	} {
+		var oe *ogsi.OpError
+		if rec, err := call(); rec != nil || !errors.As(err, &oe) || oe.Code != ogsi.CodeDenied {
+			t.Fatalf("beta's %s of alpha's step: %+v %v, want denied", op, rec, err)
+		}
+	}
+	if st := site.Server.Stats(); st.Executed != 1 || st.DedupedReplay != 1 {
+		t.Fatalf("after beta's attempts: %+v", st)
 	}
 }

@@ -85,7 +85,9 @@ func TestRunTelemetryEndToEnd(t *testing.T) {
 // codec change that makes an encoder and its strict decoder disagree fails
 // here, instead of showing up as a slow day. The same holds for message
 // security: exactly one signed envelope each way per site — the handshake —
-// every other envelope MAC'd, and no context ever refused.
+// every other envelope MAC'd, and no context ever refused. And for the
+// transaction table: every site holds exactly one record per evaluation
+// (ntcp.server.transactions), and none expired.
 func TestCleanRunsStayOnTheFastPath(t *testing.T) {
 	for name, tweak := range map[string]func(*Spec){
 		"classic":  func(*Spec) {},
@@ -138,6 +140,14 @@ func TestCleanRunsStayOnTheFastPath(t *testing.T) {
 					}
 				}
 				envelopes += snap.Counters["ogsi.auth.signed"] + snap.Counters["ogsi.auth.mac"]
+				// One transaction per step plus the integrator's step-0
+				// evaluation, all still in the table, none expired.
+				if n, registered := snap.Gauges["ntcp.server.transactions"]; !registered || n != steps+1 {
+					t.Errorf("%s: ntcp.server.transactions = %g (registered %v), want %d", site.Spec.Name, n, registered, steps+1)
+				}
+				if n, registered := snap.Counters["ntcp.server.expired"]; !registered || n != 0 {
+					t.Errorf("%s: ntcp.server.expired = %d (registered %v), want 0", site.Spec.Name, n, registered)
+				}
 			}
 			if envelopes != coordinator.Counters["faultnet.calls"] {
 				t.Errorf("sites authenticated %d envelopes, the coordinator sent %d", envelopes, coordinator.Counters["faultnet.calls"])

@@ -383,12 +383,10 @@ func (c *Client) exchange(ctx context.Context, span *trace.Span, ep *endpoint, s
 		payload, server, vinfo, err = c.Trust.OpenWire((*payloadBuf)[:0], respBody, c.now())
 	}
 	if span != nil {
-		c.Tracer.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal,
-			verifyStart, time.Now(), map[string]string{
-				"side":   "response",
-				"mode":   mode,
-				"cached": strconv.FormatBool(vinfo.CacheHit),
-			})
+		c.Tracer.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal, verifyStart, time.Now(),
+			trace.Attr{Key: "side", Value: "response"},
+			trace.Attr{Key: "mode", Value: mode},
+			trace.Attr{Key: "cached", Value: strconv.FormatBool(vinfo.CacheHit)})
 	}
 	c.noteFallback(MetricWireFallbacks, vinfo.WireFallback)
 	if errors.Is(err, gsi.ErrBadEnvelope) {

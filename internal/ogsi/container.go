@@ -597,12 +597,10 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		ctx, span = tr.Start(ctx, req.Service+"."+req.Op, trace.KindServer)
 		span.SetAttr("caller", identity)
-		tr.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal,
-			verifyStart, verifyEnd, map[string]string{
-				"side":   "request",
-				"mode":   mode,
-				"cached": strconv.FormatBool(vinfo.CacheHit),
-			})
+		tr.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal, verifyStart, verifyEnd,
+			trace.Attr{Key: "side", Value: "request"},
+			trace.Attr{Key: "mode", Value: mode},
+			trace.Attr{Key: "cached", Value: strconv.FormatBool(vinfo.CacheHit)})
 	}
 	resp := c.dispatch(ctx, Caller{Identity: identity, Account: account}, &req)
 	resp.Accept = accept

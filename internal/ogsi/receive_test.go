@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -271,94 +272,117 @@ func (v selfEncoded) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, fmt.Sprintf(`{"n":%d}`, v.n)...), nil
 }
 
-// TestSDESetEncodesOnFirstRead pins the lazy-publication contract: a value
-// that owns its encoding is not encoded by Set, is encoded once by the first
-// reader and served from the memo afterwards, and keeps its version,
-// timestamp and last-changed bookkeeping from the moment of the Set.
-func TestSDESetEncodesOnFirstRead(t *testing.T) {
+// txSource is an SDESource holding one element, tx:t1, whose value is
+// encoded by each read.
+type txSource struct {
+	mu      sync.Mutex
+	n       int
+	at      time.Time
+	encodes int
+}
+
+func (v *txSource) SDE(name string) (SDE, bool) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if name != "tx:t1" || v.n == 0 {
+		return SDE{}, false
+	}
+	v.encodes++
+	return SDE{Name: name, Value: []byte(fmt.Sprintf(`{"n":%d}`, v.n)), Version: v.n, UpdatedAt: v.at}, true
+}
+
+func (v *txSource) SDENames(dst []string) []string {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	if v.n == 0 {
+		return dst
+	}
+	return append(dst, "tx:t1")
+}
+
+// set gives the element its n-th version.
+func (v *txSource) set(n int, at time.Time) {
+	v.mu.Lock()
+	v.n, v.at = n, at
+	v.mu.Unlock()
+}
+
+// TestSDESourceEncodesOnRead pins the contract of an element a service backs
+// with its own state: nothing is encoded until somebody reads or watches it;
+// every read path — Get, Query, LastChanged, WaitChange, a watcher — returns
+// the source's value, version and update time; the source shadows a stored
+// element of the same name, and Delete cannot remove what it holds.
+func TestSDESourceEncodesOnRead(t *testing.T) {
 	s := NewSDEStore()
-	now := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
-	s.SetClock(func() time.Time { return now })
-	calls := 0
+	src := &txSource{}
+	s.AddSource(src)
+	at := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
+	if _, ok := s.Get("tx:t1"); ok || s.Len() != 0 {
+		t.Fatal("an element the source does not hold yet is served")
+	}
 	for n := 1; n <= 3; n++ {
-		if err := s.Set("tx", selfEncoded{n: n, calls: &calls}); err != nil {
-			t.Fatal(err)
+		src.set(n, at)
+		s.Changed("tx:t1")
+	}
+	if src.encodes != 0 {
+		t.Fatalf("%d encodes with no reader", src.encodes)
+	}
+	want := SDE{Name: "tx:t1", Value: []byte(`{"n":3}`), Version: 3, UpdatedAt: at}
+	check := func(how string, sde SDE, ok bool) {
+		t.Helper()
+		if !ok || !reflect.DeepEqual(sde, want) {
+			t.Fatalf("%s = %+v %v, want %+v", how, sde, ok, want)
 		}
 	}
-	if calls != 0 {
-		t.Fatalf("Set encoded %d times with no reader", calls)
-	}
-	now = now.Add(time.Hour) // reads happen later; UpdatedAt must not move
-	for i := 0; i < 3; i++ {
-		sde, ok := s.Get("tx")
-		if !ok || string(sde.Value) != `{"n":3}` || sde.Version != 3 || !sde.UpdatedAt.Equal(now.Add(-time.Hour)) {
-			t.Fatalf("Get = %+v %v", sde, ok)
-		}
-	}
-	if last, ok := s.LastChanged(); !ok || string(last.Value) != `{"n":3}` {
-		t.Fatalf("LastChanged = %+v %v", last, ok)
-	}
-	if all := s.Query(); len(all) != 1 || string(all[0].Value) != `{"n":3}` {
-		t.Fatalf("Query = %+v", all)
-	}
-	if calls != 1 {
-		t.Fatalf("value encoded %d times across five reads, want once", calls)
+	sde, ok := s.Get("tx:t1")
+	check("Get", sde, ok)
+	sde, ok = s.LastChanged()
+	check("LastChanged", sde, ok)
+	all := s.Query()
+	check("Query", all[0], len(all) == 1)
+	sde, err := s.WaitChange(context.Background(), "tx:t1", 2)
+	check("WaitChange", sde, err == nil)
+	if src.encodes != 4 {
+		t.Fatalf("%d encodes for four reads", src.encodes)
 	}
 
-	// A watcher is a reader: it gets the encoded element.
 	ch, cancel := s.Watch(1)
 	defer cancel()
-	_ = s.Set("tx", selfEncoded{n: 4, calls: &calls})
-	if sde := <-ch; string(sde.Value) != `{"n":4}` || sde.Version != 4 {
-		t.Fatalf("watcher got %+v", sde)
-	}
+	src.set(4, at.Add(time.Second))
+	s.Changed("tx:t1")
+	want = SDE{Name: "tx:t1", Value: []byte(`{"n":4}`), Version: 4, UpdatedAt: at.Add(time.Second)}
+	check("watcher", <-ch, true)
 
-	// Plain values that cannot fail are deferred too, and read back the same.
-	_ = s.Set("name", "step-7")
-	_ = s.Set("count", 42)
-	var name string
-	var count int
-	if err := s.GetInto("name", &name); err != nil || name != "step-7" {
-		t.Fatalf("name = %q %v", name, err)
-	}
-	if err := s.GetInto("count", &count); err != nil || count != 42 {
-		t.Fatalf("count = %d %v", count, err)
+	_ = s.Set("tx:t1", "stored")
+	_ = s.Set("other", 1)
+	s.Delete("tx:t1")
+	sde, ok = s.Get("tx:t1")
+	check("Get after a Set and a Delete of the name", sde, ok)
+	if s.Len() != 2 {
+		t.Fatalf("Len = %d, want the sourced element and the stored one", s.Len())
 	}
 }
 
-// TestSDESetEncodingFailure is the one behavioural edge of lazy publication.
-// A value of a type that could fail to encode still fails at Set, leaving the
-// store untouched. A value that owns its encoding is taken on trust: if it
-// then fails at first read, the element reads as absent — as a computed
-// element whose function fails always has.
+// TestSDESetEncodingFailure: a value that cannot be encoded — a NaN, a func,
+// an Appender that fails — fails at Set and leaves the store untouched.
 func TestSDESetEncodingFailure(t *testing.T) {
 	s := NewSDEStore()
 	_ = s.Set("kept", "v1")
-	if err := s.Set("kept", math.NaN()); err == nil {
-		t.Fatal("Set of a NaN succeeded")
-	}
-	if err := s.Set("kept", map[string]any{"f": func() {}}); err == nil {
-		t.Fatal("Set of a func succeeded")
+	calls := 0
+	for what, v := range map[string]any{
+		"NaN":              math.NaN(),
+		"func":             map[string]any{"f": func() {}},
+		"failing Appender": selfEncoded{fail: true, calls: &calls},
+	} {
+		if err := s.Set("kept", v); err == nil {
+			t.Fatalf("Set of a %s succeeded", what)
+		}
 	}
 	if sde, ok := s.Get("kept"); !ok || string(sde.Value) != `"v1"` || sde.Version != 1 {
 		t.Fatalf("failed Set disturbed the element: %+v %v", sde, ok)
 	}
-
-	calls := 0
-	if err := s.Set("broken", selfEncoded{fail: true, calls: &calls}); err != nil {
-		t.Fatalf("Set of a self-encoding value reported %v before anyone read it", err)
-	}
-	if _, ok := s.Get("broken"); ok {
-		t.Fatal("unencodable element served")
-	}
-	if _, ok := s.LastChanged(); ok {
-		t.Fatal("unencodable element served as last-changed")
-	}
 	if all := s.Query(); len(all) != 1 || all[0].Name != "kept" {
 		t.Fatalf("Query = %+v", all)
-	}
-	if err := s.GetInto("broken", new(int)); err == nil {
-		t.Fatal("GetInto of an unencodable element succeeded")
 	}
 	if calls != 1 {
 		t.Fatalf("failing encoder ran %d times, want once", calls)

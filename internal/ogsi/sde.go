@@ -13,6 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,49 +35,34 @@ type SDE struct {
 // change tracking.
 type SDEStore struct {
 	mu          sync.RWMutex
-	elements    map[string]*element
+	elements    map[string]SDE
 	computed    map[string]func() any
+	sources     []SDESource
 	lastChanged string
 	clock       func() time.Time
 	watchers    map[int]chan SDE
 	nextWatcher int
 }
 
-// element is one stored SDE. A value handed to Set is encoded when the
-// element is first read, not when it is written: NTCP publishes three
-// elements on every transaction state change and, during a run, nothing reads
-// them. Until then sde.Value is nil and pending holds the value.
-type element struct {
-	sde     SDE
-	pending any
-	encode  sync.Once
-	err     error
-}
-
-// read returns the element with its value encoded, encoding it on the first
-// call. ok is false for a value that cannot be encoded.
-func (e *element) read() (SDE, bool) {
-	e.encode.Do(func() {
-		e.sde.Value, e.err = wirejson.Append(nil, e.pending)
-		e.pending = nil
-	})
-	return e.sde, e.err == nil
-}
-
-// deferrable reports whether encoding v may wait for the first read: it
-// cannot fail, or v owns its encoding.
-func deferrable(v any) bool {
-	switch v.(type) {
-	case wirejson.Appender, string, bool, int:
-		return true
-	}
-	return false
+// An SDESource answers for a family of elements that live in a service's
+// own state instead of in the store — NTCP's transaction table backs
+// tx:<name>, last-transaction and stats — so the service keeps the one copy
+// and a value is encoded only when somebody reads or watches it. The source
+// owns each element's version and update time; it tells the store of a new
+// version with Changed. The store asks its sources before its own elements,
+// and never while holding its lock.
+type SDESource interface {
+	// SDE returns the element called name, its value encoded, or false
+	// when the source does not hold it.
+	SDE(name string) (SDE, bool)
+	// SDENames appends the names of every element the source holds.
+	SDENames(dst []string) []string
 }
 
 // NewSDEStore returns an empty store.
 func NewSDEStore() *SDEStore {
 	return &SDEStore{
-		elements: make(map[string]*element),
+		elements: make(map[string]SDE),
 		computed: make(map[string]func() any),
 		clock:    time.Now,
 		watchers: make(map[int]chan SDE),
@@ -93,6 +79,56 @@ func (s *SDEStore) SetComputed(name string, fn func() any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.computed[name] = fn
+}
+
+// AddSource has src answer for the elements it holds.
+func (s *SDEStore) AddSource(src SDESource) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.sources = append(s.sources, src)
+}
+
+// Changed reports new versions of elements a source holds, in order: the
+// last named becomes the last-changed element, and each is read from its
+// source and delivered to the watchers, if there are any.
+func (s *SDEStore) Changed(names ...string) {
+	if len(names) == 0 {
+		return
+	}
+	s.mu.Lock()
+	s.lastChanged = names[len(names)-1]
+	watchers := s.watching()
+	s.mu.Unlock()
+	if len(watchers) == 0 {
+		return
+	}
+	for _, name := range names {
+		if sde, ok := s.Get(name); ok {
+			deliver(watchers, sde)
+		}
+	}
+}
+
+// watching snapshots the watcher channels. Called with s.mu held.
+func (s *SDEStore) watching() []chan SDE {
+	if len(s.watchers) == 0 {
+		return nil
+	}
+	watchers := make([]chan SDE, 0, len(s.watchers))
+	for _, ch := range s.watchers {
+		watchers = append(watchers, ch)
+	}
+	return watchers
+}
+
+// deliver offers sde to each watcher without blocking.
+func deliver(watchers []chan SDE, sde SDE) {
+	for _, ch := range watchers {
+		select {
+		case ch <- sde:
+		default: // slow watcher: drop, matching NSDS best-effort semantics
+		}
+	}
 }
 
 // materialize evaluates a computed element. Called without the lock held so
@@ -112,51 +148,24 @@ func (s *SDEStore) SetClock(clock func() time.Time) {
 	s.clock = clock
 }
 
-// Set stores v under name, bumping the version. v is encoded on first read
-// (Get, Query, LastChanged, delivery to a watcher), so it must not change
-// after Set returns: pass a private copy. A value that encodes itself
-// (wirejson.Appender — the NTCP transaction record and counters) is taken on
-// trust; if its encoding fails at that first read the element reads as
-// absent, like a computed element whose function fails. A value of any other
-// type that could fail to encode is encoded now, and Set fails as it always
-// did.
+// Set stores v under name, bumping the version.
 func (s *SDEStore) Set(name string, v any) error {
-	e := &element{sde: SDE{Name: name}, pending: v}
-	if !deferrable(v) {
-		if _, ok := e.read(); !ok {
-			return fmt.Errorf("ogsi: marshal SDE %s: %w", name, e.err)
-		}
+	raw, err := wirejson.Append(nil, v)
+	if err != nil {
+		return fmt.Errorf("ogsi: marshal SDE %s: %w", name, err)
 	}
 	s.mu.Lock()
-	if prev := s.elements[name]; prev != nil {
-		e.sde.Version = prev.sde.Version
-	}
-	e.sde.Version++
-	e.sde.UpdatedAt = s.clock()
-	s.elements[name] = e
+	sde := SDE{Name: name, Value: raw, Version: s.elements[name].Version + 1, UpdatedAt: s.clock()}
+	s.elements[name] = sde
 	s.lastChanged = name
-	watchers := make([]chan SDE, 0, len(s.watchers))
-	for _, ch := range s.watchers {
-		watchers = append(watchers, ch)
-	}
+	watchers := s.watching()
 	s.mu.Unlock()
-	if len(watchers) == 0 {
-		return nil
-	}
-	sde, ok := e.read()
-	if !ok {
-		return nil
-	}
-	for _, ch := range watchers {
-		select {
-		case ch <- sde:
-		default: // slow watcher: drop, matching NSDS best-effort semantics
-		}
-	}
+	deliver(watchers, sde)
 	return nil
 }
 
-// Delete removes an element (stored and computed forms alike).
+// Delete removes an element (stored and computed forms alike; an element a
+// source holds goes when the source drops it).
 func (s *SDEStore) Delete(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -170,11 +179,17 @@ func (s *SDEStore) Delete(name string) {
 // Get returns the element and whether it exists.
 func (s *SDEStore) Get(name string) (SDE, bool) {
 	s.mu.RLock()
-	e := s.elements[name]
+	sources := s.sources
+	sde, stored := s.elements[name]
 	fn := s.computed[name]
 	s.mu.RUnlock()
-	if e != nil {
-		return e.read()
+	for _, src := range sources {
+		if sde, ok := src.SDE(name); ok {
+			return sde, true
+		}
+	}
+	if stored {
+		return sde, true
 	}
 	if fn == nil {
 		return SDE{}, false
@@ -192,36 +207,13 @@ func (s *SDEStore) GetInto(name string, out any) error {
 }
 
 // Query returns the named elements; with no names it returns every element
-// (stored and computed), sorted by name (FindServiceData semantics).
+// (sourced, stored and computed), sorted by name (FindServiceData semantics).
 func (s *SDEStore) Query(names ...string) []SDE {
-	if len(names) == 0 {
-		s.mu.RLock()
-		stored := make([]*element, 0, len(s.elements))
-		for _, e := range s.elements {
-			stored = append(stored, e)
-		}
-		pending := make(map[string]func() any, len(s.computed))
-		for n, fn := range s.computed {
-			if _, shadowed := s.elements[n]; !shadowed {
-				pending[n] = fn
-			}
-		}
-		s.mu.RUnlock()
-		out := make([]SDE, 0, len(stored)+len(pending))
-		for _, e := range stored {
-			if sde, ok := e.read(); ok {
-				out = append(out, sde)
-			}
-		}
-		for n, fn := range pending {
-			if sde, ok := s.materialize(n, fn); ok {
-				out = append(out, sde)
-			}
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-		return out
-	}
 	var out []SDE
+	if len(names) == 0 {
+		names = s.names()
+		out = make([]SDE, 0, len(names))
+	}
 	for _, n := range names {
 		if sde, ok := s.Get(n); ok {
 			out = append(out, sde)
@@ -230,31 +222,41 @@ func (s *SDEStore) Query(names ...string) []SDE {
 	return out
 }
 
+// names lists every element once, sorted.
+func (s *SDEStore) names() []string {
+	s.mu.RLock()
+	sources := s.sources
+	names := make([]string, 0, len(s.elements)+len(s.computed))
+	for n := range s.elements {
+		names = append(names, n)
+	}
+	for n := range s.computed {
+		if _, shadowed := s.elements[n]; !shadowed {
+			names = append(names, n)
+		}
+	}
+	s.mu.RUnlock()
+	for _, src := range sources {
+		names = src.SDENames(names)
+	}
+	sort.Strings(names)
+	return slices.Compact(names)
+}
+
 // LastChanged returns the most recently changed element — the SDE the paper
 // uses to monitor server behaviour as a whole.
 func (s *SDEStore) LastChanged() (SDE, bool) {
 	s.mu.RLock()
-	e := s.elements[s.lastChanged]
-	none := s.lastChanged == ""
+	name := s.lastChanged
 	s.mu.RUnlock()
-	if none || e == nil {
+	if name == "" {
 		return SDE{}, false
 	}
-	return e.read()
+	return s.Get(name)
 }
 
-// Len returns the number of elements, computed ones included.
-func (s *SDEStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n := len(s.elements)
-	for name := range s.computed {
-		if _, shadowed := s.elements[name]; !shadowed {
-			n++
-		}
-	}
-	return n
-}
+// Len returns the number of elements, sourced and computed ones included.
+func (s *SDEStore) Len() int { return len(s.names()) }
 
 // WaitChange blocks until the named element's version exceeds
 // sinceVersion, the element is first created (sinceVersion 0), or ctx ends.

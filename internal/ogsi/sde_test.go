@@ -1,6 +1,7 @@
 package ogsi
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -130,7 +131,7 @@ func TestLifetimeRegisterAliveExpire(t *testing.T) {
 	now := time.Unix(1000, 0)
 	lm.SetClock(func() time.Time { return now })
 	expired := false
-	lm.Register("tx-1", 10*time.Second, func() { expired = true })
+	lm.Register("tx-1", 10*time.Second, func(string) { expired = true })
 	if !lm.Alive("tx-1") {
 		t.Fatal("fresh resource should be alive")
 	}
@@ -170,7 +171,7 @@ func TestLifetimeDestroySkipsCallback(t *testing.T) {
 	now := time.Unix(1000, 0)
 	lm.SetClock(func() time.Time { return now })
 	fired := false
-	lm.Register("tx", time.Second, func() { fired = true })
+	lm.Register("tx", time.Second, func(string) { fired = true })
 	lm.Destroy("tx")
 	now = now.Add(time.Hour)
 	lm.Sweep()
@@ -185,7 +186,7 @@ func TestLifetimeDestroySkipsCallback(t *testing.T) {
 func TestLifetimeRun(t *testing.T) {
 	lm := NewLifetimeManager()
 	fired := make(chan struct{})
-	lm.Register("tx", 10*time.Millisecond, func() { close(fired) })
+	lm.Register("tx", 10*time.Millisecond, func(string) { close(fired) })
 	stop := make(chan struct{})
 	go lm.Run(5*time.Millisecond, stop)
 	select {
@@ -194,4 +195,34 @@ func TestLifetimeRun(t *testing.T) {
 		t.Fatal("reaper never fired")
 	}
 	close(stop)
+}
+
+// TestLifetimeSweepTakesOnlyTheExpired: the index hands Sweep the expired
+// entries in deadline order and leaves the rest; a keepalive moves an entry
+// within the index, and one callback serves every id.
+func TestLifetimeSweepTakesOnlyTheExpired(t *testing.T) {
+	lm := NewLifetimeManager()
+	now := time.Unix(1000, 0)
+	lm.SetClock(func() time.Time { return now })
+	var fired []string
+	onExpire := func(id string) { fired = append(fired, id) }
+	for i, ttl := range []int{50, 10, 40, 20, 30} {
+		lm.Register(fmt.Sprint("tx-", i), time.Duration(ttl)*time.Second, onExpire)
+	}
+	lm.RequestTermination("tx-1", 60*time.Second) // was first to go, now last
+	lm.Destroy("tx-2")
+	now = now.Add(35 * time.Second)
+	if got := lm.Sweep(); fmt.Sprint(got) != "[tx-3 tx-4]" || fmt.Sprint(fired) != "[tx-3 tx-4]" {
+		t.Fatalf("Sweep = %v, fired %v", got, fired)
+	}
+	if lm.Len() != 2 || !lm.Alive("tx-0") || !lm.Alive("tx-1") {
+		t.Fatalf("%d left, tx-0 alive %v, tx-1 alive %v", lm.Len(), lm.Alive("tx-0"), lm.Alive("tx-1"))
+	}
+	now = now.Add(time.Hour)
+	if got := lm.Sweep(); fmt.Sprint(got) != "[tx-0 tx-1]" || lm.Len() != 0 {
+		t.Fatalf("Sweep = %v, %d left", got, lm.Len())
+	}
+	if got := lm.Sweep(); got != nil {
+		t.Fatalf("empty index swept %v", got)
+	}
 }

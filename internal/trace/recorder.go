@@ -21,15 +21,17 @@ type Recorder struct {
 }
 
 // slot is one retained span. A span recorded by a Tracer keeps its IDs in
-// binary (sc, parent) with the hex fields of sd empty: hex-encoding three
-// IDs per span was a fifth of the step path's allocations, and most spans
-// are evicted unread. The hex form is filled in, once, when a snapshot
-// first reads the slot.
+// binary (sc, parent) with the hex fields of sd empty, and its attributes in
+// attrs with sd.Attrs holding only what spilled: hex-encoding three IDs and
+// making a map per span were a third of the step path's allocations, and
+// most spans are evicted unread. The hex IDs and the map are filled in,
+// once, when a snapshot first reads the slot.
 type slot struct {
 	sd     SpanData
+	attrs  attrSet
 	sc     SpanContext
 	parent SpanID
-	binary bool
+	raw    bool
 }
 
 // NewRecorder builds a recorder keeping the most recent capacity spans
@@ -45,9 +47,10 @@ func NewRecorder(capacity int) *Recorder {
 // a nil recorder (drops).
 func (r *Recorder) Record(sd SpanData) { r.put(slot{sd: sd}) }
 
-// record is Record for a span whose IDs are still binary.
-func (r *Recorder) record(sd SpanData, sc SpanContext, parent SpanID) {
-	r.put(slot{sd: sd, sc: sc, parent: parent, binary: true})
+// record is Record for a span whose IDs are still binary and whose
+// attributes are still inline.
+func (r *Recorder) record(sd SpanData, attrs attrSet, sc SpanContext, parent SpanID) {
+	r.put(slot{sd: sd, attrs: attrs, sc: sc, parent: parent, raw: true})
 }
 
 func (r *Recorder) put(s slot) {
@@ -87,11 +90,12 @@ func (r *Recorder) Spans() []SpanData {
 	for _, part := range [][]slot{older, newer} {
 		for i := range part {
 			s := &part[i]
-			if s.binary {
+			if s.raw {
 				s.sd.TraceID = s.sc.TraceID.String()
 				s.sd.SpanID = s.sc.SpanID.String()
 				s.sd.Parent = s.parent.String()
-				s.binary = false
+				s.attrs.flush(&s.sd.Attrs)
+				s.raw = false
 			}
 			out = append(out, s.sd)
 		}

@@ -193,6 +193,51 @@ type SpanData struct {
 // Duration is the span's wall-clock extent.
 func (sd SpanData) Duration() time.Duration { return sd.End.Sub(sd.Start) }
 
+// Attr is one span attribute, as RecordSpan takes them.
+type Attr struct{ Key, Value string }
+
+// attrSet holds a span's attributes until a snapshot reads them. The first
+// few sit in a fixed array — every span on the step path has at most three —
+// so a span costs no map; any beyond that spill into a map.
+type attrSet struct {
+	n  int
+	kv [4]Attr
+}
+
+// set adds key or replaces its value, spilling into *spill once the array
+// is full (so *spill is non-nil only then).
+func (a *attrSet) set(spill *map[string]string, key, value string) {
+	for i := range a.kv[:a.n] {
+		if a.kv[i].Key == key {
+			a.kv[i].Value = value
+			return
+		}
+	}
+	if a.n < len(a.kv) {
+		a.kv[a.n] = Attr{key, value}
+		a.n++
+		return
+	}
+	if *spill == nil {
+		*spill = make(map[string]string)
+	}
+	(*spill)[key] = value
+}
+
+// flush moves the inline attributes into *m, making the map if needed.
+func (a *attrSet) flush(m *map[string]string) {
+	if a.n == 0 {
+		return
+	}
+	if *m == nil {
+		*m = make(map[string]string, a.n)
+	}
+	for _, kv := range a.kv[:a.n] {
+		(*m)[kv.Key] = kv.Value
+	}
+	*a = attrSet{}
+}
+
 // Span is a live, in-progress span. All methods are safe on a nil
 // receiver and safe for concurrent use (faultnet annotates from transport
 // goroutines while the owner sets attributes).
@@ -203,6 +248,7 @@ type Span struct {
 
 	mu    sync.Mutex
 	data  SpanData // the ID fields stay empty: sc and parent hold them in binary
+	attrs attrSet  // data.Attrs holds only what spills from here
 	ended bool
 }
 
@@ -224,10 +270,7 @@ func (s *Span) SetAttr(key, value string) {
 	if s.ended {
 		return
 	}
-	if s.data.Attrs == nil {
-		s.data.Attrs = make(map[string]string, 4)
-	}
-	s.data.Attrs[key] = value
+	s.attrs.set(&s.data.Attrs, key, value)
 }
 
 // Annotate appends a timestamped event to the span.
@@ -271,9 +314,9 @@ func (s *Span) End() {
 	}
 	s.ended = true
 	s.data.End = now
-	sd := s.data
+	sd, attrs := s.data, s.attrs
 	s.mu.Unlock()
-	s.tracer.rec.record(sd, s.sc, s.parent)
+	s.tracer.rec.record(sd, attrs, s.sc, s.parent)
 }
 
 // Tracer creates spans for one service (one process-side identity: a site
@@ -354,9 +397,10 @@ func (t *Tracer) Start(ctx context.Context, name, kind string) (context.Context,
 // retroactive form used when the work happened before its trace context
 // was readable (GSI chain verification runs before the envelope payload,
 // and thus the traceparent, can be decoded) or on a goroutine detached
-// from the request context (plugin execution). attrs is copied. A nil
+// from the request context (plugin execution). attrs are key/value pairs,
+// kept as SetAttr keeps them (a repeated key keeps its last value). A nil
 // tracer or invalid parent drops the record.
-func (t *Tracer) RecordSpan(parent SpanContext, name, kind string, start, end time.Time, attrs map[string]string) {
+func (t *Tracer) RecordSpan(parent SpanContext, name, kind string, start, end time.Time, attrs ...Attr) {
 	if t == nil || !parent.IsValid() {
 		return
 	}
@@ -367,13 +411,11 @@ func (t *Tracer) RecordSpan(parent SpanContext, name, kind string, start, end ti
 		Start:   start,
 		End:     end,
 	}
-	if len(attrs) > 0 {
-		sd.Attrs = make(map[string]string, len(attrs))
-		for k, v := range attrs {
-			sd.Attrs[k] = v
-		}
+	var set attrSet
+	for _, kv := range attrs {
+		set.set(&sd.Attrs, kv.Key, kv.Value)
 	}
-	t.rec.record(sd, SpanContext{TraceID: parent.TraceID, SpanID: NewSpanID()}, parent.SpanID)
+	t.rec.record(sd, set, SpanContext{TraceID: parent.TraceID, SpanID: NewSpanID()}, parent.SpanID)
 }
 
 type spanKey struct{}

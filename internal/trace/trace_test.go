@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -126,7 +127,7 @@ func TestNilSafety(t *testing.T) {
 	if span.Context().IsValid() {
 		t.Fatal("nil span has a context")
 	}
-	tr.RecordSpan(SpanContext{}, "n", KindInternal, time.Now(), time.Now(), nil)
+	tr.RecordSpan(SpanContext{}, "n", KindInternal, time.Now(), time.Now())
 	if tr.Recorder() != nil || tr.Service() != "" {
 		t.Fatal("nil tracer accessors")
 	}
@@ -170,14 +171,72 @@ func TestSpanAttrsEventsError(t *testing.T) {
 	}
 }
 
+// TestSpanAttrsSpillPastTheInlineArray: attributes beyond the inline few,
+// and repeated keys on either side of the spill, read back with map
+// semantics, through SetAttr and RecordSpan alike.
+func TestSpanAttrsSpillPastTheInlineArray(t *testing.T) {
+	tr := NewTracer("svc", NewRecorder(4))
+	// k1 is rewritten while inline, k6 after it spilled.
+	pairs := []Attr{{"k0", "v0"}, {"k1", "stale"}, {"k2", "v2"}, {"k3", "v3"},
+		{"k4", "v4"}, {"k5", "v5"}, {"k6", "stale"}, {"k1", "v1"}, {"k6", "v6"}}
+	want := map[string]string{"k0": "v0", "k1": "v1", "k2": "v2", "k3": "v3", "k4": "v4", "k5": "v5", "k6": "v6"}
+
+	_, span := tr.Start(context.Background(), "op", KindInternal)
+	for _, kv := range pairs {
+		span.SetAttr(kv.Key, kv.Value)
+	}
+	span.End()
+	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	tr.RecordSpan(parent, "retro", KindInternal, time.Now(), time.Now(), pairs...)
+	tr.RecordSpan(parent, "bare", KindInternal, time.Now(), time.Now())
+
+	spans := tr.Recorder().Spans()
+	if len(spans) != 3 {
+		t.Fatalf("recorded %d spans", len(spans))
+	}
+	for _, sd := range spans[:2] {
+		if !reflect.DeepEqual(sd.Attrs, want) {
+			t.Fatalf("%s attrs\n got  %v\n want %v", sd.Name, sd.Attrs, want)
+		}
+	}
+	if spans[2].Attrs != nil {
+		t.Fatalf("a span with no attributes reads %v", spans[2].Attrs)
+	}
+}
+
+// TestSpanAllocations holds a span's cost to its two allocations, the span
+// and the context that carries it: attributes stay inline until a snapshot.
+func TestSpanAllocations(t *testing.T) {
+	tr := NewTracer("svc", NewRecorder(64))
+	ctx := context.Background()
+	allocs := testing.AllocsPerRun(1000, func() {
+		_, span := tr.Start(ctx, "ntcp.propose", KindInternal)
+		span.SetAttr("tx", "run/step-1/uiuc")
+		span.SetAttr("plugin", "core.SubstructurePlugin")
+		span.End()
+	})
+	if allocs > 2 {
+		t.Fatalf("Start / SetAttr x2 / End allocates %.0f times, ceiling 2", allocs)
+	}
+	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
+	now := time.Now()
+	allocs = testing.AllocsPerRun(1000, func() {
+		tr.RecordSpan(parent, "gsi.verify", KindInternal, now, now,
+			Attr{"side", "request"}, Attr{"mode", "mac"}, Attr{"cached", "false"})
+	})
+	if allocs != 0 {
+		t.Fatalf("RecordSpan with three attributes allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestRecordSpanRetroactive(t *testing.T) {
 	tr := NewTracer("site", NewRecorder(4))
 	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
 	start := time.Now().Add(-time.Millisecond)
 	end := time.Now()
-	attrs := map[string]string{"identity": "coordinator"}
-	tr.RecordSpan(parent, "gsi.verify", KindInternal, start, end, attrs)
-	attrs["identity"] = "mutated-after-call"
+	attrs := []Attr{{"identity", "coordinator"}}
+	tr.RecordSpan(parent, "gsi.verify", KindInternal, start, end, attrs...)
+	attrs[0].Value = "mutated-after-call"
 	spans := tr.Recorder().Spans()
 	if len(spans) != 1 {
 		t.Fatalf("recorded %d", len(spans))
@@ -190,7 +249,7 @@ func TestRecordSpanRetroactive(t *testing.T) {
 		t.Fatal("attrs not defensively copied")
 	}
 	// Invalid parent drops silently.
-	tr.RecordSpan(SpanContext{}, "orphan", KindInternal, start, end, nil)
+	tr.RecordSpan(SpanContext{}, "orphan", KindInternal, start, end)
 	if len(tr.Recorder().Spans()) != 1 {
 		t.Fatal("orphan span recorded")
 	}
@@ -324,7 +383,7 @@ func TestSpanJSONUnchangedByLazyIDs(t *testing.T) {
 	_, child := tr.Start(ctx, "ntcp.propose", KindClient)
 	child.SetAttr("tx", "step-1")
 	child.End()
-	tr.RecordSpan(root.Context(), "gsi.verify", KindInternal, at, at.Add(time.Millisecond), map[string]string{"cached": "true"})
+	tr.RecordSpan(root.Context(), "gsi.verify", KindInternal, at, at.Add(time.Millisecond), Attr{"cached", "true"})
 	root.End()
 
 	rsc, csc := root.Context(), child.Context()
