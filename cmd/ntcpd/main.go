@@ -139,9 +139,9 @@ func buildPlugin(sup *runtime.Supervisor, kind, point string, k, fy, hardening f
 	case "xpc":
 		rig := control.NewColumnRig(point+"-rig", control.DefaultActuator(), k, fy, hardening)
 		target := control.NewXPCTarget(rig)
-		target.Start(time.Millisecond)
+		target.Start()
 		sup.Adopt("xpc-target", runtime.StopFunc(target.Stop))
-		return &plugin.XPCPlugin{Point: point, Target: target, SettleTimeout: 10 * time.Second}, nil
+		return &plugin.XPCPlugin{Point: point, Target: target}, nil
 	case "kinetic":
 		sim := control.NewFirstOrderKinetic(point+"-kinetic", k, 0.02, 1.0)
 		var mu sync.Mutex

@@ -228,8 +228,12 @@ stage_chaos() {
     # against one NTCP server: no transaction executes twice, no client gets
     # a record it does not own, tx:<name> reads the record's own bytes and
     # version, and the table, the tx:<name> family and the lifetime index
-    # stay one size. A failing input lands in the package's
-    # testdata/fuzz/<target>/ — check it in with the fix.
+    # stay one size. FuzzShoreWesternServer feeds the rig controller's line
+    # protocol arbitrary bytes as one connection: no panic, one reply line per
+    # command in order however they are pipelined, and OK to a MOVE only for
+    # a finite target within the stroke that the rig then sits at. A failing
+    # input lands in the package's testdata/fuzz/<target>/ — check it in with
+    # the fix.
     while read -r target pkg; do
         echo "-- fuzz $target ($pkg) --"
         if ! go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$pkg"; then
@@ -248,6 +252,7 @@ FuzzServerTransitions ./internal/core
 FuzzValue ./internal/wirejson
 FuzzServerSession ./internal/gridftp
 FuzzSpoolBlockMatchesCSV ./internal/daq
+FuzzShoreWesternServer ./internal/control
 TARGETS
 }
 

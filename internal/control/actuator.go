@@ -106,7 +106,9 @@ func NewActuator(cfg ActuatorConfig, specimen structural.Element) *Actuator {
 func (a *Actuator) Move(target float64) (float64, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.cfg.Stroke > 0 && math.Abs(target) > a.cfg.Stroke {
+	// A non-finite target is outside every stroke; NaN fails every
+	// comparison below, so it is refused explicitly.
+	if math.IsNaN(target) || math.IsInf(target, 0) || a.cfg.Stroke > 0 && math.Abs(target) > a.cfg.Stroke {
 		return a.pos, fmt.Errorf("%w: |%g| > %g", ErrStroke, target, a.cfg.Stroke)
 	}
 	dt := a.cfg.InternalDt

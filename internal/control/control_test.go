@@ -1,7 +1,12 @@
 package control
 
 import (
+	"context"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -181,12 +186,12 @@ func TestShoreWesternRoundTrip(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	pos, err := cl.Move(0.02)
+	pos, force, err := cl.Move(0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(pos-0.02) > 1e-3 {
-		t.Fatalf("moved to %g", pos)
+	if math.Abs(pos-0.02) > 1e-3 || math.Abs(force-20) > 1 {
+		t.Fatalf("moved to %g, %g", pos, force)
 	}
 	rp, rf, err := cl.Read()
 	if err != nil {
@@ -208,17 +213,45 @@ func TestShoreWesternStopAndClear(t *testing.T) {
 	if err := cl.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Move(0.01); err == nil {
+	if _, _, err := cl.Move(0.01); err == nil {
 		t.Fatal("move after STOP should fail")
 	}
 	if err := cl.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Move(0.01); err != nil {
+	if _, _, err := cl.Move(0.01); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Reset(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A refused MOVE still has its READ answered; the client reads that reply
+// too, so the next command gets its own response and not the stale one.
+func TestShoreWesternMoveErrorKeepsStreamPaired(t *testing.T) {
+	rig := NewColumnRig("uiuc", quietActuator(), 1000, 0, 0)
+	srv := NewShoreWesternServer(rig)
+	addr, _ := srv.Start("127.0.0.1:0")
+	defer srv.Close()
+	cl := NewShoreWesternClient(addr)
+	defer cl.Close()
+
+	if _, _, err := cl.Move(0.5); err == nil || !strings.Contains(err.Error(), "stroke") {
+		t.Fatalf("over-stroke move: err = %v", err)
+	}
+	if err := cl.Clear(); err != nil {
+		t.Fatal(err)
+	}
+	pos, force, err := cl.Move(0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(pos-0.01) > 1e-3 || math.Abs(force-10) > 1 {
+		t.Fatalf("move after clear = %g, %g", pos, force)
+	}
+	if rig.Applied() != 1 {
+		t.Fatalf("rig applied %d, want 1", rig.Applied())
 	}
 }
 
@@ -255,49 +288,174 @@ func TestShoreWesternClientReconnects(t *testing.T) {
 	}
 }
 
-func TestXPCTargetCommandPollCycle(t *testing.T) {
+func TestXPCTargetAnswersEachCommand(t *testing.T) {
 	rig := NewColumnRig("cu", quietActuator(), 1000, 0, 0)
 	x := NewXPCTarget(rig)
-	x.SetTarget(0.03)
-	if settled, _, _, _ := x.Status(); settled {
-		t.Fatal("target should be pending before a cycle")
+	if x.Applied() != 0 {
+		t.Fatal("a target applies nothing before its first command")
 	}
-	x.Cycle()
-	pos, force, err := x.WaitSettled(time.Second)
+	x.Start()
+	defer x.Stop()
+	pos, force, err := x.Move(context.Background(), 0.03)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(pos-0.03) > 1e-3 || math.Abs(force-30) > 1 {
-		t.Fatalf("settled = %g, %g", pos, force)
+		t.Fatalf("reply = %g, %g", pos, force)
 	}
-	if x.Applied() != 1 {
-		t.Fatal("applied counter")
+	if x.Applied() != 1 || rig.Applied() != 1 {
+		t.Fatalf("applied: target %d, rig %d", x.Applied(), rig.Applied())
 	}
 }
 
 func TestXPCTargetBackgroundLoop(t *testing.T) {
 	rig := NewColumnRig("cu", quietActuator(), 1000, 0, 0)
 	x := NewXPCTarget(rig)
-	x.Start(time.Millisecond)
+	x.Start()
+	x.Start() // a second Start is a no-op
+	if _, _, err := x.Move(context.Background(), 0.01); err != nil {
+		t.Fatal(err)
+	}
+	x.Stop()
+	x.Stop()
+	// Restarted, the target takes commands again.
+	x.Start()
 	defer x.Stop()
-	x.SetTarget(0.01)
-	pos, _, err := x.WaitSettled(2 * time.Second)
+	pos, _, err := x.Move(context.Background(), 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(pos-0.01) > 1e-3 {
-		t.Fatalf("pos = %g", pos)
+	if math.Abs(pos-0.02) > 1e-3 || x.Applied() != 2 {
+		t.Fatalf("pos = %g, applied %d", pos, x.Applied())
 	}
 }
 
 func TestXPCTargetSurfacesError(t *testing.T) {
 	rig := NewColumnRig("cu", quietActuator(), 1000, 0, 0)
 	x := NewXPCTarget(rig)
-	x.SetTarget(9.9) // beyond stroke
-	x.Cycle()
-	_, _, err := x.WaitSettled(time.Second)
-	if err == nil {
-		t.Fatal("stroke error should surface via status")
+	x.Start()
+	defer x.Stop()
+	if _, _, err := x.Move(context.Background(), 9.9); !errors.Is(err, ErrStroke) { // beyond stroke
+		t.Fatalf("stroke error should come back in the reply, got %v", err)
+	}
+	if x.Applied() != 1 || rig.Applied() != 0 {
+		t.Fatalf("applied: target %d, rig %d", x.Applied(), rig.Applied())
+	}
+}
+
+// A command posted while the target is still applying an earlier one gets
+// its own outcome. A target whose host polled one shared status answered
+// the second command with the first's settle (position 0.01, no error).
+func TestXPCTargetOverlappingCommandsGetTheirOwnReplies(t *testing.T) {
+	rig := NewColumnRig("cu", quietActuator(), 1000, 0, 0)
+	rig.SettleDelay = 20 * time.Millisecond // the first is still in Apply when the second is posted
+	x := NewXPCTarget(rig)
+	x.Start()
+	defer x.Stop()
+	targets := []float64{0.01, 0.02}
+	got := make([]float64, len(targets))
+	var wg sync.WaitGroup
+	for i, d := range targets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pos, force, err := x.Move(context.Background(), d)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if math.Abs(force-1000*d) > 0.1 {
+				t.Errorf("command %g: force %g belongs to another command", d, force)
+			}
+			got[i] = pos
+		}()
+	}
+	wg.Wait()
+	for i, d := range targets {
+		if got[i] != d {
+			t.Fatalf("command %g answered with position %g", d, got[i])
+		}
+	}
+	if x.Applied() != 2 {
+		t.Fatalf("applied %d, want 2", x.Applied())
+	}
+}
+
+// Exact count, no clock: 4 hosts × 250 distinct commands through one target
+// are 1,000 applications, each answered with its own command's outcome.
+func TestXPCTargetConcurrentCommandsExact(t *testing.T) {
+	const hosts, each = 4, 250
+	rig := NewColumnRig("cu", quietActuator(), 1000, 0, 0)
+	tol := quietActuator().Tolerance
+	x := NewXPCTarget(rig)
+	x.Start()
+	defer x.Stop()
+	var wg sync.WaitGroup
+	for h := range hosts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				d := float64(h*each+i+1) * 1e-4 // distinct, 0.1 mm apart, within stroke
+				pos, force, err := x.Move(context.Background(), d)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// The force is measured at the settled position, which is
+				// within the settle band of this command and no other.
+				if pos != d || math.Abs(force-1000*d) > 1000*tol+1e-9 {
+					t.Errorf("command %g answered with %g, %g", d, pos, force)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if x.Applied() != hosts*each || rig.Applied() != hosts*each {
+		t.Fatalf("applied: target %d, rig %d, want %d", x.Applied(), rig.Applied(), hosts*each)
+	}
+}
+
+func TestXPCTargetMoveEndsWithItsContext(t *testing.T) {
+	rig := NewColumnRig("cu", quietActuator(), 1000, 0, 0)
+	x := NewXPCTarget(rig) // never started: nothing takes the command
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := x.Move(ctx, 0.01); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if x.Applied() != 0 || rig.Applied() != 0 {
+		t.Fatal("a command nobody took was applied")
+	}
+}
+
+func TestNonFiniteCommandsAreRefused(t *testing.T) {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		a := NewActuator(quietActuator(), structural.NewLinearElastic(1000))
+		if _, err := a.Move(d); !errors.Is(err, ErrStroke) {
+			t.Fatalf("Move(%g): err = %v, want ErrStroke", d, err)
+		}
+		if a.Position() != 0 || a.SimTime() != 0 {
+			t.Fatalf("Move(%g) moved the actuator", d)
+		}
+
+		rig := NewColumnRig("uiuc", quietActuator(), 1000, 0, 0)
+		srv := NewShoreWesternServer(rig)
+		if got := srv.handle(fmt.Sprintf("MOVE %g", d)); !strings.HasPrefix(got, "ERR ") {
+			t.Fatalf("MOVE %g answered %q", d, got)
+		}
+		if rig.Applied() != 0 {
+			t.Fatalf("MOVE %g counted as applied", d)
+		}
+
+		x := NewXPCTarget(NewColumnRig("cu", quietActuator(), 1000, 0, 0))
+		x.Start()
+		_, _, err := x.Move(context.Background(), d)
+		x.Stop()
+		if !errors.Is(err, ErrStroke) {
+			t.Fatalf("xpc Move(%g): err = %v, want ErrStroke", d, err)
+		}
 	}
 }
 

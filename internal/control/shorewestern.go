@@ -3,6 +3,7 @@ package control
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"net"
 	"strconv"
 	"strings"
@@ -66,21 +67,34 @@ func (s *ShoreWesternServer) Close() error {
 	return nil
 }
 
-func (s *ShoreWesternServer) serve(conn net.Conn) {
+// serve answers one connection's commands in order. Replies are flushed only
+// once no further input is buffered, so commands a client pipelines in one
+// write are answered in one write; a client sending one command at a time
+// gets each reply as soon as it is ready.
+func (s *ShoreWesternServer) serve(conn io.ReadWriteCloser) {
 	defer conn.Close()
-	sc := bufio.NewScanner(conn)
+	// A line longer than 64 KiB is no command of this protocol: it ends the
+	// connection.
+	r := bufio.NewReaderSize(conn, bufio.MaxScanTokenSize)
 	w := bufio.NewWriter(conn)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		resp := s.handle(line)
-		if _, err := w.WriteString(resp + "\n"); err != nil {
+	defer w.Flush()
+	for {
+		raw, rerr := r.ReadSlice('\n')
+		if rerr == bufio.ErrBufferFull {
 			return
 		}
-		if err := w.Flush(); err != nil {
+		if line := strings.TrimSpace(string(raw)); line != "" {
+			if _, err := w.WriteString(s.handle(line) + "\n"); err != nil {
+				return
+			}
+		}
+		if rerr != nil { // the final line may end without a newline
 			return
+		}
+		if r.Buffered() == 0 {
+			if err := w.Flush(); err != nil {
+				return
+			}
 		}
 	}
 }
@@ -166,35 +180,52 @@ func (c *ShoreWesternClient) Close() error {
 	return nil
 }
 
-// roundTrip sends one command line and reads one response line, dropping
-// the connection on error so the next call redials.
-func (c *ShoreWesternClient) roundTrip(cmd string) (string, error) {
+// exchange writes cmds, one or more newline-terminated command lines, in one
+// flush and reads one response line per command into replies, dropping the
+// connection on a transport error so the next call redials. Every response
+// is read even when an earlier one is an error, so the stream stays paired;
+// the first ERR or malformed response is returned.
+func (c *ShoreWesternClient) exchange(cmds string, replies []string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.ensure(); err != nil {
-		return "", err
+		return err
 	}
-	if _, err := c.rw.WriteString(cmd + "\n"); err != nil {
+	if _, err := c.rw.WriteString(cmds); err != nil {
 		c.drop()
-		return "", fmt.Errorf("control: send: %w", err)
+		return fmt.Errorf("control: send: %w", err)
 	}
 	if err := c.rw.Flush(); err != nil {
 		c.drop()
-		return "", fmt.Errorf("control: flush: %w", err)
+		return fmt.Errorf("control: flush: %w", err)
 	}
-	line, err := c.rw.ReadString('\n')
-	if err != nil {
-		c.drop()
-		return "", fmt.Errorf("control: recv: %w", err)
+	var first error
+	for i := range replies {
+		line, err := c.rw.ReadString('\n')
+		if err != nil {
+			c.drop()
+			return fmt.Errorf("control: recv: %w", err)
+		}
+		line = strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(line, "ERR "):
+			err = fmt.Errorf("control: controller: %s", strings.TrimPrefix(line, "ERR "))
+		case !strings.HasPrefix(line, "OK"):
+			err = fmt.Errorf("control: malformed response %q", line)
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+		replies[i] = strings.TrimSpace(strings.TrimPrefix(line, "OK"))
 	}
-	line = strings.TrimSpace(line)
-	if strings.HasPrefix(line, "ERR ") {
-		return "", fmt.Errorf("control: controller: %s", strings.TrimPrefix(line, "ERR "))
-	}
-	if !strings.HasPrefix(line, "OK") {
-		return "", fmt.Errorf("control: malformed response %q", line)
-	}
-	return strings.TrimSpace(strings.TrimPrefix(line, "OK")), nil
+	return first
+}
+
+// roundTrip sends one command line and returns its response's payload.
+func (c *ShoreWesternClient) roundTrip(cmd string) (string, error) {
+	var reply [1]string
+	err := c.exchange(cmd+"\n", reply[:])
+	return reply[0], err
 }
 
 func (c *ShoreWesternClient) drop() {
@@ -204,13 +235,14 @@ func (c *ShoreWesternClient) drop() {
 	}
 }
 
-// Move commands a position and returns the achieved position.
-func (c *ShoreWesternClient) Move(pos float64) (float64, error) {
-	resp, err := c.roundTrip(fmt.Sprintf("MOVE %g", pos))
-	if err != nil {
-		return 0, err
+// Move commands a position and reads back position and force: MOVE and READ
+// pipelined in one write, both responses collected from one exchange.
+func (c *ShoreWesternClient) Move(pos float64) (float64, float64, error) {
+	var replies [2]string
+	if err := c.exchange(fmt.Sprintf("MOVE %g\nREAD\n", pos), replies[:]); err != nil {
+		return 0, 0, err
 	}
-	return strconv.ParseFloat(resp, 64)
+	return parseReading(replies[1])
 }
 
 // Read returns position and force.
@@ -219,6 +251,11 @@ func (c *ShoreWesternClient) Read() (pos, force float64, err error) {
 	if err != nil {
 		return 0, 0, err
 	}
+	return parseReading(resp)
+}
+
+// parseReading parses a READ response's "<pos> <force>" payload.
+func parseReading(resp string) (pos, force float64, err error) {
 	fields := strings.Fields(resp)
 	if len(fields) != 2 {
 		return 0, 0, fmt.Errorf("control: malformed READ response %q", resp)

@@ -1,136 +1,105 @@
 package control
 
 import (
-	"fmt"
+	"context"
 	"sync"
-	"time"
+	"sync/atomic"
 )
 
 // XPCTarget emulates the CU configuration of Fig. 9: a target machine
 // running a real-time OS that owns the servo loop, driven asynchronously by
-// a host application. Commands are posted to a mailbox; the target applies
-// them on its own cycle; the host polls status until the move settles —
-// the same decoupled command/poll pattern the Matlab xPC feature provided.
+// a host application. The host posts each command to the target's mailbox
+// together with a reply slot; the target wakes when a command arrives,
+// applies it through the rig and answers on that command's own reply. The
+// servo cycle itself lives in simulated time (Actuator.Move) and wall-clock
+// settle in Rig.SettleDelay, so nothing here waits on a timer.
 type XPCTarget struct {
-	rig *Rig
+	rig     *Rig
+	mailbox chan xpcCommand
+	applied atomic.Int64
 
-	mu       sync.Mutex
-	target   float64
-	pending  bool
-	settled  bool
-	lastPos  float64
-	lastFrc  float64
-	lastErr  error
-	applied  int
-	stopCh   chan struct{}
-	stopOnce sync.Once
-	running  bool
+	mu   sync.Mutex
+	stop chan struct{} // closed to end the running loop; nil when none runs
+	done chan struct{} // closed by the loop as it returns
+}
+
+type xpcCommand struct {
+	target float64
+	reply  chan<- xpcReply
+}
+
+type xpcReply struct {
+	pos, force float64
+	err        error
 }
 
 // NewXPCTarget wraps a rig.
 func NewXPCTarget(rig *Rig) *XPCTarget {
-	return &XPCTarget{rig: rig, settled: true}
+	return &XPCTarget{rig: rig, mailbox: make(chan xpcCommand)}
 }
 
-// Start launches the real-time loop with the given cycle period.
-func (x *XPCTarget) Start(period time.Duration) {
+// Start launches the target's loop; it is a no-op while one runs.
+func (x *XPCTarget) Start() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	if x.running {
+	if x.stop != nil {
 		return
 	}
-	x.running = true
-	x.stopCh = make(chan struct{})
-	x.stopOnce = sync.Once{}
-	go x.loop(period)
+	x.stop, x.done = make(chan struct{}), make(chan struct{})
+	go x.loop(x.stop, x.done)
 }
 
-// Stop halts the loop.
+// Stop halts the loop and returns once it has exited, after the command it
+// was applying, if any. A command not yet taken stays with its host, which
+// gives up when its context ends.
 func (x *XPCTarget) Stop() {
 	x.mu.Lock()
-	ch := x.stopCh
-	x.running = false
-	x.mu.Unlock()
-	if ch != nil {
-		x.stopOnce.Do(func() { close(ch) })
+	defer x.mu.Unlock()
+	if x.stop != nil {
+		close(x.stop)
+		<-x.done
+		x.stop, x.done = nil, nil
 	}
 }
 
-func (x *XPCTarget) loop(period time.Duration) {
-	t := time.NewTicker(period)
-	defer t.Stop()
+func (x *XPCTarget) loop(stop <-chan struct{}, done chan<- struct{}) {
+	defer close(done)
 	for {
 		select {
-		case <-t.C:
-			x.Cycle()
-		case <-x.stopCh:
+		case cmd := <-x.mailbox:
+			forces, err := x.rig.Apply([]float64{cmd.target})
+			x.applied.Add(1)
+			if err != nil {
+				cmd.reply <- xpcReply{err: err}
+				continue
+			}
+			cmd.reply <- xpcReply{pos: cmd.target, force: forces[0]}
+		case <-stop:
 			return
 		}
 	}
 }
 
-// Cycle runs one real-time cycle: if a command is pending, apply it through
-// the rig. Exposed so tests can drive the target deterministically without
-// the ticker.
-func (x *XPCTarget) Cycle() {
-	x.mu.Lock()
-	if !x.pending {
-		x.mu.Unlock()
-		return
+// Move posts a position command and waits for the target's answer to it:
+// the commanded position and the measured force, or the rig's error. It
+// returns ctx's error if ctx ends first; a command the target already took
+// still completes on the rig.
+func (x *XPCTarget) Move(ctx context.Context, pos float64) (float64, float64, error) {
+	reply := make(chan xpcReply, 1)
+	select {
+	case x.mailbox <- xpcCommand{target: pos, reply: reply}:
+	case <-ctx.Done():
+		return 0, 0, ctx.Err()
 	}
-	target := x.target
-	x.pending = false
-	x.mu.Unlock()
-
-	forces, err := x.rig.Apply([]float64{target})
-
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.applied++
-	x.settled = true
-	x.lastErr = err
-	if err == nil {
-		x.lastPos = target
-		x.lastFrc = forces[0]
-	}
-}
-
-// SetTarget posts a new position command; the loop applies it on its next
-// cycle.
-func (x *XPCTarget) SetTarget(pos float64) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.target = pos
-	x.pending = true
-	x.settled = false
-	x.lastErr = nil
-}
-
-// Status returns the latest settled measurement.
-func (x *XPCTarget) Status() (settled bool, pos, force float64, err error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.settled, x.lastPos, x.lastFrc, x.lastErr
-}
-
-// WaitSettled polls until the pending command completes or timeout elapses.
-func (x *XPCTarget) WaitSettled(timeout time.Duration) (pos, force float64, err error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		settled, p, f, e := x.Status()
-		if settled {
-			return p, f, e
-		}
-		if time.Now().After(deadline) {
-			return 0, 0, fmt.Errorf("control: xpc target did not settle within %v", timeout)
-		}
-		time.Sleep(time.Millisecond)
+	select {
+	case r := <-reply:
+		return r.pos, r.force, r.err
+	case <-ctx.Done():
+		return 0, 0, ctx.Err()
 	}
 }
 
 // Applied reports how many commands the target executed.
 func (x *XPCTarget) Applied() int {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	return x.applied
+	return int(x.applied.Load())
 }

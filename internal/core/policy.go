@@ -61,6 +61,14 @@ func (p *SitePolicy) Check(client string, actions []Action, last map[string][]fl
 		return &PolicyViolation{Point: "*", Reason: fmt.Sprintf("client %q not allowed", client)}
 	}
 	for _, a := range actions {
+		// NaN passes every limit comparison below, so a non-finite
+		// displacement is refused before them, limits or not.
+		for dof, d := range a.Displacements {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				return &PolicyViolation{Point: a.ControlPoint,
+					Reason: fmt.Sprintf("dof %d displacement %g is not finite", dof, d)}
+			}
+		}
 		lim, ok := p.PointLimits[a.ControlPoint]
 		if !ok {
 			if len(p.PointLimits) > 0 {

@@ -14,6 +14,22 @@ func TestNilPolicyAllowsEverything(t *testing.T) {
 	}
 }
 
+// NaN fails every limit comparison, so it used to pass every limit.
+func TestPolicyRejectsNonFiniteDisplacements(t *testing.T) {
+	limited := &SitePolicy{PointLimits: map[string]Limits{
+		"drift": {MaxDisplacement: 0.05, MaxStep: 0.01, MaxForceEstimate: 1e3, StiffnessEst: 1e4},
+	}}
+	last := map[string][]float64{"drift": {0}}
+	for _, p := range []*SitePolicy{limited, {}} {
+		for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			err := p.Check("a", []Action{{ControlPoint: "drift", Displacements: []float64{0, d}}}, last)
+			if v, ok := err.(*PolicyViolation); !ok || v.Point != "drift" {
+				t.Fatalf("displacement %g under %+v: err = %v", d, p.PointLimits, err)
+			}
+		}
+	}
+}
+
 func TestUnknownControlPointRules(t *testing.T) {
 	// Non-empty limit map: unknown points are rejected.
 	p := &SitePolicy{PointLimits: map[string]Limits{"drift": {}}}

@@ -392,10 +392,10 @@ func buildBackend(spec SiteSpec, site *Site) (core.Plugin, error) {
 		rig := control.NewColumnRig(spec.Name+"-rig", cfg, elastic, spec.Fy, spec.Hardening)
 		site.Rig = rig
 		target := control.NewXPCTarget(rig)
-		target.Start(time.Millisecond)
+		target.Start()
 		site.sup.Adopt("xpc-target", runtime.StopFunc(target.Stop))
 		site.resets = append(site.resets, rig.Reset)
-		return &plugin.XPCPlugin{Point: point, Target: target, SettleTimeout: 10 * time.Second}, nil
+		return &plugin.XPCPlugin{Point: point, Target: target}, nil
 
 	case KindLabView:
 		stepper := control.NewStepperBeam(spec.Name+"-beam", elastic, 1e-5, 200_000)

@@ -2,9 +2,12 @@ package plugin
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,19 +179,96 @@ func TestShoreWesternPluginValidateLimits(t *testing.T) {
 	}
 }
 
+// countingConn counts the writes a client makes on its connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// Exact count: one action is one write on the controller connection, its
+// MOVE and READ pipelined (a round trip each used to be two).
+func TestShoreWesternPluginOneWritePerAction(t *testing.T) {
+	rig := control.NewColumnRig("uiuc", quietActuator(), 1000, 0, 0)
+	srv := control.NewShoreWesternServer(rig)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	var writes atomic.Int64
+	cl := control.NewShoreWesternClient(addr)
+	cl.Dial = func(network, addr string) (net.Conn, error) {
+		conn, err := net.Dial(network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{Conn: conn, writes: &writes}, nil
+	}
+	defer cl.Close()
+	p := &ShoreWesternPlugin{Point: "left-column", Client: cl}
+	for i, d := range []float64{0.01, 0.02, -0.01} {
+		results, err := p.Execute(context.Background(), action("left-column", d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(results[0].Displacements[0]-d) > 1e-3 || math.Abs(results[0].Forces[0]-1000*d) > 1 {
+			t.Fatalf("action %g: results %+v", d, results[0])
+		}
+		if got := writes.Load(); got != int64(i+1) {
+			t.Fatalf("after %d actions: %d writes, want %d", i+1, got, i+1)
+		}
+	}
+}
+
 func TestXPCPluginExecute(t *testing.T) {
 	rig := control.NewColumnRig("cu", quietActuator(), 1000, 0, 0)
 	target := control.NewXPCTarget(rig)
-	target.Start(time.Millisecond)
+	target.Start()
 	defer target.Stop()
 
-	p := &XPCPlugin{Point: "right-column", Target: target, SettleTimeout: 2 * time.Second}
+	p := &XPCPlugin{Point: "right-column", Target: target}
 	results, err := p.Execute(context.Background(), action("right-column", 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(results[0].Forces[0]-10) > 1 {
 		t.Fatalf("force = %g", results[0].Forces[0])
+	}
+}
+
+// The plugin has no timeout of its own: its wait ends with the execution
+// context, even against a target that never answers.
+func TestXPCPluginExecuteEndsWithItsContext(t *testing.T) {
+	rig := control.NewColumnRig("cu", quietActuator(), 1000, 0, 0)
+	p := &XPCPlugin{Point: "right-column", Target: control.NewXPCTarget(rig)} // loop not running
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Execute(ctx, action("right-column", 0.01))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		t.Fatalf("returned before its context ended: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(50 * time.Millisecond):
+		t.Fatal("still waiting 50 ms after its context was cancelled")
+	}
+	if rig.Applied() != 0 {
+		t.Fatal("a command nobody took was applied")
 	}
 }
 

@@ -3,7 +3,6 @@ package plugin
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"neesgrid/internal/control"
 	"neesgrid/internal/core"
@@ -37,19 +36,17 @@ func (p *ShoreWesternPlugin) Validate(_ context.Context, actions []core.Action) 
 	return nil
 }
 
-// Execute moves the actuator and reads back position and force.
+// Execute moves the actuator and reads back position and force, one
+// exchange with the controller per action.
 func (p *ShoreWesternPlugin) Execute(ctx context.Context, actions []core.Action) ([]core.Result, error) {
 	results := make([]core.Result, len(actions))
 	for i, a := range actions {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if _, err := p.Client.Move(a.Displacements[0]); err != nil {
-			return nil, fmt.Errorf("shore-western move: %w", err)
-		}
-		pos, force, err := p.Client.Read()
+		pos, force, err := p.Client.Move(a.Displacements[0])
 		if err != nil {
-			return nil, fmt.Errorf("shore-western read: %w", err)
+			return nil, fmt.Errorf("shore-western move: %w", err)
 		}
 		results[i] = core.Result{
 			ControlPoint:  a.ControlPoint,
@@ -62,13 +59,13 @@ func (p *ShoreWesternPlugin) Execute(ctx context.Context, actions []core.Action)
 
 var _ core.Plugin = (*ShoreWesternPlugin)(nil)
 
-// XPCPlugin drives the CU path of Fig. 9: commands posted to an xPC-style
-// real-time target, outcome collected by polling until settled.
+// XPCPlugin drives the CU path of Fig. 9: each command posted to an
+// xPC-style real-time target, its outcome collected from the target's reply.
+// The wait is bounded by the execution context, which core.Server always
+// gives a deadline.
 type XPCPlugin struct {
 	Point  string
 	Target *control.XPCTarget
-	// SettleTimeout bounds the polling wait per action.
-	SettleTimeout time.Duration
 }
 
 // Validate vetoes unknown points and wrong DOF counts.
@@ -84,19 +81,14 @@ func (p *XPCPlugin) Validate(_ context.Context, actions []core.Action) error {
 	return nil
 }
 
-// Execute posts each action and polls for settlement.
+// Execute posts each action and waits for the target's reply to it.
 func (p *XPCPlugin) Execute(ctx context.Context, actions []core.Action) ([]core.Result, error) {
-	timeout := p.SettleTimeout
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
 	results := make([]core.Result, len(actions))
 	for i, a := range actions {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p.Target.SetTarget(a.Displacements[0])
-		pos, force, err := p.Target.WaitSettled(timeout)
+		pos, force, err := p.Target.Move(ctx, a.Displacements[0])
 		if err != nil {
 			return nil, fmt.Errorf("xpc: %w", err)
 		}
