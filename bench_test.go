@@ -296,21 +296,23 @@ func BenchmarkE9Ingestion(b *testing.B) {
 }
 
 // BenchmarkE10Streaming measures NSDS fan-out throughput with ten
-// best-effort subscribers (one slow).
+// best-effort subscribers (one slow), one sample per publish.
 func BenchmarkE10Streaming(b *testing.B) {
 	hub := nsds.NewHub()
 	defer hub.Close()
 	for i := 0; i < 9; i++ {
-		sub, _ := hub.Subscribe(1024)
+		sub, _ := hub.SubscribeBatches(1024, false)
 		go func() {
-			for range sub.C() {
+			for range sub.Batches() {
 			}
 		}()
 	}
-	_, _ = hub.Subscribe(1) // slow consumer: exercises the drop path
+	_, _ = hub.SubscribeBatches(1, false) // slow consumer: exercises the drop path
+	var one [1]nsds.Sample
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hub.Publish(nsds.Sample{Channel: "uiuc.disp", T: float64(i), Value: 0.01})
+		one[0] = nsds.Sample{Channel: "uiuc.disp", T: float64(i), Value: 0.01}
+		hub.PublishBatch(one[:])
 	}
 	published, dropped := hub.Stats()
 	b.ReportMetric(float64(dropped)/float64(published), "drop-ratio")
@@ -570,13 +572,13 @@ func BenchmarkE10StreamingBatch(b *testing.B) {
 	hub := nsds.NewHub()
 	defer hub.Close()
 	for i := 0; i < 9; i++ {
-		sub, _ := hub.Subscribe(1024)
+		sub, _ := hub.SubscribeBatches(1024, false)
 		go func() {
-			for range sub.C() {
+			for range sub.Batches() {
 			}
 		}()
 	}
-	_, _ = hub.Subscribe(1) // slow consumer: exercises the drop path
+	_, _ = hub.SubscribeBatches(1, false) // slow consumer: exercises the drop path
 	const batch = 16
 	samples := make([]nsds.Sample, batch)
 	b.ResetTimer()
@@ -592,13 +594,11 @@ func BenchmarkE10StreamingBatch(b *testing.B) {
 }
 
 // benchFanOut measures NSDS delivery throughput at viewer scale across the
-// three fan-out shapes of DESIGN.md §5g, publishing DAQ-shaped blocks of
-// 32 samples to `subs` subscribers:
+// two fan-out shapes of DESIGN.md §5g, publishing DAQ-shaped blocks of 32
+// samples to `subs` subscribers:
 //
-//   - flat: the original single-shard hub with per-sample subscriptions —
-//     every sample is one channel op per subscriber, twice (send+receive).
-//   - sharded: the sharded hub with batch subscriptions — one channel op
-//     per subscriber per block, the shared *Batch allocated once.
+//   - sharded: the sharded hub — one channel op per subscriber per block,
+//     the shared *Batch allocated once.
 //   - relay: two tiers (hub → LocalRelay → hub) with every viewer behind
 //     the relay hub; the timed region spans the full traversal.
 //
@@ -606,12 +606,10 @@ func BenchmarkE10StreamingBatch(b *testing.B) {
 // (publish a block, sweep every subscriber empty) rather than by one
 // goroutine per viewer: on the single-core CI runner a per-viewer
 // goroutine costs a scheduler wake per batch (~1.7 µs), which swamps the
-// per-sample-vs-per-batch protocol cost this benchmark exists to compare —
-// and is exactly the cost the real server avoids by writing one shared
-// frame per connection instead of waking per sample. Every sample is
-// delivered (nothing drops), so deliveries/s — samples enqueued per second,
-// the capacity number the 100k case must beat flat by ≥10× per
-// BENCH_ntcp.json — is deterministic.
+// protocol cost this benchmark exists to measure — and is exactly the cost
+// the real server avoids by writing one shared frame per connection.
+// Every sample is delivered (nothing drops), so deliveries/s — samples
+// enqueued per second — is deterministic.
 func benchFanOut(b *testing.B, subs int) {
 	const batch = 32
 	fill := func(samples []nsds.Sample, i int) {
@@ -620,34 +618,8 @@ func benchFanOut(b *testing.B, subs int) {
 		}
 	}
 
-	b.Run("flat", func(b *testing.B) {
-		hub := nsds.NewHubShards(1)
-		defer hub.Close()
-		chans := make([]<-chan nsds.Sample, subs)
-		for i := range chans {
-			sub, err := hub.Subscribe(batch)
-			if err != nil {
-				b.Fatal(err)
-			}
-			chans[i] = sub.C()
-		}
-		samples := make([]nsds.Sample, batch)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			fill(samples, i)
-			hub.PublishBatch(samples)
-			for _, c := range chans {
-				for range batch {
-					<-c
-				}
-			}
-		}
-		b.StopTimer()
-		b.ReportMetric(float64(hub.Delivered())/b.Elapsed().Seconds(), "deliveries/s")
-	})
-
 	b.Run("sharded", func(b *testing.B) {
-		hub := nsds.NewHubShards(0)
+		hub := nsds.NewHub()
 		defer hub.Close()
 		chans := make([]<-chan *nsds.Batch, subs)
 		for i := range chans {
@@ -675,7 +647,7 @@ func benchFanOut(b *testing.B, subs int) {
 		defer up.Close()
 		down := nsds.NewHub()
 		defer down.Close()
-		lr, err := nsds.NewLocalRelay(up, down, 0)
+		lr, err := nsds.NewLocalRelay(up, down)
 		if err != nil {
 			b.Fatal(err)
 		}

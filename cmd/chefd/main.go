@@ -84,11 +84,11 @@ func run() int {
 		sup.Add("nsds-feed", runtime.Funcs{
 			StartFunc: func(context.Context) error {
 				var err error
-				cl, err = nsds.DialCatchUp(*nsdsAddr, 4096, nil, nil)
+				cl, err = nsds.Dial(*nsdsAddr, 4096, true, nil, nil)
 				if err != nil {
 					return fmt.Errorf("nsds: %w", err)
 				}
-				go viewer.FeedFrom(cl.C())
+				go viewer.FeedFrom(cl.Batches())
 				fmt.Printf("chefd: recording stream from %s\n", *nsdsAddr)
 				return nil
 			},

@@ -46,7 +46,6 @@ func run() int {
 	demo := flag.Bool("demo", false, "publish a synthetic demo signal")
 	demoRate := flag.Duration("demo-rate", 10*time.Millisecond, "demo sample interval")
 	retention := flag.Int("retention", 1000, "samples retained per channel for late joiners (0 = off)")
-	shards := flag.Int("shards", 0, "hub subscriber shards (0 = one per core)")
 	writeTimeout := flag.Duration("write-timeout", nsds.DefaultWriteTimeout,
 		"disconnect a subscriber that stalls a write this long (0 = never)")
 	var debugFlags runtime.DebugFlags
@@ -72,13 +71,12 @@ func run() int {
 		relay = nsds.NewRelay(nsds.RelayConfig{
 			Upstream:  *relayOf,
 			Retention: *retention,
-			Shards:    *shards,
 			Telemetry: reg,
 		})
 		hub = relay.Hub()
 		sup.Add("relay", relay) // Stop closes the relay hub too.
 	} else {
-		hub = nsds.NewHubShards(*shards)
+		hub = nsds.NewHub()
 		hub.SetRetention(*retention)
 		hub.UseTelemetry(reg, "hub")
 		sup.Add("hub", runtime.StopFunc(hub.Close))

@@ -35,7 +35,8 @@
 #            MAC'd envelope opener against its replay/tamper/cross-context
 #            oracle, the GridFTP session loop against its escapes-the-root
 #            oracle, the spool's block formatter against encoding/csv, and
-#            the NTCP server's transaction table against its invariants
+#            the NTCP server's transaction table against its invariants, and
+#            the NSDS frame decoder against its re-encode oracle
 #
 # Performance is not a stage: the benchmark in bench/ (BENCHMARK.json) is
 # compared on interleaved runs of two commits, `bash bench/run.sh --compare
@@ -106,8 +107,10 @@ stage_smoke() {
     # them mid-step, and asserts readiness flips, exits are clean, and an
     # in-process experiment leaves no goroutines behind. The fan-out smoke
     # drives daq → hub → TCP relay → SSE gateway end to end and checks the
-    # per-tier drop counters land in telemetry.
-    go test -race -count=1 -run 'TestGracefulShutdown|TestNoGoroutineLeakAfterExperimentStop|TestFanOutPipelineSmoke' ./internal/e2e/
+    # per-tier drop counters land in telemetry; the streaming-daemons smoke
+    # runs the same path as processes (nsdsd -demo → nsdsd -relay → chefd)
+    # and checks that a legacy JSON subscribe line is refused.
+    go test -race -count=1 -run 'TestGracefulShutdown|TestNoGoroutineLeakAfterExperimentStop|TestFanOutPipelineSmoke|TestStreamingDaemonsEndToEnd' ./internal/e2e/
 }
 
 stage_obs() {
@@ -231,7 +234,11 @@ stage_chaos() {
     # stay one size. FuzzShoreWesternServer feeds the rig controller's line
     # protocol arbitrary bytes as one connection: no panic, one reply line per
     # command in order however they are pipelined, and OK to a MOVE only for
-    # a finite target within the stroke that the rig then sits at. A failing
+    # a finite target within the stroke that the rig then sits at.
+    # FuzzFrameDecoder feeds the NSDS binary stream decoder — the only TCP
+    # stream wire — arbitrary bytes: every frame it accepts re-encodes to the
+    # bytes it was read from, anything else is an error, its intern table stays
+    # bounded, and it allocates only in proportion to the bytes that arrive. A failing
     # input lands in the package's testdata/fuzz/<target>/ — check it in with
     # the fix.
     while read -r target pkg; do
@@ -253,6 +260,7 @@ FuzzValue ./internal/wirejson
 FuzzServerSession ./internal/gridftp
 FuzzSpoolBlockMatchesCSV ./internal/daq
 FuzzShoreWesternServer ./internal/control
+FuzzFrameDecoder ./internal/nsds
 TARGETS
 }
 

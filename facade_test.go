@@ -127,13 +127,13 @@ func TestFacadeStreamingAndCollab(t *testing.T) {
 	hub := NewStreamHub()
 	defer hub.Close()
 	viewer := NewDataViewer(0)
-	sub, err := hub.Subscribe(8)
+	sub, err := hub.SubscribeBatches(8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	go func() { viewer.FeedFrom(sub.C()); close(done) }()
-	hub.Publish(StreamSample{Channel: "c", T: 0.01, Value: 1})
+	go func() { viewer.FeedFrom(sub.Batches()); close(done) }()
+	hub.PublishBatch([]StreamSample{{Channel: "c", T: 0.01, Value: 1}})
 	hub.Close()
 	<-done
 	if len(viewer.Window("c", 0, 1)) != 1 {

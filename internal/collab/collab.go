@@ -211,21 +211,24 @@ func NewViewer(maxKeep int) *Viewer {
 	return &Viewer{series: make(map[string][]nsds.Sample), maxKeep: maxKeep}
 }
 
-// Feed records one sample.
-func (v *Viewer) Feed(s nsds.Sample) {
+// Feed records samples.
+func (v *Viewer) Feed(samples ...nsds.Sample) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	ss := append(v.series[s.Channel], s)
-	if v.maxKeep > 0 && len(ss) > v.maxKeep {
-		ss = ss[len(ss)-v.maxKeep:]
+	for _, s := range samples {
+		ss := append(v.series[s.Channel], s)
+		if v.maxKeep > 0 && len(ss) > v.maxKeep {
+			ss = ss[len(ss)-v.maxKeep:]
+		}
+		v.series[s.Channel] = ss
 	}
-	v.series[s.Channel] = ss
 }
 
-// FeedFrom consumes a subscription until it closes (run in a goroutine).
-func (v *Viewer) FeedFrom(sub <-chan nsds.Sample) {
-	for s := range sub {
-		v.Feed(s)
+// FeedFrom consumes a stream of batches — a hub subscription's or a
+// client's Batches() — until it closes (run in a goroutine).
+func (v *Viewer) FeedFrom(batches <-chan *nsds.Batch) {
+	for b := range batches {
+		v.Feed(b.Samples...)
 	}
 }
 

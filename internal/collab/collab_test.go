@@ -218,11 +218,11 @@ func TestCursorVCRSemantics(t *testing.T) {
 
 func TestViewerFeedFromSubscription(t *testing.T) {
 	hub := nsds.NewHub()
-	sub, _ := hub.Subscribe(16)
+	sub, _ := hub.SubscribeBatches(16, false)
 	v := NewViewer(0)
 	done := make(chan struct{})
-	go func() { v.FeedFrom(sub.C()); close(done) }()
-	hub.Publish(nsds.Sample{Channel: "c", T: 0.01, Value: 1})
+	go func() { v.FeedFrom(sub.Batches()); close(done) }()
+	hub.PublishBatch([]nsds.Sample{{Channel: "c", T: 0.01, Value: 1}})
 	hub.Close()
 	<-done
 	if len(v.Window("c", 0, 1)) != 1 {

@@ -74,12 +74,12 @@ func TestScanPublishesToHub(t *testing.T) {
 	_ = d.AddChannel(Channel{Name: "uiuc.lvdt1", Read: func() float64 { return 5 }})
 	h := nsds.NewHub()
 	defer h.Close()
-	sub, _ := h.Subscribe(8)
+	sub, _ := h.SubscribeBatches(8, false)
 	d.AttachHub(h)
 	if _, err := d.Scan(3, 0.03); err != nil {
 		t.Fatal(err)
 	}
-	s := <-sub.C()
+	s := (<-sub.Batches()).Samples[0]
 	if s.Channel != "uiuc.lvdt1" || s.Value != 5 || s.T != 0.03 {
 		t.Fatalf("sample = %+v", s)
 	}

@@ -18,10 +18,18 @@ import (
 	"time"
 )
 
-func buildBinaries(t *testing.T, bin string) {
+// buildBinaries builds the named commands into bin (by default the three
+// of the NTCP deployment: gridca, ntcpd, coordinator).
+func buildBinaries(t *testing.T, bin string, cmds ...string) {
 	t.Helper()
-	cmd := exec.Command("go", "build", "-o", bin+string(os.PathSeparator),
-		"neesgrid/cmd/gridca", "neesgrid/cmd/ntcpd", "neesgrid/cmd/coordinator")
+	if len(cmds) == 0 {
+		cmds = []string{"gridca", "ntcpd", "coordinator"}
+	}
+	args := []string{"build", "-o", bin + string(os.PathSeparator)}
+	for _, c := range cmds {
+		args = append(args, "neesgrid/cmd/"+c)
+	}
+	cmd := exec.Command("go", args...)
 	cmd.Dir = repoRoot(t)
 	out, err := cmd.CombinedOutput()
 	if err != nil {

@@ -157,13 +157,13 @@ func newExperiment(spec Spec, ca *gsi.Authority, trust *gsi.TrustStore, cred *gs
 func (e *Experiment) wireSiteFeed(site *Site) error {
 	// Viewers subscribe at the outermost stream tier: the relay hub
 	// when the site runs one, the DAQ hub otherwise.
-	sub, err := site.StreamHub().Subscribe(4096)
+	sub, err := site.StreamHub().SubscribeBatches(4096, false)
 	if err != nil {
 		return err
 	}
 	done := make(chan struct{})
 	go func() {
-		e.Viewer.FeedFrom(sub.C())
+		e.Viewer.FeedFrom(sub.Batches())
 		close(done)
 	}()
 	feed := runtime.StopFunc(func() {

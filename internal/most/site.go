@@ -537,7 +537,7 @@ func startSite(ca *gsi.Authority, trust *gsi.TrustStore, coordIdentity string, s
 		site.RelayHub = nsds.NewHub()
 		site.RelayHub.UseTracer(site.Tracer)
 		site.RelayHub.UseTelemetry(site.Telemetry, "relay")
-		lr, err := nsds.NewLocalRelay(site.Hub, site.RelayHub, 0)
+		lr, err := nsds.NewLocalRelay(site.Hub, site.RelayHub)
 		if err != nil {
 			_ = site.Stop()
 			return nil, fmt.Errorf("most: site %s relay: %w", spec.Name, err)

@@ -1,43 +1,29 @@
 package nsds
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 )
 
-// Client consumes a remote NSDS stream: per-sample over C() (JSON
-// subscriptions) or per-batch over Batches() (binary subscriptions).
+// Client consumes a remote NSDS stream: the server's batch frames are
+// decoded into *Batch values delivered on Batches().
 type Client struct {
-	conn    net.Conn
-	ch      chan Sample   // JSON mode
-	batches chan []Sample // binary mode
+	conn      net.Conn
+	batches   chan *Batch
+	done      chan struct{}
+	closeOnce sync.Once
 }
 
-// Dial connects, subscribes to channels (empty = all), and starts decoding
-// samples into C(). dial overrides the dialer (fault injection); nil means
+// Dial connects and subscribes to channels (empty = all) with the binary
+// wire format. buffer is the receive depth in batches (< 1 picks 64). With
+// catchUp the server sends its retained history for the channels first,
+// then the live stream — a viewer joining mid-experiment sees history
+// immediately. dial overrides the dialer (fault injection); nil means
 // net.Dial.
-func Dial(addr string, buffer int, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
-	return dialSubscribe(addr, subscribeMsg{Channels: channels, Buffer: buffer}, dial)
-}
-
-// DialCatchUp is Dial plus retained-history delivery: the server sends its
-// retained samples for the channels first, then the live stream — a viewer
-// joining mid-experiment sees history immediately.
-func DialCatchUp(addr string, buffer int, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
-	return dialSubscribe(addr, subscribeMsg{Channels: channels, Buffer: buffer, CatchUp: true}, dial)
-}
-
-// DialBatches subscribes with the binary wire format: whole batch frames
-// are decoded into sample slices delivered on Batches(). buffer is in
-// batches. This is the relay tier's upstream leg.
-func DialBatches(addr string, buffer int, catchUp bool, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
-	return dialSubscribe(addr, subscribeMsg{Channels: channels, Buffer: buffer, CatchUp: catchUp, Format: "binary"}, dial)
-}
-
-func dialSubscribe(addr string, msg subscribeMsg, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
+func Dial(addr string, buffer int, catchUp bool, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
 	if dial == nil {
 		dial = net.Dial
 	}
@@ -45,75 +31,55 @@ func dialSubscribe(addr string, msg subscribeMsg, dial func(network, addr string
 	if err != nil {
 		return nil, fmt.Errorf("nsds: dial %s: %w", addr, err)
 	}
-	buffer := msg.Buffer
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(msg); err != nil {
+	msg := subscribeMsg{Channels: channels, Buffer: buffer, CatchUp: catchUp, Format: "binary"}
+	if err := json.NewEncoder(conn).Encode(msg); err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("nsds: subscribe: %w", err)
 	}
-	c := &Client{conn: conn}
-	if msg.Format == "binary" {
-		if buffer < 1 {
-			buffer = 64
-		}
-		c.batches = make(chan []Sample, buffer)
-		go func() {
-			defer close(c.batches)
-			dec := newFrameDecoder(conn)
-			for {
-				samples, err := dec.Next()
-				if err != nil {
-					return
-				}
-				c.batches <- samples
-			}
-		}()
-		return c, nil
-	}
-	c.ch = make(chan Sample, buffer)
-	go func() {
-		defer close(c.ch)
-		sc := bufio.NewScanner(conn)
-		sc.Buffer(make([]byte, 64<<10), 1<<20)
-		for sc.Scan() {
-			var s Sample
-			if err := json.Unmarshal(sc.Bytes(), &s); err != nil {
-				return
-			}
-			c.ch <- s
-		}
-	}()
+	c := &Client{conn: conn, batches: make(chan *Batch, bufferDepth(buffer)), done: make(chan struct{})}
+	go c.decode()
 	return c, nil
 }
 
-// C returns the received sample stream (nil for binary subscriptions);
-// closed on disconnect.
-func (c *Client) C() <-chan Sample { return c.ch }
+// decode feeds Batches() until the connection ends or Close is called: a
+// consumer that has stopped reading cannot strand it on a full channel.
+func (c *Client) decode() {
+	defer close(c.batches)
+	dec := newFrameDecoder(c.conn)
+	for {
+		samples, err := dec.Next()
+		if err != nil {
+			return
+		}
+		select {
+		case c.batches <- &Batch{Samples: samples}:
+		case <-c.done:
+			return
+		}
+	}
+}
 
-// Batches returns the received batch stream (nil for JSON subscriptions);
-// closed on disconnect.
-func (c *Client) Batches() <-chan []Sample { return c.batches }
+// Batches returns the received batch stream; closed on disconnect.
+func (c *Client) Batches() <-chan *Batch { return c.batches }
 
-// Close disconnects.
-func (c *Client) Close() error { return c.conn.Close() }
+// Close disconnects and stops the decoder.
+func (c *Client) Close() error {
+	c.closeOnce.Do(func() { close(c.done) })
+	return c.conn.Close()
+}
 
-// CollectFor drains samples for a duration (test/diagnostic helper). It
-// works in either mode: batches are flattened into the sample slice.
+// CollectFor drains batches for a duration and flattens them into one
+// sample slice (test/diagnostic helper).
 func (c *Client) CollectFor(d time.Duration) []Sample {
 	var out []Sample
 	deadline := time.After(d)
 	for {
 		select {
-		case s, ok := <-c.ch:
-			if !ok {
-				return out
-			}
-			out = append(out, s)
 		case b, ok := <-c.batches:
 			if !ok {
 				return out
 			}
-			out = append(out, b...)
+			out = append(out, b.Samples...)
 		case <-deadline:
 			return out
 		}

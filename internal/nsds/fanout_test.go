@@ -9,13 +9,13 @@ import (
 )
 
 func TestShardedHubDistributesSubscribers(t *testing.T) {
-	h := NewHubShards(4)
+	h := newHubShards(4)
 	defer h.Close()
 	if h.ShardCount() != 4 {
 		t.Fatalf("ShardCount = %d", h.ShardCount())
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := h.Subscribe(4); err != nil {
+		if _, err := h.SubscribeBatches(4, false); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,7 +33,7 @@ func TestShardedHubDistributesSubscribers(t *testing.T) {
 }
 
 func TestBatchSubscriberReceivesSharedBatch(t *testing.T) {
-	h := NewHubShards(2)
+	h := newHubShards(2)
 	defer h.Close()
 	s1, err := h.SubscribeBatches(4, false)
 	if err != nil {
@@ -54,11 +54,10 @@ func TestBatchSubscriberReceivesSharedBatch(t *testing.T) {
 	}
 }
 
-// The per-tier pin: a slow batch-mode consumer (a wedged relay or SSE
-// viewer) loses whole batches while the publish path completes without
-// blocking — TestHubBestEffortDropsForSlowConsumer, batch tier edition.
+// The per-tier pin: a slow consumer (a wedged relay or SSE viewer) loses
+// whole batches while the publish path completes without blocking.
 func TestBatchSubscriberBestEffortDropsForSlowConsumer(t *testing.T) {
-	h := NewHubShards(2)
+	h := newHubShards(2)
 	defer h.Close()
 	slow, err := h.SubscribeBatches(1, false)
 	if err != nil {
@@ -111,7 +110,7 @@ func TestBatchCatchUpHistoryThenLiveExactlyOnce(t *testing.T) {
 	defer h.Close()
 	h.SetRetention(16)
 	for i := 0; i < 5; i++ {
-		h.Publish(Sample{Channel: "a", T: float64(i)})
+		publishOne(h, Sample{Channel: "a", T: float64(i)})
 	}
 	sub, err := h.SubscribeBatches(8, true)
 	if err != nil {
@@ -140,47 +139,47 @@ func TestPublishForwardedPreservesSeqsAndRetains(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	h.SetRetention(8)
-	sub, err := h.Subscribe(8)
+	sub, err := h.SubscribeBatches(8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.PublishForwarded([]Sample{{Channel: "a", Seq: 41}, {Channel: "a", Seq: 42}})
-	if s := <-sub.C(); s.Seq != 41 {
-		t.Fatalf("seq = %d, want upstream 41", s.Seq)
+	if got := seqsOf(next(t, sub.Batches())); len(got) != 2 || got[0] != 41 || got[1] != 42 {
+		t.Fatalf("seqs = %v, want upstream 41, 42", got)
 	}
-	<-sub.C()
 	// The local clock advanced past the forwarded seqs: a locally
 	// published sample continues the upstream numbering.
-	h.Publish(Sample{Channel: "a"})
-	if s := <-sub.C(); s.Seq != 43 {
+	publishOne(h, Sample{Channel: "a"})
+	if s := next(t, sub.Batches()).Samples[0]; s.Seq != 43 {
 		t.Fatalf("local publish seq = %d, want 43", s.Seq)
 	}
 	// A late joiner's catch-up sees the forwarded history.
-	late, err := h.SubscribeWithCatchUp(8)
+	late, err := h.SubscribeBatches(8, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := <-late.C(); s.Seq != 41 {
+	if s := next(t, late.Batches()).Samples[0]; s.Seq != 41 {
 		t.Fatalf("catch-up head seq = %d, want 41", s.Seq)
 	}
 }
 
 func TestHubTierTelemetryCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	h := NewHubShards(1)
+	h := newHubShards(1)
 	defer h.Close()
 	h.UseTelemetry(reg, "hub")
-	slow, err := h.Subscribe(1)
+	slow, err := h.SubscribeBatches(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.DropNext(1)
-	h.Publish(Sample{Channel: "a"}) // forced drop
-	h.PublishBatch([]Sample{{Channel: "a"}, {Channel: "a"}, {Channel: "a"}})
+	publishOne(h, Sample{Channel: "a"})                      // forced drop
+	h.PublishBatch([]Sample{{Channel: "a"}, {Channel: "a"}}) // fills the buffer
+	h.PublishBatch([]Sample{{Channel: "a"}, {Channel: "a"}}) // dropped whole
 	snap := reg.Snapshot()
 	want := map[string]int64{
-		"nsds.tier.published.hub":    3,
-		"nsds.tier.delivered.hub":    1,
+		"nsds.tier.published.hub":    4,
+		"nsds.tier.delivered.hub":    2,
 		"nsds.tier.dropped.hub":      2,
 		"nsds.tier.forced_drops.hub": 1,
 		"nsds.sub.dropped":           2,
@@ -202,9 +201,19 @@ func TestPendingForcedDrops(t *testing.T) {
 	if n := h.PendingForcedDrops(); n != 3 {
 		t.Fatalf("pending = %d, want 3", n)
 	}
-	h.Publish(Sample{Channel: "a"})
-	if n := h.PendingForcedDrops(); n != 2 {
-		t.Fatalf("pending = %d, want 2", n)
+	h.PublishBatch([]Sample{{Channel: "a"}, {Channel: "a"}})
+	if n := h.PendingForcedDrops(); n != 1 {
+		t.Fatalf("pending = %d, want 1", n)
+	}
+	// The storm eats the leading samples of a batch; survivors keep
+	// consecutive sequence numbers.
+	sub, _ := h.SubscribeBatches(4, false)
+	h.PublishBatch([]Sample{{Channel: "a"}, {Channel: "b"}, {Channel: "c"}})
+	if b := next(t, sub.Batches()); len(b.Samples) != 2 || b.Samples[0].Channel != "b" || b.Samples[0].Seq != 1 {
+		t.Fatalf("survivors = %+v", b.Samples)
+	}
+	if n, f := h.PendingForcedDrops(), h.ForcedDrops(); n != 0 || f != 3 {
+		t.Fatalf("pending = %d, forced = %d, want 0, 3", n, f)
 	}
 }
 
@@ -213,11 +222,11 @@ func TestLocalRelayForwardsAndDrains(t *testing.T) {
 	defer up.Close()
 	down := NewHub()
 	defer down.Close()
-	lr, err := NewLocalRelay(up, down, 64)
+	lr, err := NewLocalRelay(up, down)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viewer, err := down.Subscribe(64)
+	viewer, err := down.SubscribeBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +239,7 @@ func TestLocalRelayForwardsAndDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for want := uint64(1); want <= 10; want++ {
-		s := <-viewer.C()
+		s := next(t, viewer.Batches()).Samples[0]
 		if s.Seq != want {
 			t.Fatalf("seq = %d, want %d (order preserved through the relay)", s.Seq, want)
 		}
@@ -248,7 +257,7 @@ func TestLocalRelayConsumesForcedDropsDeterministically(t *testing.T) {
 	defer up.Close()
 	down := NewHub()
 	defer down.Close()
-	lr, err := NewLocalRelay(up, down, 64)
+	lr, err := NewLocalRelay(up, down)
 	if err != nil {
 		t.Fatal(err)
 	}

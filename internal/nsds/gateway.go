@@ -9,13 +9,16 @@ import (
 	"time"
 )
 
+// gatewayKeepAlive is the idle interval between SSE comment keepalives.
+const gatewayKeepAlive = 15 * time.Second
+
 // Gateway serves a hub to browser-class viewers over HTTP Server-Sent
 // Events — the commodity-HTTP observer tier (the paper's Fig. 10 audience,
-// scaled). Each connection is one batch-mode subscription with the same
-// best-effort contract as every other tier: a viewer that cannot keep up
-// loses batches at its own subscription and the cumulative per-connection
-// drop count rides along in every event, so a dashboard can say "you have
-// missed N samples" honestly.
+// scaled). Each connection is one subscription with the same best-effort
+// contract as every other tier: a viewer that cannot keep up loses batches
+// at its own subscription and the cumulative per-connection drop count
+// rides along in every event, so a dashboard can say "you have missed N
+// samples" honestly.
 //
 //	GET /stream?channels=a,b&catchup=1&buffer=1024
 //
@@ -25,48 +28,15 @@ import (
 //	event: samples
 //	data: {"samples":[...],"dropped":<cumulative drops>}
 //
-// and comment keepalives flow while the stream is idle.
+// and comment keepalives flow every 15 s while the stream is idle. buffer
+// is in batches and capped at 4096; a write that cannot complete within
+// DefaultWriteTimeout disconnects the viewer.
 type Gateway struct {
 	hub *Hub
-
-	// KeepAlive is the idle keepalive interval (default 15s).
-	KeepAlive time.Duration
-	// MaxBuffer caps the client-requested subscription depth in batches
-	// (default 4096).
-	MaxBuffer int
-	// WriteTimeout bounds each event write; a viewer that cannot take an
-	// event within it is disconnected. Zero means DefaultWriteTimeout;
-	// negative disables.
-	WriteTimeout time.Duration
 }
 
 // NewGateway wraps a hub.
 func NewGateway(hub *Hub) *Gateway { return &Gateway{hub: hub} }
-
-func (g *Gateway) keepAlive() time.Duration {
-	if g.KeepAlive <= 0 {
-		return 15 * time.Second
-	}
-	return g.KeepAlive
-}
-
-func (g *Gateway) maxBuffer() int {
-	if g.MaxBuffer <= 0 {
-		return 4096
-	}
-	return g.MaxBuffer
-}
-
-func (g *Gateway) writeTimeout() time.Duration {
-	switch {
-	case g.WriteTimeout < 0:
-		return 0
-	case g.WriteTimeout == 0:
-		return DefaultWriteTimeout
-	default:
-		return g.WriteTimeout
-	}
-}
 
 // sseEvent is one data payload: a delivered batch plus the connection's
 // cumulative drop count.
@@ -78,11 +48,6 @@ type sseEvent struct {
 func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "nsds: GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "nsds: streaming unsupported", http.StatusInternalServerError)
 		return
 	}
 	q := r.URL.Query()
@@ -101,9 +66,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		buffer = n
 	}
-	if buffer > g.maxBuffer() {
-		buffer = g.maxBuffer()
-	}
 	catchUp := q.Get("catchup") == "1" || q.Get("catchup") == "true"
 
 	sub, err := g.hub.SubscribeBatches(buffer, catchUp, channels...)
@@ -118,50 +80,27 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
-
 	rc := http.NewResponseController(w)
-	wt := g.writeTimeout()
-	ka := time.NewTicker(g.keepAlive())
+	if err := rc.Flush(); err != nil {
+		return
+	}
+
+	write := func(b *Batch) error { return writeSSE(w, b, sub.Dropped()) }
+	ka := time.NewTicker(gatewayKeepAlive)
 	defer ka.Stop()
 	for {
 		select {
 		case <-r.Context().Done():
 			return
 		case <-ka.C:
-			if wt > 0 {
-				_ = rc.SetWriteDeadline(time.Now().Add(wt))
-			}
-			if _, err := fmt.Fprintf(w, ": keepalive dropped=%d\n\n", sub.Dropped()); err != nil {
+			armDeadline(rc.SetWriteDeadline, DefaultWriteTimeout)
+			if _, err := fmt.Fprintf(w, ": keepalive dropped=%d\n\n", sub.Dropped()); err != nil || rc.Flush() != nil {
 				return
 			}
-			fl.Flush()
 		case b, ok := <-sub.Batches():
-			if !ok {
+			if !ok || !writeBurst(b, sub.Batches(), DefaultWriteTimeout, rc.SetWriteDeadline, write, rc.Flush) {
 				return
 			}
-			if wt > 0 {
-				_ = rc.SetWriteDeadline(time.Now().Add(wt))
-			}
-			if err := writeSSE(w, b, sub.Dropped()); err != nil {
-				return
-			}
-		drain:
-			for {
-				select {
-				case nb, ok := <-sub.Batches():
-					if !ok {
-						fl.Flush()
-						return
-					}
-					if err := writeSSE(w, nb, sub.Dropped()); err != nil {
-						return
-					}
-				default:
-					break drain
-				}
-			}
-			fl.Flush()
 		}
 	}
 }

@@ -37,7 +37,7 @@ func TestGatewayStreamsSSE(t *testing.T) {
 	hub := NewHub()
 	defer hub.Close()
 	hub.SetRetention(16)
-	hub.Publish(Sample{Channel: "a", T: 0, Value: 1})
+	publishOne(hub, Sample{Channel: "a", T: 0, Value: 1})
 
 	gw := NewGateway(hub)
 	ts := httptest.NewServer(gw)

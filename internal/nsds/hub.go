@@ -12,18 +12,15 @@ import (
 	"neesgrid/internal/trace"
 )
 
-// Subscription is one consumer's view of the stream. It is either
-// sample-mode (C() delivers individual samples — the legacy shape every
-// in-process consumer uses) or batch-mode (Batches() delivers whole
-// published batches as shared immutable *Batch values — the shape the
-// binary wire, the relay tier, and the SSE gateway consume).
+// Subscription is one consumer's view of the stream: whole published
+// batches arrive on Batches() as shared immutable *Batch values, one
+// channel operation per batch — the shape the binary wire, the relay tier,
+// the SSE gateway and the in-process viewers all consume.
 type Subscription struct {
 	id    uint64
 	hub   *Hub
 	shard *shard
-
-	ch  chan Sample // sample mode; nil in batch mode
-	bch chan *Batch // batch mode; nil in sample mode
+	ch    chan *Batch
 
 	// sinceSeq is the hub sequence at registration. Live fan-out skips
 	// batches at or below it: those samples either arrived via catch-up
@@ -41,23 +38,14 @@ type Subscription struct {
 	filter map[string]bool
 }
 
-// C returns the sample channel of a sample-mode subscription (nil for
-// batch mode). It is closed when the subscription is cancelled or the hub
-// shuts down.
-func (s *Subscription) C() <-chan Sample { return s.ch }
-
-// Batches returns the batch channel of a batch-mode subscription (nil for
-// sample mode). Closed on cancel or hub shutdown.
-func (s *Subscription) Batches() <-chan *Batch { return s.bch }
+// Batches returns the batch channel. Closed on cancel or hub shutdown.
+func (s *Subscription) Batches() <-chan *Batch { return s.ch }
 
 // Dropped returns how many samples this subscriber lost to backpressure.
 func (s *Subscription) Dropped() uint64 { return s.dropped.Load() }
 
-// Delivered returns how many samples were enqueued to this subscriber.
-// Tracked for batch-mode subscriptions (it is what LocalRelay.Drain polls
-// to know the forwarder has caught up) and for catch-up history; the
-// sample-mode live path skips the per-sample atomic to keep per-publish
-// cost flat.
+// Delivered returns how many samples were enqueued to this subscriber —
+// what LocalRelay.Drain polls to know the forwarder has caught up.
 func (s *Subscription) Delivered() uint64 { return s.delivered.Load() }
 
 // Cancel detaches the subscription.
@@ -77,54 +65,14 @@ func (s *Subscription) Cancel() {
 	// Close outside the shard lock but under the shard's fan-out write
 	// lock, so no publisher is mid-send to this channel.
 	sh.fanMu.Lock()
-	s.closeChan()
+	close(s.ch)
 	sh.fanMu.Unlock()
 }
 
-func (s *Subscription) closeChan() {
-	if s.ch != nil {
-		close(s.ch)
-	} else {
-		close(s.bch)
-	}
-}
-
-// wants is lock-free: the filter set is immutable after construction.
-func (s *Subscription) wants(channel string) bool {
-	if len(s.filter) == 0 {
-		return true
-	}
-	return s.filter[channel]
-}
-
-// offerSamples delivers a sequenced run of samples to a sample-mode
-// subscriber, best-effort. Successful sends are counted only at the hub
-// tier (one atomic for the whole fan-out); per-subscriber accounting on
-// this path is drops only, so the ten-viewer per-sample publish stays as
-// cheap as the pre-shard hub.
-func (s *Subscription) offerSamples(samples []Sample) (delivered, dropped uint64) {
-	for i := range samples {
-		if samples[i].Seq <= s.sinceSeq || !s.wants(samples[i].Channel) {
-			continue
-		}
-		select {
-		case s.ch <- samples[i]:
-			delivered++
-		default:
-			dropped++
-		}
-	}
-	if dropped > 0 {
-		s.dropped.Add(dropped)
-	}
-	return delivered, dropped
-}
-
-// offerBatch delivers one shared batch to a batch-mode subscriber. A full
-// buffer drops the whole batch (its samples counted individually) — the
-// batch-granular form of the same best-effort contract.
-func (s *Subscription) offerBatch(b *Batch) (delivered, dropped uint64) {
-	if len(b.Samples) == 0 || b.Samples[0].Seq <= s.sinceSeq {
+// offer delivers one shared batch, best-effort. A full buffer drops the
+// whole batch (its samples counted individually).
+func (s *Subscription) offer(b *Batch) (delivered, dropped uint64) {
+	if b.Samples[0].Seq <= s.sinceSeq {
 		// Batches are sequenced atomically under the hub lock, so a batch
 		// is entirely before or entirely after this subscription.
 		return 0, 0
@@ -137,7 +85,7 @@ func (s *Subscription) offerBatch(b *Batch) (delivered, dropped uint64) {
 	}
 	n := uint64(len(d.Samples))
 	select {
-	case s.bch <- d:
+	case s.ch <- d:
 		s.delivered.Add(n)
 		return n, 0
 	default:
@@ -223,22 +171,26 @@ type Hub struct {
 	tel atomic.Pointer[tierCounters]
 }
 
-// NewHub returns an empty hub with one subscriber shard per CPU.
-func NewHub() *Hub { return NewHubShards(0) }
+// maxBuffer caps every subscription's depth in batches, whoever asks:
+// a subscribe line or a gateway query names the buffer, so an unbounded
+// request must not size a channel.
+const maxBuffer = 4096
 
-// NewHubShards returns an empty hub with n subscriber shards (n < 1 picks
-// one per CPU, capped at 16). One shard reproduces the flat single-lock
-// hub — the benchmark baseline.
-func NewHubShards(n int) *Hub {
+// bufferDepth is a requested depth in batches as a channel capacity:
+// < 1 picks 64, and nothing exceeds maxBuffer.
+func bufferDepth(n int) int {
 	if n < 1 {
-		n = gort.GOMAXPROCS(0)
-		if n > 16 {
-			n = 16
-		}
-		if n < 1 {
-			n = 1
-		}
+		return 64
 	}
+	return min(n, maxBuffer)
+}
+
+// NewHub returns an empty hub with one subscriber shard per CPU (capped
+// at 16).
+func NewHub() *Hub { return newHubShards(min(max(gort.GOMAXPROCS(0), 1), 16)) }
+
+// newHubShards returns an empty hub with n subscriber shards.
+func newHubShards(n int) *Hub {
 	h := &Hub{shards: make([]*shard, n)}
 	for i := range h.shards {
 		h.shards[i] = &shard{subs: make(map[uint64]*Subscription)}
@@ -252,8 +204,8 @@ func (h *Hub) ShardCount() int { return len(h.shards) }
 // Subscribers returns the current subscriber count across all shards.
 func (h *Hub) Subscribers() int { return int(h.subCount.Load()) }
 
-// SetRetention keeps the last n samples per channel for late joiners:
-// SubscribeWithCatchUp delivers them before live samples — how a data
+// SetRetention keeps the last n samples per channel for late joiners: a
+// catch-up subscription receives them before live batches — how a data
 // viewer opened mid-experiment shows history immediately. 0 disables.
 func (h *Hub) SetRetention(n int) {
 	h.mu.Lock()
@@ -268,37 +220,18 @@ func (h *Hub) SetRetention(n int) {
 	}
 }
 
-// Subscribe attaches a sample-mode consumer with the given buffer depth;
-// channels filters the stream (empty = everything).
-func (h *Hub) Subscribe(buffer int, channels ...string) (*Subscription, error) {
-	return h.subscribe(buffer, false, false, channels)
-}
-
-// SubscribeWithCatchUp attaches a sample-mode consumer and pre-loads it
-// with the retained history of its channels (best effort: history beyond
-// the buffer is dropped oldest-first, like any other backpressure).
-func (h *Hub) SubscribeWithCatchUp(buffer int, channels ...string) (*Subscription, error) {
-	return h.subscribe(buffer, true, false, channels)
-}
-
-// SubscribeBatches attaches a batch-mode consumer: whole published batches
-// arrive on Batches() as shared immutable values, one channel operation
-// per batch. buffer is in batches. With catchUp the retained history of
-// the selected channels arrives first, as one batch.
+// SubscribeBatches attaches a consumer: whole published batches arrive on
+// Batches() as shared immutable values, one channel operation per batch.
+// buffer is in batches (< 1 picks 64, and it is capped at 4096); channels
+// filters the stream (empty = everything). With catchUp the retained
+// history of the selected channels arrives first, as one batch.
 func (h *Hub) SubscribeBatches(buffer int, catchUp bool, channels ...string) (*Subscription, error) {
-	return h.subscribe(buffer, catchUp, true, channels)
-}
-
-func (h *Hub) subscribe(buffer int, catchUp, batchMode bool, channels []string) (*Subscription, error) {
-	if buffer < 1 {
-		buffer = 64
-	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if h.closed {
 		return nil, fmt.Errorf("nsds: hub closed")
 	}
-	sub := &Subscription{id: h.nextID, hub: h, sinceSeq: h.seq}
+	sub := &Subscription{id: h.nextID, hub: h, sinceSeq: h.seq, ch: make(chan *Batch, bufferDepth(buffer))}
 	h.nextID++
 	if len(channels) > 0 {
 		sub.filter = make(map[string]bool, len(channels))
@@ -306,12 +239,7 @@ func (h *Hub) subscribe(buffer int, catchUp, batchMode bool, channels []string) 
 			sub.filter[c] = true
 		}
 	}
-	if batchMode {
-		sub.bch = make(chan *Batch, buffer)
-	} else {
-		sub.ch = make(chan Sample, buffer)
-	}
-	// Deliver history before registering for live samples so ordering is
+	// Deliver history before registering for live batches so ordering is
 	// history-then-live; the sinceSeq guard keeps live fan-out from
 	// re-delivering anything at or below the registration point.
 	if catchUp {
@@ -321,27 +249,10 @@ func (h *Hub) subscribe(buffer int, catchUp, batchMode bool, channels []string) 
 				history = append(history, samples...)
 			}
 		}
-		sortBySeq(history)
-		if batchMode {
-			if len(history) > 0 {
-				select {
-				case sub.bch <- &Batch{Samples: history}:
-					sub.delivered.Add(uint64(len(history)))
-				default:
-					sub.dropped.Add(uint64(len(history)))
-					h.noteDropped(uint64(len(history)))
-				}
-			}
-		} else {
-			for _, s := range history {
-				select {
-				case sub.ch <- s:
-					sub.delivered.Add(1)
-				default:
-					sub.dropped.Add(1)
-					h.noteDropped(1)
-				}
-			}
+		if len(history) > 0 {
+			sortBySeq(history)
+			sub.ch <- &Batch{Samples: history} // the channel is fresh and buffer >= 1
+			sub.delivered.Add(uint64(len(history)))
 		}
 	}
 	sh := h.shards[sub.id%uint64(len(h.shards))]
@@ -443,39 +354,11 @@ func (h *Hub) noteForced(n uint64) {
 	}
 }
 
-// Publish assigns a sequence number and delivers the sample best-effort.
-func (h *Hub) Publish(s Sample) {
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	if h.forceDrop > 0 {
-		h.forceDrop--
-		h.mu.Unlock()
-		h.noteForced(1)
-		return
-	}
-	h.seq++
-	s.Seq = h.seq
-	h.notePublished(1)
-	if h.retain > 0 {
-		h.retainLocked(s)
-	}
-	h.mu.Unlock()
-
-	var one [1]Sample
-	one[0] = s
-	h.fanOut(one[:])
-}
-
 // PublishBatch assigns consecutive sequence numbers to a burst of samples
-// and fans them out with one sequencing-lock acquisition for the whole
-// batch — the shape a DAQ scan produces (every channel sampled at one
-// instant). The batch is delivered subscriber-major so each consumer sees
-// the batch in order; samples mutate in place (their Seq fields are filled
-// in) and the slice is released before the call returns — callers may
-// reuse it.
+// and fans them out as one shared batch with one sequencing-lock
+// acquisition — the shape a DAQ scan produces (every channel sampled at
+// one instant). The samples' Seq fields are filled in place, and the slice
+// is copied before delivery — callers may reuse it once the call returns.
 func (h *Hub) PublishBatch(samples []Sample) {
 	h.PublishBatchContext(context.Background(), samples)
 }
@@ -484,77 +367,48 @@ func (h *Hub) PublishBatch(samples []Sample) {
 // hub has a tracer and ctx carries a span (the coordinator's step span,
 // via OnStep → daq.ScanContext), the fan-out is recorded as an
 // "nsds.publish" child span — the DAQ-readback leg of the paper's step
-// breakdown. Without a tracer or without a parent span the path is
-// byte-for-byte the old PublishBatch.
+// breakdown.
 func (h *Hub) PublishBatchContext(ctx context.Context, samples []Sample) {
 	if len(samples) == 0 {
 		return
 	}
-	var span *trace.Span
 	if tr := h.tracer.Load(); tr != nil && trace.SpanContextFromContext(ctx).IsValid() {
-		_, span = tr.Start(ctx, "nsds.publish", trace.KindInternal)
+		_, span := tr.Start(ctx, "nsds.publish", trace.KindInternal)
 		span.SetAttr("samples", strconv.Itoa(len(samples)))
 		droppedBefore := h.dropped.Load()
 		defer func() {
+			span.SetAttr("subscribers", strconv.FormatInt(h.subCount.Load(), 10))
 			span.SetAttr("dropped", strconv.FormatUint(h.dropped.Load()-droppedBefore, 10))
 			span.End()
 		}()
 	}
-	h.mu.Lock()
-	if h.closed {
-		h.mu.Unlock()
-		return
-	}
-	if h.forceDrop > 0 {
-		// A drop storm eats the leading samples of the batch before they are
-		// sequenced — survivors keep consecutive sequence numbers.
-		k := h.forceDrop
-		if k > len(samples) {
-			k = len(samples)
-		}
-		h.forceDrop -= k
-		h.noteForced(uint64(k))
-		samples = samples[k:]
-		if len(samples) == 0 {
-			h.mu.Unlock()
-			return
-		}
-	}
-	for i := range samples {
-		h.seq++
-		samples[i].Seq = h.seq
-		if h.retain > 0 {
-			h.retainLocked(samples[i])
-		}
-	}
-	h.notePublished(uint64(len(samples)))
-	h.mu.Unlock()
-
-	if span != nil {
-		span.SetAttr("subscribers", strconv.FormatInt(h.subCount.Load(), 10))
-	}
-	h.fanOut(samples)
+	h.publish(samples, false)
 }
 
 // PublishForwarded ingests samples already sequenced by an upstream hub —
 // the relay tier's publish path. Upstream sequence numbers are preserved
 // (so viewers across the tree agree on sample identity and ordering) and
-// the local sequence clock advances to the highest seen. Forced drops
-// (DropNext) apply here exactly as they do to first-hand publishes.
+// the local sequence clock advances to the highest seen.
 func (h *Hub) PublishForwarded(samples []Sample) {
-	if len(samples) == 0 {
-		return
+	if len(samples) > 0 {
+		h.publish(samples, true)
 	}
+}
+
+// publish is the one sequencing path. Under the hub lock it checks the
+// closed flag, lets a scheduled drop storm (DropNext) eat the leading
+// samples before they are sequenced — survivors keep consecutive sequence
+// numbers — then sequences and retains the rest: a fresh sequence per
+// sample, or the upstream's when forwarded. The fan-out runs after the
+// lock is released.
+func (h *Hub) publish(samples []Sample, forwarded bool) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
 		return
 	}
 	if h.forceDrop > 0 {
-		k := h.forceDrop
-		if k > len(samples) {
-			k = len(samples)
-		}
+		k := min(h.forceDrop, len(samples))
 		h.forceDrop -= k
 		h.noteForced(uint64(k))
 		samples = samples[k:]
@@ -564,7 +418,10 @@ func (h *Hub) PublishForwarded(samples []Sample) {
 		}
 	}
 	for i := range samples {
-		if samples[i].Seq > h.seq {
+		if !forwarded {
+			h.seq++
+			samples[i].Seq = h.seq
+		} else if samples[i].Seq > h.seq {
 			h.seq = samples[i].Seq
 		}
 		if h.retain > 0 {
@@ -578,8 +435,8 @@ func (h *Hub) PublishForwarded(samples []Sample) {
 }
 
 // fanOut delivers one sequenced batch to every subscriber, shard by shard,
-// best-effort. The shared *Batch for batch-mode subscribers is built
-// lazily, so a hub with only sample-mode subscribers never allocates one.
+// best-effort. The shared *Batch is built on first use, so a hub with no
+// subscribers never copies one.
 func (h *Hub) fanOut(samples []Sample) {
 	var shared *Batch
 	var delivered, dropped uint64
@@ -596,16 +453,11 @@ func (h *Hub) fanOut(samples []Sample) {
 		// subscriber would panic.
 		sh.fanMu.RLock()
 		sh.mu.Unlock()
+		if shared == nil {
+			shared = newBatch(samples)
+		}
 		for _, sub := range subs {
-			var d, dr uint64
-			if sub.bch != nil {
-				if shared == nil {
-					shared = newBatch(samples)
-				}
-				d, dr = sub.offerBatch(shared)
-			} else {
-				d, dr = sub.offerSamples(samples)
-			}
+			d, dr := sub.offer(shared)
 			delivered += d
 			dropped += dr
 		}
@@ -656,7 +508,7 @@ func (h *Hub) Close() {
 
 		sh.fanMu.Lock()
 		for _, sub := range closing {
-			sub.closeChan()
+			close(sub.ch)
 		}
 		sh.fanMu.Unlock()
 		h.subCount.Add(-int64(len(closing)))

@@ -6,17 +6,19 @@
 // rather than stalling the experiment; the complete record lands in the
 // repository instead.
 //
-// The package is a multi-tier fan-out system (DESIGN.md §5g). A Hub shards
-// its subscribers across per-core lock domains so publish cost stops
-// scaling with the subscriber count on one mutex; a Relay subscribes to an
-// upstream hub over a single connection and re-fans out through its own
-// local hub, so hubs fan out to hubs in a tree instead of one flat hub
-// serving every viewer; the TCP Server speaks either newline-delimited
-// JSON (legacy) or a length-prefixed binary frame format that encodes each
-// published batch once and writes the same bytes to every connection; and
-// the Gateway serves the stream to browser-class viewers over HTTP
-// Server-Sent Events. Every tier keeps the same drop semantics: a slow
-// consumer loses data, the tier above it never blocks.
+// The package is a multi-tier fan-out system (DESIGN.md §5g) with one
+// stream shape: every subscriber, in-process or remote, receives whole
+// published batches as shared immutable *Batch values. A Hub shards its
+// subscribers across per-core lock domains so publish cost stops scaling
+// with the subscriber count on one mutex; a Relay subscribes to an
+// upstream server over a single connection (a LocalRelay to an in-process
+// hub) and re-fans out through its own hub, both through one forward loop,
+// so hubs fan out to hubs in a tree; the TCP Server speaks one wire, a
+// length-prefixed binary frame that encodes each batch once and writes the
+// same bytes to every connection; and the Gateway renders the stream as
+// JSON over HTTP Server-Sent Events for browser-class viewers. Every tier
+// keeps the same drop semantics: a slow consumer loses data, the tier
+// above it never blocks.
 package nsds
 
 import (
@@ -37,8 +39,8 @@ type Sample struct {
 }
 
 // Batch is an immutable group of samples published together (one DAQ scan)
-// and delivered to batch-mode subscribers as a single unit: one channel
-// operation per subscriber per batch instead of one per sample. Its wire
+// and delivered to subscribers as a single unit: one channel operation per
+// subscriber per batch instead of one per sample. Its wire
 // frame is encoded lazily and exactly once, then shared by every
 // connection that writes it (encode-once/write-many).
 type Batch struct {

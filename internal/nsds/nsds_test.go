@@ -1,42 +1,72 @@
 package nsds
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
+// next receives one batch or fails the test after a second.
+func next(t *testing.T, batches <-chan *Batch) *Batch {
+	t.Helper()
+	select {
+	case b, ok := <-batches:
+		if !ok {
+			t.Fatal("stream closed")
+		}
+		return b
+	case <-time.After(time.Second):
+		t.Fatal("no batch delivered")
+	}
+	return nil
+}
+
+// seqsOf flattens batches into their sequence numbers.
+func seqsOf(bs ...*Batch) []uint64 {
+	var out []uint64
+	for _, b := range bs {
+		for _, s := range b.Samples {
+			out = append(out, s.Seq)
+		}
+	}
+	return out
+}
+
+func publishOne(h *Hub, s Sample) { h.PublishBatch([]Sample{s}) }
+
 func TestHubPublishSubscribe(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	sub, err := h.Subscribe(8)
+	sub, err := h.SubscribeBatches(8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.Publish(Sample{Channel: "a", T: 0.01, Value: 1.5})
-	select {
-	case s := <-sub.C():
-		if s.Channel != "a" || s.Value != 1.5 || s.Seq != 1 {
-			t.Fatalf("sample = %+v", s)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no sample delivered")
+	publishOne(h, Sample{Channel: "a", T: 0.01, Value: 1.5})
+	b := next(t, sub.Batches())
+	if len(b.Samples) != 1 {
+		t.Fatalf("batch = %+v", b.Samples)
+	}
+	if s := b.Samples[0]; s.Channel != "a" || s.Value != 1.5 || s.Seq != 1 {
+		t.Fatalf("sample = %+v", s)
 	}
 }
 
+// A filter of several channels passes each of them, in publish order, and
+// nothing else.
 func TestHubChannelFilter(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	sub, _ := h.Subscribe(8, "wanted")
-	h.Publish(Sample{Channel: "ignored", Value: 1})
-	h.Publish(Sample{Channel: "wanted", Value: 2})
-	s := <-sub.C()
-	if s.Channel != "wanted" {
-		t.Fatalf("filter leaked %q", s.Channel)
+	sub, _ := h.SubscribeBatches(8, false, "x", "y")
+	h.PublishBatch([]Sample{{Channel: "ignored"}, {Channel: "y", Value: 1}, {Channel: "x", Value: 2}})
+	publishOne(h, Sample{Channel: "ignored"})
+	b := next(t, sub.Batches())
+	if len(b.Samples) != 2 || b.Samples[0].Channel != "y" || b.Samples[1].Channel != "x" {
+		t.Fatalf("filtered batch = %+v", b.Samples)
 	}
 	select {
-	case s := <-sub.C():
-		t.Fatalf("unexpected extra sample %+v", s)
+	case b := <-sub.Batches():
+		t.Fatalf("unexpected extra batch %+v", b.Samples)
 	default:
 	}
 }
@@ -44,26 +74,29 @@ func TestHubChannelFilter(t *testing.T) {
 func TestHubBestEffortDropsForSlowConsumer(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	slow, _ := h.Subscribe(2)
-	fast, _ := h.Subscribe(100)
+	slow, _ := h.SubscribeBatches(2, false)
+	fast, _ := h.SubscribeBatches(100, false)
 	for i := 0; i < 50; i++ {
-		h.Publish(Sample{Channel: "c", Value: float64(i)})
+		publishOne(h, Sample{Channel: "c", Value: float64(i)})
 	}
-	if slow.Dropped() == 0 {
-		t.Fatal("slow consumer should have dropped samples")
+	if slow.Dropped() != 48 {
+		t.Fatalf("slow consumer dropped %d, want 48", slow.Dropped())
 	}
 	if fast.Dropped() != 0 {
 		t.Fatal("fast consumer should not drop")
 	}
 	// Fast consumer got everything in order.
 	for i := 0; i < 50; i++ {
-		s := <-fast.C()
-		if s.Value != float64(i) {
-			t.Fatalf("fast consumer sample %d = %g", i, s.Value)
+		if v := next(t, fast.Batches()).Samples[0].Value; v != float64(i) {
+			t.Fatalf("fast consumer sample %d = %g", i, v)
 		}
 	}
+	// The slow one kept the first two.
+	if got := seqsOf(next(t, slow.Batches()), next(t, slow.Batches())); got[0] != 1 || got[1] != 2 {
+		t.Fatalf("slow consumer kept %v", got)
+	}
 	pub, dropped := h.Stats()
-	if pub != 50 || dropped == 0 {
+	if pub != 50 || dropped != 48 {
 		t.Fatalf("stats = %d published, %d dropped", pub, dropped)
 	}
 }
@@ -71,99 +104,90 @@ func TestHubBestEffortDropsForSlowConsumer(t *testing.T) {
 func TestSubscriptionCancel(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	sub, _ := h.Subscribe(1)
+	sub, _ := h.SubscribeBatches(1, false)
 	sub.Cancel()
-	if _, ok := <-sub.C(); ok {
+	if _, ok := <-sub.Batches(); ok {
 		t.Fatal("cancelled subscription channel should be closed")
 	}
-	h.Publish(Sample{Channel: "c"}) // must not panic
+	publishOne(h, Sample{Channel: "c"}) // must not panic
+	sub.Cancel()                        // idempotent
 }
 
 func TestHubClose(t *testing.T) {
 	h := NewHub()
-	sub, _ := h.Subscribe(1)
+	sub, _ := h.SubscribeBatches(1, false)
 	h.Close()
-	if _, ok := <-sub.C(); ok {
+	if _, ok := <-sub.Batches(); ok {
 		t.Fatal("close should close subscriptions")
 	}
-	if _, err := h.Subscribe(1); err == nil {
+	if _, err := h.SubscribeBatches(1, false); err == nil {
 		t.Fatal("subscribe after close should fail")
 	}
-	h.Publish(Sample{Channel: "c"}) // no-op, no panic
-	h.Close()                       // idempotent
+	publishOne(h, Sample{Channel: "c"}) // no-op, no panic
+	h.Close()                           // idempotent
 }
 
-func TestServerClientStream(t *testing.T) {
-	h := NewHub()
-	defer h.Close()
+// startServer serves h on a loopback port until the test ends.
+func startServer(t *testing.T, h *Hub) (*Server, string) {
+	t.Helper()
 	srv := NewServer(h)
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { _ = srv.Close() })
+	return srv, addr
+}
 
-	cl, err := Dial(addr, 64, nil, nil)
+// dial subscribes over TCP and waits until the server has registered the
+// subscription.
+func dial(t *testing.T, h *Hub, addr string, buffer int, catchUp bool, channels ...string) *Client {
+	t.Helper()
+	before := h.Subscribers()
+	cl, err := Dial(addr, buffer, catchUp, channels, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cl.Close()
-	// Give the server a moment to register the subscription.
-	deadline := time.Now().Add(time.Second)
-	for {
-		h.Publish(Sample{Channel: "uiuc.lvdt1", T: 0.01, Value: 3.25})
-		select {
-		case s := <-cl.C():
-			if s.Channel != "uiuc.lvdt1" || s.Value != 3.25 {
-				t.Fatalf("sample = %+v", s)
-			}
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no sample over TCP")
-		}
+	t.Cleanup(func() { _ = cl.Close() })
+	waitFor(t, time.Second, func() bool { return h.Subscribers() > before })
+	return cl
+}
+
+func TestServerClientStream(t *testing.T) {
+	h := NewHub()
+	defer h.Close()
+	_, addr := startServer(t, h)
+	cl := dial(t, h, addr, 64, false)
+	publishOne(h, Sample{Channel: "uiuc.lvdt1", T: 0.01, Value: 3.25})
+	s := next(t, cl.Batches()).Samples[0]
+	if s.Channel != "uiuc.lvdt1" || s.Value != 3.25 || s.T != 0.01 || s.Seq != 1 {
+		t.Fatalf("sample = %+v", s)
 	}
 }
 
 func TestServerClientChannelFilter(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	srv := NewServer(h)
-	addr, _ := srv.Start("127.0.0.1:0")
-	defer srv.Close()
-
-	cl, err := Dial(addr, 64, []string{"only.this"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	time.Sleep(20 * time.Millisecond) // let subscription land
-	h.Publish(Sample{Channel: "other", Value: 1})
-	h.Publish(Sample{Channel: "only.this", Value: 2})
-	select {
-	case s := <-cl.C():
-		if s.Channel != "only.this" {
-			t.Fatalf("filter leaked %q", s.Channel)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no sample")
+	_, addr := startServer(t, h)
+	cl := dial(t, h, addr, 64, false, "only.this")
+	publishOne(h, Sample{Channel: "other", Value: 1})
+	publishOne(h, Sample{Channel: "only.this", Value: 2})
+	if b := next(t, cl.Batches()); len(b.Samples) != 1 || b.Samples[0].Channel != "only.this" {
+		t.Fatalf("filter leaked %+v", b.Samples)
 	}
 }
 
 func TestClientCloseEndsStream(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	srv := NewServer(h)
-	addr, _ := srv.Start("127.0.0.1:0")
-	defer srv.Close()
-	cl, err := Dial(addr, 4, nil, nil)
+	_, addr := startServer(t, h)
+	cl, err := Dial(addr, 4, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = cl.Close()
 	select {
-	case _, ok := <-cl.C():
+	case _, ok := <-cl.Batches():
 		if ok {
 			t.Fatal("expected closed stream")
 		}
@@ -175,17 +199,10 @@ func TestClientCloseEndsStream(t *testing.T) {
 func TestCollectFor(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	srv := NewServer(h)
-	addr, _ := srv.Start("127.0.0.1:0")
-	defer srv.Close()
-	cl, err := Dial(addr, 64, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	time.Sleep(20 * time.Millisecond)
+	_, addr := startServer(t, h)
+	cl := dial(t, h, addr, 64, false)
 	for i := 0; i < 10; i++ {
-		h.Publish(Sample{Channel: "c", Value: float64(i)})
+		publishOne(h, Sample{Channel: "c", Value: float64(i)})
 	}
 	got := cl.CollectFor(100 * time.Millisecond)
 	if len(got) != 10 {
@@ -198,29 +215,36 @@ func TestCatchUpDeliversRetainedHistory(t *testing.T) {
 	defer h.Close()
 	h.SetRetention(5)
 	for i := 0; i < 12; i++ {
-		h.Publish(Sample{Channel: "c", T: float64(i), Value: float64(i)})
+		publishOne(h, Sample{Channel: "c", T: float64(i), Value: float64(i)})
 	}
-	// Late joiner with catch-up gets the last 5 samples, oldest first.
-	sub, err := h.SubscribeWithCatchUp(16)
+	// Late joiner with catch-up gets the last 5 samples, oldest first, as
+	// one batch.
+	sub, err := h.SubscribeBatches(16, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for want := 7.0; want < 12; want++ {
-		s := <-sub.C()
-		if s.Value != want {
-			t.Fatalf("history sample = %g, want %g", s.Value, want)
+	history := next(t, sub.Batches())
+	if len(history.Samples) != 5 {
+		t.Fatalf("history = %+v", history.Samples)
+	}
+	for i, s := range history.Samples {
+		if s.Value != float64(7+i) {
+			t.Fatalf("history sample %d = %g, want %d", i, s.Value, 7+i)
 		}
 	}
+	if sub.Delivered() != 5 {
+		t.Fatalf("delivered = %d, want 5", sub.Delivered())
+	}
 	// Live samples continue after history.
-	h.Publish(Sample{Channel: "c", T: 12, Value: 12})
-	if s := <-sub.C(); s.Value != 12 {
+	publishOne(h, Sample{Channel: "c", T: 12, Value: 12})
+	if s := next(t, sub.Batches()).Samples[0]; s.Value != 12 {
 		t.Fatalf("live sample = %g", s.Value)
 	}
-	// A plain Subscribe sees no history.
-	plain, _ := h.Subscribe(16)
+	// A subscription without catch-up sees no history.
+	plain, _ := h.SubscribeBatches(16, false)
 	select {
-	case s := <-plain.C():
-		t.Fatalf("plain subscriber got history %+v", s)
+	case b := <-plain.Batches():
+		t.Fatalf("plain subscriber got history %+v", b.Samples)
 	default:
 	}
 }
@@ -229,19 +253,17 @@ func TestCatchUpRespectsFilterAndOrdersAcrossChannels(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	h.SetRetention(4)
-	h.Publish(Sample{Channel: "a", Value: 1})
-	h.Publish(Sample{Channel: "b", Value: 2})
-	h.Publish(Sample{Channel: "a", Value: 3})
-	sub, _ := h.SubscribeWithCatchUp(8, "a")
-	s1, s2 := <-sub.C(), <-sub.C()
-	if s1.Value != 1 || s2.Value != 3 {
-		t.Fatalf("filtered history = %g, %g", s1.Value, s2.Value)
+	publishOne(h, Sample{Channel: "a", Value: 1})
+	publishOne(h, Sample{Channel: "b", Value: 2})
+	publishOne(h, Sample{Channel: "a", Value: 3})
+	sub, _ := h.SubscribeBatches(8, true, "a")
+	if got := next(t, sub.Batches()).Samples; len(got) != 2 || got[0].Value != 1 || got[1].Value != 3 {
+		t.Fatalf("filtered history = %+v", got)
 	}
 	// Unfiltered joiner sees a, b, a in publish (seq) order.
-	all, _ := h.SubscribeWithCatchUp(8)
-	v1, v2, v3 := <-all.C(), <-all.C(), <-all.C()
-	if v1.Value != 1 || v2.Value != 2 || v3.Value != 3 {
-		t.Fatalf("ordering = %g %g %g", v1.Value, v2.Value, v3.Value)
+	all, _ := h.SubscribeBatches(8, true)
+	if got := seqsOf(next(t, all.Batches())); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Fatalf("ordering = %v", got)
 	}
 }
 
@@ -249,13 +271,12 @@ func TestCatchUpOverTCP(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	h.SetRetention(10)
-	srv := NewServer(h)
-	addr, _ := srv.Start("127.0.0.1:0")
-	defer srv.Close()
+	_, addr := startServer(t, h)
 	for i := 0; i < 3; i++ {
-		h.Publish(Sample{Channel: "c", T: float64(i), Value: float64(i)})
+		publishOne(h, Sample{Channel: "c", T: float64(i), Value: float64(i)})
 	}
-	cl, err := DialCatchUp(addr, 16, []string{"c"}, nil)
+	publishOne(h, Sample{Channel: "other"})
+	cl, err := Dial(addr, 16, true, []string{"c"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,11 +290,11 @@ func TestCatchUpOverTCP(t *testing.T) {
 func TestRetentionDisabledByDefault(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
-	h.Publish(Sample{Channel: "c", Value: 1})
-	sub, _ := h.SubscribeWithCatchUp(4)
+	publishOne(h, Sample{Channel: "c", Value: 1})
+	sub, _ := h.SubscribeBatches(4, true)
 	select {
-	case s := <-sub.C():
-		t.Fatalf("history delivered with retention off: %+v", s)
+	case b := <-sub.Batches():
+		t.Fatalf("history delivered with retention off: %+v", b.Samples)
 	default:
 	}
 }
@@ -281,16 +302,16 @@ func TestRetentionDisabledByDefault(t *testing.T) {
 func TestPublishBatchSequencesAndDelivers(t *testing.T) {
 	hub := NewHub()
 	defer hub.Close()
-	all, err := hub.Subscribe(64)
+	all, err := hub.SubscribeBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := hub.Subscribe(64, "a")
+	filtered, err := hub.SubscribeBatches(64, false, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	hub.Publish(Sample{Channel: "a", T: 0, Value: 1})
+	publishOne(hub, Sample{Channel: "a", T: 0, Value: 1})
 	batch := []Sample{
 		{Channel: "a", T: 1, Value: 2},
 		{Channel: "b", T: 1, Value: 3},
@@ -298,31 +319,27 @@ func TestPublishBatchSequencesAndDelivers(t *testing.T) {
 	}
 	hub.PublishBatch(batch)
 
-	// Sequence numbers continue from Publish and are filled into the caller's
-	// slice.
+	// Sequence numbers continue across publishes and are filled into the
+	// caller's slice.
 	for i, s := range batch {
 		if s.Seq != uint64(2+i) {
 			t.Fatalf("batch[%d].Seq = %d, want %d", i, s.Seq, 2+i)
 		}
 	}
-	// Unfiltered subscriber sees all four in order.
-	for want := uint64(1); want <= 4; want++ {
-		got := <-all.C()
-		if got.Seq != want {
-			t.Fatalf("seq %d, want %d", got.Seq, want)
-		}
+	// The caller may reuse its slice: the delivered batch is a copy.
+	batch[0].Value = -1
+	// Unfiltered subscriber sees all four in order, one batch per publish.
+	b1, b2 := next(t, all.Batches()), next(t, all.Batches())
+	if got := seqsOf(b1, b2); len(got) != 4 || got[0] != 1 || got[3] != 4 || len(b2.Samples) != 3 {
+		t.Fatalf("seqs %v", got)
+	}
+	if b2.Samples[0].Value != 2 {
+		t.Fatal("delivered batch aliases the publisher's slice")
 	}
 	// Filtered subscriber sees only channel a, still in order.
-	seqs := []uint64{}
-	for i := 0; i < 3; i++ {
-		s := <-filtered.C()
-		if s.Channel != "a" {
-			t.Fatalf("filtered subscriber got channel %q", s.Channel)
-		}
-		seqs = append(seqs, s.Seq)
-	}
-	if seqs[0] != 1 || seqs[1] != 2 || seqs[2] != 4 {
-		t.Fatalf("filtered seqs %v", seqs)
+	f1, f2 := next(t, filtered.Batches()), next(t, filtered.Batches())
+	if got := seqsOf(f1, f2); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 4 {
+		t.Fatalf("filtered seqs %v", got)
 	}
 	published, dropped := hub.Stats()
 	if published != 4 || dropped != 0 {
@@ -333,28 +350,28 @@ func TestPublishBatchSequencesAndDelivers(t *testing.T) {
 func TestPublishBatchDropsForSlowConsumer(t *testing.T) {
 	hub := NewHub()
 	defer hub.Close()
-	slow, err := hub.Subscribe(2)
+	slow, err := hub.SubscribeBatches(1, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := make([]Sample, 10)
-	for i := range batch {
-		batch[i] = Sample{Channel: "c", T: float64(i)}
+	for i := 0; i < 3; i++ {
+		batch := make([]Sample, 4)
+		for j := range batch {
+			batch[j] = Sample{Channel: "c", T: float64(4*i + j)}
+		}
+		hub.PublishBatch(batch)
 	}
-	hub.PublishBatch(batch)
+	// The buffer holds one batch: the second and third drop whole, their
+	// samples counted individually.
 	if got := slow.Dropped(); got != 8 {
 		t.Fatalf("slow subscriber dropped %d, want 8", got)
 	}
 	published, dropped := hub.Stats()
-	if published != 10 || dropped != 8 {
-		t.Fatalf("stats %d/%d, want 10/8", published, dropped)
+	if published != 12 || dropped != 8 {
+		t.Fatalf("stats %d/%d, want 12/8", published, dropped)
 	}
-	// The two buffered samples are the first two, in order.
-	if s := <-slow.C(); s.Seq != 1 {
-		t.Fatalf("first kept seq %d", s.Seq)
-	}
-	if s := <-slow.C(); s.Seq != 2 {
-		t.Fatalf("second kept seq %d", s.Seq)
+	if got := seqsOf(next(t, slow.Batches())); len(got) != 4 || got[0] != 1 {
+		t.Fatalf("kept batch seqs %v, want the first four", got)
 	}
 }
 
@@ -367,35 +384,81 @@ func TestPublishBatchRetention(t *testing.T) {
 		{Channel: "a", Value: 2},
 		{Channel: "a", Value: 3},
 	})
-	sub, err := hub.SubscribeWithCatchUp(8, "a")
+	sub, err := hub.SubscribeBatches(8, true, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := <-sub.C(); s.Value != 2 {
-		t.Fatalf("first retained value %v, want 2", s.Value)
-	}
-	if s := <-sub.C(); s.Value != 3 {
-		t.Fatalf("second retained value %v, want 3", s.Value)
+	if got := next(t, sub.Batches()).Samples; len(got) != 2 || got[0].Value != 2 || got[1].Value != 3 {
+		t.Fatalf("retained = %+v, want values 2, 3", got)
 	}
 }
 
 func TestPublishBatchEmptyAndClosed(t *testing.T) {
 	hub := NewHub()
 	hub.PublishBatch(nil)
+	hub.PublishForwarded(nil)
 	hub.Close()
 	hub.PublishBatch([]Sample{{Channel: "a"}})
+	hub.PublishForwarded([]Sample{{Channel: "a", Seq: 9}})
 	published, _ := hub.Stats()
 	if published != 0 {
 		t.Fatalf("published %d on empty/closed hub", published)
 	}
 }
 
+// requireCancelWaitsForFanOut pins the close-vs-send guard directly: it
+// parks a publisher between its subscriber snapshot and its delivery (by
+// holding the shard's fan-out lock) and checks that a Cancel issued then
+// cannot get past the registration lock. If publishers released mu before
+// taking fanMu, the cancel would run to its close and the parked send
+// would hit a closed channel ("send on closed channel"), an interleaving
+// the stress loops below reach only by luck.
+func requireCancelWaitsForFanOut(t *testing.T) {
+	t.Helper()
+	hub := newHubShards(1)
+	defer hub.Close()
+	sh := hub.shards[0]
+	sub, err := hub.SubscribeBatches(1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh.fanMu.Lock()
+	published := make(chan struct{})
+	go func() {
+		hub.PublishBatch([]Sample{{Channel: "a"}})
+		close(published)
+	}()
+	// The publisher has its snapshot once it holds the registration lock.
+	for deadline := time.Now().Add(5 * time.Second); sh.mu.TryLock(); {
+		sh.mu.Unlock()
+		if time.Now().After(deadline) {
+			sh.fanMu.Unlock()
+			t.Fatal("publisher never held its snapshot while waiting to deliver")
+		}
+		runtime.Gosched()
+	}
+	cancelled := make(chan struct{})
+	go func() {
+		sub.Cancel()
+		close(cancelled)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	passed := hub.Subscribers() == 0
+	sh.fanMu.Unlock()
+	<-published
+	<-cancelled
+	if passed {
+		t.Fatal("a cancel got past the registration lock while a publisher held its snapshot")
+	}
+}
+
 // TestCancelRacingFanOutDoesNotPanic hammers the snapshot→deliver window:
 // subscribers cancel immediately after subscribing while publishers fan out
-// continuously. Before publishers held fanMu across the mu release, a
-// cancel completing in that gap closed a snapshotted channel and the
-// subsequent send panicked ("send on closed channel").
+// continuously. Unless publishers hold fanMu across the mu release, a
+// cancel completing in that gap closes a snapshotted channel and the
+// subsequent send panics ("send on closed channel").
 func TestCancelRacingFanOutDoesNotPanic(t *testing.T) {
+	requireCancelWaitsForFanOut(t)
 	hub := NewHub()
 	defer hub.Close()
 	stop := make(chan struct{})
@@ -404,18 +467,15 @@ func TestCancelRacingFanOutDoesNotPanic(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			batch := make([]Sample, 4)
+			batch := make([]Sample, 1+3*p)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if p == 0 {
-					hub.Publish(Sample{Channel: "a", T: float64(i)})
-				} else {
-					hub.PublishBatch(batch)
-				}
+				batch[0].T = float64(i)
+				hub.PublishBatch(batch)
 			}
 		}(p)
 	}
@@ -426,7 +486,7 @@ func TestCancelRacingFanOutDoesNotPanic(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 400; i++ {
-				sub, err := hub.Subscribe(1)
+				sub, err := hub.SubscribeBatches(1, false)
 				if err != nil {
 					t.Errorf("subscribe: %v", err)
 					return
@@ -440,10 +500,11 @@ func TestCancelRacingFanOutDoesNotPanic(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentPublishSubscribeCancel hammers the hub with publishers,
-// batch publishers, and subscribers that cancel mid-stream — meaningful
-// under -race, and exercises the close-vs-send guard.
+// TestConcurrentPublishSubscribeCancel hammers the hub with publishers of
+// single samples and of blocks, and subscribers that cancel mid-stream —
+// meaningful under -race, and exercises the close-vs-send guard.
 func TestConcurrentPublishSubscribeCancel(t *testing.T) {
+	requireCancelWaitsForFanOut(t)
 	hub := NewHub()
 	defer hub.Close()
 	stop := make(chan struct{})
@@ -460,7 +521,7 @@ func TestConcurrentPublishSubscribeCancel(t *testing.T) {
 				default:
 				}
 				if p%2 == 0 {
-					hub.Publish(Sample{Channel: "a", T: float64(i)})
+					publishOne(hub, Sample{Channel: "a", T: float64(i)})
 				} else {
 					for j := range batch {
 						batch[j] = Sample{Channel: "b", T: float64(i + j)}
@@ -475,7 +536,7 @@ func TestConcurrentPublishSubscribeCancel(t *testing.T) {
 		go func(s int) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				sub, err := hub.Subscribe(4, []string{"a", "b"}[i%2])
+				sub, err := hub.SubscribeBatches(4, false, []string{"a", "b"}[i%2])
 				if err != nil {
 					t.Errorf("subscribe: %v", err)
 					return
@@ -483,7 +544,7 @@ func TestConcurrentPublishSubscribeCancel(t *testing.T) {
 				// Drain a little, then cancel while publishers are active.
 				for j := 0; j < 3; j++ {
 					select {
-					case <-sub.C():
+					case <-sub.Batches():
 					default:
 					}
 				}

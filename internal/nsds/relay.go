@@ -10,51 +10,73 @@ import (
 	"neesgrid/internal/telemetry"
 )
 
+const (
+	// relayBuffer is a relay's upstream receive depth in batches.
+	relayBuffer = 256
+	// relayBackoff and relayMaxBackoff bound the reconnect delay.
+	relayBackoff    = 50 * time.Millisecond
+	relayMaxBackoff = 2 * time.Second
+	// localRelayBuffer is the in-process forwarder's subscription depth in
+	// batches: deep enough that a chaos-scale run never backpressure-drops
+	// on the forwarder itself, which keeps relay-tier forced-drop counts
+	// deterministic.
+	localRelayBuffer = maxBuffer
+)
+
+// forwarder is the relay tier's one forward loop, shared by Relay and
+// LocalRelay: it drops what the local hub has already forwarded (by
+// upstream sequence), republishes the rest with the upstream sequence
+// numbers, then counts.
+type forwarder struct {
+	hub *Hub
+	// lastSeq is the highest upstream sequence forwarded; touched only by
+	// the goroutine running the loop.
+	lastSeq    uint64
+	forwarded  atomic.Uint64
+	duplicates atomic.Uint64
+}
+
+// run forwards batches until the channel closes or ctx ends. Catch-up
+// replays after a reconnect are deduplicated by sequence number: the
+// upstream assigns each sample one sequence for life, so anything at or
+// below lastSeq has already been forwarded.
+func (f *forwarder) run(ctx context.Context, batches <-chan *Batch) {
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case b, ok := <-batches:
+			if !ok {
+				return
+			}
+			fresh := b.Samples
+			for len(fresh) > 0 && fresh[0].Seq <= f.lastSeq {
+				fresh = fresh[1:]
+			}
+			if len(fresh) > 0 {
+				f.hub.PublishForwarded(fresh)
+				f.lastSeq = fresh[len(fresh)-1].Seq
+			}
+			f.duplicates.Add(uint64(len(b.Samples) - len(fresh)))
+			f.forwarded.Add(uint64(len(fresh)))
+		}
+	}
+}
+
 // RelayConfig describes one relay tier node.
 type RelayConfig struct {
-	// Upstream is the address of the NSDS server to subscribe to.
+	// Upstream is the address of the NSDS server to subscribe to (every
+	// channel).
 	Upstream string
-	// Channels filters the upstream subscription (empty = everything).
-	Channels []string
-	// Buffer is the upstream receive buffer in batches (default 256).
-	Buffer int
 	// Retention is the local hub's per-channel retention for late joiners
 	// (0 = off). With retention on both tiers, a viewer joining behind the
 	// relay sees history even across an upstream reconnect.
 	Retention int
-	// Shards is the local hub's shard count (0 = one per CPU).
-	Shards int
 	// Dial overrides the dialer (fault injection); nil means net.Dial.
 	Dial func(network, addr string) (net.Conn, error)
-	// Backoff and MaxBackoff bound the reconnect delay (defaults 50ms, 2s).
-	Backoff    time.Duration
-	MaxBackoff time.Duration
 	// Telemetry, when set, exports the relay hub's tier counters
-	// (nsds.tier.*.<TierName>) plus nsds.relay.reconnects.
+	// (nsds.tier.*.relay) plus nsds.relay.reconnects.
 	Telemetry *telemetry.Registry
-	// TierName labels the relay's counters (default "relay").
-	TierName string
-}
-
-func (c *RelayConfig) buffer() int {
-	if c.Buffer < 1 {
-		return 256
-	}
-	return c.Buffer
-}
-
-func (c *RelayConfig) backoff() time.Duration {
-	if c.Backoff <= 0 {
-		return 50 * time.Millisecond
-	}
-	return c.Backoff
-}
-
-func (c *RelayConfig) maxBackoff() time.Duration {
-	if c.MaxBackoff <= 0 {
-		return 2 * time.Second
-	}
-	return c.MaxBackoff
 }
 
 // Relay subscribes to an upstream NSDS server over a single binary
@@ -65,14 +87,14 @@ func (c *RelayConfig) maxBackoff() time.Duration {
 // viewer drops at the relay hub, a slow relay drops at the upstream hub —
 // the experiment never blocks).
 //
-// On upstream loss the relay reconnects with exponential backoff and a
-// catch-up subscription: upstream retained history replays on reconnect,
-// already-forwarded samples are deduplicated by sequence number, and only
-// the missed window re-fans out — a late joiner behind the relay sees
-// each sample exactly once, in order.
+// On upstream loss the relay reconnects with exponential backoff (50 ms
+// doubling to 2 s) and a catch-up subscription: upstream retained history
+// replays on reconnect, already-forwarded samples are deduplicated by
+// sequence number, and only the missed window re-fans out — a late joiner
+// behind the relay sees each sample exactly once, in order.
 type Relay struct {
 	cfg RelayConfig
-	hub *Hub
+	fw  forwarder
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -80,28 +102,18 @@ type Relay struct {
 	connected  atomic.Bool
 	everConn   atomic.Bool
 	reconnects atomic.Uint64
-	forwarded  atomic.Uint64
-	duplicates atomic.Uint64
 	reconCtr   *telemetry.Counter
-
-	// lastSeq is the highest upstream sequence forwarded; touched only by
-	// the run goroutine.
-	lastSeq uint64
 }
 
 // NewRelay creates a relay and its local hub (not yet connected — Start
 // dials).
 func NewRelay(cfg RelayConfig) *Relay {
-	r := &Relay{cfg: cfg, hub: NewHubShards(cfg.Shards)}
+	r := &Relay{cfg: cfg, fw: forwarder{hub: NewHub()}}
 	if cfg.Retention > 0 {
-		r.hub.SetRetention(cfg.Retention)
+		r.fw.hub.SetRetention(cfg.Retention)
 	}
 	if cfg.Telemetry != nil {
-		tier := cfg.TierName
-		if tier == "" {
-			tier = "relay"
-		}
-		r.hub.UseTelemetry(cfg.Telemetry, tier)
+		r.fw.hub.UseTelemetry(cfg.Telemetry, "relay")
 		r.reconCtr = cfg.Telemetry.Counter("nsds.relay.reconnects")
 	}
 	return r
@@ -109,17 +121,17 @@ func NewRelay(cfg RelayConfig) *Relay {
 
 // Hub returns the relay's local (downstream-facing) hub. Viewers —
 // servers, gateways, in-process subscribers — attach here.
-func (r *Relay) Hub() *Hub { return r.hub }
+func (r *Relay) Hub() *Hub { return r.fw.hub }
 
 // Reconnects returns how many times the upstream connection was re-dialed
 // after a loss.
 func (r *Relay) Reconnects() uint64 { return r.reconnects.Load() }
 
 // Forwarded returns the total samples re-published downstream.
-func (r *Relay) Forwarded() uint64 { return r.forwarded.Load() }
+func (r *Relay) Forwarded() uint64 { return r.fw.forwarded.Load() }
 
 // Duplicates returns catch-up samples discarded as already forwarded.
-func (r *Relay) Duplicates() uint64 { return r.duplicates.Load() }
+func (r *Relay) Duplicates() uint64 { return r.fw.duplicates.Load() }
 
 // Start launches the upstream subscription loop (runtime.Component shape).
 func (r *Relay) Start(context.Context) error {
@@ -137,7 +149,7 @@ func (r *Relay) Start(context.Context) error {
 // forward loop, then closes the local hub.
 func (r *Relay) Stop(ctx context.Context) error {
 	if r.done == nil {
-		r.hub.Close()
+		r.fw.hub.Close()
 		return nil
 	}
 	r.cancel()
@@ -146,7 +158,7 @@ func (r *Relay) Stop(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("nsds: relay still draining: %w", ctx.Err())
 	}
-	r.hub.Close()
+	r.fw.hub.Close()
 	return nil
 }
 
@@ -160,16 +172,14 @@ func (r *Relay) Healthy() error {
 
 func (r *Relay) run(ctx context.Context) {
 	defer close(r.done)
-	backoff := r.cfg.backoff()
+	backoff := relayBackoff
 	for ctx.Err() == nil {
-		cl, err := DialBatches(r.cfg.Upstream, r.cfg.buffer(), true, r.cfg.Channels, r.cfg.Dial)
+		cl, err := Dial(r.cfg.Upstream, relayBuffer, true, nil, r.cfg.Dial)
 		if err != nil {
 			if !sleepCtx(ctx, backoff) {
 				return
 			}
-			if backoff *= 2; backoff > r.cfg.maxBackoff() {
-				backoff = r.cfg.maxBackoff()
-			}
+			backoff = min(2*backoff, relayMaxBackoff)
 			continue
 		}
 		if r.everConn.Swap(true) {
@@ -179,40 +189,12 @@ func (r *Relay) run(ctx context.Context) {
 			}
 		}
 		r.connected.Store(true)
-		backoff = r.cfg.backoff()
-		r.consume(ctx, cl)
+		backoff = relayBackoff
+		r.fw.run(ctx, cl.Batches())
 		_ = cl.Close()
 		r.connected.Store(false)
 		if ctx.Err() == nil && !sleepCtx(ctx, backoff) {
 			return
-		}
-	}
-}
-
-// consume forwards upstream batches until the connection dies or ctx ends.
-// Catch-up replays after a reconnect are deduplicated by sequence number:
-// the upstream assigns each sample one sequence for life, so anything at
-// or below lastSeq has already been forwarded.
-func (r *Relay) consume(ctx context.Context, cl *Client) {
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case samples, ok := <-cl.Batches():
-			if !ok {
-				return
-			}
-			fresh := samples
-			for len(fresh) > 0 && fresh[0].Seq <= r.lastSeq {
-				fresh = fresh[1:]
-				r.duplicates.Add(1)
-			}
-			if len(fresh) == 0 {
-				continue
-			}
-			r.hub.PublishForwarded(fresh)
-			r.lastSeq = fresh[len(fresh)-1].Seq
-			r.forwarded.Add(uint64(len(fresh)))
 		}
 	}
 }
@@ -230,50 +212,41 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // LocalRelay chains a downstream hub onto an in-process upstream hub: the
 // single-process form of the relay tier, used by the most harness (per-
-// site viewer tier) and the fan-out benchmarks. Same drop semantics: the
-// forwarder is one batch-mode subscriber upstream, and a slow viewer
-// drops at the downstream hub without ever backpressuring the upstream.
+// site viewer tier) and the fan-out benchmarks. It runs the same forward
+// loop as Relay, fed by one upstream subscription instead of a
+// connection, so a slow viewer drops at the downstream hub without ever
+// backpressuring the upstream.
 type LocalRelay struct {
 	sub  *Subscription
-	hub  *Hub
+	fw   forwarder
 	done chan struct{}
-
-	processed atomic.Uint64 // samples taken off the upstream subscription
 }
 
-// NewLocalRelay starts forwarding from upstream into downstream. buffer is
-// the forwarder's subscription depth in batches (< 1 picks 4096 — deep
-// enough that a chaos-scale run never backpressure-drops on the forwarder
-// itself, which keeps relay-tier forced-drop counts deterministic).
-func NewLocalRelay(upstream, downstream *Hub, buffer int) (*LocalRelay, error) {
-	if buffer < 1 {
-		buffer = 4096
-	}
-	sub, err := upstream.SubscribeBatches(buffer, false)
+// NewLocalRelay starts forwarding from upstream into downstream.
+func NewLocalRelay(upstream, downstream *Hub) (*LocalRelay, error) {
+	sub, err := upstream.SubscribeBatches(localRelayBuffer, false)
 	if err != nil {
 		return nil, err
 	}
-	lr := &LocalRelay{sub: sub, hub: downstream, done: make(chan struct{})}
-	go lr.run()
+	lr := &LocalRelay{sub: sub, fw: forwarder{hub: downstream}, done: make(chan struct{})}
+	go func() {
+		defer close(lr.done)
+		lr.fw.run(context.Background(), sub.Batches())
+	}()
 	return lr, nil
 }
 
-func (lr *LocalRelay) run() {
-	defer close(lr.done)
-	for b := range lr.sub.Batches() {
-		lr.hub.PublishForwarded(b.Samples)
-		lr.processed.Add(uint64(len(b.Samples)))
-	}
-}
-
 // Drain waits until every sample the upstream has handed this relay has
-// been forwarded downstream. Call it when upstream publishing has stopped
-// (end of run) and downstream counters must be settled — the chaos engine
-// does, so relay-tier forced drops are consumed before the verdict reads
-// them.
+// been forwarded downstream or discarded as a duplicate. Call it when
+// upstream publishing has stopped (end of run) and downstream counters
+// must be settled — the chaos engine does, so relay-tier forced drops are
+// consumed before the verdict reads them.
 func (lr *LocalRelay) Drain(ctx context.Context) error {
 	for {
-		if lr.processed.Load() == lr.sub.Delivered() {
+		// Operands load left to right, forwarded before duplicates — the
+		// reverse of the order the loop adds them — and both before the
+		// subscription's count, so equality means nothing is in flight.
+		if lr.fw.forwarded.Load()+lr.fw.duplicates.Load() == lr.sub.Delivered() {
 			return nil
 		}
 		select {

@@ -36,20 +36,13 @@ func TestRelayFansOutUpstreamStream(t *testing.T) {
 	relay := startRelay(t, RelayConfig{Upstream: addr, Telemetry: reg})
 	waitFor(t, 2*time.Second, func() bool { return relay.Healthy() == nil })
 
-	viewer, err := relay.Hub().Subscribe(64)
+	viewer, err := relay.Hub().SubscribeBatches(64, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	up.PublishBatch([]Sample{{Channel: "a", T: 1}, {Channel: "b", T: 1}})
-	for want := uint64(1); want <= 2; want++ {
-		select {
-		case s := <-viewer.C():
-			if s.Seq != want {
-				t.Fatalf("seq = %d, want %d", s.Seq, want)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatal("sample did not traverse the relay")
-		}
+	if got := seqsOf(next(t, viewer.Batches())); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+		t.Fatalf("seqs = %v, want 1, 2", got)
 	}
 	snap := reg.Snapshot()
 	if snap.Counters["nsds.tier.delivered.relay"] != 2 {
@@ -71,15 +64,11 @@ func TestRelayReconnectCatchUpExactlyOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	relay := startRelay(t, RelayConfig{
-		Upstream:  addr,
-		Retention: 64,
-		Backoff:   5 * time.Millisecond,
-	})
+	relay := startRelay(t, RelayConfig{Upstream: addr, Retention: 64})
 	waitFor(t, 2*time.Second, func() bool { return relay.Healthy() == nil })
 
 	for i := 0; i < 5; i++ {
-		up.Publish(Sample{Channel: "a", T: float64(i)})
+		publishOne(up, Sample{Channel: "a", T: float64(i)})
 	}
 	waitFor(t, 2*time.Second, func() bool { return relay.Forwarded() == 5 })
 
@@ -90,7 +79,7 @@ func TestRelayReconnectCatchUpExactlyOnce(t *testing.T) {
 	// Publish while the relay is down — retained upstream, invisible to
 	// the relay until it reconnects.
 	for i := 5; i < 9; i++ {
-		up.Publish(Sample{Channel: "a", T: float64(i)})
+		publishOne(up, Sample{Channel: "a", T: float64(i)})
 	}
 
 	// Revive the server on the same address; the relay reconnects with
@@ -111,23 +100,19 @@ func TestRelayReconnectCatchUpExactlyOnce(t *testing.T) {
 
 	// The late joiner behind the relay: full history exactly once, in
 	// order, spanning the outage.
-	late, err := relay.Hub().SubscribeWithCatchUp(64)
+	late, err := relay.Hub().SubscribeBatches(64, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for want := uint64(1); want <= 9; want++ {
-		select {
-		case s := <-late.C():
-			if s.Seq != want {
-				t.Fatalf("late joiner saw seq %d, want %d (exactly once, in order)", s.Seq, want)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("late joiner stalled waiting for seq %d", want)
+	got := seqsOf(next(t, late.Batches()))
+	for i, seq := range got {
+		if seq != uint64(i+1) || len(got) != 9 {
+			t.Fatalf("late joiner saw seqs %v, want 1..9 (exactly once, in order)", got)
 		}
 	}
 	select {
-	case s := <-late.C():
-		t.Fatalf("duplicate delivery: seq %d", s.Seq)
+	case b := <-late.Batches():
+		t.Fatalf("duplicate delivery: seqs %v", seqsOf(b))
 	case <-time.After(100 * time.Millisecond):
 	}
 }

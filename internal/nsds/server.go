@@ -21,17 +21,20 @@ const DefaultWriteTimeout = 30 * time.Second
 // subscribeMsg is the first line a TCP client sends.
 type subscribeMsg struct {
 	Channels []string `json:"channels"`
-	Buffer   int      `json:"buffer"`
-	CatchUp  bool     `json:"catch_up,omitempty"`
-	// Format selects the stream encoding: "" or "json" for the legacy
-	// newline-delimited JSON samples, "binary" for length-prefixed batch
-	// frames (encode-once/write-many).
+	// Buffer is the subscription depth in batches (< 1 picks 64; capped at
+	// 4096).
+	Buffer  int  `json:"buffer"`
+	CatchUp bool `json:"catch_up,omitempty"`
+	// Format must be "binary", the only stream encoding. A line without it
+	// — a client of the retired newline-JSON stream — is refused by
+	// closing the connection with no bytes written, so an old client fails
+	// loudly instead of parsing frames as text.
 	Format string `json:"format,omitempty"`
 }
 
 // Server exposes a hub over TCP: the client sends one JSON subscribe line,
-// then receives the stream — newline-delimited JSON samples by default, or
-// shared binary batch frames when it subscribes with "format":"binary".
+// then receives length-prefixed binary batch frames (wire.go), each
+// encoded once and written to every connection that receives it.
 type Server struct {
 	hub *Hub
 
@@ -49,17 +52,6 @@ type Server struct {
 
 // NewServer wraps a hub.
 func NewServer(hub *Hub) *Server { return &Server{hub: hub, conns: make(map[net.Conn]struct{})} }
-
-func (s *Server) writeTimeout() time.Duration {
-	switch {
-	case s.WriteTimeout < 0:
-		return 0
-	case s.WriteTimeout == 0:
-		return DefaultWriteTimeout
-	default:
-		return s.WriteTimeout
-	}
-}
 
 // ConnCount returns the number of live subscriber connections.
 func (s *Server) ConnCount() int {
@@ -156,103 +148,62 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	var msg subscribeMsg
-	if err := json.Unmarshal(sc.Bytes(), &msg); err != nil {
+	if err := json.Unmarshal(sc.Bytes(), &msg); err != nil || msg.Format != "binary" {
 		return
 	}
-	if msg.Format == "binary" {
-		s.serveBinary(conn, msg)
-		return
-	}
-	s.serveJSON(conn, msg)
-}
-
-// serveJSON streams newline-delimited JSON samples — the legacy endpoint.
-func (s *Server) serveJSON(conn net.Conn, msg subscribeMsg) {
-	var sub *Subscription
-	var err error
-	if msg.CatchUp {
-		sub, err = s.hub.SubscribeWithCatchUp(msg.Buffer, msg.Channels...)
-	} else {
-		sub, err = s.hub.Subscribe(msg.Buffer, msg.Channels...)
-	}
-	if err != nil {
-		return
-	}
-	defer sub.Cancel()
-	// Buffer writes and flush only when the subscription runs dry: a burst
-	// of samples coalesces into one syscall instead of one write per sample,
-	// while an idle stream still delivers every sample promptly.
-	bw := bufio.NewWriterSize(conn, 32<<10)
-	enc := json.NewEncoder(bw)
-	wt := s.writeTimeout()
-	for sample := range sub.C() {
-		// Refresh the write deadline per burst: it covers the encode (which
-		// may auto-flush a full buffer) and the final flush. A viewer that
-		// cannot take a burst within the deadline is disconnected.
-		if wt > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(wt))
-		}
-		if err := enc.Encode(sample); err != nil {
-			return
-		}
-	drain:
-		for {
-			select {
-			case s, ok := <-sub.C():
-				if !ok {
-					_ = bw.Flush()
-					return
-				}
-				if err := enc.Encode(s); err != nil {
-					return
-				}
-			default:
-				break drain
-			}
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-	_ = bw.Flush()
-}
-
-// serveBinary streams shared batch frames: every connection writes the
-// same Frame() bytes its batch produced once, so fanning one batch out to
-// N viewers costs one encode plus N buffer copies.
-func (s *Server) serveBinary(conn net.Conn, msg subscribeMsg) {
 	sub, err := s.hub.SubscribeBatches(msg.Buffer, msg.CatchUp, msg.Channels...)
 	if err != nil {
 		return
 	}
 	defer sub.Cancel()
+	wt := s.WriteTimeout
+	if wt == 0 {
+		wt = DefaultWriteTimeout
+	}
 	bw := bufio.NewWriterSize(conn, 64<<10)
-	wt := s.writeTimeout()
-	for batch := range sub.Batches() {
-		if wt > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(wt))
-		}
-		if _, err := bw.Write(batch.Frame()); err != nil {
-			return
-		}
-	drain:
-		for {
-			select {
-			case b, ok := <-sub.Batches():
-				if !ok {
-					_ = bw.Flush()
-					return
-				}
-				if _, err := bw.Write(b.Frame()); err != nil {
-					return
-				}
-			default:
-				break drain
-			}
-		}
-		if err := bw.Flush(); err != nil {
+	write := func(b *Batch) error {
+		_, err := bw.Write(b.Frame())
+		return err
+	}
+	for b := range sub.Batches() {
+		if !writeBurst(b, sub.Batches(), wt, conn.SetWriteDeadline, write, bw.Flush) {
 			return
 		}
 	}
-	_ = bw.Flush()
+}
+
+// writeBurst is the one write path of the TCP server and the SSE gateway:
+// it arms the write deadline, writes b and every batch already queued
+// behind it, and flushes once — a burst coalesces into one syscall while
+// an idle stream still delivers every batch promptly. A viewer that cannot
+// take the burst within the deadline is disconnected. It reports whether
+// the stream goes on: false once a write fails or the subscription has
+// closed.
+func writeBurst(b *Batch, queued <-chan *Batch, wt time.Duration, setDeadline func(time.Time) error,
+	write func(*Batch) error, flush func() error) bool {
+	armDeadline(setDeadline, wt)
+	if write(b) != nil {
+		return false
+	}
+	for {
+		select {
+		case nb, ok := <-queued:
+			if !ok {
+				_ = flush()
+				return false
+			}
+			if write(nb) != nil {
+				return false
+			}
+		default:
+			return flush() == nil
+		}
+	}
+}
+
+// armDeadline sets a write deadline wt from now (wt <= 0: none).
+func armDeadline(set func(time.Time) error, wt time.Duration) {
+	if wt > 0 {
+		_ = set(time.Now().Add(wt))
+	}
 }

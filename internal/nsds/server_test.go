@@ -3,7 +3,9 @@ package nsds
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +32,7 @@ func TestServerWriteDeadlineDisconnectsStalledViewer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if _, err := fmt.Fprintln(conn, `{"channels":[],"buffer":64}`); err != nil {
+	if _, err := fmt.Fprintln(conn, `{"channels":[],"buffer":64,"format":"binary"}`); err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the server has registered the subscription, then stall:
@@ -73,8 +75,8 @@ func TestServerBinaryFormatStreamsBatches(t *testing.T) {
 	}
 	defer srv.Close()
 
-	hub.Publish(Sample{Channel: "a", T: 0.5, Value: 1})
-	cl, err := DialBatches(addr, 16, true, nil, nil)
+	publishOne(hub, Sample{Channel: "a", T: 0.5, Value: 1})
+	cl, err := Dial(addr, 16, true, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +107,7 @@ func TestServerBinaryChannelFilter(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := DialBatches(addr, 16, false, []string{"keep"}, nil)
+	cl, err := Dial(addr, 16, false, []string{"keep"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +120,12 @@ func TestServerBinaryChannelFilter(t *testing.T) {
 	}
 }
 
-// The subscribe message is still plain JSON, so a legacy client and a
-// binary client coexist on one server.
-func TestServerMixedFormatClients(t *testing.T) {
+// Binary frames are the only stream encoding: a subscribe line that does
+// not ask for them — a client of the retired newline-JSON stream, which
+// sent no "format" — or that is not JSON at all is refused by closing the
+// connection with no bytes written, while a binary client on the same
+// server streams.
+func TestServerRefusesNonBinarySubscribe(t *testing.T) {
 	hub := NewHub()
 	defer hub.Close()
 	srv := NewServer(hub)
@@ -130,29 +135,110 @@ func TestServerMixedFormatClients(t *testing.T) {
 	}
 	defer srv.Close()
 
-	jsonCl, err := Dial(addr, 16, nil, nil)
-	if err != nil {
-		t.Fatal(err)
+	for _, line := range []string{
+		`{"channels":[],"buffer":16}`,
+		`{"channels":[],"buffer":16,"format":"json"}`,
+		`not json`,
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Fprintln(conn, line); err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		hub.PublishBatch([]Sample{{Channel: "a", Value: 42}})
+		got, err := io.ReadAll(conn)
+		_ = conn.Close()
+		if err != nil || len(got) != 0 {
+			t.Fatalf("%s: read %q, %v; want a close with zero bytes", line, got, err)
+		}
 	}
-	defer jsonCl.Close()
-	binCl, err := DialBatches(addr, 16, false, nil, nil)
+	if n := hub.Subscribers(); n != 0 {
+		t.Fatalf("refused lines left %d subscribers", n)
+	}
+
+	binCl, err := Dial(addr, 16, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer binCl.Close()
-	waitFor(t, time.Second, func() bool { return hub.Subscribers() == 2 })
-
+	waitFor(t, time.Second, func() bool { return hub.Subscribers() == 1 })
 	hub.PublishBatch([]Sample{{Channel: "a", Value: 42}})
-	j := jsonCl.CollectFor(500 * time.Millisecond)
-	b := binCl.CollectFor(500 * time.Millisecond)
-	if len(j) != 1 || len(b) != 1 || j[0] != b[0] {
-		t.Fatalf("json=%+v binary=%+v, want identical single sample", j, b)
+	if b := binCl.CollectFor(500 * time.Millisecond); len(b) != 1 || b[0].Value != 42 {
+		t.Fatalf("binary client got %+v", b)
 	}
+}
+
+// Regression: the subscribe line's "buffer" sized a channel directly, so
+// one unauthenticated line asking for 2^63-1 batches panicked the server
+// goroutine ("makechan: size out of range") and took the process down.
+// The depth is now capped like the gateway's: the server keeps serving,
+// this subscriber included.
+func TestServerClampsOversizeBuffer(t *testing.T) {
+	hub := NewHub()
+	defer hub.Close()
+	srv := NewServer(hub)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintln(conn, `{"buffer":9223372036854775807,"format":"binary"}`); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 2*time.Second, func() bool { return hub.Subscribers() == 1 })
+	hub.PublishBatch([]Sample{{Channel: "a", Value: 7}})
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	got, err := newFrameDecoder(conn).Next()
+	if err != nil || len(got) != 1 || got[0].Value != 7 {
+		t.Fatalf("oversize-buffer subscriber got %+v, %v", got, err)
+	}
+}
+
+// Regression: a client whose consumer stopped reading left its decode
+// goroutine blocked for good on the full Batches() channel, even after
+// Close — Relay.Stop leaked one per connection whenever its forward loop
+// returned on cancellation with the buffer full.
+func TestClientCloseStopsDecoder(t *testing.T) {
+	hub := NewHub()
+	defer hub.Close()
+	srv := NewServer(hub)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	cl, err := Dial(addr, 1, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, time.Second, func() bool { return hub.Subscribers() == 1 })
+	for i := 0; i < 10; i++ {
+		hub.PublishBatch([]Sample{{Channel: "a", T: float64(i)}})
+		time.Sleep(time.Millisecond)
+	}
+	// Nobody reads Batches(); wait until the decoder has filled it.
+	waitFor(t, 2*time.Second, func() bool { return len(cl.Batches()) == 1 })
+	time.Sleep(20 * time.Millisecond)
+	_ = cl.Close()
+	waitFor(t, 2*time.Second, func() bool {
+		buf := make([]byte, 1<<20)
+		return !strings.Contains(string(buf[:runtime.Stack(buf, true)]), "nsds.(*Client).decode")
+	})
 }
 
 func TestSubscribeMsgJSONShape(t *testing.T) {
 	// The wire handshake is part of the protocol surface: field names must
-	// not drift or old clients break.
+	// not drift or deployed clients break.
 	data, _ := json.Marshal(subscribeMsg{Channels: []string{"a"}, Buffer: 4, CatchUp: true, Format: "binary"})
 	want := `{"channels":["a"],"buffer":4,"catch_up":true,"format":"binary"}`
 	if string(data) != want {

@@ -13,7 +13,7 @@ func TestPublishBatchContextRecordsChildSpan(t *testing.T) {
 	tr := trace.NewTracer("site", trace.NewRecorder(16))
 	hub.UseTracer(tr)
 
-	sub, err := hub.Subscribe(8)
+	sub, err := hub.SubscribeBatches(8, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestPublishBatchContextRecordsChildSpan(t *testing.T) {
 	if sd.Attrs["samples"] != "2" || sd.Attrs["subscribers"] != "1" || sd.Attrs["dropped"] != "0" {
 		t.Fatalf("span attrs %+v", sd.Attrs)
 	}
-	if got := len(sub.C()); got != 2 {
+	if got := len((<-sub.Batches()).Samples); got != 2 {
 		t.Fatalf("subscriber got %d samples", got)
 	}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Binary wire format (little-endian, length-prefixed):
@@ -22,9 +23,9 @@ import (
 //
 // One frame carries one published batch. The hub encodes a batch's frame
 // exactly once (Batch.Frame, guarded by sync.Once) and every subscriber
-// connection writes the same byte slice — encode-once/write-many. The
-// legacy newline-delimited JSON endpoint is untouched; a client opts into
-// the binary format in its subscribe message.
+// connection writes the same byte slice — encode-once/write-many. It is
+// the only TCP stream encoding; JSON survives only as the SSE gateway's
+// rendering.
 
 const (
 	wireVersion = 1
@@ -35,6 +36,15 @@ const (
 	// name: 2 (name length) + 8 (seq) + 8 (T) + 8 (Value).
 	sampleFixedWire = 26
 	frameHeaderSize = 4 + 1 + 4
+	// maxInterned bounds a decoder's channel-name table: past it, new
+	// names are allocated per sample instead of interned, so a peer that
+	// streams ever-new names cannot grow the table for the life of the
+	// connection.
+	maxInterned = 1024
+	// readChunk is the most a decoder allocates ahead of the bytes that
+	// actually arrive: a header claiming a 16 MiB payload costs 16 MiB
+	// only once 16 MiB has been sent.
+	readChunk = 64 << 10
 )
 
 // frameSize returns the exact encoded size of a frame for samples.
@@ -74,8 +84,9 @@ func (b *Batch) Frame() []byte {
 }
 
 // frameDecoder reads wire frames off a connection, reusing its payload
-// buffer across frames and interning channel names so a million-sample
-// stream allocates a handful of strings, not one per sample.
+// buffer across frames and interning channel names (up to maxInterned) so
+// a million-sample stream allocates a handful of strings, not one per
+// sample.
 type frameDecoder struct {
 	r     *bufio.Reader
 	buf   []byte
@@ -92,7 +103,9 @@ func (d *frameDecoder) intern(b []byte) string {
 		return s
 	}
 	s := string(b)
-	d.names[s] = s
+	if len(d.names) < maxInterned {
+		d.names[s] = s
+	}
 	return s
 }
 
@@ -107,13 +120,18 @@ func (d *frameDecoder) Next() ([]Sample, error) {
 	if payload < 5 || payload > maxFramePayload {
 		return nil, fmt.Errorf("nsds: frame payload %d out of range", payload)
 	}
-	if cap(d.buf) < int(payload) {
-		d.buf = make([]byte, payload)
+	// Grow the reused buffer only as the payload arrives, one chunk at a
+	// time.
+	buf := d.buf[:0]
+	for len(buf) < int(payload) {
+		n := min(int(payload)-len(buf), readChunk)
+		buf = slices.Grow(buf, n)
+		if _, err := io.ReadFull(d.r, buf[len(buf):len(buf)+n]); err != nil {
+			return nil, fmt.Errorf("nsds: short frame: %w", err)
+		}
+		buf = buf[:len(buf)+n]
 	}
-	buf := d.buf[:payload]
-	if _, err := io.ReadFull(d.r, buf); err != nil {
-		return nil, fmt.Errorf("nsds: short frame: %w", err)
-	}
+	d.buf = buf
 	if buf[0] != wireVersion {
 		return nil, fmt.Errorf("nsds: unknown frame version %d", buf[0])
 	}
