@@ -203,7 +203,7 @@ func ntcpFixture(b *testing.B, profile faultnet.Profile) *core.Client {
 		_ = cont.Stop(ctx)
 	})
 	og := ogsi.NewClient("http://"+addr, clientCred, trust)
-	og.HTTP = faultnet.Client(faultnet.NewInjector(profile))
+	og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(faultnet.NewInjector(profile), ogsi.NewPinnedTransport(2))}
 	return core.NewClient(og, core.DefaultRetry)
 }
 

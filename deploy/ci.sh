@@ -238,7 +238,12 @@ stage_chaos() {
     # FuzzFrameDecoder feeds the NSDS binary stream decoder — the only TCP
     # stream wire — arbitrary bytes: every frame it accepts re-encodes to the
     # bytes it was read from, anything else is an error, its intern table stays
-    # bounded, and it allocates only in proportion to the bytes that arrive. A failing
+    # bounded, and it allocates only in proportion to the bytes that arrive.
+    # FuzzContainerSession feeds an OGSI container arbitrary bytes as what
+    # follows the session upgrade: no panic, one reply frame per complete
+    # frame, the first malformed or oversize header answered once and the
+    # session closed, allocation under a ceiling no header can raise, and a
+    # real request still served after every frame it took. A failing
     # input lands in the package's testdata/fuzz/<target>/ — check it in with
     # the fix.
     while read -r target pkg; do
@@ -261,6 +266,7 @@ FuzzServerSession ./internal/gridftp
 FuzzSpoolBlockMatchesCSV ./internal/daq
 FuzzShoreWesternServer ./internal/control
 FuzzFrameDecoder ./internal/nsds
+FuzzContainerSession ./internal/ogsi
 TARGETS
 }
 

@@ -87,7 +87,7 @@ func (h *harness) coordSites(retry core.RetryPolicy) []Site {
 	sites := make([]Site, len(h.sites))
 	for i, ts := range h.sites {
 		og := ogsi.NewClient("http://"+ts.addr, h.cred, h.trust)
-		og.HTTP = &http.Client{Transport: faultnet.NewTransport(ts.injector)}
+		og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(ts.injector, ogsi.NewPinnedTransport(2))}
 		sites[i] = Site{
 			Name:         ts.name,
 			Client:       core.NewClient(og, retry),

@@ -80,7 +80,7 @@ func (ft *flakyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	}
 	inner := ft.inner
 	if inner == nil {
-		inner = http.DefaultTransport
+		inner = ogsi.DefaultTransport
 	}
 	return inner.RoundTrip(r)
 }

@@ -211,7 +211,7 @@ func TestRetryingClientSeesRetryableCodeDuringDrain(t *testing.T) {
 
 	in := faultnet.NewInjector(faultnet.WAN2003)
 	og := f.ogsiClient()
-	og.HTTP = &http.Client{Transport: faultnet.NewTransport(in)}
+	og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(in, ogsi.NewPinnedTransport(2))}
 	cl := NewClient(og, RetryPolicy{Attempts: 4, Backoff: 20 * time.Millisecond, MaxBackoff: 100 * time.Millisecond})
 
 	// Begin the server drain; the container from newFixture stays up (its

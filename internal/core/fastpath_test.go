@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"sync"
 	"testing"
+
+	"neesgrid/internal/ogsi"
 )
 
 func TestProposeAndExecuteHappyPath(t *testing.T) {
@@ -186,5 +188,5 @@ func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	c.mu.Lock()
 	c.n++
 	c.mu.Unlock()
-	return http.DefaultTransport.RoundTrip(r)
+	return ogsi.DefaultTransport.RoundTrip(r)
 }

@@ -23,7 +23,7 @@ func TestDefaultRetryRecoversThroughInjectedOutage(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	in.UseTelemetry(reg)
 	og := f.ogsiClient()
-	og.HTTP = &http.Client{Transport: faultnet.NewTransport(in)}
+	og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(in, ogsi.NewPinnedTransport(2))}
 	cl := NewClientWithTelemetry(og, DefaultRetry, reg)
 
 	in.FailNext(2)
@@ -59,7 +59,7 @@ func TestScheduledOutageBeginningDuringDrain(t *testing.T) {
 	f := newFixture(t, plug, nil)
 	in := faultnet.NewInjector(faultnet.LAN)
 	og := f.ogsiClient()
-	og.HTTP = &http.Client{Transport: faultnet.NewTransport(in)}
+	og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(in, ogsi.NewPinnedTransport(2))}
 	cl := NewClient(og, RetryPolicy{Attempts: 4, Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond})
 
 	// Put the server mid-drain: an in-flight actuator move pins Stop.
@@ -105,7 +105,7 @@ func TestNoRetryDiesOnInjectedFailure(t *testing.T) {
 	f := newFixture(t, springPlugin(100), nil)
 	in := faultnet.NewInjector(faultnet.LAN)
 	og := f.ogsiClient()
-	og.HTTP = &http.Client{Transport: faultnet.NewTransport(in)}
+	og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(in, ogsi.NewPinnedTransport(2))}
 	cl := NewClient(og, NoRetry)
 
 	in.FailNext(1)

@@ -72,8 +72,8 @@ func TestHandshakeCallLostStillOneContext(t *testing.T) {
 // TestClientCallAllocations holds the allocation ceilings of the three NTCP
 // exchanges a step is built from, client and in-process site together
 // (AllocsPerRun counts every malloc in the process). Measured on amd64:
-// 240 / 135 / 205. The headroom, 75 / 52 / 60, covers the race detector,
-// whose sync.Pool drops pooled buffers at random (286 / 158 / 229 under
+// 85 / 57 / 127. The headroom, 50 / 33 / 48, covers the race detector,
+// whose sync.Pool drops pooled buffers at random (118 / 73 / 145 under
 // -race).
 func TestClientCallAllocations(t *testing.T) {
 	f := newFixture(t, springPlugin(100), nil)
@@ -98,9 +98,9 @@ func TestClientCallAllocations(t *testing.T) {
 		ceiling float64
 		fn      func() error
 	}{
-		{"Run", 315, func() error { _, err := cl.Run(ctx, next()); return err }},
-		{"RunFast", 187, func() error { _, err := cl.RunFast(ctx, next()); return err }},
-		{"ExecuteAndPropose", 265, func() error {
+		{"Run", 135, func() error { _, err := cl.Run(ctx, next()); return err }},
+		{"RunFast", 90, func() error { _, err := cl.RunFast(ctx, next()); return err }},
+		{"ExecuteAndPropose", 175, func() error {
 			p := next()
 			_, _, err := cl.ExecuteAndPropose(ctx, pending.Name, p)
 			pending = p

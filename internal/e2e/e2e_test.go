@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -187,4 +188,45 @@ func TestMultiProcessDeployment(t *testing.T) {
 	if !moved {
 		t.Fatal("history shows no displacement")
 	}
+
+	// 5. The coordinator process (ogsi.DefaultTransport, no cap) carried
+	// every envelope to a site on one session, and the session closed when
+	// the process exited.
+	for i, s := range sites {
+		snap := siteMetrics(t, addrs[i])
+		if n := snap.Counters["ogsi.sessions.accepted"]; n != 1 {
+			t.Errorf("%s: %g sessions accepted, want 1", s.name, n)
+		}
+		if n := snap.Counters["ogsi.auth.signed"] + snap.Counters["ogsi.auth.mac"]; n < 60 {
+			t.Errorf("%s: %g envelopes authenticated over its session, want at least 60", s.name, n)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for siteMetrics(t, addrs[i]).Gauges["ogsi.sessions.open"] != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the coordinator's session is still open after it exited", s.name)
+			}
+			time.Sleep(20 * time.Millisecond)
+		}
+	}
+}
+
+// metricsSnapshot is the part of a container's GET /metrics the tests read.
+type metricsSnapshot struct {
+	Counters map[string]float64 `json:"counters"`
+	Gauges   map[string]float64 `json:"gauges"`
+}
+
+// siteMetrics reads a site container's /metrics.
+func siteMetrics(t *testing.T, addr string) metricsSnapshot {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap metricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }

@@ -230,8 +230,9 @@ func TestNoGoroutineLeakAfterExperimentStop(t *testing.T) {
 		t.Fatalf("experiment stop: %v", err)
 	}
 
-	// The shared OGSI transport keeps idle conns with background readers;
-	// release them before counting.
+	// Each container's Stop has ended its sessions' goroutines, and the OGSI
+	// transports run none of their own; the shared one still holds idle
+	// sockets, closed here so none is left to a finalizer.
 	ogsi.DefaultTransport.CloseIdleConnections()
 
 	deadline := time.Now().Add(5 * time.Second)

@@ -238,20 +238,15 @@ var _ net.Error = (*NetError)(nil)
 // Transport wraps an http.RoundTripper with the injector: every round trip
 // pays the WAN latency and may be failed by schedule, partition, or random
 // drop. Wrap the ogsi client's HTTP transport with this to put a site
-// "behind the WAN".
+// "behind the WAN". Inner is required.
 type Transport struct {
 	Injector *Injector
 	Inner    http.RoundTripper
 }
 
-// NewTransport builds a faulty transport over http.DefaultTransport.
-func NewTransport(in *Injector) *Transport {
-	return &Transport{Injector: in, Inner: http.DefaultTransport}
-}
-
 // NewTransportOver builds a faulty transport over a caller-supplied inner
-// round tripper — the composition the pipelined coordinator uses to put a
-// pinned keep-alive site connection behind the injected WAN. Latency and
+// round tripper — the composition the coordinator uses to put a pinned
+// OGSI session transport behind the injected WAN. Latency and
 // failures are charged once per round trip (per signed envelope), so a
 // batched envelope carrying several operations pays the WAN exactly once —
 // the property the E8 pipelined benchmark measures.
@@ -279,16 +274,7 @@ func (t *Transport) RoundTrip(r *http.Request) (*http.Response, error) {
 		span.Annotate("faultnet.inject", err.Error())
 		return nil, err
 	}
-	inner := t.Inner
-	if inner == nil {
-		inner = http.DefaultTransport
-	}
-	return inner.RoundTrip(r)
-}
-
-// Client returns an *http.Client whose calls traverse the injector.
-func Client(in *Injector) *http.Client {
-	return &http.Client{Transport: NewTransport(in)}
+	return t.Inner.RoundTrip(r)
 }
 
 // ---------------------------------------------------------------------------

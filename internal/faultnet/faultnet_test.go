@@ -165,7 +165,7 @@ func TestTransportInjection(t *testing.T) {
 	defer srv.Close()
 
 	in := NewInjector(LAN)
-	cl := Client(in)
+	cl := &http.Client{Transport: NewTransportOver(in, http.DefaultTransport)}
 	resp, err := cl.Get(srv.URL)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestTransportHonorsContextDuringDelay(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {}))
 	defer srv.Close()
 	in := NewInjector(Profile{Latency: 5 * time.Second})
-	cl := Client(in)
+	cl := &http.Client{Transport: NewTransportOver(in, http.DefaultTransport)}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL, nil)

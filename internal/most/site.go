@@ -565,10 +565,9 @@ func startSite(ca *gsi.Authority, trust *gsi.TrustStore, coordIdentity string, s
 // counts in one place.
 func (s *Site) coordSite(cred *gsi.Credential, trust *gsi.TrustStore, retry core.RetryPolicy, reg *telemetry.Registry, tracer *trace.Tracer) coord.Site {
 	og := ogsi.NewClient("http://"+s.Addr, cred, trust)
-	// A pinned keep-alive transport per site underneath the fault injector:
-	// the long-lived multiplexed site connection, so no step after the
-	// first pays TCP setup — while injected latency and failures still
-	// apply once per signed envelope.
+	// A pinned session transport per site underneath the fault injector:
+	// the long-lived site session, so no step after the first pays a dial —
+	// while injected latency and failures still apply once per envelope.
 	og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(s.Injector, ogsi.NewPinnedTransport(2))}
 	og.Tracer = tracer
 	return coord.Site{

@@ -85,7 +85,8 @@ func TestRunTelemetryEndToEnd(t *testing.T) {
 // codec change that makes an encoder and its strict decoder disagree fails
 // here, instead of showing up as a slow day. The same holds for message
 // security: exactly one signed envelope each way per site — the handshake —
-// every other envelope MAC'd, and no context ever refused. And for the
+// every other envelope MAC'd, and no context ever refused; and for the
+// carrier: exactly one session per site. And for the
 // transaction table: every site holds exactly one record per evaluation
 // (ntcp.server.transactions), and none expired.
 func TestCleanRunsStayOnTheFastPath(t *testing.T) {
@@ -129,6 +130,11 @@ func TestCleanRunsStayOnTheFastPath(t *testing.T) {
 				snap := registries[site.Spec.Name]
 				if n := snap.Counters["ogsi.auth.signed"]; n != 1 {
 					t.Errorf("%s: %d signed requests, want 1", site.Spec.Name, n)
+				}
+				// Dials per run: the coordinator's calls to a site take turns,
+				// so one session carries them all, under the pinned cap of 2.
+				if n := snap.Counters["ogsi.sessions.accepted"]; n != 1 {
+					t.Errorf("%s: %d sessions accepted, want 1", site.Spec.Name, n)
 				}
 				if n := snap.Counters["ogsi.context.established"]; n != 1 {
 					t.Errorf("%s: %d contexts established, want 1", site.Spec.Name, n)

@@ -29,9 +29,8 @@ type Client struct {
 	BaseURL string
 	Cred    *gsi.Credential
 	Trust   *gsi.TrustStore
-	// HTTP is the underlying transport; tests and the fault-injection
-	// harness substitute clients whose dialers misbehave. Nil means
-	// http.DefaultClient.
+	// HTTP carries the envelopes; its transport must end in a Transport (a
+	// fault injector may wrap it). Nil means DefaultHTTPClient.
 	HTTP *http.Client
 	// Clock overrides the time source used for envelope verification and
 	// for the lifetime of the client's security context.
@@ -156,6 +155,15 @@ const (
 	metricContextRejected    = "ogsi.context.rejected."
 )
 
+// Names of the series a container keeps of its sessions: how many it has
+// accepted (dials per run, seen from the container) and how many are open.
+// A clean run through a pinned transport reads at most its cap per
+// client–container pair.
+const (
+	metricSessionsAccepted = "ogsi.sessions.accepted"
+	metricSessionsOpen     = "ogsi.sessions.open"
+)
+
 // contextRefusals names each reason a container refuses a MAC'd request.
 var contextRefusals = []struct {
 	err    error
@@ -175,6 +183,8 @@ func registerCounters(reg *telemetry.Registry, container bool) {
 		reg.Counter(name)
 	}
 	if container {
+		reg.Counter(metricSessionsAccepted)
+		reg.Gauge(metricSessionsOpen)
 		reg.Gauge(metricContextActive)
 		for _, r := range contextRefusals {
 			reg.Counter(metricContextRejected + r.reason)
@@ -216,9 +226,6 @@ func (c *Client) httpClient() *http.Client {
 	if c.HTTP != nil {
 		return c.HTTP
 	}
-	// The tuned shared transport, not http.DefaultClient: callers that never
-	// set HTTP get keep-alive reuse against their container and bounded
-	// dials/overall deadline instead of a timeout-less default.
 	return DefaultHTTPClient
 }
 
@@ -258,13 +265,13 @@ func (c *Client) Call(ctx context.Context, service, op string, params, out any) 
 	return c.callRaw(ctx, service, op, *paramsBuf, out)
 }
 
-// jsonContentType is shared by every request: net/http does not modify a
-// header's value slice.
-var jsonContentType = []string{"application/json"}
+// envelopeHeader is the header of every request. It is shared and never
+// written: nothing on the way to the Transport adds a header, and a nil one
+// would make http.Client copy the request to add an empty map.
+var envelopeHeader = http.Header{}
 
-// newPost builds the POST of body to u: what http.NewRequestWithContext
-// builds for a *bytes.Reader (content length, rewindable GetBody), without
-// re-parsing the URL on every call.
+// newPost builds the POST of body to u, whose body the Transport frames as
+// it is, without re-parsing the URL on every call.
 func newPost(ctx context.Context, u *url.URL, body []byte) *http.Request {
 	req := &http.Request{
 		Method:        http.MethodPost,
@@ -273,12 +280,9 @@ func newPost(ctx context.Context, u *url.URL, body []byte) *http.Request {
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
 		ProtoMinor:    1,
-		Header:        http.Header{"Content-Type": jsonContentType},
-		Body:          io.NopCloser(bytes.NewReader(body)),
+		Header:        envelopeHeader,
+		Body:          &envelope{b: body},
 		ContentLength: int64(len(body)),
-		GetBody: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(body)), nil
-		},
 	}
 	return req.WithContext(ctx)
 }
@@ -428,7 +432,7 @@ func (c *Client) post(ctx context.Context, u *url.URL, body []byte, respBuf *[]b
 		return nil, fmt.Errorf("ogsi: transport: %w", err)
 	}
 	defer httpResp.Body.Close()
-	respBody, err := readAllInto((*respBuf)[:0], io.LimitReader(httpResp.Body, 16<<20))
+	respBody, err := readAllInto((*respBuf)[:0], io.LimitReader(httpResp.Body, maxBodyBytes))
 	*respBuf = respBody
 	if err != nil {
 		return nil, fmt.Errorf("ogsi: read response: %w", err)

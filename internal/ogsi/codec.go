@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"strconv"
 	"sync"
 	"time"
@@ -13,61 +11,6 @@ import (
 	"neesgrid/internal/trace"
 	"neesgrid/internal/wirejson"
 )
-
-// DefaultTransport is the shared HTTP transport for OGSI clients that do
-// not bring their own. It is tuned for the coordinator's per-site fan-out:
-// a handful of long-lived container endpoints each receiving a steady
-// stream of small signed POSTs, so keep-alive reuse matters far more than
-// connection diversity, and every dial must be bounded so a dead site fails
-// fast instead of hanging a step.
-var DefaultTransport = &http.Transport{
-	Proxy: http.ProxyFromEnvironment,
-	DialContext: (&net.Dialer{
-		Timeout:   5 * time.Second,
-		KeepAlive: 30 * time.Second,
-	}).DialContext,
-	ForceAttemptHTTP2:     true,
-	MaxIdleConns:          256,
-	MaxIdleConnsPerHost:   32,
-	IdleConnTimeout:       90 * time.Second,
-	TLSHandshakeTimeout:   10 * time.Second,
-	ExpectContinueTimeout: time.Second,
-}
-
-// DefaultHTTPClient is the client used when Client.HTTP is nil. The overall
-// timeout leaves headroom over the container's 30 s long-poll cap so
-// WaitServiceData re-arms cleanly rather than erroring mid-poll.
-var DefaultHTTPClient = &http.Client{
-	Transport: DefaultTransport,
-	Timeout:   60 * time.Second,
-}
-
-// NewPinnedTransport returns a dedicated transport for one long-lived site
-// connection: up to n keep-alive connections that never idle out, pinned to
-// the single host a coordinator-side client talks to, so no step after the
-// first ever pays TCP (or TLS) setup or queues behind another host's
-// traffic on a shared pool. Reconnect after a drop is the transport's
-// ordinary redial on the next request; the NTCP retry policy plus
-// server-side dedupe make the replayed call safe.
-func NewPinnedTransport(n int) *http.Transport {
-	if n <= 0 {
-		n = 2
-	}
-	return &http.Transport{
-		Proxy: http.ProxyFromEnvironment,
-		DialContext: (&net.Dialer{
-			Timeout:   5 * time.Second,
-			KeepAlive: 15 * time.Second,
-		}).DialContext,
-		ForceAttemptHTTP2:     true,
-		MaxIdleConns:          n,
-		MaxIdleConnsPerHost:   n,
-		MaxConnsPerHost:       n,
-		IdleConnTimeout:       0, // pinned: never idle out
-		TLSHandshakeTimeout:   10 * time.Second,
-		ExpectContinueTimeout: time.Second,
-	}
-}
 
 // maxPooledBuf bounds what goes back into the pool so one oversized
 // request/response does not pin memory forever.

@@ -2,9 +2,12 @@ package ogsi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
+	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,21 +128,56 @@ type iotest struct{}
 
 func (iotest) Read(p []byte) (int, error) { return 0, io.ErrUnexpectedEOF }
 
+// TestDefaultHTTPClientIsTuned: a client with no HTTP of its own carries its
+// envelopes on DefaultTransport's session pool, whose exchanges are bounded
+// above the 30 s long-poll cap; sequential calls share one session. A pinned
+// transport opens no more sessions than its cap however many calls run at
+// once, and hands each call a session as one frees.
 func TestDefaultHTTPClientIsTuned(t *testing.T) {
 	c := &Client{}
-	hc := c.httpClient()
-	if hc.Timeout == 0 {
-		t.Fatal("default client has no overall timeout")
+	if c.httpClient() != DefaultHTTPClient || DefaultHTTPClient.Transport != DefaultTransport {
+		t.Fatal("default client does not use the shared session transport")
 	}
-	if hc.Transport != DefaultTransport {
-		t.Fatal("default client does not use the shared tuned transport")
-	}
-	if DefaultTransport.MaxIdleConnsPerHost < 2 {
-		t.Fatal("per-host idle pool not raised above the net/http default")
+	if DefaultTransport.limit != 0 || DefaultTransport.timeout <= 30*time.Second {
+		t.Fatalf("DefaultTransport: limit %d, exchange bound %v", DefaultTransport.limit, DefaultTransport.timeout)
 	}
 	// An explicitly configured client still wins.
 	own := &Client{HTTP: DefaultHTTPClient}
 	if own.httpClient() != DefaultHTTPClient {
 		t.Fatal("explicit HTTP client not honoured")
+	}
+
+	accepted := func(f *testFabric) int64 {
+		return f.container.Telemetry().Snapshot().Counters[metricSessionsAccepted]
+	}
+	f := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	for i := 0; i < 5; i++ {
+		if err := f.client.Call(context.Background(), "echo", "echo", map[string]string{"i": "x"}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := accepted(f); n != 1 {
+		t.Fatalf("5 sequential calls opened %d sessions, want 1", n)
+	}
+
+	const cap, goroutines, calls = 2, 8, 25
+	pinned := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	pinned.client.HTTP = &http.Client{Transport: NewPinnedTransport(cap)}
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				if err := pinned.client.Call(context.Background(), "echo", "echo", map[string]string{"i": "x"}, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := accepted(pinned); n < 1 || n > cap {
+		t.Fatalf("%d concurrent callers opened %d sessions through a transport pinned at %d", goroutines, n, cap)
 	}
 }

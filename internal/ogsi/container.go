@@ -184,8 +184,22 @@ type Container struct {
 	stopReaper chan struct{}
 	reaperOnce sync.Once
 
+	// base is the context every session's dispatches derive from; it ends
+	// when Stop returns. polls ends when Stop begins, and with it every
+	// parked long-poll.
+	base, polls            context.Context
+	cancelBase, cancelPoll context.CancelFunc
+
+	// The sessions open, each either idle (waiting for a frame) or busy
+	// (dispatching one). Once draining, no session opens and each closes
+	// after its reply; sessGone is closed when the last one has.
+	sessMu   sync.Mutex
+	sessions map[*serverSession]struct{}
+	draining bool
+	sessGone chan struct{}
+
 	// lifecycle state for health probes: 0 new, 1 serving, 2 draining,
-	// 3 stopped. Stop flips to draining before http.Server.Shutdown so a
+	// 3 stopped. Stop flips to draining before it drains sessions so a
 	// readiness aggregator deregisters the endpoint ahead of the listener
 	// closing.
 	state atomic.Int32
@@ -214,7 +228,10 @@ func NewContainer(cred *gsi.Credential, trust *gsi.TrustStore, gridmap *gsi.Grid
 		services: make(map[string]*Service),
 		tel:      telemetry.NewRegistry(),
 		ops:      make(map[opKey]*opMetrics),
+		sessions: make(map[*serverSession]struct{}),
 	}
+	c.base, c.cancelBase = context.WithCancel(context.Background())
+	c.polls, c.cancelPoll = context.WithCancel(c.base)
 	registerCounters(c.tel, true)
 	return c
 }
@@ -405,6 +422,7 @@ func (c *Container) dispatchInner(ctx context.Context, caller Caller, req *reque
 		}
 		waitCtx, cancel := context.WithTimeout(ctx, timeout)
 		defer cancel()
+		defer context.AfterFunc(c.polls, cancel)() // Stop ends parked polls
 		sde, werr := svc.SDEs.WaitChange(waitCtx, p.Name, p.SinceVersion)
 		if werr != nil {
 			// Long-poll timeout: the client re-arms with the same cursor.
@@ -492,30 +510,16 @@ func faultResponse(err error) *response {
 	return &response{OK: false, Code: CodeInternal, Error: err.Error()}
 }
 
-// maxBodyBytes bounds one request body.
+// maxBodyBytes bounds one frame's payload, request or reply.
 const maxBodyBytes = 16 << 20
 
-// ServeHTTP handles one service call: a MAC'd envelope under a security
-// context the container holds, or a signed envelope — which may offer a
-// handshake, answered in the signed reply.
-func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "ogsi: POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	bodyBuf := getBuf()
-	defer putBuf(bodyBuf)
-	body, err := readAllInto((*bodyBuf)[:0], http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	*bodyBuf = body
-	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			http.Error(w, "ogsi: body exceeds 16 MiB", http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "ogsi: read body", http.StatusBadRequest)
-		return
-	}
+// handle verifies one request envelope, dispatches it and appends the reply
+// envelope to dst: a MAC'd envelope under a security context the container
+// holds, or a signed envelope — which may offer a handshake, answered in the
+// signed reply. The status is 200 for an envelope; any other status means
+// what was appended is the error text of a request that was not an envelope
+// or a reply that could not be signed.
+func (c *Container) handle(ctx context.Context, dst, body []byte) ([]byte, int) {
 	tel := c.Telemetry()
 	// The envelope is verified from its bytes and its payload decoded into a
 	// pooled buffer. The request decoded from it — params included — aliases
@@ -546,18 +550,15 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		tel.Counter(MetricWireFallbacks).Inc()
 	}
 	if errors.Is(err, gsi.ErrBadEnvelope) {
-		http.Error(w, "ogsi: bad envelope", http.StatusBadRequest)
-		return
+		return append(dst, "ogsi: bad envelope"...), http.StatusBadRequest
 	}
 	if err != nil && mode == "mac" {
 		tel.Counter(metricContextRejected + refusalReason(err)).Inc()
-		c.reply(w, nil, 0, faultResponse(Errf(CodeContextRefused, "security context refused: %v", err)))
-		return
+		return c.appendReply(dst, nil, 0, faultResponse(Errf(CodeContextRefused, "security context refused: %v", err)))
 	}
 	if err != nil {
 		tel.Counter("ogsi.auth.failed").Inc()
-		c.reply(w, nil, 0, faultResponse(Errf(CodeDenied, "authentication failed: %v", err)))
-		return
+		return c.appendReply(dst, nil, 0, faultResponse(Errf(CodeDenied, "authentication failed: %v", err)))
 	}
 	tel.Counter(authenticated).Inc()
 	*payloadBuf = payload
@@ -566,8 +567,7 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	account, err := c.gridmap.Authorize(identity)
 	if err != nil {
 		tel.Counter("ogsi.auth.denied").Inc()
-		c.reply(w, sc, seq, faultResponse(Errf(CodeDenied, "not authorized: %s", identity)))
-		return
+		return c.appendReply(dst, sc, seq, faultResponse(Errf(CodeDenied, "not authorized: %s", identity)))
 	}
 	var req request
 	fellBack, err := wirejson.Unmarshal(payload, &req)
@@ -575,21 +575,18 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		tel.Counter(MetricDecodeFallbacks).Inc()
 	}
 	if err != nil {
-		c.reply(w, sc, seq, faultResponse(Errf(CodeBadRequest, "bad request: %v", err)))
-		return
+		return c.appendReply(dst, sc, seq, faultResponse(Errf(CodeBadRequest, "bad request: %v", err)))
 	}
 	var accept string
 	if req.Offer != "" && sc == nil {
 		var created bool
 		if accept, created, err = c.contexts.Accept(req.Offer, identity, vinfo, c.cred, now); err != nil {
-			c.reply(w, nil, 0, faultResponse(Errf(CodeBadRequest, "handshake: %v", err)))
-			return
+			return c.appendReply(dst, nil, 0, faultResponse(Errf(CodeBadRequest, "handshake: %v", err)))
 		}
 		if created {
 			tel.Counter(metricContextEstablished).Inc()
 		}
 	}
-	ctx := r.Context()
 	var span *trace.Span
 	if tr := c.Tracer(); tr != nil {
 		if tp, perr := trace.ParseTraceparent(req.Trace); perr == nil {
@@ -612,8 +609,9 @@ func (c *Container) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// client can pair its span with this one.
 		resp.Trace = span.Context().Traceparent()
 	}
-	c.reply(w, sc, seq, resp)
+	dst, status := c.appendReply(dst, sc, seq, resp)
 	span.End()
+	return dst, status
 }
 
 // refusalReason names the metric label of a context refusal.
@@ -626,28 +624,22 @@ func refusalReason(err error) string {
 	return "unknown"
 }
 
-// reply writes a response envelope, encoding response and envelope in one
-// pass through pooled buffers: MAC'd under sc and bound to the request's
-// sequence number when the request came under a context, signed otherwise.
-func (c *Container) reply(w http.ResponseWriter, sc *gsi.Context, seq uint64, resp *response) {
+// appendReply appends a response envelope to dst, encoding response and
+// envelope in one pass through a pooled buffer: MAC'd under sc and bound to
+// the request's sequence number when the request came under a context,
+// signed otherwise.
+func (c *Container) appendReply(dst []byte, sc *gsi.Context, seq uint64, resp *response) ([]byte, int) {
 	rawBuf := getBuf()
 	defer putBuf(rawBuf)
 	*rawBuf = appendResponseJSON((*rawBuf)[:0], resp)
-	envBuf := getBuf()
-	defer putBuf(envBuf)
-	var env []byte
 	if sc != nil {
-		env = sc.Seal((*envBuf)[:0], *rawBuf, seq)
-	} else {
-		var err error
-		if env, err = gsi.AppendSignedEnvelope((*envBuf)[:0], c.cred, *rawBuf); err != nil {
-			http.Error(w, "ogsi: sign response", http.StatusInternalServerError)
-			return
-		}
+		return sc.Seal(dst, *rawBuf, seq), http.StatusOK
 	}
-	*envBuf = env
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(env) // connection-level failure; nothing further to do
+	env, err := gsi.AppendSignedEnvelope(dst, c.cred, *rawBuf)
+	if err != nil {
+		return append(dst, "ogsi: sign response"...), http.StatusInternalServerError
+	}
+	return env, http.StatusOK
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves until Stop. It
@@ -742,8 +734,11 @@ func (c *Container) serveTrace(w http.ResponseWriter, r *http.Request) {
 
 // Stop shuts the container down: it first deregisters from readiness
 // (Healthy turns non-nil, so /healthz aggregation and any load balancer
-// watching it stop routing here), then lets http.Server.Shutdown finish
-// the requests already in flight within ctx's deadline.
+// watching it stop routing here), then drains within ctx's deadline: no
+// session opens, idle sessions close, parked long-polls end, and a frame
+// mid-dispatch writes its reply before its session closes. When ctx ends
+// first, the sessions left are cut and Stop returns ctx's error. Either way
+// the dispatch context of every session has ended when Stop returns.
 func (c *Container) Stop(ctx context.Context) error {
 	c.state.CompareAndSwap(contServing, contDraining)
 	c.reaperOnce.Do(func() {
@@ -751,10 +746,21 @@ func (c *Container) Stop(ctx context.Context) error {
 			close(c.stopReaper)
 		}
 	})
+	gone := c.drainSessions()
+	c.cancelPoll()
 	var err error
 	if c.httpServer != nil {
 		err = c.httpServer.Shutdown(ctx)
 	}
+	select {
+	case <-gone:
+	case <-ctx.Done():
+		c.closeSessions()
+		if err == nil {
+			err = ctx.Err()
+		}
+	}
+	c.cancelBase()
 	c.state.Store(contStopped)
 	return err
 }

@@ -3,6 +3,8 @@ package ogsi
 import (
 	"context"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -248,6 +250,15 @@ func TestCallTransportErrorIsNotRemote(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "transport") {
 		t.Fatalf("err = %v", err)
+	}
+	// A plain HTTP server where a container should be refuses the upgrade:
+	// a transport error too, naming its answer.
+	srv := httptest.NewServer(http.NotFoundHandler())
+	defer srv.Close()
+	cl.BaseURL = srv.URL
+	err = cl.Call(context.Background(), "echo", "echo", nil, nil)
+	if err == nil || errorsAs(err, &re) || !strings.Contains(err.Error(), "ogsi: transport") || !strings.Contains(err.Error(), "upgrade answered 404") {
+		t.Fatalf("err = %v, want a transport error naming the 404", err)
 	}
 }
 

@@ -1,11 +1,18 @@
 package ogsi
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"io"
+	"net"
+	"net/http"
+	"runtime"
 	"testing"
 	"time"
 
+	"neesgrid/internal/gsi"
 	"neesgrid/internal/trace"
 	"neesgrid/internal/wirejson/wiretest"
 )
@@ -118,4 +125,98 @@ func TestBatchResultsDoNotAliasTheDocument(t *testing.T) {
 	if string(results[0].Result) != `{"n":1}` || string(results[1].Result) != `[2]` {
 		t.Fatalf("results changed with the buffer: %s %s", results[0].Result, results[1].Result)
 	}
+}
+
+// sessionScript reads what a container must answer to in, sent as the
+// bytes after an upgrade: one reply per complete frame, and whether a
+// malformed or oversize header ends the session (after one error reply of
+// the status it returns). whole reports that in ends on a frame boundary.
+func sessionScript(in []byte) (replies int, closes bool, last int, whole bool) {
+	for len(in) > 0 {
+		if len(in) < frameHeaderLen {
+			return replies, false, 0, false
+		}
+		status, n := binary.BigEndian.Uint16(in), int(binary.BigEndian.Uint32(in[2:]))
+		switch {
+		case n > maxBodyBytes:
+			return replies + 1, true, http.StatusRequestEntityTooLarge, false
+		case status != 0:
+			return replies + 1, true, http.StatusBadRequest, false
+		case len(in)-frameHeaderLen < n:
+			return replies, false, 0, false
+		}
+		in = in[frameHeaderLen+n:]
+		replies++
+	}
+	return replies, false, 0, true
+}
+
+// FuzzContainerSession feeds arbitrary bytes to a container as what follows
+// the upgrade, over net.Pipe. The oracle: no panic; each complete frame gets
+// exactly one reply frame; the first malformed or oversize header gets one
+// error reply and closes the session; what one session allocates stays under
+// a ceiling no header can raise; and a session that took every frame still
+// serves a real request after them.
+func FuzzContainerSession(f *testing.F) {
+	fab := newFabric(f, func(c *Container) { c.AddService(echoService()) })
+	const ceiling = 8 << 20 // bytes, plus 64 per input byte
+	f.Fuzz(func(t *testing.T, in []byte) {
+		replies, closes, last, whole := sessionScript(in)
+		input := append([]byte(nil), in...)
+		if whole {
+			env, err := gsi.AppendSignedEnvelope(nil, fab.client.Cred,
+				appendRequestJSON(nil, "echo", "echo", []byte(`{"msg":"after"}`), time.Now(), noSpan, ""))
+			if err != nil {
+				t.Fatal(err)
+			}
+			input = append(input, append(appendFrameHeader(nil), env...)...)
+			putFrameHeader(input[len(in):], 0)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		srv, cli := net.Pipe()
+		defer cli.Close()
+		_ = cli.SetDeadline(time.Now().Add(10 * time.Second))
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			fab.container.serveSession(srv, bufio.NewReader(srv))
+		}()
+		wrote := make(chan struct{})
+		go func() {
+			defer close(wrote)
+			_, _ = cli.Write(input) // returns once the session has read it all, or has closed
+		}()
+		br := bufio.NewReader(cli)
+		for i := 0; i < replies; i++ {
+			status, reply, err := readFrame(br, nil)
+			if err != nil {
+				t.Fatalf("reply %d of %d: %v", i+1, replies, err)
+			}
+			if closes && i == replies-1 && status != last {
+				t.Fatalf("bad header answered %d %q, want %d", status, reply, last)
+			}
+		}
+		if closes {
+			if _, _, err := readFrame(br, nil); err != io.EOF {
+				t.Fatalf("session after a bad header: %v, want closed", err)
+			}
+		}
+		if whole {
+			status, reply, err := readFrame(br, nil)
+			if err != nil || status != http.StatusOK {
+				t.Fatalf("real request after %d frames: %d %q %v", replies, status, reply, err)
+			}
+			if resp := openReply(t, fab, reply); !resp.OK {
+				t.Fatalf("real request after %d frames: %+v", replies, resp)
+			}
+		}
+		<-wrote
+		_ = cli.Close()
+		<-done
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > ceiling+64*uint64(len(in)) {
+			t.Fatalf("one session of %d input bytes allocated %d bytes", len(in), grew)
+		}
+	})
 }

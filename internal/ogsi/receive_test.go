@@ -3,6 +3,7 @@ package ogsi
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,16 +23,13 @@ import (
 
 var noSpan trace.SpanContext
 
-// post sends body to the fabric's /ogsi endpoint as-is.
-func post(t *testing.T, f *testFabric, body io.Reader) (int, []byte) {
+// send opens a session to the fabric's container by hand and sends body as
+// one request frame, returning the reply frame.
+func send(t *testing.T, f *testFabric, body []byte) (int, []byte) {
 	t.Helper()
-	resp, err := http.Post("http://"+f.addr+"/ogsi", "application/json", body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, out
+	conn, br := dialSession(t, f.addr)
+	defer conn.Close()
+	return sendFrame(t, conn, br, body)
 }
 
 // sealRequest returns a signed envelope around a request payload.
@@ -59,25 +57,45 @@ func openReply(t *testing.T, f *testFabric, reply []byte) response {
 }
 
 // TestServeHTTPStatusContract pins what the receive path answers before a
-// request exists: 400 for a body that is not an envelope, a signed CodeDenied
-// for one that does not verify, a signed CodeBadRequest for a verified payload
-// that is not a request — as before the single-pass path.
+// request exists: 426 for anything sent to /ogsi but a session upgrade, a
+// POST of an envelope included; then, per frame, 400 for a body that is not
+// an envelope, a signed CodeDenied for one that does not verify, a signed
+// CodeBadRequest for a verified payload that is not a request — as before
+// the single-pass path.
 func TestServeHTTPStatusContract(t *testing.T) {
 	f := newFabric(t, func(c *Container) { c.AddService(echoService()) })
+	good := sealRequest(t, f, appendRequestJSON(nil, "echo", "echo", []byte(`{"msg":"hi"}`), time.Now(), noSpan, ""))
+	for _, req := range []*http.Request{
+		mustRequest(t, http.MethodPost, "http://"+f.addr+"/ogsi", good),
+		mustRequest(t, http.MethodGet, "http://"+f.addr+"/ogsi", nil),
+	} {
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUpgradeRequired || resp.Header.Get("Upgrade") != sessionProtocol {
+			t.Errorf("%s /ogsi: %d, Upgrade %q (%q); want 426 naming %s", req.Method, resp.StatusCode, resp.Header.Get("Upgrade"), body, sessionProtocol)
+		}
+	}
+	if n := f.container.Telemetry().Snapshot().Counters[metricSessionsAccepted]; n != 0 {
+		t.Fatalf("%d sessions accepted from plain requests", n)
+	}
+
 	for _, junk := range []string{``, `{`, `not json`, `{"payload":"!!!","chain":[],"signature":""}`} {
-		if status, body := post(t, f, strings.NewReader(junk)); status != http.StatusBadRequest || !bytes.Contains(body, []byte("bad envelope")) {
+		if status, body := send(t, f, []byte(junk)); status != http.StatusBadRequest || !bytes.Contains(body, []byte("bad envelope")) {
 			t.Errorf("%q: status %d body %q, want 400 bad envelope", junk, status, body)
 		}
 	}
 
-	good := sealRequest(t, f, appendRequestJSON(nil, "echo", "echo", []byte(`{"msg":"hi"}`), time.Now(), noSpan, ""))
 	tampered := append([]byte(nil), good...)
 	if i := bytes.Index(tampered, []byte(`"signature":"`)) + len(`"signature":"`); tampered[i] == 'A' {
 		tampered[i] = 'B'
 	} else {
 		tampered[i] = 'A'
 	}
-	status, reply := post(t, f, bytes.NewReader(tampered))
+	status, reply := send(t, f, tampered)
 	if resp := openReply(t, f, reply); status != http.StatusOK || resp.OK || resp.Code != CodeDenied {
 		t.Fatalf("tampered signature: status %d, response %+v", status, resp)
 	}
@@ -85,29 +103,46 @@ func TestServeHTTPStatusContract(t *testing.T) {
 		t.Fatalf("ogsi.auth.failed = %d", n)
 	}
 
-	status, reply = post(t, f, bytes.NewReader(sealRequest(t, f, []byte(`{"service":`))))
+	status, reply = send(t, f, sealRequest(t, f, []byte(`{"service":`)))
 	if resp := openReply(t, f, reply); status != http.StatusOK || resp.OK || resp.Code != CodeBadRequest {
 		t.Fatalf("undecodable request: status %d, response %+v", status, resp)
 	}
 }
 
-// TestServeHTTPBodyLimit: a body over the limit is answered 413, not silently
-// truncated and then called a bad envelope; one of exactly the limit is read
-// whole and judged for what it is.
+// TestServeHTTPBodyLimit: a frame over the limit is answered 413 from its
+// header alone and its session closed, not read and then called a bad
+// envelope; one of exactly the limit is read whole and judged for what it is.
 func TestServeHTTPBodyLimit(t *testing.T) {
 	f := newFabric(t, func(c *Container) { c.AddService(echoService()) })
-	junk := bytes.Repeat([]byte{'x'}, maxBodyBytes+1)
-	if status, body := post(t, f, bytes.NewReader(junk)); status != http.StatusRequestEntityTooLarge {
-		t.Fatalf("body of limit+1 bytes: status %d (%q), want 413", status, body)
+	conn, br := dialSession(t, f.addr)
+	defer conn.Close()
+	header := appendFrameHeader(nil)
+	binary.BigEndian.PutUint32(header[2:], maxBodyBytes+1)
+	if _, err := conn.Write(header); err != nil {
+		t.Fatal(err)
 	}
-	if status, body := post(t, f, bytes.NewReader(junk[:maxBodyBytes])); status != http.StatusBadRequest || !bytes.Contains(body, []byte("bad envelope")) {
-		t.Fatalf("body of exactly the limit: status %d (%q), want 400 bad envelope", status, body)
+	status, body, err := readFrame(br, nil)
+	if err != nil || status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("frame of limit+1 bytes: status %d (%q) %v, want 413", status, body, err)
+	}
+	if _, _, err := readFrame(br, nil); err != io.EOF {
+		t.Fatalf("session after an oversize header: %v, want closed", err)
+	}
+	junk := bytes.Repeat([]byte{'x'}, maxBodyBytes)
+	if status, body := send(t, f, junk); status != http.StatusBadRequest || !bytes.Contains(body, []byte("bad envelope")) {
+		t.Fatalf("frame of exactly the limit: status %d (%q), want 400 bad envelope", status, body)
 	}
 	// And a large real request is read to the end and dispatched.
 	pad := strings.Repeat("x", 1<<20)
 	var out map[string]string
 	if err := f.client.Call(context.Background(), "echo", "echo", map[string]string{"msg": pad}, &out); err != nil || out["msg"] != pad {
 		t.Fatalf("1 MiB request: %v (%d bytes echoed)", err, len(out["msg"]))
+	}
+	// A request the client cannot frame is refused before it is sent, with
+	// the container's own words.
+	err = f.client.Call(context.Background(), "echo", "echo", map[string]string{"msg": string(junk)}, nil)
+	if err == nil || !strings.Contains(err.Error(), "ogsi: http 413: ogsi: body exceeds 16 MiB") {
+		t.Fatalf("request over the limit: %v", err)
 	}
 }
 
@@ -155,7 +190,7 @@ func TestFallbackCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	indented, _ := json.MarshalIndent(&env, "", " ")
-	status, reply := post(t, f, bytes.NewReader(indented))
+	status, reply := send(t, f, indented)
 	if resp := openReply(t, f, reply); status != http.StatusOK || !resp.OK {
 		t.Fatalf("non-canonical request refused: %d %+v", status, resp)
 	}

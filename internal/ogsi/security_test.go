@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,15 +204,15 @@ func TestTrustStoreAddRehandshakes(t *testing.T) {
 }
 
 // TestRestartedContainerRehandshakes: a container restarted on the same
-// address holds no context; the client's next call is refused as unknown and
-// resent signed.
+// address holds neither the client's session nor its context. The session
+// to the old container fails the next call at the transport, exactly once
+// and with nothing run; the resend opens a session to the new container,
+// whose refusal of the unknown context is answered by one signed handshake
+// inside the same call.
 func TestRestartedContainerRehandshakes(t *testing.T) {
 	var n atomic.Int64
 	f := newFabric(t, func(c *Container) { c.AddService(countingService(&n)) })
-	// A connection kept alive to the old container would fail the next call
-	// at the transport (NTCP's retry covers that); this test is about what
-	// the new container says.
-	f.client.HTTP = &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	f.client.HTTP = &http.Client{Transport: NewPinnedTransport(2)}
 	call(t, f.client)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
@@ -225,8 +226,19 @@ func TestRestartedContainerRehandshakes(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = restarted.Stop(context.Background()) })
 	before := securityCounters(restarted.Telemetry())
+	err := f.client.Call(context.Background(), "counter", "count", nil, nil)
+	var re *RemoteError
+	if err == nil || errorsAs(err, &re) || !strings.Contains(err.Error(), "ogsi: transport") {
+		t.Fatalf("first call over the old session: %v, want a transport error", err)
+	}
+	if n.Load() != 1 {
+		t.Fatalf("%d executions after the failed call, want 1", n.Load())
+	}
 	call(t, f.client)
 	rehandshake(t, &n, before, securityCounters(restarted.Telemetry()), "unknown")
+	if got := restarted.Telemetry().Snapshot().Counters[metricSessionsAccepted]; got != 1 {
+		t.Fatalf("restarted container accepted %d sessions, want 1", got)
+	}
 }
 
 // TestUnmapMidContextDenies: every MAC'd request is authorized afresh, so a
@@ -288,8 +300,8 @@ func TestConcurrentCallsShareOneContext(t *testing.T) {
 
 // TestMACdCallAllocations is the allocation ceiling of one MAC'd Call, client
 // and container together (AllocsPerRun counts every malloc in the process):
-// 93 on amd64, as many as a signed call made. The race detector's sync.Pool
-// drops pooled buffers at random, which the headroom covers.
+// 16 on amd64. The race detector's sync.Pool drops pooled buffers at random,
+// which the headroom covers (33 under -race).
 func TestMACdCallAllocations(t *testing.T) {
 	f := newFabric(t, func(c *Container) {
 		svc := NewService("noop")
@@ -306,7 +318,7 @@ func TestMACdCallAllocations(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		nop()
 	}
-	const ceiling = 130
+	const ceiling = 45
 	allocs := testing.AllocsPerRun(300, nop)
 	t.Logf("MAC'd ogsi.Call: %.0f allocations", allocs)
 	if allocs > ceiling {
