@@ -101,9 +101,9 @@ func run() int {
 	caCert := flag.String("ca-cert", "certs/ca.cert", "trusted CA certificate")
 	credPath := flag.String("cred", "", "coordinator credential")
 	out := flag.String("out", "out", "output directory")
-	ckptPath := flag.String("checkpoint", "", "journal per-step snapshots to this file (atomic replace)")
+	ckptPath := flag.String("checkpoint", "", "append an fsync'd checkpoint per step to this log (a fresh run replaces it, -resume appends)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "checkpoint cadence in steps")
-	resume := flag.Bool("resume", false, "resume from the -checkpoint snapshot instead of starting from rest")
+	resume := flag.Bool("resume", false, "resume from the last checkpoint in the -checkpoint log instead of starting from rest")
 	obsAddr := flag.String("obs", "", "serve the cross-site obs aggregator (/fleet /metrics /slo) on this address")
 	sloPath := flag.String("slo", "", "SLO rules JSON; breaches latch into the run verdict and exit code 3")
 	var debugFlags runtime.DebugFlags

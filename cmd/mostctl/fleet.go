@@ -282,7 +282,7 @@ func verifyFleetSmoke(base string, sched *fleet.Scheduler, jobs []*fleet.Job, st
 		if !strings.HasPrefix(view.Store, wantPrefix) {
 			badf("job %s store %q not under tenant prefix %q", view.ID, view.Store, wantPrefix)
 		}
-		if _, err := os.Stat(filepath.Join(view.Store, "checkpoint.json")); err != nil {
+		if _, err := os.Stat(filepath.Join(view.Store, "checkpoint.log")); err != nil {
 			badf("job %s checkpoint: %v", view.ID, err)
 		}
 	}

@@ -243,7 +243,13 @@ stage_chaos() {
     # follows the session upgrade: no panic, one reply frame per complete
     # frame, the first malformed or oversize header answered once and the
     # session closed, allocation under a ceiling no header can raise, and a
-    # real request still served after every frame it took. A failing
+    # real request still served after every frame it took.
+    # FuzzJournalReplay replays arbitrary bytes as a journal: the records it
+    # yields re-encode to a prefix of the input, only a final record may be
+    # cut short, an append after any accepted input replays last, and no
+    # length field is trusted before its bytes arrive. FuzzLoadCheckpoint
+    # loads a checkpoint log whose last record is arbitrary bytes: no panic,
+    # and anything accepted is a complete, consistent checkpoint. A failing
     # input lands in the package's testdata/fuzz/<target>/ — check it in with
     # the fix.
     while read -r target pkg; do
@@ -267,6 +273,8 @@ FuzzSpoolBlockMatchesCSV ./internal/daq
 FuzzShoreWesternServer ./internal/control
 FuzzFrameDecoder ./internal/nsds
 FuzzContainerSession ./internal/ogsi
+FuzzJournalReplay ./internal/journal
+FuzzLoadCheckpoint ./internal/coord
 TARGETS
 }
 

@@ -67,7 +67,7 @@ func (v *Verdict) Marshal() []byte {
 
 // Options tunes a scenario run.
 type Options struct {
-	// CheckpointPath overrides where the coordinator journals snapshots
+	// CheckpointPath overrides where the coordinator keeps its checkpoint log
 	// (default: a temp directory removed after the run).
 	CheckpointPath string
 	// Log receives progress lines (nil = silent).

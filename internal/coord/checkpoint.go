@@ -1,27 +1,28 @@
 // Checkpoint/resume: the durability half of surviving step 1493. The
-// coordinator journals its committed per-step state to an atomic snapshot
-// file; a restarted coordinator resumes from the snapshot and re-proposes
-// the failed step under the same deterministic transaction names, so the
-// sites' dedupe tables replay already-decided transactions and no action
-// is ever applied twice (paper §2.1's at-most-once contract is what makes
-// resume safe against live rigs).
+// coordinator appends its committed per-step state to a journal, one
+// fsync'd record per checkpoint; a restarted coordinator resumes from the
+// log's last record and re-proposes the failed step under the same
+// deterministic transaction names, so the sites' dedupe tables replay
+// already-decided transactions and no action is ever applied twice (paper
+// §2.1's at-most-once contract is what makes resume safe against live
+// rigs).
 package coord
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
+	"neesgrid/internal/journal"
 	"neesgrid/internal/structural"
 )
 
-// checkpointVersion guards the on-disk layout.
+// checkpointVersion guards the layout of a checkpoint record.
 const checkpointVersion = 1
 
 // Checkpoint is the coordinator's durable state after a committed step:
 // everything a fresh process needs to continue the run as if it had never
-// died. See DESIGN.md §5e for the file layout.
+// died. Each is one compact-JSON record of the checkpoint log; see
+// DESIGN.md §5e for the layout.
 type Checkpoint struct {
 	// Version is the checkpoint layout version.
 	Version int `json:"version"`
@@ -52,9 +53,10 @@ type Checkpoint struct {
 
 // CheckpointConfig enables per-step checkpointing on a Coordinator.
 type CheckpointConfig struct {
-	// Path is the snapshot file. Writes are atomic (temp file + rename in
-	// the same directory), so a crash mid-write leaves the previous
-	// checkpoint intact.
+	// Path is the checkpoint log. A fresh run replaces whatever is there
+	// atomically with its step-0 checkpoint; a resumed run appends to it.
+	// Every checkpoint is fsync'd before its step completes, and a crash
+	// mid-append leaves the previous checkpoint as the log's last record.
 	Path string
 	// Every writes a checkpoint after every Every committed steps
 	// (default 1; step 0 and the final step are always written).
@@ -77,47 +79,27 @@ func (c *CheckpointConfig) tail() int {
 	return c.Tail
 }
 
-// SaveCheckpoint writes cp to path atomically: the bytes land in a
-// temporary file in the same directory, are synced, and replace path with
-// a rename. Readers never observe a torn checkpoint.
-func SaveCheckpoint(path string, cp *Checkpoint) error {
-	if path == "" {
-		return fmt.Errorf("coord: checkpoint path empty")
-	}
-	data, err := json.MarshalIndent(cp, "", "  ")
-	if err != nil {
-		return fmt.Errorf("coord: encode checkpoint: %w", err)
-	}
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("coord: checkpoint temp file: %w", err)
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("coord: write checkpoint: %w", err)
-	}
-	return nil
-}
+// checkpointLogMax is the checkpoint log's size past which the next
+// checkpoint compacts it: the log is replaced by a snapshot holding only
+// that checkpoint. Resume reads only the last record, so compaction loses
+// nothing; the bound keeps a long run's log, and the replay that reads it
+// back, from growing with the step count.
+const checkpointLogMax = 1 << 20
 
-// LoadCheckpoint reads and validates a checkpoint file.
+// LoadCheckpoint reads the last record of the checkpoint log at path and
+// validates it. A torn final record — the coordinator died mid-append —
+// loads the checkpoint before it; a corrupt record anywhere else, or a file
+// that holds no complete record, is refused.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
+	var rec []byte
+	if err := journal.Replay(path, func(r []byte) { rec = r }); err != nil {
 		return nil, fmt.Errorf("coord: read checkpoint: %w", err)
 	}
+	if rec == nil {
+		return nil, fmt.Errorf("coord: checkpoint %s holds no complete record", path)
+	}
 	var cp Checkpoint
-	if err := json.Unmarshal(data, &cp); err != nil {
+	if err := json.Unmarshal(rec, &cp); err != nil {
 		return nil, fmt.Errorf("coord: decode checkpoint %s: %w", path, err)
 	}
 	if cp.Version != checkpointVersion {
@@ -129,6 +111,15 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if last := cp.Tail[len(cp.Tail)-1]; last.Step != cp.Step {
 		return nil, fmt.Errorf("coord: checkpoint %s: tail ends at step %d, want %d",
 			path, last.Step, cp.Step)
+	}
+	n := len(cp.Tail[0].D)
+	for i, st := range cp.Tail {
+		if i > 0 && st.Step <= cp.Tail[i-1].Step {
+			return nil, fmt.Errorf("coord: checkpoint %s: tail steps out of order", path)
+		}
+		if len(st.D) != n || len(st.V) != n || len(st.A) != n || len(st.F) != n {
+			return nil, fmt.Errorf("coord: checkpoint %s: tail state %d has mismatched vectors", path, st.Step)
+		}
 	}
 	return &cp, nil
 }
@@ -144,6 +135,10 @@ func (c *Coordinator) validateResume(cp *Checkpoint) error {
 	if cp.Integrator != c.cfg.Integrator.Name() {
 		return fmt.Errorf("coord: checkpoint integrator %q != configured %q",
 			cp.Integrator, c.cfg.Integrator.Name())
+	}
+	if n := c.cfg.M.Rows; len(cp.Tail) > 0 && len(cp.Tail[0].D) != n {
+		return fmt.Errorf("coord: checkpoint tail has %d DOFs, the structure %d",
+			len(cp.Tail[0].D), n)
 	}
 	if cp.Step >= c.cfg.Steps {
 		return fmt.Errorf("coord: checkpoint step %d is at or past the final step %d",

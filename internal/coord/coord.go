@@ -15,6 +15,7 @@ package coord
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -23,6 +24,7 @@ import (
 	"time"
 
 	"neesgrid/internal/core"
+	"neesgrid/internal/journal"
 	"neesgrid/internal/structural"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
@@ -102,8 +104,8 @@ type Config struct {
 	// step N slow". Share its recorder with the ogsi clients' tracer so
 	// client transport spans land in the same ring. Nil disables tracing.
 	Tracer *trace.Tracer
-	// Checkpoint, when non-nil, journals the coordinator's committed state
-	// to an atomic snapshot file after every Checkpoint.Every steps. The
+	// Checkpoint, when non-nil, appends the coordinator's committed state
+	// to a checkpoint log after every Checkpoint.Every steps. The
 	// integrator must implement structural.Resumable. A checkpoint write
 	// failure aborts the run: silently losing durability would turn the
 	// next crash into exactly the unrecoverable step-1493 ending this
@@ -144,7 +146,7 @@ type Report struct {
 	// ResumedFrom is the checkpoint step this run resumed from (-1 when
 	// the run started from rest).
 	ResumedFrom int
-	// Checkpoints is the number of snapshot files written during the run.
+	// Checkpoints is the number of checkpoints written during the run.
 	Checkpoints int
 	// StepLatency summarizes per-step wall-clock time (p50/p95/p99) — the
 	// number that tells you whether the WAN or the rigs dominate a step.
@@ -588,6 +590,10 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 	// the fleet dashboard watches. Meaningful only when checkpointing is on.
 	ckLag := c.tel.Gauge("coord.checkpoint.lag_steps")
 	lastCheckpointStep := -1
+	// ckLog is the run's checkpoint log: opened before the first step of a
+	// resumed run, created by step 0's checkpoint of a fresh one, closed
+	// by finish.
+	var ckLog *journal.Journal
 
 	var hist *structural.History
 	// finish closes the report — exactly once per run, so a failure's event
@@ -596,6 +602,10 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 	finish := func(failedStep int, err error) (*structural.History, *Report, error) {
 		if err != nil {
 			err = &stepError{step: failedStep, err: err}
+		}
+		if ckLog != nil {
+			// Every record was synced when it was written.
+			_ = ckLog.Close()
 		}
 		report.Elapsed = time.Since(start)
 		report.Err = err
@@ -653,7 +663,7 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		if k := ck.tail(); len(tail) > k {
 			tail = tail[len(tail)-k:]
 		}
-		if err := SaveCheckpoint(ck.Path, &Checkpoint{
+		rec, err := json.Marshal(&Checkpoint{
 			Version:         checkpointVersion,
 			RunID:           c.cfg.RunID,
 			Step:            st.Step,
@@ -664,8 +674,22 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 			IntegratorState: snap,
 			Tail:            tail,
 			TraceID:         lastTraceID,
-		}); err != nil {
-			return err
+		})
+		if err != nil {
+			return fmt.Errorf("coord: encode checkpoint: %w", err)
+		}
+		switch {
+		case ckLog == nil:
+			// Step 0 of a fresh run: a stale log at the path is replaced
+			// whole, atomically.
+			ckLog, err = journal.Create(ck.Path, rec)
+		case ckLog.Size() >= checkpointLogMax:
+			err = ckLog.Snapshot(rec)
+		default:
+			err = ckLog.Append(rec)
+		}
+		if err != nil {
+			return fmt.Errorf("coord: write checkpoint: %w", err)
 		}
 		report.Checkpoints++
 		c.tel.Counter("coord.checkpoints.written").Inc()
@@ -707,6 +731,12 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 
 	startStep := 1
 	if cp := c.cfg.Resume; cp != nil {
+		if ck := c.cfg.Checkpoint; ck != nil {
+			var err error
+			if ckLog, err = journal.Open(ck.Path); err != nil {
+				return finish(cp.Step, fmt.Errorf("coord: open checkpoint log: %w", err))
+			}
+		}
 		// Reconstruct the integrator at the checkpointed step instead of
 		// initializing from rest; the loop then continues at cp.Step+1,
 		// re-proposing under the same deterministic transaction names so the

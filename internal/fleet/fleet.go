@@ -564,7 +564,7 @@ func (s *Scheduler) runExperiment(ctx context.Context, job *Job, sites []*most.S
 			return nil, fmt.Errorf("fleet: job store: %w", err)
 		}
 		spec.Checkpoint = &coord.CheckpointConfig{
-			Path:  filepath.Join(job.StorePrefix, "checkpoint.json"),
+			Path:  filepath.Join(job.StorePrefix, "checkpoint.log"),
 			Every: 25,
 		}
 	}

@@ -9,7 +9,10 @@ import (
 	"testing"
 	"time"
 
+	"neesgrid/internal/coord"
 	"neesgrid/internal/core"
+	"neesgrid/internal/journal"
+	"neesgrid/internal/obs"
 	"neesgrid/internal/ogsi"
 	"neesgrid/internal/telemetry"
 )
@@ -269,9 +272,61 @@ func TestTenantStorePathsNeverCollide(t *testing.T) {
 			t.Fatalf("jobs %s and %s share store path %q", prev, view.ID, view.Store)
 		}
 		seen[view.Store] = view.ID
-		if _, err := os.Stat(filepath.Join(view.Store, "checkpoint.json")); err != nil {
+		if _, err := os.Stat(filepath.Join(view.Store, "checkpoint.log")); err != nil {
 			t.Fatalf("job %s checkpoint: %v", view.ID, err)
 		}
+	}
+}
+
+// A 300-step job checkpoints at step 0, every 25th step and the last: 13
+// checkpoints, appended to one journal that is the only file in its store.
+func TestJobCheckpointsToOneLog(t *testing.T) {
+	t.Parallel()
+	store := t.TempDir()
+	reg := telemetry.NewRegistry()
+	agg := obs.New(obs.Config{})
+	s, err := NewScheduler(Config{
+		Pool:      newTestPool(t, 1, reg),
+		Tenants:   []Tenant{{Name: "alpha"}},
+		StoreRoot: store,
+		Agg:       agg,
+		Registry:  reg,
+	})
+	if err != nil {
+		t.Fatalf("NewScheduler: %v", err)
+	}
+	job, err := s.Submit(Request{Tenant: "alpha", Name: "run", Steps: 300})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	startScheduler(t, s)
+	waitAll(t, s)
+
+	view, _ := s.Job(job.ID)
+	if view.State != StateDone || view.StepsDone != 300 {
+		t.Fatalf("job state=%s steps=%d err=%q, want done 300/300", view.State, view.StepsDone, view.Err)
+	}
+	snap, ok := agg.SiteSnapshot(view.Tenant + "/" + view.ID)
+	if !ok {
+		t.Fatal("job pushed no roll-up")
+	}
+	if got := snap.Counters["coord.checkpoints.written"]; got != 13 {
+		t.Fatalf("coord.checkpoints.written = %d, want 13", got)
+	}
+	entries, err := os.ReadDir(view.Store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Name() != "checkpoint.log" {
+		t.Fatalf("job store holds %v, want only checkpoint.log", entries)
+	}
+	path := filepath.Join(view.Store, "checkpoint.log")
+	records := 0
+	if err := journal.Replay(path, func([]byte) { records++ }); err != nil || records != 13 {
+		t.Fatalf("checkpoint log holds %d records (err %v), want 13", records, err)
+	}
+	if cp, err := coord.LoadCheckpoint(path); err != nil || cp.Step != 300 {
+		t.Fatalf("last checkpoint %+v, err %v; want step 300", cp, err)
 	}
 }
 
