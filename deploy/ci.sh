@@ -32,8 +32,10 @@
 #            behaviour (re-record with `mostctl chaos -q -scenario F -out
 #            golden/<name>.json` in the PR that does); then 10 s of fuzzing
 #            per target: each single-pass codec against encoding/json, the
-#            MAC'd envelope opener against its replay/tamper/cross-context
-#            oracle, the GridFTP session loop against its escapes-the-root
+#            signed-envelope opener with its chain cache against the same
+#            opener without, the MAC'd envelope opener against its
+#            replay/tamper/cross-context oracle, the rig controller's client
+#            against arbitrary replies, the GridFTP session loop against its escapes-the-root
 #            oracle, the spool's block formatter against encoding/csv, and
 #            the NTCP server's transaction table against its invariants, and
 #            the NSDS frame decoder against its re-encode oracle
@@ -218,7 +220,10 @@ stage_chaos() {
 
     # Generated adversaries for the hand-rolled parsers on the step path:
     # each target holds a single-pass codec to encoding/json (equal values or
-    # both fail, byte-equal encodings), and FuzzOpenContext holds the MAC'd
+    # both fail, byte-equal encodings), FuzzOpen holds the signed-envelope
+    # opener with its chain cache on to the same opener with the cache off
+    # (cold, warm, late and after a CA rotation: same payload, identity and
+    # error class), and FuzzOpenContext holds the MAC'd
     # envelope opener to its promise (arbitrary bytes never open; replayed,
     # reordered, cross-context, reflected, tampered, expired and revoked
     # messages are each refused with their own error). The archive path has two:
@@ -235,6 +240,8 @@ stage_chaos() {
     # protocol arbitrary bytes as one connection: no panic, one reply line per
     # command in order however they are pipelined, and OK to a MOVE only for
     # a finite target within the stroke that the rig then sits at.
+    # FuzzShoreWesternReply feeds the client end of that protocol arbitrary
+    # replies: no panic, and every position and force it accepts is finite.
     # FuzzFrameDecoder feeds the NSDS binary stream decoder — the only TCP
     # stream wire — arbitrary bytes: every frame it accepts re-encodes to the
     # bytes it was read from, anything else is an error, its intern table stays
@@ -261,7 +268,7 @@ stage_chaos() {
             return 1
         fi
     done <<TARGETS
-FuzzOpenWire ./internal/gsi
+FuzzOpen ./internal/gsi
 FuzzOpenContext ./internal/gsi
 FuzzDecodeRequest ./internal/ogsi
 FuzzDecodeResponse ./internal/ogsi
@@ -271,6 +278,7 @@ FuzzValue ./internal/wirejson
 FuzzServerSession ./internal/gridftp
 FuzzSpoolBlockMatchesCSV ./internal/daq
 FuzzShoreWesternServer ./internal/control
+FuzzShoreWesternReply ./internal/control
 FuzzFrameDecoder ./internal/nsds
 FuzzContainerSession ./internal/ogsi
 FuzzJournalReplay ./internal/journal

@@ -541,3 +541,17 @@ func TestInvalidConstructorsPanic(t *testing.T) {
 		}()
 	}
 }
+
+// TestParseReadingRefusesNonFinite: a READ reply that strconv reads as NaN or
+// Inf is refused where it arrives, naming the reply, instead of reaching the
+// integrator as a force.
+func TestParseReadingRefusesNonFinite(t *testing.T) {
+	for _, reply := range []string{"NaN 1", "0.01 +Inf", "-Inf 0", "inf nan"} {
+		if _, _, err := parseReading(reply); err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", reply)) {
+			t.Errorf("%q: err = %v, want a refusal quoting the reply", reply, err)
+		}
+	}
+	if pos, force, err := parseReading("0.01 1250.5"); err != nil || pos != 0.01 || force != 1250.5 {
+		t.Fatalf("finite reply: %v %v %v", pos, force, err)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"net"
 	"strconv"
 	"strings"
 	"testing"
@@ -37,6 +38,48 @@ func (c *scriptedConn) Write(p []byte) (int, error) {
 }
 
 func (c *scriptedConn) Close() error { return nil }
+
+// replyConn hands a ShoreWesternClient a scripted controller. The client
+// uses only Read, Write and Close; the embedded net.Conn is nil.
+type replyConn struct {
+	net.Conn
+	in *scriptedConn
+}
+
+func (c replyConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
+func (c replyConn) Write(p []byte) (int, error) { return c.in.Write(p) }
+func (c replyConn) Close() error                { return nil }
+
+// FuzzShoreWesternReply feeds arbitrary bytes to the client as what the
+// controller answers a MOVE (two reply lines: MOVE's and READ's) and then a
+// READ. The replies are a trust boundary too: whatever arrives, the client
+// must not panic, and every position and force it accepts must be finite.
+func FuzzShoreWesternReply(f *testing.F) {
+	for _, seed := range []string{
+		"OK 0.01\nOK 0.01 1250.5\nOK 0 0\n",
+		"OK 0.01\nOK NaN 1\nOK 1 +Inf\n",
+		"OK 0.01\nOK 0.01 -Inf\nOK inf nan\n",
+		"OK 0.01\nOK 1e400 1\nOK 0x1p-4 -0\n",
+		"ERR interlock tripped\nOK 0 0\nERR stopped\n",
+		"OK\nOK 1 2 3\nOK\n",
+		"OK 0.01\r\nOK  0.01\t7 \r\nOK 0",
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, replies []byte) {
+		conn := &scriptedConn{in: replies}
+		c := NewShoreWesternClient("fuzz")
+		c.Dial = func(string, string) (net.Conn, error) { return replyConn{in: conn}, nil }
+		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+		if pos, force, err := c.Move(0.01); err == nil && !(finite(pos) && finite(force)) {
+			t.Fatalf("MOVE accepted pos %v force %v from %q", pos, force, replies)
+		}
+		if pos, force, err := c.Read(); err == nil && !(finite(pos) && finite(force)) {
+			t.Fatalf("READ accepted pos %v force %v from %q", pos, force, replies)
+		}
+	})
+}
 
 // FuzzShoreWesternServer feeds arbitrary bytes to the controller as one
 // connection. The line protocol is a trust boundary: whatever arrives, the

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -254,18 +255,24 @@ func (c *ShoreWesternClient) Read() (pos, force float64, err error) {
 	return parseReading(resp)
 }
 
-// parseReading parses a READ response's "<pos> <force>" payload.
+// parseReading parses a READ response's "<pos> <force>" payload. Both must be
+// finite: a controller reporting NaN or Inf has no measurement to give, and
+// the integrator must not be handed one.
 func parseReading(resp string) (pos, force float64, err error) {
 	fields := strings.Fields(resp)
 	if len(fields) != 2 {
 		return 0, 0, fmt.Errorf("control: malformed READ response %q", resp)
 	}
-	pos, err = strconv.ParseFloat(fields[0], 64)
-	if err != nil {
+	if pos, err = strconv.ParseFloat(fields[0], 64); err != nil {
 		return 0, 0, err
 	}
-	force, err = strconv.ParseFloat(fields[1], 64)
-	return pos, force, err
+	if force, err = strconv.ParseFloat(fields[1], 64); err != nil {
+		return 0, 0, err
+	}
+	if math.IsNaN(pos) || math.IsInf(pos, 0) || math.IsNaN(force) || math.IsInf(force, 0) {
+		return 0, 0, fmt.Errorf("control: non-finite READ response %q", resp)
+	}
+	return pos, force, nil
 }
 
 // Stop trips the controller's interlock.

@@ -313,6 +313,14 @@ func TestJobCheckpointsToOneLog(t *testing.T) {
 	if got := snap.Counters["coord.checkpoints.written"]; got != 13 {
 		t.Fatalf("coord.checkpoints.written = %d, want 13", got)
 	}
+	// One site, one handshake: the job's coordinator verifies one signed
+	// reply and takes every other one MAC'd, and every document it decodes
+	// stays on the strict readers.
+	for name, want := range map[string]int64{"ogsi.auth.signed": 1, "ogsi.context.established": 1, "ogsi.decode.fallbacks": 0} {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (registered %v), want %d", name, got, ok, want)
+		}
+	}
 	entries, err := os.ReadDir(view.Store)
 	if err != nil {
 		t.Fatal(err)

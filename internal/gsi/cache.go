@@ -1,7 +1,6 @@
 package gsi
 
 import (
-	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
@@ -43,28 +42,21 @@ func (w *validityWindow) contains(now time.Time) bool {
 
 // chainCacheEntry is one fully verified chain: its base identity and the
 // window during which every certificate in the chain (and its CA) remains
-// valid. Entries keyed by wire digest also carry the leaf's public key, which
-// is all OpenWire needs of the chain to check a message signature.
+// valid.
 type chainCacheEntry struct {
 	identity string
 	window   validityWindow
-	leaf     ed25519.PublicKey
 	gen      uint64 // trust generation the chain was verified under
 }
 
-// chainCache remembers verified chains by digest: of the parsed content
-// (digest, for VerifyChain) or of the raw encoded bytes (wireDigest, for
-// OpenWire). Safety argument, the same for both: a hit requires the presented
-// chain to hash (SHA-256 over every field of every certificate, signatures
-// included — or over every byte of their encoding) to the digest of a chain
+// chainCache remembers verified chains by the digest of their content. Safety
+// argument: a hit requires the presented chain to hash (SHA-256 over every
+// field of every certificate, signatures included) to the digest of a chain
 // that previously passed the full cryptographic path, and requires `now` to
-// fall inside the chain's validity intersection. Tampering with any field or
-// byte changes the digest; expiry falls out of the window check; unknown
-// chains miss. Negative results are never cached, so a failed verification
-// never shadows a later legitimate one. The two digests share one map: a
-// content preimage starts with a big-endian certificate count (a zero byte)
-// and a wire preimage with the '[' of a JSON array, so a key of one kind
-// matching one of the other would be a SHA-256 collision.
+// fall inside the chain's validity intersection. Tampering with any field
+// changes the digest; expiry falls out of the window check; unknown chains
+// miss. Negative results are never cached, so a failed verification never
+// shadows a later legitimate one.
 type chainCache struct {
 	mu       sync.RWMutex
 	entries  map[[sha256.Size]byte]chainCacheEntry
@@ -76,8 +68,6 @@ type chainCache struct {
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
-
-	observer atomic.Pointer[func(hit bool)]
 }
 
 // digest hashes the chain content. The encoding is injective: every
@@ -128,15 +118,6 @@ func (cc *chainCache) enabled() bool {
 	return cc.capacity > 0
 }
 
-// wireDigest hashes the raw encoded chain as it appears in an envelope.
-// Returns false when caching is disabled.
-func (cc *chainCache) wireDigest(chain []byte) ([sha256.Size]byte, bool) {
-	if !cc.enabled() {
-		return [sha256.Size]byte{}, false
-	}
-	return sha256.Sum256(chain), true
-}
-
 // lookup serves a cached verdict when the digest is known and now falls in
 // the chain's validity window. An expired entry is treated as a miss (and
 // evicted) so the slow path produces the precise error.
@@ -146,7 +127,6 @@ func (cc *chainCache) lookup(key [sha256.Size]byte, now time.Time) (chainCacheEn
 	cc.mu.RUnlock()
 	if ok && e.window.contains(now) {
 		cc.hits.Add(1)
-		cc.note(true)
 		return e, true
 	}
 	if ok {
@@ -159,7 +139,6 @@ func (cc *chainCache) lookup(key [sha256.Size]byte, now time.Time) (chainCacheEn
 		cc.mu.Unlock()
 	}
 	cc.misses.Add(1)
-	cc.note(false)
 	return chainCacheEntry{}, false
 }
 
@@ -195,12 +174,6 @@ func (cc *chainCache) flush() {
 	cc.mu.Unlock()
 }
 
-func (cc *chainCache) note(hit bool) {
-	if fn := cc.observer.Load(); fn != nil {
-		(*fn)(hit)
-	}
-}
-
 // SetCacheCapacity resizes the verified-chain cache; n <= 0 disables it and
 // clears any cached verdicts. Existing entries are kept when they still fit.
 func (ts *TrustStore) SetCacheCapacity(n int) {
@@ -223,15 +196,4 @@ func (ts *TrustStore) SetCacheCapacity(n int) {
 // cache versus took the full cryptographic path.
 func (ts *TrustStore) CacheStats() (hits, misses uint64) {
 	return ts.cache.hits.Load(), ts.cache.misses.Load()
-}
-
-// SetCacheObserver registers a callback invoked on every cache decision
-// (true = hit). One observer per store; pass nil to remove. Used to mirror
-// hit/miss counts into a telemetry registry without coupling gsi to it.
-func (ts *TrustStore) SetCacheObserver(fn func(hit bool)) {
-	if fn == nil {
-		ts.cache.observer.Store(nil)
-		return
-	}
-	ts.cache.observer.Store(&fn)
 }

@@ -10,6 +10,12 @@ import (
 	"time"
 )
 
+func cacheEntries(ts *TrustStore) int {
+	ts.cache.mu.RLock()
+	defer ts.cache.mu.RUnlock()
+	return len(ts.cache.entries)
+}
+
 func TestChainCacheHitServesSameIdentity(t *testing.T) {
 	ca := newTestCA(t)
 	cred, _ := ca.Issue("/O=NEES/CN=coordinator", time.Hour)
@@ -66,10 +72,17 @@ func TestChainCacheWindowClampedToProxyExpiry(t *testing.T) {
 	if _, err := ts.VerifyChain(proxy.Chain, now); err != nil {
 		t.Fatal(err)
 	}
+	if n := cacheEntries(ts); n != 1 {
+		t.Fatalf("cache holds %d entries after one verification", n)
+	}
 	// 10 minutes out the proxy is expired even though identity cert and CA
-	// are fine; a cached verdict must not outlive the shortest window.
+	// are fine; a cached verdict must not outlive the shortest window, and
+	// the entry that can never be served again is dropped.
 	if _, err := ts.VerifyChain(proxy.Chain, now.Add(10*time.Minute)); !errors.Is(err, ErrExpired) {
 		t.Fatalf("err past proxy expiry = %v, want ErrExpired", err)
+	}
+	if n := cacheEntries(ts); n != 0 {
+		t.Fatalf("expired entry not evicted (%d held)", n)
 	}
 }
 
@@ -83,9 +96,8 @@ func TestChainCacheTamperAfterCachingFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	// In-place tamper of the very certificate that was just verified and
-	// cached: the digest changes, the cache misses, and the slow path must
-	// recompute the canonical encoding (not reuse the memoized one) and
-	// reject the signature.
+	// cached: the digest changes, the cache misses, and the slow path
+	// rejects the signature.
 	cred.Leaf().Subject = "/O=NEES/CN=admin"
 	if _, err := ts.VerifyChain(cred.Chain, now); err == nil {
 		t.Fatal("tampered chain verified after a valid entry was cached")
@@ -191,39 +203,8 @@ func TestChainCacheEvictionAtCapacity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ts.cache.mu.RLock()
-	n := len(ts.cache.entries)
-	ts.cache.mu.RUnlock()
-	if n > 2 {
+	if n := cacheEntries(ts); n > 2 {
 		t.Fatalf("cache holds %d entries, capacity 2", n)
-	}
-}
-
-func TestChainCacheObserver(t *testing.T) {
-	ca := newTestCA(t)
-	cred, _ := ca.Issue("/O=NEES/CN=alice", time.Hour)
-	ts := NewTrustStore(ca.Cert)
-	var mu sync.Mutex
-	var hits, misses int
-	ts.SetCacheObserver(func(hit bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if hit {
-			hits++
-		} else {
-			misses++
-		}
-	})
-	now := time.Now()
-	for i := 0; i < 3; i++ {
-		if _, err := ts.VerifyChain(cred.Chain, now); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if hits != 2 || misses != 1 {
-		t.Fatalf("observer saw hits=%d misses=%d, want 2/1", hits, misses)
 	}
 }
 
@@ -270,37 +251,6 @@ func TestChainCacheConcurrentOpen(t *testing.T) {
 	hits, misses := ts.CacheStats()
 	if hits == 0 {
 		t.Fatalf("no cache hits across concurrent Opens (misses=%d)", misses)
-	}
-}
-
-func TestTBSMemoizedAndMutationAware(t *testing.T) {
-	ca := newTestCA(t)
-	cred, _ := ca.Issue("/O=NEES/CN=alice", time.Hour)
-	leaf := cred.Leaf()
-	a := leaf.tbs()
-	b := leaf.tbs()
-	if !bytes.Equal(a, b) {
-		t.Fatal("memoized tbs not stable")
-	}
-	// The memoized form must match what the pre-memoization encoding
-	// produced: json.Marshal of the certificate with Signature nilled.
-	var m1, m2 map[string]any
-	if err := json.Unmarshal(a, &m1); err != nil {
-		t.Fatal(err)
-	}
-	if m1["signature"] != nil {
-		t.Fatalf("tbs encodes a signature: %v", m1["signature"])
-	}
-	leaf.Subject = "/O=NEES/CN=other"
-	c := leaf.tbs()
-	if bytes.Equal(a, c) {
-		t.Fatal("tbs did not change after subject mutation")
-	}
-	if err := json.Unmarshal(c, &m2); err != nil {
-		t.Fatal(err)
-	}
-	if m2["subject"] != "/O=NEES/CN=other" {
-		t.Fatalf("recomputed tbs has stale subject %v", m2["subject"])
 	}
 }
 
@@ -373,22 +323,41 @@ func TestAppendSignedEnvelopePayloadEdgeCases(t *testing.T) {
 	}
 }
 
-func TestEncodedChainMemoized(t *testing.T) {
+// TestOpenInfoReportsCacheHit: opening the same encoded envelope again is
+// served from the cache, and VerifyInfo says so (the cached= span attribute).
+func TestOpenInfoReportsCacheHit(t *testing.T) {
+	ca := newTestCA(t)
+	cred, _ := ca.Issue("/O=NEES/CN=coordinator", time.Hour)
+	proxy, _ := cred.Delegate(30 * time.Minute)
+	ts := NewTrustStore(ca.Cert)
+	now := time.Now()
+	for i, want := range []bool{false, true, true} {
+		payload := []byte(fmt.Sprintf(`{"op":"propose","n":%d}`, i))
+		got, id, info, err := openBody(ts, seal(t, proxy, payload), now)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, payload) || id != "/O=NEES/CN=coordinator" || info.CacheHit != want {
+			t.Fatalf("open %d: payload %q identity %q hit %v, want hit %v", i, got, id, info.CacheHit, want)
+		}
+	}
+	if hits, misses := ts.CacheStats(); hits != 2 || misses != 1 {
+		t.Fatalf("hits=%d misses=%d, want 2/1", hits, misses)
+	}
+}
+
+// TestOpenLargePayload: a payload far larger than anything the handshake
+// sends opens the same way, cold and from the cache.
+func TestOpenLargePayload(t *testing.T) {
 	ca := newTestCA(t)
 	cred, _ := ca.Issue("/O=NEES/CN=alice", time.Hour)
-	a, err := cred.EncodedChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := cred.EncodedChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &a[0] != &b[0] {
-		t.Fatal("EncodedChain re-marshalled on second call")
-	}
-	want, _ := json.Marshal(cred.Chain)
-	if !bytes.Equal(a, want) {
-		t.Fatal("EncodedChain differs from json.Marshal of the chain")
+	ts := NewTrustStore(ca.Cert)
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 1<<17) // 2 MiB
+	body := seal(t, cred, payload)
+	for i := 0; i < 2; i++ {
+		got, _, info, err := openBody(ts, body, time.Now())
+		if err != nil || !bytes.Equal(got, payload) || info.CacheHit != (i == 1) {
+			t.Fatalf("open %d: %d bytes, info %+v, err %v", i, len(got), info, err)
+		}
 	}
 }

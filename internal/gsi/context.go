@@ -47,7 +47,7 @@ import (
 // anyone: a refused message never executes.
 var (
 	// ErrNotSealed: the body is not in the MAC'd envelope layout (it may be a
-	// signed envelope; see OpenWire).
+	// signed envelope; see TrustStore.Open).
 	ErrNotSealed = errors.New("gsi: not a MAC'd envelope")
 	// ErrBadHandshake: an offer or accept token that does not decode, or an
 	// accept that does not answer the offer it claims to.
@@ -92,6 +92,16 @@ const (
 // strict64 rejects the non-canonical trailing bits StdEncoding tolerates: the
 // MAC'd envelope has exactly one accepted spelling of every field.
 var strict64 = base64.StdEncoding.Strict()
+
+// isBase64 marks the bytes of the standard base64 alphabet and its padding.
+// The decoder itself also skips \r and \n, which encoding/json would refuse
+// inside a string, so splitSealed checks membership first.
+var isBase64 = func() (t [256]bool) {
+	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=" {
+		t[c] = true
+	}
+	return t
+}()
 
 // contextID names a security context on the wire.
 type contextID [contextIDSize]byte

@@ -42,7 +42,7 @@ func (f *convFabric) handshake(t testing.TB) *Context {
 		t.Fatal(err)
 	}
 	accept := f.accept(t, f.client, h)
-	_, serverID, serverInfo, err := f.trust.OpenWire(nil, seal(t, f.server, []byte(accept)), f.now)
+	_, serverID, serverInfo, err := openBody(f.trust, seal(t, f.server, []byte(accept)), f.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func (f *convFabric) handshake(t testing.TB) *Context {
 // table's accept.
 func (f *convFabric) accept(t testing.TB, cred *Credential, h *Handshake) string {
 	t.Helper()
-	_, clientID, clientInfo, err := f.trust.OpenWire(nil, seal(t, cred, []byte(h.Offer())), f.now)
+	_, clientID, clientInfo, err := openBody(f.trust, seal(t, cred, []byte(h.Offer())), f.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestReplayWindow(t *testing.T) {
 func TestAcceptRepeatedOfferSameContext(t *testing.T) {
 	f := newConvFabric(t)
 	h, _ := NewHandshake()
-	_, id, info, err := f.trust.OpenWire(nil, seal(t, f.client, []byte("x")), f.now)
+	_, id, info, err := openBody(f.trust, seal(t, f.client, []byte("x")), f.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestContextTableEvictsLeastRecentlyUsed(t *testing.T) {
 	f := newConvFabric(t)
 	idle := f.handshake(t)
 	busy := f.handshake(t)
-	_, id, info, err := f.trust.OpenWire(nil, seal(t, f.client, []byte("x")), f.now)
+	_, id, info, err := openBody(f.trust, seal(t, f.client, []byte("x")), f.now)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestTrustStoreAddRacesVerification(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				body, _ := AppendSignedEnvelope(nil, cred, []byte(fmt.Sprintf("%d/%d", g, i)))
-				if _, _, _, err := ts.OpenWire(nil, body, now); err != nil {
+				if _, _, _, err := openBody(ts, body, now); err != nil {
 					t.Error(err)
 					return
 				}

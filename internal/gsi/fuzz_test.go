@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"encoding/base64"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -46,11 +47,41 @@ func fixedCredential(ca *Authority, subject string, seed byte, validFor, proxyFo
 	return &Credential{Chain: []*Certificate{proxy, cert}, Key: ppriv}
 }
 
-// FuzzOpenWire is the differential target for the wire path: whatever the
-// bytes, OpenWire and json.Unmarshal+OpenInfo agree on payload, identity and
-// error class — with the chain cache cold, warm, past its window, and flushed
-// by a CA rotation between the warm-up and the open.
-func FuzzOpenWire(f *testing.F) {
+// seal returns the encoded envelope around payload, signed by cred.
+func seal(t testing.TB, cred *Credential, payload []byte) []byte {
+	t.Helper()
+	body, err := AppendSignedEnvelope(nil, cred, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// openBody opens an encoded envelope the way the transport does: decode with
+// encoding/json, then OpenInfo.
+func openBody(ts *TrustStore, body []byte, now time.Time) ([]byte, string, VerifyInfo, error) {
+	var env Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return nil, "", VerifyInfo{}, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
+	}
+	return ts.OpenInfo(&env, now)
+}
+
+// errClass maps an error onto the sentinel a caller would match.
+func errClass(err error) error {
+	for _, class := range []error{ErrBadEnvelope, ErrExpired, ErrUntrusted, ErrBadSignature, ErrBadChain} {
+		if errors.Is(err, class) {
+			return class
+		}
+	}
+	return err
+}
+
+// FuzzOpen is the differential target for the chain cache: whatever the
+// bytes, a store with the cache on and one with it off agree on payload,
+// identity and error class — with the cache cold, warm, past its window, and
+// flushed by a CA rotation between the warm-up and the open. No input panics.
+func FuzzOpen(f *testing.F) {
 	ca := fixedAuthority("/O=NEES/CN=fuzz CA", 1)
 	rotated := fixedAuthority(ca.Name, 2) // same subject, new key
 	alice := fixedCredential(ca, "/O=NEES/CN=alice", 10, time.Hour, 0)
@@ -58,7 +89,11 @@ func FuzzOpenWire(f *testing.F) {
 	payload := []byte(`{"service":"ntcp","op":"propose"}`)
 	aliceBody, proxyBody := seal(f, alice, payload), seal(f, proxy, payload)
 
-	payload64, chain, sig64, _ := splitWire(proxyBody)
+	// The three fields of proxyBody as they appear in it, to splice.
+	env, _ := Sign(proxy, payload)
+	chain, _ := json.Marshal(env.Chain)
+	payload64 := base64.StdEncoding.EncodeToString(payload)
+	sig64 := base64.StdEncoding.EncodeToString(env.Signature)
 	other := base64.StdEncoding.EncodeToString([]byte(`{"op":"cancel"}`))
 	for _, seed := range [][]byte{
 		aliceBody,
@@ -83,34 +118,34 @@ func FuzzOpenWire(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte, rotate bool, lateMinutes uint16) {
-		fast, ref := NewTrustStore(ca.Cert), NewTrustStore(ca.Cert)
-		// Warm both caches with the pristine envelopes, so that a body which
-		// keeps a chain intact is served from the cache.
+		cached, plain := NewTrustStore(ca.Cert), NewTrustStore(ca.Cert)
+		plain.SetCacheCapacity(0)
+		// Warm the cache with the pristine envelopes, so that a body which
+		// keeps a chain intact is served from it.
 		for _, warm := range [][]byte{aliceBody, proxyBody} {
-			if _, _, _, err := fast.OpenWire(nil, warm, fuzzEpoch); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := openReference(ref, warm, fuzzEpoch); err != nil {
-				t.Fatal(err)
+			for _, ts := range []*TrustStore{cached, plain} {
+				if _, _, _, err := openBody(ts, warm, fuzzEpoch); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		if rotate {
-			fast.Add(rotated.Cert)
-			ref.Add(rotated.Cert)
+			cached.Add(rotated.Cert)
+			plain.Add(rotated.Cert)
 		}
 		now := fuzzEpoch.Add(time.Duration(lateMinutes) * time.Minute)
 		// Twice: the first open may itself have warmed the cache.
 		for round := 0; round < 2; round++ {
-			got, gotID, info, gotErr := fast.OpenWire([]byte("dst:"), body, now)
-			want, wantID, wantErr := openReference(ref, body, now)
+			got, gotID, info, gotErr := openBody(cached, body, now)
+			want, wantID, _, wantErr := openBody(plain, body, now)
 			if errClass(gotErr) != errClass(wantErr) {
-				t.Fatalf("round %d: OpenWire err %v (info %+v), reference err %v", round, gotErr, info, wantErr)
+				t.Fatalf("round %d: cached err %v (info %+v), uncached err %v", round, gotErr, info, wantErr)
 			}
 			if gotErr != nil {
 				continue
 			}
-			if gotID != wantID || !bytes.Equal(got, append([]byte("dst:"), want...)) {
-				t.Fatalf("round %d: OpenWire (%q, %q), reference (%q, %q)", round, got, gotID, want, wantID)
+			if gotID != wantID || !bytes.Equal(got, want) {
+				t.Fatalf("round %d: cached (%q, %q), uncached (%q, %q)", round, got, gotID, want, wantID)
 			}
 		}
 	})

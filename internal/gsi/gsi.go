@@ -13,17 +13,13 @@
 package gsi
 
 import (
-	"bytes"
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
-	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -48,78 +44,17 @@ type Certificate struct {
 	IsCA      bool              `json:"is_ca"`
 	IsProxy   bool              `json:"is_proxy"`
 	Signature []byte            `json:"signature"`
-
-	// tbsMemo caches the canonical encoding together with a snapshot of the
-	// fields it encodes, so repeated verification of a long-lived in-memory
-	// certificate skips the JSON marshal. A field mutation after caching is
-	// detected by snapshot comparison and recomputes — a tampered certificate
-	// can never verify against a stale encoding.
-	tbsMemo atomic.Pointer[tbsMemo]
 }
 
-// certTBS mirrors Certificate's exported fields (same order, same tags) so
-// the canonical encoding is byte-identical to the historical
-// json.Marshal-with-nil-Signature form.
-type certTBS struct {
-	Subject   string            `json:"subject"`
-	Issuer    string            `json:"issuer"`
-	PublicKey ed25519.PublicKey `json:"public_key"`
-	NotBefore time.Time         `json:"not_before"`
-	NotAfter  time.Time         `json:"not_after"`
-	IsCA      bool              `json:"is_ca"`
-	IsProxy   bool              `json:"is_proxy"`
-	Signature []byte            `json:"signature"`
-}
-
-// tbsMemo is the memoized canonical encoding plus the field snapshot it was
-// computed from. PublicKey is copied so an in-place key mutation is caught.
-type tbsMemo struct {
-	subject, issuer string
-	publicKey       []byte
-	notBefore       time.Time
-	notAfter        time.Time
-	isCA, isProxy   bool
-	enc             []byte
-}
-
-func (m *tbsMemo) matches(c *Certificate) bool {
-	return m.subject == c.Subject &&
-		m.issuer == c.Issuer &&
-		bytes.Equal(m.publicKey, c.PublicKey) &&
-		m.notBefore.Equal(c.NotBefore) &&
-		m.notAfter.Equal(c.NotAfter) &&
-		m.isCA == c.IsCA &&
-		m.isProxy == c.IsProxy
-}
-
-// tbs returns the canonical "to be signed" encoding of the certificate,
-// memoized across calls on the same in-memory certificate.
+// tbs returns the canonical "to be signed" encoding of the certificate: its
+// JSON with the signature encoded as null.
 func (c *Certificate) tbs() []byte {
-	if m := c.tbsMemo.Load(); m != nil && m.matches(c) {
-		return m.enc
-	}
-	b, err := json.Marshal(&certTBS{
-		Subject:   c.Subject,
-		Issuer:    c.Issuer,
-		PublicKey: c.PublicKey,
-		NotBefore: c.NotBefore,
-		NotAfter:  c.NotAfter,
-		IsCA:      c.IsCA,
-		IsProxy:   c.IsProxy,
-	})
+	unsigned := *c
+	unsigned.Signature = nil
+	b, err := json.Marshal(&unsigned)
 	if err != nil {
 		panic(fmt.Sprintf("gsi: certificate encoding: %v", err)) // cannot fail for this type
 	}
-	c.tbsMemo.Store(&tbsMemo{
-		subject:   c.Subject,
-		issuer:    c.Issuer,
-		publicKey: append([]byte(nil), c.PublicKey...),
-		notBefore: c.NotBefore,
-		notAfter:  c.NotAfter,
-		isCA:      c.IsCA,
-		isProxy:   c.IsProxy,
-		enc:       b,
-	})
 	return b
 }
 
@@ -129,14 +64,10 @@ func (c *Certificate) ValidAt(now time.Time) bool {
 }
 
 // Credential is a private key together with its certificate chain, leaf
-// first, ending at (but not including) the CA certificate. The chain is
-// treated as immutable once the credential is built (Issue/Delegate never
-// mutate it); EncodedChain relies on that.
+// first, ending at (but not including) the CA certificate.
 type Credential struct {
 	Chain []*Certificate
 	Key   ed25519.PrivateKey
-
-	chainEnc atomic.Pointer[[]byte]
 }
 
 // Leaf returns the end-entity certificate of the credential.
@@ -317,9 +248,6 @@ type VerifyInfo struct {
 	// CacheHit is true when the verdict came from the verified-chain cache
 	// rather than the full per-certificate cryptographic path.
 	CacheHit bool
-	// WireFallback is true when OpenWire was handed a body that is not in
-	// the canonical envelope layout and went through encoding/json.
-	WireFallback bool
 
 	notAfter time.Time // end of the chain's validity intersection, CA included
 	gen      uint64    // trust generation the verdict was computed under
@@ -423,50 +351,19 @@ func Sign(cred *Credential, payload []byte) (*Envelope, error) {
 	return &Envelope{Payload: payload, Chain: cred.Chain, Signature: sig}, nil
 }
 
-// EncodedChain returns the JSON encoding of the credential's certificate
-// chain, computed once and reused — the chain of a live credential never
-// changes, and re-marshalling it (public keys, signatures, timestamps) is
-// the bulk of envelope-encoding cost.
-func (c *Credential) EncodedChain() ([]byte, error) {
-	if p := c.chainEnc.Load(); p != nil {
-		return *p, nil
-	}
-	b, err := json.Marshal(c.Chain)
-	if err != nil {
-		return nil, fmt.Errorf("gsi: encode chain: %w", err)
-	}
-	c.chainEnc.Store(&b)
-	return b, nil
-}
-
 // AppendSignedEnvelope signs payload with the credential and appends the
-// JSON encoding of the resulting envelope to dst, which it returns. The
-// output is byte-compatible with json.Marshal of the Envelope produced by
-// Sign, but runs in a single pass with the chain encoding memoized — the
-// hot-path form used by the OGSI transport.
+// JSON encoding of the resulting envelope — the bytes json.Marshal writes for
+// the Envelope Sign returns — to dst, which it returns.
 func AppendSignedEnvelope(dst []byte, cred *Credential, payload []byte) ([]byte, error) {
-	if cred == nil || cred.Leaf() == nil {
-		return nil, ErrBadChain
-	}
-	chainJSON, err := cred.EncodedChain()
+	env, err := Sign(cred, payload)
 	if err != nil {
 		return nil, err
 	}
-	sig := ed25519.Sign(cred.Key, payload)
-	if payload == nil {
-		// json.Marshal encodes a nil []byte as null (and an empty non-nil
-		// slice as ""); match both exactly.
-		dst = append(dst, `{"payload":null,"chain":`...)
-	} else {
-		dst = append(dst, `{"payload":"`...)
-		dst = base64.StdEncoding.AppendEncode(dst, payload)
-		dst = append(dst, `","chain":`...)
+	b, err := json.Marshal(env)
+	if err != nil {
+		return nil, fmt.Errorf("gsi: encode envelope: %w", err)
 	}
-	dst = append(dst, chainJSON...)
-	dst = append(dst, `,"signature":"`...)
-	dst = base64.StdEncoding.AppendEncode(dst, sig)
-	dst = append(dst, `"}`...)
-	return dst, nil
+	return append(dst, b...), nil
 }
 
 // Open verifies the envelope against the trust store and returns the
@@ -493,158 +390,9 @@ func (ts *TrustStore) OpenInfo(env *Envelope, now time.Time) (payload []byte, id
 	return env.Payload, identity, info, nil
 }
 
-// ErrBadEnvelope marks a body OpenWire could not decode as an envelope at
-// all — as opposed to one that decoded and then failed verification.
+// ErrBadEnvelope marks a body that does not decode as an envelope at all —
+// as opposed to one that decoded and then failed verification.
 var ErrBadEnvelope = errors.New("gsi: malformed envelope")
-
-// The canonical envelope layout, exactly as AppendSignedEnvelope writes it:
-//
-//	{"payload":"<base64>","chain":<chain JSON>,"signature":"<base64>"}
-const (
-	wireHead      = `{"payload":"`
-	wireChainKey  = `","chain":`
-	wireSigKey    = `,"signature":"`
-	wireTail      = `"}`
-	wireSigLength = 88 // base64 of a 64-byte Ed25519 signature
-)
-
-// isBase64 marks the bytes of the standard base64 alphabet and its padding.
-// The decoder itself also skips \r and \n, which encoding/json would refuse
-// inside a string, so the wire path checks membership first.
-var isBase64 = func() (t [256]bool) {
-	for _, c := range "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/=" {
-		t[c] = true
-	}
-	return t
-}()
-
-// splitWire slices the three fields out of a body in the canonical layout
-// without parsing it. The chain is whatever lies between the two keys; that
-// it is one JSON value (and so the value encoding/json sees under "chain")
-// is checked once, before its digest is allowed into the cache.
-func splitWire(body []byte) (payload64, chain, sig64 []byte, ok bool) {
-	if len(body) < len(wireHead)+len(wireTail) || !bytes.HasPrefix(body, []byte(wireHead)) || !bytes.HasSuffix(body, []byte(wireTail)) {
-		return nil, nil, nil, false
-	}
-	rest := body[len(wireHead) : len(body)-len(wireTail)]
-	n := 0
-	for n < len(rest) && isBase64[rest[n]] {
-		n++
-	}
-	payload64, rest = rest[:n], rest[n:]
-	if !bytes.HasPrefix(rest, []byte(wireChainKey)) || len(rest) < len(wireChainKey)+len(wireSigKey)+wireSigLength {
-		return nil, nil, nil, false
-	}
-	rest = rest[len(wireChainKey):]
-	chain, sig64 = rest[:len(rest)-wireSigLength], rest[len(rest)-wireSigLength:]
-	for _, c := range sig64 {
-		if !isBase64[c] {
-			return nil, nil, nil, false
-		}
-	}
-	if !bytes.HasSuffix(chain, []byte(wireSigKey)) {
-		return nil, nil, nil, false
-	}
-	chain = chain[:len(chain)-len(wireSigKey)]
-	return payload64, chain, sig64, len(chain) > 0
-}
-
-// OpenWire is OpenInfo over the encoded envelope: it verifies body against
-// the trust store and appends the payload to dst. For a body in the layout
-// AppendSignedEnvelope emits whose chain has verified before, that is one
-// SHA-256 over the raw chain bytes, two base64 decodes and one Ed25519
-// verification — no certificate is parsed. The verified-chain cache is keyed
-// by that digest too, next to the content digests VerifyChain stores, under
-// the same capacity, window check, flush on Add and hit/miss accounting.
-//
-// Everything else takes the path it always took: a first or expired chain
-// is parsed and verified in full (and only then remembered); a body that is
-// not byte-for-byte the canonical layout — escapes, reordered, duplicate or
-// extra keys, whitespace, a null payload — goes through json.Unmarshal and
-// OpenInfo, which info.WireFallback reports. A tampered chain hashes
-// differently and misses; a tampered payload or signature fails the Ed25519
-// check; failures are never cached. A body that is not an envelope at all
-// fails with ErrBadEnvelope.
-func (ts *TrustStore) OpenWire(dst, body []byte, now time.Time) (payload []byte, identity string, info VerifyInfo, err error) {
-	payload64, chain, sig64, canonical := splitWire(body)
-	var (
-		sig  [66]byte // DecodedLen(wireSigLength)
-		nsig int
-	)
-	start := len(dst)
-	if canonical {
-		nsig, err = base64.StdEncoding.Decode(sig[:], sig64)
-		canonical = err == nil
-	}
-	if canonical {
-		dst = append(dst, make([]byte, base64.StdEncoding.DecodedLen(len(payload64)))...)
-		n, err := base64.StdEncoding.Decode(dst[start:], payload64)
-		dst, canonical = dst[:start+n], err == nil
-	}
-	if !canonical {
-		return ts.openFallback(dst[:start], body, now)
-	}
-	key, cacheable := ts.cache.wireDigest(chain)
-	if cacheable {
-		if e, ok := ts.cache.lookup(key, now); ok {
-			info.CacheHit = true
-			if !verifySig(e.leaf, dst[start:], sig[:nsig]) {
-				return nil, "", info, ErrBadSignature
-			}
-			info.bind(&e)
-			return dst, e.identity, info, nil
-		}
-	}
-	// First sight of these chain bytes, or their window has lapsed.
-	return ts.openMissed(dst[:start], body, chain, key, now)
-}
-
-// openFallback is OpenWire for a body outside the canonical layout:
-// json.Unmarshal and OpenInfo, as before there was a wire path.
-func (ts *TrustStore) openFallback(dst, body []byte, now time.Time) ([]byte, string, VerifyInfo, error) {
-	var env Envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return nil, "", VerifyInfo{WireFallback: true}, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
-	}
-	payload, identity, info, err := ts.OpenInfo(&env, now)
-	info.WireFallback = true
-	if err != nil {
-		return nil, "", info, err
-	}
-	return append(dst, payload...), identity, info, nil
-}
-
-// openMissed is OpenWire for a canonical body whose chain bytes are not in
-// the cache: the envelope is parsed and taken through the full cryptographic
-// path — every field as encoding/json reads it, nothing from the slices —
-// and a chain that passes is remembered under key.
-func (ts *TrustStore) openMissed(dst, body, chain []byte, key [sha256.Size]byte, now time.Time) ([]byte, string, VerifyInfo, error) {
-	var info VerifyInfo
-	var env Envelope
-	if err := json.Unmarshal(body, &env); err != nil {
-		return nil, "", info, fmt.Errorf("%w: %v", ErrBadEnvelope, err)
-	}
-	if len(env.Chain) == 0 {
-		return nil, "", info, ErrBadChain
-	}
-	e, err := ts.verifyChainSlow(env.Chain, now)
-	if err != nil {
-		return nil, "", info, err
-	}
-	e.leaf = env.Chain[0].PublicKey
-	if !verifySig(e.leaf, env.Payload, env.Signature) {
-		return nil, "", info, ErrBadSignature
-	}
-	// The digest may stand for this chain only if the sliced bytes are
-	// exactly the one value encoding/json read under "chain" — not, say, a
-	// chain followed by a second "payload" key. (store drops the entry when
-	// the cache is disabled, or when the trust set changed meanwhile.)
-	if json.Valid(chain) {
-		ts.cache.store(key, e)
-	}
-	info.bind(&e)
-	return append(dst, env.Payload...), e.identity, info, nil
-}
 
 // Gridmap maps Grid identities to site-local account names — the classic
 // GSI gridmap file. A site only accepts identities present in its map.

@@ -250,3 +250,24 @@ func TestTrustStoreIgnoresNonCA(t *testing.T) {
 		t.Fatal("leaf certificate must not be accepted as a trust anchor")
 	}
 }
+
+// TestShortPublicKeyInChainIsRejected: a presented chain is attacker-chosen
+// JSON, and a certificate in it may carry a public key of any length. Found
+// by fuzzing the envelope opener: ed25519.Verify panics on one instead of
+// returning false.
+func TestShortPublicKeyInChainIsRejected(t *testing.T) {
+	ca := newTestCA(t)
+	cred, _ := ca.Issue("/O=NEES/CN=alice", time.Hour)
+	proxy, _ := cred.Delegate(time.Minute)
+	ts := NewTrustStore(ca.Cert)
+
+	proxy.Chain[1].PublicKey = nil // the issuer of the leaf
+	if _, err := ts.VerifyChain(proxy.Chain, time.Now()); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("empty issuer key: err = %v", err)
+	}
+	env, _ := Sign(cred, []byte("x"))
+	env.Chain = []*Certificate{{Subject: "/O=NEES/CN=alice", Issuer: ca.Name, PublicKey: []byte{1, 2, 3}}}
+	if _, _, err := ts.Open(env, time.Now()); err == nil {
+		t.Fatal("short leaf key accepted")
+	}
+}

@@ -1,7 +1,10 @@
 package gsi
 
 import (
+	"errors"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -84,5 +87,68 @@ func TestLoadErrors(t *testing.T) {
 	}
 	if err := SaveCredential(&Credential{}, filepath.Join(dir, "x")); err == nil {
 		t.Fatal("empty credential accepted")
+	}
+}
+
+// TestKeyFilesEndPrivate: re-issuing over a key file that exists with a wider
+// mode leaves it at 0600, for a credential and for a CA alike.
+func TestKeyFilesEndPrivate(t *testing.T) {
+	ca := newTestCA(t)
+	cred, _ := ca.Issue("/O=NEES/CN=alice", time.Hour)
+	dir := t.TempDir()
+	for name, save := range map[string]func(string) error{
+		"alice.cred": func(path string) error { return SaveCredential(cred, path) },
+		"ca.json":    ca.Save,
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Chmod(path, 0o644); err != nil { // whatever the umask
+			t.Fatal(err)
+		}
+		if err := save(path); err != nil {
+			t.Fatal(err)
+		}
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mode := info.Mode().Perm(); mode != 0o600 {
+			t.Errorf("%s: mode %o after save over a 0644 file, want 600", name, mode)
+		}
+	}
+	if _, err := LoadCredential(filepath.Join(dir, "alice.cred")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAuthority(filepath.Join(dir, "ca.json")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLoadRefusesMismatchedKey: a key file whose private key is not the one
+// its certificate names is refused at load, with the path in the error,
+// rather than loading and failing the first handshake at the remote end.
+func TestLoadRefusesMismatchedKey(t *testing.T) {
+	ca := newTestCA(t)
+	alice, _ := ca.Issue("/O=NEES/CN=alice", time.Hour)
+	bob, _ := ca.Issue("/O=NEES/CN=bob", time.Hour)
+	other := newTestCA(t)
+	dir := t.TempDir()
+
+	credPath := filepath.Join(dir, "alice.cred")
+	if err := SaveCredential(&Credential{Chain: alice.Chain, Key: bob.Key}, credPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadCredential(credPath); !errors.Is(err, ErrBadChain) || !strings.Contains(err.Error(), credPath) {
+		t.Fatalf("credential with another's key: %v", err)
+	}
+
+	caPath := filepath.Join(dir, "ca.json")
+	if err := (&Authority{Name: ca.Name, Cert: ca.Cert, key: other.key}).Save(caPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadAuthority(caPath); err == nil || !strings.Contains(err.Error(), caPath) {
+		t.Fatalf("authority with another CA's key: %v", err)
 	}
 }

@@ -78,10 +78,10 @@ func TestRunTelemetryEndToEnd(t *testing.T) {
 }
 
 // TestCleanRunsStayOnTheFastPath makes fast-path coverage observable instead
-// of assumed. Every envelope of a clean three-site run — classic, FastPath
-// and Pipeline — must be verified from its bytes and decoded by the strict
-// single-pass readers: both fallback counters, pre-registered at zero in the
-// coordinator's registry and in every site's, still read zero afterwards. A
+// of assumed. Every document of a clean three-site run — classic, FastPath
+// and Pipeline — must be decoded by the strict single-pass readers: the
+// fallback counter, pre-registered at zero in the coordinator's registry and
+// in every site's, still reads zero afterwards. A
 // codec change that makes an encoder and its strict decoder disagree fails
 // here, instead of showing up as a slow day. The same holds for message
 // security: exactly one signed envelope each way per site — the handshake —
@@ -109,14 +109,12 @@ func TestCleanRunsStayOnTheFastPath(t *testing.T) {
 				registries[site.Spec.Name] = site.Telemetry.Snapshot()
 			}
 			for who, snap := range registries {
-				for _, counter := range []string{ogsi.MetricWireFallbacks, ogsi.MetricDecodeFallbacks} {
-					n, registered := snap.Counters[counter]
-					if !registered {
-						t.Errorf("%s: %s is not registered", who, counter)
-					}
-					if n != 0 {
-						t.Errorf("%s: %s = %d after a clean run", who, counter, n)
-					}
+				n, registered := snap.Counters[ogsi.MetricDecodeFallbacks]
+				if !registered {
+					t.Errorf("%s: %s is not registered", who, ogsi.MetricDecodeFallbacks)
+				}
+				if n != 0 {
+					t.Errorf("%s: %s = %d after a clean run", who, ogsi.MetricDecodeFallbacks, n)
 				}
 			}
 			// The run did go through the paths being watched: each site's

@@ -130,16 +130,13 @@ func (ep *endpoint) install(h *gsi.Handshake, sc *gsi.Context) bool {
 	return true
 }
 
-// Names of the counters that watch the single-pass receive path: envelopes
-// (gsi) and request, response, params or result documents (ogsi, and the
+// MetricDecodeFallbacks names the counter that watches the single-pass
+// receive path: request, response, params or result documents (ogsi, and the
 // NTCP shapes core decodes on top of it) that were not in the canonical
-// layout and went through encoding/json. Both stay 0 between peers built
-// from this tree; a non-zero rate means codec drift has silently turned the
-// fast path off.
-const (
-	MetricWireFallbacks   = "gsi.wire.fallbacks"
-	MetricDecodeFallbacks = "ogsi.decode.fallbacks"
-)
+// layout and went through encoding/json. It stays 0 between peers built from
+// this tree; a non-zero rate means codec drift has silently turned the fast
+// path off.
+const MetricDecodeFallbacks = "ogsi.decode.fallbacks"
 
 // Names of the series that watch message security (DESIGN.md §5a), on both
 // ends: envelopes authenticated by signature and by MAC (a container counts
@@ -179,7 +176,7 @@ var contextRefusals = []struct {
 // registerCounters pre-registers the receive-path and message-security
 // series at zero, so a scrape can tell "none" from "not wired".
 func registerCounters(reg *telemetry.Registry, container bool) {
-	for _, name := range []string{MetricWireFallbacks, MetricDecodeFallbacks, metricAuthSigned, metricAuthMAC, metricContextEstablished} {
+	for _, name := range []string{MetricDecodeFallbacks, metricAuthSigned, metricAuthMAC, metricContextEstablished} {
 		reg.Counter(name)
 	}
 	if container {
@@ -193,7 +190,7 @@ func registerCounters(reg *telemetry.Registry, container bool) {
 }
 
 // UseTelemetry makes the client count receive-path fallbacks (see
-// MetricWireFallbacks) and message-security events into reg. Call before
+// MetricDecodeFallbacks) and message-security events into reg. Call before
 // traffic flows; nil disables counting.
 func (c *Client) UseTelemetry(reg *telemetry.Registry) {
 	if reg != nil {
@@ -384,7 +381,7 @@ func (c *Client) exchange(ctx context.Context, span *trace.Span, ep *endpoint, s
 	}
 	if sc == nil || errors.Is(err, gsi.ErrNotSealed) {
 		mode, authenticated = "signed", metricAuthSigned
-		payload, server, vinfo, err = c.Trust.OpenWire((*payloadBuf)[:0], respBody, c.now())
+		payload, server, vinfo, err = openSigned(c.Trust, respBody, c.now())
 	}
 	if span != nil {
 		c.Tracer.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal, verifyStart, time.Now(),
@@ -392,7 +389,6 @@ func (c *Client) exchange(ctx context.Context, span *trace.Span, ep *endpoint, s
 			trace.Attr{Key: "mode", Value: mode},
 			trace.Attr{Key: "cached", Value: strconv.FormatBool(vinfo.CacheHit)})
 	}
-	c.noteFallback(MetricWireFallbacks, vinfo.WireFallback)
 	if errors.Is(err, gsi.ErrBadEnvelope) {
 		return resp, false, fmt.Errorf("ogsi: bad response envelope: %w", err)
 	}

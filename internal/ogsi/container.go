@@ -513,6 +513,16 @@ func faultResponse(err error) *response {
 // maxBodyBytes bounds one frame's payload, request or reply.
 const maxBodyBytes = 16 << 20
 
+// openSigned decodes body as a signed envelope and verifies it. A body that
+// does not decode fails with gsi.ErrBadEnvelope.
+func openSigned(trust *gsi.TrustStore, body []byte, now time.Time) ([]byte, string, gsi.VerifyInfo, error) {
+	var env gsi.Envelope
+	if err := json.Unmarshal(body, &env); err != nil {
+		return nil, "", gsi.VerifyInfo{}, fmt.Errorf("%w: %v", gsi.ErrBadEnvelope, err)
+	}
+	return trust.OpenInfo(&env, now)
+}
+
 // handle verifies one request envelope, dispatches it and appends the reply
 // envelope to dst: a MAC'd envelope under a security context the container
 // holds, or a signed envelope — which may offer a handshake, answered in the
@@ -541,14 +551,11 @@ func (c *Container) handle(ctx context.Context, dst, body []byte) ([]byte, int) 
 	payload, sc, seq, err := c.contexts.Open((*payloadBuf)[:0], body, now)
 	if errors.Is(err, gsi.ErrNotSealed) {
 		mode, authenticated = "signed", metricAuthSigned
-		payload, identity, vinfo, err = c.trust.OpenWire((*payloadBuf)[:0], body, now)
+		payload, identity, vinfo, err = openSigned(c.trust, body, now)
 	} else if err == nil {
 		identity = sc.Peer()
 	}
 	verifyEnd := time.Now()
-	if vinfo.WireFallback {
-		tel.Counter(MetricWireFallbacks).Inc()
-	}
 	if errors.Is(err, gsi.ErrBadEnvelope) {
 		return append(dst, "ogsi: bad envelope"...), http.StatusBadRequest
 	}

@@ -129,7 +129,7 @@ func TestContextEvictionRehandshakes(t *testing.T) {
 	var n atomic.Int64
 	f := newFabric(t, func(c *Container) { c.AddService(countingService(&n)) })
 	call(t, f.client)
-	_, id, info, err := f.trust.OpenWire(nil, sealRequest(t, f, []byte("{}")), time.Now())
+	_, id, info, err := openSigned(f.trust, sealRequest(t, f, []byte("{}")), time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
