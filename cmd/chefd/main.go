@@ -84,7 +84,7 @@ func run() int {
 		sup.Add("nsds-feed", runtime.Funcs{
 			StartFunc: func(context.Context) error {
 				var err error
-				cl, err = nsds.Dial(*nsdsAddr, 4096, true, nil, nil)
+				cl, err = nsds.Dial(*nsdsAddr, 4096, true, nil)
 				if err != nil {
 					return fmt.Errorf("nsds: %w", err)
 				}

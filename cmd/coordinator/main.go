@@ -44,8 +44,10 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -155,7 +157,7 @@ func run() int {
 	sup := runtime.NewSupervisor("coordinator")
 	ds := debugFlags.Install(sup, rec)
 	if ds != nil {
-		sup.AddFuncs("banner", runtime.Funcs{StartFunc: func(context.Context) error {
+		sup.Add("banner", runtime.Funcs{StartFunc: func(context.Context) error {
 			fmt.Printf("coordinator: pprof at http://%s/debug/pprof/, spans at /trace, probes at /healthz /readyz\n",
 				ds.Addr())
 			return nil
@@ -266,7 +268,7 @@ func run() int {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return fmt.Errorf("output dir: %w", err)
 		}
-		writeOutputs(*out, cfg.Name, hist, ground)
+		outErr := writeOutputs(*out, cfg.Name, hist, ground)
 
 		fmt.Printf("coordinator: completed %d/%d steps in %s (recovered %d transient failures, %d retries)\n",
 			report.StepsCompleted, cfg.Steps, report.Elapsed.Round(time.Millisecond),
@@ -298,8 +300,18 @@ func run() int {
 		scrapeCtx, cancelScrape := context.WithTimeout(context.Background(), 10*time.Second)
 		agg.ScrapeOnce(scrapeCtx)
 		cancelScrape()
-		verdict := agg.Verdict()
-		writeRollup(*out, cfg.Name, agg, verdict)
+		rollup := agg.Rollup(cfg.Name)
+		rollupPath := filepath.Join(*out, cfg.Name+"-metrics.json")
+		if err := rollup.WriteFile(rollupPath); err != nil {
+			outErr = errors.Join(outErr, err)
+		} else {
+			fmt.Printf("coordinator: wrote %s\n", rollupPath)
+		}
+		if outErr != nil {
+			// A run whose results never reached disk failed, whatever
+			// its steps did.
+			return errors.Join(fmt.Errorf("outputs: %w", outErr), runErr)
+		}
 		if runErr != nil {
 			if ctx.Err() != nil {
 				// Signal-initiated: outputs are flushed, exit clean.
@@ -312,8 +324,8 @@ func run() int {
 		}
 		// SLO gate: a run that finished but latched a breach exits 3 —
 		// CI treats it as a performance regression, not a crash.
-		if !verdict.OK {
-			for _, r := range verdict.Rules {
+		if !rollup.Verdict.OK {
+			for _, r := range rollup.Verdict.Rules {
 				if r.Breaches > 0 {
 					fmt.Fprintf(os.Stderr, "coordinator: SLO %s breached %d times (worst %.4g > max %.4g)\n",
 						r.Name, r.Breaches, r.Worst, r.Max)
@@ -323,28 +335,6 @@ func run() int {
 		}
 		return nil
 	})
-}
-
-// writeRollup persists the run's observability roll-up — final fleet view
-// plus latched SLO verdict — as <out>/<name>-metrics.json.
-func writeRollup(dir, name string, agg *obs.Aggregator, verdict obs.Verdict) {
-	rollup := struct {
-		Run      string        `json:"run"`
-		Finished time.Time     `json:"finished"`
-		Fleet    obs.FleetView `json:"fleet"`
-		Verdict  obs.Verdict   `json:"verdict"`
-	}{Run: name, Finished: time.Now(), Fleet: agg.Fleet(), Verdict: verdict}
-	b, err := json.MarshalIndent(rollup, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "coordinator: metrics roll-up: %v\n", err)
-		return
-	}
-	path := filepath.Join(dir, name+"-metrics.json")
-	if err := os.WriteFile(path, b, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "coordinator: metrics roll-up: %v\n", err)
-		return
-	}
-	fmt.Printf("coordinator: wrote %s\n", path)
 }
 
 // seconds renders a histogram value recorded in seconds as a duration.
@@ -382,22 +372,33 @@ func loadGround(cfg experimentConfig) (*groundmotion.Record, error) {
 	return groundmotion.Generate(g)
 }
 
-func writeOutputs(dir, name string, hist *structural.History, ground *groundmotion.Record) {
+// writeOutputs writes the response history and the ground record as CSV
+// files in dir. An error names the file that could not be written.
+func writeOutputs(dir, name string, hist *structural.History, ground *groundmotion.Record) error {
 	if hist != nil {
-		f, err := os.Create(filepath.Join(dir, name+"-history.csv"))
-		if err == nil {
-			_ = hist.WriteCSV(f)
-			_ = f.Close()
-			fmt.Printf("coordinator: wrote %s\n", f.Name())
+		path := filepath.Join(dir, name+"-history.csv")
+		if err := writeCSV(path, hist.WriteCSV); err != nil {
+			return err
 		}
+		fmt.Printf("coordinator: wrote %s\n", path)
 	}
 	if ground != nil {
-		f, err := os.Create(filepath.Join(dir, name+"-ground.csv"))
-		if err == nil {
-			_ = ground.WriteCSV(f)
-			_ = f.Close()
-		}
+		return writeCSV(filepath.Join(dir, name+"-ground.csv"), ground.WriteCSV)
 	}
+	return nil
+}
+
+// writeCSV creates path and fills it with write.
+func writeCSV(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return f.Close()
 }
 
 func fatal(format string, args ...any) int {

@@ -7,7 +7,8 @@
 #   deploy/ci.sh all             # every stage including lint and chaos
 #
 # Stages:
-#   vet    - go vet
+#   vet    - format gate (fails when `gofmt -l .` lists any file), then
+#            go vet
 #   lint   - pinned staticcheck (network needed on first run to fetch the
 #            tool; the GitHub runners cache it, so it is selectable rather
 #            than part of the offline default lane)
@@ -69,6 +70,12 @@ save_artifact() {
 }
 
 stage_vet() {
+    unformatted=$(gofmt -l .) || return 1
+    if [ -n "$unformatted" ]; then
+        echo "gofmt needed on:" >&2
+        echo "$unformatted" >&2
+        return 1
+    fi
     go vet ./...
 }
 

@@ -44,7 +44,6 @@ type Workspace struct {
 	chat     map[string][]Message // room → messages
 	board    []Message
 	notebook []Message
-	clock    func() time.Time
 }
 
 // NewWorkspace creates an empty workspace.
@@ -53,15 +52,7 @@ func NewWorkspace(name string) *Workspace {
 		Name:     name,
 		sessions: make(map[string]*Session),
 		chat:     make(map[string][]Message),
-		clock:    time.Now,
 	}
-}
-
-// SetClock overrides the time source (tests).
-func (w *Workspace) SetClock(clock func() time.Time) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.clock = clock
 }
 
 // Login creates a session for a user and returns its token.
@@ -75,7 +66,7 @@ func (w *Workspace) Login(user string) (*Session, error) {
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	s := &Session{Token: hex.EncodeToString(raw[:]), User: user, LoggedAt: w.clock()}
+	s := &Session{Token: hex.EncodeToString(raw[:]), User: user, LoggedAt: time.Now()}
 	w.sessions[s.Token] = s
 	return s, nil
 }
@@ -126,7 +117,7 @@ func (w *Workspace) Chat(token, room, text string) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.chatSeq++
-	m := Message{Seq: w.chatSeq, Room: room, User: s.User, Text: text, At: w.clock()}
+	m := Message{Seq: w.chatSeq, Room: room, User: s.User, Text: text, At: time.Now()}
 	w.chat[room] = append(w.chat[room], m)
 	return &m, nil
 }
@@ -154,7 +145,7 @@ func (w *Workspace) PostBoard(token, topic, text string) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.chatSeq++
-	m := Message{Seq: w.chatSeq, Room: topic, User: s.User, Text: text, At: w.clock()}
+	m := Message{Seq: w.chatSeq, Room: topic, User: s.User, Text: text, At: time.Now()}
 	w.board = append(w.board, m)
 	return &m, nil
 }
@@ -178,7 +169,7 @@ func (w *Workspace) NotebookWrite(token, text string) (*Message, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.chatSeq++
-	m := Message{Seq: w.chatSeq, User: s.User, Text: text, At: w.clock()}
+	m := Message{Seq: w.chatSeq, User: s.User, Text: text, At: time.Now()}
 	w.notebook = append(w.notebook, m)
 	return &m, nil
 }

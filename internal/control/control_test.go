@@ -1,10 +1,12 @@
 package control
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -224,6 +226,39 @@ func TestShoreWesternStopAndClear(t *testing.T) {
 	}
 	if err := cl.Reset(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestShoreWesternCloseSeversOpenConnections(t *testing.T) {
+	rig := NewColumnRig("uiuc", quietActuator(), 1000, 0, 0)
+	srv := NewShoreWesternServer(rig)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	// A reply proves the server is serving this connection before Close.
+	if _, err := fmt.Fprintln(conn, "PING"); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := r.ReadString('\n'); err != nil || reply != "OK pong\n" {
+		t.Fatalf("PING = %q, %v", reply, err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := rig.actuator.Position()
+	_, _ = fmt.Fprintln(conn, "MOVE 0.001")
+	if reply, err := r.ReadString('\n'); err == nil {
+		t.Fatalf("MOVE after Close answered %q", reply)
+	}
+	if after := rig.actuator.Position(); after != before {
+		t.Fatalf("rig moved after Close: %g -> %g", before, after)
 	}
 }
 

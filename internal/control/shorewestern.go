@@ -28,13 +28,16 @@ import (
 type ShoreWesternServer struct {
 	rig *Rig
 
-	mu sync.Mutex
-	ln net.Listener
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[net.Conn]struct{}
+	closed   bool
+	handlers sync.WaitGroup
 }
 
 // NewShoreWesternServer wraps a rig.
 func NewShoreWesternServer(rig *Rig) *ShoreWesternServer {
-	return &ShoreWesternServer{rig: rig}
+	return &ShoreWesternServer{rig: rig, conns: make(map[net.Conn]struct{})}
 }
 
 // Start listens on addr and serves until Close. Returns the bound address.
@@ -52,20 +55,44 @@ func (s *ShoreWesternServer) Start(addr string) (string, error) {
 			if err != nil {
 				return
 			}
-			go s.serve(conn)
+			s.mu.Lock()
+			if s.closed {
+				s.mu.Unlock()
+				_ = conn.Close()
+				return
+			}
+			s.conns[conn] = struct{}{}
+			s.handlers.Add(1)
+			s.mu.Unlock()
+			go func() {
+				defer func() {
+					s.mu.Lock()
+					delete(s.conns, conn)
+					s.mu.Unlock()
+					s.handlers.Done()
+				}()
+				s.serve(conn)
+			}()
 		}
 	}()
 	return ln.Addr().String(), nil
 }
 
-// Close stops the listener.
+// Close stops the listener, severs every open connection and waits for
+// their handlers: once Close returns, no command moves the rig.
 func (s *ShoreWesternServer) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.closed = true
+	var err error
 	if s.ln != nil {
-		return s.ln.Close()
+		err = s.ln.Close()
 	}
-	return nil
+	for conn := range s.conns {
+		_ = conn.Close()
+	}
+	s.mu.Unlock()
+	s.handlers.Wait()
+	return err
 }
 
 // serve answers one connection's commands in order. Replies are flushed only

@@ -55,8 +55,6 @@ type Config struct {
 	Steps int
 	// Ground returns üg at a step index.
 	Ground func(step int) float64
-	// Iota is the influence vector (defaults to ones).
-	Iota []float64
 	// StepTimeout bounds one whole distributed step (all sites). Zero
 	// means 60 s.
 	StepTimeout time.Duration
@@ -549,10 +547,7 @@ func (c *Coordinator) restore(ctx context.Context, step int, d []float64) ([]flo
 func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, error) {
 	start := time.Now()
 	n := c.cfg.M.Rows
-	iota := c.cfg.Iota
-	if iota == nil {
-		iota = structural.Ones(n)
-	}
+	iota := structural.Ones(n)
 	step := 0
 	// A fresh run (or a resume) starts with no speculation in flight: any
 	// speculative transaction a previous incarnation left behind is walked

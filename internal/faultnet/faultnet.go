@@ -69,7 +69,7 @@ func NewInjector(p Profile) *Injector {
 }
 
 // UseTelemetry mirrors the injector's activity into a shared registry:
-// faultnet.calls / faultnet.injected / faultnet.cuts counters and a
+// faultnet.calls / faultnet.injected counters and a
 // faultnet.delay.seconds histogram of applied WAN delay. Sharing the
 // registry with the NTCP clients lets a run correlate injected faults with
 // the retries and recoveries they caused.
@@ -83,7 +83,6 @@ func (in *Injector) UseTelemetry(reg *telemetry.Registry) {
 		// looking like the injector was never wired.
 		reg.Counter("faultnet.calls")
 		reg.Counter("faultnet.injected")
-		reg.Counter("faultnet.cuts")
 	}
 }
 
@@ -213,15 +212,6 @@ func (in *Injector) next() (time.Duration, error) {
 	return delay, nil
 }
 
-// recordCut counts a mid-stream connection cut in the shared registry.
-func (in *Injector) recordCut() {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if in.tel != nil {
-		in.tel.Counter("faultnet.cuts").Inc()
-	}
-}
-
 // NetError is the transport error faultnet injects. It satisfies net.Error
 // so HTTP clients treat it as a genuine network failure.
 type NetError struct {
@@ -275,85 +265,4 @@ func (t *Transport) RoundTrip(r *http.Request) (*http.Response, error) {
 		return nil, err
 	}
 	return t.Inner.RoundTrip(r)
-}
-
-// ---------------------------------------------------------------------------
-// Stream-level injection for raw TCP substrates (NSDS, GridFTP, control
-// links).
-// ---------------------------------------------------------------------------
-
-// Conn wraps a net.Conn, applying per-operation latency and allowing a
-// scheduled mid-stream cut.
-type Conn struct {
-	net.Conn
-	injector *Injector
-
-	mu  sync.Mutex
-	cut bool
-}
-
-// WrapConn attaches an injector to a connection.
-func WrapConn(c net.Conn, in *Injector) *Conn {
-	return &Conn{Conn: c, injector: in}
-}
-
-// Cut severs the connection: subsequent reads and writes fail and the
-// underlying conn is closed.
-func (c *Conn) Cut() {
-	c.mu.Lock()
-	c.cut = true
-	c.mu.Unlock()
-	c.injector.recordCut()
-	_ = c.Conn.Close()
-}
-
-func (c *Conn) gate() error {
-	c.mu.Lock()
-	cut := c.cut
-	c.mu.Unlock()
-	if cut {
-		return &NetError{Op: "faultnet", Msg: "connection cut"}
-	}
-	delay, err := c.injector.next()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	return err
-}
-
-// Read applies the injector then reads.
-func (c *Conn) Read(p []byte) (int, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
-	}
-	return c.Conn.Read(p)
-}
-
-// Write applies the injector then writes.
-func (c *Conn) Write(p []byte) (int, error) {
-	if err := c.gate(); err != nil {
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
-// Dialer dials TCP connections that traverse an injector.
-type Dialer struct {
-	Injector *Injector
-}
-
-// Dial connects and wraps the connection.
-func (d *Dialer) Dial(network, addr string) (net.Conn, error) {
-	delay, err := d.Injector.next()
-	if delay > 0 {
-		time.Sleep(delay)
-	}
-	if err != nil {
-		return nil, err
-	}
-	c, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	return WrapConn(c, d.Injector), nil
 }

@@ -2,7 +2,6 @@ package faultnet
 
 import (
 	"context"
-	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -203,63 +202,6 @@ func TestTransportHonorsContextDuringDelay(t *testing.T) {
 	}
 }
 
-func TestConnCutAndDial(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				buf := make([]byte, 4)
-				for {
-					n, err := c.Read(buf)
-					if err != nil {
-						return
-					}
-					if _, err := c.Write(buf[:n]); err != nil {
-						return
-					}
-				}
-			}(c)
-		}
-	}()
-
-	in := NewInjector(LAN)
-	d := &Dialer{Injector: in}
-	conn, err := d.Dial("tcp", ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write([]byte("ping")); err != nil {
-		t.Fatal(err)
-	}
-	buf := make([]byte, 4)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		t.Fatal(err)
-	}
-	if string(buf) != "ping" {
-		t.Fatalf("echo = %q", buf)
-	}
-
-	fc := conn.(*Conn)
-	fc.Cut()
-	if _, err := conn.Write([]byte("x")); err == nil {
-		t.Fatal("write after cut should fail")
-	}
-	var ne *NetError
-	_, err = conn.Read(buf)
-	if !errors.As(err, &ne) {
-		t.Fatalf("read after cut = %v, want NetError", err)
-	}
-}
-
 func TestInjectorTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	in := NewInjector(Profile{Latency: time.Millisecond})
@@ -277,23 +219,5 @@ func TestInjectorTelemetry(t *testing.T) {
 	}
 	if snap.Histograms["faultnet.delay.seconds"].Count != 2 {
 		t.Fatalf("delay histogram = %+v", snap.Histograms["faultnet.delay.seconds"])
-	}
-
-	// Mid-stream cuts are counted too.
-	server, client := net.Pipe()
-	defer server.Close()
-	wrapped := WrapConn(client, in)
-	wrapped.Cut()
-	if reg.Counter("faultnet.cuts").Value() != 1 {
-		t.Fatal("cut not counted")
-	}
-}
-
-func TestDialerInjectedFailure(t *testing.T) {
-	in := NewInjector(LAN)
-	in.FailNext(1)
-	d := &Dialer{Injector: in}
-	if _, err := d.Dial("tcp", "127.0.0.1:1"); err == nil {
-		t.Fatal("injected dial failure missing")
 	}
 }

@@ -38,14 +38,10 @@ const DefaultSlotK = 2.0e5
 
 // PoolConfig describes a shared site pool.
 type PoolConfig struct {
-	// Slots is the number of pooled sites when Specs is empty (default 2).
+	// Slots is the number of pooled simulation sites (default 2).
 	Slots int
-	// K is the per-slot elastic stiffness for generated specs (default
-	// DefaultSlotK).
+	// K is the per-slot elastic stiffness (default DefaultSlotK).
 	K float64
-	// Specs overrides the generated slot specs entirely (advanced
-	// topologies: rig-backed slots, relay tiers, WAN profiles).
-	Specs []most.SiteSpec
 	// Registry receives the pool's telemetry; nil means a private one.
 	Registry *telemetry.Registry
 }
@@ -74,23 +70,17 @@ type Pool struct {
 
 // NewPool starts every slot. The slots run until Stop.
 func NewPool(cfg PoolConfig) (*Pool, error) {
-	specs := cfg.Specs
-	if len(specs) == 0 {
-		n := cfg.Slots
-		if n <= 0 {
-			n = 2
-		}
-		k := cfg.K
-		if k <= 0 {
-			k = DefaultSlotK
-		}
-		for i := 0; i < n; i++ {
-			specs = append(specs, most.SiteSpec{
-				Name: fmt.Sprintf("slot-%d", i),
-				Kind: most.KindSimulation,
-				K:    k,
-			})
-		}
+	n := cfg.Slots
+	if n <= 0 {
+		n = 2
+	}
+	k := cfg.K
+	if k <= 0 {
+		k = DefaultSlotK
+	}
+	specs := make([]most.SiteSpec, n)
+	for i := range specs {
+		specs[i] = most.SiteSpec{Name: fmt.Sprintf("slot-%d", i), Kind: most.KindSimulation, K: k}
 	}
 	ca, err := gsi.NewAuthority("/O=NEES/CN=fleet pool CA", 24*time.Hour)
 	if err != nil {

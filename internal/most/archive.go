@@ -11,7 +11,6 @@ import (
 	"neesgrid/internal/daq"
 	"neesgrid/internal/gridftp"
 	"neesgrid/internal/nfms"
-	"neesgrid/internal/obs"
 	"neesgrid/internal/repo"
 )
 
@@ -167,20 +166,9 @@ func (e *Experiment) drainArchive() error {
 	return e.ingestTick()
 }
 
-// MetricsRollup is the per-run observability roll-up archived beside the
-// span snapshot: the fleet view from a final end-of-run scrape (per-site
-// health, merged cross-site metrics with exact quantiles and exemplars,
-// rates) plus the latched SLO verdict. Machine-readable, so CI can gate a
-// run on `.verdict.ok` without re-running anything.
-type MetricsRollup struct {
-	Run      string        `json:"run"`
-	Finished time.Time     `json:"finished"`
-	Fleet    obs.FleetView `json:"fleet"`
-	Verdict  obs.Verdict   `json:"verdict"`
-}
-
 // writeMetrics takes a final scrape across every site and the coordinator
-// and persists the merged roll-up as <store>/<run>-metrics.json.
+// and persists the merged roll-up (obs.Rollup) as
+// <store>/<run>-metrics.json.
 func (e *Experiment) writeMetrics() error {
 	if e.arch == nil || e.Spec.Archive == nil || e.obsAgg == nil {
 		return nil
@@ -188,18 +176,8 @@ func (e *Experiment) writeMetrics() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	e.obsAgg.ScrapeOnce(ctx)
-	rollup := MetricsRollup{
-		Run:      e.Spec.Name,
-		Finished: time.Now(),
-		Fleet:    e.obsAgg.Fleet(),
-		Verdict:  e.obsAgg.Verdict(),
-	}
 	path := filepath.Join(e.Spec.Archive.StoreDir, e.Spec.Name+"-metrics.json")
-	b, err := json.MarshalIndent(rollup, "", "  ")
-	if err != nil {
-		return fmt.Errorf("most: metrics archive: %w", err)
-	}
-	if err := os.WriteFile(path, b, 0o644); err != nil {
+	if err := e.obsAgg.Rollup(e.Spec.Name).WriteFile(path); err != nil {
 		return fmt.Errorf("most: metrics archive: %w", err)
 	}
 	return nil

@@ -16,6 +16,7 @@ import (
 	"neesgrid/internal/core"
 	"neesgrid/internal/daq"
 	"neesgrid/internal/faultnet"
+	"neesgrid/internal/obs"
 	"neesgrid/internal/ogsi"
 	"neesgrid/internal/structural"
 )
@@ -265,7 +266,7 @@ func TestIncrementalArchivalDuringRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rollup MetricsRollup
+	var rollup obs.Rollup
 	if err := json.Unmarshal(b, &rollup); err != nil {
 		t.Fatal(err)
 	}

@@ -145,7 +145,6 @@ type Site struct {
 	lastDisp  float64
 	lastForce float64
 	failExec  error
-	restarts  int
 }
 
 // recordingPlugin wraps a site plugin so the harness can observe the last
@@ -224,16 +223,8 @@ func (s *Site) RestartServer() error {
 		return fmt.Errorf("most: site %s restart: %w", s.Spec.Name, err)
 	}
 	s.Server = server
-	s.restarts++
 	s.Telemetry.Counter("most.site.restarts").Inc()
 	return nil
-}
-
-// Restarts returns how many times the site's NTCP daemon was restarted.
-func (s *Site) Restarts() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.restarts
 }
 
 // currentServer returns the live NTCP server (it changes across restarts).

@@ -46,9 +46,6 @@ type Store struct {
 	objects map[string][]*Object       // id → version history (1-based, index 0 = v1)
 	writers map[string]map[string]bool // id → identities allowed to update
 	clock   func() time.Time
-	// authorizer, when set, may allow updates beyond owner/writer grants —
-	// the hook CAS-based access control plugs into (internal/cas.Registry).
-	authorizer func(identity, action, objectID string) bool
 }
 
 // NewStore returns an empty store.
@@ -62,15 +59,6 @@ func NewStore() *Store {
 
 // SetClock overrides the time source (tests).
 func (s *Store) SetClock(clock func() time.Time) { s.clock = clock }
-
-// SetAuthorizer installs a community authorization hook consulted (after
-// owner and writer checks fail) with ("update", objectID). Pass the Allowed
-// method of a cas.Registry to enable CAS-based access control.
-func (s *Store) SetAuthorizer(authz func(identity, action, objectID string) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.authorizer = authz
-}
 
 // validate checks body against the schema object (by ID) if given.
 func (s *Store) validateLocked(schemaID string, body json.RawMessage) error {
@@ -194,11 +182,7 @@ func (s *Store) Update(identity, id string, body any) (*Object, error) {
 		return nil, fmt.Errorf("nmds: no object %q", id)
 	}
 	cur := history[len(history)-1]
-	allowed := cur.Owner == identity || s.writers[id][identity]
-	if !allowed && s.authorizer != nil {
-		allowed = s.authorizer(identity, "update", id)
-	}
-	if !allowed {
+	if cur.Owner != identity && !s.writers[id][identity] {
 		return nil, fmt.Errorf("nmds: %q may not update %q", identity, id)
 	}
 	if err := s.validateLocked(cur.Schema, raw); err != nil {

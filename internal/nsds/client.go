@@ -21,13 +21,9 @@ type Client struct {
 // wire format. buffer is the receive depth in batches (< 1 picks 64). With
 // catchUp the server sends its retained history for the channels first,
 // then the live stream — a viewer joining mid-experiment sees history
-// immediately. dial overrides the dialer (fault injection); nil means
-// net.Dial.
-func Dial(addr string, buffer int, catchUp bool, channels []string, dial func(network, addr string) (net.Conn, error)) (*Client, error) {
-	if dial == nil {
-		dial = net.Dial
-	}
-	conn, err := dial("tcp", addr)
+// immediately.
+func Dial(addr string, buffer int, catchUp bool, channels []string) (*Client, error) {
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("nsds: dial %s: %w", addr, err)
 	}

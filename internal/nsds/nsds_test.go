@@ -144,7 +144,7 @@ func startServer(t *testing.T, h *Hub) (*Server, string) {
 func dial(t *testing.T, h *Hub, addr string, buffer int, catchUp bool, channels ...string) *Client {
 	t.Helper()
 	before := h.Subscribers()
-	cl, err := Dial(addr, buffer, catchUp, channels, nil)
+	cl, err := Dial(addr, buffer, catchUp, channels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestClientCloseEndsStream(t *testing.T) {
 	h := NewHub()
 	defer h.Close()
 	_, addr := startServer(t, h)
-	cl, err := Dial(addr, 4, false, nil, nil)
+	cl, err := Dial(addr, 4, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestCatchUpOverTCP(t *testing.T) {
 		publishOne(h, Sample{Channel: "c", T: float64(i), Value: float64(i)})
 	}
 	publishOne(h, Sample{Channel: "other"})
-	cl, err := Dial(addr, 16, true, []string{"c"}, nil)
+	cl, err := Dial(addr, 16, true, []string{"c"})
 	if err != nil {
 		t.Fatal(err)
 	}

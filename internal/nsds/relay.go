@@ -3,7 +3,6 @@ package nsds
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync/atomic"
 	"time"
 
@@ -72,8 +71,6 @@ type RelayConfig struct {
 	// (0 = off). With retention on both tiers, a viewer joining behind the
 	// relay sees history even across an upstream reconnect.
 	Retention int
-	// Dial overrides the dialer (fault injection); nil means net.Dial.
-	Dial func(network, addr string) (net.Conn, error)
 	// Telemetry, when set, exports the relay hub's tier counters
 	// (nsds.tier.*.relay) plus nsds.relay.reconnects.
 	Telemetry *telemetry.Registry
@@ -174,7 +171,7 @@ func (r *Relay) run(ctx context.Context) {
 	defer close(r.done)
 	backoff := relayBackoff
 	for ctx.Err() == nil {
-		cl, err := Dial(r.cfg.Upstream, relayBuffer, true, nil, r.cfg.Dial)
+		cl, err := Dial(r.cfg.Upstream, relayBuffer, true, nil)
 		if err != nil {
 			if !sleepCtx(ctx, backoff) {
 				return

@@ -34,7 +34,9 @@ func TestRelayFansOutUpstreamStream(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	relay := startRelay(t, RelayConfig{Upstream: addr, Telemetry: reg})
-	waitFor(t, 2*time.Second, func() bool { return relay.Healthy() == nil })
+	// Connected is not yet subscribed: without retention, a batch published
+	// before the upstream hub holds the relay's subscription is lost.
+	waitFor(t, 2*time.Second, func() bool { return relay.Healthy() == nil && up.Subscribers() == 1 })
 
 	viewer, err := relay.Hub().SubscribeBatches(64, false)
 	if err != nil {
@@ -44,9 +46,12 @@ func TestRelayFansOutUpstreamStream(t *testing.T) {
 	if got := seqsOf(next(t, viewer.Batches())); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("seqs = %v, want 1, 2", got)
 	}
-	snap := reg.Snapshot()
-	if snap.Counters["nsds.tier.delivered.relay"] != 2 {
-		t.Fatalf("relay tier delivered = %d, want 2", snap.Counters["nsds.tier.delivered.relay"])
+	// The hub adds a fan-out to the tier counter after handing the batch
+	// to every subscriber, so the viewer can hold it before the count moves.
+	delivered := reg.Counter("nsds.tier.delivered.relay")
+	waitFor(t, 2*time.Second, func() bool { return delivered.Value() >= 2 })
+	if got := delivered.Value(); got != 2 {
+		t.Fatalf("relay tier delivered = %d, want 2", got)
 	}
 }
 

@@ -76,7 +76,7 @@ func TestServerBinaryFormatStreamsBatches(t *testing.T) {
 	defer srv.Close()
 
 	publishOne(hub, Sample{Channel: "a", T: 0.5, Value: 1})
-	cl, err := Dial(addr, 16, true, nil, nil)
+	cl, err := Dial(addr, 16, true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestServerBinaryChannelFilter(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := Dial(addr, 16, false, []string{"keep"}, nil)
+	cl, err := Dial(addr, 16, false, []string{"keep"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestServerRefusesNonBinarySubscribe(t *testing.T) {
 		t.Fatalf("refused lines left %d subscribers", n)
 	}
 
-	binCl, err := Dial(addr, 16, false, nil, nil)
+	binCl, err := Dial(addr, 16, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestClientCloseStopsDecoder(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cl, err := Dial(addr, 1, false, nil, nil)
+	cl, err := Dial(addr, 1, false, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,8 +109,6 @@ type Config struct {
 	// Client performs scrapes and profile captures; default has a
 	// per-request timeout tighter than Interval.
 	Client *http.Client
-	// Logf receives operational lines; default discards.
-	Logf func(format string, args ...any)
 
 	now func() time.Time // test clock
 }
@@ -183,7 +181,6 @@ type Aggregator struct {
 	cfg    Config
 	reg    *telemetry.Registry
 	client *http.Client
-	logf   func(string, ...any)
 	now    func() time.Time
 
 	mu      sync.Mutex
@@ -214,16 +211,12 @@ func New(cfg Config) *Aggregator {
 		cfg:    cfg,
 		reg:    telemetry.OrNew(cfg.Registry),
 		client: cfg.Client,
-		logf:   cfg.Logf,
 		now:    cfg.now,
 		sites:  make(map[string]*siteState),
 		rings:  make(map[string]*ring),
 	}
 	if a.client == nil {
 		a.client = &http.Client{Timeout: cfg.Interval}
-	}
-	if a.logf == nil {
-		a.logf = func(string, ...any) {}
 	}
 	for _, s := range cfg.Sources {
 		a.addSourceLocked(s)
@@ -358,7 +351,6 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 			r.st.failures++
 			r.st.lastErr = r.err
 			a.reg.Counter("obs.scrape_failures").Inc()
-			a.logf("obs: scrape %s: %v", r.st.src.Name, r.err)
 			continue
 		}
 		r.st.lastErr = nil
@@ -536,13 +528,6 @@ func (a *Aggregator) Series(name string) []float64 {
 
 // Registry exposes the aggregator's own metrics/events registry.
 func (a *Aggregator) Registry() *telemetry.Registry { return a.reg }
-
-// SiteNames returns the registered site names in registration order.
-func (a *Aggregator) SiteNames() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return append([]string(nil), a.order...)
-}
 
 // SiteSnapshot returns the latest snapshot scraped or pushed for one
 // site.

@@ -155,7 +155,6 @@ func (a *Aggregator) evalSLOLocked(view FleetView) {
 			"max":    rs.Max,
 			"trace":  rs.ExemplarTrace,
 		})
-		a.logf("obs: SLO breach %s: %s = %g > %g", rs.Name, rs.Metric, v, rs.Max)
 		if !rs.profileStarted && a.cfg.ProfileDir != "" {
 			rs.profileStarted = true
 			go a.captureProfiles(rs.Name)
@@ -213,6 +212,34 @@ func (a *Aggregator) Verdict() Verdict {
 	return v
 }
 
+// Rollup is a run's observability roll-up, archived as <run>-metrics.json
+// beside its response history or span snapshot: the fleet view from a
+// final end-of-run scrape (per-site health, merged cross-site metrics with
+// exact quantiles and exemplars, rates) plus the latched SLO verdict.
+// Machine-readable, so CI can gate a run on `.verdict.ok` without
+// re-running anything.
+type Rollup struct {
+	Run      string    `json:"run"`
+	Finished time.Time `json:"finished"`
+	Fleet    FleetView `json:"fleet"`
+	Verdict  Verdict   `json:"verdict"`
+}
+
+// Rollup snapshots the fleet view and verdict for run. Call ScrapeOnce
+// first so that it reflects the finished run.
+func (a *Aggregator) Rollup(run string) Rollup {
+	return Rollup{Run: run, Finished: a.now(), Fleet: a.Fleet(), Verdict: a.Verdict()}
+}
+
+// WriteFile writes the roll-up to path as indented JSON.
+func (r Rollup) WriteFile(path string) error {
+	b, err := json.MarshalIndent(r, "", "  ")
+	if err != nil {
+		return fmt.Errorf("obs: roll-up %s: %w", path, err)
+	}
+	return os.WriteFile(path, b, 0o644)
+}
+
 // captureProfiles pulls a goroutine profile from every source exposing a
 // -pprof mux and records the file paths on the rule. Runs detached from
 // the scrape loop: profile capture must never stall merging.
@@ -235,7 +262,7 @@ func (a *Aggregator) captureProfiles(rule string) {
 		path, err := a.fetchProfile(ctx, url, filepath.Join(dir, fmt.Sprintf("slo-%s-%s.goroutine.txt", sanitize(rule), sanitize(t.name))))
 		cancel()
 		if err != nil {
-			a.logf("obs: profile capture %s from %s: %v", rule, t.name, err)
+			a.reg.Event("obs", "slo-profile-failed", map[string]any{"rule": rule, "site": t.name, "error": err.Error()})
 			continue
 		}
 		paths = append(paths, path)
@@ -290,13 +317,4 @@ func sanitize(s string) string {
 			return '-'
 		}
 	}, s)
-}
-
-// MarshalVerdict renders a verdict as indented JSON.
-func MarshalVerdict(v Verdict) []byte {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return []byte(fmt.Sprintf(`{"ok":false,"error":%q}`, err.Error()))
-	}
-	return append(b, '\n')
 }

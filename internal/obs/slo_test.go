@@ -193,3 +193,40 @@ func TestSLOBreachCapturesProfile(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+func TestSLOProfileFailureRecordsEvent(t *testing.T) {
+	// A site whose debug mux has no pprof endpoint: every capture fails.
+	dbg := httptest.NewServer(http.NotFoundHandler())
+	defer dbg.Close()
+
+	reg := telemetry.NewRegistry()
+	reg.Histogram("coord.step.seconds").Observe(10)
+	clk := newTestClock()
+	a := New(Config{
+		Sources:    []Source{{Name: "coord", Fetch: reg.Snapshot, PprofURL: dbg.URL}},
+		SLOs:       []SLO{{Name: "step-p99", Kind: KindQuantile, Metric: "coord.step.seconds", Q: 0.99, Max: 1}},
+		ProfileDir: t.TempDir(),
+		Client:     &http.Client{Timeout: 5 * time.Second},
+		now:        clk.now,
+	})
+	a.ScrapeOnce(context.Background())
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, e := range a.Registry().Snapshot().Events {
+			if e.Event == "slo-profile-captured" {
+				t.Fatalf("capture reported success: %+v", e.Fields)
+			}
+			if e.Event == "slo-profile-failed" {
+				if e.Fields["rule"] != "step-p99" || e.Fields["site"] != "coord" || e.Fields["error"] == "" {
+					t.Fatalf("slo-profile-failed fields = %+v", e.Fields)
+				}
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("failed profile capture left no event")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}

@@ -36,13 +36,17 @@ type lvResponse struct {
 // LabViewDaemon serves the daemon protocol over a StepperBeam rig.
 type LabViewDaemon struct {
 	rig *control.StepperBeam
-	mu  sync.Mutex
-	ln  net.Listener
+
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[net.Conn]struct{}
+	closed   bool
+	handlers sync.WaitGroup
 }
 
 // NewLabViewDaemon wraps the tabletop rig.
 func NewLabViewDaemon(rig *control.StepperBeam) *LabViewDaemon {
-	return &LabViewDaemon{rig: rig}
+	return &LabViewDaemon{rig: rig, conns: make(map[net.Conn]struct{})}
 }
 
 // Start listens and serves until Close; returns the bound address.
@@ -60,24 +64,46 @@ func (d *LabViewDaemon) Start(addr string) (string, error) {
 			if err != nil {
 				return
 			}
+			d.mu.Lock()
+			if d.closed {
+				d.mu.Unlock()
+				_ = conn.Close()
+				return
+			}
+			d.conns[conn] = struct{}{}
+			d.handlers.Add(1)
+			d.mu.Unlock()
 			go d.serve(conn)
 		}
 	}()
 	return ln.Addr().String(), nil
 }
 
-// Close stops the daemon.
+// Close stops the listener, severs every open connection and waits for
+// their handlers: once Close returns, no command moves the rig.
 func (d *LabViewDaemon) Close() error {
 	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.closed = true
+	var err error
 	if d.ln != nil {
-		return d.ln.Close()
+		err = d.ln.Close()
 	}
-	return nil
+	for conn := range d.conns {
+		_ = conn.Close()
+	}
+	d.mu.Unlock()
+	d.handlers.Wait()
+	return err
 }
 
 func (d *LabViewDaemon) serve(conn net.Conn) {
-	defer conn.Close()
+	defer func() {
+		_ = conn.Close()
+		d.mu.Lock()
+		delete(d.conns, conn)
+		d.mu.Unlock()
+		d.handlers.Done()
+	}()
 	sc := bufio.NewScanner(conn)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {

@@ -1,6 +1,7 @@
 package plugin
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -322,6 +323,38 @@ func TestLabViewDaemonAndPlugin(t *testing.T) {
 	}
 	if math.Abs(results[0].Forces[0]-1080*0.005) > 1e-9 {
 		t.Fatalf("force = %g", results[0].Forces[0])
+	}
+}
+
+func TestLabViewDaemonCloseSeversOpenConnections(t *testing.T) {
+	rig := control.NewStepperBeam("mini", 1080, 1e-4, 1000)
+	daemon := NewLabViewDaemon(rig)
+	addr, err := daemon.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	// A reply proves the daemon is serving this connection before Close.
+	if _, err := fmt.Fprintln(conn, `{"cmd":"read"}`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadString('\n'); err != nil {
+		t.Fatal(err)
+	}
+	if err := daemon.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, _ = fmt.Fprintln(conn, `{"cmd":"move","pos":0.001}`)
+	if reply, err := r.ReadString('\n'); err == nil {
+		t.Fatalf("move after Close answered %q", reply)
+	}
+	if pos := rig.Position(); pos != 0 {
+		t.Fatalf("rig moved after Close: position %g", pos)
 	}
 }
 

@@ -87,8 +87,8 @@ func StopErrFunc(stop func() error) Component {
 	}}
 }
 
-// DefaultDrain is the per-component stop deadline when neither the
-// supervisor nor the component declares one. Two seconds is long enough
+// DefaultDrain is the per-component stop deadline when the component
+// declares none. Two seconds is long enough
 // for an in-flight NTCP execute against an emulated rig and short enough
 // that `kill -TERM` feels immediate at the console.
 const DefaultDrain = 2 * time.Second
@@ -137,10 +137,8 @@ type managed struct {
 // Experiment supervises Sites; each Site supervises its container, NTCP
 // server, rig daemon and hub).
 type Supervisor struct {
-	name         string
-	defaultDrain time.Duration
-	lameDuck     time.Duration
-	logf         func(format string, args ...any)
+	name     string
+	lameDuck time.Duration
 
 	mu      sync.Mutex
 	comps   []*managed
@@ -150,16 +148,6 @@ type Supervisor struct {
 
 // Option configures a Supervisor.
 type Option func(*Supervisor)
-
-// WithDefaultDrain sets the per-component stop deadline used when a
-// component does not declare its own.
-func WithDefaultDrain(d time.Duration) Option {
-	return func(s *Supervisor) {
-		if d > 0 {
-			s.defaultDrain = d
-		}
-	}
-}
 
 // WithLameDuck makes Stop pause after flipping readiness (so /readyz
 // serves 503) before the first component is stopped — the lame-duck
@@ -173,24 +161,10 @@ func WithLameDuck(d time.Duration) Option {
 	}
 }
 
-// WithLogf routes the supervisor's progress lines (component started,
-// drain begun, stop errors) to f; the default discards them.
-func WithLogf(f func(format string, args ...any)) Option {
-	return func(s *Supervisor) {
-		if f != nil {
-			s.logf = f
-		}
-	}
-}
-
 // NewSupervisor creates an empty supervisor named for its process or
-// subsystem (the name prefixes log lines and error messages).
+// subsystem (the name prefixes error messages).
 func NewSupervisor(name string, opts ...Option) *Supervisor {
-	s := &Supervisor{
-		name:         name,
-		defaultDrain: DefaultDrain,
-		logf:         func(string, ...any) {},
-	}
+	s := &Supervisor{name: name}
 	for _, o := range opts {
 		o(s)
 	}
@@ -221,16 +195,11 @@ func (s *Supervisor) Add(name string, c Component, opts ...CompOption) {
 	if s.state != stateNew {
 		panic(fmt.Sprintf("runtime: %s: Add(%q) after Start", s.name, name))
 	}
-	m := &managed{name: name, c: c, drain: s.defaultDrain}
+	m := &managed{name: name, c: c, drain: DefaultDrain}
 	for _, o := range opts {
 		o(m)
 	}
 	s.comps = append(s.comps, m)
-}
-
-// AddFuncs registers a Funcs adapter in one call.
-func (s *Supervisor) AddFuncs(name string, f Funcs, opts ...CompOption) {
-	s.Add(name, f, opts...)
 }
 
 // Adopt registers a component that is already running — the harness
@@ -244,7 +213,7 @@ func (s *Supervisor) Adopt(name string, c Component, opts ...CompOption) {
 	if s.state != stateNew {
 		panic(fmt.Sprintf("runtime: %s: Adopt(%q) after Start", s.name, name))
 	}
-	m := &managed{name: name, c: c, drain: s.defaultDrain, started: true}
+	m := &managed{name: name, c: c, drain: DefaultDrain, started: true}
 	for _, o := range opts {
 		o(m)
 	}
@@ -253,8 +222,9 @@ func (s *Supervisor) Adopt(name string, c Component, opts ...CompOption) {
 
 // Start brings every component up in declared order. On the first
 // failure it stops the components already started (in reverse, best
-// effort) and returns the failing component's error; the supervisor is
-// then failed and cannot be restarted.
+// effort) and returns the failing component's error joined with any
+// rollback Stop errors; the supervisor is then failed and cannot be
+// restarted.
 func (s *Supervisor) Start(ctx context.Context) error {
 	s.mu.Lock()
 	if s.state != stateNew {
@@ -266,24 +236,19 @@ func (s *Supervisor) Start(ctx context.Context) error {
 	comps := s.comps
 	s.mu.Unlock()
 
-	for i, m := range comps {
+	for _, m := range comps {
 		if m.started {
 			continue // adopted while already running
 		}
 		if err := ctx.Err(); err != nil {
-			werr := fmt.Errorf("runtime: %s: start aborted: %w", s.name, err)
-			s.failStart(werr)
-			return werr
+			return s.failStart(fmt.Errorf("runtime: %s: start aborted: %w", s.name, err))
 		}
 		if err := m.c.Start(ctx); err != nil {
-			werr := fmt.Errorf("runtime: %s: start %s: %w", s.name, m.name, err)
-			s.failStart(werr)
-			return werr
+			return s.failStart(fmt.Errorf("runtime: %s: start %s: %w", s.name, m.name, err))
 		}
 		s.mu.Lock()
 		m.started = true
 		s.mu.Unlock()
-		s.logf("%s: started %s (%d/%d)", s.name, m.name, i+1, len(comps))
 	}
 	s.mu.Lock()
 	s.state = stateReady
@@ -292,13 +257,15 @@ func (s *Supervisor) Start(ctx context.Context) error {
 }
 
 // failStart rolls back the components already started when a start
-// failed.
-func (s *Supervisor) failStart(cause error) {
+// failed. It returns cause joined with every rollback Stop error, and
+// records the same error as the one a later Stop returns.
+func (s *Supervisor) failStart(cause error) error {
 	s.mu.Lock()
 	s.state = stateFailed
 	s.stopErr = cause
 	comps := s.comps
 	s.mu.Unlock()
+	errs := []error{cause}
 	for j := len(comps) - 1; j >= 0; j-- {
 		m := comps[j]
 		if !m.started {
@@ -306,17 +273,22 @@ func (s *Supervisor) failStart(cause error) {
 		}
 		sctx, cancel := context.WithTimeout(context.Background(), m.drain)
 		if err := m.c.Stop(sctx); err != nil {
-			s.logf("%s: rollback stop %s: %v", s.name, m.name, err)
+			errs = append(errs, fmt.Errorf("runtime: %s: rollback stop %s: %w", s.name, m.name, err))
 		}
 		cancel()
 	}
+	err := errors.Join(errs...)
+	s.mu.Lock()
+	s.stopErr = err
+	s.mu.Unlock()
+	return err
 }
 
 // Stop drains the started components in reverse order. Readiness flips to
 // not-ready before anything else happens (then the lame-duck pause, if
 // configured, gives probes a chance to see it). Each component gets its
 // own drain deadline — the tighter of its declared drain and whatever
-// remains of ctx. Errors are joined, logged, and returned; a second Stop
+// remains of ctx. Errors are joined and returned; a second Stop
 // returns the first run's result.
 func (s *Supervisor) Stop(ctx context.Context) error {
 	s.mu.Lock()
@@ -336,13 +308,10 @@ func (s *Supervisor) Stop(ctx context.Context) error {
 	s.mu.Unlock()
 
 	if s.lameDuck > 0 {
-		s.logf("%s: draining (lame-duck %s)", s.name, s.lameDuck)
 		select {
 		case <-time.After(s.lameDuck):
 		case <-ctx.Done():
 		}
-	} else {
-		s.logf("%s: draining", s.name)
 	}
 
 	var errs []error
@@ -355,11 +324,7 @@ func (s *Supervisor) Stop(ctx context.Context) error {
 		err := m.c.Stop(sctx)
 		cancel()
 		if err != nil {
-			err = fmt.Errorf("stop %s: %w", m.name, err)
-			s.logf("%s: %v", s.name, err)
-			errs = append(errs, err)
-		} else {
-			s.logf("%s: stopped %s", s.name, m.name)
+			errs = append(errs, fmt.Errorf("stop %s: %w", m.name, err))
 		}
 	}
 	err := errors.Join(errs...)

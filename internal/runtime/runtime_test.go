@@ -96,6 +96,23 @@ func TestStartFailureRollsBackStartedComponents(t *testing.T) {
 	}
 }
 
+func TestStartFailureReturnsRollbackErrors(t *testing.T) {
+	rec := &recorder{}
+	startErr := errors.New("b cannot start")
+	stopErr := errors.New("a cannot stop")
+	sup := NewSupervisor("test")
+	sup.Add("a", rec.comp("a", nil, stopErr))
+	sup.Add("b", rec.comp("b", startErr, nil))
+
+	err := sup.Start(context.Background())
+	if !errors.Is(err, startErr) || !errors.Is(err, stopErr) {
+		t.Fatalf("Start error = %v, want both %q and %q", err, startErr, stopErr)
+	}
+	if err := sup.Stop(context.Background()); !errors.Is(err, startErr) || !errors.Is(err, stopErr) {
+		t.Fatalf("Stop after failed start = %v, want the Start error", err)
+	}
+}
+
 func TestStopIsIdempotent(t *testing.T) {
 	rec := &recorder{}
 	sup := NewSupervisor("test")

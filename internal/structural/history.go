@@ -132,8 +132,6 @@ type RunOptions struct {
 	// Ground is the ground-acceleration record üg(step); step 0 is the
 	// initial condition.
 	Ground func(step int) float64
-	// Iota is the influence vector; defaults to ones.
-	Iota []float64
 	// OnStep, if non-nil, observes each committed state.
 	OnStep func(State)
 }
@@ -151,10 +149,7 @@ func Run(sys *System, in Integrator, opts RunOptions) (*History, error) {
 		return nil, fmt.Errorf("structural: run needs a ground motion")
 	}
 	n := sys.M.Rows
-	iota := opts.Iota
-	if iota == nil {
-		iota = Ones(n)
-	}
+	iota := Ones(n)
 	d0 := make([]float64, n)
 	v0 := make([]float64, n)
 	st, err := in.Init(sys, opts.Dt, d0, v0, GroundLoad(sys.M, iota, opts.Ground(0)))
