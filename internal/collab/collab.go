@@ -265,67 +265,3 @@ func (v *Viewer) XY(xChannel, yChannel string) (xs, ys []float64) {
 	}
 	return xs, ys
 }
-
-// Cursor is one participant's VCR state over a channel.
-type Cursor struct {
-	viewer  *Viewer
-	channel string
-
-	mu      sync.Mutex
-	pos     int
-	playing bool
-}
-
-// NewCursor opens a VCR cursor on a channel.
-func (v *Viewer) NewCursor(channel string) *Cursor {
-	return &Cursor{viewer: v, channel: channel}
-}
-
-// Play starts playback.
-func (c *Cursor) Play() { c.mu.Lock(); c.playing = true; c.mu.Unlock() }
-
-// Pause stops playback.
-func (c *Cursor) Pause() { c.mu.Lock(); c.playing = false; c.mu.Unlock() }
-
-// Rewind returns to the beginning.
-func (c *Cursor) Rewind() { c.mu.Lock(); c.pos = 0; c.mu.Unlock() }
-
-// Seek jumps to the first sample with T >= t (the clickable timeline).
-func (c *Cursor) Seek(t float64) {
-	c.viewer.mu.Lock()
-	ss := c.viewer.series[c.channel]
-	idx := sort.Search(len(ss), func(i int) bool { return ss[i].T >= t })
-	c.viewer.mu.Unlock()
-	c.mu.Lock()
-	c.pos = idx
-	c.mu.Unlock()
-}
-
-// FastForward jumps to the live edge.
-func (c *Cursor) FastForward() {
-	c.viewer.mu.Lock()
-	n := len(c.viewer.series[c.channel])
-	c.viewer.mu.Unlock()
-	c.mu.Lock()
-	c.pos = n
-	c.mu.Unlock()
-}
-
-// Next returns the next sample when playing; ok is false when paused or at
-// the live edge.
-func (c *Cursor) Next() (nsds.Sample, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.playing {
-		return nsds.Sample{}, false
-	}
-	c.viewer.mu.Lock()
-	ss := c.viewer.series[c.channel]
-	c.viewer.mu.Unlock()
-	if c.pos >= len(ss) {
-		return nsds.Sample{}, false
-	}
-	s := ss[c.pos]
-	c.pos++
-	return s, true
-}

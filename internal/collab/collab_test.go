@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -169,49 +170,84 @@ func TestViewerRetentionCap(t *testing.T) {
 	}
 }
 
+// TestCursorVCRSemantics: a remote participant's VCR (play, pause, rewind,
+// seek on the clickable timeline, fast-forward to the live edge) is a
+// position in time that pages through chefd's /viewer/window.
 func TestCursorVCRSemantics(t *testing.T) {
+	ws := NewWorkspace("most")
 	v := NewViewer(0)
 	for i := 0; i < 6; i++ {
 		v.Feed(nsds.Sample{Channel: "c", T: float64(i) * 0.01, Value: float64(i)})
 	}
-	cur := v.NewCursor("c")
-	// Paused: no samples.
-	if _, ok := cur.Next(); ok {
+	ts := httptest.NewServer(NewHandler(ws, v))
+	defer ts.Close()
+	sess, err := ws.Login("viewer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// window fetches the samples at or after from (an open-ended window).
+	window := func(from float64) []nsds.Sample {
+		t.Helper()
+		req, _ := http.NewRequest("GET", fmt.Sprintf("%s/viewer/window?channel=c&from=%g", ts.URL, from), nil)
+		req.Header.Set("X-Session", sess.Token)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var win []nsds.Sample
+		if err := json.NewDecoder(resp.Body).Decode(&win); err != nil {
+			t.Fatal(err)
+		}
+		return win
+	}
+	var pos float64 // the next sample's earliest time
+	playing := false
+	next := func() (nsds.Sample, bool) {
+		if !playing {
+			return nsds.Sample{}, false
+		}
+		win := window(pos)
+		if len(win) == 0 {
+			return nsds.Sample{}, false
+		}
+		pos = math.Nextafter(win[0].T, math.Inf(1))
+		return win[0], true
+	}
+
+	if _, ok := next(); ok {
 		t.Fatal("paused cursor yielded a sample")
 	}
-	cur.Play()
-	s, ok := cur.Next()
+	playing = true
+	s, ok := next()
 	if !ok || s.Value != 0 {
 		t.Fatalf("first = %+v", s)
 	}
-	_, _ = cur.Next()
-	cur.Pause()
-	if _, ok := cur.Next(); ok {
+	_, _ = next()
+	playing = false
+	if _, ok := next(); ok {
 		t.Fatal("pause ignored")
 	}
-	cur.Play()
-	s, _ = cur.Next()
-	if s.Value != 2 {
+	playing = true
+	if s, _ = next(); s.Value != 2 {
 		t.Fatalf("resume at %g, want 2", s.Value)
 	}
-	cur.Rewind()
-	s, _ = cur.Next()
-	if s.Value != 0 {
+	pos = 0 // rewind
+	if s, _ = next(); s.Value != 0 {
 		t.Fatalf("rewind at %g", s.Value)
 	}
-	cur.Seek(0.04)
-	s, _ = cur.Next()
-	if s.Value != 4 {
+	pos = 0.04 // seek
+	if s, _ = next(); s.Value != 4 {
 		t.Fatalf("seek at %g, want 4", s.Value)
 	}
-	cur.FastForward()
-	if _, ok := cur.Next(); ok {
+	win := window(pos) // fast-forward: past the last sample there is
+	pos = math.Nextafter(win[len(win)-1].T, math.Inf(1))
+	if _, ok := next(); ok {
 		t.Fatal("fast-forward should reach the live edge")
 	}
 	// New live data arrives: playback resumes.
 	v.Feed(nsds.Sample{Channel: "c", T: 0.06, Value: 6})
-	s, ok = cur.Next()
-	if !ok || s.Value != 6 {
+	if s, ok = next(); !ok || s.Value != 6 {
 		t.Fatalf("live edge sample = %+v, %v", s, ok)
 	}
 }

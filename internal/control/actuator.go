@@ -147,14 +147,6 @@ func (a *Actuator) Force() float64 {
 	return f + a.rng.NormFloat64()*a.cfg.ForceNoiseStd
 }
 
-// SimTime returns accumulated simulated servo time (s) — the quantity that
-// made the real MOST run take five hours.
-func (a *Actuator) SimTime() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.simTime
-}
-
 // Reset re-zeros the actuator and its specimen.
 func (a *Actuator) Reset() {
 	a.mu.Lock()

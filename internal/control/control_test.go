@@ -590,3 +590,70 @@ func TestParseReadingRefusesNonFinite(t *testing.T) {
 		t.Fatalf("finite reply: %v %v %v", pos, force, err)
 	}
 }
+
+// roundTrip sends one command line and returns its response's payload.
+func (c *ShoreWesternClient) roundTrip(cmd string) (string, error) {
+	var reply [1]string
+	err := c.exchange(cmd+"\n", reply[:])
+	return reply[0], err
+}
+
+// Read returns position and force.
+func (c *ShoreWesternClient) Read() (pos, force float64, err error) {
+	resp, err := c.roundTrip("READ")
+	if err != nil {
+		return 0, 0, err
+	}
+	return parseReading(resp)
+}
+
+// Stop trips the controller's interlock.
+func (c *ShoreWesternClient) Stop() error {
+	_, err := c.roundTrip("STOP")
+	return err
+}
+
+// Reset re-zeros the rig.
+func (c *ShoreWesternClient) Reset() error {
+	_, err := c.roundTrip("RESET")
+	return err
+}
+
+// Clear re-arms the interlock.
+func (c *ShoreWesternClient) Clear() error {
+	_, err := c.roundTrip("CLEAR")
+	return err
+}
+
+// Ping checks liveness.
+func (c *ShoreWesternClient) Ping() error {
+	_, err := c.roundTrip("PING")
+	return err
+}
+
+// SimTime returns accumulated simulated servo time (s) — the quantity that
+// made the real MOST run take five hours.
+func (a *Actuator) SimTime() float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.simTime
+}
+
+// Position returns the current simulated position.
+func (f *FirstOrderKinetic) Position() float64 {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.pos
+}
+
+// Moves returns how many move commands were executed.
+func (s *StepperBeam) Moves() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.moves
+}
+
+// Applied reports how many commands the target executed.
+func (x *XPCTarget) Applied() int {
+	return int(x.applied.Load())
+}

@@ -249,13 +249,6 @@ func (c *ShoreWesternClient) exchange(cmds string, replies []string) error {
 	return first
 }
 
-// roundTrip sends one command line and returns its response's payload.
-func (c *ShoreWesternClient) roundTrip(cmd string) (string, error) {
-	var reply [1]string
-	err := c.exchange(cmd+"\n", reply[:])
-	return reply[0], err
-}
-
 func (c *ShoreWesternClient) drop() {
 	if c.conn != nil {
 		_ = c.conn.Close()
@@ -271,15 +264,6 @@ func (c *ShoreWesternClient) Move(pos float64) (float64, float64, error) {
 		return 0, 0, err
 	}
 	return parseReading(replies[1])
-}
-
-// Read returns position and force.
-func (c *ShoreWesternClient) Read() (pos, force float64, err error) {
-	resp, err := c.roundTrip("READ")
-	if err != nil {
-		return 0, 0, err
-	}
-	return parseReading(resp)
 }
 
 // parseReading parses a READ response's "<pos> <force>" payload. Both must be
@@ -300,28 +284,4 @@ func parseReading(resp string) (pos, force float64, err error) {
 		return 0, 0, fmt.Errorf("control: non-finite READ response %q", resp)
 	}
 	return pos, force, nil
-}
-
-// Stop trips the controller's interlock.
-func (c *ShoreWesternClient) Stop() error {
-	_, err := c.roundTrip("STOP")
-	return err
-}
-
-// Reset re-zeros the rig.
-func (c *ShoreWesternClient) Reset() error {
-	_, err := c.roundTrip("RESET")
-	return err
-}
-
-// Clear re-arms the interlock.
-func (c *ShoreWesternClient) Clear() error {
-	_, err := c.roundTrip("CLEAR")
-	return err
-}
-
-// Ping checks liveness.
-func (c *ShoreWesternClient) Ping() error {
-	_, err := c.roundTrip("PING")
-	return err
 }

@@ -79,13 +79,6 @@ func (s *StepperBeam) Strain() float64 {
 	return s.Position() * s.GaugeFactor
 }
 
-// Moves returns how many move commands were executed.
-func (s *StepperBeam) Moves() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.moves
-}
-
 // Reset re-zeros the rig.
 func (s *StepperBeam) Reset() error {
 	s.mu.Lock()
@@ -140,13 +133,6 @@ func (f *FirstOrderKinetic) Apply(d []float64) ([]float64, error) {
 	defer f.mu.Unlock()
 	f.pos += (d[0] - f.pos) * (1 - math.Exp(-f.Dwell/f.Tau))
 	return []float64{f.K * f.pos}, nil
-}
-
-// Position returns the current simulated position.
-func (f *FirstOrderKinetic) Position() float64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.pos
 }
 
 // Reset re-zeros the simulator.

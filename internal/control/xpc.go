@@ -98,8 +98,3 @@ func (x *XPCTarget) Move(ctx context.Context, pos float64) (float64, float64, er
 		return 0, 0, ctx.Err()
 	}
 }
-
-// Applied reports how many commands the target executed.
-func (x *XPCTarget) Applied() int {
-	return int(x.applied.Load())
-}

@@ -36,7 +36,7 @@ func TestTransportAbortCancelsAcceptedSiblings(t *testing.T) {
 		if err == nil {
 			t.Fatal("run should abort on the unretried transport failure")
 		}
-		if IsRejection(err) {
+		if errors.Is(err, core.ErrRejected) {
 			t.Fatalf("err = %v: a transport abort is not a rejection", err)
 		}
 		if report.FailedStep != 0 {

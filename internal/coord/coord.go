@@ -16,7 +16,6 @@ package coord
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -795,17 +794,4 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 		}
 	}
 	return finish(0, nil)
-}
-
-// IsRejection reports whether a run error came from a site policy
-// rejection.
-func IsRejection(err error) bool { return errors.Is(err, core.ErrRejected) }
-
-// StepOf extracts the failing step from a run error (0 if unknown).
-func StepOf(err error) int {
-	var se *stepError
-	if errors.As(err, &se) {
-		return se.step
-	}
-	return 0
 }

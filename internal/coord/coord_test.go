@@ -319,7 +319,7 @@ func TestPolicyRejectionCancelsSiblings(t *testing.T) {
 		if err == nil || report.Completed {
 			t.Fatalf("run should abort on rejection: %+v", report)
 		}
-		if !IsRejection(err) || !errors.Is(err, core.ErrRejected) {
+		if !errors.Is(err, core.ErrRejected) {
 			t.Fatalf("err = %v, want core.ErrRejected identity", err)
 		}
 		sibling := h.sites[0].server.Stats()
@@ -511,9 +511,9 @@ func TestTwoStoryDistributedGatherScatter(t *testing.T) {
 	}
 }
 
-// A multi-DOF control point (UMinn-style multi-axis rig) behind NTCP,
-// driven by the coordinator as a 2-DOF substructure spanning both global
-// DOFs of a two-story model.
+// A multi-DOF control point behind NTCP, driven by the coordinator as a
+// 2-DOF substructure spanning both global DOFs of a two-story model: one
+// emulated actuator per axis, one plugin, one action per step.
 func TestMultiAxisRigDistributed(t *testing.T) {
 	ca, err := gsi.NewAuthority("/O=NEES/CN=CA", time.Hour)
 	if err != nil {
@@ -527,11 +527,21 @@ func TestMultiAxisRigDistributed(t *testing.T) {
 	cfgAct := control.DefaultActuator()
 	cfgAct.PositionNoiseStd, cfgAct.ForceNoiseStd = 0, 0
 	k1, k2 := 3000.0, 2000.0
-	rig := control.NewMultiAxisRig("uminn-rig", cfgAct, []structural.Element{
-		structural.NewLinearElastic(k1),
-		structural.NewLinearElastic(k2),
-	})
-	plug := &core.SubstructurePlugin{Point: "specimen", NDOF: 2, Apply: rig.Apply}
+	axes := []*control.Actuator{
+		control.NewActuator(cfgAct, structural.NewLinearElastic(k1)),
+		control.NewActuator(cfgAct, structural.NewLinearElastic(k2)),
+	}
+	apply := func(d []float64) ([]float64, error) {
+		forces := make([]float64, len(axes))
+		for i, a := range axes {
+			if _, err := a.Move(d[i]); err != nil {
+				return nil, err
+			}
+			forces[i] = a.Force()
+		}
+		return forces, nil
+	}
+	plug := &core.SubstructurePlugin{Point: "specimen", NDOF: 2, Apply: apply}
 	srv := core.NewServer(plug, nil, core.ServerOptions{})
 	cont := ogsi.NewContainer(siteCred, trust, gm)
 	cont.AddService(srv.Service())
@@ -658,4 +668,13 @@ func TestIntegratorFailureReportedOnce(t *testing.T) {
 	if got := rep.Telemetry.Counters["coord.steps.failed"]; got != 1 {
 		t.Fatalf("coord.steps.failed = %d, want 1", got)
 	}
+}
+
+// StepOf extracts the failing step from a run error (0 if unknown).
+func StepOf(err error) int {
+	var se *stepError
+	if errors.As(err, &se) {
+		return se.step
+	}
+	return 0
 }

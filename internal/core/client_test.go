@@ -269,8 +269,8 @@ func TestTransientClassification(t *testing.T) {
 	if !transient(fmt.Errorf("dial tcp: connection refused")) {
 		t.Fatal("transport errors are transient")
 	}
-	if transient(&ogsi.RemoteError{Code: ogsi.CodePolicyReject}) {
-		t.Fatal("policy rejections are not transient")
+	if transient(&ogsi.RemoteError{Code: ogsi.CodeDenied}) {
+		t.Fatal("denials are not transient")
 	}
 	if !transient(&ogsi.RemoteError{Code: ogsi.CodeUnavailable}) {
 		t.Fatal("unavailable is transient")

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/telemetry"
 	"neesgrid/internal/wirejson"
 	"neesgrid/internal/wirejson/wiretest"
 )
@@ -238,3 +239,6 @@ func TestServerCountsParamsFallbacks(t *testing.T) {
 		t.Fatalf("truncated params accepted (%d fallbacks)", fallbacks())
 	}
 }
+
+// Telemetry exposes the server's metrics registry.
+func (s *Server) Telemetry() *telemetry.Registry { return s.tel }

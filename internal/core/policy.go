@@ -52,8 +52,18 @@ func (v *PolicyViolation) Error() string {
 
 // Check screens a proposal for client identity and action limits. last maps
 // control point → last executed displacements (nil when unknown), enabling
-// the MaxStep screen.
+// the MaxStep screen. A nil policy sets no limits, but no policy lets a
+// non-finite displacement through: NaN passes every limit comparison, so it
+// is refused before them.
 func (p *SitePolicy) Check(client string, actions []Action, last map[string][]float64) error {
+	for _, a := range actions {
+		for dof, d := range a.Displacements {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				return &PolicyViolation{Point: a.ControlPoint,
+					Reason: fmt.Sprintf("dof %d displacement %g is not finite", dof, d)}
+			}
+		}
+	}
 	if p == nil {
 		return nil
 	}
@@ -61,14 +71,6 @@ func (p *SitePolicy) Check(client string, actions []Action, last map[string][]fl
 		return &PolicyViolation{Point: "*", Reason: fmt.Sprintf("client %q not allowed", client)}
 	}
 	for _, a := range actions {
-		// NaN passes every limit comparison below, so a non-finite
-		// displacement is refused before them, limits or not.
-		for dof, d := range a.Displacements {
-			if math.IsNaN(d) || math.IsInf(d, 0) {
-				return &PolicyViolation{Point: a.ControlPoint,
-					Reason: fmt.Sprintf("dof %d displacement %g is not finite", dof, d)}
-			}
-		}
 		lim, ok := p.PointLimits[a.ControlPoint]
 		if !ok {
 			if len(p.PointLimits) > 0 {

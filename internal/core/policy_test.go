@@ -1,8 +1,11 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -126,5 +129,50 @@ func TestMultiDOFActionsScreenedPerDOF(t *testing.T) {
 	}}, nil)
 	if err == nil {
 		t.Fatal("violating DOF slipped through")
+	}
+}
+
+// callCounter is a plugin that accepts and executes everything, counting
+// each call it gets.
+type callCounter struct{ validates, executes atomic.Int64 }
+
+func (p *callCounter) Validate(context.Context, []Action) error {
+	p.validates.Add(1)
+	return nil
+}
+
+func (p *callCounter) Execute(_ context.Context, actions []Action) ([]Result, error) {
+	p.executes.Add(1)
+	results := make([]Result, len(actions))
+	for i, a := range actions {
+		results[i] = Result{ControlPoint: a.ControlPoint, Displacements: a.Displacements, Forces: []float64{0}}
+	}
+	return results, nil
+}
+
+// A server built with no policy still refuses a non-finite displacement, as
+// a policy violation, before its plugin hears of it: NaN used to pass the
+// nil policy, and the plugin executed it.
+func TestPolicylessServerRefusesNonFinite(t *testing.T) {
+	ctx := context.Background()
+	plug := &callCounter{}
+	srv := NewServer(plug, nil, ServerOptions{})
+	for i, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		name := fmt.Sprintf("nonfinite-%d", i)
+		rec, err := srv.Propose(ctx, "me", &Proposal{Name: name,
+			Actions: []Action{{ControlPoint: "drift", Displacements: []float64{0, d}}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := (&PolicyViolation{Point: "drift", Reason: fmt.Sprintf("dof 1 displacement %g is not finite", d)}).Error()
+		if rec.State != StateRejected || rec.Error != want {
+			t.Fatalf("displacement %g: state %s, error %q; want rejected with %q", d, rec.State, rec.Error, want)
+		}
+		if rec, err := srv.Execute(ctx, "me", name); err == nil && rec.State == StateExecuted {
+			t.Fatalf("displacement %g: a rejected proposal executed", d)
+		}
+	}
+	if v, e := plug.validates.Load(), plug.executes.Load(); v != 0 || e != 0 {
+		t.Fatalf("the plugin was called: %d validations, %d executions", v, e)
 	}
 }

@@ -174,9 +174,6 @@ func NewServer(plugin Plugin, policy *SitePolicy, opts ServerOptions) *Server {
 // Service exposes the underlying OGSI service for container registration.
 func (s *Server) Service() *ogsi.Service { return s.svc }
 
-// Telemetry exposes the server's metrics registry.
-func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
-
 // Stats returns a snapshot of server counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()

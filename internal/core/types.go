@@ -44,32 +44,6 @@ const (
 	StateFailed TxState = "failed"
 )
 
-// Terminal reports whether a state admits no further transitions.
-func (s TxState) Terminal() bool {
-	switch s {
-	case StateRejected, StateExecuted, StateCancelled, StateFailed:
-		return true
-	}
-	return false
-}
-
-// legalTransitions is the Fig. 1 state machine.
-var legalTransitions = map[TxState][]TxState{
-	StateProposed:  {StateAccepted, StateRejected},
-	StateAccepted:  {StateExecuting, StateCancelled},
-	StateExecuting: {StateExecuted, StateFailed},
-}
-
-// CanTransition reports whether from → to is a legal Fig. 1 transition.
-func CanTransition(from, to TxState) bool {
-	for _, t := range legalTransitions[from] {
-		if t == to {
-			return true
-		}
-	}
-	return false
-}
-
 // Action requests that a control point be driven to target displacements
 // and (after any hold time) its reaction measured. This is the generic
 // "requested action" of the paper; the plugin maps it onto the local

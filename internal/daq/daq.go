@@ -98,17 +98,6 @@ func (d *DAQ) AddChannel(c Channel) error {
 	return nil
 }
 
-// Channels lists registered channel names.
-func (d *DAQ) Channels() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, len(d.channels))
-	for i, c := range d.channels {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // AttachHub streams every scan to an NSDS hub.
 func (d *DAQ) AttachHub(h *nsds.Hub) {
 	d.mu.Lock()
@@ -166,13 +155,6 @@ func (d *DAQ) ScanContext(ctx context.Context, step int, t float64) ([]Reading, 
 		}
 	}
 	return readings, nil
-}
-
-// Scans returns how many scans have run.
-func (d *DAQ) Scans() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.scans
 }
 
 // ---------------------------------------------------------------------------

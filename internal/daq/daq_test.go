@@ -240,3 +240,21 @@ func TestGainDefaultsAndMath(t *testing.T) {
 		t.Fatalf("unit gain broken: %g", rs[0].Value)
 	}
 }
+
+// Channels lists registered channel names.
+func (d *DAQ) Channels() []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	names := make([]string, len(d.channels))
+	for i, c := range d.channels {
+		names[i] = c.Name
+	}
+	return names
+}
+
+// Scans returns how many scans have run.
+func (d *DAQ) Scans() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.scans
+}

@@ -112,13 +112,6 @@ func (c *CommandCenter) Archived() int {
 	return len(c.archive)
 }
 
-// Pending returns the readings awaiting uplink.
-func (c *CommandCenter) Pending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.queue)
-}
-
 // takeBatch pops up to n queued readings.
 func (c *CommandCenter) takeBatch(n int) []Reading {
 	c.mu.Lock()

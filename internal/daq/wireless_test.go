@@ -182,3 +182,10 @@ func TestSatelliteUplinkLatencyAndValidation(t *testing.T) {
 		t.Fatal("latency not applied")
 	}
 }
+
+// Pending returns the readings awaiting uplink.
+func (c *CommandCenter) Pending() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.queue)
+}

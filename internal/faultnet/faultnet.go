@@ -143,13 +143,6 @@ func (in *Injector) ClearFaults() {
 	in.extraDelay = 0
 }
 
-// ExtraDelay returns the current extra per-call delay.
-func (in *Injector) ExtraDelay() time.Duration {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.extraDelay
-}
-
 // Calls returns how many calls passed through the injector.
 func (in *Injector) Calls() int {
 	in.mu.Lock()

@@ -221,3 +221,10 @@ func TestInjectorTelemetry(t *testing.T) {
 		t.Fatalf("delay histogram = %+v", snap.Histograms["faultnet.delay.seconds"])
 	}
 }
+
+// ExtraDelay returns the current extra per-call delay.
+func (in *Injector) ExtraDelay() time.Duration {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return in.extraDelay
+}

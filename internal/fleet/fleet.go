@@ -202,9 +202,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Registry returns the scheduler's telemetry registry.
-func (s *Scheduler) Registry() *telemetry.Registry { return s.reg }
-
 // Submit admits one request: unknown tenants and full queues are rejected
 // (bounded-backlog admission control), everything else is enqueued FIFO
 // behind the tenant's earlier jobs. Before Start, submissions only queue —

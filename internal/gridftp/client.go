@@ -23,8 +23,6 @@ type Client struct {
 	Addr string
 	// BlockSize overrides the transfer block size.
 	BlockSize int
-	// Dial overrides the dialer (fault injection); nil means net.Dial.
-	Dial func(network, addr string) (net.Conn, error)
 
 	tel atomic.Pointer[clientCounters]
 
@@ -57,11 +55,7 @@ func (c *Client) UseTelemetry(reg *telemetry.Registry) {
 }
 
 func (c *Client) dial() (*session, error) {
-	dial := c.Dial
-	if dial == nil {
-		dial = net.Dial
-	}
-	conn, err := dial("tcp", c.Addr)
+	conn, err := net.Dial("tcp", c.Addr)
 	if err != nil {
 		return nil, fmt.Errorf("gridftp: dial %s: %w", c.Addr, err)
 	}
@@ -114,18 +108,6 @@ func (c *Client) finish(sess *session, err error) {
 	c.release(sess)
 }
 
-// Close drops the idle sessions. It is optional (the server reaps a session
-// idle past its deadline) and leaves the client usable.
-func (c *Client) Close() {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, sess := range idle {
-		_ = sess.Close()
-	}
-}
-
 func (c *Client) block() int {
 	if c.BlockSize > 0 {
 		return c.BlockSize
@@ -159,9 +141,8 @@ func exchange(sess *session, req *request) (resp *response, answered bool, err e
 // connection; after a reply byte, or on a connection just dialed, never.
 // Repeating is safe for every op even if the lost attempt ran: stat, get-data
 // and put-status only read, put-init and put-data write the same bytes to the
-// same place, fxp pushes the same file again, and a put-commit that already
-// ran has closed its transfer, so the repeat is refused instead of publishing
-// anything twice.
+// same place, and a put-commit that already ran has closed its transfer, so
+// the repeat is refused instead of publishing anything twice.
 func (c *Client) roundTrip(req *request) (*session, *response, error) {
 	sess, err := c.acquire()
 	if err != nil {
@@ -467,15 +448,4 @@ func (c *Client) Status(transferID string) ([]int, error) {
 	}
 	c.release(sess)
 	return resp.Received, nil
-}
-
-// FXP asks the server to push remotePath to dstPath on the server at
-// dstAddr — GridFTP third-party transfer.
-func (c *Client) FXP(remotePath, dstAddr, dstPath string) error {
-	sess, _, err := c.roundTrip(&request{Op: "fxp", Path: remotePath, DstAddr: dstAddr, DstPath: dstPath})
-	if err != nil {
-		return err
-	}
-	c.release(sess)
-	return nil
 }

@@ -1,15 +1,20 @@
 package gridftp
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"neesgrid/internal/telemetry"
 )
 
 // fixture starts a server over a temp root and returns (server, client,
@@ -306,27 +311,47 @@ func TestDotsInsideNamesAreOrdinary(t *testing.T) {
 	}
 }
 
-func TestThirdPartyTransfer(t *testing.T) {
-	_, cl1, _ := fixture(t)
-	_, _, root2 := fixture(t)
-	_ = root2
-	srv2, cl2, root2 := fixture(t)
-	_ = srv2
-
-	src, data := writeTemp(t, 50_000, 9)
-	if err := cl1.Put(src, "stage/data.bin", 2); err != nil {
-		t.Fatal(err)
-	}
-	// Ask server 1 to push to server 2.
-	if err := cl1.FXP("stage/data.bin", cl2.Addr, "mirrored/data.bin"); err != nil {
-		t.Fatal(err)
-	}
-	stored, err := os.ReadFile(filepath.Join(root2, "mirrored/data.bin"))
+// TestThirdPartyTransferIsUnknown: the port is unauthenticated, so the
+// server dials nowhere on a peer's say-so. An fxp header (third-party
+// transfer, as a peer from before its removal sends it) gets the unknown-op
+// answer and the destination it names is never dialed.
+func TestThirdPartyTransferIsUnknown(t *testing.T) {
+	srv, cl, _ := fixture(t)
+	reg := telemetry.NewRegistry()
+	srv.UseTelemetry(reg)
+	dst, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(stored, data) {
-		t.Fatal("third-party copy corrupt")
+	defer dst.Close()
+	dialed := make(chan struct{}, 1)
+	go func() {
+		if conn, err := dst.Accept(); err == nil {
+			dialed <- struct{}{}
+			_ = conn.Close()
+		}
+	}()
+
+	conn, err := net.Dial("tcp", cl.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	fxp := fmt.Sprintf(`{"op":"fxp","path":"x.bin","dst_addr":%q,"dst_path":"y.bin"}`+"\n", dst.Addr())
+	if _, err := io.WriteString(conn, fxp); err != nil {
+		t.Fatal(err)
+	}
+	resp := readReply(t, bufio.NewReader(conn))
+	if resp.OK || resp.Error != "unknown op fxp" {
+		t.Fatalf("fxp answered %+v, want the unknown-op refusal", resp)
+	}
+	if n := reg.Counter("gridftp.server.requests.unknown").Value(); n != 1 {
+		t.Fatalf("requests.unknown = %d, want 1", n)
+	}
+	select {
+	case <-dialed:
+		t.Fatal("the server dialed the address an fxp header named")
+	case <-time.After(50 * time.Millisecond):
 	}
 }
 

@@ -59,9 +59,6 @@ type request struct {
 	Offset  int64  `json:"offset,omitempty"`
 	Length  int64  `json:"length,omitempty"`
 	CRC     uint32 `json:"crc,omitempty"`
-	// Third-party transfer target.
-	DstAddr string `json:"dst_addr,omitempty"`
-	DstPath string `json:"dst_path,omitempty"`
 }
 
 // response answers a header.

@@ -21,15 +21,12 @@ import (
 type Server struct {
 	root string
 	tel  atomic.Pointer[serverCounters]
-	// dial opens the connections an fxp pushes over: net.Dial, except in
-	// tests that must not reach the network.
-	dial func(network, addr string) (net.Conn, error)
 
 	done chan struct{} // closed by Close, under mu
 
 	mu      sync.Mutex
 	ln      net.Listener
-	conns   map[net.Conn]struct{} // live sessions, and what fxp handlers dialed out
+	conns   map[net.Conn]struct{} // live sessions
 	uploads map[string]*upload
 	wg      sync.WaitGroup // the accept loop and one handler per session
 }
@@ -56,7 +53,6 @@ var handlers = map[string]func(*Server, *session, *request) bool{
 	"put-data":   (*Server).handlePutData,
 	"put-status": (*Server).handlePutStatus,
 	"put-commit": (*Server).handlePutCommit,
-	"fxp":        (*Server).handleFXP,
 }
 
 // serverCounters are the server's series in a shared registry.
@@ -106,7 +102,7 @@ func NewServer(root string) (*Server, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("gridftp: root: %w", err)
 	}
-	return &Server{root: root, dial: net.Dial, done: make(chan struct{}),
+	return &Server{root: root, done: make(chan struct{}),
 		conns: make(map[net.Conn]struct{}), uploads: make(map[string]*upload)}, nil
 }
 
@@ -504,39 +500,3 @@ func (s *Server) handlePutCommit(sess *session, req *request) bool {
 	s.mu.Unlock()
 	return reply(sess, response{CRC: req.CRC, Size: up.size})
 }
-
-// handleFXP implements third-party transfer: this server pushes one of its
-// files to another GridFTP server.
-func (s *Server) handleFXP(sess *session, req *request) bool {
-	src, err := s.resolve(req.Path)
-	if err != nil {
-		return fail(sess, "%v", err)
-	}
-	cl := &Client{Addr: req.DstAddr, Dial: s.dialOut}
-	defer cl.Close()
-	if err := cl.Put(src, req.DstPath, 2); err != nil {
-		return fail(sess, "fxp: %v", err)
-	}
-	return reply(sess, response{})
-}
-
-// dialOut dials for an fxp handler. The connection is tracked like a
-// session's, so Close cuts a push in flight instead of waiting on its peer.
-func (s *Server) dialOut(network, addr string) (net.Conn, error) {
-	conn, err := s.dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	if !s.track(conn) {
-		return nil, errClosed
-	}
-	return outConn{conn, s}, nil
-}
-
-// outConn forgets the connection when its user closes it.
-type outConn struct {
-	net.Conn
-	s *Server
-}
-
-func (c outConn) Close() error { return c.s.drop(c.Conn) }

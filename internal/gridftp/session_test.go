@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"runtime/pprof"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -21,47 +20,49 @@ import (
 	"neesgrid/internal/telemetry"
 )
 
-// dialCounter is a Client.Dial hook that counts connections opened and
-// closed.
-type dialCounter struct {
-	dials, closes atomic.Int64
-}
-
-func (d *dialCounter) dial(network, addr string) (net.Conn, error) {
-	conn, err := net.Dial(network, addr)
-	if err != nil {
-		return nil, err
-	}
-	d.dials.Add(1)
-	return &countedConn{Conn: conn, d: d}, nil
-}
-
-type countedConn struct {
-	net.Conn
-	d    *dialCounter
-	once sync.Once
-}
-
-func (c *countedConn) Close() error {
-	c.once.Do(func() { c.d.closes.Add(1) })
-	return c.Conn.Close()
-}
-
 func (c *Client) idleSessions() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.idle)
 }
 
+// openSessions counts the sessions the server holds: one per client
+// connection it has accepted and not yet seen closed.
+func (s *Server) openSessions() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}
+
+// waitUntil polls cond for up to two seconds, failing the test with what
+// describe says if it never holds.
+func waitUntil(t *testing.T, cond func() bool, describe func() string) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(describe())
+		}
+	}
+}
+
+// awaitClose half-closes a peer's end of conn, discards what the client
+// still sends, and counts the connection in closed once the client has
+// closed its end.
+func awaitClose(conn net.Conn, closed *atomic.Int64) {
+	_ = conn.(*net.TCPConn).CloseWrite()
+	_, _ = io.Copy(io.Discard, conn)
+	_ = conn.Close()
+	closed.Add(1)
+}
+
 // TestSessionsAreReused: a run of transfers through one Client opens as many
 // connections as its widest transfer has streams, and the counters say so.
 func TestSessionsAreReused(t *testing.T) {
 	srv, cl, _ := fixture(t)
-	var dc dialCounter
-	cl.Dial = dc.dial
 	reg := telemetry.NewRegistry()
 	cl.UseTelemetry(reg)
 	srv.UseTelemetry(reg)
+	dials := reg.Counter("gridftp.client.dials")
 
 	const streams, rounds = 2, 20
 	src, data := writeTemp(t, DefaultBlockSize+1000, 20) // two blocks
@@ -78,17 +79,17 @@ func TestSessionsAreReused(t *testing.T) {
 	if got, _ := os.ReadFile(dst); !bytes.Equal(got, data) {
 		t.Fatal("downloaded bytes differ")
 	}
-	if n := dc.dials.Load(); n > streams {
+	if n := dials.Value(); n > streams {
 		t.Fatalf("%d transfers dialed %d connections, want at most %d", 2*rounds, n, streams)
 	}
+	n := dials.Value()
 
 	cl.Close()
 	if n := cl.idleSessions(); n != 0 {
 		t.Fatalf("%d idle sessions after Close", n)
 	}
-	if dc.closes.Load() != dc.dials.Load() {
-		t.Fatalf("Close left %d of %d connections open", dc.dials.Load()-dc.closes.Load(), dc.dials.Load())
-	}
+	waitUntil(t, func() bool { return srv.openSessions() == 0 },
+		func() string { return fmt.Sprintf("Close left %d of %d connections open", srv.openSessions(), n) })
 	if _, _, err := cl.Stat("reuse/0.bin"); err != nil {
 		t.Fatalf("client unusable after Close: %v", err)
 	}
@@ -97,10 +98,10 @@ func TestSessionsAreReused(t *testing.T) {
 	const exchanges = rounds*7 + 1 // put-init, 2 put-data, put-commit, stat, 2 get-data; the last stat
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{
-		"gridftp.client.dials":               dc.dials.Load(),
-		"gridftp.client.reuses":              exchanges - dc.dials.Load(),
+		"gridftp.client.dials":               n + 1, // the stat after Close
+		"gridftp.client.reuses":              exchanges - n - 1,
 		"gridftp.client.stale_retries":       0,
-		"gridftp.server.sessions":            dc.dials.Load(),
+		"gridftp.server.sessions":            n + 1,
 		"gridftp.server.requests.put-init":   rounds,
 		"gridftp.server.requests.put-data":   rounds * streams,
 		"gridftp.server.requests.put-commit": rounds,
@@ -137,16 +138,16 @@ func TestServerRestartAbsorbed(t *testing.T) {
 		return srv, bound
 	}
 	srv, addr := start("127.0.0.1:0")
-	var dc dialCounter
 	reg := telemetry.NewRegistry()
-	cl := &Client{Addr: addr, Dial: dc.dial}
+	cl := &Client{Addr: addr}
 	cl.UseTelemetry(reg)
+	dials := reg.Counter("gridftp.client.dials")
 	src, data := writeTemp(t, 3000, 21)
 	if err := cl.Put(src, "a.bin", 1); err != nil {
 		t.Fatal(err)
 	}
-	if dc.dials.Load() != 1 || cl.idleSessions() != 1 {
-		t.Fatalf("before the restart: %d dials, %d idle", dc.dials.Load(), cl.idleSessions())
+	if dials.Value() != 1 || cl.idleSessions() != 1 {
+		t.Fatalf("before the restart: %d dials, %d idle", dials.Value(), cl.idleSessions())
 	}
 
 	_ = srv.Close()
@@ -154,7 +155,7 @@ func TestServerRestartAbsorbed(t *testing.T) {
 	if err := cl.Put(src, "b.bin", 1); err != nil {
 		t.Fatalf("put after restart: %v", err)
 	}
-	if n := dc.dials.Load(); n != 2 {
+	if n := dials.Value(); n != 2 {
 		t.Fatalf("%d dials, want the first and one for the stale session", n)
 	}
 	if n := reg.Counter("gridftp.client.stale_retries").Value(); n != 1 {
@@ -175,7 +176,8 @@ func TestNoRetryOnFreshOrAnsweredSession(t *testing.T) {
 	defer ln.Close()
 	// A peer that answers the first request of a connection, then half an
 	// answer to the second, then hangs up; and hangs up on later connections
-	// at once.
+	// at once. It counts the connections the client then closes.
+	var closed atomic.Int64
 	go func() {
 		for first := true; ; first = false {
 			conn, err := ln.Accept()
@@ -189,38 +191,42 @@ func TestNoRetryOnFreshOrAnsweredSession(t *testing.T) {
 				_, _ = br.ReadString('\n')
 				_, _ = io.WriteString(conn, `{"ok":tr`)
 			}
-			_ = conn.Close()
+			go awaitClose(conn, &closed)
 		}
 	}()
-	var dc dialCounter
-	cl := &Client{Addr: ln.Addr().String(), Dial: dc.dial}
+	reg := telemetry.NewRegistry()
+	cl := &Client{Addr: ln.Addr().String()}
+	cl.UseTelemetry(reg)
+	dials := reg.Counter("gridftp.client.dials")
 	if _, _, err := cl.Stat("x"); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := cl.Stat("x"); err == nil {
 		t.Fatal("half an answer accepted")
 	}
-	if n := dc.dials.Load(); n != 1 {
+	if n := dials.Value(); n != 1 {
 		t.Fatalf("a session that had begun to answer was retried (%d dials)", n)
 	}
 	if _, _, err := cl.Stat("x"); err == nil {
 		t.Fatal("hang-up accepted")
 	}
-	if n := dc.dials.Load(); n != 2 {
+	if n := dials.Value(); n != 2 {
 		t.Fatalf("a fresh connection was retried (%d dials)", n)
 	}
-	if dc.closes.Load() != 2 || cl.idleSessions() != 0 {
-		t.Fatalf("failed sessions kept: %d closed, %d idle", dc.closes.Load(), cl.idleSessions())
-	}
+	waitUntil(t, func() bool { return closed.Load() == 2 && cl.idleSessions() == 0 },
+		func() string {
+			return fmt.Sprintf("failed sessions kept: %d closed, %d idle", closed.Load(), cl.idleSessions())
+		})
 }
 
 // TestKilledStripeClosesItsSession: a stripe that dies mid-transfer leaves a
 // half-sent stream behind, so its connection is closed, never reused; Resume
 // finishes on the others.
 func TestKilledStripeClosesItsSession(t *testing.T) {
-	_, cl, root := fixture(t)
-	var dc dialCounter
-	cl.Dial = dc.dial
+	srv, cl, root := fixture(t)
+	reg := telemetry.NewRegistry()
+	cl.UseTelemetry(reg)
+	dials := reg.Counter("gridftp.client.dials")
 	cl.BlockSize = 4 << 10
 	src, data := writeTemp(t, 64<<10, 22) // 16 blocks, 8 per stripe
 	const id = "killed-stripe"
@@ -234,14 +240,19 @@ func TestKilledStripeClosesItsSession(t *testing.T) {
 		t.Fatal("interrupted upload should fail")
 	}
 	// Two sessions when the stripes overlapped, one when stripe 1 started
-	// after stripe 0 had finished; the killed stripe's is closed either way.
-	if dials, closes, idle := dc.dials.Load(), dc.closes.Load(), int64(cl.idleSessions()); closes != 1 || idle != dials-1 {
-		t.Fatalf("after the kill: %d dials, %d closed, %d idle; want the killed stripe's session closed and the rest idle", dials, closes, idle)
+	// after stripe 0 had finished; the killed stripe's is closed either way,
+	// so the server holds exactly the client's idle ones.
+	if n, idle := dials.Value(), int64(cl.idleSessions()); idle != n-1 {
+		t.Fatalf("after the kill: %d dials, %d idle; want the killed stripe's session dropped and the rest idle", n, idle)
 	}
+	waitUntil(t, func() bool { return srv.openSessions() == cl.idleSessions() },
+		func() string {
+			return fmt.Sprintf("server holds %d sessions, the client %d idle: the killed stripe's was not closed", srv.openSessions(), cl.idleSessions())
+		})
 	if err := cl.Resume(src, "k.bin", id, 2); err != nil {
 		t.Fatal(err)
 	}
-	if n := dc.dials.Load(); n > 3 {
+	if n := dials.Value(); n > 3 {
 		t.Fatalf("%d connections dialed in all, want at most 3: the survivor reused, one to replace the killed", n)
 	}
 	if got, _ := os.ReadFile(filepath.Join(root, "k.bin")); !bytes.Equal(got, data) {
@@ -534,6 +545,7 @@ func TestShortRangeClosesClientSession(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	var closed atomic.Int64
 	go func() { // promises 100 bytes, sends 40
 		for {
 			conn, err := ln.Accept()
@@ -542,11 +554,10 @@ func TestShortRangeClosesClientSession(t *testing.T) {
 			}
 			_, _ = bufio.NewReader(conn).ReadString('\n')
 			_, _ = io.WriteString(conn, `{"ok":true,"size":100}`+"\n"+strings.Repeat("x", 40))
-			_ = conn.Close()
+			go awaitClose(conn, &closed)
 		}
 	}()
-	var dc dialCounter
-	cl := &Client{Addr: ln.Addr().String(), Dial: dc.dial}
+	cl := &Client{Addr: ln.Addr().String()}
 	f, err := os.Create(filepath.Join(t.TempDir(), "short.bin"))
 	if err != nil {
 		t.Fatal(err)
@@ -555,9 +566,10 @@ func TestShortRangeClosesClientSession(t *testing.T) {
 	if err := cl.getRange("x", f, 0, 100); err == nil {
 		t.Fatal("short range accepted")
 	}
-	if dc.closes.Load() != 1 || cl.idleSessions() != 0 {
-		t.Fatalf("short session kept: %d closed, %d idle", dc.closes.Load(), cl.idleSessions())
-	}
+	waitUntil(t, func() bool { return closed.Load() == 1 && cl.idleSessions() == 0 },
+		func() string {
+			return fmt.Sprintf("short session kept: %d closed, %d idle", closed.Load(), cl.idleSessions())
+		})
 }
 
 // TestTransferIDsAreDistinct: ids differ between transfers of one client and
@@ -615,5 +627,17 @@ func TestFailedUploadLeavesWholeMarker(t *testing.T) {
 	received, err := cl.Status("marker")
 	if err != nil || len(received) != sent {
 		t.Fatalf("restart marker has %d blocks right after %d were sent (%v)", len(received), sent, err)
+	}
+}
+
+// Close drops the idle sessions. It is optional (the server reaps a session
+// idle past its deadline) and leaves the client usable.
+func (c *Client) Close() {
+	c.mu.Lock()
+	idle := c.idle
+	c.idle = nil
+	c.mu.Unlock()
+	for _, sess := range idle {
+		_ = sess.Close()
 	}
 }

@@ -224,22 +224,6 @@ func (ts *TrustStore) trusted(subject string) (*Certificate, uint64, bool) {
 	return ca, ts.cache.gen.Load(), ok
 }
 
-// VerifyChain validates a leaf-first chain at time now: every certificate
-// in its validity window, every signature valid under its issuer's key,
-// proxy subjects extending their issuer's subject, and the topmost
-// certificate issued by a trusted CA. It returns the base identity of the
-// chain.
-//
-// A chain that already verified is remembered by content digest; a repeat
-// presentation of the byte-identical chain is served from the cache while
-// every certificate in it (and its CA) is still within its validity window.
-// Any difference in content — a tampered field, a different signature, an
-// unknown chain — changes the digest and takes the full slow path.
-func (ts *TrustStore) VerifyChain(chain []*Certificate, now time.Time) (string, error) {
-	identity, _, err := ts.verifyChainInfo(chain, now)
-	return identity, err
-}
-
 // VerifyInfo reports how a verification was satisfied. Its exported fields
 // are observability metadata for trace spans, never a security signal; the
 // unexported ones are what a security context established on this

@@ -38,14 +38,6 @@ type archive struct {
 	spools    []*daq.Spool
 }
 
-// Repo returns the repository an archiving run filled.
-func (e *Experiment) Repo() *repo.Repository {
-	if e.arch == nil {
-		return nil
-	}
-	return e.arch.repo
-}
-
 // IngestedBlocks returns how many spool blocks reached the repository.
 func (e *Experiment) IngestedBlocks() int {
 	if e.arch == nil {

@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
-
-	"path/filepath"
 
 	"neesgrid/internal/collab"
 	"neesgrid/internal/core"
@@ -18,6 +17,7 @@ import (
 	"neesgrid/internal/faultnet"
 	"neesgrid/internal/obs"
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/repo"
 	"neesgrid/internal/structural"
 )
 
@@ -357,4 +357,12 @@ func TestRunOverWANProfile(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 120*time.Millisecond {
 		t.Fatalf("run finished in %v — WAN latency not applied", elapsed)
 	}
+}
+
+// Repo returns the repository an archiving run filled.
+func (e *Experiment) Repo() *repo.Repository {
+	if e.arch == nil {
+		return nil
+	}
+	return e.arch.repo
 }

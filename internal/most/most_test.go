@@ -2,10 +2,10 @@ package most
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
-	"neesgrid/internal/coord"
 	"neesgrid/internal/core"
 )
 
@@ -253,7 +253,7 @@ func TestNoRetryDiesOnFirstFault(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("no-retry coordinator should abort")
 	}
-	if got := coord.StepOf(res.Err); got != 30 {
+	if got := res.Report.FailedStep; got != 30 {
 		t.Fatalf("failed step = %d, want 30", got)
 	}
 }
@@ -272,7 +272,7 @@ func TestPolicyRejectionAtSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Err == nil || !coord.IsRejection(res.Err) {
+	if res.Err == nil || !errors.Is(res.Err, core.ErrRejected) {
 		t.Fatalf("err = %v, want policy rejection", res.Err)
 	}
 }

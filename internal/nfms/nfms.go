@@ -186,21 +186,6 @@ func (s *Service) Register(owner, logical string, size int64, replicas ...Replic
 	return cloneEntry(e), nil
 }
 
-// AddReplica attaches another replica to an existing entry.
-func (s *Service) AddReplica(logical string, r Replica) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.entries[logical]
-	if !ok {
-		return fmt.Errorf("nfms: no logical file %q", logical)
-	}
-	if _, ok := s.transports[r.Transport]; !ok {
-		return fmt.Errorf("nfms: unknown transport %q", r.Transport)
-	}
-	e.Replicas = append(e.Replicas, r)
-	return nil
-}
-
 // Resolve returns the catalog entry for a logical name.
 func (s *Service) Resolve(logical string) (*Entry, error) {
 	s.mu.Lock()

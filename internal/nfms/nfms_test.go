@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"neesgrid/internal/gridftp"
@@ -158,20 +156,22 @@ func TestUploadErrors(t *testing.T) {
 	}
 }
 
-func TestAddReplicaAndMultiSource(t *testing.T) {
+// TestMultiReplicaEntry: a logical file registered with replicas on two
+// servers resolves to both, and downloads from the first.
+func TestMultiReplicaEntry(t *testing.T) {
 	addr1, _ := gridftpServer(t)
 	addr2, _ := gridftpServer(t)
 	s := New()
 	src, data := tempFile(t, 50_000, 4)
-	if _, err := s.Upload(alice, "f", src, Replica{Transport: "gridftp", Addr: addr1, Path: "f"}); err != nil {
-		t.Fatal(err)
+	for _, addr := range []string{addr1, addr2} {
+		cl := &gridftp.Client{Addr: addr}
+		if err := cl.Put(src, "f", 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Mirror to a second server and register the replica.
-	cl := &gridftp.Client{Addr: addr2}
-	if err := cl.Put(src, "f", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AddReplica("f", Replica{Transport: "gridftp", Addr: addr2, Path: "f"}); err != nil {
+	if _, err := s.Register(alice, "f", int64(len(data)),
+		Replica{Transport: "gridftp", Addr: addr1, Path: "f"},
+		Replica{Transport: "gridftp", Addr: addr2, Path: "f"}); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := s.Resolve("f")
@@ -185,9 +185,6 @@ func TestAddReplicaAndMultiSource(t *testing.T) {
 	got, _ := os.ReadFile(dst)
 	if !bytes.Equal(got, data) {
 		t.Fatal("multi-replica fetch corrupt")
-	}
-	if err := s.AddReplica("missing", Replica{Transport: "local", Path: "x"}); err == nil {
-		t.Fatal("add replica to missing entry accepted")
 	}
 }
 
@@ -274,18 +271,13 @@ func TestConcurrentUploadsDoNotCollide(t *testing.T) {
 
 // TestTransfersShareSessions: twenty uploads and downloads of a two-block
 // file through one service open as many connections as a transfer has
-// streams, where each used to open seven; the transport's counters agree
-// with the dialer's.
+// streams, where each used to open seven; the transport's dials and reuses
+// add up to every exchange.
 func TestTransfersShareSessions(t *testing.T) {
 	addr, _ := gridftpServer(t)
 	tr := &GridFTPTransport{}
 	reg := telemetry.NewRegistry()
 	tr.UseTelemetry(reg)
-	var dials atomic.Int64
-	tr.client(addr).Dial = func(network, addr string) (net.Conn, error) {
-		dials.Add(1)
-		return net.Dial(network, addr)
-	}
 	s := New()
 	s.RegisterTransport("gridftp", tr)
 
@@ -304,13 +296,12 @@ func TestTransfersShareSessions(t *testing.T) {
 	if got, _ := os.ReadFile(dst); !bytes.Equal(got, data) {
 		t.Fatal("round trip corrupt")
 	}
-	if n := dials.Load(); n > int64(tr.streams()) {
-		t.Fatalf("%d transfers dialed %d connections, want at most %d", 2*rounds, n, tr.streams())
+	dials := reg.Counter("gridftp.client.dials").Value()
+	if dials > int64(tr.streams()) {
+		t.Fatalf("%d transfers dialed %d connections, want at most %d", 2*rounds, dials, tr.streams())
 	}
-	counted := reg.Counter("gridftp.client.dials").Value()
-	reused := reg.Counter("gridftp.client.reuses").Value()
-	if counted != dials.Load() || counted+reused != rounds*7 {
-		t.Fatalf("counters: %d dials (dialer saw %d) + %d reuses, want %d exchanges", counted, dials.Load(), reused, rounds*7)
+	if reused := reg.Counter("gridftp.client.reuses").Value(); dials+reused != rounds*7 {
+		t.Fatalf("counters: %d dials + %d reuses, want %d exchanges", dials, reused, rounds*7)
 	}
 	if tr.client(addr) != tr.client(addr) || tr.client(addr) == tr.client("other:1") {
 		t.Fatal("want one client per replica address")

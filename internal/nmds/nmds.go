@@ -57,9 +57,6 @@ func NewStore() *Store {
 	}
 }
 
-// SetClock overrides the time source (tests).
-func (s *Store) SetClock(clock func() time.Time) { s.clock = clock }
-
 // validate checks body against the schema object (by ID) if given.
 func (s *Store) validateLocked(schemaID string, body json.RawMessage) error {
 	if schemaID == "" {
@@ -267,117 +264,6 @@ func (s *Store) List(schemaID string) []*Object {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Query returns the latest versions of objects (optionally restricted to a
-// schema) whose bodies satisfy every field condition. Conditions compare a
-// top-level body field against a value: "=" (JSON equality), "<=", ">="
-// (numeric). This is what makes the §3.3 metadata useful to
-// non-participants — e.g. finding the sensor blocks that cover a given
-// step:
-//
-//	store.Query(repo.SensorDataSchema,
-//	    nmds.Where("first_step", "<=", 700),
-//	    nmds.Where("last_step", ">=", 700))
-func (s *Store) Query(schemaID string, conds ...Condition) ([]*Object, error) {
-	for _, c := range conds {
-		if err := c.validate(); err != nil {
-			return nil, err
-		}
-	}
-	var out []*Object
-	for _, obj := range s.List(schemaID) {
-		var body map[string]json.RawMessage
-		if err := json.Unmarshal(obj.Body, &body); err != nil {
-			continue // non-object bodies never match field conditions
-		}
-		ok := true
-		for _, c := range conds {
-			if !c.matches(body) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, obj)
-		}
-	}
-	return out, nil
-}
-
-// Condition is one field predicate for Query.
-type Condition struct {
-	Field string
-	Op    string // "=", "<=", ">="
-	Value any
-}
-
-// Where builds a query condition.
-func Where(field, op string, value any) Condition {
-	return Condition{Field: field, Op: op, Value: value}
-}
-
-func (c Condition) validate() error {
-	if c.Field == "" {
-		return fmt.Errorf("nmds: query condition needs a field")
-	}
-	switch c.Op {
-	case "=", "<=", ">=":
-		return nil
-	default:
-		return fmt.Errorf("nmds: unknown query operator %q", c.Op)
-	}
-}
-
-func (c Condition) matches(body map[string]json.RawMessage) bool {
-	raw, ok := body[c.Field]
-	if !ok {
-		return false
-	}
-	switch c.Op {
-	case "=":
-		want, err := json.Marshal(c.Value)
-		if err != nil {
-			return false
-		}
-		var a, b any
-		if json.Unmarshal(raw, &a) != nil || json.Unmarshal(want, &b) != nil {
-			return false
-		}
-		return fmt.Sprint(a) == fmt.Sprint(b)
-	case "<=", ">=":
-		var got float64
-		if json.Unmarshal(raw, &got) != nil {
-			return false
-		}
-		want, ok := toFloat(c.Value)
-		if !ok {
-			return false
-		}
-		if c.Op == "<=" {
-			return got <= want
-		}
-		return got >= want
-	}
-	return false
-}
-
-func toFloat(v any) (float64, bool) {
-	switch n := v.(type) {
-	case float64:
-		return n, true
-	case float32:
-		return float64(n), true
-	case int:
-		return float64(n), true
-	case int64:
-		return float64(n), true
-	case json.Number:
-		f, err := n.Float64()
-		return f, err == nil
-	default:
-		return 0, false
-	}
 }
 
 func cloneObj(o *Object) *Object {

@@ -280,77 +280,5 @@ func TestNMDSService(t *testing.T) {
 	}
 }
 
-func TestQueryByFields(t *testing.T) {
-	s := NewStore()
-	mk := func(id string, first, last int, site string) {
-		t.Helper()
-		if _, err := s.Create(alice, id, "", map[string]any{
-			"site": site, "first_step": first, "last_step": last,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mk("b1", 0, 499, "uiuc")
-	mk("b2", 500, 999, "uiuc")
-	mk("b3", 1000, 1499, "cu")
-
-	// Which block covers step 700?
-	got, err := s.Query("",
-		Where("first_step", "<=", 700),
-		Where("last_step", ">=", 700))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != "b2" {
-		t.Fatalf("step-700 query = %v", ids(got))
-	}
-	// Equality on strings.
-	got, _ = s.Query("", Where("site", "=", "uiuc"))
-	if len(got) != 2 {
-		t.Fatalf("site query = %v", ids(got))
-	}
-	// Combined: cu blocks past step 1200.
-	got, _ = s.Query("", Where("site", "=", "cu"), Where("last_step", ">=", 1200))
-	if len(got) != 1 || got[0].ID != "b3" {
-		t.Fatalf("combined query = %v", ids(got))
-	}
-	// No match.
-	got, _ = s.Query("", Where("site", "=", "lehigh"))
-	if len(got) != 0 {
-		t.Fatalf("phantom match: %v", ids(got))
-	}
-	// Missing field never matches.
-	got, _ = s.Query("", Where("nonexistent", "=", 1))
-	if len(got) != 0 {
-		t.Fatal("missing field matched")
-	}
-	// Bad operator.
-	if _, err := s.Query("", Where("site", "~", "x")); err == nil {
-		t.Fatal("bad operator accepted")
-	}
-	if _, err := s.Query("", Where("", "=", "x")); err == nil {
-		t.Fatal("empty field accepted")
-	}
-}
-
-func ids(objs []*Object) []string {
-	out := make([]string, len(objs))
-	for i, o := range objs {
-		out[i] = o.ID
-	}
-	return out
-}
-
-func TestQueryRespectsSchemaFilter(t *testing.T) {
-	s := NewStore()
-	expSchema(t, s)
-	_, _ = s.Create(alice, "in-schema", "exp-schema", map[string]any{"name": "MOST", "mass": 1.0})
-	_, _ = s.Create(alice, "schemaless", "", map[string]any{"name": "MOST"})
-	got, err := s.Query("exp-schema", Where("name", "=", "MOST"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != "in-schema" {
-		t.Fatalf("schema-filtered query = %v", ids(got))
-	}
-}
+// SetClock overrides the time source (tests).
+func (s *Store) SetClock(clock func() time.Time) { s.clock = clock }

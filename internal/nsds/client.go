@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 )
 
 // Client consumes a remote NSDS stream: the server's batch frames are
@@ -62,22 +61,4 @@ func (c *Client) Batches() <-chan *Batch { return c.batches }
 func (c *Client) Close() error {
 	c.closeOnce.Do(func() { close(c.done) })
 	return c.conn.Close()
-}
-
-// CollectFor drains batches for a duration and flattens them into one
-// sample slice (test/diagnostic helper).
-func (c *Client) CollectFor(d time.Duration) []Sample {
-	var out []Sample
-	deadline := time.After(d)
-	for {
-		select {
-		case b, ok := <-c.batches:
-			if !ok {
-				return out
-			}
-			out = append(out, b.Samples...)
-		case <-deadline:
-			return out
-		}
-	}
 }

@@ -281,3 +281,12 @@ func TestLocalRelayConsumesForcedDropsDeterministically(t *testing.T) {
 		t.Fatalf("downstream published = %d, want 7", pub)
 	}
 }
+
+// PendingForcedDrops returns how many scheduled drops are still armed but
+// not yet consumed — the chaos engine drains relays until this settles
+// before reading a verdict.
+func (h *Hub) PendingForcedDrops() int {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.forceDrop
+}

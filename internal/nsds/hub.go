@@ -281,15 +281,6 @@ func (h *Hub) DropNext(n int) {
 // ForcedDrops returns how many samples DropNext has swallowed so far.
 func (h *Hub) ForcedDrops() uint64 { return h.forcedDrops.Load() }
 
-// PendingForcedDrops returns how many scheduled drops are still armed but
-// not yet consumed — the chaos engine drains relays until this settles
-// before reading a verdict.
-func (h *Hub) PendingForcedDrops() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.forceDrop
-}
-
 // UseTracer wires distributed tracing into the hub: batch publishes that
 // carry a trace context (PublishBatchContext) record an "nsds.publish"
 // child span with batch size, subscriber count, and drops. Nil disables.

@@ -556,3 +556,21 @@ func TestConcurrentPublishSubscribeCancel(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// CollectFor drains batches for a duration and flattens them into one
+// sample slice (test/diagnostic helper).
+func (c *Client) CollectFor(d time.Duration) []Sample {
+	var out []Sample
+	deadline := time.After(d)
+	for {
+		select {
+		case b, ok := <-c.batches:
+			if !ok {
+				return out
+			}
+			out = append(out, b.Samples...)
+		case <-deadline:
+			return out
+		}
+	}
+}

@@ -53,13 +53,6 @@ type Server struct {
 // NewServer wraps a hub.
 func NewServer(hub *Hub) *Server { return &Server{hub: hub, conns: make(map[net.Conn]struct{})} }
 
-// ConnCount returns the number of live subscriber connections.
-func (s *Server) ConnCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
-}
-
 // Start listens on addr; returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)

@@ -256,3 +256,10 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 		time.Sleep(2 * time.Millisecond)
 	}
 }
+
+// ConnCount returns the number of live subscriber connections.
+func (s *Server) ConnCount() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.conns)
+}

@@ -235,14 +235,6 @@ func (a *Aggregator) addSourceLocked(s Source) {
 	a.order = append(a.order, s.Name)
 }
 
-// AddSource registers another producer after construction (a site joining
-// a running experiment, or the first push from an unknown name).
-func (a *Aggregator) AddSource(s Source) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.addSourceLocked(s)
-}
-
 // Start launches the periodic scrape loop.
 func (a *Aggregator) Start(ctx context.Context) error {
 	a.mu.Lock()
@@ -525,9 +517,6 @@ func (a *Aggregator) Series(name string) []float64 {
 	_, vs := r.points()
 	return append([]float64(nil), vs...)
 }
-
-// Registry exposes the aggregator's own metrics/events registry.
-func (a *Aggregator) Registry() *telemetry.Registry { return a.reg }
 
 // SiteSnapshot returns the latest snapshot scraped or pushed for one
 // site.

@@ -230,3 +230,6 @@ func TestSLOProfileFailureRecordsEvent(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// Registry exposes the aggregator's own metrics/events registry.
+func (a *Aggregator) Registry() *telemetry.Registry { return a.reg }

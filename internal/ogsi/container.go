@@ -48,13 +48,12 @@ func Errf(code, format string, args ...any) *OpError {
 
 // Standard fault codes.
 const (
-	CodeNotFound     = "not-found"
-	CodeDenied       = "denied"
-	CodeBadRequest   = "bad-request"
-	CodeConflict     = "conflict"
-	CodeInternal     = "internal"
-	CodeUnavailable  = "unavailable"
-	CodePolicyReject = "policy-reject"
+	CodeNotFound    = "not-found"
+	CodeDenied      = "denied"
+	CodeBadRequest  = "bad-request"
+	CodeConflict    = "conflict"
+	CodeInternal    = "internal"
+	CodeUnavailable = "unavailable"
 	// CodeContextRefused answers a MAC'd request whose security context the
 	// container does not hold (unknown, evicted, expired, revoked) or whose
 	// MAC or sequence number does not check. It comes in a signed envelope,
@@ -332,9 +331,6 @@ func (c *Container) Service(name string) (*Service, bool) {
 	s, ok := c.services[name]
 	return s, ok
 }
-
-// Identity returns the container's own Grid identity.
-func (c *Container) Identity() string { return c.cred.Identity() }
 
 // opKey names one operation of one service.
 type opKey struct{ service, op string }
@@ -687,14 +683,6 @@ func (c *Container) Start(addr string) (string, error) {
 	go func() { _ = c.httpServer.Serve(ln) }()
 	c.state.Store(contServing)
 	return ln.Addr().String(), nil
-}
-
-// Addr returns the bound listen address ("" before Start).
-func (c *Container) Addr() string {
-	if c.listener == nil {
-		return ""
-	}
-	return c.listener.Addr().String()
 }
 
 // Healthy reports nil while the container is serving — the per-component

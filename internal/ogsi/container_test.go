@@ -23,6 +23,10 @@ type testFabric struct {
 	addr      string
 }
 
+// codePolicyReject is the application fault code the test service's
+// "fail" op answers with.
+const codePolicyReject = "policy-reject"
+
 func newFabric(t testing.TB, wire func(*Container)) *testFabric {
 	t.Helper()
 	ca, err := gsi.NewAuthority("/O=NEES/CN=CA", time.Hour)
@@ -68,7 +72,7 @@ func echoService() *Service {
 		return in, nil
 	})
 	svc.RegisterOp("fail", func(context.Context, Caller, json.RawMessage) (any, error) {
-		return nil, Errf(CodePolicyReject, "force limit exceeded")
+		return nil, Errf(codePolicyReject, "force limit exceeded")
 	})
 	return svc
 }
@@ -91,7 +95,7 @@ func TestCallRoundTrip(t *testing.T) {
 func TestCallServiceFaultCode(t *testing.T) {
 	f := newFabric(t, func(c *Container) { c.AddService(echoService()) })
 	err := f.client.Call(context.Background(), "echo", "fail", nil, nil)
-	if !IsRemoteCode(err, CodePolicyReject) {
+	if !IsRemoteCode(err, codePolicyReject) {
 		t.Fatalf("err = %v, want policy-reject", err)
 	}
 }

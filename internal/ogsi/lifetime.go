@@ -98,35 +98,6 @@ func (lm *LifetimeManager) RequestTermination(id string, ttl time.Duration) bool
 	return true
 }
 
-// Destroy removes a resource without firing its expiry callback.
-func (lm *LifetimeManager) Destroy(id string) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	if l, ok := lm.byID[id]; ok {
-		heap.Remove(&lm.byTime, l.index)
-		delete(lm.byID, id)
-	}
-}
-
-// Alive reports whether the resource exists and has not expired.
-func (lm *LifetimeManager) Alive(id string) bool {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	l, ok := lm.byID[id]
-	return ok && lm.clock().Before(l.deadline)
-}
-
-// Deadline returns the current termination time.
-func (lm *LifetimeManager) Deadline(id string) (time.Time, bool) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	l, ok := lm.byID[id]
-	if !ok {
-		return time.Time{}, false
-	}
-	return l.deadline, true
-}
-
 // Sweep destroys every expired resource, invoking expiry callbacks, and
 // returns the ids destroyed.
 func (lm *LifetimeManager) Sweep() []string {
@@ -147,21 +118,6 @@ func (lm *LifetimeManager) Sweep() []string {
 		}
 	}
 	return ids
-}
-
-// Run sweeps at the given interval until stop is closed. It is the
-// container's background reaper.
-func (lm *LifetimeManager) Run(interval time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			lm.Sweep()
-		case <-stop:
-			return
-		}
-	}
 }
 
 // Len returns the number of live resources (expired but unswept resources

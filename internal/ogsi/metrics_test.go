@@ -31,7 +31,7 @@ func TestContainerRecordsDispatchTelemetry(t *testing.T) {
 	if got := snap.Counters["ogsi.echo.echo.requests"]; got != 3 {
 		t.Fatalf("echo requests = %d, want 3", got)
 	}
-	if got := snap.Counters["ogsi.echo.fail.faults."+CodePolicyReject]; got != 1 {
+	if got := snap.Counters["ogsi.echo.fail.faults."+codePolicyReject]; got != 1 {
 		t.Fatalf("fault counter = %d, want 1", got)
 	}
 	h := snap.Histograms["ogsi.echo.echo.seconds"]

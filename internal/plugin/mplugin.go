@@ -109,16 +109,6 @@ func (m *Mplugin) Poll(ctx context.Context) (*PendingRequest, error) {
 	}
 }
 
-// TryPoll returns a buffered request if one is immediately available.
-func (m *Mplugin) TryPoll() (*PendingRequest, bool) {
-	select {
-	case req := <-m.queue:
-		return req, true
-	default:
-		return nil, false
-	}
-}
-
 // Notify delivers the back end's outcome for a polled request.
 func (m *Mplugin) Notify(id string, results []core.Result, execErr error) error {
 	m.mu.Lock()

@@ -118,25 +118,6 @@ func TestMpluginNotifyUnknownID(t *testing.T) {
 	}
 }
 
-func TestMpluginTryPoll(t *testing.T) {
-	m := NewMplugin("drift", 1, 4)
-	if _, ok := m.TryPoll(); ok {
-		t.Fatal("empty queue should not yield a request")
-	}
-	go func() { _, _ = m.Execute(context.Background(), action("drift", 0.01)) }()
-	deadline := time.Now().Add(time.Second)
-	for {
-		if req, ok := m.TryPoll(); ok {
-			_ = m.Notify(req.ID, []core.Result{}, nil)
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("request never queued")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 func quietActuator() control.ActuatorConfig {
 	cfg := control.DefaultActuator()
 	cfg.PositionNoiseStd = 0

@@ -199,27 +199,6 @@ func (ing *Ingestor) PollOnce() ([]string, error) {
 	})
 }
 
-// Run polls at the given interval until stop closes, then drains the spool
-// one final time (with a Flush so the tail block is deposited).
-func (ing *Ingestor) Run(interval time.Duration, stop <-chan struct{}) error {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if _, err := ing.PollOnce(); err != nil {
-				return err
-			}
-		case <-stop:
-			if err := ing.Spool.Flush(); err != nil {
-				return err
-			}
-			_, err := ing.PollOnce()
-			return err
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // GridFTP ↔ HTTPS bridge
 // ---------------------------------------------------------------------------

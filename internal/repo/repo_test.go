@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"neesgrid/internal/daq"
 	"neesgrid/internal/gridftp"
@@ -169,35 +168,6 @@ func TestIngestorIncrementalArchival(t *testing.T) {
 	}
 	if len(readings) == 0 {
 		t.Fatal("downloaded block empty")
-	}
-}
-
-func TestIngestorRun(t *testing.T) {
-	addr := gridftpServer(t)
-	r, _ := New(owner)
-	spool, _ := daq.NewSpool(t.TempDir(), 2)
-	d := daq.New("cu", 1)
-	_ = d.AddChannel(daq.Channel{Name: "cu.load1", Read: func() float64 { return 5 }})
-	d.AttachSpool(spool)
-	ing := &Ingestor{
-		Repo: r, Spool: spool, Owner: alice, Experiment: "most", Site: "cu",
-		Replica: func(block string) nfms.Replica {
-			return nfms.Replica{Transport: "gridftp", Addr: addr, Path: "most/cu/" + block}
-		},
-	}
-	stop := make(chan struct{})
-	done := make(chan error, 1)
-	go func() { done <- ing.Run(5*time.Millisecond, stop) }()
-	for i := 0; i < 5; i++ {
-		_, _ = d.Scan(i, float64(i)*0.01)
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(stop)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if ing.Uploaded() != 3 { // 5 scans, block 2 -> 2 full + 1 flushed
-		t.Fatalf("uploaded %d", ing.Uploaded())
 	}
 }
 

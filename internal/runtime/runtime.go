@@ -416,17 +416,3 @@ func (s *Supervisor) Healthy() error {
 	}
 	return nil
 }
-
-// Run is the daemon main loop: Start, then wait for ctx to be cancelled
-// (the signal handler's job), then Stop under the supervisor's own
-// budget. The returned error is the start failure or the joined stop
-// errors.
-func (s *Supervisor) Run(ctx context.Context) error {
-	if err := s.Start(ctx); err != nil {
-		return err
-	}
-	<-ctx.Done()
-	stopCtx, cancel := context.WithTimeout(context.Background(), s.StopBudget())
-	defer cancel()
-	return s.Stop(stopCtx)
-}

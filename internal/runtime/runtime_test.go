@@ -324,37 +324,6 @@ func TestProbeHandlers(t *testing.T) {
 	}
 }
 
-func TestRunStopsOnContextCancel(t *testing.T) {
-	rec := &recorder{}
-	sup := NewSupervisor("test")
-	sup.Add("a", rec.comp("a", nil, nil))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- sup.Run(ctx) }()
-	// Wait for start, then cancel — Run must drain and return.
-	deadline := time.After(2 * time.Second)
-	for sup.Ready() != nil {
-		select {
-		case <-deadline:
-			t.Fatal("supervisor never became ready")
-		case <-time.After(time.Millisecond):
-		}
-	}
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Run did not return after cancel")
-	}
-	want := []string{"start:a", "stop:a"}
-	if got := rec.got(); !equal(got, want) {
-		t.Fatalf("order = %v, want %v", got, want)
-	}
-}
-
 func TestLameDuckDelaysDrain(t *testing.T) {
 	sup := NewSupervisor("test", WithLameDuck(50*time.Millisecond))
 	var stoppedAt time.Time

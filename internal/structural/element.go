@@ -2,7 +2,6 @@ package structural
 
 import (
 	"fmt"
-	"math"
 )
 
 // Element models the restoring-force behaviour of one structural component
@@ -107,82 +106,6 @@ func (e *Bilinear) Stiffness() float64        { return e.kt }
 func (e *Bilinear) InitialStiffness() float64 { return e.K0 }
 func (e *Bilinear) Reset()                    { e.d, e.f, e.kt = 0, 0, e.K0 }
 
-// BoucWen is a smooth hysteretic element following the Bouc–Wen model:
-//
-//	f = alpha*k0*d + (1-alpha)*k0*z
-//	dz/dd = A - [beta*sign(z*dd) + gamma] * |z|^n
-//
-// It is integrated across each displacement increment with sub-stepping for
-// stability. Bouc–Wen loops are smoother than bilinear ones and are widely
-// used to model test specimens in hybrid simulation.
-type BoucWen struct {
-	K0    float64
-	Alpha float64
-	Beta  float64
-	Gamma float64
-	N     float64
-	Dy    float64 // yield displacement scale for z normalization
-
-	d, z float64
-}
-
-// NewBoucWen constructs a Bouc–Wen element. dy is the yield-displacement
-// scale; beta+gamma should be positive for softening loops.
-func NewBoucWen(k0, alpha, beta, gamma, n, dy float64) *BoucWen {
-	if k0 <= 0 || dy <= 0 || n < 1 {
-		panic(fmt.Sprintf("structural: invalid BoucWen params k0=%g dy=%g n=%g", k0, dy, n))
-	}
-	return &BoucWen{K0: k0, Alpha: alpha, Beta: beta, Gamma: gamma, N: n, Dy: dy}
-}
-
-// advance integrates the z evolution from displacement d0 to d, returning
-// the updated z.
-func (e *BoucWen) advance(d0, z, d float64) float64 {
-	dd := d - d0
-	if dd == 0 {
-		return z
-	}
-	const sub = 20
-	h := dd / sub
-	for i := 0; i < sub; i++ {
-		zn := math.Pow(math.Abs(z), e.N)
-		s := 1.0
-		if z*h < 0 {
-			s = -1
-		}
-		dz := (1 - (e.Beta*s+e.Gamma)*zn) * h / e.Dy
-		z += dz
-	}
-	// z is dimensionless, bounded by ((beta+gamma))^(-1/n) in steady cycling.
-	return z
-}
-
-func (e *BoucWen) force(d, z float64) float64 {
-	return e.Alpha*e.K0*d + (1-e.Alpha)*e.K0*e.Dy*z
-}
-
-func (e *BoucWen) Restore(d float64) float64 {
-	e.z = e.advance(e.d, e.z, d)
-	e.d = d
-	return e.force(d, e.z)
-}
-
-func (e *BoucWen) Peek(d float64) float64 {
-	z := e.advance(e.d, e.z, d)
-	return e.force(d, z)
-}
-
-func (e *BoucWen) Stiffness() float64 {
-	// Finite-difference tangent around the current state.
-	const eps = 1e-9
-	f1 := e.Peek(e.d + eps)
-	f0 := e.force(e.d, e.z)
-	return (f1 - f0) / eps
-}
-
-func (e *BoucWen) InitialStiffness() float64 { return e.K0 }
-func (e *BoucWen) Reset()                    { e.d, e.z = 0, 0 }
-
 // CantileverColumnStiffness returns the lateral stiffness of a cantilever
 // column of Young's modulus E (Pa), second moment of area I (m⁴), and
 // height L (m): 3EI/L³. The MOST left and right columns were cantilevers
@@ -190,10 +113,4 @@ func (e *BoucWen) Reset()                    { e.d, e.z = 0, 0 }
 // their emulated specimens.
 func CantileverColumnStiffness(e, i, l float64) float64 {
 	return 3 * e * i / (l * l * l)
-}
-
-// FixedFixedColumnStiffness returns 12EI/L³, the lateral stiffness of a
-// column fixed against rotation at both ends.
-func FixedFixedColumnStiffness(e, i, l float64) float64 {
-	return 12 * e * i / (l * l * l)
 }

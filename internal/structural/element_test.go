@@ -115,50 +115,6 @@ func TestBilinearForceBoundedProperty(t *testing.T) {
 	}
 }
 
-func TestBoucWenSmallAmplitudeIsElastic(t *testing.T) {
-	e := NewBoucWen(1000, 0.1, 0.5, 0.5, 2, 0.01)
-	f := e.Restore(1e-6)
-	if !almostEq(f, 1000*1e-6, 1e-7) {
-		t.Fatalf("small-amplitude force = %g, want ~%g", f, 1000*1e-6)
-	}
-}
-
-func TestBoucWenHysteresisLoop(t *testing.T) {
-	e := NewBoucWen(1000, 0.1, 0.5, 0.5, 2, 0.01)
-	var energy float64
-	prevD, prevF := 0.0, 0.0
-	for i := 1; i <= 800; i++ {
-		d := 0.05 * math.Sin(2*math.Pi*float64(i)/400)
-		f := e.Restore(d)
-		energy += (f + prevF) / 2 * (d - prevD)
-		prevD, prevF = d, f
-	}
-	if energy <= 0 {
-		t.Fatalf("Bouc-Wen cyclic energy = %g, want positive", energy)
-	}
-}
-
-func TestBoucWenZBounded(t *testing.T) {
-	e := NewBoucWen(1000, 0.1, 0.5, 0.5, 2, 0.01)
-	for i := 0; i < 2000; i++ {
-		e.Restore(0.1 * math.Sin(float64(i)*0.1))
-	}
-	// Steady-state |z| bound is (1/(beta+gamma))^(1/n) = 1 here.
-	if math.Abs(e.z) > 1.01 {
-		t.Fatalf("z = %g escaped its bound", e.z)
-	}
-}
-
-func TestBoucWenPeekDoesNotMutate(t *testing.T) {
-	e := NewBoucWen(1000, 0.1, 0.5, 0.5, 2, 0.01)
-	e.Restore(0.02)
-	before := e.z
-	e.Peek(0.05)
-	if e.z != before {
-		t.Fatal("Peek mutated Bouc-Wen state")
-	}
-}
-
 func TestColumnStiffnessFormulas(t *testing.T) {
 	k3 := CantileverColumnStiffness(200e9, 2e-5, 2.5)
 	if !almostEq(k3, 3*200e9*2e-5/(2.5*2.5*2.5), 1e-6) {
@@ -176,7 +132,6 @@ func TestInvalidElementParamsPanic(t *testing.T) {
 		func() { NewBilinear(0, 1, 0.1) },
 		func() { NewBilinear(1, 0, 0.1) },
 		func() { NewBilinear(1, 1, 1.0) },
-		func() { NewBoucWen(0, 0.1, 0.5, 0.5, 2, 0.01) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -188,4 +143,10 @@ func TestInvalidElementParamsPanic(t *testing.T) {
 			fn()
 		}()
 	}
+}
+
+// FixedFixedColumnStiffness returns 12EI/L³, the lateral stiffness of a
+// column fixed against rotation at both ends.
+func FixedFixedColumnStiffness(e, i, l float64) float64 {
+	return 12 * e * i / (l * l * l)
 }

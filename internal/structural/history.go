@@ -26,33 +26,6 @@ func (h *History) Record(s State) { h.States = append(h.States, s) }
 // Len returns the number of recorded states.
 func (h *History) Len() int { return len(h.States) }
 
-// Displacement returns the displacement time series of one DOF.
-func (h *History) Displacement(dof int) []float64 {
-	out := make([]float64, len(h.States))
-	for i, s := range h.States {
-		out[i] = s.D[dof]
-	}
-	return out
-}
-
-// Force returns the restoring-force time series of one DOF.
-func (h *History) Force(dof int) []float64 {
-	out := make([]float64, len(h.States))
-	for i, s := range h.States {
-		out[i] = s.F[dof]
-	}
-	return out
-}
-
-// Times returns the time axis.
-func (h *History) Times() []float64 {
-	out := make([]float64, len(h.States))
-	for i, s := range h.States {
-		out[i] = s.T
-	}
-	return out
-}
-
 // PeakDisplacement returns the maximum |d| seen at a DOF.
 func (h *History) PeakDisplacement(dof int) float64 {
 	peak := 0.0

@@ -2,7 +2,6 @@ package structural
 
 import (
 	"fmt"
-	"math"
 )
 
 // RestoringFunc imposes a displacement vector on the (possibly distributed)
@@ -340,20 +339,4 @@ func RayleighDamping(m, k *Matrix, zeta, w1, w2 float64) *Matrix {
 	a0 := zeta * 2 * w1 * w2 / (w1 + w2)
 	a1 := zeta * 2 / (w1 + w2)
 	return m.Clone().Scale(a0).AddMatrix(k, a1)
-}
-
-// StableDt returns the central-difference stability limit 2/ω_max estimated
-// from the (diagonal) mass and initial stiffness: Δt < 2/√(k/m) per DOF.
-func StableDt(m, k *Matrix) float64 {
-	limit := math.Inf(1)
-	for i := 0; i < m.Rows; i++ {
-		mi, ki := m.At(i, i), k.At(i, i)
-		if mi <= 0 || ki <= 0 {
-			continue
-		}
-		if dt := 2 / math.Sqrt(ki/mi); dt < limit {
-			limit = dt
-		}
-	}
-	return limit
 }

@@ -309,3 +309,19 @@ func TestDampedEnergyMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// StableDt returns the central-difference stability limit 2/ω_max estimated
+// from the (diagonal) mass and initial stiffness: Δt < 2/√(k/m) per DOF.
+func StableDt(m, k *Matrix) float64 {
+	limit := math.Inf(1)
+	for i := 0; i < m.Rows; i++ {
+		mi, ki := m.At(i, i), k.At(i, i)
+		if mi <= 0 || ki <= 0 {
+			continue
+		}
+		if dt := 2 / math.Sqrt(ki/mi); dt < limit {
+			limit = dt
+		}
+	}
+	return limit
+}

@@ -30,15 +30,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Diagonal returns a square matrix with the given diagonal entries.
 func Diagonal(diag []float64) *Matrix {
 	m := NewMatrix(len(diag), len(diag))
@@ -96,26 +87,6 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 			s += rv * v[j]
 		}
 		out[i] = s
-	}
-	return out
-}
-
-// Mul returns the matrix product m·other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.Cols != other.Rows {
-		panic("structural: Mul dimension mismatch")
-	}
-	out := NewMatrix(m.Rows, other.Cols)
-	for i := 0; i < m.Rows; i++ {
-		for k := 0; k < m.Cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.Cols; j++ {
-				out.Add(i, j, a*other.At(k, j))
-			}
-		}
 	}
 	return out
 }
@@ -178,30 +149,6 @@ func (m *Matrix) Solve(b []float64) ([]float64, error) {
 	return x, nil
 }
 
-// Inverse returns m⁻¹ computed column-by-column via Solve.
-func (m *Matrix) Inverse() (*Matrix, error) {
-	if m.Rows != m.Cols {
-		return nil, fmt.Errorf("structural: Inverse requires square matrix")
-	}
-	n := m.Rows
-	inv := NewMatrix(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := m.Solve(e)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}
-
 // VecAdd returns a + s*b.
 func VecAdd(a []float64, b []float64, s float64) []float64 {
 	if len(a) != len(b) {
@@ -212,34 +159,4 @@ func VecAdd(a []float64, b []float64, s float64) []float64 {
 		out[i] = a[i] + s*b[i]
 	}
 	return out
-}
-
-// VecScale returns s*a.
-func VecScale(a []float64, s float64) []float64 {
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = s * a[i]
-	}
-	return out
-}
-
-// VecNorm returns the Euclidean norm of a.
-func VecNorm(a []float64) float64 {
-	s := 0.0
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// VecDot returns a·b.
-func VecDot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic("structural: VecDot length mismatch")
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
 }

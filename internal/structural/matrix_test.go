@@ -1,6 +1,7 @@
 package structural
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -197,4 +198,87 @@ func TestShapeMismatchPanics(t *testing.T) {
 		}
 	}()
 	NewMatrix(2, 2).MulVec([]float64{1})
+}
+
+// Identity returns the n×n identity matrix.
+func Identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// Inverse returns m⁻¹ computed column-by-column via Solve.
+func (m *Matrix) Inverse() (*Matrix, error) {
+	if m.Rows != m.Cols {
+		return nil, fmt.Errorf("structural: Inverse requires square matrix")
+	}
+	n := m.Rows
+	inv := NewMatrix(n, n)
+	e := make([]float64, n)
+	for j := 0; j < n; j++ {
+		for i := range e {
+			e[i] = 0
+		}
+		e[j] = 1
+		col, err := m.Solve(e)
+		if err != nil {
+			return nil, err
+		}
+		for i := 0; i < n; i++ {
+			inv.Set(i, j, col[i])
+		}
+	}
+	return inv, nil
+}
+
+// Mul returns the matrix product m·other.
+func (m *Matrix) Mul(other *Matrix) *Matrix {
+	if m.Cols != other.Rows {
+		panic("structural: Mul dimension mismatch")
+	}
+	out := NewMatrix(m.Rows, other.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := 0; k < m.Cols; k++ {
+			a := m.At(i, k)
+			if a == 0 {
+				continue
+			}
+			for j := 0; j < other.Cols; j++ {
+				out.Add(i, j, a*other.At(k, j))
+			}
+		}
+	}
+	return out
+}
+
+// VecScale returns s*a.
+func VecScale(a []float64, s float64) []float64 {
+	out := make([]float64, len(a))
+	for i := range a {
+		out[i] = s * a[i]
+	}
+	return out
+}
+
+// VecNorm returns the Euclidean norm of a.
+func VecNorm(a []float64) float64 {
+	s := 0.0
+	for _, v := range a {
+		s += v * v
+	}
+	return math.Sqrt(s)
+}
+
+// VecDot returns a·b.
+func VecDot(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic("structural: VecDot length mismatch")
+	}
+	s := 0.0
+	for i := range a {
+		s += a[i] * b[i]
+	}
+	return s
 }

@@ -198,3 +198,30 @@ func TestHistoryAccessors(t *testing.T) {
 		t.Fatalf("Times = %v", ts)
 	}
 }
+
+// Displacement returns the displacement time series of one DOF.
+func (h *History) Displacement(dof int) []float64 {
+	out := make([]float64, len(h.States))
+	for i, s := range h.States {
+		out[i] = s.D[dof]
+	}
+	return out
+}
+
+// Force returns the restoring-force time series of one DOF.
+func (h *History) Force(dof int) []float64 {
+	out := make([]float64, len(h.States))
+	for i, s := range h.States {
+		out[i] = s.F[dof]
+	}
+	return out
+}
+
+// Times returns the time axis.
+func (h *History) Times() []float64 {
+	out := make([]float64, len(h.States))
+	for i, s := range h.States {
+		out[i] = s.T
+	}
+	return out
+}

@@ -70,16 +70,6 @@ func (s *ElementSubstructure) Reset() error {
 	return nil
 }
 
-// InitialStiffness returns the diagonal initial-stiffness matrix of the
-// substructure (used to assemble the α-OS initial stiffness).
-func (s *ElementSubstructure) InitialStiffness() *Matrix {
-	k := NewMatrix(len(s.elements), len(s.elements))
-	for i, e := range s.elements {
-		k.Set(i, i, e.InitialStiffness())
-	}
-	return k
-}
-
 // Binding attaches a substructure's local DOFs to global model DOFs.
 type Binding struct {
 	Sub  Substructure
@@ -145,31 +135,4 @@ func (a *Assembly) Restore(d []float64) ([]float64, error) {
 		}
 	}
 	return f, nil
-}
-
-// Reset resets every bound substructure.
-func (a *Assembly) Reset() error {
-	for _, b := range a.Bindings {
-		if err := b.Sub.Reset(); err != nil {
-			return fmt.Errorf("structural: reset %s: %w", b.Sub.Name(), err)
-		}
-	}
-	return nil
-}
-
-// Gather extracts the local displacement vector for one binding from the
-// global vector.
-func (b Binding) Gather(global []float64) []float64 {
-	local := make([]float64, len(b.DOFs))
-	for i, g := range b.DOFs {
-		local[i] = global[g]
-	}
-	return local
-}
-
-// Scatter accumulates local forces into the global vector.
-func (b Binding) Scatter(local, global []float64) {
-	for i, g := range b.DOFs {
-		global[g] += local[i]
-	}
 }

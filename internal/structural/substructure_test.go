@@ -161,3 +161,30 @@ func TestBindingGatherScatter(t *testing.T) {
 		t.Fatalf("Scatter = %v", global)
 	}
 }
+
+// Gather extracts the local displacement vector for one binding from the
+// global vector.
+func (b Binding) Gather(global []float64) []float64 {
+	local := make([]float64, len(b.DOFs))
+	for i, g := range b.DOFs {
+		local[i] = global[g]
+	}
+	return local
+}
+
+// Scatter accumulates local forces into the global vector.
+func (b Binding) Scatter(local, global []float64) {
+	for i, g := range b.DOFs {
+		global[g] += local[i]
+	}
+}
+
+// InitialStiffness returns the diagonal initial-stiffness matrix of the
+// substructure (used to assemble the α-OS initial stiffness).
+func (s *ElementSubstructure) InitialStiffness() *Matrix {
+	k := NewMatrix(len(s.elements), len(s.elements))
+	for i, e := range s.elements {
+		k.Set(i, i, e.InitialStiffness())
+	}
+	return k
+}

@@ -181,13 +181,6 @@ func (h *Histogram) ObserveDurationExemplar(d time.Duration, traceID [16]byte) {
 	h.ObserveExemplar(v, hex.EncodeToString(traceID[:]))
 }
 
-// Time runs fn and records its wall-clock duration.
-func (h *Histogram) Time(fn func()) {
-	start := time.Now()
-	fn()
-	h.ObserveDuration(time.Since(start))
-}
-
 // BucketCount is one cumulative histogram bucket: the number of
 // observations less than or equal to the upper bound LE.
 type BucketCount struct {
@@ -339,13 +332,6 @@ func NewEventLog(capacity int) *EventLog {
 	return &EventLog{ring: make([]Event, capacity), clock: time.Now}
 }
 
-// SetClock overrides the time source (tests).
-func (l *EventLog) SetClock(clock func() time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.clock = clock
-}
-
 // Record appends an event, evicting the oldest when full. The fields map
 // is copied before it is retained, so a caller that reuses or keeps
 // mutating its map after recording cannot race the log's readers or
@@ -382,13 +368,6 @@ func (l *EventLog) Events() []Event {
 	out = append(out, l.ring[l.next:]...)
 	out = append(out, l.ring[:l.next]...)
 	return out
-}
-
-// Dropped returns how many events were evicted by the ring.
-func (l *EventLog) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
 }
 
 // Registry is a named collection of metrics plus an event log. Metric

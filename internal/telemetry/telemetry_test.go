@@ -296,3 +296,17 @@ func TestHistogramSnapshotBuckets(t *testing.T) {
 		t.Fatalf("count = %d", s.Count)
 	}
 }
+
+// Dropped returns how many events were evicted by the ring.
+func (l *EventLog) Dropped() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
+}
+
+// SetClock overrides the time source (tests).
+func (l *EventLog) SetClock(clock func() time.Time) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.clock = clock
+}

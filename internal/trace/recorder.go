@@ -43,10 +43,6 @@ func NewRecorder(capacity int) *Recorder {
 	return &Recorder{ring: make([]slot, capacity)}
 }
 
-// Record appends a finished span, evicting the oldest when full. Safe on
-// a nil recorder (drops).
-func (r *Recorder) Record(sd SpanData) { r.put(slot{sd: sd}) }
-
 // record is Record for a span whose IDs are still binary and whose
 // attributes are still inline.
 func (r *Recorder) record(sd SpanData, attrs attrSet, sc SpanContext, parent SpanID) {
@@ -112,14 +108,4 @@ func (r *Recorder) Trace(traceID string) []SpanData {
 		}
 	}
 	return out
-}
-
-// Dropped reports how many spans the ring has evicted.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }

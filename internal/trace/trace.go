@@ -190,9 +190,6 @@ type SpanData struct {
 	Err     string            `json:"error,omitempty"`
 }
 
-// Duration is the span's wall-clock extent.
-func (sd SpanData) Duration() time.Duration { return sd.End.Sub(sd.Start) }
-
 // Attr is one span attribute, as RecordSpan takes them.
 type Attr struct{ Key, Value string }
 
@@ -336,27 +333,12 @@ func NewTracer(service string, rec *Recorder) *Tracer {
 	return &Tracer{service: service, rec: rec, clock: time.Now}
 }
 
-// Service returns the service name spans are attributed to.
-func (t *Tracer) Service() string {
-	if t == nil {
-		return ""
-	}
-	return t.service
-}
-
 // Recorder returns the tracer's span sink (nil for a nil tracer).
 func (t *Tracer) Recorder() *Recorder {
 	if t == nil {
 		return nil
 	}
 	return t.rec
-}
-
-// SetClock overrides the time source (tests only).
-func (t *Tracer) SetClock(clock func() time.Time) {
-	if t != nil && clock != nil {
-		t.clock = clock
-	}
 }
 
 func (t *Tracer) now() time.Time {

@@ -425,3 +425,32 @@ func TestSpanJSONUnchangedByLazyIDs(t *testing.T) {
 		t.Fatalf("round trip: %+v %v", back, err)
 	}
 }
+
+// Dropped reports how many spans the ring has evicted.
+func (r *Recorder) Dropped() int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
+// Record appends a finished span, evicting the oldest when full. Safe on
+// a nil recorder (drops).
+func (r *Recorder) Record(sd SpanData) { r.put(slot{sd: sd}) }
+
+// Service returns the service name spans are attributed to.
+func (t *Tracer) Service() string {
+	if t == nil {
+		return ""
+	}
+	return t.service
+}
+
+// SetClock overrides the time source (tests only).
+func (t *Tracer) SetClock(clock func() time.Time) {
+	if t != nil && clock != nil {
+		t.clock = clock
+	}
+}
