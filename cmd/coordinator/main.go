@@ -39,6 +39,9 @@
 // via -slo are evaluated continuously; a breach latches into the verdict,
 // is written to <out>/<name>-metrics.json, and makes the run exit 3 even
 // when the stepping loop itself succeeded.
+//
+// The config becomes a most.Spec that most.Connect wires to the sites: the
+// run is the in-process harness's, model, ground, clients and obs alike.
 package main
 
 import (
@@ -48,8 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
 	"time"
@@ -58,12 +59,10 @@ import (
 	"neesgrid/internal/core"
 	"neesgrid/internal/groundmotion"
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/most"
 	"neesgrid/internal/obs"
-	"neesgrid/internal/ogsi"
 	"neesgrid/internal/runtime"
 	"neesgrid/internal/structural"
-	"neesgrid/internal/telemetry"
-	"neesgrid/internal/trace"
 )
 
 type groundConfig struct {
@@ -145,101 +144,36 @@ func run() int {
 			MaxBackoff: 2 * time.Second,
 		}
 	}
-
-	// One registry across the coordinator and every site client: step
-	// latency and NTCP round trips land in the same run report. Same for
-	// the tracer: step root spans and per-site client spans share one
-	// recorder, served at -pprof's /trace.
-	reg := telemetry.NewRegistry()
-	rec := trace.NewRecorder(0)
-	tracer := trace.NewTracer("coordinator", rec)
-
-	sup := runtime.NewSupervisor("coordinator")
-	ds := debugFlags.Install(sup, rec)
-	if ds != nil {
-		sup.Add("banner", runtime.Funcs{StartFunc: func(context.Context) error {
-			fmt.Printf("coordinator: pprof at http://%s/debug/pprof/, spans at /trace, probes at /healthz /readyz\n",
-				ds.Addr())
-			return nil
-		}})
-	}
-
-	totalK := 0.0
-	sites := make([]coord.Site, len(cfg.Sites))
-	for i, s := range cfg.Sites {
-		totalK += s.K
-		og := ogsi.NewClient("http://"+s.Addr, cred, trust)
-		og.Tracer = tracer
-		sites[i] = coord.Site{
-			Name:         s.Name,
-			Client:       core.NewClientWithTelemetry(og, retry, reg),
-			ControlPoint: s.Point,
-			DOFs:         []int{0},
-		}
-	}
-
-	// Observability plane: one scrape source per remote site's container
-	// /metrics, plus the coordinator's own registry in-process (with process
-	// self-metrics refreshed per fetch). SLO breaches latch into the verdict
-	// written to <out>/<name>-metrics.json and gate the exit code.
-	var slos []obs.SLO
-	if *sloPath != "" {
-		var err error
-		slos, err = obs.LoadSLOFile(*sloPath)
-		if err != nil {
-			return fatal("slo: %v", err)
-		}
-	}
-	sources := make([]obs.Source, 0, len(cfg.Sites)+1)
-	for _, s := range cfg.Sites {
-		sources = append(sources, obs.Source{Name: s.Name, URL: "http://" + s.Addr + "/metrics"})
-	}
-	coordSource := obs.Source{Name: "coordinator", Fetch: func() telemetry.Snapshot {
-		telemetry.ProcessMetrics(reg)
-		return reg.Snapshot()
-	}}
-	if ds != nil {
-		// Breach-triggered profile capture hits the -pprof debug mux.
-		coordSource.PprofURL = "http://" + ds.Addr()
-	}
-	sources = append(sources, coordSource)
-	agg := obs.New(obs.Config{Sources: sources, SLOs: slos, ProfileDir: *out})
-	sup.Add("obs-aggregator", agg)
-	if *obsAddr != "" {
-		ln, err := net.Listen("tcp", *obsAddr)
-		if err != nil {
-			return fatal("obs: listen %s: %v", *obsAddr, err)
-		}
-		obsSrv := &http.Server{Handler: agg.Mux()}
-		go func() { _ = obsSrv.Serve(ln) }()
-		sup.Adopt("obs-http", runtime.StopErrFunc(obsSrv.Close))
-		fmt.Printf("coordinator: obs aggregator at http://%s (endpoints: /fleet /metrics /slo /series /push)\n",
-			ln.Addr())
-	}
-
 	ground, err := loadGround(cfg)
 	if err != nil {
 		return fatal("%v", err)
 	}
-
-	m := structural.Diagonal([]float64{cfg.Mass})
-	k := structural.Diagonal([]float64{totalK})
-	var damp *structural.Matrix
-	if cfg.Damping > 0 {
-		wn := structuralNaturalFreq(totalK, cfg.Mass)
-		damp = structural.RayleighDamping(m, k, cfg.Damping, wn, 5*wn)
+	// One lumped story: the frame's stiffness is the sites' sum.
+	totalK := 0.0
+	sites := make([]most.SiteSpec, len(cfg.Sites))
+	addrs := make([]string, len(cfg.Sites))
+	for i, s := range cfg.Sites {
+		totalK += s.K
+		sites[i] = most.SiteSpec{Name: s.Name, Point: s.Point, K: s.K}
+		addrs[i] = s.Addr
 	}
-
-	ccfg := coord.Config{
-		M: m, C: damp, K: k,
-		Dt: cfg.Dt, Steps: cfg.Steps,
-		Ground:    ground.At,
-		RunID:     cfg.Name,
-		Telemetry: reg,
-		Tracer:    tracer,
+	spec := most.Spec{
+		Name: cfg.Name,
+		Frame: structural.FrameConfig{
+			Mass: cfg.Mass, LeftK: totalK, DampingRatio: cfg.Damping, Dt: cfg.Dt,
+		},
+		Steps:  cfg.Steps,
+		Ground: ground,
+		Retry:  retry,
+		Sites:  sites,
+	}
+	if *sloPath != "" {
+		if spec.SLOs, err = obs.LoadSLOFile(*sloPath); err != nil {
+			return fatal("slo: %v", err)
+		}
 	}
 	if *ckptPath != "" {
-		ccfg.Checkpoint = &coord.CheckpointConfig{Path: *ckptPath, Every: *ckptEvery}
+		spec.Checkpoint = &coord.CheckpointConfig{Path: *ckptPath, Every: *ckptEvery}
 	}
 	if *resume {
 		if *ckptPath == "" {
@@ -249,13 +183,42 @@ func run() int {
 		if err != nil {
 			return fatal("resume: %v", err)
 		}
-		ccfg.Resume = cp
+		spec.Resume = cp
 		fmt.Printf("coordinator: resuming %q from checkpoint at step %d\n", cp.RunID, cp.Step)
 	}
-	co, err := coord.New(ccfg, sites...)
-	if err != nil {
-		return fatal("coordinator: %v", err)
+
+	// An SLO breach captures goroutine profiles into -out from the -pprof
+	// debug mux, at the address it bound (so -pprof 127.0.0.1:0 works too).
+	var ds *runtime.DebugServer
+	var pprofURL func() string
+	if debugFlags.Addr != "" {
+		pprofURL = func() string { return "http://" + ds.Addr() }
 	}
+	exp, err := most.Connect(spec, cred, trust, addrs, *out, pprofURL)
+	if err != nil {
+		return fatal("%v", err)
+	}
+	// The step root spans and per-site client spans share the experiment's
+	// recorder, served at -pprof's /trace.
+	sup := runtime.NewSupervisor("coordinator")
+	ds = debugFlags.Install(sup, exp.TraceRecorder)
+	agg := exp.Obs()
+	sup.Add("obs-aggregator", agg)
+	var api *runtime.DebugServer
+	if *obsAddr != "" {
+		api = runtime.NewDebugServer(*obsAddr, agg.Mux())
+		sup.Add("obs-http", api)
+	}
+	// The banner starts last, so it prints the addresses the servers bound.
+	sup.Add("banner", runtime.Funcs{StartFunc: func(context.Context) error {
+		if ds != nil {
+			fmt.Printf("coordinator: pprof at http://%s/debug/pprof/, spans at /trace, probes at /healthz /readyz\n", ds.Addr())
+		}
+		if api != nil {
+			fmt.Printf("coordinator: obs aggregator at http://%s (endpoints: /fleet /metrics /slo /series /push)\n", api.Addr())
+		}
+		return nil
+	}})
 
 	// The stepping loop is the foreground job: a SIGINT/SIGTERM cancels
 	// ctx, the in-flight step errors out, and the flush below still runs —
@@ -263,7 +226,11 @@ func run() int {
 	return runtime.Main("coordinator", sup, func(ctx context.Context) error {
 		fmt.Printf("coordinator: running %q: %d steps x %g s over %d sites\n",
 			cfg.Name, cfg.Steps, cfg.Dt, len(sites))
-		hist, report, runErr := co.Run(ctx)
+		res, err := exp.Run(ctx)
+		if err != nil {
+			return err
+		}
+		hist, report, runErr := res.History, res.Report, res.Err
 
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			return fmt.Errorf("output dir: %w", err)
@@ -342,34 +309,22 @@ func seconds(v float64) string {
 	return time.Duration(v * float64(time.Second)).Round(time.Microsecond).String()
 }
 
-func structuralNaturalFreq(k, m float64) float64 {
-	cfg := structural.FrameConfig{Mass: m, LeftK: k}
-	return cfg.NaturalFrequency()
-}
-
+// loadGround reads the config's ground file, resampled to its dt, or
+// synthesizes the record the way an in-process run does.
 func loadGround(cfg experimentConfig) (*groundmotion.Record, error) {
-	if cfg.Ground.File != "" {
-		f, err := os.Open(cfg.Ground.File)
-		if err != nil {
-			return nil, fmt.Errorf("ground motion file: %w", err)
-		}
-		defer f.Close()
-		rec, err := groundmotion.ReadCSV(f, cfg.Ground.File)
-		if err != nil {
-			return nil, err
-		}
-		return rec.Resample(cfg.Dt)
+	if cfg.Ground.File == "" {
+		return most.ElCentroGround(cfg.Dt, cfg.Steps, cfg.Ground.PGAg, cfg.Ground.Seed)
 	}
-	g := groundmotion.ElCentroLike()
-	g.Dt = cfg.Dt
-	g.Duration = float64(cfg.Steps) * cfg.Dt
-	if cfg.Ground.PGAg > 0 {
-		g.PGA = cfg.Ground.PGAg * 9.81
+	f, err := os.Open(cfg.Ground.File)
+	if err != nil {
+		return nil, fmt.Errorf("ground motion file: %w", err)
 	}
-	if cfg.Ground.Seed != 0 {
-		g.Seed = cfg.Ground.Seed
+	defer f.Close()
+	rec, err := groundmotion.ReadCSV(f, cfg.Ground.File)
+	if err != nil {
+		return nil, err
 	}
-	return groundmotion.Generate(g)
+	return rec.Resample(cfg.Dt)
 }
 
 // writeOutputs writes the response history and the ground record as CSV

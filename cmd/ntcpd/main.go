@@ -1,6 +1,8 @@
 // Command ntcpd runs one NEESgrid site: an OGSI container hosting an NTCP
 // server whose control plugin drives either a numerical substructure or an
-// emulated rig (paper Fig. 2 / Fig. 9). Pointed at by cmd/coordinator.
+// emulated rig (paper Fig. 2 / Fig. 9). Pointed at by cmd/coordinator. The
+// plugin is most.NewBackend's, as an in-process site's, for any -kind; rigs
+// read back with sensor noise.
 //
 // Example (a UIUC-style site with an emulated servo-hydraulic rig):
 //
@@ -20,15 +22,13 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
+	"strings"
 	"time"
 
-	"neesgrid/internal/control"
 	"neesgrid/internal/core"
+	"neesgrid/internal/most"
 	"neesgrid/internal/ogsi"
-	"neesgrid/internal/plugin"
 	"neesgrid/internal/runtime"
-	"neesgrid/internal/structural"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 )
@@ -38,7 +38,8 @@ func main() { os.Exit(run()) }
 func run() int {
 	addr := flag.String("addr", "127.0.0.1:4455", "listen address")
 	point := flag.String("point", "drift", "control point name")
-	kind := flag.String("kind", "simulation", "backend: simulation|shore-western|xpc|kinetic")
+	kind := most.KindSimulation
+	flag.Var(&kind, "kind", "backend: "+strings.Join(most.KindNames(), "|"))
 	k := flag.Float64("k", 7.7e5, "substructure elastic stiffness N/m")
 	fy := flag.Float64("fy", 0, "yield force N (0 = linear)")
 	hardening := flag.Float64("hardening", 0.05, "post-yield stiffness ratio")
@@ -59,6 +60,7 @@ func run() int {
 	// The trace service name is the credential's CN — the site name in the
 	// merged timeline.
 	tracer := trace.NewTracer(id.ServiceName(), rec)
+	most.ExportSpanDrops(reg, rec)
 
 	sup := runtime.NewSupervisor("ntcpd")
 	ds := debugFlags.Install(sup, rec)
@@ -69,7 +71,10 @@ func run() int {
 	// registers after the container so it drains first — a mid-step
 	// coordinator sees the retryable drain code over a still-open listener,
 	// not a connection reset.
-	plug, err := buildPlugin(sup, *kind, *point, *k, *fy, *hardening)
+	backend, err := most.NewBackend(most.SiteSpec{
+		Name: id.ServiceName(), Kind: kind, Point: *point,
+		K: *k, Fy: *fy, Hardening: *hardening, Noisy: true,
+	}, sup, reg)
 	if err != nil {
 		return fatal("%v", err)
 	}
@@ -79,7 +84,7 @@ func run() int {
 			*point: {MaxDisplacement: *maxDisp},
 		}}
 	}
-	server := core.NewServer(plug, policy, core.ServerOptions{Telemetry: reg, Tracer: tracer})
+	server := core.NewServer(backend.Plugin, policy, core.ServerOptions{Telemetry: reg, Tracer: tracer})
 	cont := ogsi.NewContainer(id.Cred, id.Trust, id.Gridmap)
 	cont.UseTelemetry(reg)
 	cont.UseTracer(tracer)
@@ -91,7 +96,7 @@ func run() int {
 				return err
 			}
 			fmt.Printf("ntcpd: site %s serving %q (%s, k=%g) on %s\n",
-				id.Cred.Identity(), *point, *kind, *k, bound)
+				id.Cred.Identity(), *point, kind, *k, bound)
 			fmt.Printf("ntcpd: metrics at http://%s/metrics, spans at http://%s/trace\n",
 				bound, bound)
 			if ds != nil {
@@ -105,55 +110,6 @@ func run() int {
 	sup.Add("ntcp-server", server)
 
 	return runtime.Main("ntcpd", sup, nil)
-}
-
-// buildPlugin constructs the control backend, adopting any inline-started
-// rig pieces (controller servers, xPC targets) into sup's stop order.
-func buildPlugin(sup *runtime.Supervisor, kind, point string, k, fy, hardening float64) (core.Plugin, error) {
-	switch kind {
-	case "simulation":
-		var elem structural.Element
-		if fy > 0 {
-			elem = structural.NewBilinear(k, fy, hardening)
-		} else {
-			elem = structural.NewLinearElastic(k)
-		}
-		var mu sync.Mutex
-		return &core.SubstructurePlugin{Point: point, NDOF: 1,
-			Apply: func(d []float64) ([]float64, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				return []float64{elem.Restore(d[0])}, nil
-			}}, nil
-	case "shore-western":
-		rig := control.NewColumnRig(point+"-rig", control.DefaultActuator(), k, fy, hardening)
-		srv := control.NewShoreWesternServer(rig)
-		swAddr, err := srv.Start("127.0.0.1:0")
-		if err != nil {
-			return nil, fmt.Errorf("start shore-western controller: %w", err)
-		}
-		sup.Adopt("shore-western-server", runtime.StopErrFunc(srv.Close))
-		cl := control.NewShoreWesternClient(swAddr)
-		sup.Adopt("shore-western-client", runtime.StopErrFunc(cl.Close))
-		return &plugin.ShoreWesternPlugin{Point: point, Client: cl}, nil
-	case "xpc":
-		rig := control.NewColumnRig(point+"-rig", control.DefaultActuator(), k, fy, hardening)
-		target := control.NewXPCTarget(rig)
-		target.Start()
-		sup.Adopt("xpc-target", runtime.StopFunc(target.Stop))
-		return &plugin.XPCPlugin{Point: point, Target: target}, nil
-	case "kinetic":
-		sim := control.NewFirstOrderKinetic(point+"-kinetic", k, 0.02, 1.0)
-		var mu sync.Mutex
-		return &core.SubstructurePlugin{Point: point, NDOF: 1,
-			Apply: func(d []float64) ([]float64, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				return sim.Apply(d)
-			}}, nil
-	default:
-		return nil, fmt.Errorf("unknown -kind %q", kind)
-	}
 }
 
 func fatal(format string, args ...any) int {

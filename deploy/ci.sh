@@ -270,6 +270,24 @@ stage_chaos() {
     # and anything accepted is a complete, consistent checkpoint. A failing
     # input lands in the package's testdata/fuzz/<target>/ — check it in with
     # the fix.
+    #
+    # The targets are every Fuzz function of the module's packages, as
+    # `go test -list` finds them, so a new target joins the lane by existing.
+    # The lane prints the list it runs and fails on an empty one.
+    mod=$(go list -m) || return 1
+    listing=$(go test -list '^Fuzz' ./...) || { echo "$listing"; return 1; }
+    targets=$(echo "$listing" | awk -v mod="$mod" '
+        /^Fuzz/ { names[++n] = $1; next }
+        /^ok/ {
+            for (i = 1; i <= n; i++) printf "%s ./%s\n", names[i], substr($2, length(mod) + 2)
+            n = 0
+        }')
+    if [ -z "$targets" ]; then
+        echo "fuzz: go test -list '^Fuzz' ./... found no targets"
+        return 1
+    fi
+    echo "-- fuzz targets ($(echo "$targets" | wc -l | tr -d ' ')) --"
+    echo "$targets"
     while read -r target pkg; do
         echo "-- fuzz $target ($pkg) --"
         if ! go test -run '^$' -fuzz "^$target\$" -fuzztime 10s "$pkg"; then
@@ -279,21 +297,7 @@ stage_chaos() {
             return 1
         fi
     done <<TARGETS
-FuzzOpen ./internal/gsi
-FuzzOpenContext ./internal/gsi
-FuzzDecodeRequest ./internal/ogsi
-FuzzDecodeResponse ./internal/ogsi
-FuzzRecordCodec ./internal/core
-FuzzServerTransitions ./internal/core
-FuzzValue ./internal/wirejson
-FuzzServerSession ./internal/gridftp
-FuzzSpoolBlockMatchesCSV ./internal/daq
-FuzzShoreWesternServer ./internal/control
-FuzzShoreWesternReply ./internal/control
-FuzzFrameDecoder ./internal/nsds
-FuzzContainerSession ./internal/ogsi
-FuzzJournalReplay ./internal/journal
-FuzzLoadCheckpoint ./internal/coord
+$targets
 TARGETS
 }
 

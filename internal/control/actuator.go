@@ -131,6 +131,14 @@ func (a *Actuator) Move(target float64) (float64, error) {
 	return a.pos, nil
 }
 
+// SimTime returns accumulated simulated servo time (s) — the quantity that
+// made the real MOST run take five hours.
+func (a *Actuator) SimTime() float64 {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.simTime
+}
+
 // Position returns the noisy LVDT reading.
 func (a *Actuator) Position() float64 {
 	a.mu.Lock()

@@ -631,14 +631,6 @@ func (c *ShoreWesternClient) Ping() error {
 	return err
 }
 
-// SimTime returns accumulated simulated servo time (s) — the quantity that
-// made the real MOST run take five hours.
-func (a *Actuator) SimTime() float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.simTime
-}
-
 // Position returns the current simulated position.
 func (f *FirstOrderKinetic) Position() float64 {
 	f.mu.Lock()

@@ -50,6 +50,9 @@ func (r *Rig) Applied() int {
 	return r.applied
 }
 
+// SimTime returns the actuator's accumulated simulated servo time (s).
+func (r *Rig) SimTime() float64 { return r.actuator.SimTime() }
+
 // Apply moves the actuator to d[0], waits out the settle delay, and returns
 // the measured force. A tripped interlock fails every Apply until cleared.
 func (r *Rig) Apply(d []float64) ([]float64, error) {

@@ -62,6 +62,10 @@ func (x *XPCTarget) Stop() {
 	}
 }
 
+// Stroke is the rig's actuator stroke (m): the largest |command| the
+// target can reach.
+func (x *XPCTarget) Stroke() float64 { return x.rig.actuator.cfg.Stroke }
+
 func (x *XPCTarget) loop(stop <-chan struct{}, done chan<- struct{}) {
 	defer close(done)
 	for {

@@ -19,32 +19,30 @@ import (
 	"time"
 )
 
-// buildBinaries builds the named commands into bin (by default the three
-// of the NTCP deployment: gridca, ntcpd, coordinator).
+// buildBinaries builds the named commands into bin.
 func buildBinaries(t *testing.T, bin string, cmds ...string) {
 	t.Helper()
-	if len(cmds) == 0 {
-		cmds = []string{"gridca", "ntcpd", "coordinator"}
+	if err := goBuild(bin, cmds...); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// goBuild builds the module's named commands into bin.
+func goBuild(bin string, cmds ...string) error {
+	gomod, err := exec.Command("go", "env", "GOMOD").Output()
+	if err != nil {
+		return fmt.Errorf("go env GOMOD: %w", err)
 	}
 	args := []string{"build", "-o", bin + string(os.PathSeparator)}
 	for _, c := range cmds {
 		args = append(args, "neesgrid/cmd/"+c)
 	}
 	cmd := exec.Command("go", args...)
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	cmd.Dir = filepath.Dir(strings.TrimSpace(string(gomod)))
+	if out, err := cmd.CombinedOutput(); err != nil {
+		return fmt.Errorf("go build: %v\n%s", err, out)
 	}
-}
-
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	out, err := exec.Command("go", "env", "GOMOD").Output()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Dir(strings.TrimSpace(string(out)))
+	return nil
 }
 
 func freePort(t *testing.T) string {
@@ -75,30 +73,8 @@ func waitListening(t *testing.T, addr string) {
 }
 
 func TestMultiProcessDeployment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and spawns binaries")
-	}
-	bin := t.TempDir()
-	buildBinaries(t, bin)
-	work := t.TempDir()
-	certs := filepath.Join(work, "certs")
-
-	run := func(name string, args ...string) string {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		cmd.Dir = work
-		out, err := cmd.CombinedOutput()
-		if err != nil {
-			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
-		}
-		return string(out)
-	}
-
 	// 1. Trust domain.
-	run("gridca", "init", "-dir", certs)
-	for _, subject := range []string{"uiuc", "ncsa", "cu", "coordinator"} {
-		run("gridca", "issue", "-dir", certs, "-subject", "/O=NEES/CN="+subject)
-	}
+	d := newDeployment(t)
 
 	// 2. Three sites as daemons.
 	type site struct {
@@ -111,56 +87,15 @@ func TestMultiProcessDeployment(t *testing.T) {
 		{"cu", "right-column", "simulation", 7.68e5},
 	}
 	addrs := make([]string, len(sites))
+	cfgSites := make([]map[string]any, len(sites))
 	for i, s := range sites {
-		addrs[i] = freePort(t)
-		cmd := exec.Command(filepath.Join(bin, "ntcpd"),
-			"-addr", addrs[i],
-			"-ca-cert", filepath.Join(certs, "ca.cert"),
-			"-cred", filepath.Join(certs, s.name+".cred"),
-			"-allow", "/O=NEES/CN=coordinator=coord",
-			"-point", s.point,
-			"-kind", s.kind,
-			"-k", fmt.Sprint(s.k),
-			"-max-disp", "0.15",
-		)
-		cmd.Dir = work
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		proc := cmd.Process
-		t.Cleanup(func() {
-			_ = proc.Kill()
-			_, _ = cmd.Process.Wait()
-		})
-	}
-	for _, a := range addrs {
-		waitListening(t, a)
+		addrs[i] = d.startSite(t, s.name, "-point", s.point, "-kind", s.kind,
+			"-k", fmt.Sprint(s.k), "-max-disp", "0.15")
+		cfgSites[i] = map[string]any{"name": s.name, "addr": addrs[i], "point": s.point, "k": s.k}
 	}
 
 	// 3. Coordinator config and run.
-	cfg := map[string]any{
-		"name": "e2e", "mass": 20000.0, "damping": 0.02,
-		"dt": 0.01, "steps": 60,
-		"ground": map[string]any{"pga_g": 0.4, "seed": 1940},
-		"retry":  map[string]any{"attempts": 5, "backoff_ms": 50},
-		"sites": []map[string]any{
-			{"name": "uiuc", "addr": addrs[0], "point": "left-column", "k": 7.68e5},
-			{"name": "ncsa", "addr": addrs[1], "point": "middle-frame", "k": 2.0e6},
-			{"name": "cu", "addr": addrs[2], "point": "right-column", "k": 7.68e5},
-		},
-	}
-	raw, _ := json.MarshalIndent(cfg, "", "  ")
-	cfgPath := filepath.Join(work, "e2e.json")
-	if err := os.WriteFile(cfgPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outDir := filepath.Join(work, "out")
-	output := run("coordinator",
-		"-config", cfgPath,
-		"-ca-cert", filepath.Join(certs, "ca.cert"),
-		"-cred", filepath.Join(certs, "coordinator.cred"),
-		"-out", outDir,
-	)
+	outDir, output := d.coordinate(t, coordinatorConfig("e2e", 60, cfgSites))
 	if !strings.Contains(output, "completed 60/60 steps") {
 		t.Fatalf("coordinator output:\n%s", output)
 	}
@@ -189,9 +124,18 @@ func TestMultiProcessDeployment(t *testing.T) {
 		t.Fatal("history shows no displacement")
 	}
 
-	// 5. The coordinator process (ogsi.DefaultTransport, no cap) carried
-	// every envelope to a site on one session, and the session closed when
-	// the process exited.
+	// 5. The run report has each site's NTCP round trips apart, as an
+	// in-process run's does.
+	merged := readRollup(t, filepath.Join(outDir, "e2e-metrics.json")).Fleet.Merged
+	for _, s := range sites {
+		if h := merged.Histograms["ntcp.client."+s.name+".rtt.seconds"]; h.Count == 0 {
+			t.Errorf("e2e-metrics.json has no round trips for %s", s.name)
+		}
+	}
+
+	// 6. The coordinator process (one pinned session transport per site)
+	// carried every envelope to a site on one session, and the session
+	// closed when the process exited.
 	for i, s := range sites {
 		snap := siteMetrics(t, addrs[i])
 		if n := snap.Counters["ogsi.sessions.accepted"]; n != 1 {

@@ -49,26 +49,8 @@ func waitStatus(t *testing.T, url string, want int, within time.Duration) {
 }
 
 func TestGracefulShutdown(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and spawns binaries")
-	}
-	bin := t.TempDir()
-	buildBinaries(t, bin)
-	work := t.TempDir()
-	certs := filepath.Join(work, "certs")
-
-	run := func(name string, args ...string) {
-		t.Helper()
-		cmd := exec.Command(filepath.Join(bin, name), args...)
-		cmd.Dir = work
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("%s %v: %v\n%s", name, args, err, out)
-		}
-	}
-	run("gridca", "init", "-dir", certs)
-	for _, subject := range []string{"uiuc", "cu", "coordinator"} {
-		run("gridca", "issue", "-dir", certs, "-subject", "/O=NEES/CN="+subject)
-	}
+	d := newDeployment(t)
+	bin, certs, work := d.bin, d.certs, t.TempDir()
 
 	// Two sites with probe listeners and a lame-duck window long enough to
 	// observe the 503 before the listeners close.

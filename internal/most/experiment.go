@@ -149,6 +149,7 @@ func newExperiment(spec Spec, ca *gsi.Authority, trust *gsi.TrustStore, cred *gs
 		TraceRecorder: trace.NewRecorder(0),
 		sup:           runtime.NewSupervisor("experiment:" + spec.Name)}
 	exp.Tracer = trace.NewTracer("coordinator", exp.TraceRecorder)
+	ExportSpanDrops(exp.Telemetry, exp.TraceRecorder)
 	return exp
 }
 
@@ -175,17 +176,28 @@ func (e *Experiment) wireSiteFeed(site *Site) error {
 	return nil
 }
 
-// coordinatorSource is the in-process obs source over the experiment's
-// coordinator-side registry (with process self-metrics refreshed per
-// fetch).
-func (e *Experiment) coordinatorSource() obs.Source {
-	return obs.Source{
-		Name: "coordinator",
-		Fetch: func() telemetry.Snapshot {
-			telemetry.ProcessMetrics(e.Telemetry)
-			return e.Telemetry.Snapshot()
-		},
+// wireObs builds the observability plane, not started (see obsAgg): one
+// scrape source per listed site's container /metrics, plus the coordinator
+// registry in-process (with process self-metrics refreshed per fetch). An
+// SLO breach writes goroutine profiles from the coordinator's debug mux at
+// pprofURL() into profileDir (empty or nil: none).
+func (e *Experiment) wireObs(sites []*Site, profileDir string, pprofURL func() string) {
+	sources := make([]obs.Source, 0, len(sites)+1)
+	for _, s := range sites {
+		sources = append(sources, obs.Source{Name: s.Spec.Name, URL: "http://" + s.Addr + "/metrics"})
 	}
+	e.obsAgg = obs.New(obs.Config{
+		Sources: append(sources, obs.Source{
+			Name: "coordinator",
+			Fetch: func() telemetry.Snapshot {
+				telemetry.ProcessMetrics(e.Telemetry)
+				return e.Telemetry.Snapshot()
+			},
+			PprofURL: pprofURL,
+		}),
+		SLOs:       e.Spec.SLOs,
+		ProfileDir: profileDir,
+	})
 }
 
 // Build starts every site and wires monitoring.
@@ -227,19 +239,7 @@ func Build(spec Spec) (*Experiment, error) {
 		}
 		exp.sup.Adopt("archive-ftp", runtime.StopErrFunc(exp.arch.ftp.Close))
 	}
-	// Observability plane: one scrape source per site over the container's
-	// /metrics HTTP endpoint, plus the coordinator registry in-process (with
-	// process self-metrics refreshed per fetch). Wired, not started — see
-	// the obsAgg field comment.
-	sources := make([]obs.Source, 0, len(exp.Sites)+1)
-	for _, s := range exp.Sites {
-		sources = append(sources, obs.Source{
-			Name: s.Spec.Name,
-			URL:  "http://" + s.Addr + "/metrics",
-		})
-	}
-	sources = append(sources, exp.coordinatorSource())
-	exp.obsAgg = obs.New(obs.Config{Sources: sources, SLOs: spec.SLOs})
+	exp.wireObs(exp.Sites, "", nil)
 	// Everything above adopted already-running pieces; Start just flips the
 	// supervisor ready so /readyz-style probes and Healthy report sanely.
 	if err := exp.sup.Start(context.Background()); err != nil {
@@ -312,14 +312,30 @@ func BuildShared(spec Spec, ca *gsi.Authority, trust *gsi.TrustStore, tenant str
 	exp.sup.Adopt("tenant-authz", runtime.StopFunc(func() {
 		revokeAll(sites, identity)
 	}))
-	exp.obsAgg = obs.New(obs.Config{
-		Sources: []obs.Source{exp.coordinatorSource()},
-		SLOs:    spec.SLOs,
-	})
+	exp.wireObs(nil, "", nil)
 	if err := exp.sup.Start(context.Background()); err != nil {
 		exp.Stop()
 		return nil, err
 	}
+	return exp, nil
+}
+
+// Connect wires an experiment to sites already serving elsewhere, the
+// ntcpd daemons of a multi-process deployment: addrs[i] is the container
+// of spec.Sites[i], and cred the coordinator's credential. It starts and
+// owns no site. Run drives them as it drives Build's sites, with the same
+// clients, model, ground and obs plane but no fault injector, so spec
+// schedules no faults, DAQ scans or archive. An SLO breach profiles the
+// debug mux pprofURL names at the time into profileDir.
+func Connect(spec Spec, cred *gsi.Credential, trust *gsi.TrustStore, addrs []string, profileDir string, pprofURL func() string) (*Experiment, error) {
+	if len(addrs) != len(spec.Sites) || len(spec.Faults) > 0 || spec.DAQEvery > 0 || spec.Archive != nil {
+		return nil, fmt.Errorf("most: connect takes one address per site (%d for %d) and no faults, DAQ scans or archive", len(addrs), len(spec.Sites))
+	}
+	exp := newExperiment(spec, nil, trust, cred)
+	for i, ss := range spec.Sites {
+		exp.Sites = append(exp.Sites, &Site{Spec: ss.withDefaults(), Addr: addrs[i]})
+	}
+	exp.wireObs(exp.Sites, profileDir, pprofURL)
 	return exp, nil
 }
 
@@ -376,6 +392,22 @@ func (e *Experiment) Stop() error {
 	return e.sup.Stop(ctx)
 }
 
+// ElCentroGround synthesizes the El Centro-like record of steps samples of
+// dt, peaking at pgaG g, from seed (zero keeps the generator's own). Run and
+// the coordinator daemon both generate ground with it, to the last bit.
+func ElCentroGround(dt float64, steps int, pgaG float64, seed int64) (*groundmotion.Record, error) {
+	cfg := groundmotion.ElCentroLike()
+	cfg.Dt = dt
+	cfg.Duration = float64(steps) * dt
+	if pgaG > 0 {
+		cfg.PGA = pgaG * 9.81
+	}
+	if seed != 0 {
+		cfg.Seed = seed
+	}
+	return groundmotion.Generate(cfg)
+}
+
 // Run executes the experiment.
 func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 	spec := e.Spec
@@ -385,12 +417,8 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 	}
 	ground := spec.Ground
 	if ground == nil {
-		cfg := groundmotion.ElCentroLike()
-		cfg.Dt = spec.Frame.Dt
-		cfg.Duration = float64(steps) * spec.Frame.Dt
 		var err error
-		ground, err = groundmotion.Generate(cfg)
-		if err != nil {
+		if ground, err = ElCentroGround(spec.Frame.Dt, steps, 0, 0); err != nil {
 			return nil, err
 		}
 	}
@@ -481,7 +509,9 @@ func (e *Experiment) Run(ctx context.Context) (*Results, error) {
 	results.Report = report
 	results.Err = runErr
 	for _, s := range e.Sites {
-		results.InjectedFaults += s.Injector.Injected()
+		if s.Injector != nil {
+			results.InjectedFaults += s.Injector.Injected()
+		}
 	}
 	if err := e.drainArchive(); err != nil && results.ArchiveErr == nil {
 		results.ArchiveErr = err

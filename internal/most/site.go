@@ -56,23 +56,36 @@ const (
 	KindKinetic
 )
 
+// kindNames is the back ends' one name table: String prints from it and
+// Set (ntcpd's -kind) parses through it.
+var kindNames = [...]string{
+	KindSimulation:   "simulation",
+	KindMpluginSim:   "mplugin-sim",
+	KindShoreWestern: "shore-western",
+	KindXPC:          "xpc",
+	KindLabView:      "labview",
+	KindKinetic:      "kinetic",
+}
+
 func (k BackendKind) String() string {
-	switch k {
-	case KindSimulation:
-		return "simulation"
-	case KindMpluginSim:
-		return "mplugin-sim"
-	case KindShoreWestern:
-		return "shore-western"
-	case KindXPC:
-		return "xpc"
-	case KindLabView:
-		return "labview"
-	case KindKinetic:
-		return "kinetic"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// KindNames lists every kind's name, in kind order.
+func KindNames() []string { return append([]string(nil), kindNames[:]...) }
+
+// Set parses a kind's name, so a kind is a flag.Value.
+func (k *BackendKind) Set(name string) error {
+	for i, n := range kindNames {
+		if n == name {
+			*k = BackendKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown backend kind %q", name)
 }
 
 // SiteSpec describes one experiment site.
@@ -132,9 +145,9 @@ type Site struct {
 	// sup supervises the site's components — rig daemons, container, NTCP
 	// server, hub — so teardown is ordered (reverse of start), deadline-
 	// bounded, and error-reporting instead of an ad-hoc cleanup slice.
-	sup    *runtime.Supervisor
-	relay  *nsds.LocalRelay
-	resets []func() error
+	sup   *runtime.Supervisor
+	relay *nsds.LocalRelay
+	reset func() error
 	// rec is the recording plugin wrapped around the control backend; a
 	// daemon restart builds a fresh NTCP server over the same plugin so the
 	// specimen (and its hysteresis) survives while the transaction table
@@ -238,10 +251,8 @@ func (s *Site) currentServer() *core.Server {
 // between-runs specimen reset (the paper ran the full experiment twice,
 // dry run then public run).
 func (s *Site) Reset() error {
-	for _, r := range s.resets {
-		if err := r(); err != nil {
-			return err
-		}
+	if err := s.reset(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.lastDisp, s.lastForce = 0, 0
@@ -301,126 +312,120 @@ func (s *Site) Supervisor() *runtime.Supervisor { return s.sup }
 // Healthy aggregates the site's component health.
 func (s *Site) Healthy() error { return s.sup.Healthy() }
 
-// buildBackend constructs the plugin (and any rig/daemon) for a spec.
-func buildBackend(spec SiteSpec, site *Site) (core.Plugin, error) {
-	point := spec.Point
-	elastic := spec.K
+// Backend is a site's control plugin, the emulated rig behind it (the
+// Shore-Western and xPC kinds only), and its specimen reset.
+type Backend struct {
+	Plugin core.Plugin
+	Rig    *control.Rig
+	Reset  func() error
+}
+
+// NewBackend builds the control plugin of spec's kind, for in-process sites
+// and ntcpd alike. Its daemons start here and join sup's stop order. A rig
+// refuses at proposal a move beyond its actuator's stroke and exports its
+// simulated servo time on reg as control.rig.sim_time.seconds.
+func NewBackend(spec SiteSpec, sup *runtime.Supervisor, reg *telemetry.Registry) (Backend, error) {
 	switch spec.Kind {
-	case KindSimulation:
-		var elem structural.Element
-		if spec.Fy > 0 {
-			elem = structural.NewBilinear(elastic, spec.Fy, spec.Hardening)
+	case KindSimulation, KindMpluginSim, KindKinetic:
+		// A numerical substructure behind one lock, so a between-runs
+		// Reset never interleaves with an Apply.
+		var apply func(d []float64) ([]float64, error)
+		var reset func() error
+		if spec.Kind == KindKinetic {
+			sim := control.NewFirstOrderKinetic(spec.Name+"-kinetic", spec.K, 0.02, 1.0)
+			apply, reset = sim.Apply, sim.Reset
 		} else {
-			elem = structural.NewLinearElastic(elastic)
+			var elem structural.Element
+			if spec.Fy > 0 {
+				elem = structural.NewBilinear(spec.K, spec.Fy, spec.Hardening)
+			} else {
+				elem = structural.NewLinearElastic(spec.K)
+			}
+			apply = func(d []float64) ([]float64, error) { return []float64{elem.Restore(d[0])}, nil }
+			reset = func() error { elem.Reset(); return nil }
 		}
 		var mu sync.Mutex
-		site.resets = append(site.resets, func() error {
+		locked := func(d []float64) ([]float64, error) {
 			mu.Lock()
 			defer mu.Unlock()
-			elem.Reset()
-			return nil
-		})
-		return &core.SubstructurePlugin{
-			Point: point, NDOF: 1,
-			Apply: func(d []float64) ([]float64, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				return []float64{elem.Restore(d[0])}, nil
-			},
-		}, nil
-
-	case KindMpluginSim:
-		m := plugin.NewMplugin(point, 1, 16)
-		var elem structural.Element
-		if spec.Fy > 0 {
-			elem = structural.NewBilinear(elastic, spec.Fy, spec.Hardening)
-		} else {
-			elem = structural.NewLinearElastic(elastic)
+			return apply(d)
 		}
+		b := Backend{Reset: func() error {
+			mu.Lock()
+			defer mu.Unlock()
+			return reset()
+		}}
+		if spec.Kind != KindMpluginSim {
+			b.Plugin = &core.SubstructurePlugin{Point: spec.Point, NDOF: 1, Apply: locked}
+			return b, nil
+		}
+		m := plugin.NewMplugin(spec.Point, 1, 16)
 		ctx, cancel := context.WithCancel(context.Background())
-		var mu sync.Mutex
-		go func() {
-			_ = m.RunBackend(ctx, func(d []float64) ([]float64, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				return []float64{elem.Restore(d[0])}, nil
-			})
-		}()
-		site.sup.Adopt("mplugin-backend", runtime.StopFunc(cancel))
-		site.resets = append(site.resets, func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			elem.Reset()
-			return nil
-		})
-		return m, nil
+		go func() { _ = m.RunBackend(ctx, locked) }()
+		sup.Adopt("mplugin-backend", runtime.StopFunc(cancel))
+		b.Plugin = m
+		return b, nil
 
-	case KindShoreWestern:
+	case KindShoreWestern, KindXPC:
 		cfg := control.DefaultActuator()
 		if !spec.Noisy {
 			cfg.PositionNoiseStd = 0
 			cfg.ForceNoiseStd = 0
 		}
-		rig := control.NewColumnRig(spec.Name+"-rig", cfg, elastic, spec.Fy, spec.Hardening)
-		site.Rig = rig
+		rig := control.NewColumnRig(spec.Name+"-rig", cfg, spec.K, spec.Fy, spec.Hardening)
+		reg.GaugeFunc("control.rig.sim_time.seconds", rig.SimTime)
+		b := Backend{Rig: rig, Reset: rig.Reset}
+		if spec.Kind == KindXPC {
+			target := control.NewXPCTarget(rig)
+			target.Start()
+			sup.Adopt("xpc-target", runtime.StopFunc(target.Stop))
+			b.Plugin = &plugin.XPCPlugin{Point: spec.Point, Target: target}
+			return b, nil
+		}
 		srv := control.NewShoreWesternServer(rig)
 		addr, err := srv.Start("127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return Backend{}, err
 		}
-		site.sup.Adopt("shore-western-server", runtime.StopErrFunc(srv.Close))
+		sup.Adopt("shore-western-server", runtime.StopErrFunc(srv.Close))
 		cl := control.NewShoreWesternClient(addr)
-		site.sup.Adopt("shore-western-client", runtime.StopErrFunc(cl.Close))
-		site.resets = append(site.resets, rig.Reset)
-		return &plugin.ShoreWesternPlugin{Point: point, Client: cl}, nil
-
-	case KindXPC:
-		cfg := control.DefaultActuator()
-		if !spec.Noisy {
-			cfg.PositionNoiseStd = 0
-			cfg.ForceNoiseStd = 0
-		}
-		rig := control.NewColumnRig(spec.Name+"-rig", cfg, elastic, spec.Fy, spec.Hardening)
-		site.Rig = rig
-		target := control.NewXPCTarget(rig)
-		target.Start()
-		site.sup.Adopt("xpc-target", runtime.StopFunc(target.Stop))
-		site.resets = append(site.resets, rig.Reset)
-		return &plugin.XPCPlugin{Point: point, Target: target}, nil
+		sup.Adopt("shore-western-client", runtime.StopErrFunc(cl.Close))
+		b.Plugin = &plugin.ShoreWesternPlugin{Point: spec.Point, Client: cl, MaxDisplacement: cfg.Stroke}
+		return b, nil
 
 	case KindLabView:
-		stepper := control.NewStepperBeam(spec.Name+"-beam", elastic, 1e-5, 200_000)
+		stepper := control.NewStepperBeam(spec.Name+"-beam", spec.K, 1e-5, 200_000)
 		daemon := plugin.NewLabViewDaemon(stepper)
 		addr, err := daemon.Start("127.0.0.1:0")
 		if err != nil {
-			return nil, err
+			return Backend{}, err
 		}
-		site.sup.Adopt("labview-daemon", runtime.StopErrFunc(daemon.Close))
-		p := &plugin.LabViewPlugin{Point: point, Addr: addr}
-		site.sup.Adopt("labview-plugin", runtime.StopErrFunc(p.Close))
-		site.resets = append(site.resets, stepper.Reset)
-		return p, nil
-
-	case KindKinetic:
-		sim := control.NewFirstOrderKinetic(spec.Name+"-kinetic", elastic, 0.02, 1.0)
-		var mu sync.Mutex
-		site.resets = append(site.resets, func() error {
-			mu.Lock()
-			defer mu.Unlock()
-			return sim.Reset()
-		})
-		return &core.SubstructurePlugin{
-			Point: point, NDOF: 1,
-			Apply: func(d []float64) ([]float64, error) {
-				mu.Lock()
-				defer mu.Unlock()
-				return sim.Apply(d)
-			},
-		}, nil
+		sup.Adopt("labview-daemon", runtime.StopErrFunc(daemon.Close))
+		p := &plugin.LabViewPlugin{Point: spec.Point, Addr: addr}
+		sup.Adopt("labview-plugin", runtime.StopErrFunc(p.Close))
+		return Backend{Plugin: p, Reset: stepper.Reset}, nil
 
 	default:
-		return nil, fmt.Errorf("most: unknown backend kind %v", spec.Kind)
+		return Backend{}, fmt.Errorf("most: unknown backend kind %v", spec.Kind)
 	}
+}
+
+// ExportSpanDrops exports rec's evicted span count on reg as the gauge
+// trace.spans.dropped, so a wrapped span ring is told from a quiet one.
+func ExportSpanDrops(reg *telemetry.Registry, rec *trace.Recorder) {
+	reg.GaugeFunc("trace.spans.dropped", func() float64 { return float64(rec.Dropped()) })
+}
+
+// withDefaults fills what a spec may leave out: control point "drift",
+// DOFs [0].
+func (spec SiteSpec) withDefaults() SiteSpec {
+	if spec.Point == "" {
+		spec.Point = "drift"
+	}
+	if len(spec.DOFs) == 0 {
+		spec.DOFs = []int{0}
+	}
+	return spec
 }
 
 // StartSharedSite builds and starts one site against a long-lived pool CA
@@ -435,12 +440,7 @@ func StartSharedSite(ca *gsi.Authority, trust *gsi.TrustStore, spec SiteSpec) (*
 
 // startSite builds and starts one site against the experiment CA.
 func startSite(ca *gsi.Authority, trust *gsi.TrustStore, coordIdentity string, spec SiteSpec) (*Site, error) {
-	if spec.Point == "" {
-		spec.Point = "drift"
-	}
-	if len(spec.DOFs) == 0 {
-		spec.DOFs = []int{0}
-	}
+	spec = spec.withDefaults()
 	site := &Site{
 		Spec:         spec,
 		Injector:     faultnet.NewInjector(spec.WAN),
@@ -454,12 +454,14 @@ func startSite(ca *gsi.Authority, trust *gsi.TrustStore, coordIdentity string, s
 	site.Hub.UseTelemetry(site.Telemetry, "hub")
 	// Pre-register at zero: a site that never restarted exports the series.
 	site.Telemetry.Counter("most.site.restarts")
+	ExportSpanDrops(site.Telemetry, site.SpanRecorder)
 
-	backend, err := buildBackend(spec, site)
+	backend, err := NewBackend(spec, site.sup, site.Telemetry)
 	if err != nil {
 		return nil, fmt.Errorf("most: site %s: %w", spec.Name, err)
 	}
-	rec := &recordingPlugin{inner: backend, site: site}
+	site.Rig, site.reset = backend.Rig, backend.Reset
+	rec := &recordingPlugin{inner: backend.Plugin, site: site}
 	site.rec = rec
 
 	siteCred, err := ca.Issue("/O=NEES/CN="+spec.Name, 24*time.Hour)
@@ -553,13 +555,18 @@ func startSite(ca *gsi.Authority, trust *gsi.TrustStore, coordIdentity string, s
 // coordSite binds a running site into the coordinator topology. reg is the
 // coordinator-side registry shared across all sites' NTCP clients (and the
 // coordinator itself), so a run reports WAN round-trip latency and recovery
-// counts in one place.
+// counts in one place, per site and in total.
 func (s *Site) coordSite(cred *gsi.Credential, trust *gsi.TrustStore, retry core.RetryPolicy, reg *telemetry.Registry, tracer *trace.Tracer) coord.Site {
 	og := ogsi.NewClient("http://"+s.Addr, cred, trust)
-	// A pinned session transport per site underneath the fault injector:
-	// the long-lived site session, so no step after the first pays a dial —
-	// while injected latency and failures still apply once per envelope.
-	og.HTTP = &http.Client{Transport: faultnet.NewTransportOver(s.Injector, ogsi.NewPinnedTransport(2))}
+	// A pinned session transport per site: the long-lived site session, so
+	// no step after the first pays a dial. Under a fault injector (sites
+	// Build starts), injected latency and failures still apply once per
+	// envelope.
+	var rt http.RoundTripper = ogsi.NewPinnedTransport(2)
+	if s.Injector != nil {
+		rt = faultnet.NewTransportOver(s.Injector, rt)
+	}
+	og.HTTP = &http.Client{Transport: rt}
 	og.Tracer = tracer
 	return coord.Site{
 		Name:         s.Spec.Name,

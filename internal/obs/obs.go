@@ -41,9 +41,10 @@ type Source struct {
 	// Fetch short-circuits HTTP for in-process producers (the most
 	// harness hands the aggregator each site's registry directly).
 	Fetch func() telemetry.Snapshot
-	// PprofURL is the producer's -pprof debug mux base (http://host:port);
-	// when set, an SLO breach captures a goroutine profile from it.
-	PprofURL string
+	// PprofURL returns the producer's -pprof debug mux base (http://host:port)
+	// at breach time, so a mux bound later is found; an SLO breach captures
+	// a goroutine profile from the URL it returns.
+	PprofURL func() string
 }
 
 // Health states a site moves through, derived purely from scrape history.

@@ -248,8 +248,10 @@ func (a *Aggregator) captureProfiles(rule string) {
 	type target struct{ name, url string }
 	var targets []target
 	for _, name := range a.order {
-		if u := a.sites[name].src.PprofURL; u != "" {
-			targets = append(targets, target{name, u})
+		if f := a.sites[name].src.PprofURL; f != nil {
+			if u := f(); u != "" {
+				targets = append(targets, target{name, u})
+			}
 		}
 	}
 	dir := a.cfg.ProfileDir

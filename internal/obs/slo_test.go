@@ -165,7 +165,7 @@ func TestSLOBreachCapturesProfile(t *testing.T) {
 	dir := t.TempDir()
 	clk := newTestClock()
 	a := New(Config{
-		Sources:    []Source{{Name: "coord", Fetch: reg.Snapshot, PprofURL: dbg.URL}},
+		Sources:    []Source{{Name: "coord", Fetch: reg.Snapshot, PprofURL: func() string { return dbg.URL }}},
 		SLOs:       []SLO{{Name: "step-p99", Kind: KindQuantile, Metric: "coord.step.seconds", Q: 0.99, Max: 1}},
 		ProfileDir: dir,
 		Client:     &http.Client{Timeout: 5 * time.Second},
@@ -203,7 +203,7 @@ func TestSLOProfileFailureRecordsEvent(t *testing.T) {
 	reg.Histogram("coord.step.seconds").Observe(10)
 	clk := newTestClock()
 	a := New(Config{
-		Sources:    []Source{{Name: "coord", Fetch: reg.Snapshot, PprofURL: dbg.URL}},
+		Sources:    []Source{{Name: "coord", Fetch: reg.Snapshot, PprofURL: func() string { return dbg.URL }}},
 		SLOs:       []SLO{{Name: "step-p99", Kind: KindQuantile, Metric: "coord.step.seconds", Q: 0.99, Max: 1}},
 		ProfileDir: t.TempDir(),
 		Client:     &http.Client{Timeout: 5 * time.Second},

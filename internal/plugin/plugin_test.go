@@ -255,9 +255,17 @@ func TestXPCPluginExecuteEndsWithItsContext(t *testing.T) {
 }
 
 func TestXPCPluginValidate(t *testing.T) {
-	p := &XPCPlugin{Point: "right-column"}
-	if err := p.Validate(context.Background(), action("x", 1)); err == nil {
+	rig := control.NewColumnRig("cu", quietActuator(), 1000, 0, 0)
+	p := &XPCPlugin{Point: "right-column", Target: control.NewXPCTarget(rig)}
+	if err := p.Validate(context.Background(), action("x", 0.01)); err == nil {
 		t.Fatal("unknown point")
+	}
+	// The target's stroke screens the proposal, before anything moves.
+	if err := p.Validate(context.Background(), action("right-column", 1)); err == nil {
+		t.Fatal("a move beyond the stroke passed validation")
+	}
+	if err := p.Validate(context.Background(), action("right-column", 0.01)); err != nil {
+		t.Fatalf("a move within the stroke: %v", err)
 	}
 }
 

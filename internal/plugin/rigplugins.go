@@ -3,6 +3,7 @@ package plugin
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"neesgrid/internal/control"
 	"neesgrid/internal/core"
@@ -22,18 +23,7 @@ type ShoreWesternPlugin struct {
 
 // Validate vetoes unknown points, wrong DOF counts, and oversized moves.
 func (p *ShoreWesternPlugin) Validate(_ context.Context, actions []core.Action) error {
-	for _, a := range actions {
-		if a.ControlPoint != p.Point {
-			return fmt.Errorf("unknown control point %q", a.ControlPoint)
-		}
-		if len(a.Displacements) != 1 {
-			return fmt.Errorf("shore-western channel is single-DOF")
-		}
-		if p.MaxDisplacement > 0 && abs(a.Displacements[0]) > p.MaxDisplacement {
-			return fmt.Errorf("displacement %g exceeds site limit %g", a.Displacements[0], p.MaxDisplacement)
-		}
-	}
-	return nil
+	return validateChannel("shore-western", p.Point, p.MaxDisplacement, actions)
 }
 
 // Execute moves the actuator and reads back position and force, one
@@ -68,17 +58,10 @@ type XPCPlugin struct {
 	Target *control.XPCTarget
 }
 
-// Validate vetoes unknown points and wrong DOF counts.
+// Validate vetoes unknown points, wrong DOF counts, and moves beyond the
+// target's stroke.
 func (p *XPCPlugin) Validate(_ context.Context, actions []core.Action) error {
-	for _, a := range actions {
-		if a.ControlPoint != p.Point {
-			return fmt.Errorf("unknown control point %q", a.ControlPoint)
-		}
-		if len(a.Displacements) != 1 {
-			return fmt.Errorf("xpc channel is single-DOF")
-		}
-	}
-	return nil
+	return validateChannel("xpc", p.Point, p.Target.Stroke(), actions)
 }
 
 // Execute posts each action and waits for the target's reply to it.
@@ -128,9 +111,19 @@ func (p *HumanApprovalPlugin) Execute(ctx context.Context, actions []core.Action
 
 var _ core.Plugin = (*HumanApprovalPlugin)(nil)
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
+// validateChannel is a single-DOF rig channel's proposal screen: the
+// channel's control point, one displacement, and |d| <= max when max > 0.
+func validateChannel(channel, point string, max float64, actions []core.Action) error {
+	for _, a := range actions {
+		if a.ControlPoint != point {
+			return fmt.Errorf("unknown control point %q", a.ControlPoint)
+		}
+		if len(a.Displacements) != 1 {
+			return fmt.Errorf("%s channel is single-DOF", channel)
+		}
+		if max > 0 && math.Abs(a.Displacements[0]) > max {
+			return fmt.Errorf("displacement %g exceeds site limit %g", a.Displacements[0], max)
+		}
 	}
-	return x
+	return nil
 }

@@ -1,13 +1,65 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"neesgrid/internal/trace"
 )
+
+// TestScrapeCountsRingEvictions overflows a 4-slot event log and a 4-slot
+// span recorder and reads each eviction count from a scrape: a wrapped ring
+// is told from a quiet one at /metrics.
+func TestScrapeCountsRingEvictions(t *testing.T) {
+	reg := NewRegistry()
+	reg.events = NewEventLog(4)
+	rec := trace.NewRecorder(4)
+	reg.GaugeFunc("trace.spans.dropped", func() float64 { return float64(rec.Dropped()) })
+	ts := httptest.NewServer(Handler(reg))
+	defer ts.Close()
+	scrape := func() Snapshot {
+		t.Helper()
+		resp, err := http.Get(ts.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var snap Snapshot
+		if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+
+	quiet := scrape()
+	for _, name := range []string{"telemetry.events.dropped", "trace.spans.dropped"} {
+		if v, ok := quiet.Gauges[name]; !ok || v != 0 {
+			t.Fatalf("quiet rings: %s = %v (present %v), want 0", name, v, ok)
+		}
+	}
+
+	tracer := trace.NewTracer("site", rec)
+	for i := 0; i < 10; i++ {
+		reg.Event("test", "tick", nil)
+		_, span := tracer.Start(context.Background(), "step", trace.KindServer)
+		span.End()
+	}
+	wrapped := scrape()
+	if got := wrapped.Gauges["telemetry.events.dropped"]; got != 6 {
+		t.Errorf("telemetry.events.dropped = %v, want 6", got)
+	}
+	if got := wrapped.Gauges["trace.spans.dropped"]; got != 6 {
+		t.Errorf("trace.spans.dropped = %v, want 6", got)
+	}
+	if len(wrapped.Events) != 4 {
+		t.Errorf("%d events retained, want 4", len(wrapped.Events))
+	}
+}
 
 func TestHandlerServesJSONByDefault(t *testing.T) {
 	reg := NewRegistry()

@@ -42,6 +42,7 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // Gauge is an instantaneous value (queue depth, open connections).
 type Gauge struct {
 	bits atomic.Uint64
+	read func() float64 // set by GaugeFunc; Value reads it instead
 }
 
 // Set stores v.
@@ -59,7 +60,12 @@ func (g *Gauge) Add(delta float64) {
 }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g.read != nil {
+		return g.read()
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // DefaultLatencyBuckets are the upper bounds (seconds) used when a histogram
 // is created without explicit buckets: 100 µs to 30 s, roughly 1-2.5-5 per
@@ -357,6 +363,13 @@ func (l *EventLog) Record(component, event string, fields map[string]any) {
 	}
 }
 
+// Dropped returns how many events the ring has evicted.
+func (l *EventLog) Dropped() int64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropped
+}
+
 // Events returns the retained events, oldest first.
 func (l *EventLog) Events() []Event {
 	l.mu.Lock()
@@ -384,14 +397,17 @@ type Registry struct {
 // DefaultEventCapacity bounds a registry's event ring.
 const DefaultEventCapacity = 512
 
-// NewRegistry returns an empty registry with a DefaultEventCapacity ring.
+// NewRegistry returns an empty registry with a DefaultEventCapacity ring,
+// whose evictions it exports as the telemetry.events.dropped gauge.
 func NewRegistry() *Registry {
-	return &Registry{
+	r := &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		events:   NewEventLog(DefaultEventCapacity),
 	}
+	r.GaugeFunc("telemetry.events.dropped", func() float64 { return float64(r.events.Dropped()) })
+	return r
 }
 
 // OrNew returns r, or a fresh private registry when r is nil — the idiom
@@ -425,6 +441,14 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
+}
+
+// GaugeFunc replaces the named gauge with one read from f, for a quantity
+// its owner already keeps (a ring's evictions, a rig's servo time).
+func (r *Registry) GaugeFunc(name string, f func() float64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.gauges[name] = &Gauge{read: f}
 }
 
 // Histogram interns and returns the named histogram. Bounds apply only on

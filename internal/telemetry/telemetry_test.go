@@ -297,13 +297,6 @@ func TestHistogramSnapshotBuckets(t *testing.T) {
 	}
 }
 
-// Dropped returns how many events were evicted by the ring.
-func (l *EventLog) Dropped() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
 // SetClock overrides the time source (tests).
 func (l *EventLog) SetClock(clock func() time.Time) {
 	l.mu.Lock()

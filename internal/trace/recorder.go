@@ -66,6 +66,17 @@ func (r *Recorder) put(s slot) {
 	r.mu.Unlock()
 }
 
+// Dropped reports how many spans the ring has evicted: a daemon exports it
+// beside its metrics, so a wrapped ring can be told from a quiet one.
+func (r *Recorder) Dropped() int64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.dropped
+}
+
 // Spans returns the retained spans, oldest first.
 func (r *Recorder) Spans() []SpanData {
 	if r == nil {

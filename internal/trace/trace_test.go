@@ -426,16 +426,6 @@ func TestSpanJSONUnchangedByLazyIDs(t *testing.T) {
 	}
 }
 
-// Dropped reports how many spans the ring has evicted.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
-}
-
 // Record appends a finished span, evicting the oldest when full. Safe on
 // a nil recorder (drops).
 func (r *Recorder) Record(sd SpanData) { r.put(slot{sd: sd}) }
