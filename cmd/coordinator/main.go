@@ -215,7 +215,7 @@ func run() int {
 			fmt.Printf("coordinator: pprof at http://%s/debug/pprof/, spans at /trace, probes at /healthz /readyz\n", ds.Addr())
 		}
 		if api != nil {
-			fmt.Printf("coordinator: obs aggregator at http://%s (endpoints: /fleet /metrics /slo /series /push)\n", api.Addr())
+			fmt.Printf("coordinator: obs aggregator at http://%s (endpoints: /fleet /metrics /slo /series)\n", api.Addr())
 		}
 		return nil
 	}})

@@ -1,19 +1,19 @@
 // Command fleetd runs the multi-tenant experiment fleet scheduler: a
 // shared pool of NTCP sites, a weighted fair-share scheduler admitting
 // jobs from declared tenants, and an observability aggregator that scrapes
-// every pool slot and ingests each finished run's pushed roll-up. One
-// listener serves everything:
+// every pool slot and holds each finished run's roll-up, which the
+// scheduler pushes to it in-process. One listener serves everything:
 //
 //	POST /submit /cancel        job admission and withdrawal (mostctl fleet)
 //	GET  /jobs /job /grants     job listings and the grant-order observable
 //	GET  /fleet /metrics /slo   the fleet observability plane (mostctl top)
-//	POST /push?site=            roll-up ingestion from experiment runners
+//	GET  /series                one metric's ringed values
 //	GET  /healthz /readyz       supervisor probes
 //
 // Example:
 //
 //	fleetd -listen 127.0.0.1:9190 -slots 2 -tenants alpha:1,beta:1 -store /tmp/fleet
-//	mostctl fleet -url http://127.0.0.1:9190 -submit -tenant alpha -steps 200
+//	mostctl fleet -url http://127.0.0.1:9190 -submit -tenant alpha -job-steps 200
 //
 // SIGINT/SIGTERM drain the process: the scheduler stops admitting and
 // cancels running jobs, the aggregator stops scraping, the pool's sites
@@ -30,6 +30,7 @@ import (
 	"strings"
 
 	"neesgrid/internal/fleet"
+	"neesgrid/internal/most"
 	"neesgrid/internal/obs"
 	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
@@ -69,23 +70,9 @@ func run() int {
 	// The fleet plane: every pool slot is a pull source (the slots'
 	// registries carry the server-side ntcp.server.* / hub series across
 	// all tenants), the scheduler's own fleet.* registry rides along
-	// in-process, and finished runs push their coordinator-side roll-ups
-	// to /push as <tenant>/<jobID> sources.
-	var sources []obs.Source
-	for _, site := range pool.Sites() {
-		sources = append(sources, obs.Source{
-			Name: site.Spec.Name,
-			URL:  "http://" + site.Addr + "/metrics",
-		})
-	}
-	sources = append(sources, obs.Source{
-		Name: "fleetd",
-		Fetch: func() telemetry.Snapshot {
-			telemetry.ProcessMetrics(reg)
-			return reg.Snapshot()
-		},
-	})
-	agg := obs.New(obs.Config{Sources: sources})
+	// in-process, and the scheduler pushes each finished run's
+	// coordinator-side roll-up in-process as the source <tenant>/<jobID>.
+	agg := obs.New(obs.Config{Sources: most.ObsSources(pool.Sites(), "fleetd", reg, nil)})
 
 	sched, err := fleet.NewScheduler(fleet.Config{
 		Pool:      pool,
@@ -114,7 +101,7 @@ func run() int {
 				return err
 			}
 			fmt.Printf("fleetd: %d-slot pool, tenants %s\n", pool.Size(), *tenants)
-			fmt.Printf("fleetd: API at http://%s (/submit /jobs /grants /fleet /metrics /push /healthz)\n", api.Addr())
+			fmt.Printf("fleetd: API at http://%s (/submit /jobs /grants /fleet /metrics /slo /healthz)\n", api.Addr())
 			if ds != nil {
 				fmt.Printf("fleetd: pprof at http://%s/debug/pprof/\n", ds.Addr())
 			}

@@ -13,9 +13,8 @@
 //	mostctl -experiment minimost                    # E7
 //	mostctl -experiment soil-structure              # E12
 //	mostctl metrics -url http://127.0.0.1:8080      # inspect a live container
+//	mostctl trace -url http://127.0.0.1:4455        # merged span timelines of live containers
 //	mostctl top -url http://127.0.0.1:9090          # live cross-site dashboard
-//	mostctl top -run                                # self-checking obs smoke
-//	mostctl fleet -run                              # self-checking fleet-scheduling smoke
 //	mostctl fleet -url http://127.0.0.1:9190 -list  # jobs on a running fleetd
 //	mostctl chaos -scenario deploy/scenarios/step-1493.json  # E13: survive 1493
 //

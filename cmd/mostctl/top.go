@@ -1,53 +1,36 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"sort"
 	"strings"
 	"time"
 
-	"neesgrid/internal/core"
-	"neesgrid/internal/faultnet"
-	"neesgrid/internal/most"
 	"neesgrid/internal/obs"
-	"neesgrid/internal/structural"
-	"neesgrid/internal/telemetry"
 )
 
 // topCmd is the live cross-site dashboard: it polls an obs aggregator's
 // /fleet endpoint and renders per-site health, step rate, RTT quantiles,
 // NSDS drop counters, checkpoint lag and SLO state — the operator's view
-// of a distributed run while it is stepping. With -run it instead builds an
-// in-process two-site experiment with the aggregator serving over HTTP,
-// drives it to completion, renders the final dashboard, and verifies the
-// observability plane end to end (the CI obs smoke).
+// of a distributed run while it is stepping.
 func topCmd(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	url := fs.String("url", "", "obs aggregator base URL (e.g. http://127.0.0.1:9090)")
 	interval := fs.Duration("interval", time.Second, "refresh interval for -url mode")
 	once := fs.Bool("once", false, "render a single frame and exit")
-	run := fs.Bool("run", false, "run an in-process 2-site smoke experiment and verify its observability plane")
-	steps := fs.Int("steps", 25, "time steps for -run")
-	listen := fs.String("listen", "127.0.0.1:0", "aggregator listen address for -run")
 	_ = fs.Parse(args)
 
-	if *run {
-		runTopSmoke(*steps, *listen)
-		return
-	}
 	if *url == "" {
-		fatalExit("top: need -url or -run")
+		fatalExit("top: need -url")
 	}
 	for {
-		view, err := fetchFleet(*url)
-		if err != nil {
+		var view obs.FleetView
+		if err := getJSON(*url+"/fleet", &view); err != nil {
 			fatalExit("top: %v", err)
 		}
 		if !*once {
@@ -61,23 +44,6 @@ func topCmd(args []string) {
 		}
 		time.Sleep(*interval)
 	}
-}
-
-// fetchFleet pulls one FleetView from a running aggregator.
-func fetchFleet(base string) (obs.FleetView, error) {
-	var view obs.FleetView
-	resp, err := http.Get(base + "/fleet")
-	if err != nil {
-		return view, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return view, fmt.Errorf("%s/fleet returned %s", base, resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-		return view, fmt.Errorf("decode fleet view: %w", err)
-	}
-	return view, nil
 }
 
 // renderFleet prints one dashboard frame from a fleet view.
@@ -170,197 +136,6 @@ func renderFleet(w io.Writer, v obs.FleetView) {
 	}
 }
 
-// runTopSmoke is the end-to-end observability smoke: a two-site experiment
-// with a WAN delay at one site runs to completion while its obs aggregator
-// serves /fleet, /metrics and /slo over HTTP. Afterwards it renders the
-// final dashboard and verifies the acceptance shape:
-//
-//   - the merged /metrics carries fleet-wide ntcp.client.rtt.seconds
-//     quantiles (p50<=p95<=p99, count covering both sites' calls);
-//   - the Prometheus exposition carries the fleet series AND per-site
-//     labeled series for every scraped site;
-//   - per-site RTT histograms (ntcp.client.<site>.rtt.seconds) are present
-//     in the merged view;
-//   - the fleet p99's exemplar trace ID resolves against the run's span
-//     snapshot — the dashboard-to-trace link — and its timeline is rendered;
-//   - the SLO verdict gates the run: any latched breach exits non-zero.
-func runTopSmoke(steps int, listen string) {
-	frame := structural.MiniMOSTConfig()
-	spec := most.Spec{
-		Name:  "top-smoke",
-		Frame: frame,
-		Steps: steps,
-		Retry: core.DefaultRetry,
-		Sites: []most.SiteSpec{
-			{Name: "alpha", Kind: most.KindSimulation, Point: "beam", K: frame.LeftK},
-			{Name: "beta", Kind: most.KindSimulation, Point: "middle-frame", K: frame.MidK,
-				WAN: faultnet.Profile{Latency: 2 * time.Millisecond, Seed: 7}},
-		},
-		DAQEvery:   1,
-		Checkpoint: nil,
-		SLOs: []obs.SLO{
-			// Generous bounds: the smoke proves the gate wiring, not timing.
-			{Name: "rtt-p99", Kind: obs.KindQuantile, Metric: "ntcp.client.rtt.seconds", Q: 0.99, Max: 30},
-			{Name: "step-p99", Kind: obs.KindQuantile, Metric: "coord.step.seconds", Q: 0.99, Max: 60},
-			{Name: "drop-rate", Kind: obs.KindRate, Metric: "nsds.sub.dropped", Max: 1e9},
-		},
-	}
-	exp, err := most.Build(spec)
-	if err != nil {
-		fatalExit("top: build: %v", err)
-	}
-	defer exp.Stop()
-
-	agg := exp.Obs()
-	ctx := context.Background()
-	if err := agg.Start(ctx); err != nil {
-		fatalExit("top: aggregator: %v", err)
-	}
-	defer func() { _ = agg.Stop(context.Background()) }()
-	ln, err := net.Listen("tcp", listen)
-	if err != nil {
-		fatalExit("top: listen: %v", err)
-	}
-	srv := &http.Server{Handler: agg.Mux()}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-	base := "http://" + ln.Addr().String()
-	fmt.Printf("mostctl: obs aggregator at %s (endpoints: /fleet /metrics /slo /series /push)\n", base)
-
-	res, err := exp.Run(ctx)
-	if err != nil {
-		fatalExit("top: run: %v", err)
-	}
-	if res.Err != nil {
-		fatalExit("top: run failed: %v", res.Err)
-	}
-	// One deliberate post-run scrape so the final frame reflects the
-	// finished run regardless of loop phase.
-	agg.ScrapeOnce(ctx)
-
-	view, err := fetchFleet(base)
-	if err != nil {
-		fatalExit("top: %v", err)
-	}
-	renderFleet(os.Stdout, view)
-
-	problems := verifyTopSmoke(base, view, exp, []string{"alpha", "beta"})
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "mostctl: top check: %s\n", p)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("mostctl: top check passed: fleet quantiles, per-site series, exemplar trace link, SLO verdict OK\n")
-}
-
-// verifyTopSmoke checks the smoke's acceptance shape over the aggregator's
-// HTTP surface and the experiment's span snapshot.
-func verifyTopSmoke(base string, view obs.FleetView, exp *most.Experiment, sites []string) []string {
-	var problems []string
-	badf := func(format string, args ...any) {
-		problems = append(problems, fmt.Sprintf(format, args...))
-	}
-
-	// Every site plus the coordinator must have been scraped healthy.
-	for _, s := range view.Sites {
-		if s.State != obs.StateOK {
-			badf("site %s state=%s err=%q, want ok", s.Name, s.State, s.Error)
-		}
-	}
-	if view.MergeError != "" {
-		badf("merge error: %s", view.MergeError)
-	}
-
-	// Fleet-wide RTT quantiles out of the merged JSON /metrics.
-	var merged telemetry.Snapshot
-	if err := getJSON(base+"/metrics", &merged); err != nil {
-		badf("fetch merged metrics: %v", err)
-		return problems
-	}
-	rtt, found := merged.Histograms["ntcp.client.rtt.seconds"]
-	switch {
-	case !found || rtt.Count == 0:
-		badf("fleet ntcp.client.rtt.seconds missing or empty")
-	case rtt.P50 > rtt.P95 || rtt.P95 > rtt.P99:
-		badf("fleet rtt quantiles disordered: p50=%g p95=%g p99=%g", rtt.P50, rtt.P95, rtt.P99)
-	}
-	for _, site := range sites {
-		name := "ntcp.client." + site + ".rtt.seconds"
-		if h, ok := merged.Histograms[name]; !ok || h.Count == 0 {
-			badf("per-site histogram %s missing or empty", name)
-		}
-		if merged.Counters["ntcp.server.executed"] == 0 {
-			badf("merged ntcp.server.executed is zero")
-		}
-	}
-	// Process self-metrics must have survived the merge.
-	if merged.Gauges["process.goroutines"] <= 0 {
-		badf("merged process.goroutines missing")
-	}
-
-	// Prometheus exposition: fleet series unlabeled, per-site labeled.
-	prom, err := getText(base+"/metrics", "text/plain")
-	if err != nil {
-		badf("fetch prometheus metrics: %v", err)
-		return problems
-	}
-	if !strings.Contains(prom, "ntcp_client_rtt_seconds_count") {
-		badf("prometheus output missing fleet ntcp_client_rtt_seconds series")
-	}
-	for _, site := range sites {
-		want := fmt.Sprintf(`{site=%q}`, site)
-		if !strings.Contains(prom, want) {
-			badf("prometheus output has no per-site series labeled %s", want)
-		}
-		if !strings.Contains(prom, fmt.Sprintf(`obs_site_up{site=%q} 1`, site)) {
-			badf("obs_site_up for %s missing or not 1", site)
-		}
-	}
-
-	// The exemplar on the fleet RTT histogram must resolve to recorded
-	// spans — the p99-to-trace link. Render the slowest round trip's
-	// timeline the way `mostctl trace -id` would.
-	if rtt.Exemplar == nil || rtt.Exemplar.TraceID == "" {
-		badf("fleet rtt histogram carries no exemplar")
-	} else {
-		spans := exp.SpanSnapshot()
-		matched := spans[:0:0]
-		for _, sd := range spans {
-			if sd.TraceID == rtt.Exemplar.TraceID {
-				matched = append(matched, sd)
-			}
-		}
-		if len(matched) == 0 {
-			badf("exemplar trace %s not found among %d recorded spans",
-				rtt.Exemplar.TraceID, len(spans))
-		} else {
-			fmt.Printf("mostctl: slowest round trip (%s) resolves to trace %s:\n",
-				seconds(rtt.Exemplar.Value), rtt.Exemplar.TraceID)
-			renderTraces(os.Stdout, matched, 0)
-		}
-	}
-
-	// SLO verdict gates the smoke: a latched breach fails it.
-	var verdict obs.Verdict
-	if err := getJSON(base+"/slo", &verdict); err != nil {
-		badf("fetch slo verdict: %v", err)
-		return problems
-	}
-	if !verdict.OK {
-		for _, r := range verdict.Rules {
-			if r.Breaches > 0 {
-				badf("SLO %s breached %d times (worst %.4g > max %.4g)",
-					r.Name, r.Breaches, r.Worst, r.Max)
-			}
-		}
-	}
-	if len(verdict.Rules) != 3 {
-		badf("verdict has %d rules, want 3", len(verdict.Rules))
-	}
-	return problems
-}
-
 // getJSON fetches a URL and decodes its JSON body.
 func getJSON(url string, into any) error {
 	resp, err := http.Get(url)
@@ -372,23 +147,4 @@ func getJSON(url string, into any) error {
 		return fmt.Errorf("%s returned %s", url, resp.Status)
 	}
 	return json.NewDecoder(resp.Body).Decode(into)
-}
-
-// getText fetches a URL with an Accept header and returns the body.
-func getText(url, accept string) (string, error) {
-	req, err := http.NewRequest(http.MethodGet, url, nil)
-	if err != nil {
-		return "", err
-	}
-	req.Header.Set("Accept", accept)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("%s returned %s", url, resp.Status)
-	}
-	b, err := io.ReadAll(resp.Body)
-	return string(b), err
 }

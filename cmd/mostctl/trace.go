@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -11,42 +10,29 @@ import (
 	"strings"
 	"time"
 
-	"neesgrid/internal/core"
-	"neesgrid/internal/faultnet"
-	"neesgrid/internal/most"
-	"neesgrid/internal/structural"
 	"neesgrid/internal/trace"
 )
 
-// traceCmd renders merged cross-site timelines from recorded spans. Two
-// sources: fetch /trace from a set of live containers (-url, optionally
-// narrowed to one trace with -id), or run an in-process two-site smoke
-// experiment (-run) and render + verify its trace end to end.
+// traceCmd renders merged cross-site timelines from the spans a set of
+// live containers serve at /trace (-url, optionally narrowed to one trace
+// with -id).
 func traceCmd(args []string) {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	urls := fs.String("url", "", "comma-separated base URLs to fetch /trace spans from (coordinator and sites)")
 	id := fs.String("id", "", "render only the trace with this ID")
-	run := fs.Bool("run", false, "run an in-process 2-site smoke experiment and render its merged trace")
-	steps := fs.Int("steps", 5, "time steps for -run")
-	delay := fs.Duration("delay", 2*time.Millisecond, "WAN latency injected at the second site for -run")
 	limit := fs.Int("limit", 0, "render at most the last N traces (0 = all)")
 	_ = fs.Parse(args)
 
+	if *urls == "" {
+		fatalExit("trace: need -url")
+	}
 	var spans []trace.SpanData
-	switch {
-	case *run:
-		runTraceSmoke(*steps, *delay)
-		return
-	case *urls != "":
-		for _, u := range strings.Split(*urls, ",") {
-			u = strings.TrimSpace(u)
-			if u == "" {
-				continue
-			}
-			spans = append(spans, fetchSpans(u, *id)...)
+	for _, u := range strings.Split(*urls, ",") {
+		u = strings.TrimSpace(u)
+		if u == "" {
+			continue
 		}
-	default:
-		fatalExit("trace: need -run or -url")
+		spans = append(spans, fetchSpans(u, *id)...)
 	}
 	if *id != "" {
 		kept := spans[:0]
@@ -82,133 +68,6 @@ func fetchSpans(base, id string) []trace.SpanData {
 		fatalExit("trace: decode %s: %v", u, err)
 	}
 	return spans
-}
-
-// runTraceSmoke runs a small two-site all-simulation experiment with a WAN
-// delay at the second site, prints the merged per-step timeline, and
-// verifies the acceptance shape: every step's root span must contain
-// paired client+server spans for each site's propose and execute, and the
-// injected delay must be attributed to the delayed site. Exits non-zero if
-// the shape is violated — CI uses this as the trace round-trip smoke.
-func runTraceSmoke(steps int, delay time.Duration) {
-	frame := structural.MiniMOSTConfig()
-	spec := most.Spec{
-		Name:  "trace-smoke",
-		Frame: frame,
-		Steps: steps,
-		Retry: core.DefaultRetry,
-		Sites: []most.SiteSpec{
-			{Name: "alpha", Kind: most.KindSimulation, Point: "beam", K: frame.LeftK},
-			{Name: "beta", Kind: most.KindSimulation, Point: "middle-frame", K: frame.MidK,
-				WAN: faultnet.Profile{Latency: delay, Seed: 7}},
-		},
-		DAQEvery: 1,
-	}
-	exp, err := most.Build(spec)
-	if err != nil {
-		fatalExit("trace: build: %v", err)
-	}
-	defer exp.Stop()
-	res, err := exp.Run(context.Background())
-	if err != nil {
-		fatalExit("trace: run: %v", err)
-	}
-	if res.Err != nil {
-		fatalExit("trace: run failed: %v", res.Err)
-	}
-	spans := exp.SpanSnapshot()
-	renderTraces(os.Stdout, spans, 0)
-	problems := verifySmokeTrace(spans, []string{"alpha", "beta"}, "beta", steps)
-	if len(problems) > 0 {
-		for _, p := range problems {
-			fmt.Fprintf(os.Stderr, "mostctl: trace check: %s\n", p)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("mostctl: trace check passed: %d spans, every step has client+server propose/execute at both sites\n",
-		len(spans))
-}
-
-// verifySmokeTrace checks the acceptance shape of a smoke run's spans.
-func verifySmokeTrace(spans []trace.SpanData, sites []string, delayed string, steps int) []string {
-	var problems []string
-	byTrace := make(map[string][]trace.SpanData)
-	byID := make(map[string]trace.SpanData)
-	for _, sd := range spans {
-		byTrace[sd.TraceID] = append(byTrace[sd.TraceID], sd)
-		byID[sd.SpanID] = sd
-	}
-	stepRoots := 0
-	for _, group := range byTrace {
-		var root *trace.SpanData
-		for i := range group {
-			if group[i].Name == "coord.step" && group[i].Parent == "" {
-				root = &group[i]
-			}
-		}
-		if root == nil {
-			continue
-		}
-		stepRoots++
-		for _, site := range sites {
-			for _, op := range []string{"ntcp.propose", "ntcp.execute"} {
-				var client, server bool
-				for _, sd := range group {
-					if sd.Name != op {
-						continue
-					}
-					if sd.Kind == trace.KindClient && siteOf(sd, byID) == site {
-						client = true
-					}
-					if sd.Kind == trace.KindServer && sd.Service == site {
-						server = true
-					}
-				}
-				if !client || !server {
-					problems = append(problems, fmt.Sprintf(
-						"step %s: site %s %s missing client=%t server=%t",
-						root.Attrs["step"], site, op, !client, !server))
-				}
-			}
-		}
-	}
-	if stepRoots < steps {
-		problems = append(problems, fmt.Sprintf("only %d step root spans, want >= %d", stepRoots, steps))
-	}
-	// The injected WAN delay must be visible on a client span attributed to
-	// the delayed site.
-	delaySeen := false
-	for _, sd := range spans {
-		if sd.Kind != trace.KindClient || siteOf(sd, byID) != delayed {
-			continue
-		}
-		for _, ev := range sd.Events {
-			if ev.Name == "faultnet.delay" {
-				delaySeen = true
-			}
-		}
-	}
-	if !delaySeen {
-		problems = append(problems, fmt.Sprintf(
-			"no faultnet.delay annotation on any client span for delayed site %s", delayed))
-	}
-	return problems
-}
-
-// siteOf attributes a client span to a site by walking up to the enclosing
-// coordinator span carrying a "site" attribute.
-func siteOf(sd trace.SpanData, byID map[string]trace.SpanData) string {
-	for i := 0; i < 8; i++ {
-		if s, ok := sd.Attrs["site"]; ok {
-			return s
-		}
-		parent, ok := byID[sd.Parent]
-		if !ok {
-			return ""
-		}
-		sd = parent
-	}
-	return ""
 }
 
 // renderTraces prints merged per-trace timelines, oldest trace first.

@@ -17,15 +17,16 @@
 #            run as ordinary tests, and TestEveryExportHasACaller holds every
 #            exported name in internal/ to a caller outside tests), then the
 #            tests of the benchmark module, which `./...` does not descend into
-#   smoke  - trace round-trip + graceful-shutdown end-to-end smokes
-#   obs    - observability smoke: the aggregator over a two-site run must
-#            serve per-site + fleet-wide merged series, link the fleet p99
-#            to a resolvable exemplar trace, and report an OK SLO verdict
-#   fleet  - multi-tenant scheduling smoke: six experiments from two tenants
-#            over a two-slot shared site pool; oversubscription must queue,
-#            grants must alternate tenants (weighted fair share), every job
-#            must complete, and the fleet aggregator must serve the six
-#            pushed roll-ups with exactly-merged counters
+#   smoke  - trace round-trip, graceful-shutdown and streaming end-to-end
+#            tests, rerun by name
+#   obs    - observability tests, rerun by name: the coordinator binary over
+#            two ntcpd sites must roll up healthy, exactly merged per-site
+#            and fleet-wide series, link the fleet p99 to a trace a live
+#            site serves, and report an OK SLO verdict
+#   fleet  - fleet tests, rerun by name: six experiments from two tenants
+#            over a two-slot pool grant in fair-share order, and the fleetd
+#            binary runs six submitted jobs to completion and serves their
+#            roll-ups healthy with exactly-merged counters
 #   chaos  - step-1493 (classic, pipelined, and relay-topology lanes) and
 #            partition scenarios, each run twice; the two verdict reports
 #            must be byte-identical (determinism gate), and on amd64 also
@@ -49,9 +50,9 @@
 # Every stage is timed; a summary table prints at the end. The pipeline
 # stops at the first failing stage.
 #
-# When CI_ARTIFACTS is set to a directory, failing stages copy their
-# captured output (smoke logs, diverging chaos verdicts) there so the
-# workflow can upload them as build artifacts.
+# When CI_ARTIFACTS is set to a directory, the chaos stage copies its
+# evidence (diverging verdicts, failing fuzz inputs) there so the workflow
+# can upload it as build artifacts.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -102,88 +103,36 @@ stage_test() {
 }
 
 stage_smoke() {
-    # Trace round-trip: an in-process 2-site MOST topology for a few steps;
-    # fails unless every step's root span contains paired client+server
-    # propose/execute spans per site. Output is captured to a temp file and
-    # dumped on failure instead of vanishing into /dev/null.
-    tmp=$(mktemp) || return 1
-    if ! go run ./cmd/mostctl trace -run -steps 5 >"$tmp" 2>&1; then
-        echo "trace smoke failed; captured output:"
-        cat "$tmp"
-        save_artifact "$tmp" trace-smoke.log
-        rm -f "$tmp"
-        return 1
-    fi
-    rm -f "$tmp"
-
-    # Shutdown smoke: boots a two-site topology as real processes, SIGTERMs
-    # them mid-step, and asserts readiness flips, exits are clean, and an
-    # in-process experiment leaves no goroutines behind. The fan-out smoke
-    # drives daq → hub → TCP relay → SSE gateway end to end and checks the
-    # per-tier drop counters land in telemetry; the streaming-daemons smoke
-    # runs the same path as processes (nsdsd -demo → nsdsd -relay → chefd)
-    # and checks that a legacy JSON subscribe line is refused.
-    go test -race -count=1 -run 'TestGracefulShutdown|TestNoGoroutineLeakAfterExperimentStop|TestFanOutPipelineSmoke|TestStreamingDaemonsEndToEnd' ./internal/e2e/
+    # Trace round-trip: every step's root span of a two-site run holds
+    # paired client+server propose/execute spans per site, and the WAN delay
+    # is attributed to the delayed site. Shutdown: a two-site topology as
+    # real processes is SIGTERMed mid-step; readiness flips, exits are clean,
+    # and an in-process experiment leaves no goroutines behind. The fan-out
+    # test drives daq → hub → TCP relay → SSE gateway end to end and checks
+    # the per-tier drop counters land in telemetry; the streaming-daemons
+    # test runs the same path as processes (nsdsd -demo → nsdsd -relay →
+    # chefd) and checks that a legacy JSON subscribe line is refused.
+    go test -race -count=1 -run 'TestRunProducesMergedCrossSiteTrace|TestGracefulShutdown|TestNoGoroutineLeakAfterExperimentStop|TestFanOutPipelineSmoke|TestStreamingDaemonsEndToEnd' ./internal/most ./internal/e2e/
 }
 
 stage_obs() {
-    # Observability smoke: `mostctl top -run` drives a two-site experiment
-    # with its obs aggregator serving over HTTP, then self-checks: per-site
-    # labeled series and fleet-wide merged p50/p95/p99 in /metrics, an
-    # exemplar trace ID on the fleet RTT histogram that resolves to recorded
-    # spans, and an OK SLO verdict (any latched breach exits non-zero).
-    tmp=$(mktemp) || return 1
-    if ! go run ./cmd/mostctl top -run -steps 15 >"$tmp" 2>&1; then
-        echo "obs smoke failed; captured output:"
-        cat "$tmp"
-        save_artifact "$tmp" obs-smoke.log
-        rm -f "$tmp"
-        return 1
-    fi
-    # Belt and braces: the self-check already asserts these, but grep the
-    # rendered output so a silently-weakened checker still fails the stage.
-    rc=0
-    for needle in 'fleet RTT' 'slowest trace=' 'top check passed'; do
-        if ! grep -q "$needle" "$tmp"; then
-            echo "obs smoke output missing '$needle':"
-            cat "$tmp"
-            save_artifact "$tmp" obs-smoke.log
-            rc=1
-            break
-        fi
-    done
-    rm -f "$tmp"
-    return $rc
+    # The coordinator binary with -slo over two ntcpd processes: every
+    # source ok, fleet RTT p50<=p95<=p99 with a per-site histogram each, an
+    # exemplar trace that a live ntcpd serves at /trace, and an OK verdict on
+    # three rules; the aggregator's HTTP surface is read-only, labels each
+    # site's Prometheus series, and keeps a pushed roll-up ok once the push
+    # is older than StaleAfter.
+    go test -race -count=1 -run 'TestCoordinatorObsPlane|TestMuxEndpoints|TestAggregatorPush' ./internal/obs ./internal/e2e/
 }
 
 stage_fleet() {
-    # Fleet scheduling smoke: `mostctl fleet -run` submits six experiments
-    # from two equal-weight tenants against a two-slot shared site pool,
-    # then self-checks: admission queues the 3x oversubscription, grants
-    # alternate tenants (weighted round-robin, FIFO within one) in a
-    # deterministic order, all six jobs complete every step on the shared
-    # slots, each run's roll-up reaches the fleet aggregator over the real
-    # HTTP push path, and the merged fleet view sums the six runs exactly.
-    tmp=$(mktemp) || return 1
-    if ! go run ./cmd/mostctl fleet -run -steps 25 >"$tmp" 2>&1; then
-        echo "fleet smoke failed; captured output:"
-        cat "$tmp"
-        save_artifact "$tmp" fleet-smoke.log
-        rm -f "$tmp"
-        return 1
-    fi
-    rc=0
-    for needle in 'grant order' 'fleet roll-up' 'fleet check passed'; do
-        if ! grep -q "$needle" "$tmp"; then
-            echo "fleet smoke output missing '$needle':"
-            cat "$tmp"
-            save_artifact "$tmp" fleet-smoke.log
-            rc=1
-            break
-        fi
-    done
-    rm -f "$tmp"
-    return $rc
+    # Six jobs from two equal-weight tenants over a two-slot pool: grants
+    # alternate tenants (weighted round-robin, FIFO within one) and the
+    # merged roll-up sums the runs exactly; then the fleetd binary, fed six
+    # jobs by `mostctl fleet -submit`, completes them with tenant-scoped
+    # checkpoints, serves six ok roll-ups with exact counters, and exits 0
+    # on SIGTERM.
+    go test -race -count=1 -run 'TestFairShareOrderingAcrossTenants|TestFleetdRunsSubmittedJobs' ./internal/fleet ./internal/e2e/
 }
 
 stage_chaos() {

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -61,10 +62,7 @@ var testOnlyExports = map[string]string{
 // declaration, is not a caller.
 func TestEveryExportHasACaller(t *testing.T) {
 	start := time.Now()
-	l := newExportLoader()
-	if err := l.loadAll("."); err != nil {
-		t.Fatal(err)
-	}
+	l := loadTree(t)
 	uses := l.countUses()
 	declared := l.internalExports()
 	ifaces, err := l.interfacesByMethod()
@@ -108,6 +106,25 @@ func TestEveryExportHasACaller(t *testing.T) {
 		len(l.pkgs), len(declared), testOnly, time.Since(start).Round(time.Millisecond))
 }
 
+var (
+	treeOnce sync.Once
+	tree     *exportLoader
+	treeErr  error
+)
+
+// loadTree type-checks the source tree once for every test that reads it.
+func loadTree(t *testing.T) *exportLoader {
+	t.Helper()
+	treeOnce.Do(func() {
+		tree = newExportLoader()
+		treeErr = tree.loadAll(".")
+	})
+	if treeErr != nil {
+		t.Fatal(treeErr)
+	}
+	return tree
+}
+
 // exportLoader type-checks every package of the source tree from source, each
 // once with its in-package tests (Go forbids the import cycles that would make
 // that ambiguous) and once more for its external tests.
@@ -117,6 +134,7 @@ type exportLoader struct {
 	build    map[string]*build.Package // by import path
 	pkgs     map[string]*types.Package // checked, with in-package tests
 	infos    []*types.Info
+	files    [][]*ast.File // the files each of infos was checked from
 	loading  map[string]bool
 	receiver map[*ast.Ident]bool     // type names in method receivers
 	declSpan map[token.Pos]token.Pos // a declared name → the end of its declaration
@@ -271,6 +289,7 @@ func (l *exportLoader) check(path, dir string, names []string) (*types.Package, 
 		return nil, err
 	}
 	l.infos = append(l.infos, info)
+	l.files = append(l.files, files)
 	return p, nil
 }
 

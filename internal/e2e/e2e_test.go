@@ -163,14 +163,23 @@ type metricsSnapshot struct {
 // siteMetrics reads a site container's /metrics.
 func siteMetrics(t *testing.T, addr string) metricsSnapshot {
 	t.Helper()
-	resp, err := http.Get("http://" + addr + "/metrics")
+	var snap metricsSnapshot
+	getJSON(t, "http://"+addr+"/metrics", &snap)
+	return snap
+}
+
+// getJSON decodes the JSON body of a GET that must answer 200.
+func getJSON(t *testing.T, url string, v any) {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var snap metricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %s", url, resp.Status)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
 		t.Fatal(err)
 	}
-	return snap
 }

@@ -71,11 +71,6 @@ const (
 	StateCancelled JobState = "cancelled"
 )
 
-// terminal reports whether a state is final.
-func (s JobState) terminal() bool {
-	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
 // Job is one admitted experiment. Fields are guarded by the scheduler's
 // lock; read them through View or the scheduler's accessors.
 type Job struct {
@@ -126,11 +121,8 @@ type Config struct {
 	// StoreRoot is the base directory for tenant-scoped job state
 	// (checkpoints); "" disables checkpointing.
 	StoreRoot string
-	// PushURL, when set, is the base URL of a remote aggregator (fleetd);
-	// every finished job's merged roll-up is POSTed to PushURL/push?site=
-	// under the name <tenant>/<jobID>.
-	PushURL string
-	// Agg, when set (and PushURL is not), receives roll-ups in-process.
+	// Agg, when set, receives every finished job's merged roll-up as the
+	// pushed source <tenant>/<jobID>.
 	Agg *obs.Aggregator
 	// Registry receives the scheduler's fleet.* telemetry; nil means a
 	// private one. Share it with the Pool's so fleetd exports one plane.
@@ -157,7 +149,6 @@ type Scheduler struct {
 	nextSeq int
 	running bool
 	stopped bool
-	notify  chan struct{}
 
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -179,7 +170,6 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		reg:    telemetry.OrNew(cfg.Registry),
 		queues: make(map[string][]*Job),
 		jobs:   make(map[string]*Job),
-		notify: make(chan struct{}),
 	}
 	for _, t := range cfg.Tenants {
 		if t.Name == "" {
@@ -193,7 +183,7 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	for _, c := range []string{
 		"fleet.jobs.submitted", "fleet.jobs.rejected", "fleet.jobs.completed",
 		"fleet.jobs.failed", "fleet.jobs.cancelled",
-		"fleet.rollups.pushed", "fleet.rollups.errors",
+		"fleet.rollups.pushed",
 	} {
 		s.reg.Counter(c)
 	}
@@ -263,7 +253,6 @@ func (s *Scheduler) Submit(req Request) (*Job, error) {
 	s.reg.Counter("fleet.jobs.submitted").Inc()
 	s.reg.Gauge("fleet.jobs.queued").Add(1)
 	s.scheduleLocked()
-	s.bumpLocked()
 	return job, nil
 }
 
@@ -313,7 +302,6 @@ func (s *Scheduler) Stop(ctx context.Context) error {
 	if s.cancel != nil {
 		s.cancel()
 	}
-	s.bumpLocked()
 	s.mu.Unlock()
 
 	done := make(chan struct{})
@@ -361,7 +349,6 @@ func (s *Scheduler) Cancel(id string) error {
 		job.finished = time.Now()
 		s.reg.Counter("fleet.jobs.cancelled").Inc()
 		s.reg.Gauge("fleet.jobs.queued").Add(-1)
-		s.bumpLocked()
 		return nil
 	case StateRunning:
 		job.cancelled = true
@@ -406,36 +393,6 @@ func (s *Scheduler) GrantOrder() []string {
 		out = append(out, job.Tenant)
 	}
 	return out
-}
-
-// Wait blocks until every submitted job has reached a terminal state (or
-// ctx expires). New submissions during the wait extend it.
-func (s *Scheduler) Wait(ctx context.Context) error {
-	for {
-		s.mu.Lock()
-		live := 0
-		for _, job := range s.jobs {
-			if !job.state.terminal() {
-				live++
-			}
-		}
-		ch := s.notify
-		s.mu.Unlock()
-		if live == 0 {
-			return nil
-		}
-		select {
-		case <-ch:
-		case <-ctx.Done():
-			return fmt.Errorf("fleet: wait (%d jobs live): %w", live, ctx.Err())
-		}
-	}
-}
-
-// bumpLocked wakes every Wait.
-func (s *Scheduler) bumpLocked() {
-	close(s.notify)
-	s.notify = make(chan struct{})
 }
 
 // viewLocked snapshots a job under the scheduler lock.
@@ -533,7 +490,6 @@ func (s *Scheduler) run(ctx context.Context, job *Job, sites []*most.Site) {
 		job.stepsDone = results.Report.StepsCompleted
 	}
 	s.scheduleLocked() // freed slots go to the next head in rotation
-	s.bumpLocked()
 }
 
 // runExperiment is the unlocked body of a job run: build the shared-site
@@ -582,30 +538,18 @@ func (s *Scheduler) runExperiment(ctx context.Context, job *Job, sites []*most.S
 
 // pushRollup takes a final scrape of the experiment's aggregator (the
 // coordinator-side registry — shared site registries belong to the pool's
-// scrape plane, not to any one run) and ships the merged snapshot to the
-// fleet: over HTTP to PushURL when configured (the fleetd topology), else
-// in-process to Agg. The source name is tenant-scoped, so the fleet view
-// lists tenant/jobID rows.
+// scrape plane, not to any one run) and pushes the merged snapshot to Agg.
+// The source name is tenant-scoped, so the fleet view lists tenant/jobID
+// rows.
 func (s *Scheduler) pushRollup(ctx context.Context, job *Job, exp *most.Experiment) {
-	if s.cfg.PushURL == "" && s.cfg.Agg == nil {
+	if s.cfg.Agg == nil {
 		return
 	}
 	scrapeCtx, cancel := context.WithTimeout(contextOrBackground(ctx), 2*time.Second)
 	defer cancel()
 	exp.Obs().ScrapeOnce(scrapeCtx)
-	snap := exp.Obs().Merged()
-	name := job.Tenant + "/" + job.ID
-	var err error
-	if s.cfg.PushURL != "" {
-		err = obs.PushSnapshot(nil, s.cfg.PushURL, name, snap)
-	} else {
-		s.cfg.Agg.Push(name, snap)
-	}
-	if err != nil {
-		s.reg.Counter("fleet.rollups.errors").Inc()
-	} else {
-		s.reg.Counter("fleet.rollups.pushed").Inc()
-	}
+	s.cfg.Agg.Push(job.Tenant+"/"+job.ID, exp.Obs().Merged())
+	s.reg.Counter("fleet.rollups.pushed").Inc()
 }
 
 // contextOrBackground shields the final scrape/push from an already-

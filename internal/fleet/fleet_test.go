@@ -12,6 +12,7 @@ import (
 	"neesgrid/internal/coord"
 	"neesgrid/internal/core"
 	"neesgrid/internal/journal"
+	"neesgrid/internal/most"
 	"neesgrid/internal/obs"
 	"neesgrid/internal/ogsi"
 	"neesgrid/internal/telemetry"
@@ -39,12 +40,24 @@ func startScheduler(t *testing.T, s *Scheduler) {
 	})
 }
 
+// waitAll polls until every submitted job is done, failed or cancelled.
 func waitAll(t *testing.T, s *Scheduler) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	if err := s.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v (jobs: %+v)", err, s.Jobs())
+	deadline := time.Now().Add(2 * time.Minute)
+	for {
+		live := 0
+		for _, v := range s.Jobs() {
+			if v.State == StateQueued || v.State == StateRunning {
+				live++
+			}
+		}
+		if live == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d jobs still live after 2m: %+v", live, s.Jobs())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -89,14 +102,18 @@ func TestAdmissionRejectsWhenQueueFull(t *testing.T) {
 
 // Fair share: six jobs from two equal-weight tenants over a two-slot pool
 // grant in strict alternation while both queues are nonempty, FIFO within
-// each tenant, regardless of completion timing.
+// each tenant, regardless of completion timing. The aggregator is fleetd's:
+// its merged view sums the six pushed roll-ups exactly.
 func TestFairShareOrderingAcrossTenants(t *testing.T) {
 	t.Parallel()
+	const steps = 4
 	reg := telemetry.NewRegistry()
 	pool := newTestPool(t, 2, reg)
+	agg := obs.New(obs.Config{Sources: most.ObsSources(pool.Sites(), "fleetd", reg, nil)})
 	s, err := NewScheduler(Config{
 		Pool:     pool,
 		Tenants:  []Tenant{{Name: "alpha", Weight: 1}, {Name: "beta", Weight: 1}},
+		Agg:      agg,
 		Registry: reg,
 	})
 	if err != nil {
@@ -104,14 +121,14 @@ func TestFairShareOrderingAcrossTenants(t *testing.T) {
 	}
 	var jobs []*Job
 	for i := 0; i < 4; i++ {
-		job, err := s.Submit(Request{Tenant: "alpha", Name: "a", Steps: 4})
+		job, err := s.Submit(Request{Tenant: "alpha", Name: "a", Steps: steps})
 		if err != nil {
 			t.Fatalf("submit alpha: %v", err)
 		}
 		jobs = append(jobs, job)
 	}
 	for i := 0; i < 2; i++ {
-		job, err := s.Submit(Request{Tenant: "beta", Name: "b", Steps: 4})
+		job, err := s.Submit(Request{Tenant: "beta", Name: "b", Steps: steps})
 		if err != nil {
 			t.Fatalf("submit beta: %v", err)
 		}
@@ -132,8 +149,9 @@ func TestFairShareOrderingAcrossTenants(t *testing.T) {
 		if !ok {
 			t.Fatalf("job %s vanished", job.ID)
 		}
-		if view.State != StateDone {
-			t.Fatalf("job %s state=%s err=%q, want done", view.ID, view.State, view.Err)
+		if view.State != StateDone || view.StepsDone != steps {
+			t.Fatalf("job %s state=%s steps=%d err=%q, want done %d/%d",
+				view.ID, view.State, view.StepsDone, view.Err, steps, steps)
 		}
 		if view.Tenant == "alpha" {
 			if view.Seq <= lastAlpha {
@@ -141,6 +159,23 @@ func TestFairShareOrderingAcrossTenants(t *testing.T) {
 					view.ID, view.Seq, lastAlpha)
 			}
 			lastAlpha = view.Seq
+		}
+	}
+
+	agg.ScrapeOnce(context.Background())
+	view := agg.Fleet()
+	if view.MergeError != "" {
+		t.Fatalf("merge error: %s", view.MergeError)
+	}
+	for name, want := range map[string]int64{
+		"coord.steps.completed": int64(len(jobs) * steps),
+		"fleet.jobs.completed":  int64(len(jobs)),
+		"fleet.leases.granted":  int64(len(jobs)),
+		"fleet.leases.released": int64(len(jobs)),
+		"fleet.jobs.failed":     0,
+	} {
+		if got, ok := view.Merged.Counters[name]; !ok || got != want {
+			t.Errorf("merged %s = %d (present %v), want %d", name, got, ok, want)
 		}
 	}
 }

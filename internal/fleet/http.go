@@ -17,9 +17,8 @@ import (
 //	GET  /grants        tenants in grant order (the fairness observable)
 //
 // Everything else falls through to the aggregator handler when one is
-// given — fleetd passes its obs mux, so /fleet, /metrics, /slo, /series
-// and /push (the roll-up ingestion path the runners POST to) share the
-// API listener.
+// given — fleetd passes its obs mux, so /fleet, /metrics, /slo and /series
+// share the API listener.
 func (s *Scheduler) Mux(agg http.Handler) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/submit", func(w http.ResponseWriter, r *http.Request) {

@@ -176,27 +176,36 @@ func (e *Experiment) wireSiteFeed(site *Site) error {
 	return nil
 }
 
-// wireObs builds the observability plane, not started (see obsAgg): one
-// scrape source per listed site's container /metrics, plus the coordinator
-// registry in-process (with process self-metrics refreshed per fetch). An
-// SLO breach writes goroutine profiles from the coordinator's debug mux at
+// wireObs builds the observability plane, not started (see obsAgg) over
+// ObsSources for the listed sites and the coordinator registry. An SLO
+// breach writes goroutine profiles from the coordinator's debug mux at
 // pprofURL() into profileDir (empty or nil: none).
 func (e *Experiment) wireObs(sites []*Site, profileDir string, pprofURL func() string) {
+	e.obsAgg = obs.New(obs.Config{
+		Sources:    ObsSources(sites, "coordinator", e.Telemetry, pprofURL),
+		SLOs:       e.Spec.SLOs,
+		ProfileDir: profileDir,
+	})
+}
+
+// ObsSources lists what a process that drives sites watches: one scrape
+// source per site's container /metrics, then the process's own registry,
+// named self, fetched in-process with its process self-metrics refreshed
+// per fetch. pprofURL, if not nil, is where an SLO breach finds the
+// process's debug mux. The coordinator and fleetd both build their
+// aggregators over this list.
+func ObsSources(sites []*Site, self string, reg *telemetry.Registry, pprofURL func() string) []obs.Source {
 	sources := make([]obs.Source, 0, len(sites)+1)
 	for _, s := range sites {
 		sources = append(sources, obs.Source{Name: s.Spec.Name, URL: "http://" + s.Addr + "/metrics"})
 	}
-	e.obsAgg = obs.New(obs.Config{
-		Sources: append(sources, obs.Source{
-			Name: "coordinator",
-			Fetch: func() telemetry.Snapshot {
-				telemetry.ProcessMetrics(e.Telemetry)
-				return e.Telemetry.Snapshot()
-			},
-			PprofURL: pprofURL,
-		}),
-		SLOs:       e.Spec.SLOs,
-		ProfileDir: profileDir,
+	return append(sources, obs.Source{
+		Name: self,
+		Fetch: func() telemetry.Snapshot {
+			telemetry.ProcessMetrics(reg)
+			return reg.Snapshot()
+		},
+		PprofURL: pprofURL,
 	})
 }
 

@@ -45,14 +45,18 @@ func TestRunProducesMergedCrossSiteTrace(t *testing.T) {
 	}
 
 	// Group the merged snapshot by trace ID.
+	spans := exp.SpanSnapshot()
 	byTrace := make(map[string][]trace.SpanData)
-	for _, sd := range exp.SpanSnapshot() {
+	byID := make(map[string]trace.SpanData, len(spans))
+	for _, sd := range spans {
 		byTrace[sd.TraceID] = append(byTrace[sd.TraceID], sd)
+		byID[sd.SpanID] = sd
 	}
 
 	// Every committed step must have a root "coord.step" span whose trace
 	// contains, for each site, paired client+server propose and execute
-	// spans — that is the end-to-end acceptance shape.
+	// spans — that is the end-to-end acceptance shape. A client span is the
+	// site's when its nearest ancestor with a site attribute names it.
 	roots := 0
 	for _, spans := range byTrace {
 		var root *trace.SpanData
@@ -73,7 +77,7 @@ func TestRunProducesMergedCrossSiteTrace(t *testing.T) {
 						continue
 					}
 					switch {
-					case sd.Kind == trace.KindClient && sd.Service == "coordinator":
+					case sd.Kind == trace.KindClient && sd.Service == "coordinator" && siteOf(sd, byID) == site:
 						client = true
 					case sd.Kind == trace.KindServer && sd.Service == site:
 						server = true
@@ -91,15 +95,16 @@ func TestRunProducesMergedCrossSiteTrace(t *testing.T) {
 	}
 
 	// The DAQ readback must appear as nsds.publish children inside steps.
-	var publishes, delays int
-	for _, sd := range exp.SpanSnapshot() {
+	delays := make(map[string]int)
+	publishes := 0
+	for _, sd := range spans {
 		if sd.Name == "nsds.publish" && sd.Parent != "" {
 			publishes++
 		}
 		if sd.Kind == trace.KindClient {
 			for _, ev := range sd.Events {
 				if ev.Name == "faultnet.delay" {
-					delays++
+					delays[siteOf(sd, byID)]++
 				}
 			}
 		}
@@ -107,9 +112,25 @@ func TestRunProducesMergedCrossSiteTrace(t *testing.T) {
 	if publishes == 0 {
 		t.Fatal("no nsds.publish child spans from DAQ readback")
 	}
-	// The WAN-delayed site's latency must be visible on client spans.
-	if delays == 0 {
-		t.Fatal("no faultnet.delay annotations on client spans")
+	// The WAN delay is attributed to the site behind it, on its client
+	// spans, and to no other.
+	if delays["beta"] == 0 || len(delays) != 1 {
+		t.Fatalf("faultnet.delay annotations by site %v, want beta's client spans only", delays)
+	}
+}
+
+// siteOf attributes a span to a site: the site attribute of the span or of
+// its nearest ancestor that has one.
+func siteOf(sd trace.SpanData, byID map[string]trace.SpanData) string {
+	for {
+		if s, ok := sd.Attrs["site"]; ok {
+			return s
+		}
+		parent, ok := byID[sd.Parent]
+		if !ok {
+			return ""
+		}
+		sd = parent
 	}
 }
 

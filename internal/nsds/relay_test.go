@@ -136,7 +136,9 @@ func TestRelayTierBestEffortDropsForSlowViewer(t *testing.T) {
 	defer srv.Close()
 
 	relay := startRelay(t, RelayConfig{Upstream: addr})
-	waitFor(t, 2*time.Second, func() bool { return relay.Healthy() == nil })
+	// As in TestRelayFansOutUpstreamStream: a batch published before the
+	// upstream hub holds the relay's subscription is never forwarded.
+	waitFor(t, 2*time.Second, func() bool { return relay.Healthy() == nil && up.Subscribers() == 1 })
 	slow, err := relay.Hub().SubscribeBatches(1, false)
 	if err != nil {
 		t.Fatal(err)

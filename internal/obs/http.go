@@ -20,8 +20,8 @@ import (
 //	GET  /slo      machine-readable Verdict JSON (exit-code material for
 //	               SLO-gated CI runs)
 //	GET  /series?metric=<name>  ringed values for one metric (sparklines)
-//	POST /push?site=<name>      push-mode ingestion of one site's JSON
-//	                            snapshot
+//
+// It has no write: pushed roll-ups arrive in-process through Push.
 func (a *Aggregator) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/fleet", func(w http.ResponseWriter, r *http.Request) {
@@ -67,24 +67,6 @@ func (a *Aggregator) Mux() *http.ServeMux {
 			vs = []float64{}
 		}
 		writeJSON(w, map[string]any{"metric": name, "values": vs})
-	})
-	mux.HandleFunc("/push", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			http.Error(w, "obs: POST only", http.StatusMethodNotAllowed)
-			return
-		}
-		site := r.URL.Query().Get("site")
-		if site == "" {
-			http.Error(w, "obs: ?site= required", http.StatusBadRequest)
-			return
-		}
-		var snap telemetry.Snapshot
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20)).Decode(&snap); err != nil {
-			http.Error(w, fmt.Sprintf("obs: decode: %v", err), http.StatusBadRequest)
-			return
-		}
-		a.Push(site, snap)
-		w.WriteHeader(http.StatusNoContent)
 	})
 	return mux
 }

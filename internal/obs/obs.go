@@ -47,11 +47,16 @@ type Source struct {
 	PprofURL func() string
 }
 
+// pushed reports a purely push-fed source. Nothing scrapes it, so it is not
+// judged for staleness: a run pushes its roll-up once, when it ends, and
+// the row keeps the state of that push.
+func (s Source) pushed() bool { return s.URL == "" && s.Fetch == nil }
+
 // Health states a site moves through, derived purely from scrape history.
 const (
 	StateUnknown  = "unknown"  // never scraped yet
-	StateOK       = "ok"       // fresh successful scrape
-	StateDegraded = "degraded" // last success older than StaleAfter
+	StateOK       = "ok"       // fresh successful scrape, or a push
+	StateDegraded = "degraded" // scraped source's last success older than StaleAfter
 	StateDown     = "down"     // most recent scrape attempt failed
 )
 
@@ -92,8 +97,9 @@ type Config struct {
 	Sources []Source
 	// Interval between scrape rounds; default 1s.
 	Interval time.Duration
-	// StaleAfter marks a site degraded when its last successful scrape is
-	// older than this; default 3×Interval.
+	// StaleAfter marks a scraped site degraded when its last successful
+	// scrape is older than this; default 3×Interval. Pushed sources never
+	// go stale.
 	StaleAfter time.Duration
 	// RingSize bounds the per-metric time-series ring; default 120 points
 	// (two minutes at the default interval).
@@ -322,8 +328,8 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 		resMu sync.Mutex
 	)
 	for _, st := range targets {
-		if st.src.URL == "" && st.src.Fetch == nil {
-			continue // push-only: freshness judged from pushes
+		if st.src.pushed() {
+			continue // keeps the snapshot of its push
 		}
 		wg.Add(1)
 		go func(st *siteState) {
@@ -436,7 +442,7 @@ func (a *Aggregator) buildFleetLocked() FleetView {
 			switch {
 			case st.lastErr != nil:
 				h.State = StateDown
-			case now.Sub(st.lastOK) > a.cfg.StaleAfter:
+			case !st.src.pushed() && now.Sub(st.lastOK) > a.cfg.StaleAfter:
 				h.State = StateDegraded
 			default:
 				h.State = StateOK

@@ -178,6 +178,16 @@ func TestAggregatorPush(t *testing.T) {
 	if view.Merged.Counters["ntcp.server.executed"] != 9 {
 		t.Fatalf("pushed snapshot not merged: %+v", view.Merged.Counters)
 	}
+
+	// A run pushes its roll-up once, when it ends: scrape rounds long past
+	// StaleAfter (3 s by default) leave the row as the push left it.
+	for i := 0; i < 3; i++ {
+		clk.advance(10 * time.Second)
+		a.ScrapeOnce(context.Background())
+	}
+	if s := a.Fleet().Sites[0]; s.State != StateOK {
+		t.Fatalf("pushed site %s a minute after its push, want ok", s.State)
+	}
 }
 
 func TestMuxEndpoints(t *testing.T) {
@@ -241,18 +251,19 @@ func TestMuxEndpoints(t *testing.T) {
 		t.Fatalf("series wrong: %+v", series)
 	}
 
-	// /push registers a third site.
+	// The surface is read-only: no HTTP request adds a source or a
+	// snapshot to the roll-up.
 	b, _ := json.Marshal(siteRegistry(5).Snapshot())
 	presp, err := http.Post(srv.URL+"/push?site=site-c", "application/json", strings.NewReader(string(b)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	presp.Body.Close()
-	if presp.StatusCode != http.StatusNoContent {
-		t.Fatalf("push status = %d", presp.StatusCode)
+	if presp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /push status = %d, want 404", presp.StatusCode)
 	}
-	if got := a.Merged().Counters["ntcp.server.executed"]; got != 12 {
-		t.Fatalf("after push merged counter = %d, want 12", got)
+	if view := a.Fleet(); len(view.Sites) != 2 || view.Merged.Counters["ntcp.server.executed"] != 7 {
+		t.Fatalf("a POST changed the roll-up: %d sites, executed %d", len(view.Sites), view.Merged.Counters["ntcp.server.executed"])
 	}
 }
 
