@@ -9,41 +9,59 @@ import (
 	"testing"
 )
 
-// builderFuncs are what a daemon would call to build topology of its own —
-// listen, dial a site's container, or make an NTCP client. The binaries
-// build sites, runs and their obs planes through internal/most, so non-test
-// code under cmd/ calls none of them.
-var builderFuncs = map[string]bool{
-	"net.Listen":                                    true,
-	"neesgrid/internal/ogsi.NewClient":              true,
-	"neesgrid/internal/core.NewClientWithTelemetry": true,
+// builderFuncs are what code would call to build topology of its own —
+// listen, dial a site's container, or make an NTCP client — each with the
+// directories whose non-test code may call it. Sites, runs and their obs
+// planes are built in internal/most; every TCP listener is a
+// runtime.ConnServer, a runtime.DebugServer or the OGSI container. A
+// package may also call its own builder (core.NewClient wraps
+// NewClientWithTelemetry).
+var builderFuncs = map[string][]string{
+	"net.Listen":                                    {"internal/runtime/", "internal/ogsi/"},
+	"neesgrid/internal/ogsi.NewClient":              {"internal/most/"},
+	"neesgrid/internal/core.NewClientWithTelemetry": {"internal/most/"},
 }
 
-// TestBinariesBuildThroughInternal holds non-test code under cmd/ to the one
-// builder: no call of builderFuncs and no obs.Source literal (most.ObsSources
-// lists a process's sources).
+// TestBinariesBuildThroughInternal holds non-test code of the module (bench/
+// is a module of its own) to the one builder: builderFuncs are called only
+// where they are allowed, and obs.Source literals are written only in
+// internal/most (most.ObsSources lists a process's sources).
 func TestBinariesBuildThroughInternal(t *testing.T) {
 	l := loadTree(t)
 	for i, info := range l.infos {
 		for _, f := range l.files[i] {
-			if !l.inCmd(f.Pos()) {
+			name := filepath.ToSlash(l.fset.File(f.Pos()).Name())
+			if strings.HasPrefix(name, "bench/") || strings.HasSuffix(name, "_test.go") {
 				continue
+			}
+			within := func(dirs ...string) bool {
+				for _, dir := range dirs {
+					if strings.HasPrefix(name, dir) {
+						return true
+					}
+				}
+				return false
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.CallExpr:
-					if fn := calledFunc(info, n); fn != nil && fn.Type().(*types.Signature).Recv() == nil &&
-						builderFuncs[fn.Pkg().Path()+"."+fn.Name()] {
-						t.Errorf("%s: %s.%s builds topology in a binary; build it in internal/most", l.fset.Position(n.Pos()), fn.Pkg().Name(), fn.Name())
+					fn := calledFunc(info, n)
+					if fn == nil || fn.Type().(*types.Signature).Recv() != nil {
+						break
+					}
+					dirs, ok := builderFuncs[fn.Pkg().Path()+"."+fn.Name()]
+					own := strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/") + "/"
+					if ok && !within(dirs...) && !within(own) {
+						t.Errorf("%s: %s.%s outside %s", l.fset.Position(n.Pos()), fn.Pkg().Name(), fn.Name(), strings.Join(dirs, ", "))
 					}
 				case *ast.CompositeLit:
 					typ := n.Type
 					if at, ok := typ.(*ast.ArrayType); ok {
 						typ = at.Elt
 					}
-					if sel, ok := typ.(*ast.SelectorExpr); ok {
+					if sel, ok := typ.(*ast.SelectorExpr); ok && !within("internal/most/") {
 						if tn, ok := info.Uses[sel.Sel].(*types.TypeName); ok && tn.Pkg().Path() == "neesgrid/internal/obs" && tn.Name() == "Source" {
-							t.Errorf("%s: an obs.Source literal in a binary; list sources with most.ObsSources", l.fset.Position(n.Pos()))
+							t.Errorf("%s: an obs.Source literal outside internal/most; list sources with most.ObsSources", l.fset.Position(n.Pos()))
 						}
 					}
 				}

@@ -649,3 +649,18 @@ func (s *StepperBeam) Moves() int {
 func (x *XPCTarget) Applied() int {
 	return int(x.applied.Load())
 }
+
+// Regression: a server started after Close bound a new listener, reset the
+// first connection to it and leaked the listener.
+func TestShoreWesternStartAfterCloseFails(t *testing.T) {
+	srv := NewShoreWesternServer(NewColumnRig("uiuc", quietActuator(), 1000, 0, 0))
+	if _, err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if addr, err := srv.Start("127.0.0.1:0"); err == nil {
+		t.Fatalf("a closed server started again on %s", addr)
+	}
+}

@@ -2,6 +2,7 @@ package control
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -9,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+
+	"neesgrid/internal/runtime"
 )
 
 // Shore-Western emulation: at UIUC, the NTCP plugin spoke "a simple TCP/IP
@@ -27,73 +30,22 @@ import (
 // ShoreWesternServer serves the control protocol for one rig.
 type ShoreWesternServer struct {
 	rig *Rig
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	handlers sync.WaitGroup
+	tcp *runtime.ConnServer
 }
 
 // NewShoreWesternServer wraps a rig.
 func NewShoreWesternServer(rig *Rig) *ShoreWesternServer {
-	return &ShoreWesternServer{rig: rig, conns: make(map[net.Conn]struct{})}
+	s := &ShoreWesternServer{rig: rig}
+	s.tcp = runtime.NewConnServer("control", func(_ context.Context, conn net.Conn) { s.serve(conn) })
+	return s
 }
 
 // Start listens on addr and serves until Close. Returns the bound address.
-func (s *ShoreWesternServer) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("control: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				_ = conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.handlers.Add(1)
-			s.mu.Unlock()
-			go func() {
-				defer func() {
-					s.mu.Lock()
-					delete(s.conns, conn)
-					s.mu.Unlock()
-					s.handlers.Done()
-				}()
-				s.serve(conn)
-			}()
-		}
-	}()
-	return ln.Addr().String(), nil
-}
+func (s *ShoreWesternServer) Start(addr string) (string, error) { return s.tcp.Start(addr) }
 
 // Close stops the listener, severs every open connection and waits for
 // their handlers: once Close returns, no command moves the rig.
-func (s *ShoreWesternServer) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	s.handlers.Wait()
-	return err
-}
+func (s *ShoreWesternServer) Close() error { return s.tcp.Close() }
 
 // serve answers one connection's commands in order. Replies are flushed only
 // once no further input is buffered, so commands a client pipelines in one

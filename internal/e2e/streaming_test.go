@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os/exec"
 	"path/filepath"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -101,5 +102,61 @@ func TestStreamingDaemonsEndToEnd(t *testing.T) {
 		if err != nil || len(got) != 0 {
 			t.Fatalf("legacy JSON subscribe to %s: read %d bytes, %v; want a close with zero bytes", addr, len(got), err)
 		}
+	}
+}
+
+// TestNsdsdDrainsAnIdleViewer: nsdsd with no publisher and one idle binary
+// subscriber exits 0 within a second of SIGTERM. The stream server used to
+// return from its drain while the idle viewer's handler still waited for a
+// batch, so the drain ran out its 2 s deadline and the process exited 1.
+func TestNsdsdDrainsAnIdleViewer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and spawns binaries")
+	}
+	bin := t.TempDir()
+	buildBinaries(t, bin, "nsdsd")
+	addr := freePort(t)
+	cmd := exec.Command(filepath.Join(bin, "nsdsd"), "-addr", addr)
+	var out bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() { exited <- cmd.Wait() }()
+	defer func() {
+		_ = cmd.Process.Kill()
+		if t.Failed() {
+			t.Logf("nsdsd output:\n%s", out.String())
+		}
+	}()
+	waitListening(t, addr)
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := fmt.Fprintln(conn, `{"channels":[],"buffer":16,"format":"binary"}`); err != nil {
+		t.Fatal(err)
+	}
+	// The daemon subscribes as soon as it has read the line; nothing is
+	// published, so the viewer stays idle.
+	time.Sleep(200 * time.Millisecond)
+
+	sent := time.Now()
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("nsdsd exited after %v: %v", time.Since(sent).Round(time.Millisecond), err)
+		}
+		if took := time.Since(sent); took > time.Second {
+			t.Fatalf("nsdsd took %v to drain one idle viewer", took.Round(time.Millisecond))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("nsdsd did not exit within 10 s of SIGTERM")
 	}
 }

@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -14,6 +15,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
 )
 
@@ -21,14 +23,10 @@ import (
 type Server struct {
 	root string
 	tel  atomic.Pointer[serverCounters]
-
-	done chan struct{} // closed by Close, under mu
+	tcp  *runtime.ConnServer
 
 	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]struct{} // live sessions
 	uploads map[string]*upload
-	wg      sync.WaitGroup // the accept loop and one handler per session
 }
 
 // upload tracks one in-progress striped PUT and its restart marker.
@@ -46,7 +44,7 @@ type upload struct {
 // session is still in a known state — the header answered, the data phase
 // consumed or produced to the byte — and so may carry another request;
 // anything else closes the connection.
-var handlers = map[string]func(*Server, *session, *request) bool{
+var handlers = map[string]func(*Server, context.Context, *session, *request) bool{
 	"stat":       (*Server).handleStat,
 	"get-data":   (*Server).handleGetData,
 	"put-init":   (*Server).handlePutInit,
@@ -102,94 +100,21 @@ func NewServer(root string) (*Server, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("gridftp: root: %w", err)
 	}
-	return &Server{root: root, done: make(chan struct{}),
-		conns: make(map[net.Conn]struct{}), uploads: make(map[string]*upload)}, nil
+	s := &Server{root: root, uploads: make(map[string]*upload)}
+	s.tcp = runtime.NewConnServer("gridftp", s.serve)
+	return s, nil
 }
 
 var errClosed = errors.New("gridftp: server closed")
 
-func (s *Server) isClosed() bool {
-	select {
-	case <-s.done:
-		return true
-	default:
-		return false
-	}
-}
-
 // Start listens on addr; returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("gridftp: listen: %w", err)
-	}
-	s.mu.Lock()
-	if s.isClosed() {
-		s.mu.Unlock()
-		_ = ln.Close()
-		return "", errClosed
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			if !s.track(conn) {
-				return
-			}
-			s.wg.Add(1) // safe beside Close's Wait: this loop still holds its own count
-			go s.serve(newSession(conn))
-		}
-	}()
-	return ln.Addr().String(), nil
-}
-
-// track registers a connection for Close to cut; on a closed server it
-// closes the connection instead and reports false.
-func (s *Server) track(conn net.Conn) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.isClosed() {
-		_ = conn.Close()
-		return false
-	}
-	s.conns[conn] = struct{}{}
-	return true
-}
-
-// drop closes a tracked connection and forgets it.
-func (s *Server) drop(conn net.Conn) error {
-	s.mu.Lock()
-	delete(s.conns, conn)
-	s.mu.Unlock()
-	return conn.Close()
-}
+func (s *Server) Start(addr string) (string, error) { return s.tcp.Start(addr) }
 
 // Close stops the listener, cuts every live session, waits for the handlers
 // to return, and closes the .part files of uploads left unfinished (the files
 // stay on disk; their restart markers go with the server).
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.isClosed() {
-		s.mu.Unlock()
-		return nil
-	}
-	close(s.done)
-	var err error
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-
+	err := s.tcp.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, up := range s.uploads {
@@ -217,9 +142,8 @@ func (s *Server) resolve(p string) (string, error) {
 
 // serve is the request loop of one session. A peer that sends one request
 // and closes is a session of one request.
-func (s *Server) serve(sess *session) {
-	defer s.wg.Done()
-	defer s.drop(sess.Conn)
+func (s *Server) serve(ctx context.Context, conn net.Conn) {
+	sess := newSession(conn)
 	if t := s.tel.Load(); t != nil {
 		t.sessions.Inc()
 	}
@@ -236,7 +160,7 @@ func (s *Server) serve(sess *session) {
 		if t := s.tel.Load(); t != nil {
 			t.requests[series].Inc()
 		}
-		if !handle(s, sess, &req) {
+		if !handle(s, ctx, sess, &req) {
 			return
 		}
 	}
@@ -256,18 +180,24 @@ func reply(sess *session, resp response) bool {
 
 // handleUnknown refuses an op the server does not have. The header line was
 // consumed whole, so the session is still at a request boundary.
-func (s *Server) handleUnknown(sess *session, req *request) bool {
+func (s *Server) handleUnknown(_ context.Context, sess *session, req *request) bool {
 	return fail(sess, "unknown op %s", req.Op)
 }
 
 // checksum is the CRC and length of everything left in f, read through the
-// buffer of the session that asked. It gives up when the server closes, so
-// that Close does not wait out a pass over a file as large as a peer cared to
-// declare.
-func (s *Server) checksum(sess *session, f *os.File) (crc uint32, n int64, err error) {
+// buffer of the session that asked. It gives up when ctx ends (the server
+// closes), so that Close does not wait out a pass over a file as large as a
+// peer cared to declare.
+func checksum(ctx context.Context, sess *session, f *os.File) (crc uint32, n int64, err error) {
 	h := crc32.NewIEEE()
 	buf := sess.buffer(DefaultBlockSize)
-	for !s.isClosed() {
+	done := ctx.Done()
+	for {
+		select {
+		case <-done:
+			return 0, n, errClosed
+		default:
+		}
 		read, err := f.Read(buf)
 		h.Write(buf[:read])
 		n += int64(read)
@@ -278,10 +208,9 @@ func (s *Server) checksum(sess *session, f *os.File) (crc uint32, n int64, err e
 			return 0, n, err
 		}
 	}
-	return 0, n, errClosed
 }
 
-func (s *Server) handleStat(sess *session, req *request) bool {
+func (s *Server) handleStat(ctx context.Context, sess *session, req *request) bool {
 	path, err := s.resolve(req.Path)
 	if err != nil {
 		return fail(sess, "%v", err)
@@ -291,14 +220,14 @@ func (s *Server) handleStat(sess *session, req *request) bool {
 		return fail(sess, "open: %v", err)
 	}
 	defer f.Close()
-	crc, n, err := s.checksum(sess, f)
+	crc, n, err := checksum(ctx, sess, f)
 	if err != nil {
 		return fail(sess, "read: %v", err)
 	}
 	return reply(sess, response{Size: n, CRC: crc})
 }
 
-func (s *Server) handleGetData(sess *session, req *request) bool {
+func (s *Server) handleGetData(_ context.Context, sess *session, req *request) bool {
 	path, err := s.resolve(req.Path)
 	if err != nil {
 		return fail(sess, "%v", err)
@@ -335,7 +264,7 @@ func (s *Server) handleGetData(sess *session, req *request) bool {
 	return err == nil
 }
 
-func (s *Server) handlePutInit(sess *session, req *request) bool {
+func (s *Server) handlePutInit(_ context.Context, sess *session, req *request) bool {
 	if req.ID == "" || req.Size < 0 || req.Path == "" {
 		return fail(sess, "put-init needs id, path, size")
 	}
@@ -410,7 +339,7 @@ func (s *Server) lookupUpload(id string) *upload {
 	return s.uploads[id]
 }
 
-func (s *Server) handlePutData(sess *session, req *request) bool {
+func (s *Server) handlePutData(_ context.Context, sess *session, req *request) bool {
 	up := s.lookupUpload(req.ID)
 	if up == nil {
 		return fail(sess, "no upload %q", req.ID)
@@ -451,7 +380,7 @@ func (s *Server) handlePutData(sess *session, req *request) bool {
 	}
 }
 
-func (s *Server) handlePutStatus(sess *session, req *request) bool {
+func (s *Server) handlePutStatus(_ context.Context, sess *session, req *request) bool {
 	up := s.lookupUpload(req.ID)
 	if up == nil {
 		return fail(sess, "no upload %q", req.ID)
@@ -459,7 +388,7 @@ func (s *Server) handlePutStatus(sess *session, req *request) bool {
 	return reply(sess, response{Received: up.receivedList()})
 }
 
-func (s *Server) handlePutCommit(sess *session, req *request) bool {
+func (s *Server) handlePutCommit(ctx context.Context, sess *session, req *request) bool {
 	up := s.lookupUpload(req.ID)
 	if up == nil {
 		return fail(sess, "no upload %q", req.ID)
@@ -477,7 +406,7 @@ func (s *Server) handlePutCommit(sess *session, req *request) bool {
 	if _, err := up.file.Seek(0, io.SeekStart); err != nil {
 		return fail(sess, "seek: %v", err)
 	}
-	crc, _, err := s.checksum(sess, up.file)
+	crc, _, err := checksum(ctx, sess, up.file)
 	if err != nil {
 		return fail(sess, "read: %v", err)
 	}

@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net"
-	"sync"
 	"time"
+
+	"neesgrid/internal/runtime"
 )
 
 // DefaultWriteTimeout is the per-connection write deadline applied when
@@ -43,99 +43,32 @@ type Server struct {
 	// DefaultWriteTimeout; negative disables deadlines. Set before Start.
 	WriteTimeout time.Duration
 
-	mu      sync.Mutex
-	ln      net.Listener
-	conns   map[net.Conn]struct{}
-	stopped bool
-	done    sync.WaitGroup // outstanding serve goroutines
+	tcp *runtime.ConnServer
 }
 
 // NewServer wraps a hub.
-func NewServer(hub *Hub) *Server { return &Server{hub: hub, conns: make(map[net.Conn]struct{})} }
+func NewServer(hub *Hub) *Server {
+	s := &Server{hub: hub}
+	s.tcp = runtime.NewConnServer("nsds", s.serve)
+	return s
+}
 
 // Start listens on addr; returns the bound address.
-func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("nsds: listen: %w", err)
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.stopped = false
-	s.mu.Unlock()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.mu.Lock()
-			if s.stopped {
-				s.mu.Unlock()
-				_ = conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.done.Add(1)
-			s.mu.Unlock()
-			go s.serve(conn)
-		}
-	}()
-	return ln.Addr().String(), nil
-}
+func (s *Server) Start(addr string) (string, error) { return s.tcp.Start(addr) }
 
-// Close stops the listener and severs every subscriber connection
-// immediately.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.stopped = true
-	err := error(nil)
-	if s.ln != nil {
-		err = s.ln.Close()
-	}
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	return err
-}
+// Close stops the listener, severs every subscriber connection and waits
+// for their handlers, whose subscriptions end with them.
+func (s *Server) Close() error { return s.tcp.Close() }
 
-// Stop is the graceful form of Close for the runtime supervisor: it stops
-// the listener, severs subscribers, and waits (bounded by ctx) for the
-// per-connection goroutines to finish flushing.
-func (s *Server) Stop(ctx context.Context) error {
-	err := s.Close()
-	idle := make(chan struct{})
-	go func() { s.done.Wait(); close(idle) }()
-	select {
-	case <-idle:
-		return err
-	case <-ctx.Done():
-		return fmt.Errorf("nsds: subscriber connections still draining: %w", ctx.Err())
-	}
-}
+// Stop is Close bounded by ctx, for the runtime supervisor.
+func (s *Server) Stop(ctx context.Context) error { return s.tcp.Stop(ctx) }
 
 // Healthy reports nil while the listener is accepting subscribers.
-func (s *Server) Healthy() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.ln == nil {
-		return fmt.Errorf("nsds: server not started")
-	}
-	if s.stopped {
-		return fmt.Errorf("nsds: server stopped")
-	}
-	return nil
-}
+func (s *Server) Healthy() error { return s.tcp.Healthy() }
 
-func (s *Server) serve(conn net.Conn) {
-	defer func() {
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.done.Done()
-	}()
+// serve streams one subscriber. The subscription ends when the server
+// closes, so an idle viewer's handler returns without waiting for a batch.
+func (s *Server) serve(ctx context.Context, conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	if !sc.Scan() {
 		return
@@ -149,6 +82,7 @@ func (s *Server) serve(conn net.Conn) {
 		return
 	}
 	defer sub.Cancel()
+	defer context.AfterFunc(ctx, sub.Cancel)()
 	wt := s.WriteTimeout
 	if wt == 0 {
 		wt = DefaultWriteTimeout

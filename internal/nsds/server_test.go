@@ -257,9 +257,34 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	}
 }
 
-// ConnCount returns the number of live subscriber connections.
+// ConnCount returns the number of live subscriber connections: the
+// server's connection handlers still running.
 func (s *Server) ConnCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.conns)
+	buf := make([]byte, 1<<20)
+	return strings.Count(string(buf[:runtime.Stack(buf, true)]), "nsds.(*Server).serve(")
+}
+
+// Regression: Close returned while an idle subscriber's handler still waited
+// for a batch, its hub subscription alive until the hub itself closed; a
+// supervised drain of nsdsd with one idle viewer ran out its deadline.
+func TestServerCloseEndsIdleSubscription(t *testing.T) {
+	hub := NewHub()
+	defer hub.Close()
+	srv := NewServer(hub)
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := Dial(addr, 16, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	waitFor(t, time.Second, func() bool { return hub.Subscribers() == 1 })
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := hub.Subscribers(); n != 0 {
+		t.Fatalf("%d subscribers once Close returned, want 0", n)
+	}
 }

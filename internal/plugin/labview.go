@@ -10,6 +10,7 @@ import (
 
 	"neesgrid/internal/control"
 	"neesgrid/internal/core"
+	"neesgrid/internal/runtime"
 )
 
 // Mini-MOST integration (§3.5): "the main software change was a new NTCP
@@ -36,74 +37,24 @@ type lvResponse struct {
 // LabViewDaemon serves the daemon protocol over a StepperBeam rig.
 type LabViewDaemon struct {
 	rig *control.StepperBeam
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	closed   bool
-	handlers sync.WaitGroup
+	tcp *runtime.ConnServer
 }
 
 // NewLabViewDaemon wraps the tabletop rig.
 func NewLabViewDaemon(rig *control.StepperBeam) *LabViewDaemon {
-	return &LabViewDaemon{rig: rig, conns: make(map[net.Conn]struct{})}
+	d := &LabViewDaemon{rig: rig}
+	d.tcp = runtime.NewConnServer("labview", d.serve)
+	return d
 }
 
 // Start listens and serves until Close; returns the bound address.
-func (d *LabViewDaemon) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("labview: listen: %w", err)
-	}
-	d.mu.Lock()
-	d.ln = ln
-	d.mu.Unlock()
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			d.mu.Lock()
-			if d.closed {
-				d.mu.Unlock()
-				_ = conn.Close()
-				return
-			}
-			d.conns[conn] = struct{}{}
-			d.handlers.Add(1)
-			d.mu.Unlock()
-			go d.serve(conn)
-		}
-	}()
-	return ln.Addr().String(), nil
-}
+func (d *LabViewDaemon) Start(addr string) (string, error) { return d.tcp.Start(addr) }
 
 // Close stops the listener, severs every open connection and waits for
 // their handlers: once Close returns, no command moves the rig.
-func (d *LabViewDaemon) Close() error {
-	d.mu.Lock()
-	d.closed = true
-	var err error
-	if d.ln != nil {
-		err = d.ln.Close()
-	}
-	for conn := range d.conns {
-		_ = conn.Close()
-	}
-	d.mu.Unlock()
-	d.handlers.Wait()
-	return err
-}
+func (d *LabViewDaemon) Close() error { return d.tcp.Close() }
 
-func (d *LabViewDaemon) serve(conn net.Conn) {
-	defer func() {
-		_ = conn.Close()
-		d.mu.Lock()
-		delete(d.conns, conn)
-		d.mu.Unlock()
-		d.handlers.Done()
-	}()
+func (d *LabViewDaemon) serve(_ context.Context, conn net.Conn) {
 	sc := bufio.NewScanner(conn)
 	enc := json.NewEncoder(conn)
 	for sc.Scan() {

@@ -152,12 +152,29 @@ func TestShoreWesternPluginExecute(t *testing.T) {
 }
 
 func TestShoreWesternPluginValidateLimits(t *testing.T) {
-	p := &ShoreWesternPlugin{Point: "left-column", MaxDisplacement: 0.05}
-	if err := p.Validate(context.Background(), action("left-column", 0.1)); err == nil {
-		t.Fatal("oversized move should be vetoed")
-	}
-	if err := p.Validate(context.Background(), action("wrong", 0.01)); err == nil {
-		t.Fatal("unknown point should be vetoed")
+	limited := &ShoreWesternPlugin{Point: "left-column", MaxDisplacement: 0.05}
+	unlimited := &ShoreWesternPlugin{Point: "left-column"}
+	for _, row := range []struct {
+		name  string
+		p     *ShoreWesternPlugin
+		point string
+		d     float64
+		ok    bool
+	}{
+		{"within the limit", limited, "left-column", 0.01, true},
+		{"oversized", limited, "left-column", 0.1, false},
+		{"unknown point", limited, "wrong", 0.01, false},
+		{"NaN", limited, "left-column", math.NaN(), false},
+		{"+Inf", limited, "left-column", math.Inf(1), false},
+		{"-Inf", limited, "left-column", math.Inf(-1), false},
+		{"no limit", unlimited, "left-column", 10, true},
+		{"NaN, no limit", unlimited, "left-column", math.NaN(), false},
+		{"+Inf, no limit", unlimited, "left-column", math.Inf(1), false},
+		{"-Inf, no limit", unlimited, "left-column", math.Inf(-1), false},
+	} {
+		if err := row.p.Validate(context.Background(), action(row.point, row.d)); (err == nil) != row.ok {
+			t.Errorf("%s: Validate(%s, %g) = %v, want ok=%v", row.name, row.point, row.d, err, row.ok)
+		}
 	}
 }
 
@@ -266,6 +283,11 @@ func TestXPCPluginValidate(t *testing.T) {
 	}
 	if err := p.Validate(context.Background(), action("right-column", 0.01)); err != nil {
 		t.Fatalf("a move within the stroke: %v", err)
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := p.Validate(context.Background(), action("right-column", d)); err == nil {
+			t.Errorf("a move to %g passed validation", d)
+		}
 	}
 }
 
@@ -409,5 +431,20 @@ func TestMpluginBehindNTCPServer(t *testing.T) {
 	}
 	if rec.State != core.StateExecuted || math.Abs(rec.Results[0].Forces[0]-20) > 1e-9 {
 		t.Fatalf("record = %+v", rec)
+	}
+}
+
+// Regression: a daemon started after Close bound a new listener, reset the
+// first connection to it and leaked the listener.
+func TestLabViewDaemonStartAfterCloseFails(t *testing.T) {
+	d := NewLabViewDaemon(control.NewStepperBeam("mini", 1080, 1e-4, 1000))
+	if _, err := d.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if addr, err := d.Start("127.0.0.1:0"); err == nil {
+		t.Fatalf("a closed daemon started again on %s", addr)
 	}
 }

@@ -112,7 +112,9 @@ func (p *HumanApprovalPlugin) Execute(ctx context.Context, actions []core.Action
 var _ core.Plugin = (*HumanApprovalPlugin)(nil)
 
 // validateChannel is a single-DOF rig channel's proposal screen: the
-// channel's control point, one displacement, and |d| <= max when max > 0.
+// channel's control point, one finite displacement, and |d| <= max when
+// max > 0. The limit is written as what passes, so that a NaN, which fails
+// every comparison, fails it too.
 func validateChannel(channel, point string, max float64, actions []core.Action) error {
 	for _, a := range actions {
 		if a.ControlPoint != point {
@@ -121,8 +123,12 @@ func validateChannel(channel, point string, max float64, actions []core.Action) 
 		if len(a.Displacements) != 1 {
 			return fmt.Errorf("%s channel is single-DOF", channel)
 		}
-		if max > 0 && math.Abs(a.Displacements[0]) > max {
-			return fmt.Errorf("displacement %g exceeds site limit %g", a.Displacements[0], max)
+		d := a.Displacements[0]
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("displacement %g is not finite", d)
+		}
+		if max > 0 && !(math.Abs(d) <= max) {
+			return fmt.Errorf("displacement %g exceeds site limit %g", d, max)
 		}
 	}
 	return nil
