@@ -7,6 +7,9 @@
 //
 //	chefd -addr 127.0.0.1:8088 -nsds 127.0.0.1:7777
 //
+// -pprof serves the ops surface every daemon shares: /debug/pprof/,
+// /metrics, /trace, /healthz and /readyz.
+//
 // SIGINT/SIGTERM drain the process: the NSDS feed disconnects first, then
 // in-flight HTTP requests get the drain deadline to finish before the
 // listener closes.
@@ -22,6 +25,7 @@ import (
 	"neesgrid/internal/collab"
 	"neesgrid/internal/nsds"
 	"neesgrid/internal/runtime"
+	"neesgrid/internal/telemetry"
 	"neesgrid/internal/telepresence"
 )
 
@@ -41,7 +45,8 @@ func run() int {
 	viewer := collab.NewViewer(*retention)
 
 	sup := runtime.NewSupervisor("chefd")
-	ds := debugFlags.Install(sup, nil)
+	// A registry of its own: the ops surface reports the process.* gauges.
+	debugFlags.Install(sup, telemetry.NewRegistry(), nil)
 
 	mux := http.NewServeMux()
 	mux.Handle("/", collab.NewHandler(ws, viewer))
@@ -63,7 +68,7 @@ func run() int {
 
 	// Stop order (reverse of registration): the feed disconnects before the
 	// workspace server shuts down.
-	srv := runtime.NewDebugServer(*addr, mux)
+	srv := runtime.NewHTTPServer(*addr, mux)
 	sup.Add("workspace-server", runtime.Funcs{
 		StartFunc: func(ctx context.Context) error {
 			if err := srv.Start(ctx); err != nil {
@@ -71,9 +76,6 @@ func run() int {
 			}
 			fmt.Printf("chefd: workspace %q on http://%s (POST /login, /chat, /board, /notebook, GET /presence, /viewer/window)\n",
 				*workspace, srv.Addr())
-			if ds != nil {
-				fmt.Printf("chefd: probes at http://%s/healthz /readyz\n", ds.Addr())
-			}
 			return nil
 		},
 		StopFunc:    srv.Stop,

@@ -23,6 +23,9 @@
 //	  ]
 //	}
 //
+// -pprof serves the ops surface every daemon shares: /debug/pprof/,
+// /metrics, /trace, /healthz and /readyz.
+//
 // SIGINT/SIGTERM interrupt the stepping loop but still flush the partial
 // response history, ground record and run report before exiting 0; a run
 // that dies on its own exits 2.
@@ -189,7 +192,7 @@ func run() int {
 
 	// An SLO breach captures goroutine profiles into -out from the -pprof
 	// debug mux, at the address it bound (so -pprof 127.0.0.1:0 works too).
-	var ds *runtime.DebugServer
+	var ds *runtime.HTTPServer
 	var pprofURL func() string
 	if debugFlags.Addr != "" {
 		pprofURL = func() string { return "http://" + ds.Addr() }
@@ -201,19 +204,16 @@ func run() int {
 	// The step root spans and per-site client spans share the experiment's
 	// recorder, served at -pprof's /trace.
 	sup := runtime.NewSupervisor("coordinator")
-	ds = debugFlags.Install(sup, exp.TraceRecorder)
+	ds = debugFlags.Install(sup, exp.Telemetry, exp.TraceRecorder)
 	agg := exp.Obs()
 	sup.Add("obs-aggregator", agg)
-	var api *runtime.DebugServer
+	var api *runtime.HTTPServer
 	if *obsAddr != "" {
-		api = runtime.NewDebugServer(*obsAddr, agg.Mux())
+		api = runtime.NewHTTPServer(*obsAddr, agg.Mux())
 		sup.Add("obs-http", api)
 	}
 	// The banner starts last, so it prints the addresses the servers bound.
 	sup.Add("banner", runtime.Funcs{StartFunc: func(context.Context) error {
-		if ds != nil {
-			fmt.Printf("coordinator: pprof at http://%s/debug/pprof/, spans at /trace, probes at /healthz /readyz\n", ds.Addr())
-		}
 		if api != nil {
 			fmt.Printf("coordinator: obs aggregator at http://%s (endpoints: /fleet /metrics /slo /series)\n", api.Addr())
 		}

@@ -15,6 +15,9 @@
 //	fleetd -listen 127.0.0.1:9190 -slots 2 -tenants alpha:1,beta:1 -store /tmp/fleet
 //	mostctl fleet -url http://127.0.0.1:9190 -submit -tenant alpha -job-steps 200
 //
+// -pprof serves the ops surface every daemon shares: /debug/pprof/,
+// /metrics, /trace, /healthz and /readyz.
+//
 // SIGINT/SIGTERM drain the process: the scheduler stops admitting and
 // cancels running jobs, the aggregator stops scraping, the pool's sites
 // tear down, and the API listener closes last so probes answer through
@@ -59,7 +62,7 @@ func run() int {
 	reg := telemetry.NewRegistry()
 	rec := trace.NewRecorder(0)
 	sup := runtime.NewSupervisor("fleetd")
-	ds := debugFlags.Install(sup, rec)
+	debugFlags.Install(sup, reg, rec)
 
 	pool, err := fleet.NewPool(fleet.PoolConfig{Slots: *slots, Registry: reg})
 	if err != nil {
@@ -89,7 +92,7 @@ func run() int {
 
 	mux := sched.Mux(agg.Mux())
 	sup.RegisterProbes(mux)
-	api := runtime.NewDebugServer(*listen, mux)
+	api := runtime.NewHTTPServer(*listen, mux)
 
 	// Start order: API listener first (registered first, stopped last, so
 	// probes answer through the drain), then the already-running pool,
@@ -102,9 +105,6 @@ func run() int {
 			}
 			fmt.Printf("fleetd: %d-slot pool, tenants %s\n", pool.Size(), *tenants)
 			fmt.Printf("fleetd: API at http://%s (/submit /jobs /grants /fleet /metrics /slo /healthz)\n", api.Addr())
-			if ds != nil {
-				fmt.Printf("fleetd: pprof at http://%s/debug/pprof/\n", ds.Addr())
-			}
 			return nil
 		},
 		StopFunc:    api.Stop,

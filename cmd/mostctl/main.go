@@ -18,6 +18,9 @@
 //	mostctl fleet -url http://127.0.0.1:9190 -list  # jobs on a running fleetd
 //	mostctl chaos -scenario deploy/scenarios/step-1493.json  # E13: survive 1493
 //
+// -pprof serves the ops surface every daemon shares: /debug/pprof/,
+// /metrics, /trace, /healthz and /readyz.
+//
 // SIGINT/SIGTERM interrupt the stepping loop but still flush the response
 // history, run report, archive ingestion and the <run>-spans.jsonl span
 // snapshot before exiting 0; a run that dies on its own exits 2.
@@ -139,14 +142,11 @@ func runExperiment() int {
 	// for it). The experiment is adopted already-running; its own
 	// supervisor nests underneath.
 	sup := runtime.NewSupervisor("mostctl")
-	ds := debugFlags.Install(sup, exp.TraceRecorder)
+	debugFlags.Install(sup, exp.Telemetry, exp.TraceRecorder)
 	sup.Adopt("experiment", runtime.Funcs{
 		StopFunc:    exp.Supervisor().Stop,
 		HealthyFunc: exp.Healthy,
 	}, runtime.WithDrain(exp.Supervisor().StopBudget()))
-	if ds != nil {
-		fmt.Printf("mostctl: pprof at http://%s/debug/pprof/, spans at /trace, probes at /healthz /readyz\n", ds.Addr())
-	}
 
 	return runtime.Main("mostctl", sup, func(ctx context.Context) error {
 		start := time.Now()

@@ -17,6 +17,9 @@
 // registry at /metrics, including the per-tier nsds.tier.* and
 // nsds.sub.dropped counters.
 //
+// -pprof serves the ops surface every daemon shares: /debug/pprof/,
+// /metrics, /trace, /healthz and /readyz.
+//
 // SIGINT/SIGTERM drain the process: the demo feed stops, the HTTP
 // listener and then the stream listener close, subscriber connections
 // are severed and waited on, then the hub (or relay) closes.
@@ -60,7 +63,7 @@ func run() int {
 	reg := telemetry.NewRegistry()
 	rec := trace.NewRecorder(0)
 	sup := runtime.NewSupervisor("nsdsd")
-	ds := debugFlags.Install(sup, rec)
+	debugFlags.Install(sup, reg, rec)
 
 	// Stop order (reverse of registration): demo feed first, then the
 	// HTTP gateway, then the stream server (listener + subscriber conns),
@@ -100,9 +103,6 @@ func run() int {
 			} else {
 				fmt.Printf("nsdsd: streaming on %s (%d shards)\n", bound, hub.ShardCount())
 			}
-			if ds != nil {
-				fmt.Printf("nsdsd: pprof at http://%s/debug/pprof/, probes at /healthz /readyz\n", ds.Addr())
-			}
 			return nil
 		},
 		StopFunc:    srv.Stop,
@@ -113,7 +113,7 @@ func run() int {
 		mux := http.NewServeMux()
 		mux.Handle("/stream", nsds.NewGateway(hub))
 		mux.Handle("/metrics", telemetry.Handler(reg))
-		gw := runtime.NewDebugServer(*httpAddr, mux)
+		gw := runtime.NewHTTPServer(*httpAddr, mux)
 		sup.Add("http", runtime.Funcs{
 			StartFunc: func(ctx context.Context) error {
 				if err := gw.Start(ctx); err != nil {

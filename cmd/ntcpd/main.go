@@ -12,6 +12,9 @@
 //	      -point left-column -kind shore-western \
 //	      -k 7.7e5 -fy 25e3 -hardening 0.05 -max-disp 0.15
 //
+// -pprof serves the ops surface every daemon shares: /debug/pprof/,
+// /metrics, /trace, /healthz and /readyz.
+//
 // SIGINT/SIGTERM drain the process: /readyz flips not-ready, in-flight
 // NTCP executions get their deadline to finish (new proposals are
 // refused with a retryable code), then the container closes.
@@ -60,10 +63,9 @@ func run() int {
 	// The trace service name is the credential's CN — the site name in the
 	// merged timeline.
 	tracer := trace.NewTracer(id.ServiceName(), rec)
-	most.ExportSpanDrops(reg, rec)
 
 	sup := runtime.NewSupervisor("ntcpd")
-	ds := debugFlags.Install(sup, rec)
+	debugFlags.Install(sup, reg, rec)
 
 	// Backend rig pieces start inline (they must exist before the server)
 	// and are adopted into the stop order; the container and NTCP server
@@ -99,9 +101,6 @@ func run() int {
 				id.Cred.Identity(), *point, kind, *k, bound)
 			fmt.Printf("ntcpd: metrics at http://%s/metrics, spans at http://%s/trace\n",
 				bound, bound)
-			if ds != nil {
-				fmt.Printf("ntcpd: pprof at http://%s/debug/pprof/, probes at /healthz /readyz\n", ds.Addr())
-			}
 			return nil
 		},
 		StopFunc:    cont.Stop,

@@ -10,6 +10,9 @@
 //	      -ca-cert certs/ca.cert -cred certs/repo.cred \
 //	      -allow "/O=NEES/CN=uiuc=uiuc,/O=NEES/CN=coordinator=coord"
 //
+// -pprof serves the ops surface every daemon shares: /debug/pprof/,
+// /metrics, /trace, /healthz and /readyz.
+//
 // SIGINT/SIGTERM drain the process in reverse start order: bridge, then
 // container, then the transfer server, each under its own deadline.
 package main
@@ -55,8 +58,9 @@ func run() int {
 		return fatal("gridftp: %v", err)
 	}
 
+	cont := ogsi.NewContainer(id.Cred, id.Trust, id.Gridmap)
 	sup := runtime.NewSupervisor("repod")
-	ds := debugFlags.Install(sup, nil)
+	debugFlags.Install(sup, cont.Telemetry(), nil)
 
 	sup.Add("gridftp", runtime.Funcs{
 		StartFunc: func(context.Context) error {
@@ -70,7 +74,6 @@ func run() int {
 		StopFunc: func(context.Context) error { return ftp.Close() },
 	})
 
-	cont := ogsi.NewContainer(id.Cred, id.Trust, id.Gridmap)
 	// The transfer server, and the client the bridge fetches through, count
 	// into the container's registry, so GET /metrics shows gridftp.* too.
 	ftp.UseTelemetry(cont.Telemetry())
@@ -86,9 +89,6 @@ func run() int {
 				return err
 			}
 			fmt.Printf("repod: NMDS + NFMS on %s (identity %s)\n", bound, id.Cred.Identity())
-			if ds != nil {
-				fmt.Printf("repod: probes at http://%s/healthz /readyz\n", ds.Addr())
-			}
 			return nil
 		},
 		StopFunc:    cont.Stop,
@@ -99,7 +99,7 @@ func run() int {
 		bridge := &repo.Bridge{Repo: r}
 		mux := http.NewServeMux()
 		mux.Handle("/files/", bridge)
-		bs := runtime.NewDebugServer(*bridgeAddr, mux)
+		bs := runtime.NewHTTPServer(*bridgeAddr, mux)
 		sup.Add("https-bridge", runtime.Funcs{
 			StartFunc: func(ctx context.Context) error {
 				if err := bs.Start(ctx); err != nil {

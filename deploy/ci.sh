@@ -121,8 +121,11 @@ stage_obs() {
     # exemplar trace that a live ntcpd serves at /trace, and an OK verdict on
     # three rules; the aggregator's HTTP surface is read-only, labels each
     # site's Prometheus series, and keeps a pushed roll-up ok once the push
-    # is older than StaleAfter.
-    go test -race -count=1 -run 'TestCoordinatorObsPlane|TestMuxEndpoints|TestAggregatorPush' ./internal/obs ./internal/e2e/
+    # is older than StaleAfter. Then ntcpd, nsdsd, repod, chefd and fleetd,
+    # each with -pprof on an ephemeral port, serve the same ops surface:
+    # /metrics with the process gauges and their own series, /trace, both
+    # probes and the profile index.
+    go test -race -count=1 -run 'TestCoordinatorObsPlane|TestMuxEndpoints|TestAggregatorPush|TestEveryDaemonServesOneOpsSurface' ./internal/obs ./internal/e2e/
 }
 
 stage_fleet() {

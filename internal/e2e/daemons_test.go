@@ -28,9 +28,8 @@ import (
 )
 
 // deployment is the package's one trust domain and built binaries:
-// gridca's CA with a credential per subject the tests run under, and
-// gridca, ntcpd, coordinator, fleetd and mostctl linked once, in a
-// directory TestMain removes.
+// gridca's CA with a credential per subject the tests run under, and the
+// eight binaries linked once, in a directory TestMain removes.
 type deployment struct {
 	dir, bin, certs string
 }
@@ -68,7 +67,7 @@ func buildDeployment() (*deployment, error) {
 		return nil, err
 	}
 	d := &deployment{dir: dir, bin: filepath.Join(dir, "bin"), certs: filepath.Join(dir, "certs")}
-	if err := goBuild(d.bin, "gridca", "ntcpd", "coordinator", "fleetd", "mostctl"); err != nil {
+	if err := goBuild(d.bin, "gridca", "ntcpd", "coordinator", "fleetd", "mostctl", "nsdsd", "repod", "chefd"); err != nil {
 		return d, err
 	}
 	if _, err := d.exec("gridca", "init", "-dir", d.certs); err != nil {

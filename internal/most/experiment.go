@@ -149,7 +149,7 @@ func newExperiment(spec Spec, ca *gsi.Authority, trust *gsi.TrustStore, cred *gs
 		TraceRecorder: trace.NewRecorder(0),
 		sup:           runtime.NewSupervisor("experiment:" + spec.Name)}
 	exp.Tracer = trace.NewTracer("coordinator", exp.TraceRecorder)
-	ExportSpanDrops(exp.Telemetry, exp.TraceRecorder)
+	runtime.ExportSpanDrops(exp.Telemetry, exp.TraceRecorder)
 	return exp
 }
 
@@ -190,23 +190,15 @@ func (e *Experiment) wireObs(sites []*Site, profileDir string, pprofURL func() s
 
 // ObsSources lists what a process that drives sites watches: one scrape
 // source per site's container /metrics, then the process's own registry,
-// named self, fetched in-process with its process self-metrics refreshed
-// per fetch. pprofURL, if not nil, is where an SLO breach finds the
-// process's debug mux. The coordinator and fleetd both build their
-// aggregators over this list.
+// named self, fetched in-process. pprofURL, if not nil, is where an SLO
+// breach finds the process's debug mux. The coordinator and fleetd both
+// build their aggregators over this list.
 func ObsSources(sites []*Site, self string, reg *telemetry.Registry, pprofURL func() string) []obs.Source {
 	sources := make([]obs.Source, 0, len(sites)+1)
 	for _, s := range sites {
 		sources = append(sources, obs.Source{Name: s.Spec.Name, URL: "http://" + s.Addr + "/metrics"})
 	}
-	return append(sources, obs.Source{
-		Name: self,
-		Fetch: func() telemetry.Snapshot {
-			telemetry.ProcessMetrics(reg)
-			return reg.Snapshot()
-		},
-		PprofURL: pprofURL,
-	})
+	return append(sources, obs.Source{Name: self, Fetch: reg.Snapshot, PprofURL: pprofURL})
 }
 
 // Build starts every site and wires monitoring.

@@ -410,12 +410,6 @@ func NewBackend(spec SiteSpec, sup *runtime.Supervisor, reg *telemetry.Registry)
 	}
 }
 
-// ExportSpanDrops exports rec's evicted span count on reg as the gauge
-// trace.spans.dropped, so a wrapped span ring is told from a quiet one.
-func ExportSpanDrops(reg *telemetry.Registry, rec *trace.Recorder) {
-	reg.GaugeFunc("trace.spans.dropped", func() float64 { return float64(rec.Dropped()) })
-}
-
 // withDefaults fills what a spec may leave out: control point "drift",
 // DOFs [0].
 func (spec SiteSpec) withDefaults() SiteSpec {
@@ -454,7 +448,7 @@ func startSite(ca *gsi.Authority, trust *gsi.TrustStore, coordIdentity string, s
 	site.Hub.UseTelemetry(site.Telemetry, "hub")
 	// Pre-register at zero: a site that never restarted exports the series.
 	site.Telemetry.Counter("most.site.restarts")
-	ExportSpanDrops(site.Telemetry, site.SpanRecorder)
+	runtime.ExportSpanDrops(site.Telemetry, site.SpanRecorder)
 
 	backend, err := NewBackend(spec, site.sup, site.Telemetry)
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 )
@@ -156,11 +157,11 @@ func TestSLORecoveryKeepsBreachHistory(t *testing.T) {
 }
 
 func TestSLOBreachCapturesProfile(t *testing.T) {
-	// A -pprof style debug mux for the "site".
-	dbg := httptest.NewServer(trace.DebugMux(nil))
+	// The -pprof debug mux of the "site".
+	reg := telemetry.NewRegistry()
+	dbg := httptest.NewServer(runtime.DebugMux(runtime.NewSupervisor("site"), reg, nil))
 	defer dbg.Close()
 
-	reg := telemetry.NewRegistry()
 	reg.Histogram("coord.step.seconds").Observe(10)
 	dir := t.TempDir()
 	clk := newTestClock()

@@ -182,7 +182,6 @@ func registerCounters(reg *telemetry.Registry, container bool) {
 	if container {
 		reg.Counter(metricSessionsAccepted)
 		reg.Gauge(metricSessionsOpen)
-		reg.Gauge(metricContextActive)
 		for _, r := range contextRefusals {
 			reg.Counter(metricContextRejected + r.reason)
 		}

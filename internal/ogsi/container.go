@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 	"neesgrid/internal/wirejson"
@@ -178,8 +178,7 @@ type Container struct {
 	ops      map[opKey]*opMetrics // per-op series in tel; reset with it
 	tracer   *trace.Tracer
 
-	httpServer *http.Server
-	listener   net.Listener
+	srv        *runtime.HTTPServer
 	stopReaper chan struct{}
 	reaperOnce sync.Once
 
@@ -231,18 +230,37 @@ func NewContainer(cred *gsi.Credential, trust *gsi.TrustStore, gridmap *gsi.Grid
 	}
 	c.base, c.cancelBase = context.WithCancel(context.Background())
 	c.polls, c.cancelPoll = context.WithCancel(c.base)
-	registerCounters(c.tel, true)
+	c.register(c.tel)
 	return c
+}
+
+// register pre-registers the container's series on reg, and as gauges read
+// at snapshot time the security contexts it holds and the trust store's
+// verified-chain cache totals: gauges, not counters, because the store may
+// be shared between containers and its totals are store-wide.
+func (c *Container) register(reg *telemetry.Registry) {
+	registerCounters(reg, true)
+	reg.GaugeFunc(metricContextActive, func() float64 { return float64(c.contexts.Len()) })
+	if c.trust != nil {
+		reg.GaugeFunc("gsi.chaincache.hits", func() float64 {
+			hits, _ := c.trust.CacheStats()
+			return float64(hits)
+		})
+		reg.GaugeFunc("gsi.chaincache.misses", func() float64 {
+			_, misses := c.trust.CacheStats()
+			return float64(misses)
+		})
+	}
 }
 
 // UseTelemetry replaces the container's registry — the way a site shares one
 // registry between its container and the services it hosts (so /metrics
-// shows transport and service metrics together). Call before traffic flows.
+// shows transport and service metrics together). Call before Start.
 func (c *Container) UseTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
 	}
-	registerCounters(reg, true)
+	c.register(reg)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.tel = reg
@@ -259,7 +277,7 @@ func (c *Container) Telemetry() *telemetry.Registry {
 // UseTracer enables distributed tracing: every authenticated request gets
 // a server span (parented under the caller's traceparent when the signed
 // payload carries one), and the tracer's recorder is served at GET /trace.
-// Call before traffic flows; nil disables tracing.
+// Call before Start; nil disables tracing.
 func (c *Container) UseTracer(t *trace.Tracer) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -273,26 +291,6 @@ func (c *Container) Tracer() *trace.Tracer {
 	return c.tracer
 }
 
-// metricsSnapshot captures the registry after mirroring the trust store's
-// verified-chain cache totals into it, so /metrics and the computed
-// "metrics" SDE expose the security hot-path hit rate alongside the
-// per-op counters. Gauges (not counters) because the trust store may be
-// shared between containers and the totals are store-wide. The number of
-// security contexts held is mirrored the same way. Process self-metrics
-// refresh here too, so container-hosted daemons export the process.* gauges
-// the obs aggregator's health view reads.
-func (c *Container) metricsSnapshot() telemetry.Snapshot {
-	tel := c.Telemetry()
-	if c.trust != nil {
-		hits, misses := c.trust.CacheStats()
-		tel.Gauge("gsi.chaincache.hits").Set(float64(hits))
-		tel.Gauge("gsi.chaincache.misses").Set(float64(misses))
-	}
-	tel.Gauge(metricContextActive).Set(float64(c.contexts.Len()))
-	telemetry.ProcessMetrics(tel)
-	return tel.Snapshot()
-}
-
 // AddService registers a service; duplicate names panic. The service gains a
 // computed "metrics" SDE exposing the container's telemetry snapshot, so
 // remote clients can inspect metrics through plain FindServiceData.
@@ -303,7 +301,7 @@ func (c *Container) AddService(s *Service) {
 		panic(fmt.Sprintf("ogsi: duplicate service %s", s.Name()))
 	}
 	c.services[s.Name()] = s
-	s.SDEs.SetComputed("metrics", func() any { return c.metricsSnapshot() })
+	s.SDEs.SetComputed("metrics", func() any { return c.Telemetry().Snapshot() })
 }
 
 // ReplaceService atomically swaps in a service under a name that is already
@@ -320,7 +318,7 @@ func (c *Container) ReplaceService(s *Service) (*Service, error) {
 		return nil, fmt.Errorf("ogsi: no service %s to replace", s.Name())
 	}
 	c.services[s.Name()] = s
-	s.SDEs.SetComputed("metrics", func() any { return c.metricsSnapshot() })
+	s.SDEs.SetComputed("metrics", func() any { return c.Telemetry().Snapshot() })
 	return old, nil
 }
 
@@ -646,19 +644,19 @@ func (c *Container) appendReply(dst []byte, sc *gsi.Context, seq uint64, resp *r
 }
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves until Stop. It
-// returns the bound address. A background reaper sweeps soft-state
-// lifetimes every second.
+// returns the bound address. Beside /ogsi it serves, unsigned, the
+// registry at /metrics and the tracer's spans at /trace: operational data
+// for dashboards and mostctl, not control traffic. A background reaper
+// sweeps soft-state lifetimes every second.
 func (c *Container) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("ogsi: listen %s: %w", addr, err)
-	}
-	c.listener = ln
 	mux := http.NewServeMux()
 	mux.Handle("/ogsi", c)
-	mux.HandleFunc("/metrics", c.serveMetrics)
-	mux.HandleFunc("/trace", c.serveTrace)
-	c.httpServer = &http.Server{Handler: mux}
+	mux.Handle("/metrics", telemetry.Handler(c.Telemetry()))
+	mux.Handle("/trace", trace.Handler(c.Tracer().Recorder()))
+	c.srv = runtime.NewHTTPServer(addr, mux)
+	if err := c.srv.Start(context.Background()); err != nil {
+		return "", fmt.Errorf("ogsi: %w", err)
+	}
 	c.stopReaper = make(chan struct{})
 	go func() {
 		c.mu.RLock()
@@ -680,9 +678,8 @@ func (c *Container) Start(addr string) (string, error) {
 			}
 		}
 	}()
-	go func() { _ = c.httpServer.Serve(ln) }()
 	c.state.Store(contServing)
-	return ln.Addr().String(), nil
+	return c.srv.Addr(), nil
 }
 
 // Healthy reports nil while the container is serving — the per-component
@@ -698,33 +695,6 @@ func (c *Container) Healthy() error {
 	default:
 		return fmt.Errorf("ogsi: container not started")
 	}
-}
-
-// serveMetrics renders the container's telemetry registry on GET /metrics.
-// Unlike /ogsi it is unsigned: metrics are operational data for dashboards
-// and the mostctl metrics command, not control traffic. The shared
-// telemetry handler speaks indented JSON by default and the Prometheus
-// text exposition on Accept: text/plain.
-func (c *Container) serveMetrics(w http.ResponseWriter, r *http.Request) {
-	telemetry.SnapshotHandler(c.metricsSnapshot).ServeHTTP(w, r)
-}
-
-// serveTrace renders the container's recent spans as JSON on GET /trace.
-// Unsigned for the same reason as /metrics: spans are operational data
-// (names, IDs, durations) for mostctl and dashboards, not control
-// traffic. With no tracer wired it serves an empty list.
-func (c *Container) serveTrace(w http.ResponseWriter, r *http.Request) {
-	tr := c.Tracer()
-	if tr == nil {
-		if r.Method != http.MethodGet {
-			http.Error(w, "ogsi: GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte("[]\n"))
-		return
-	}
-	trace.Handler(tr.Recorder()).ServeHTTP(w, r)
 }
 
 // Stop shuts the container down: it first deregisters from readiness
@@ -744,8 +714,8 @@ func (c *Container) Stop(ctx context.Context) error {
 	gone := c.drainSessions()
 	c.cancelPoll()
 	var err error
-	if c.httpServer != nil {
-		err = c.httpServer.Shutdown(ctx)
+	if c.srv != nil {
+		err = c.srv.Stop(ctx)
 	}
 	select {
 	case <-gone:

@@ -84,7 +84,7 @@ func TestFirstCallHandshakesThenMAC(t *testing.T) {
 		"unknown": 0, "expired": 0, "replay": 0, "mac": 0, "revoked": 0}
 	expect(t, "container", securityCounters(f.container.Telemetry()), want)
 	expect(t, "client", securityCounters(clientReg), want)
-	if g := f.container.metricsSnapshot().Gauges[metricContextActive]; g != 1 {
+	if g := f.container.Telemetry().Snapshot().Gauges[metricContextActive]; g != 1 {
 		t.Fatalf("%s = %v, want 1", metricContextActive, g)
 	}
 	var modes []string

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 )
 
@@ -156,9 +157,9 @@ func (g *GSIFlags) Load() (*Identity, error) {
 }
 
 // DebugFlags is the debug/probe listener pair of flags shared by the
-// daemons: -pprof picks the side-listener address (profiles, /trace,
-// /healthz, /readyz) and -lameduck the pause between flipping /readyz
-// not-ready and closing the first listener.
+// daemons: -pprof picks the side-listener address (DebugMux's profiles,
+// /metrics, /trace, /healthz and /readyz) and -lameduck the pause between
+// flipping /readyz not-ready and closing the first listener.
 type DebugFlags struct {
 	Addr     string
 	LameDuck time.Duration
@@ -171,23 +172,38 @@ func (d *DebugFlags) Register(fs *flag.FlagSet) {
 		fs = flag.CommandLine
 	}
 	fs.StringVar(&d.Addr, "pprof", "",
-		"serve pprof, /trace, /healthz and /readyz on this address (off when empty)")
+		"serve /debug/pprof/, /metrics, /trace, /healthz and /readyz on this address (off when empty)")
 	fs.DurationVar(&d.LameDuck, "lameduck", 0,
 		"pause between flipping /readyz not-ready and starting the drain")
 }
 
-// Install applies the lame-duck option and, when -pprof is set, registers
-// the debug server as the supervisor's first component (so it outlives
-// the drain and keeps serving /readyz). Call before any other Add. It
-// returns the server (nil when -pprof is off).
-func (d *DebugFlags) Install(sup *Supervisor, rec *trace.Recorder) *DebugServer {
+// Install exports rec's span evictions on reg (trace.spans.dropped, when
+// rec is set), applies the lame-duck option and, when -pprof is set,
+// registers DebugMux(sup, reg, rec) as the supervisor's first component (so
+// it outlives the drain and keeps serving /readyz), which prints the address
+// it bound. Call before any other Add. It returns the server (nil when
+// -pprof is off).
+func (d *DebugFlags) Install(sup *Supervisor, reg *telemetry.Registry, rec *trace.Recorder) *HTTPServer {
+	if rec != nil {
+		ExportSpanDrops(reg, rec)
+	}
 	if d.LameDuck > 0 {
 		WithLameDuck(d.LameDuck)(sup)
 	}
 	if d.Addr == "" {
 		return nil
 	}
-	ds := NewDebugServer(d.Addr, DebugMux(rec, sup))
-	sup.Add("debug-server", ds)
+	ds := NewHTTPServer(d.Addr, DebugMux(sup, reg, rec))
+	sup.Add("debug-server", Funcs{
+		StartFunc: func(ctx context.Context) error {
+			if err := ds.Start(ctx); err != nil {
+				return err
+			}
+			fmt.Printf("%s: ops at http://%s (/debug/pprof/ /metrics /trace /healthz /readyz)\n", sup.name, ds.Addr())
+			return nil
+		},
+		StopFunc:    ds.Stop,
+		HealthyFunc: ds.Healthy,
+	})
 	return ds
 }

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sync/atomic"
 
+	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 )
 
@@ -51,40 +53,52 @@ func (s *Supervisor) RegisterProbes(mux *http.ServeMux) {
 	mux.Handle("/readyz", s.ReadyzHandler())
 }
 
-// DebugMux extends the trace/pprof debug mux every daemon serves behind
-// its -pprof flag with the supervisor's /healthz and /readyz probes: one
-// side listener carries profiles, spans, liveness and readiness.
-func DebugMux(rec *trace.Recorder, sup *Supervisor) *http.ServeMux {
-	mux := trace.DebugMux(rec)
-	if sup != nil {
-		mux.Handle("/healthz", sup.HealthzHandler())
-		mux.Handle("/readyz", sup.ReadyzHandler())
-	}
+// DebugMux is the one ops surface every daemon serves behind its -pprof
+// flag: the net/http/pprof profiles under /debug/pprof/, the registry at
+// /metrics, the recorder's spans at /trace (nil serves []), and the
+// supervisor's /healthz and /readyz.
+func DebugMux(sup *Supervisor, reg *telemetry.Registry, rec *trace.Recorder) *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/metrics", telemetry.Handler(reg))
+	mux.Handle("/trace", trace.Handler(rec))
+	sup.RegisterProbes(mux)
 	return mux
 }
 
-// DebugServer is the probe/profile side listener as a Component. Register
-// it first: components stop in reverse order, so the first-registered
-// server is the last stopped and /readyz keeps answering 503 for the
-// whole drain.
-type DebugServer struct {
+// ExportSpanDrops exports rec's evicted span count on reg as the gauge
+// trace.spans.dropped, so a wrapped span ring is told from a quiet one.
+func ExportSpanDrops(reg *telemetry.Registry, rec *trace.Recorder) {
+	reg.GaugeFunc("trace.spans.dropped", func() float64 { return float64(rec.Dropped()) })
+}
+
+// HTTPServer is every HTTP listener of the module as a Component: the
+// -pprof side listener, the daemons' own APIs and the OGSI container. When
+// it serves the probes, register it first: components stop in reverse
+// order, so the first-registered server is the last stopped and /readyz
+// keeps answering 503 for the whole drain.
+type HTTPServer struct {
 	addr    string
 	handler http.Handler
 
 	bound   atomic.Value // string
 	serving atomic.Bool
 	srv     *http.Server
-	ln      net.Listener
 }
 
-// NewDebugServer creates a debug server for addr (e.g. "127.0.0.1:6060";
-// port 0 picks a free one, readable from Addr after Start).
-func NewDebugServer(addr string, handler http.Handler) *DebugServer {
-	return &DebugServer{addr: addr, handler: handler}
+// NewHTTPServer creates a server of handler for addr (e.g.
+// "127.0.0.1:6060"; port 0 picks a free one, readable from Addr after
+// Start).
+func NewHTTPServer(addr string, handler http.Handler) *HTTPServer {
+	return &HTTPServer{addr: addr, handler: handler}
 }
 
 // Addr returns the bound address once started ("" before).
-func (d *DebugServer) Addr() string {
+func (d *HTTPServer) Addr() string {
 	if a, ok := d.bound.Load().(string); ok {
 		return a
 	}
@@ -92,12 +106,11 @@ func (d *DebugServer) Addr() string {
 }
 
 // Start binds the listener and serves in the background.
-func (d *DebugServer) Start(ctx context.Context) error {
+func (d *HTTPServer) Start(ctx context.Context) error {
 	ln, err := net.Listen("tcp", d.addr)
 	if err != nil {
-		return fmt.Errorf("debug listener %s: %w", d.addr, err)
+		return fmt.Errorf("listen %s: %w", d.addr, err)
 	}
-	d.ln = ln
 	d.bound.Store(ln.Addr().String())
 	d.srv = &http.Server{Handler: d.handler}
 	d.serving.Store(true)
@@ -106,7 +119,7 @@ func (d *DebugServer) Start(ctx context.Context) error {
 }
 
 // Stop shuts the server down within ctx.
-func (d *DebugServer) Stop(ctx context.Context) error {
+func (d *HTTPServer) Stop(ctx context.Context) error {
 	if d.srv == nil {
 		return nil
 	}
@@ -115,9 +128,9 @@ func (d *DebugServer) Stop(ctx context.Context) error {
 }
 
 // Healthy reports whether the listener is up.
-func (d *DebugServer) Healthy() error {
+func (d *HTTPServer) Healthy() error {
 	if !d.serving.Load() {
-		return fmt.Errorf("debug server not serving")
+		return fmt.Errorf("http server not serving")
 	}
 	return nil
 }

@@ -2,14 +2,19 @@ package runtime
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"neesgrid/internal/telemetry"
+	"neesgrid/internal/trace"
 )
 
 // recorder logs lifecycle calls so tests can assert ordering.
@@ -383,7 +388,7 @@ func TestAddAfterStartPanics(t *testing.T) {
 
 func TestDebugServerServesProbes(t *testing.T) {
 	sup := NewSupervisor("test")
-	ds := NewDebugServer("127.0.0.1:0", DebugMux(nil, sup))
+	ds := NewHTTPServer("127.0.0.1:0", DebugMux(sup, telemetry.NewRegistry(), nil))
 	sup.Add("debug-server", ds)
 	sup.Add("x", Funcs{})
 	if err := sup.Start(context.Background()); err != nil {
@@ -400,6 +405,78 @@ func TestDebugServerServesProbes(t *testing.T) {
 	}
 	if err := ds.Healthy(); err != nil {
 		t.Fatalf("debug server Healthy: %v", err)
+	}
+}
+
+// TestDebugMuxServesPprofAndTrace reads each of the ops surface's five
+// routes from one DebugMux, as Install mounts it: a wrapped span ring shows
+// at /metrics beside the process gauges, and its spans at /trace.
+func TestDebugMuxServesPprofAndTrace(t *testing.T) {
+	sup := NewSupervisor("test")
+	if err := sup.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Stop(context.Background())
+	reg, rec := telemetry.NewRegistry(), trace.NewRecorder(2)
+	var flags DebugFlags
+	flags.Install(sup, reg, rec) // -pprof off: only the span gauge
+	tracer := trace.NewTracer("test", rec)
+	for i := 0; i < 3; i++ {
+		_, span := tracer.Start(context.Background(), "step", trace.KindServer)
+		span.End()
+	}
+	srv := httptest.NewServer(DebugMux(sup, reg, rec))
+	defer srv.Close()
+
+	for _, row := range []struct {
+		path  string
+		check func(body []byte) error
+	}{
+		{"/debug/pprof/", func(body []byte) error {
+			if !strings.Contains(string(body), "goroutine") {
+				return fmt.Errorf("no profile index")
+			}
+			return nil
+		}},
+		{"/metrics", func(body []byte) error {
+			var snap telemetry.Snapshot
+			if err := json.Unmarshal(body, &snap); err != nil {
+				return err
+			}
+			if snap.Gauges["process.goroutines"] <= 0 || snap.Gauges["trace.spans.dropped"] != 1 {
+				return fmt.Errorf("process.goroutines %v, trace.spans.dropped %v, want > 0 and 1",
+					snap.Gauges["process.goroutines"], snap.Gauges["trace.spans.dropped"])
+			}
+			return nil
+		}},
+		{"/trace", func(body []byte) error {
+			var spans []trace.SpanData
+			if err := json.Unmarshal(body, &spans); err != nil {
+				return err
+			}
+			if len(spans) != 2 {
+				return fmt.Errorf("%d spans, want the ring's 2", len(spans))
+			}
+			return nil
+		}},
+		{"/healthz", nil},
+		{"/readyz", nil},
+	} {
+		resp, err := srv.Client().Get(srv.URL + row.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("GET %s: %d", row.path, resp.StatusCode)
+			continue
+		}
+		if row.check != nil {
+			if err := row.check(body); err != nil {
+				t.Errorf("GET %s: %v", row.path, err)
+			}
+		}
 	}
 }
 

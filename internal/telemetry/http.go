@@ -3,52 +3,21 @@ package telemetry
 import (
 	"encoding/json"
 	"net/http"
-	"runtime"
 	"strings"
-	"time"
 )
 
-// processStart anchors process.uptime.seconds.
-var processStart = time.Now()
-
-// ProcessMetrics refreshes the process self-metric gauges on reg:
-// process.goroutines, process.heap_bytes, and process.uptime.seconds.
-// Every daemon exports these through Handler so the obs aggregator's
-// health view can tell a wedged process (goroutines climbing, uptime
-// frozen between scrapes) from a merely slow one. ReadMemStats briefly
-// stops the world, so this runs per scrape, never on a hot path.
-func ProcessMetrics(reg *Registry) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	reg.Gauge("process.goroutines").Set(float64(runtime.NumGoroutine()))
-	reg.Gauge("process.heap_bytes").Set(float64(ms.HeapAlloc))
-	reg.Gauge("process.uptime.seconds").Set(time.Since(processStart).Seconds())
-}
-
-// Handler serves a registry's live snapshot over HTTP, refreshing the
-// process self-metrics on every request. It is the one metrics endpoint
-// shape shared by every daemon: the default rendering is indented JSON
-// (what `mostctl metrics` and humans with curl read); a client whose
-// Accept header asks for text/plain — a Prometheus scraper — gets the
-// text exposition format instead.
+// Handler serves a registry's live snapshot over HTTP. It is the one
+// metrics endpoint shape shared by every daemon: the default rendering is
+// indented JSON (what `mostctl metrics` and humans with curl read); a
+// client whose Accept header asks for text/plain — a Prometheus scraper —
+// gets the text exposition format instead.
 func Handler(reg *Registry) http.Handler {
-	return SnapshotHandler(func() Snapshot {
-		ProcessMetrics(reg)
-		return reg.Snapshot()
-	})
-}
-
-// SnapshotHandler is Handler for any snapshot source — a component that
-// decorates its registry before snapshotting (ogsi containers mirror
-// trust-store stats in) or an aggregator serving a merged fleet view
-// serves the same dual JSON/Prometheus shape through this.
-func SnapshotHandler(snap func() Snapshot) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			http.Error(w, "telemetry: GET only", http.StatusMethodNotAllowed)
 			return
 		}
-		s := snap()
+		s := reg.Snapshot()
 		if strings.Contains(r.Header.Get("Accept"), "text/plain") {
 			w.Header().Set("Content-Type", PrometheusContentType)
 			_ = WritePrometheus(w, s)

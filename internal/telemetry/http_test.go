@@ -109,20 +109,10 @@ func TestHandlerServesPrometheusOnAccept(t *testing.T) {
 	}
 }
 
-func TestHandlerExportsProcessSelfMetrics(t *testing.T) {
-	reg := NewRegistry()
-	ts := httptest.NewServer(Handler(reg))
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var snap Snapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
-	}
+// TestRegistryExportsProcessSelfMetrics: every registry carries the
+// process gauges, read at snapshot time with no handler refreshing them.
+func TestRegistryExportsProcessSelfMetrics(t *testing.T) {
+	snap := NewRegistry().Snapshot()
 	if snap.Gauges["process.goroutines"] < 1 {
 		t.Fatalf("process.goroutines = %v, want >= 1", snap.Gauges["process.goroutines"])
 	}
@@ -131,30 +121,6 @@ func TestHandlerExportsProcessSelfMetrics(t *testing.T) {
 	}
 	if up, ok := snap.Gauges["process.uptime.seconds"]; !ok || up < 0 {
 		t.Fatalf("process.uptime.seconds = %v (present=%v)", up, ok)
-	}
-}
-
-func TestSnapshotHandlerServesCustomSource(t *testing.T) {
-	calls := 0
-	ts := httptest.NewServer(SnapshotHandler(func() Snapshot {
-		calls++
-		return Snapshot{Counters: map[string]int64{"fleet.sites": 2}}
-	}))
-	defer ts.Close()
-
-	req, _ := http.NewRequest(http.MethodGet, ts.URL, nil)
-	req.Header.Set("Accept", "text/plain")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "fleet_sites_total 2") {
-		t.Fatalf("custom snapshot not served:\n%s", body)
-	}
-	if calls != 1 {
-		t.Fatalf("snapshot source called %d times, want 1", calls)
 	}
 }
 

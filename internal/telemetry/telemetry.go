@@ -15,6 +15,8 @@ package telemetry
 import (
 	"encoding/hex"
 	"math"
+	"runtime"
+	"runtime/metrics"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -398,7 +400,11 @@ type Registry struct {
 const DefaultEventCapacity = 512
 
 // NewRegistry returns an empty registry with a DefaultEventCapacity ring,
-// whose evictions it exports as the telemetry.events.dropped gauge.
+// whose evictions it exports as the telemetry.events.dropped gauge, and
+// the process self-metrics process.goroutines, process.heap_bytes and
+// process.uptime.seconds, so the obs aggregator's health view can tell a
+// wedged process (goroutines climbing, uptime frozen between scrapes) from
+// a merely slow one wherever the registry is read.
 func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
@@ -407,7 +413,25 @@ func NewRegistry() *Registry {
 		events:   NewEventLog(DefaultEventCapacity),
 	}
 	r.GaugeFunc("telemetry.events.dropped", func() float64 { return float64(r.events.Dropped()) })
+	r.GaugeFunc("process.goroutines", func() float64 { return float64(runtime.NumGoroutine()) })
+	r.GaugeFunc("process.heap_bytes", heapBytes)
+	r.GaugeFunc("process.uptime.seconds", func() float64 { return time.Since(processStart).Seconds() })
 	return r
+}
+
+// processStart anchors process.uptime.seconds.
+var processStart = time.Now()
+
+// heapBytes reads the bytes of heap objects, the figure MemStats.HeapAlloc
+// reports, from runtime/metrics: unlike ReadMemStats it does not stop the
+// world, so a snapshot may read it on any path.
+func heapBytes() float64 {
+	s := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	metrics.Read(s)
+	if s[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return float64(s[0].Value.Uint64())
 }
 
 // OrNew returns r, or a fresh private registry when r is nil — the idiom

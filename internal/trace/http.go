@@ -3,7 +3,6 @@ package trace
 import (
 	"encoding/json"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
 )
 
@@ -11,7 +10,7 @@ import (
 // unsigned GET /trace endpoint every container exposes. Like /metrics it
 // is read-only operational telemetry: span names, IDs and durations carry
 // no experiment payload, so requiring a signed envelope would only stop
-// dashboards and mostctl from polling it.
+// dashboards and mostctl from polling it. A nil recorder serves [].
 //
 // Query parameters:
 //
@@ -40,20 +39,4 @@ func Handler(rec *Recorder) http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(spans)
 	})
-}
-
-// DebugMux builds the opt-in debug mux the CLIs serve behind their -pprof
-// flag: net/http/pprof profile endpoints plus GET /trace when a recorder
-// is supplied. Kept here so ntcpd, nsdsd and coordinator share one wiring.
-func DebugMux(rec *Recorder) *http.ServeMux {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	if rec != nil {
-		mux.Handle("/trace", Handler(rec))
-	}
-	return mux
 }

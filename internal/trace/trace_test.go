@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
 	"reflect"
 	"sync"
@@ -353,20 +354,18 @@ func TestHandler(t *testing.T) {
 	if resp.StatusCode != 405 {
 		t.Fatalf("POST status %d", resp.StatusCode)
 	}
-}
 
-func TestDebugMuxServesPprofAndTrace(t *testing.T) {
-	srv := httptest.NewServer(DebugMux(NewRecorder(4)))
-	defer srv.Close()
-	for _, path := range []string{"/debug/pprof/", "/trace"} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: %d", path, resp.StatusCode)
-		}
+	// A process with no recorder serves an empty array, not null.
+	none := httptest.NewServer(Handler(nil))
+	defer none.Close()
+	resp, err = none.Client().Get(none.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || string(body) != "[]\n" {
+		t.Fatalf("nil recorder: %d %q, want 200 \"[]\\n\"", resp.StatusCode, body)
 	}
 }
 
