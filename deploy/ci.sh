@@ -33,7 +33,9 @@
 #            byte-identical to deploy/scenarios/golden/<name>.json, the
 #            verdict checked in from the last commit that meant to change
 #            behaviour (re-record with `mostctl chaos -q -scenario F -out
-#            golden/<name>.json` in the PR that does); then 10 s of fuzzing
+#            golden/<name>.json` in the PR that does); then the TCP server
+#            and client lifecycle contracts twenty times under -race; then
+#            10 s of fuzzing
 #            per target: each single-pass codec against encoding/json, the
 #            signed-envelope opener with its chain cache against the same
 #            opener without, the MAC'd envelope opener against its
@@ -181,6 +183,12 @@ stage_chaos() {
     rm -rf "$out"
     [ "$rc" -eq 0 ] || return $rc
 
+    # The two TCP lifecycles every daemon and client share: runtime.ConnServer
+    # (accept, handlers, severing Close) and runtime.ConnPool (dial, idle
+    # sessions, waiters, context-bounded leases, Sever and Close), twenty
+    # times under the race detector (~5 s on 2 CPUs).
+    go test -race -count=20 -run '^(TestConnServerContract|TestConnPoolContract)$' ./internal/runtime || return 1
+
     # Generated adversaries for the hand-rolled parsers on the step path:
     # each target holds a single-pass codec to encoding/json (equal values or
     # both fail, byte-equal encodings), FuzzOpen holds the signed-envelope
@@ -204,7 +212,11 @@ stage_chaos() {
     # command in order however they are pipelined, and OK to a MOVE only for
     # a finite target within the stroke that the rig then sits at.
     # FuzzShoreWesternReply feeds the client end of that protocol arbitrary
-    # replies: no panic, and every position and force it accepts is finite.
+    # replies from a loopback peer: no panic, and every position and force it
+    # accepts is finite. FuzzClientSession feeds an ogsi.Transport arbitrary
+    # bytes as a container's answer to the session upgrade and its reply
+    # frames: no panic, a round trip after a failed one dials afresh, and
+    # allocation under a ceiling no header can raise.
     # FuzzFrameDecoder feeds the NSDS binary stream decoder — the only TCP
     # stream wire — arbitrary bytes: every frame it accepts re-encodes to the
     # bytes it was read from, anything else is an error, its intern table stays

@@ -339,6 +339,14 @@ func (l *exportLoader) countUses() map[types.Object]useCount {
 			if end, ok := l.declSpan[obj.Pos()]; ok && id.Pos() > obj.Pos() && id.Pos() < end {
 				continue
 			}
+			// A method or field of an instantiated generic type is an object
+			// of its own; the use counts for the declared one.
+			switch o := obj.(type) {
+			case *types.Func:
+				obj = o.Origin()
+			case *types.Var:
+				obj = o.Origin()
+			}
 			u := uses[obj]
 			if l.isTestFile(id.Pos()) {
 				u.test++

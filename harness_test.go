@@ -24,6 +24,12 @@ var builderFuncs = map[string][]string{
 	"neesgrid/internal/core.NewClientWithTelemetry": {"internal/most/"},
 }
 
+// dialNames are the net package's ways to open a TCP connection. Non-test
+// code uses them only in internal/runtime: every dial goes through
+// runtime.Dial, a runtime.ConnPool's included. A use is a call or any other
+// reference: a function taken as a value, a Dialer literal or variable.
+var dialNames = map[string]bool{"Dial": true, "DialTimeout": true, "Dialer": true}
+
 // builderImports are packages whose import builds a surface of its own,
 // each with the directories whose non-test code may import it: the
 // profiles are served only by runtime.DebugMux.
@@ -32,10 +38,10 @@ var builderImports = map[string][]string{
 }
 
 // TestBinariesBuildThroughInternal holds non-test code of the module (bench/
-// is a module of its own) to the one builder: builderFuncs are called and
-// builderImports imported only where they are allowed, and obs.Source
-// literals are written only in internal/most (most.ObsSources lists a
-// process's sources).
+// is a module of its own) to the one builder: builderFuncs are called,
+// dialNames used and builderImports imported only where they are allowed,
+// and obs.Source literals are written only in internal/most (most.ObsSources
+// lists a process's sources).
 func TestBinariesBuildThroughInternal(t *testing.T) {
 	l := loadTree(t)
 	for i, info := range l.infos {
@@ -69,6 +75,16 @@ func TestBinariesBuildThroughInternal(t *testing.T) {
 					own := strings.TrimPrefix(fn.Pkg().Path(), modulePath+"/") + "/"
 					if ok && !within(dirs...) && !within(own) {
 						t.Errorf("%s: %s.%s outside %s", l.fset.Position(n.Pos()), fn.Pkg().Name(), fn.Name(), strings.Join(dirs, ", "))
+					}
+				case *ast.Ident:
+					// Methods are not caught here: (*net.Dialer).DialContext
+					// needs a Dialer, and naming one is caught.
+					switch obj := info.Uses[n].(type) {
+					case *types.Func, *types.TypeName:
+						if obj.Pkg() != nil && obj.Pkg().Path() == "net" && obj.Parent() == obj.Pkg().Scope() &&
+							dialNames[obj.Name()] && !within("internal/runtime/") {
+							t.Errorf("%s: net.%s outside internal/runtime/; dial through runtime.Dial or a runtime.ConnPool", l.fset.Position(n.Pos()), obj.Name())
+						}
 					}
 				case *ast.CompositeLit:
 					typ := n.Type

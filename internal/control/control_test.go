@@ -188,7 +188,7 @@ func TestShoreWesternRoundTrip(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	pos, force, err := cl.Move(0.02)
+	pos, force, err := cl.Move(context.Background(), 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +215,13 @@ func TestShoreWesternStopAndClear(t *testing.T) {
 	if err := cl.Stop(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Move(0.01); err == nil {
+	if _, _, err := cl.Move(context.Background(), 0.01); err == nil {
 		t.Fatal("move after STOP should fail")
 	}
 	if err := cl.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.Move(0.01); err != nil {
+	if _, _, err := cl.Move(context.Background(), 0.01); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Reset(); err != nil {
@@ -272,13 +272,13 @@ func TestShoreWesternMoveErrorKeepsStreamPaired(t *testing.T) {
 	cl := NewShoreWesternClient(addr)
 	defer cl.Close()
 
-	if _, _, err := cl.Move(0.5); err == nil || !strings.Contains(err.Error(), "stroke") {
+	if _, _, err := cl.Move(context.Background(), 0.5); err == nil || !strings.Contains(err.Error(), "stroke") {
 		t.Fatalf("over-stroke move: err = %v", err)
 	}
 	if err := cl.Clear(); err != nil {
 		t.Fatal(err)
 	}
-	pos, force, err := cl.Move(0.01)
+	pos, force, err := cl.Move(context.Background(), 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,7 +594,7 @@ func TestParseReadingRefusesNonFinite(t *testing.T) {
 // roundTrip sends one command line and returns its response's payload.
 func (c *ShoreWesternClient) roundTrip(cmd string) (string, error) {
 	var reply [1]string
-	err := c.exchange(cmd+"\n", reply[:])
+	err := c.exchange(context.Background(), cmd+"\n", reply[:])
 	return reply[0], err
 }
 

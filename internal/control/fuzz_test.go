@@ -2,12 +2,16 @@ package control
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"math"
 	"net"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+
+	"neesgrid/internal/runtime"
 )
 
 // scriptedConn is one controller connection whose input is fixed: Read
@@ -39,16 +43,31 @@ func (c *scriptedConn) Write(p []byte) (int, error) {
 
 func (c *scriptedConn) Close() error { return nil }
 
-// replyConn hands a ShoreWesternClient a scripted controller. The client
-// uses only Read, Write and Close; the embedded net.Conn is nil.
-type replyConn struct {
-	net.Conn
-	in *scriptedConn
+// replyPeer is a controller that answers from a script, whatever it is sent:
+// the first connection after script is stored gets those bytes, then the end
+// of the stream; a later one gets only the end, as the script is spent.
+type replyPeer struct {
+	addr   string
+	script atomic.Pointer[[]byte]
 }
 
-func (c replyConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
-func (c replyConn) Write(p []byte) (int, error) { return c.in.Write(p) }
-func (c replyConn) Close() error                { return nil }
+func newReplyPeer(f *testing.F) *replyPeer {
+	p := &replyPeer{}
+	srv := runtime.NewConnServer("reply-peer", func(_ context.Context, conn net.Conn) {
+		if in := p.script.Swap(nil); in != nil {
+			_, _ = conn.Write(*in)
+		}
+		_ = conn.(*net.TCPConn).CloseWrite()
+		_, _ = io.Copy(io.Discard, conn)
+	})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = srv.Close() })
+	p.addr = addr
+	return p
+}
 
 // FuzzShoreWesternReply feeds arbitrary bytes to the client as what the
 // controller answers a MOVE (two reply lines: MOVE's and READ's) and then a
@@ -67,12 +86,13 @@ func FuzzShoreWesternReply(f *testing.F) {
 	} {
 		f.Add([]byte(seed))
 	}
+	peer := newReplyPeer(f)
 	f.Fuzz(func(t *testing.T, replies []byte) {
-		conn := &scriptedConn{in: replies}
-		c := NewShoreWesternClient("fuzz")
-		c.Dial = func(string, string) (net.Conn, error) { return replyConn{in: conn}, nil }
+		peer.script.Store(&replies)
+		c := NewShoreWesternClient(peer.addr)
+		defer c.Close()
 		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-		if pos, force, err := c.Move(0.01); err == nil && !(finite(pos) && finite(force)) {
+		if pos, force, err := c.Move(context.Background(), 0.01); err == nil && !(finite(pos) && finite(force)) {
 			t.Fatalf("MOVE accepted pos %v force %v from %q", pos, force, replies)
 		}
 		if pos, force, err := c.Read(); err == nil && !(finite(pos) && finite(force)) {

@@ -9,7 +9,6 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
 
 	"neesgrid/internal/runtime"
 )
@@ -114,77 +113,56 @@ func (s *ShoreWesternServer) handle(line string) string {
 	}
 }
 
-// ShoreWesternClient is the plugin-side client of the control protocol.
-// Safe for sequential use; the NTCP plugin serializes commands.
+// ShoreWesternClient is the plugin-side client of the control protocol: one
+// connection to the controller, dialed when first needed and redialed after a
+// failure, and one exchange on it at a time; a second waits its turn.
 type ShoreWesternClient struct {
-	mu   sync.Mutex
-	conn net.Conn
-	rw   *bufio.ReadWriter
-	addr string
-	// Dial overrides the dialer (fault injection); nil means net.Dial.
-	Dial func(network, addr string) (net.Conn, error)
+	addr  string
+	conns *runtime.ConnPool[*controllerConn]
 }
 
-// NewShoreWesternClient creates a client for the controller at addr; the
-// connection is established lazily and re-established after failures.
+// controllerConn is the connection to the controller and its buffers.
+type controllerConn struct {
+	net.Conn
+	rw *bufio.ReadWriter
+}
+
+// NewShoreWesternClient creates a client for the controller at addr.
 func NewShoreWesternClient(addr string) *ShoreWesternClient {
-	return &ShoreWesternClient{addr: addr}
+	return &ShoreWesternClient{addr: addr, conns: runtime.NewConnPool("control", 1, 0, 0,
+		func(conn net.Conn, _ string) (*controllerConn, error) {
+			return &controllerConn{Conn: conn, rw: bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn))}, nil
+		})}
 }
 
-func (c *ShoreWesternClient) ensure() error {
-	if c.conn != nil {
-		return nil
-	}
-	dial := c.Dial
-	if dial == nil {
-		dial = net.Dial
-	}
-	conn, err := dial("tcp", c.addr)
-	if err != nil {
-		return fmt.Errorf("control: dial %s: %w", c.addr, err)
-	}
-	c.conn = conn
-	c.rw = bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn))
-	return nil
-}
-
-// Close drops the connection.
+// Close severs the connection: an exchange in flight fails at once. The next
+// command redials.
 func (c *ShoreWesternClient) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn != nil {
-		err := c.conn.Close()
-		c.conn = nil
-		return err
-	}
+	c.conns.Sever()
 	return nil
 }
 
 // exchange writes cmds, one or more newline-terminated command lines, in one
-// flush and reads one response line per command into replies, dropping the
-// connection on a transport error so the next call redials. Every response
-// is read even when an earlier one is an error, so the stream stays paired;
-// the first ERR or malformed response is returned.
-func (c *ShoreWesternClient) exchange(cmds string, replies []string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.ensure(); err != nil {
+// flush and reads one response line per command into replies, bounded by
+// ctx. A transport error drops the connection, so the next call redials.
+// Every response is read even when an earlier one is an error, so the stream
+// stays paired; the first ERR or malformed response is returned.
+func (c *ShoreWesternClient) exchange(ctx context.Context, cmds string, replies []string) error {
+	conn, _, err := c.conns.Get(ctx, c.addr)
+	if err != nil {
 		return err
 	}
-	if _, err := c.rw.WriteString(cmds); err != nil {
-		c.drop()
-		return fmt.Errorf("control: send: %w", err)
+	if _, err := conn.rw.WriteString(cmds); err != nil {
+		return c.conns.Drop(conn, fmt.Errorf("control: send: %w", err))
 	}
-	if err := c.rw.Flush(); err != nil {
-		c.drop()
-		return fmt.Errorf("control: flush: %w", err)
+	if err := conn.rw.Flush(); err != nil {
+		return c.conns.Drop(conn, fmt.Errorf("control: flush: %w", err))
 	}
 	var first error
 	for i := range replies {
-		line, err := c.rw.ReadString('\n')
+		line, err := conn.rw.ReadString('\n')
 		if err != nil {
-			c.drop()
-			return fmt.Errorf("control: recv: %w", err)
+			return c.conns.Drop(conn, fmt.Errorf("control: recv: %w", err))
 		}
 		line = strings.TrimSpace(line)
 		switch {
@@ -198,21 +176,16 @@ func (c *ShoreWesternClient) exchange(cmds string, replies []string) error {
 		}
 		replies[i] = strings.TrimSpace(strings.TrimPrefix(line, "OK"))
 	}
+	c.conns.Put(conn)
 	return first
 }
 
-func (c *ShoreWesternClient) drop() {
-	if c.conn != nil {
-		_ = c.conn.Close()
-		c.conn = nil
-	}
-}
-
 // Move commands a position and reads back position and force: MOVE and READ
-// pipelined in one write, both responses collected from one exchange.
-func (c *ShoreWesternClient) Move(pos float64) (float64, float64, error) {
+// pipelined in one write, both responses collected from one exchange. ctx
+// bounds the wait for the controller.
+func (c *ShoreWesternClient) Move(ctx context.Context, pos float64) (float64, float64, error) {
 	var replies [2]string
-	if err := c.exchange(fmt.Sprintf("MOVE %g\nREAD\n", pos), replies[:]); err != nil {
+	if err := c.exchange(ctx, fmt.Sprintf("MOVE %g\nREAD\n", pos), replies[:]); err != nil {
 		return 0, 0, err
 	}
 	return parseReading(replies[1])

@@ -33,7 +33,7 @@ func TestSessionOwnsTheTransferBuffer(t *testing.T) {
 	if n := cl.idleSessions(); n != 1 {
 		t.Fatalf("%d idle sessions after a one-stream round, want 1", n)
 	}
-	scratch := &cl.idle[0].scratch[0]
+	scratch := &cl.idle()[0].scratch[0]
 
 	const rounds = 20
 	var before, after runtime.MemStats
@@ -42,7 +42,7 @@ func TestSessionOwnsTheTransferBuffer(t *testing.T) {
 		round()
 	}
 	runtime.ReadMemStats(&after)
-	if n := cl.idleSessions(); n != 1 || &cl.idle[0].scratch[0] != scratch {
+	if n := cl.idleSessions(); n != 1 || &cl.idle()[0].scratch[0] != scratch {
 		t.Fatalf("the session (%d idle) changed its buffer between rounds", n)
 	}
 	// What is left per round, both ends of the connection counted: the two
@@ -76,7 +76,7 @@ func TestLargeBlocksAreNotKept(t *testing.T) {
 	if cl.idleSessions() == 0 {
 		t.Fatal("no idle session to look at")
 	}
-	for _, sess := range cl.idle {
+	for _, sess := range cl.idle() {
 		if cap(sess.scratch) > DefaultBlockSize {
 			t.Fatalf("an idle client session holds %d bytes, want at most %d", cap(sess.scratch), DefaultBlockSize)
 		}

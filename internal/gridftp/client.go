@@ -1,6 +1,7 @@
 package gridftp
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -12,13 +13,14 @@ import (
 	"sync/atomic"
 	"time"
 
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
 )
 
 // Client transfers files against one server. It keeps the connections of
-// finished exchanges and reuses them, so it is meant to be held, shared
-// between goroutines, and not copied; the zero value with Addr set is ready
-// to use.
+// finished exchanges in a runtime.ConnPool and reuses them, so it is meant to
+// be held, shared between goroutines, and not copied; the zero value with
+// Addr set is ready to use.
 type Client struct {
 	Addr string
 	// BlockSize overrides the transfer block size.
@@ -26,9 +28,11 @@ type Client struct {
 
 	tel atomic.Pointer[clientCounters]
 
+	once     sync.Once
+	sessions *runtime.ConnPool[*session] // made by the first exchange
+
 	mu     sync.Mutex
-	idle   []*session // sessions between exchanges, most recently used last
-	prefix string     // of this client's transfer ids; drawn at the first Put
+	prefix string // of this client's transfer ids; drawn at the first Put
 	nextID int64
 }
 
@@ -54,55 +58,44 @@ func (c *Client) UseTelemetry(reg *telemetry.Registry) {
 	})
 }
 
-func (c *Client) dial() (*session, error) {
-	conn, err := net.Dial("tcp", c.Addr)
-	if err != nil {
-		return nil, fmt.Errorf("gridftp: dial %s: %w", c.Addr, err)
-	}
-	if t := c.tel.Load(); t != nil {
-		t.dials.Inc()
-	}
-	return newSession(conn), nil
+// pool returns the client's sessions: at most maxIdleSessions idle, no cap
+// on those in use.
+func (c *Client) pool() *runtime.ConnPool[*session] {
+	c.once.Do(func() {
+		c.sessions = runtime.NewConnPool("gridftp", 0, maxIdleSessions, 0,
+			func(conn net.Conn, _ string) (*session, error) { return newSession(conn), nil })
+	})
+	return c.sessions
 }
 
-// acquire takes the most recently used idle session, or dials.
-func (c *Client) acquire() (*session, error) {
-	c.mu.Lock()
-	var sess *session
-	if n := len(c.idle); n > 0 {
-		sess, c.idle = c.idle[n-1], c.idle[:n-1]
-	}
-	c.mu.Unlock()
-	if sess == nil {
-		return c.dial()
-	}
-	sess.reused = true
+// countLend counts a session the pool lent: a reuse, or a dial.
+func (c *Client) countLend(reused bool) {
 	if t := c.tel.Load(); t != nil {
-		t.reuses.Inc()
+		if reused {
+			t.reuses.Inc()
+		} else {
+			t.dials.Inc()
+		}
 	}
-	return sess, nil
 }
 
 // release keeps a session whose exchange ended cleanly: the reply read, a
 // get-data range read to its promised size, or a stripe's acknowledgement
-// read. Every other session is closed by its user, never released.
+// read. One with bytes buffered past its exchange is dropped; a session
+// whose exchange failed goes to finish or Drop, never here.
 func (c *Client) release(sess *session) {
-	c.mu.Lock()
-	keep := len(c.idle) < maxIdleSessions && sess.br.Buffered() == 0
-	if keep {
-		c.idle = append(c.idle, sess)
+	if sess.br.Buffered() != 0 {
+		_ = c.pool().Drop(sess, nil)
+		return
 	}
-	c.mu.Unlock()
-	if !keep {
-		_ = sess.Close()
-	}
+	c.pool().Put(sess)
 }
 
 // finish releases the session of an exchange that ended without error and
-// closes it otherwise.
+// drops it otherwise.
 func (c *Client) finish(sess *session, err error) {
 	if err != nil {
-		_ = sess.Close()
+		_ = c.pool().Drop(sess, err)
 		return
 	}
 	c.release(sess)
@@ -133,8 +126,8 @@ func exchange(sess *session, req *request) (resp *response, answered bool, err e
 
 // roundTrip sends a header on an idle session, or on a new connection when
 // none is idle, and returns the session with the reply read, ready for any
-// binary phase. The caller hands the session to release (or finish) when the
-// exchange is over, or closes it.
+// binary phase. The caller hands the session to release, or to finish with
+// the exchange's outcome, when the exchange is over.
 //
 // A reused session may have been reaped or lost while it idled. If it fails
 // before the first byte of a reply, the request is sent once more on a fresh
@@ -144,24 +137,25 @@ func exchange(sess *session, req *request) (resp *response, answered bool, err e
 // same place, and a put-commit that already ran has closed its transfer, so
 // the repeat is refused instead of publishing anything twice.
 func (c *Client) roundTrip(req *request) (*session, *response, error) {
-	sess, err := c.acquire()
+	pool := c.pool()
+	sess, reused, err := pool.Get(context.TODO(), c.Addr)
 	if err != nil {
 		return nil, nil, err
 	}
+	c.countLend(reused)
 	resp, answered, err := exchange(sess, req)
-	if err != nil && sess.reused && !answered {
-		_ = sess.Close()
+	if err != nil && reused && !answered {
 		if t := c.tel.Load(); t != nil {
 			t.staleRetries.Inc()
 		}
-		if sess, err = c.dial(); err != nil {
+		if sess, err = pool.Redial(context.TODO(), sess); err != nil {
 			return nil, nil, err
 		}
+		c.countLend(false)
 		resp, _, err = exchange(sess, req)
 	}
 	if err != nil {
-		_ = sess.Close()
-		return nil, nil, err
+		return nil, nil, pool.Drop(sess, err)
 	}
 	if !resp.OK {
 		c.release(sess)

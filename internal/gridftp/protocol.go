@@ -105,9 +105,6 @@ func readBlockHeader(br *bufio.Reader) (blockHeader, error) {
 type session struct {
 	net.Conn
 	br *bufio.Reader
-	// reused marks a client session taken from the idle list: only such a
-	// session may be stale, so only it earns the retry on a fresh dial.
-	reused bool
 	// scratch is the session's transfer buffer, made by the first exchange
 	// that moves bytes and kept for those that follow (see buffer).
 	scratch []byte

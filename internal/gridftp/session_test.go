@@ -11,20 +11,39 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"neesgrid/internal/telemetry"
 )
 
-func (c *Client) idleSessions() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.idle)
+// idle is the client's idle sessions, the most recently used last. Its
+// runtime.ConnPool keeps them per address and lets no caller read them, so
+// the tests read the pool's field; call it only while no exchange is in
+// flight.
+func (c *Client) idle() []*session {
+	a := reflect.ValueOf(c.pool()).Elem().FieldByName("addrs").MapIndex(reflect.ValueOf(c.Addr))
+	if !a.IsValid() {
+		return nil
+	}
+	return *(*[]*session)(unsafe.Pointer(a.Elem().FieldByName("idle").UnsafeAddr()))
+}
+
+func (c *Client) idleSessions() int { return len(c.idle()) }
+
+// dial opens a session of the client's own, outside its pool.
+func (c *Client) dial() (*session, error) {
+	conn, err := net.Dial("tcp", c.Addr)
+	if err != nil {
+		return nil, err
+	}
+	return newSession(conn), nil
 }
 
 // openSessions counts the sessions the server holds: one handler per client
@@ -632,12 +651,4 @@ func TestFailedUploadLeavesWholeMarker(t *testing.T) {
 
 // Close drops the idle sessions. It is optional (the server reaps a session
 // idle past its deadline) and leaves the client usable.
-func (c *Client) Close() {
-	c.mu.Lock()
-	idle := c.idle
-	c.idle = nil
-	c.mu.Unlock()
-	for _, sess := range idle {
-		_ = sess.Close()
-	}
-}
+func (c *Client) Close() { c.pool().CloseIdle("") }

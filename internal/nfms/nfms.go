@@ -143,7 +143,6 @@ type Service struct {
 	mu         sync.Mutex
 	entries    map[string]*Entry
 	transports map[string]Transport
-	clock      func() time.Time
 }
 
 // New returns a service with the gridftp and local transports registered.
@@ -151,7 +150,6 @@ func New() *Service {
 	s := &Service{
 		entries:    make(map[string]*Entry),
 		transports: make(map[string]Transport),
-		clock:      time.Now,
 	}
 	s.RegisterTransport("gridftp", &GridFTPTransport{})
 	s.RegisterTransport("local", LocalTransport{})
@@ -181,7 +179,7 @@ func (s *Service) Register(owner, logical string, size int64, replicas ...Replic
 		}
 	}
 	e := &Entry{Logical: logical, Size: size, Owner: owner,
-		Replicas: append([]Replica(nil), replicas...), CreatedAt: s.clock()}
+		Replicas: append([]Replica(nil), replicas...), CreatedAt: time.Now()}
 	s.entries[logical] = e
 	return cloneEntry(e), nil
 }

@@ -1,10 +1,13 @@
 package nsds
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
+
+	"neesgrid/internal/runtime"
 )
 
 // Client consumes a remote NSDS stream: the server's batch frames are
@@ -22,7 +25,7 @@ type Client struct {
 // then the live stream — a viewer joining mid-experiment sees history
 // immediately.
 func Dial(addr string, buffer int, catchUp bool, channels []string) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+	conn, err := runtime.Dial(context.TODO(), addr)
 	if err != nil {
 		return nil, fmt.Errorf("nsds: dial %s: %w", addr, err)
 	}

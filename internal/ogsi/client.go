@@ -32,9 +32,6 @@ type Client struct {
 	// HTTP carries the envelopes; its transport must end in a Transport (a
 	// fault injector may wrap it). Nil means DefaultHTTPClient.
 	HTTP *http.Client
-	// Clock overrides the time source used for envelope verification and
-	// for the lifetime of the client's security context.
-	Clock func() time.Time
 	// Tracer, when set, opens a client span around every Call and carries
 	// its traceparent inside the authenticated request payload. Nil disables
 	// tracing (the traceparent of any span already in ctx still
@@ -225,13 +222,6 @@ func (c *Client) httpClient() *http.Client {
 	return DefaultHTTPClient
 }
 
-func (c *Client) now() time.Time {
-	if c.Clock != nil {
-		return c.Clock()
-	}
-	return time.Now()
-}
-
 // RemoteError is a fault returned by the remote service.
 type RemoteError struct {
 	Code    string
@@ -347,7 +337,7 @@ func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []by
 // is dropped, and the caller resends with signed set.
 func (c *Client) exchange(ctx context.Context, span *trace.Span, ep *endpoint, signed bool, service, op string, rawParams []byte, bufs [3]*[]byte) (resp response, refused bool, err error) {
 	payloadBuf, bodyBuf, respBuf := bufs[0], bufs[1], bufs[2]
-	sc, hs, err := ep.prepare(c.now(), c.Trust, signed)
+	sc, hs, err := ep.prepare(time.Now(), c.Trust, signed)
 	if err != nil {
 		return resp, false, fmt.Errorf("ogsi: handshake: %w", err)
 	}
@@ -355,7 +345,7 @@ func (c *Client) exchange(ctx context.Context, span *trace.Span, ep *endpoint, s
 	if hs != nil {
 		offer = hs.Offer()
 	}
-	*payloadBuf = appendRequestJSON((*payloadBuf)[:0], service, op, rawParams, c.now(), trace.SpanContextFromContext(ctx), offer)
+	*payloadBuf = appendRequestJSON((*payloadBuf)[:0], service, op, rawParams, time.Now(), trace.SpanContextFromContext(ctx), offer)
 	var seq uint64
 	if sc != nil {
 		seq = sc.NextSeq()
@@ -380,7 +370,7 @@ func (c *Client) exchange(ctx context.Context, span *trace.Span, ep *endpoint, s
 	}
 	if sc == nil || errors.Is(err, gsi.ErrNotSealed) {
 		mode, authenticated = "signed", metricAuthSigned
-		payload, server, vinfo, err = openSigned(c.Trust, respBody, c.now())
+		payload, server, vinfo, err = openSigned(c.Trust, respBody, time.Now())
 	}
 	if span != nil {
 		c.Tracer.RecordSpan(span.Context(), "gsi.verify", trace.KindInternal, verifyStart, time.Now(),

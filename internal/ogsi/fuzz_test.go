@@ -3,12 +3,16 @@ package ogsi
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -217,6 +221,125 @@ func FuzzContainerSession(f *testing.F) {
 		runtime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > ceiling+64*uint64(len(in)) {
 			t.Fatalf("one session of %d input bytes allocated %d bytes", len(in), grew)
+		}
+	})
+}
+
+// scriptPeer is a container that answers a Transport from a script, whatever
+// it is asked: the first connection after script is stored reads the upgrade
+// request and gets those bytes, then the end of the stream; a later one gets
+// only the end, as the script is spent. accepted counts its connections.
+type scriptPeer struct {
+	addr     string
+	script   atomic.Pointer[[]byte]
+	accepted atomic.Int64
+}
+
+func newScriptPeer(f *testing.F) *scriptPeer {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { _ = ln.Close() })
+	p := &scriptPeer{addr: ln.Addr().String()}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.accepted.Add(1)
+			go func() {
+				defer conn.Close()
+				br := bufio.NewReader(conn)
+				for {
+					line, err := br.ReadSlice('\n')
+					if err != nil {
+						return
+					}
+					if len(bytes.TrimSpace(line)) == 0 {
+						break
+					}
+				}
+				if in := p.script.Swap(nil); in != nil {
+					_, _ = conn.Write(*in)
+				}
+				_ = conn.(*net.TCPConn).CloseWrite()
+				_, _ = io.Copy(io.Discard, br)
+			}()
+		}
+	}()
+	return p
+}
+
+// FuzzClientSession feeds arbitrary bytes to a Transport as what a container
+// answers on a session: the answer to the upgrade, then reply frames. The
+// oracle: no panic; a round trip that failed leaves no session behind to be
+// lent again, so the next one dials; a reply holds no byte the peer did not
+// send; and what the round trips allocate stays under a ceiling no header
+// can raise.
+func FuzzClientSession(f *testing.F) {
+	frame := func(status int, payload string) string {
+		b := append(appendFrameHeader(nil), payload...)
+		putFrameHeader(b, status)
+		return string(b)
+	}
+	claim := func(n uint32) string {
+		h := make([]byte, frameHeaderLen)
+		binary.BigEndian.PutUint16(h, http.StatusOK)
+		binary.BigEndian.PutUint32(h[2:], n)
+		return string(h)
+	}
+	for _, seed := range []string{
+		switchingProtocols + frame(http.StatusOK, `{"ok":true}`) + frame(http.StatusOK, "") + frame(http.StatusServiceUnavailable, "busy"),
+		switchingProtocols + frame(http.StatusOK, "one") + "\x00\xc8\x00",
+		switchingProtocols + claim(maxBodyBytes) + "abc",
+		switchingProtocols + claim(maxBodyBytes+1),
+		"HTTP/1.1 101 Switching Protocols\r\nUpgrade: websocket\r\n\r\n" + frame(http.StatusOK, "x"),
+		"HTTP/1.1 404 Not Found\r\nContent-Length: 5\r\n\r\nnope!",
+		"HTTP/1.1 101 Switching Protocols\r\nConnection: Upgrade\r\nUpgrade: " + sessionProtocol + "\r\nX-Pad: " + strings.Repeat("a", 8<<10) + "\r\n\r\n" + frame(http.StatusOK, "y"),
+		switchingProtocols[:20],
+		"",
+	} {
+		f.Add([]byte(seed))
+	}
+	peer := newScriptPeer(f)
+	u, err := url.Parse("http://" + peer.addr + "/ogsi")
+	if err != nil {
+		f.Fatal(err)
+	}
+	const ceiling = 8 << 20 // bytes, plus 64 per input byte
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) > 64<<10 {
+			return // a script past a few frames adds nothing the oracle reads
+		}
+		script := append([]byte(nil), in...)
+		peer.script.Store(&script)
+		tr := NewPinnedTransport(1)
+		defer tr.CloseIdleConnections()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		failed := false
+		for i := 0; i < 2; i++ {
+			dials := peer.accepted.Load()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			resp, err := tr.RoundTrip(newPost(ctx, u, []byte(`{}`)))
+			cancel()
+			if failed && peer.accepted.Load() == dials {
+				t.Fatalf("round trip %d went on the session of the failed one before it", i+1)
+			}
+			if failed = err != nil; failed {
+				continue
+			}
+			body, _ := io.ReadAll(resp.Body)
+			_ = resp.Body.Close()
+			if len(body) > len(in) {
+				t.Fatalf("round trip %d: a %d-byte reply from %d bytes sent", i+1, len(body), len(in))
+			}
+		}
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > ceiling+64*uint64(len(in)) {
+			t.Fatalf("two round trips on %d input bytes allocated %d bytes", len(in), grew)
 		}
 	})
 }

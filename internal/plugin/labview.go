@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 
@@ -90,17 +91,21 @@ func (d *LabViewDaemon) handle(req *lvRequest) lvResponse {
 }
 
 // LabViewPlugin is the Mini-MOST NTCP plugin: one JSON-line round trip per
-// action against the LabVIEW daemon.
+// action against the LabVIEW daemon, on one connection dialed when first
+// needed and redialed after a failure.
 type LabViewPlugin struct {
 	Point string
 	Addr  string
-	// Dial overrides the dialer (fault injection); nil means net.Dial.
-	Dial func(network, addr string) (net.Conn, error)
 
-	mu   sync.Mutex
-	conn net.Conn
-	sc   *bufio.Scanner
-	enc  *json.Encoder
+	once  sync.Once
+	conns *runtime.ConnPool[*daemonConn] // made by the first use
+}
+
+// daemonConn is the connection to the daemon and its line codec.
+type daemonConn struct {
+	net.Conn
+	sc  *bufio.Scanner
+	enc *json.Encoder
 }
 
 // Validate vetoes unknown points and wrong DOF counts.
@@ -116,58 +121,41 @@ func (p *LabViewPlugin) Validate(_ context.Context, actions []core.Action) error
 	return nil
 }
 
-func (p *LabViewPlugin) ensure() error {
-	if p.conn != nil {
-		return nil
-	}
-	dial := p.Dial
-	if dial == nil {
-		dial = net.Dial
-	}
-	conn, err := dial("tcp", p.Addr)
+func (p *LabViewPlugin) pool() *runtime.ConnPool[*daemonConn] {
+	p.once.Do(func() {
+		p.conns = runtime.NewConnPool("labview", 1, 0, 0, func(conn net.Conn, _ string) (*daemonConn, error) {
+			return &daemonConn{Conn: conn, sc: bufio.NewScanner(conn), enc: json.NewEncoder(conn)}, nil
+		})
+	})
+	return p.conns
+}
+
+// Close severs the daemon connection, failing an exchange in flight, and
+// refuses later executions.
+func (p *LabViewPlugin) Close() error { return p.pool().Close() }
+
+// roundTrip sends one request and reads its reply, bounded by ctx.
+func (p *LabViewPlugin) roundTrip(ctx context.Context, req *lvRequest) (*lvResponse, error) {
+	pool := p.pool()
+	conn, _, err := pool.Get(ctx, p.Addr)
 	if err != nil {
-		return fmt.Errorf("labview: dial %s: %w", p.Addr, err)
-	}
-	p.conn = conn
-	p.sc = bufio.NewScanner(conn)
-	p.enc = json.NewEncoder(conn)
-	return nil
-}
-
-func (p *LabViewPlugin) drop() {
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-	}
-}
-
-// Close drops the daemon connection.
-func (p *LabViewPlugin) Close() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.drop()
-	return nil
-}
-
-func (p *LabViewPlugin) roundTrip(req *lvRequest) (*lvResponse, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.ensure(); err != nil {
 		return nil, err
 	}
-	if err := p.enc.Encode(req); err != nil {
-		p.drop()
-		return nil, fmt.Errorf("labview: send: %w", err)
+	if err := conn.enc.Encode(req); err != nil {
+		return nil, pool.Drop(conn, fmt.Errorf("labview: send: %w", err))
 	}
-	if !p.sc.Scan() {
-		p.drop()
-		return nil, fmt.Errorf("labview: connection lost")
+	if !conn.sc.Scan() {
+		err := conn.sc.Err()
+		if err == nil {
+			err = io.EOF
+		}
+		return nil, pool.Drop(conn, fmt.Errorf("labview: connection lost: %w", err))
 	}
 	var resp lvResponse
-	if err := json.Unmarshal(p.sc.Bytes(), &resp); err != nil {
-		p.drop()
-		return nil, fmt.Errorf("labview: bad response: %w", err)
+	if err := json.Unmarshal(conn.sc.Bytes(), &resp); err != nil {
+		return nil, pool.Drop(conn, fmt.Errorf("labview: bad response: %w", err))
 	}
+	pool.Put(conn)
 	if !resp.OK {
 		return nil, fmt.Errorf("labview: daemon: %s", resp.Error)
 	}
@@ -181,7 +169,7 @@ func (p *LabViewPlugin) Execute(ctx context.Context, actions []core.Action) ([]c
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		resp, err := p.roundTrip(&lvRequest{Cmd: "move", Pos: a.Displacements[0]})
+		resp, err := p.roundTrip(ctx, &lvRequest{Cmd: "move", Pos: a.Displacements[0]})
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"sync"
@@ -14,6 +15,7 @@ import (
 
 	"neesgrid/internal/control"
 	"neesgrid/internal/core"
+	"neesgrid/internal/runtime"
 )
 
 func action(point string, d float64) []core.Action {
@@ -189,6 +191,42 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
+// countingProxy forwards every connection to addr, passing on each read from
+// the client as one write on a countingConn to addr. On loopback a client
+// write of a few bytes arrives as one read, so writes counts the client's
+// writes, and a write that waits for the reply to the one before is always
+// counted apart from it.
+func countingProxy(t *testing.T, addr string, writes *atomic.Int64) string {
+	t.Helper()
+	srv := runtime.NewConnServer("counting-proxy", func(_ context.Context, client net.Conn) {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			return
+		}
+		up := countingConn{Conn: conn, writes: writes}
+		defer up.Close()
+		go func() { _, _ = io.Copy(client, conn) }()
+		buf := make([]byte, 4096)
+		for {
+			n, err := client.Read(buf)
+			if n > 0 {
+				if _, err := up.Write(buf[:n]); err != nil {
+					return
+				}
+			}
+			if err != nil {
+				return
+			}
+		}
+	})
+	proxy, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return proxy
+}
+
 // Exact count: one action is one write on the controller connection, its
 // MOVE and READ pipelined (a round trip each used to be two).
 func TestShoreWesternPluginOneWritePerAction(t *testing.T) {
@@ -201,14 +239,7 @@ func TestShoreWesternPluginOneWritePerAction(t *testing.T) {
 	defer srv.Close()
 
 	var writes atomic.Int64
-	cl := control.NewShoreWesternClient(addr)
-	cl.Dial = func(network, addr string) (net.Conn, error) {
-		conn, err := net.Dial(network, addr)
-		if err != nil {
-			return nil, err
-		}
-		return countingConn{Conn: conn, writes: &writes}, nil
-	}
+	cl := control.NewShoreWesternClient(countingProxy(t, addr, &writes))
 	defer cl.Close()
 	p := &ShoreWesternPlugin{Point: "left-column", Client: cl}
 	for i, d := range []float64{0.01, 0.02, -0.01} {
@@ -268,6 +299,161 @@ func TestXPCPluginExecuteEndsWithItsContext(t *testing.T) {
 	}
 	if rig.Applied() != 0 {
 		t.Fatal("a command nobody took was applied")
+	}
+}
+
+// silentPeer is a rig controller that accepts connections and never answers,
+// as one hung mid-exchange would. heard ticks when a connection has sent it
+// something.
+func silentPeer(t *testing.T) (addr string, heard chan struct{}) {
+	t.Helper()
+	heard = make(chan struct{}, 16)
+	srv := runtime.NewConnServer("silent-peer", func(ctx context.Context, conn net.Conn) {
+		if _, err := conn.Read(make([]byte, 1)); err == nil {
+			heard <- struct{}{}
+		}
+		<-ctx.Done()
+	})
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Close() })
+	return addr, heard
+}
+
+// tcpRigs are the plugins that reach their rig through a controller they
+// dial. controller serves a fresh rig and reports whether it has moved; dial
+// builds the plugin against a controller's address, with the Close that
+// ends its connection.
+var tcpRigs = []struct {
+	name       string
+	point      string
+	controller func(t *testing.T) (addr string, moved func() bool)
+	dial       func(addr string) (core.Plugin, func() error)
+}{
+	{
+		name:  "shore-western",
+		point: "left-column",
+		controller: func(t *testing.T) (string, func() bool) {
+			rig := control.NewColumnRig("uiuc", quietActuator(), 1000, 0, 0)
+			srv := control.NewShoreWesternServer(rig)
+			addr, err := srv.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = srv.Close() })
+			return addr, func() bool { return rig.Applied() != 0 }
+		},
+		dial: func(addr string) (core.Plugin, func() error) {
+			cl := control.NewShoreWesternClient(addr)
+			return &ShoreWesternPlugin{Point: "left-column", Client: cl}, cl.Close
+		},
+	},
+	{
+		name:  "labview",
+		point: "beam",
+		controller: func(t *testing.T) (string, func() bool) {
+			rig := control.NewStepperBeam("mini", 1080, 1e-4, 1000)
+			daemon := NewLabViewDaemon(rig)
+			addr, err := daemon.Start("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = daemon.Close() })
+			return addr, func() bool { return rig.Position() != 0 }
+		},
+		dial: func(addr string) (core.Plugin, func() error) {
+			p := &LabViewPlugin{Point: "beam", Addr: addr}
+			return p, p.Close
+		},
+	},
+}
+
+// A plugin that dials its controller waits on it no longer than its
+// execution context allows, even when the controller never answers; and an
+// execution whose context has already ended moves nothing.
+func TestTCPRigPluginsEndWithTheirContext(t *testing.T) {
+	const deadline, margin = 100 * time.Millisecond, 300 * time.Millisecond
+	for _, rig := range tcpRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			var closeFn func() error
+			t.Cleanup(func() { _ = closeFn() }) // after the peer's: a Close that waits on the exchange returns then
+			addr, _ := silentPeer(t)
+			var p core.Plugin
+			p, closeFn = rig.dial(addr)
+			ctx, cancel := context.WithTimeout(context.Background(), deadline)
+			defer cancel()
+			start := time.Now()
+			done := make(chan error, 1)
+			go func() {
+				_, err := p.Execute(ctx, action(rig.point, 0.01))
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Fatalf("err = %v, want the context's deadline", err)
+				}
+				if took := time.Since(start); took > deadline+margin {
+					t.Fatalf("returned %v after a %v deadline", took, deadline)
+				}
+			case <-time.After(deadline + margin):
+				t.Fatalf("still waiting on a silent controller %v after a %v deadline", margin, deadline)
+			}
+
+			addr, moved := rig.controller(t)
+			p, closeReal := rig.dial(addr)
+			defer closeReal()
+			ended, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := p.Execute(ended, action(rig.point, 0.01)); !errors.Is(err, context.Canceled) {
+				t.Fatalf("Execute on an ended context: %v, want context.Canceled", err)
+			}
+			if moved() {
+				t.Fatal("an execution on an ended context moved the rig")
+			}
+		})
+	}
+}
+
+// Close severs the controller connection at once, even with an exchange in
+// flight on it, and that exchange fails.
+func TestTCPRigPluginsCloseCutsAnExchange(t *testing.T) {
+	const prompt = 500 * time.Millisecond
+	for _, rig := range tcpRigs {
+		t.Run(rig.name, func(t *testing.T) {
+			addr, heard := silentPeer(t)
+			p, closeFn := rig.dial(addr)
+			executed := make(chan error, 1)
+			go func() {
+				_, err := p.Execute(context.Background(), action(rig.point, 0.01))
+				executed <- err
+			}()
+			select {
+			case <-heard:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the command never reached the controller")
+			}
+			closed := make(chan error, 1)
+			go func() { closed <- closeFn() }()
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("Close: %v", err)
+				}
+			case <-time.After(prompt):
+				t.Fatalf("Close still blocked %v behind the exchange in flight", prompt)
+			}
+			select {
+			case err := <-executed:
+				if err == nil {
+					t.Fatal("the exchange Close cut reported success")
+				}
+			case <-time.After(prompt):
+				t.Fatalf("the exchange still running %v after Close", prompt)
+			}
+		})
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // system over its TCP protocol (Fig. 9, left site).
 type ShoreWesternPlugin struct {
 	Point string
-	// Client talks to the controller; reconnects internally.
+	// Client talks to the controller; reconnects internally. Each exchange
+	// is bounded by the execution context.
 	Client *control.ShoreWesternClient
 	// MaxDisplacement lets the plugin itself veto oversized commands
 	// before they reach the controller (a second, site-side guard beyond
@@ -34,7 +35,7 @@ func (p *ShoreWesternPlugin) Execute(ctx context.Context, actions []core.Action)
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		pos, force, err := p.Client.Move(a.Displacements[0])
+		pos, force, err := p.Client.Move(ctx, a.Displacements[0])
 		if err != nil {
 			return nil, fmt.Errorf("shore-western move: %w", err)
 		}
