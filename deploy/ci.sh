@@ -34,7 +34,8 @@
 #            verdict checked in from the last commit that meant to change
 #            behaviour (re-record with `mostctl chaos -q -scenario F -out
 #            golden/<name>.json` in the PR that does); then the TCP server
-#            and client lifecycle contracts twenty times under -race; then
+#            and client lifecycle contracts and the coordinator's worker
+#            lifecycle twenty times under -race; then
 #            10 s of fuzzing
 #            per target: each single-pass codec against encoding/json, the
 #            signed-envelope opener with its chain cache against the same
@@ -183,11 +184,13 @@ stage_chaos() {
     rm -rf "$out"
     [ "$rc" -eq 0 ] || return $rc
 
-    # The two TCP lifecycles every daemon and client share: runtime.ConnServer
-    # (accept, handlers, severing Close) and runtime.ConnPool (dial, idle
-    # sessions, waiters, context-bounded leases, Sever and Close), twenty
-    # times under the race detector (~5 s on 2 CPUs).
-    go test -race -count=20 -run '^(TestConnServerContract|TestConnPoolContract)$' ./internal/runtime || return 1
+    # The goroutine lifecycles: the two TCP ones every daemon and client
+    # share, runtime.ConnServer (accept, handlers, severing Close) and
+    # runtime.ConnPool (dial, idle sessions, waiters, context-bounded leases,
+    # Sever and Close), and the coordinator's per-site callers, which live
+    # exactly as long as a run however it ends; twenty times under the race
+    # detector.
+    go test -race -count=20 -run '^(TestConnServerContract|TestConnPoolContract|TestRunStopsItsSiteWorkers)$' ./internal/runtime ./internal/coord || return 1
 
     # Generated adversaries for the hand-rolled parsers on the step path:
     # each target holds a single-pass codec to encoding/json (equal values or

@@ -34,10 +34,10 @@ var testOnlyExports = map[string]string{
 	"gridftp.Client.Resume":          "TestKilledStripeClosesItsSession; E9's restart markers, user in ROADMAP item 1(c) (repod restart)",
 	"gridftp.Client.Status":          "TestResumeAfterInterruptedUpload; E9's restart markers, user in ROADMAP item 1(c)",
 	"gridftp.Client.PutWithID":       "TestResumeAfterInterruptedUpload; E9's restart markers, user in ROADMAP item 1(c)",
-	"ogsi.Client.FindServiceData":    "TestFindServiceDataRemote; PAPER.md §1 item 2 (inspection), user in ROADMAP item 11(f) (mostctl inspect)",
-	"ogsi.Client.LastChanged":        "TestLastChangedRemote; PAPER.md §1 item 2 (inspection), user in ROADMAP item 11(f)",
-	"ogsi.Client.WatchServiceData":   "TestRemoteObserverWatchesTransactions; PAPER.md §1 item 2 (inspection), user in ROADMAP item 11(f)",
-	"ogsi.Client.RequestTermination": "TestRequestTerminationRemote; PAPER.md §1 item 2 (soft-state lifetimes), user in ROADMAP item 11(f)",
+	"ogsi.Client.FindServiceData":    "TestFindServiceDataRemote; PAPER.md §1 item 2 (inspection), user in ROADMAP item 15(f) (mostctl inspect)",
+	"ogsi.Client.LastChanged":        "TestLastChangedRemote; PAPER.md §1 item 2 (inspection), user in ROADMAP item 15(f)",
+	"ogsi.Client.WatchServiceData":   "TestRemoteObserverWatchesTransactions; PAPER.md §1 item 2 (inspection), user in ROADMAP item 15(f)",
+	"ogsi.Client.RequestTermination": "TestRequestTerminationRemote; PAPER.md §1 item 2 (soft-state lifetimes), user in ROADMAP item 15(f)",
 	"gsi.Credential.Delegate":        "TestDelegateProxy, BenchmarkAblationGSISigning; PAPER.md §1 item 2 (delegation); no daemon delegates yet",
 
 	// Accessors and fixtures that tests in more than one package need.

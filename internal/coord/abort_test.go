@@ -78,7 +78,9 @@ func TestCancelAcceptedSurvivesCancelledContext(t *testing.T) {
 
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
+	stopWorkers := c.startWorkers()
 	c.cancelAccepted(dead, []*core.Record{rec})
+	stopWorkers()
 
 	if got := h.sites[0].server.Stats().Cancelled; got != 1 {
 		t.Fatalf("cancelled = %d, want 1 despite the dead step context", got)
@@ -134,4 +136,34 @@ func TestProposeWalksPastCancelledReplays(t *testing.T) {
 			t.Fatal("no revision recorded: step 1 should have walked past the cancelled replay")
 		}
 	})
+}
+
+// A rollback whose [cancel, propose] envelope fails must still withdraw the
+// mispredicted speculation: the abort sweep cancels it with the siblings'
+// fresh proposals, so no accepted transaction outlives the run.
+func TestFailedRollbackCancelsTheSpeculation(t *testing.T) {
+	h := newHarness(t, []structural.Element{
+		structural.NewLinearElastic(1000),
+		structural.NewLinearElastic(1000),
+	}, nil)
+	cfg := sdofConfig(100, 2000, 20)
+	cfg.Pipeline, cfg.PipelineTolerance = true, -1 // every step rolls back
+	cfg.OnStep = func(_ context.Context, st structural.State) {
+		if st.Step == 5 {
+			h.sites[0].injector.FailNext(1) // step 6's rollback envelope
+		}
+	}
+	c, err := New(cfg, h.coordSites(core.NoRetry)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, report, err := c.Run(context.Background())
+	if err == nil || report.FailedStep != 6 {
+		t.Fatalf("run = %+v, %v; want step 6 failed", report, err)
+	}
+	for _, ts := range h.sites {
+		if st := ts.server.Stats(); st.Accepted != st.Executed+st.Cancelled {
+			t.Errorf("site %s: %+v leaves %d accepted transactions", ts.name, st, st.Accepted-st.Executed-st.Cancelled)
+		}
+	}
 }

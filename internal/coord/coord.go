@@ -164,6 +164,9 @@ type Coordinator struct {
 	// next when Pipeline is on. Run resets it at start; the Run loop is
 	// single-goroutine so no locking is needed.
 	spec speculation
+	// workers[i] hands site i's calls to the site's caller goroutine, which
+	// lives as long as Run (see eachSite).
+	workers []chan siteCall
 }
 
 // New validates the topology and returns a coordinator.
@@ -278,9 +281,50 @@ func (c *Coordinator) proposals(step int, d []float64) []*core.Proposal {
 	return ps
 }
 
+// siteCall is one phase's call at one site.
+type siteCall struct {
+	ctx  context.Context
+	span string
+	fn   func(ctx context.Context, i int) error
+	done *sync.WaitGroup
+}
+
+// startWorkers starts one caller goroutine per site for the length of a run,
+// so the stack a call grows through the HTTP and GSI layers is grown once
+// per site rather than once per site per phase. stop ends them and waits
+// until every one has exited.
+func (c *Coordinator) startWorkers() (stop func()) {
+	var exited sync.WaitGroup
+	c.workers = make([]chan siteCall, len(c.sites))
+	for i := range c.workers {
+		calls := make(chan siteCall)
+		c.workers[i] = calls
+		exited.Add(1)
+		go func() {
+			defer exited.Done()
+			for call := range calls {
+				sctx, sp := c.tracer.Start(call.ctx, call.span, trace.KindInternal)
+				sp.SetAttr("site", c.sites[i].Name)
+				sp.SetError(call.fn(sctx, i))
+				sp.End()
+				call.done.Done()
+			}
+		}()
+	}
+	return func() {
+		for _, calls := range c.workers {
+			close(calls)
+		}
+		exited.Wait()
+		c.workers = nil
+	}
+}
+
 // eachSite runs fn for every site that want selects (nil selects all),
 // concurrently — a phase should cost one round trip, not O(sites × RTT) —
-// each under a child span that records fn's error, and waits for all.
+// each on its site's worker under a child span that records fn's error, and
+// waits for all. Every worker is therefore idle when a phase begins, and a
+// site's calls run in phase order.
 func (c *Coordinator) eachSite(ctx context.Context, span string, want func(i int) bool, fn func(ctx context.Context, i int) error) {
 	var wg sync.WaitGroup
 	for i := range c.sites {
@@ -288,13 +332,7 @@ func (c *Coordinator) eachSite(ctx context.Context, span string, want func(i int
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sctx, sp := c.tracer.Start(ctx, span, trace.KindInternal)
-			sp.SetAttr("site", c.sites[i].Name)
-			sp.SetError(fn(sctx, i))
-			sp.End()
-		}(i)
+		c.workers[i] <- siteCall{ctx: ctx, span: span, fn: fn, done: &wg}
 	}
 	wg.Wait()
 }
@@ -329,16 +367,34 @@ func displacementsWithin(rec *core.Record, want []float64, tol float64) bool {
 //     revision. A fresh accept echoes the proposal exactly and a replayed
 //     non-speculative accept is bit-identical, so this never fires on them.
 //
+// withdraw, when not empty, is an accepted speculation held under p's base
+// name (a mispredicted pipelined step). Its cancel rides in the envelope of
+// the walk's first propose, [cancel r, propose r+1], so the walk starts at
+// revision 1: proposing the base name again would only replay the record
+// that envelope cancels. The cancel's own fault is not the step's, as on the
+// abort path (cancelAccepted): a speculation that could not be cancelled is
+// never executed, and a resumed walk meets it again.
+//
 // Every incarnation replays the same walk, so names stay a pure function of
 // the fault history. On success p.Name holds the name actually proposed
 // (the one execute and cancel must use).
-func (c *Coordinator) proposeRevised(ctx context.Context, cl *core.Client, p *core.Proposal) (*core.Record, error) {
+func (c *Coordinator) proposeRevised(ctx context.Context, cl *core.Client, p *core.Proposal, withdraw string) (*core.Record, error) {
 	base := p.Name
 	want := p.Actions[0].Displacements
 	tol := math.Max(0, c.cfg.PipelineTolerance)
-	for rev := 0; rev <= maxProposalRevisions; rev++ {
+	rev := 0
+	if withdraw != "" {
+		rev = 1
+	}
+	for ; rev <= maxProposalRevisions; rev++ {
 		p.Name = revisionName(base, rev)
-		rec, err := cl.Propose(ctx, p)
+		var rec *core.Record
+		var err error
+		if withdraw == "" {
+			rec, err = cl.Propose(ctx, p)
+		} else if _, rec, err = cl.CancelAndPropose(ctx, withdraw, p); rec != nil {
+			err, withdraw = nil, ""
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -373,16 +429,23 @@ func (c *Coordinator) cancelAccepted(ctx context.Context, recs []*core.Record) {
 }
 
 // proposeBarrier proposes ps everywhere and returns nil once every site
-// holds its transaction, under the name left in ps[i].Name. Any abort —
-// rejection or transport failure — first cancels the siblings that already
-// accepted, or their transactions pin server-side state and collide with
-// this step's replay after a resume (the negotiation behaviour §2.1 calls
-// out).
-func (c *Coordinator) proposeBarrier(ctx context.Context, ps []*core.Proposal) error {
+// holds its transaction, under the name left in ps[i].Name. held[i], when
+// accepted, is site i's mispredicted speculation for the step, withdrawn in
+// the envelope of its first propose (see proposeRevised); held is nil when
+// there is none. Any abort — rejection or transport failure — first cancels
+// the siblings that already accepted, and the speculations whose withdrawing
+// envelope failed, or their transactions pin server-side state and collide
+// with this step's replay after a resume (the negotiation behaviour §2.1
+// calls out).
+func (c *Coordinator) proposeBarrier(ctx context.Context, ps []*core.Proposal, held []*core.Record) error {
 	recs := make([]*core.Record, len(ps))
 	errs := make([]error, len(ps))
 	c.eachSite(ctx, "coord.propose", nil, func(ctx context.Context, i int) error {
-		recs[i], errs[i] = c.proposeRevised(ctx, c.sites[i].Client, ps[i])
+		withdraw := ""
+		if held != nil && held[i] != nil && held[i].State == core.StateAccepted {
+			withdraw = held[i].Name
+		}
+		recs[i], errs[i] = c.proposeRevised(ctx, c.sites[i].Client, ps[i], withdraw)
 		return errs[i]
 	})
 	var rejected, failed error
@@ -401,6 +464,11 @@ func (c *Coordinator) proposeBarrier(ctx context.Context, ps []*core.Proposal) e
 		abort = failed
 	}
 	if abort != nil {
+		for i := range recs {
+			if errs[i] != nil && held != nil {
+				recs[i] = held[i] // nil or not accepted where nothing is held
+			}
+		}
 		c.cancelAccepted(ctx, recs)
 	}
 	return abort
@@ -488,9 +556,12 @@ func (c *Coordinator) gather(n int, execs []siteOutcome) ([]float64, error) {
 // proposal is executed before every site has accepted it. Rollback rule:
 // when the held speculation is unusable — a site did not accept it, or the
 // actual displacement differs from the prediction by more than
-// PipelineTolerance on any DOF — its accepted transactions are cancelled
-// and the step is re-proposed at the actual displacement, so correctness
-// never depends on the predictor. Speculation is safe for the reason
+// PipelineTolerance on any DOF — the step is re-proposed at the actual
+// displacement behind the barrier, each accepted speculation cancelled in
+// the envelope of its site's re-propose, so correctness never depends on
+// the predictor and a wrong guess costs one envelope per site. The held
+// speculation is always for this step: restore runs once per step, and the
+// speculation it leaves names the next. Speculation is safe for the reason
 // retries and checkpoint/resume are: names are deterministic and the server
 // dedupes by name, so a wrong speculation is only ever cancelled, and one a
 // crash orphans is walked past by proposeRevised on resume.
@@ -506,11 +577,10 @@ func (c *Coordinator) restore(ctx context.Context, step int, d []float64) ([]flo
 	} else {
 		if held.proposals != nil {
 			c.tel.Counter("coord.pipeline.mispredicts").Inc()
-			c.cancelAccepted(ctx, held.recs)
 		}
 		cur = c.proposals(step, d)
 		if !c.cfg.FastPath {
-			if err := c.proposeBarrier(ctx, cur); err != nil {
+			if err := c.proposeBarrier(ctx, cur, held.recs); err != nil {
 				return nil, err
 			}
 		}
@@ -552,6 +622,8 @@ func (c *Coordinator) Run(ctx context.Context) (*structural.History, *Report, er
 	// speculative transaction a previous incarnation left behind is walked
 	// past by proposeRevised.
 	c.spec = speculation{}
+	stopWorkers := c.startWorkers()
+	defer stopWorkers()
 	// stepCtx carries the current step's root span into the restoring-force
 	// evaluation the integrator triggers; the Run loop (single goroutine)
 	// reassigns it each step.

@@ -3,6 +3,7 @@ package coord
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"testing"
@@ -129,19 +130,33 @@ type stepping struct {
 	// fault-free run of steps 0…n — the protocol cost behind the benchmark's
 	// coord.envelopes_per_step.*, gated here where timing noise cannot hide it.
 	envelopes func(n int) int
+	// revision is the revision of its name (see revisionName) under which a
+	// fault-free run executes step n. Names are a pure function of the fault
+	// history, so a schedule executes each step under a fixed name, which a
+	// resumed incarnation's walk replays.
+	revision func(n int) int
 }
+
+// base is the revision of a step executed under the name it was proposed as.
+func base(int) int { return 0 }
 
 var steppings = []stepping{
 	{"classic", func(*Config) {}, true, true,
-		func(n int) int { return 2 * (n + 1) }}, // propose + execute
+		func(n int) int { return 2 * (n + 1) }, base}, // propose + execute
 	{"fastpath", func(c *Config) { c.FastPath = true }, false, true,
-		func(n int) int { return n + 1 }}, // proposeAndExecute
+		func(n int) int { return n + 1 }, base}, // proposeAndExecute
 	{"pipeline", func(c *Config) { c.Pipeline = true }, true, false,
-		func(n int) int { return 1 + (n + 1) }}, // cold-start barrier, then [execute, propose] per step
+		func(n int) int { return 1 + (n + 1) }, base}, // cold-start barrier, then [execute, propose] per step
 	{"pipeline-rollback", func(c *Config) { c.Pipeline, c.PipelineTolerance = true, -1 }, true, true,
-		// Step 0 as above; every later step cancels its speculation, proposes
-		// (the cancelled record replays), proposes revision 1, and commits.
-		func(n int) int { return 2 + 4*n }},
+		// Step 0 as above; every later step withdraws its speculation in the
+		// envelope that proposes revision 1, [cancel, propose], then commits.
+		func(n int) int { return 2 + 2*n },
+		func(n int) int {
+			if n == 0 {
+				return 0
+			}
+			return 1
+		}},
 }
 
 func eachStepping(t *testing.T, fn func(t *testing.T, sc stepping)) {
@@ -214,10 +229,23 @@ func TestDistributedMatchesLocalExactly(t *testing.T) {
 			// pay what the table says.
 			t.Fatalf("%d mispredicts on a smooth sine: the envelope count below assumes none", got)
 		}
-		for _, ts := range h.sites {
+		for i, ts := range h.sites {
 			if got, want := ts.injector.Calls(), sc.envelopes(steps); got != want {
 				t.Errorf("site %s received %d envelopes over steps 0…%d, want exactly %d",
 					ts.name, got, steps, want)
+			}
+			// Every step executed once, under the name the row says, and no
+			// proposal was answered from the dedupe table.
+			st := ts.server.Stats()
+			if st.Executed != steps+1 || st.DedupedReplay != 0 {
+				t.Errorf("site %s: %d executed, %d deduped replays; want %d, 0", ts.name, st.Executed, st.DedupedReplay, steps+1)
+			}
+			cl := c.sites[i].Client
+			for n := 0; n <= steps; n++ {
+				name := revisionName(fmt.Sprintf("test/step-%d/%s", n, ts.name), sc.revision(n))
+				if rec, err := cl.Get(context.Background(), name); err != nil || rec.State != core.StateExecuted {
+					t.Fatalf("site %s step %d: %s is %+v, %v; want executed", ts.name, n, name, rec, err)
+				}
 			}
 		}
 	})

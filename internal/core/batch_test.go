@@ -2,8 +2,10 @@ package core
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -159,5 +161,88 @@ func TestExecuteAndProposeTransportExhaustion(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// The pipelined rollback: the mispredicted speculation is cancelled and the
+// step re-proposed in one envelope.
+func TestCancelAndProposeOneEnvelope(t *testing.T) {
+	f := newFixture(t, springPlugin(100), nil)
+	ct := &countingTransport{}
+	cl := f.client(NoRetry, &http.Client{Transport: ct})
+	ctx := context.Background()
+	if _, err := cl.Propose(ctx, proposal("s1", 0.03)); err != nil {
+		t.Fatal(err)
+	}
+	before := ct.n
+	cancelRec, propRec, err := cl.CancelAndPropose(ctx, "s1", proposal("s1/r1", 0.04))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ct.n - before; got != 1 {
+		t.Fatalf("rollback crossed the wire %d times, want 1", got)
+	}
+	if cancelRec.State != StateCancelled || propRec.State != StateAccepted || propRec.Name != "s1/r1" {
+		t.Fatalf("records = %+v, %+v", cancelRec, propRec)
+	}
+	if st := f.server.Stats(); st.Cancelled != 1 || st.Accepted != 2 || st.DedupedReplay != 0 {
+		t.Fatalf("server stats = %+v", st)
+	}
+	// A cancel that faults does not keep the propose from running.
+	cancelRec, propRec, err = cl.CancelAndPropose(ctx, "nope", proposal("s2", 0.01))
+	if cancelRec != nil || propRec == nil || propRec.State != StateAccepted || !ogsi.IsRemoteCode(err, ogsi.CodeNotFound) {
+		t.Fatalf("records = %+v, %+v, err %v", cancelRec, propRec, err)
+	}
+}
+
+// A batch result the strict decoder does not take — here a record with its
+// keys out of the canonical order — decodes through encoding/json to the
+// same record, and the client counts that fallback once.
+func TestNonCanonicalBatchResultFallsBackOnce(t *testing.T) {
+	f := newFixture(t, springPlugin(100), nil)
+	ctx := context.Background()
+	cl := f.client(NoRetry, nil)
+	if _, err := cl.Propose(ctx, proposal("s1", 0.03)); err != nil {
+		t.Fatal(err)
+	}
+	execRec, propRec, err := cl.ExecuteAndPropose(ctx, "s1", proposal("s2", 0.04))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical := func(rec *Record) json.RawMessage {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var fields map[string]any // encoding/json writes a map's keys sorted
+	if err := json.Unmarshal(canonical(execRec), &fields); err != nil {
+		t.Fatal(err)
+	}
+	reordered, _ := json.Marshal(fields)
+	if string(reordered) == string(canonical(execRec)) {
+		t.Fatal("the hand-written record is the canonical one")
+	}
+	replies := ogsi.NewService("replay")
+	replies.RegisterOp("execute", func(context.Context, ogsi.Caller, json.RawMessage) (any, error) {
+		return json.RawMessage(reordered), nil
+	})
+	replies.RegisterOp("propose", func(context.Context, ogsi.Caller, json.RawMessage) (any, error) {
+		return canonical(propRec), nil
+	})
+	f.cont.AddService(replies)
+
+	replay := NewClient(f.ogsiClient(), NoRetry)
+	replay.ServiceName = "replay"
+	gotExec, gotProp, err := replay.ExecuteAndPropose(ctx, "s1", proposal("s2", 0.04))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotExec, execRec) || !reflect.DeepEqual(gotProp, propRec) {
+		t.Fatalf("records = %+v, %+v\nwant %+v, %+v", gotExec, gotProp, execRec, propRec)
+	}
+	if n := replay.Telemetry().Snapshot().Counters[ogsi.MetricDecodeFallbacks]; n != 1 {
+		t.Fatalf("%s = %d, want 1", ogsi.MetricDecodeFallbacks, n)
 	}
 }

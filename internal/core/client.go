@@ -228,22 +228,10 @@ func (c *Client) roundTrip(ctx context.Context, ops []ogsi.BatchOp, recs []Recor
 	if len(ops) == 1 {
 		return nil, c.og.Call(ctx, c.ServiceName, ops[0].Op, ops[0].Params, &recs[0])
 	}
-	results, err := c.og.CallBatch(ctx, c.ServiceName, ops)
-	if err != nil {
-		return nil, err
+	for i := range ops {
+		ops[i].Out = &recs[i]
 	}
-	var faults []error
-	for i := range results {
-		if fault := results[i].Err(); fault != nil {
-			if faults == nil {
-				faults = make([]error, len(ops))
-			}
-			faults[i] = fault
-		} else if err := results[i].Decode(&recs[i]); err != nil {
-			return nil, err
-		}
-	}
-	return faults, nil
+	return c.og.CallBatch(ctx, c.ServiceName, ops)
 }
 
 // firstTransient returns the first fault worth retrying the envelope for.

@@ -123,6 +123,11 @@ func TestCleanRunsStayOnTheFastPath(t *testing.T) {
 			// reply per site.
 			sites := int64(len(exp.Sites))
 			coordinator := registries["coordinator"]
+			// The pipelined run decoded its batch results on the watched
+			// path: fused envelopes carried its steps.
+			if hits := coordinator.Counters["coord.pipeline.hits"]; name == "pipeline" && hits == 0 {
+				t.Error("pipeline: no step ran on a speculation, so no batch result was decoded")
+			}
 			var envelopes int64
 			for _, site := range exp.Sites {
 				snap := registries[site.Spec.Name]

@@ -74,22 +74,16 @@ func TestCallBatchDispatchesInOrder(t *testing.T) {
 	}
 	f := newFabric(t, func(c *Container) { c.AddService(svc) })
 
-	results, err := f.client.CallBatch(context.Background(), "seq", []BatchOp{
-		{Op: "first"}, {Op: "second"},
+	var outs [2]map[string]string
+	faults, err := f.client.CallBatch(context.Background(), "seq", []BatchOp{
+		{Op: "first", Out: &outs[0]}, {Op: "second", Out: &outs[1]},
 	})
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || faults != nil {
+		t.Fatal(err, faults)
 	}
-	if len(results) != 2 {
-		t.Fatalf("got %d results", len(results))
-	}
-	var out map[string]string
 	for i, want := range []string{"first", "second"} {
-		if err := results[i].Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		if out["op"] != want {
-			t.Fatalf("result %d = %v", i, out)
+		if outs[i]["op"] != want {
+			t.Fatalf("result %d = %v", i, outs[i])
 		}
 	}
 	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
@@ -114,22 +108,22 @@ func TestCallBatchPerItemFaultDoesNotFailEnvelope(t *testing.T) {
 	})
 	f := newFabric(t, func(c *Container) { c.AddService(svc) })
 
-	results, err := f.client.CallBatch(context.Background(), "mix", []BatchOp{
-		{Op: "ok"}, {Op: "bad"}, {Op: "missing"},
+	n, unset := 0, -1
+	faults, err := f.client.CallBatch(context.Background(), "mix", []BatchOp{
+		{Op: "ok", Out: &n}, {Op: "bad", Out: &unset}, {Op: "missing"},
 	})
 	if err != nil {
 		t.Fatalf("envelope must survive per-item faults: %v", err)
 	}
-	var n int
-	if err := results[0].Decode(&n); err != nil || n != 7 {
-		t.Fatalf("ok item: %v %d", err, n)
+	if len(faults) != 3 || faults[0] != nil || n != 7 {
+		t.Fatalf("ok item: %v %d", faults, n)
 	}
-	if !IsRemoteCode(results[1].Err(), CodeConflict) {
-		t.Fatalf("bad item err = %v", results[1].Err())
+	if !IsRemoteCode(faults[1], CodeConflict) || unset != -1 {
+		t.Fatalf("bad item err = %v, out %d", faults[1], unset)
 	}
 	var re *RemoteError
-	if !errors.As(results[2].Err(), &re) || re.Code != CodeNotFound {
-		t.Fatalf("missing item err = %v", results[2].Err())
+	if !errors.As(faults[2], &re) || re.Code != CodeNotFound {
+		t.Fatalf("missing item err = %v", faults[2])
 	}
 }
 
@@ -138,12 +132,12 @@ func TestBatchRejectsAbuse(t *testing.T) {
 	ctx := context.Background()
 
 	// Nested batch: the inner item faults, the envelope survives.
-	results, err := f.client.CallBatch(ctx, "echo", []BatchOp{{Op: "batch", Params: []batchItem{}}})
+	faults, err := f.client.CallBatch(ctx, "echo", []BatchOp{{Op: "batch", Params: []batchItem{}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !IsRemoteCode(results[0].Err(), CodeBadRequest) {
-		t.Fatalf("nested batch err = %v", results[0].Err())
+	if !IsRemoteCode(faults[0], CodeBadRequest) {
+		t.Fatalf("nested batch err = %v", faults[0])
 	}
 
 	// Empty batch is rejected client-side.
@@ -161,7 +155,7 @@ func TestBatchRejectsAbuse(t *testing.T) {
 	}
 
 	// Malformed params (not a list) fault the batch op itself.
-	var out []BatchResult
+	var out batchResults
 	err = f.client.Call(ctx, "echo", "batch", map[string]string{"not": "a list"}, &out)
 	if !IsRemoteCode(err, CodeBadRequest) {
 		t.Fatalf("malformed batch err = %v", err)

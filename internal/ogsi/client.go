@@ -3,7 +3,6 @@ package ogsi
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -248,7 +247,7 @@ func (c *Client) Call(ctx context.Context, service, op string, params, out any) 
 	if *paramsBuf, err = wirejson.Append((*paramsBuf)[:0], params); err != nil {
 		return fmt.Errorf("ogsi: marshal params: %w", err)
 	}
-	return c.callRaw(ctx, service, op, *paramsBuf, out)
+	return c.callRaw(ctx, service, op, *paramsBuf, func(result []byte) error { return c.decode(result, out) })
 }
 
 // envelopeHeader is the header of every request. It is shared and never
@@ -276,8 +275,9 @@ func newPost(ctx context.Context, u *url.URL, body []byte) *http.Request {
 // callRaw is Call with the params already encoded: one authenticated
 // envelope out, one verified envelope back — or, when the container refused
 // the context the request went under, a second exchange, signed, in which
-// the request runs for the first time.
-func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []byte, out any) (err error) {
+// the request runs for the first time. decode reads the result of a call
+// that succeeded while the pooled reply buffer it aliases is still live.
+func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []byte, decode func(result []byte) error) (err error) {
 	var span *trace.Span
 	if c.Tracer != nil {
 		ctx, span = c.Tracer.Start(ctx, service+"."+op, trace.KindClient)
@@ -313,12 +313,19 @@ func (c *Client) callRaw(ctx context.Context, service, op string, rawParams []by
 	if !resp.OK {
 		return &RemoteError{Code: resp.Code, Message: resp.Error}
 	}
-	if out != nil && len(resp.Result) > 0 {
-		fellBack, err := wirejson.Unmarshal(resp.Result, out)
-		c.noteFallback(MetricDecodeFallbacks, fellBack)
-		if err != nil {
-			return fmt.Errorf("ogsi: unmarshal result: %w", err)
-		}
+	return decode(resp.Result)
+}
+
+// decode unmarshals a result into out (nil discards), counting a fallback to
+// encoding/json.
+func (c *Client) decode(result []byte, out any) error {
+	if out == nil || len(result) == 0 {
+		return nil
+	}
+	fellBack, err := wirejson.Unmarshal(result, out)
+	c.noteFallback(MetricDecodeFallbacks, fellBack)
+	if err != nil {
+		return fmt.Errorf("ogsi: unmarshal result: %w", err)
 	}
 	return nil
 }
@@ -432,66 +439,51 @@ func (c *Client) post(ctx context.Context, u *url.URL, body []byte, respBuf *[]b
 type BatchOp struct {
 	Op     string
 	Params any
+	// Out receives the operation's result when it succeeds (nil discards).
+	Out any
 }
 
-// BatchResult is one operation's outcome within a batch. The envelope-level
-// error channel (transport, authentication) stays on CallBatch itself;
-// per-op service faults land here.
-type BatchResult struct {
-	OK     bool            `json:"ok"`
-	Code   string          `json:"code,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
-}
-
-// Err returns the operation's service fault as a *RemoteError, or nil when
-// the operation succeeded — the same contract a lone Call has.
-func (r *BatchResult) Err() error {
-	if r.OK {
-		return nil
-	}
-	return &RemoteError{Code: r.Code, Message: r.Error}
-}
-
-// Decode unmarshals the operation's result into out (nil discards),
-// returning the operation's fault if it had one.
-func (r *BatchResult) Decode(out any) error {
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if out == nil || len(r.Result) == 0 {
-		return nil
-	}
-	if err := json.Unmarshal(r.Result, out); err != nil {
-		return fmt.Errorf("ogsi: unmarshal batch result: %w", err)
-	}
-	return nil
-}
-
-// CallBatch invokes several operations on one service in a single signed
+// CallBatch invokes several operations on one service in a single
 // envelope over a single round trip — the batched frame the pipelined
 // coordinator uses to fuse execute(N) with propose(N+1). The container
-// dispatches the items in order and replies with one result per item;
-// a per-op fault does not fail the envelope. The returned slice always has
-// len(ops) entries when err is nil.
-func (c *Client) CallBatch(ctx context.Context, service string, ops []BatchOp) ([]BatchResult, error) {
+// dispatches the items in order and replies with one result per item, and
+// each successful item's result is decoded into its op's Out while the
+// reply is still in hand. A per-op fault does not fail the envelope: it
+// comes back as faults[i], a *RemoteError (the contract a lone Call has),
+// and faults is nil when every op succeeded.
+func (c *Client) CallBatch(ctx context.Context, service string, ops []BatchOp) (faults []error, err error) {
 	if len(ops) == 0 {
 		return nil, fmt.Errorf("ogsi: empty batch")
 	}
 	paramsBuf := getBuf()
 	defer putBuf(paramsBuf)
-	var err error
 	if *paramsBuf, err = appendBatchItemsJSON((*paramsBuf)[:0], ops); err != nil {
 		return nil, err
 	}
-	results := make(batchResults, 0, len(ops))
-	if err := c.callRaw(ctx, service, "batch", *paramsBuf, &results); err != nil {
+	err = c.callRaw(ctx, service, "batch", *paramsBuf, func(result []byte) error {
+		results := make(batchResults, 0, len(ops))
+		if err := c.decode(result, &results); err != nil {
+			return err
+		}
+		if len(results) != len(ops) {
+			return fmt.Errorf("ogsi: batch returned %d results for %d ops", len(results), len(ops))
+		}
+		for i, r := range results {
+			if !r.OK {
+				if faults == nil {
+					faults = make([]error, len(ops))
+				}
+				faults[i] = &RemoteError{Code: r.Code, Message: r.Error}
+			} else if err := c.decode(r.Result, ops[i].Out); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if len(results) != len(ops) {
-		return nil, fmt.Errorf("ogsi: batch returned %d results for %d ops", len(results), len(ops))
-	}
-	return results, nil
+	return faults, nil
 }
 
 // FindServiceData fetches SDEs from a remote service (all of them when no

@@ -237,21 +237,32 @@ func (b *batchItems) DecodeStrict(data []byte) bool {
 	return true
 }
 
-// batchResults is the result of a "batch" op on the client side.
-type batchResults []BatchResult
+// batchResult is one item of a "batch" op's result on the client side.
+type batchResult struct {
+	OK     bool            `json:"ok"`
+	Code   string          `json:"code,omitempty"`
+	Error  string          `json:"error,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
+}
 
-// DecodeStrict implements wirejson.StrictDecoder. The results are handed to
-// CallBatch's caller, so they alias a private copy of data rather than the
-// transport's pooled buffer.
+// batchResults is the result of a "batch" op on the client side.
+type batchResults []batchResult
+
+// DecodeStrict implements wirejson.StrictDecoder. The results alias data:
+// CallBatch decodes them into their ops' outs before the reply buffer goes
+// back to the pool.
 func (b *batchResults) DecodeStrict(data []byte) bool {
-	out := make(batchResults, 0, cap(*b))
-	d := wirejson.NewDec(append([]byte(nil), data...))
+	out := (*b)[:0]
+	if out == nil {
+		out = batchResults{} // as encoding/json reads "[]"
+	}
+	d := wirejson.NewDec(data)
 	d.Lit("[")
 	for !d.Has("]") && d.OK() {
 		if len(out) > 0 {
 			d.Lit(",")
 		}
-		var r BatchResult
+		var r batchResult
 		r.OK, r.Code, r.Error, r.Result = decodeOutcome(&d)
 		d.Lit("}")
 		out = append(out, r)

@@ -115,22 +115,6 @@ func FuzzDecodeResponse(f *testing.F) {
 	})
 }
 
-// TestBatchResultsDoNotAliasTheDocument: CallBatch hands its results to the
-// caller, so they must survive the transport reusing its receive buffer.
-func TestBatchResultsDoNotAliasTheDocument(t *testing.T) {
-	doc := appendResponseListJSON(nil, []*response{{OK: true, Result: json.RawMessage(`{"n":1}`)}, {OK: true, Result: json.RawMessage(`[2]`)}})
-	var results batchResults
-	if !results.DecodeStrict(doc) {
-		t.Fatal("canonical batch result declined")
-	}
-	for i := range doc {
-		doc[i] = 'X'
-	}
-	if string(results[0].Result) != `{"n":1}` || string(results[1].Result) != `[2]` {
-		t.Fatalf("results changed with the buffer: %s %s", results[0].Result, results[1].Result)
-	}
-}
-
 // sessionScript reads what a container must answer to in, sent as the
 // bytes after an upgrade: one reply per complete frame, and whether a
 // malformed or oversize header ends the session (after one error reply of

@@ -254,7 +254,7 @@ func TestHandlerParamsDoNotOutliveTheCall(t *testing.T) {
 		Pad string `json:"pad"`
 	}
 	var wg sync.WaitGroup
-	kept := make([][]BatchResult, 8)
+	kept := make([]reply, 8)
 	for g := range kept {
 		wg.Add(1)
 		go func() {
@@ -267,22 +267,21 @@ func TestHandlerParamsDoNotOutliveTheCall(t *testing.T) {
 					t.Errorf("request %d: %v (got id %d)", id, err, out.ID)
 					return
 				}
-				results, err := f.client.CallBatch(context.Background(), "mirror", []BatchOp{{Op: "mirror", Params: in}})
-				if err != nil {
-					t.Errorf("batch %d: %v", id, err)
+				var batched reply
+				if faults, err := f.client.CallBatch(context.Background(), "mirror", []BatchOp{{Op: "mirror", Params: in, Out: &batched}}); err != nil || faults != nil {
+					t.Errorf("batch %d: %v %v", id, err, faults)
 					return
 				}
 				if i == 0 {
-					kept[g] = results // decoded only after everything else has run
+					kept[g] = batched // compared only after everything else has run
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	for g, results := range kept {
-		var out reply
-		if err := results[0].Decode(&out); err != nil || out.ID != g*1000 {
-			t.Fatalf("batch result kept by goroutine %d changed under later traffic: %+v %v", g, out, err)
+	for g, out := range kept {
+		if want := strings.Repeat(fmt.Sprint(0), 64+g*1000); out.ID != g*1000 || out.Pad != want {
+			t.Fatalf("batch result kept by goroutine %d changed under later traffic: %+v", g, out)
 		}
 	}
 }

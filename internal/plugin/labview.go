@@ -108,17 +108,10 @@ type daemonConn struct {
 	enc *json.Encoder
 }
 
-// Validate vetoes unknown points and wrong DOF counts.
+// Validate vetoes unknown points, wrong DOF counts and non-finite
+// displacements.
 func (p *LabViewPlugin) Validate(_ context.Context, actions []core.Action) error {
-	for _, a := range actions {
-		if a.ControlPoint != p.Point {
-			return fmt.Errorf("unknown control point %q", a.ControlPoint)
-		}
-		if len(a.Displacements) != 1 {
-			return fmt.Errorf("labview channel is single-DOF")
-		}
-	}
-	return nil
+	return validateChannel("labview", p.Point, 0, actions)
 }
 
 func (p *LabViewPlugin) pool() *runtime.ConnPool[*daemonConn] {

@@ -57,7 +57,8 @@ func NewMplugin(point string, ndof, depth int) *Mplugin {
 	}
 }
 
-// Validate checks control point and DOF shape.
+// Validate checks control point, DOF shape and that every displacement is
+// finite.
 func (m *Mplugin) Validate(_ context.Context, actions []core.Action) error {
 	for _, a := range actions {
 		if a.ControlPoint != m.Point {
@@ -65,6 +66,9 @@ func (m *Mplugin) Validate(_ context.Context, actions []core.Action) error {
 		}
 		if len(a.Displacements) != m.NDOF {
 			return fmt.Errorf("control point %q has %d dofs, action has %d", m.Point, m.NDOF, len(a.Displacements))
+		}
+		if err := finite(a.Displacements); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -111,6 +111,18 @@ func TestMpluginValidate(t *testing.T) {
 	if err := m.Validate(context.Background(), []core.Action{{ControlPoint: "drift", Displacements: []float64{1, 2}}}); err == nil {
 		t.Fatal("DOF mismatch should fail")
 	}
+	if err := m.Validate(context.Background(), action("drift", 0.01)); err != nil {
+		t.Fatalf("a finite move: %v", err)
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := m.Validate(context.Background(), action("drift", d)); err == nil {
+			t.Errorf("a move to %g passed validation", d)
+		}
+	}
+	two := NewMplugin("drift", 2, 4)
+	if err := two.Validate(context.Background(), []core.Action{{ControlPoint: "drift", Displacements: []float64{0.01, math.NaN()}}}); err == nil {
+		t.Error("a NaN in the second DOF passed validation")
+	}
 }
 
 func TestMpluginNotifyUnknownID(t *testing.T) {
@@ -571,6 +583,14 @@ func TestLabViewPluginValidate(t *testing.T) {
 	p := &LabViewPlugin{Point: "beam"}
 	if err := p.Validate(context.Background(), action("other", 0.01)); err == nil {
 		t.Fatal("unknown point")
+	}
+	if err := p.Validate(context.Background(), action("beam", 0.01)); err != nil {
+		t.Fatalf("a finite move: %v", err)
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := p.Validate(context.Background(), action("beam", d)); err == nil {
+			t.Errorf("a move to %g passed validation", d)
+		}
 	}
 }
 

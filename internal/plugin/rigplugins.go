@@ -112,6 +112,17 @@ func (p *HumanApprovalPlugin) Execute(ctx context.Context, actions []core.Action
 
 var _ core.Plugin = (*HumanApprovalPlugin)(nil)
 
+// finite refuses a NaN or ±Inf displacement: no back end can move to one,
+// so a proposal carrying one is refused before anything moves.
+func finite(ds []float64) error {
+	for _, d := range ds {
+		if math.IsNaN(d) || math.IsInf(d, 0) {
+			return fmt.Errorf("displacement %g is not finite", d)
+		}
+	}
+	return nil
+}
+
 // validateChannel is a single-DOF rig channel's proposal screen: the
 // channel's control point, one finite displacement, and |d| <= max when
 // max > 0. The limit is written as what passes, so that a NaN, which fails
@@ -124,11 +135,10 @@ func validateChannel(channel, point string, max float64, actions []core.Action) 
 		if len(a.Displacements) != 1 {
 			return fmt.Errorf("%s channel is single-DOF", channel)
 		}
-		d := a.Displacements[0]
-		if math.IsNaN(d) || math.IsInf(d, 0) {
-			return fmt.Errorf("displacement %g is not finite", d)
+		if err := finite(a.Displacements); err != nil {
+			return err
 		}
-		if max > 0 && !(math.Abs(d) <= max) {
+		if d := a.Displacements[0]; max > 0 && !(math.Abs(d) <= max) {
 			return fmt.Errorf("displacement %g exceeds site limit %g", d, max)
 		}
 	}
