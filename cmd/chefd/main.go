@@ -68,7 +68,7 @@ func run() int {
 
 	// Stop order (reverse of registration): the feed disconnects before the
 	// workspace server shuts down.
-	srv := runtime.NewHTTPServer(*addr, mux)
+	srv := runtime.NewHTTPServer(runtime.Env{}, *addr, mux)
 	sup.Add("workspace-server", runtime.Funcs{
 		StartFunc: func(ctx context.Context) error {
 			if err := srv.Start(ctx); err != nil {

@@ -209,7 +209,7 @@ func run() int {
 	sup.Add("obs-aggregator", agg)
 	var api *runtime.HTTPServer
 	if *obsAddr != "" {
-		api = runtime.NewHTTPServer(*obsAddr, agg.Mux())
+		api = runtime.NewHTTPServer(runtime.Env{}, *obsAddr, agg.Mux())
 		sup.Add("obs-http", api)
 	}
 	// The banner starts last, so it prints the addresses the servers bound.

@@ -92,7 +92,7 @@ func run() int {
 
 	mux := sched.Mux(agg.Mux())
 	sup.RegisterProbes(mux)
-	api := runtime.NewHTTPServer(*listen, mux)
+	api := runtime.NewHTTPServer(runtime.Env{}, *listen, mux)
 
 	// Start order: API listener first (registered first, stopped last, so
 	// probes answer through the drain), then the already-running pool,

@@ -84,7 +84,7 @@ func run() int {
 		hub.UseTelemetry(reg, "hub")
 		sup.Add("hub", runtime.StopFunc(hub.Close))
 	}
-	hub.UseTracer(trace.NewTracer("nsdsd", rec))
+	hub.UseTracer(trace.NewTracer(runtime.Env{}, "nsdsd", rec))
 
 	srv := nsds.NewServer(hub)
 	if *writeTimeout <= 0 {
@@ -113,7 +113,7 @@ func run() int {
 		mux := http.NewServeMux()
 		mux.Handle("/stream", nsds.NewGateway(hub))
 		mux.Handle("/metrics", telemetry.Handler(reg))
-		gw := runtime.NewHTTPServer(*httpAddr, mux)
+		gw := runtime.NewHTTPServer(runtime.Env{}, *httpAddr, mux)
 		sup.Add("http", runtime.Funcs{
 			StartFunc: func(ctx context.Context) error {
 				if err := gw.Start(ctx); err != nil {

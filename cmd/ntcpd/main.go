@@ -62,7 +62,7 @@ func run() int {
 	rec := trace.NewRecorder(0)
 	// The trace service name is the credential's CN — the site name in the
 	// merged timeline.
-	tracer := trace.NewTracer(id.ServiceName(), rec)
+	tracer := trace.NewTracer(runtime.Env{}, id.ServiceName(), rec)
 
 	sup := runtime.NewSupervisor("ntcpd")
 	debugFlags.Install(sup, reg, rec)

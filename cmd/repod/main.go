@@ -99,7 +99,7 @@ func run() int {
 		bridge := &repo.Bridge{Repo: r}
 		mux := http.NewServeMux()
 		mux.Handle("/files/", bridge)
-		bs := runtime.NewHTTPServer(*bridgeAddr, mux)
+		bs := runtime.NewHTTPServer(runtime.Env{}, *bridgeAddr, mux)
 		sup.Add("https-bridge", runtime.Funcs{
 			StartFunc: func(ctx context.Context) error {
 				if err := bs.Start(ctx); err != nil {

@@ -49,8 +49,10 @@ var testOnlyExports = map[string]string{
 	"obs.Aggregator.SiteSnapshot":             "TestJobCheckpointsToOneLog: one site's latest roll-up",
 	"ogsi.LifetimeManager.Len":                "TestLifetimeRegisterAliveExpire, TestExpiryEmptiesTableFamilyAndIndex: the lifetime index's size",
 	"ogsi.SDEStore.GetInto":                   "TestSDESetGet, TestTransactionSDEsPublished: an element's value decoded",
-	"telemetry.Registry.Events":               "TestEventLogRingEviction, TestStopCancelsOverdueExecutionAndJournals: the registry's event log",
 	"wirejson/wiretest.AgreeWithEncodingJSON": "TestStrictDecodersTakeTheirOwnEncoding, FuzzDecodeRequest: the oracle package of the codec tests",
+	"runtime/envtest.NewClock":                "TestSharedClock, TestExpiryEmptiesTableFamilyAndIndex, TestVersionHistory, TestAggregatorMergesFetchSources: the fake half of runtime.Env's clock",
+	"runtime/envtest.Clock.Advance":           "TestSharedClock, TestLifetimeRegisterAliveExpire, FuzzServerTransitions: moves the fake clock",
+	"runtime/envtest.NewNet":                  "TestConnServerContract, TestConnPoolContract, FuzzClientSession, FuzzShoreWesternReply, FuzzServerSession: the in-memory half of runtime.Env's network",
 }
 
 // TestEveryExportHasACaller type-checks the module and the benchmark module,

@@ -109,7 +109,7 @@ func TestBinariesBuildThroughInternal(t *testing.T) {
 // named *Config or *Options, the With* option constructors of internal/,
 // and the JSON-tagged fields of cmd/ structs (the coordinator's config
 // file). It may only fall; lower it in the change that removes a value.
-const settableCeiling = 186
+const settableCeiling = 185
 
 // flagDefiners are the flag package's functions (and *FlagSet methods of the
 // same names) that define a flag.

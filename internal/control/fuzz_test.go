@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 )
 
 // scriptedConn is one controller connection whose input is fixed: Read
@@ -43,21 +44,23 @@ func (c *scriptedConn) Write(p []byte) (int, error) {
 
 func (c *scriptedConn) Close() error { return nil }
 
-// replyPeer is a controller that answers from a script, whatever it is sent:
-// the first connection after script is stored gets those bytes, then the end
-// of the stream; a later one gets only the end, as the script is spent.
+// replyPeer is a controller on an in-memory network that answers from a
+// script, whatever it is sent: the first connection after script is stored
+// gets those bytes, then the end of the stream; a later one gets only the
+// end, as the script is spent.
 type replyPeer struct {
+	env    runtime.Env
 	addr   string
 	script atomic.Pointer[[]byte]
 }
 
 func newReplyPeer(f *testing.F) *replyPeer {
-	p := &replyPeer{}
-	srv := runtime.NewConnServer("reply-peer", func(_ context.Context, conn net.Conn) {
+	p := &replyPeer{env: runtime.Env{Net: envtest.NewNet()}}
+	srv := runtime.NewConnServer(p.env, "reply-peer", func(_ context.Context, conn net.Conn) {
 		if in := p.script.Swap(nil); in != nil {
 			_, _ = conn.Write(*in)
 		}
-		_ = conn.(*net.TCPConn).CloseWrite()
+		_ = conn.(interface{ CloseWrite() error }).CloseWrite()
 		_, _ = io.Copy(io.Discard, conn)
 	})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -89,7 +92,7 @@ func FuzzShoreWesternReply(f *testing.F) {
 	peer := newReplyPeer(f)
 	f.Fuzz(func(t *testing.T, replies []byte) {
 		peer.script.Store(&replies)
-		c := NewShoreWesternClient(peer.addr)
+		c := newShoreWesternClient(peer.env, peer.addr)
 		defer c.Close()
 		finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 		if pos, force, err := c.Move(context.Background(), 0.01); err == nil && !(finite(pos) && finite(force)) {

@@ -34,8 +34,12 @@ type ShoreWesternServer struct {
 
 // NewShoreWesternServer wraps a rig.
 func NewShoreWesternServer(rig *Rig) *ShoreWesternServer {
+	return newShoreWesternServer(runtime.Env{}, rig)
+}
+
+func newShoreWesternServer(env runtime.Env, rig *Rig) *ShoreWesternServer {
 	s := &ShoreWesternServer{rig: rig}
-	s.tcp = runtime.NewConnServer("control", func(_ context.Context, conn net.Conn) { s.serve(conn) })
+	s.tcp = runtime.NewConnServer(env, "control", func(_ context.Context, conn net.Conn) { s.serve(conn) })
 	return s
 }
 
@@ -129,7 +133,11 @@ type controllerConn struct {
 
 // NewShoreWesternClient creates a client for the controller at addr.
 func NewShoreWesternClient(addr string) *ShoreWesternClient {
-	return &ShoreWesternClient{addr: addr, conns: runtime.NewConnPool("control", 1, 0, 0,
+	return newShoreWesternClient(runtime.Env{}, addr)
+}
+
+func newShoreWesternClient(env runtime.Env, addr string) *ShoreWesternClient {
+	return &ShoreWesternClient{addr: addr, conns: runtime.NewConnPool(env, "control", 1, 0, 0,
 		func(conn net.Conn, _ string) (*controllerConn, error) {
 			return &controllerConn{Conn: conn, rw: bufio.NewReadWriter(bufio.NewReader(conn), bufio.NewWriter(conn))}, nil
 		})}

@@ -19,7 +19,7 @@ import (
 func TestStopCutsAnExecutionOnASilentController(t *testing.T) {
 	var cl *control.ShoreWesternClient
 	heard := make(chan struct{}, 1)
-	silent := runtime.NewConnServer("silent-controller", func(ctx context.Context, conn net.Conn) {
+	silent := runtime.NewConnServer(runtime.Env{}, "silent-controller", func(ctx context.Context, conn net.Conn) {
 		if _, err := conn.Read(make([]byte, 1)); err == nil {
 			heard <- struct{}{}
 		}

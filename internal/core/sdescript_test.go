@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/sde-script.golden")
@@ -24,7 +26,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata/sde-script.golde
 // the record in the SDE store at every state change, and reading tx:<name>
 // from the table must reproduce it byte for byte.
 func TestSDEScriptMatchesRecording(t *testing.T) {
-	now := time.Date(2026, 8, 5, 12, 30, 45, 123456789, time.FixedZone("cdt", -5*3600))
+	clk := envtest.NewClock(time.Date(2026, 8, 5, 12, 30, 45, 123456789, time.FixedZone("cdt", -5*3600)))
 	fail := errors.New("hydraulic pressure lost")
 	plugin := &SubstructurePlugin{Point: "drift", NDOF: 1, Apply: func(d []float64) ([]float64, error) {
 		if d[0] == 0.25 {
@@ -33,7 +35,7 @@ func TestSDEScriptMatchesRecording(t *testing.T) {
 		return []float64{100 * d[0]}, nil
 	}}
 	policy := &SitePolicy{PointLimits: map[string]Limits{"drift": {MaxDisplacement: 0.5}}}
-	s := NewServer(plugin, policy, ServerOptions{Clock: func() time.Time { return now }})
+	s := newServer(runtime.Env{Clock: clk}, plugin, policy, ServerOptions{})
 	ctx := context.Background()
 	var out strings.Builder
 
@@ -65,7 +67,7 @@ func TestSDEScriptMatchesRecording(t *testing.T) {
 			fmt.Fprintf(&out, "  last changed: %s v%d\n", last.Name, last.Version)
 		}
 	}
-	tick := func(d time.Duration) { now = now.Add(d) }
+	tick := clk.Advance
 	propose := func(name string, d, ttl float64) {
 		rec, err := s.Propose(ctx, "alice", &Proposal{Name: name, TTLSeconds: ttl,
 			Actions: []Action{{ControlPoint: "drift", Displacements: []float64{d}}}})

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 	"neesgrid/internal/wirejson"
@@ -25,8 +26,6 @@ type ServerOptions struct {
 	// DefaultTTL is the soft-state lifetime of a transaction record.
 	// Defaults to 1 h.
 	DefaultTTL time.Duration
-	// Clock overrides the time source (tests).
-	Clock func() time.Time
 	// Telemetry is the registry the server records outcome counters,
 	// plugin-latency histograms, and lifecycle events into. Nil allocates a
 	// private registry (share one with the hosting container so /metrics
@@ -49,9 +48,6 @@ func (o *ServerOptions) fill() {
 	if o.DefaultTTL <= 0 {
 		o.DefaultTTL = time.Hour
 	}
-	if o.Clock == nil {
-		o.Clock = time.Now
-	}
 }
 
 // Stats counts server activity; published as the "stats" SDE.
@@ -68,6 +64,7 @@ type Stats struct {
 // Server is the core NTCP server of Fig. 2: generic transaction management
 // in front of a site-supplied control plugin.
 type Server struct {
+	env        runtime.Env // stamps records, their elements and events, and runs their lifetimes
 	opts       ServerOptions
 	plugin     Plugin
 	policy     *SitePolicy
@@ -131,8 +128,13 @@ type serverMetrics struct {
 // NewServer builds an NTCP server over the given plugin and site policy
 // (policy may be nil for an unrestricted site).
 func NewServer(plugin Plugin, policy *SitePolicy, opts ServerOptions) *Server {
+	return newServer(runtime.Env{}, plugin, policy, opts)
+}
+
+func newServer(env runtime.Env, plugin Plugin, policy *SitePolicy, opts ServerOptions) *Server {
 	opts.fill()
 	s := &Server{
+		env:        env,
 		opts:       opts,
 		plugin:     plugin,
 		policy:     policy,
@@ -163,12 +165,15 @@ func NewServer(plugin Plugin, policy *SitePolicy, opts ServerOptions) *Server {
 	}
 	s.m.transactions.Set(0) // a server restarted on a shared registry starts empty
 	s.tel.Counter(ogsi.MetricDecodeFallbacks)
-	s.svc = ogsi.NewService(opts.ServiceName)
-	s.svc.SDEs.SetClock(opts.Clock)
+	s.svc = ogsi.NewServiceOn(env, opts.ServiceName)
 	s.svc.SDEs.AddSource((*sdeSource)(s))
-	s.svc.Lifetimes.SetClock(opts.Clock)
 	s.registerOps()
 	return s
+}
+
+// event records one of the server's ntcp events, stamped on its clock.
+func (s *Server) event(name string, fields map[string]any) {
+	s.tel.Events().Record(s.env.Now(), "ntcp", name, fields)
 }
 
 // Service exposes the underlying OGSI service for container registration.
@@ -208,7 +213,7 @@ const (
 // Counters must already include the change. Called with s.mu held; the
 // caller then calls s.announce(tx) once the lock is released.
 func (s *Server) advance(tx *transaction, st TxState) {
-	now := s.opts.Clock()
+	now := s.env.Now()
 	tx.rec.State = st
 	tx.rec.Timestamps.Set(st, now)
 	tx.version++
@@ -280,7 +285,7 @@ func (s *Server) Propose(ctx context.Context, client string, p *Proposal) (*Reco
 		sde:     sde,
 		decided: make(chan struct{}),
 	}
-	tx.rec.Timestamps.Set(StateProposed, s.opts.Clock())
+	tx.rec.Timestamps.Set(StateProposed, s.env.Now())
 	s.txs[tx.rec.Name] = tx
 	s.m.transactions.Set(float64(len(s.txs)))
 	s.stats.Proposed++
@@ -322,7 +327,7 @@ func (s *Server) Propose(ctx context.Context, client string, p *Proposal) (*Reco
 	s.mu.Unlock()
 	if verdict != nil {
 		s.m.rejected.Inc()
-		s.tel.Event("ntcp", "tx-rejected", map[string]any{"name": p.Name, "error": out.Error})
+		s.event("tx-rejected", map[string]any{"name": p.Name, "error": out.Error})
 	} else {
 		s.m.accepted.Inc()
 	}
@@ -486,7 +491,7 @@ func (s *Server) runExecution(tx *transaction, timeout time.Duration, done chan 
 	s.mu.Unlock()
 	if err != nil {
 		s.m.failed.Inc()
-		s.tel.Event("ntcp", "tx-failed", map[string]any{"name": tx.rec.Name, "error": err.Error()})
+		s.event("tx-failed", map[string]any{"name": tx.rec.Name, "error": err.Error()})
 	} else {
 		s.m.executed.Inc()
 	}
@@ -532,7 +537,7 @@ func (s *Server) Cancel(ctx context.Context, client, name string) (*Record, erro
 			out := snapshot(tx)
 			s.mu.Unlock()
 			s.m.cancelled.Inc()
-			s.tel.Event("ntcp", "tx-cancelled", map[string]any{"name": name})
+			s.event("tx-cancelled", map[string]any{"name": name})
 			s.announce(tx)
 			return out, nil
 		case StateCancelled, StateRejected:
@@ -731,7 +736,7 @@ func (s *Server) Stop(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 
-	s.tel.Event("ntcp", "drain-begin", map[string]any{"inflight": n})
+	s.event("drain-begin", map[string]any{"inflight": n})
 	if n == 0 {
 		s.finishStop(nil)
 		return nil
@@ -753,7 +758,7 @@ func (s *Server) Stop(ctx context.Context) error {
 	}
 	s.mu.Unlock()
 	sort.Strings(survivors)
-	s.tel.Event("ntcp", "drain-cancelled", map[string]any{
+	s.event("drain-cancelled", map[string]any{
 		"transactions": survivors,
 	})
 	s.execCancel()
@@ -773,7 +778,7 @@ func (s *Server) finishStop(cancelled []string) {
 	s.mu.Lock()
 	s.stopped = true
 	s.mu.Unlock()
-	s.tel.Event("ntcp", "drain-complete", map[string]any{
+	s.event("drain-complete", map[string]any{
 		"cancelled": len(cancelled),
 	})
 }

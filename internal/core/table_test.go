@@ -3,14 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
+	goruntime "runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 	"neesgrid/internal/trace"
 )
 
@@ -54,7 +55,7 @@ func TestForeignNameIsDenied(t *testing.T) {
 // Execute — record, reply snapshots, spans, lifetime entry, the execution's
 // goroutine and context — to its allocation count (21 on amd64).
 func TestServerTransactionAllocations(t *testing.T) {
-	s := NewServer(springPlugin(100), nil, ServerOptions{Tracer: trace.NewTracer("site", nil)})
+	s := NewServer(springPlugin(100), nil, ServerOptions{Tracer: trace.NewTracer(nil, "site", nil)})
 	ctx := context.Background()
 	names := make([]string, 2000)
 	for i := range names {
@@ -96,17 +97,17 @@ func TestRetainedBytesPerTransaction(t *testing.T) {
 	for i := range props {
 		props[i] = proposal(fmt.Sprintf("run-%d/step-%d/uiuc", i/1500, i%1500), 0.01)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	var before, after goruntime.MemStats
+	goruntime.GC()
+	goruntime.ReadMemStats(&before)
 	for _, p := range props {
 		if _, err := s.ProposeAndExecute(ctx, "/O=NEES/CN=coordinator", p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	props = nil
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	goruntime.GC()
+	goruntime.ReadMemStats(&after)
 	perTx := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
 	t.Logf("%.0f bytes retained per transaction", perTx)
 	if perTx > ceiling {
@@ -115,7 +116,7 @@ func TestRetainedBytesPerTransaction(t *testing.T) {
 	if got := s.Stats().Executed; got != n {
 		t.Fatalf("executed %d of %d", got, n)
 	}
-	runtime.KeepAlive(s)
+	goruntime.KeepAlive(s)
 }
 
 // holdPlugin blocks the execution of the action at displacement hold until
@@ -152,17 +153,11 @@ func sizes(s *Server) (table, family, lifetimes int) {
 // exactly empty — except an executing transaction, which is never reaped and
 // goes one lifetime after it finishes.
 func TestExpiryEmptiesTableFamilyAndIndex(t *testing.T) {
-	now := time.Unix(1_000_000, 0)
-	var clock atomic.Pointer[time.Time]
-	clock.Store(&now)
-	advance := func(d time.Duration) {
-		next := clock.Load().Add(d)
-		clock.Store(&next)
-	}
+	clk := envtest.NewClock(time.Unix(1_000_000, 0))
 	plug := &holdPlugin{hold: 0.5, started: make(chan struct{}), release: make(chan struct{})}
 	ttl := time.Minute
-	s := NewServer(plug, &SitePolicy{PointLimits: map[string]Limits{"drift": {MaxDisplacement: 1}}},
-		ServerOptions{DefaultTTL: ttl, Clock: func() time.Time { return *clock.Load() }})
+	s := newServer(runtime.Env{Clock: clk}, plug, &SitePolicy{PointLimits: map[string]Limits{"drift": {MaxDisplacement: 1}}},
+		ServerOptions{DefaultTTL: ttl})
 	ctx := context.Background()
 	for i := 0; i < 40; i++ {
 		name := fmt.Sprint("t", i)
@@ -188,7 +183,7 @@ func TestExpiryEmptiesTableFamilyAndIndex(t *testing.T) {
 		t.Fatalf("before expiry: table %d, family %d, index %d; want 41 each", table, family, lifetimes)
 	}
 
-	advance(ttl)
+	clk.Advance(ttl)
 	if got := len(s.Service().Lifetimes.Sweep()); got != 41 {
 		t.Fatalf("swept %d, want 41", got)
 	}
@@ -203,7 +198,7 @@ func TestExpiryEmptiesTableFamilyAndIndex(t *testing.T) {
 	if rec := <-done; rec == nil || rec.State != StateExecuted {
 		t.Fatalf("held transaction finished %+v", rec)
 	}
-	advance(ttl)
+	clk.Advance(ttl)
 	s.Service().Lifetimes.Sweep()
 	if table, family, lifetimes := sizes(s); table != 0 || family != 0 || lifetimes != 0 {
 		t.Fatalf("after the last expiry: table %d, family %d, index %d; want 0 each", table, family, lifetimes)

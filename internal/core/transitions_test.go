@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
+
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 )
 
 // countingPlugin executes every action, counting executions by displacement
@@ -80,11 +82,10 @@ func FuzzServerTransitions(f *testing.F) {
 		limit := displacement(1, 1)
 
 		start := time.Unix(1_000_000, 0)
-		var clock atomic.Pointer[time.Time]
-		clock.Store(&start)
+		clk := envtest.NewClock(start)
 		plug := &countingPlugin{fail: displacement(1, 0), execs: map[float64]int{}}
-		s := NewServer(plug, &SitePolicy{PointLimits: map[string]Limits{"drift": {MaxDisplacement: limit}}},
-			ServerOptions{DefaultTTL: 10 * time.Second, Clock: func() time.Time { return *clock.Load() }})
+		s := newServer(runtime.Env{Clock: clk}, plug, &SitePolicy{PointLimits: map[string]Limits{"drift": {MaxDisplacement: limit}}},
+			ServerOptions{DefaultTTL: 10 * time.Second})
 		ctx := context.Background()
 		var created [3]int
 
@@ -109,8 +110,7 @@ func FuzzServerTransitions(f *testing.F) {
 			case 4:
 				s.Service().Lifetimes.RequestTermination(name, 10*time.Second)
 			case 5:
-				next := clock.Load().Add(time.Duration(b>>4) * time.Second)
-				clock.Store(&next)
+				clk.Advance(time.Duration(b>>4) * time.Second)
 				s.Service().Lifetimes.Sweep()
 			}
 			if rec != nil && (rec.Client != client || rec.Name != name) {

@@ -28,6 +28,7 @@ type Client struct {
 
 	tel atomic.Pointer[clientCounters]
 
+	env      runtime.Env // the network the pool dials; zero is the real one
 	once     sync.Once
 	sessions *runtime.ConnPool[*session] // made by the first exchange
 
@@ -62,7 +63,7 @@ func (c *Client) UseTelemetry(reg *telemetry.Registry) {
 // on those in use.
 func (c *Client) pool() *runtime.ConnPool[*session] {
 	c.once.Do(func() {
-		c.sessions = runtime.NewConnPool("gridftp", 0, maxIdleSessions, 0,
+		c.sessions = runtime.NewConnPool(c.env, "gridftp", 0, maxIdleSessions, 0,
 			func(conn net.Conn, _ string) (*session, error) { return newSession(conn), nil })
 	})
 	return c.sessions

@@ -2,19 +2,22 @@ package gridftp
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"io"
 	"io/fs"
 	"math"
-	"net"
 	"os"
 	"path/filepath"
-	"runtime"
+	goruntime "runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 )
 
 // The fuzz fabric: the server's root sits three directories deep in the
@@ -135,10 +138,12 @@ func FuzzServerSession(f *testing.F) {
 	for _, seed := range sessionSeeds() {
 		f.Add(seed)
 	}
+	// Sessions run on an in-memory network: an input costs no port.
+	env := runtime.Env{Net: envtest.NewNet()}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		dir := t.TempDir()
 		root := filepath.Join(dir, fuzzRoot)
-		srv, err := NewServer(root)
+		srv, err := newServer(env, root)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,10 +160,10 @@ func FuzzServerSession(f *testing.F) {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
 
-		out, timedOut := runSession(t, addr, in)
+		out, timedOut := runSession(t, env, addr, in)
 		_ = srv.Close()
 		// The one request whose work the input's length does not bound is a
 		// checksum over a file as large as a put-init declared (sparse, so
@@ -167,7 +172,7 @@ func FuzzServerSession(f *testing.F) {
 			t.Errorf("the session neither answered nor ended within the deadline (%d bytes read)", len(out))
 		}
 
-		runtime.ReadMemStats(&after)
+		goruntime.ReadMemStats(&after)
 		if grown := int64(after.Sys) - int64(before.Sys); grown > 64<<20 {
 			t.Errorf("the session made the process claim %d MiB", grown>>20)
 		}
@@ -183,8 +188,8 @@ const sessionOutputCap = 1 << 20
 // runSession writes in as one session, half-closes, and returns what the
 // server sent until it hung up (or the cap), and whether the deadline cut
 // the wait short.
-func runSession(t *testing.T, addr string, in []byte) (out []byte, timedOut bool) {
-	conn, err := net.Dial("tcp", addr)
+func runSession(t *testing.T, env runtime.Env, addr string, in []byte) (out []byte, timedOut bool) {
+	conn, err := env.Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +198,7 @@ func runSession(t *testing.T, addr string, in []byte) (out []byte, timedOut bool
 	go func() {
 		defer close(written)
 		_, _ = conn.Write(in) // fails once the server has hung up: its right
-		_ = conn.(*net.TCPConn).CloseWrite()
+		_ = conn.(interface{ CloseWrite() error }).CloseWrite()
 	}()
 	out, err = io.ReadAll(io.LimitReader(conn, sessionOutputCap))
 	_ = conn.Close()

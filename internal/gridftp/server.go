@@ -96,12 +96,14 @@ func (s *Server) noteUploads() {
 }
 
 // NewServer serves the given root directory (created if missing).
-func NewServer(root string) (*Server, error) {
+func NewServer(root string) (*Server, error) { return newServer(runtime.Env{}, root) }
+
+func newServer(env runtime.Env, root string) (*Server, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("gridftp: root: %w", err)
 	}
 	s := &Server{root: root, uploads: make(map[string]*upload)}
-	s.tcp = runtime.NewConnServer("gridftp", s.serve)
+	s.tcp = runtime.NewConnServer(env, "gridftp", s.serve)
 	return s, nil
 }
 

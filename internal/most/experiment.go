@@ -148,7 +148,7 @@ func newExperiment(spec Spec, ca *gsi.Authority, trust *gsi.TrustStore, cred *gs
 		Viewer: collab.NewViewer(0), Telemetry: telemetry.NewRegistry(),
 		TraceRecorder: trace.NewRecorder(0),
 		sup:           runtime.NewSupervisor("experiment:" + spec.Name)}
-	exp.Tracer = trace.NewTracer("coordinator", exp.TraceRecorder)
+	exp.Tracer = trace.NewTracer(runtime.Env{}, "coordinator", exp.TraceRecorder)
 	runtime.ExportSpanDrops(exp.Telemetry, exp.TraceRecorder)
 	return exp
 }

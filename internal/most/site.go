@@ -443,7 +443,7 @@ func startSite(ca *gsi.Authority, trust *gsi.TrustStore, coordIdentity string, s
 		SpanRecorder: trace.NewRecorder(0),
 		sup:          runtime.NewSupervisor("site:" + spec.Name),
 	}
-	site.Tracer = trace.NewTracer(spec.Name, site.SpanRecorder)
+	site.Tracer = trace.NewTracer(runtime.Env{}, spec.Name, site.SpanRecorder)
 	site.Hub.UseTracer(site.Tracer)
 	site.Hub.UseTelemetry(site.Telemetry, "hub")
 	// Pre-register at zero: a site that never restarted exports the series.

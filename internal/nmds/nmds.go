@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/runtime"
 )
 
 // SchemaSchema is the ID of the built-in meta-schema: the schema that
@@ -45,15 +46,17 @@ type Store struct {
 	mu      sync.Mutex
 	objects map[string][]*Object       // id → version history (1-based, index 0 = v1)
 	writers map[string]map[string]bool // id → identities allowed to update
-	clock   func() time.Time
+	env     runtime.Env                // stamps CreatedAt and UpdatedAt
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
+func NewStore() *Store { return newStore(runtime.Env{}) }
+
+func newStore(env runtime.Env) *Store {
 	return &Store{
+		env:     env,
 		objects: make(map[string][]*Object),
 		writers: make(map[string]map[string]bool),
-		clock:   time.Now,
 	}
 }
 
@@ -158,7 +161,7 @@ func (s *Store) Create(owner, id, schemaID string, body any) (*Object, error) {
 	if err := s.validateLocked(schemaID, raw); err != nil {
 		return nil, err
 	}
-	now := s.clock()
+	now := s.env.Now()
 	obj := &Object{ID: id, Schema: schemaID, Version: 1, Owner: owner,
 		Body: raw, CreatedAt: now, UpdatedAt: now}
 	s.objects[id] = []*Object{obj}
@@ -186,7 +189,7 @@ func (s *Store) Update(identity, id string, body any) (*Object, error) {
 		return nil, err
 	}
 	next := &Object{ID: id, Schema: cur.Schema, Version: cur.Version + 1,
-		Owner: cur.Owner, Body: raw, CreatedAt: cur.CreatedAt, UpdatedAt: s.clock()}
+		Owner: cur.Owner, Body: raw, CreatedAt: cur.CreatedAt, UpdatedAt: s.env.Now()}
 	s.objects[id] = append(history, next)
 	return cloneObj(next), nil
 }

@@ -9,6 +9,8 @@ import (
 
 	"neesgrid/internal/gsi"
 	"neesgrid/internal/ogsi"
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 )
 
 const alice = "/O=NEES/CN=alice"
@@ -102,13 +104,12 @@ func TestBadSchemaBodiesRejected(t *testing.T) {
 }
 
 func TestVersionHistory(t *testing.T) {
-	s := NewStore()
-	now := time.Unix(100, 0)
-	s.SetClock(func() time.Time { return now })
+	clk := envtest.NewClock(time.Unix(100, 0))
+	s := newStore(runtime.Env{Clock: clk})
 	_, _ = s.Create(alice, "obj", "", map[string]int{"v": 1})
-	now = now.Add(time.Minute)
+	clk.Advance(time.Minute)
 	_, _ = s.Update(alice, "obj", map[string]int{"v": 2})
-	now = now.Add(time.Minute)
+	clk.Advance(time.Minute)
 	_, _ = s.Update(alice, "obj", map[string]int{"v": 3})
 
 	hist, err := s.History("obj")
@@ -279,6 +280,3 @@ func TestNMDSService(t *testing.T) {
 		t.Fatalf("get missing err = %v", err)
 	}
 }
-
-// SetClock overrides the time source (tests).
-func (s *Store) SetClock(clock func() time.Time) { s.clock = clock }

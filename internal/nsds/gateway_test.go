@@ -3,6 +3,7 @@ package nsds
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,11 +13,15 @@ import (
 
 // readSSEEvents collects data payloads from an SSE stream until n events
 // arrive or the deadline passes.
-func readSSEEvents(t *testing.T, body *bufio.Scanner, n int, d time.Duration) []sseEvent {
+func readSSEEvents(t *testing.T, stream io.ReadCloser, n int, d time.Duration) []sseEvent {
 	t.Helper()
 	var events []sseEvent
-	deadline := time.Now().Add(d)
-	for len(events) < n && time.Now().Before(deadline) {
+	// The deadline closes the stream, which ends a Scan blocked on a quiet
+	// one: with fewer than n events, the wait is d, not the gap to the
+	// gateway's next keep-alive.
+	defer time.AfterFunc(d, func() { _ = stream.Close() }).Stop()
+	body := bufio.NewScanner(stream)
+	for len(events) < n {
 		if !body.Scan() {
 			break
 		}
@@ -54,7 +59,7 @@ func TestGatewayStreamsSSE(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return hub.Subscribers() == 1 })
 	hub.PublishBatch([]Sample{{Channel: "a", T: 1, Value: 2}, {Channel: "b", T: 1, Value: 3}})
 
-	events := readSSEEvents(t, bufio.NewScanner(resp.Body), 2, 5*time.Second)
+	events := readSSEEvents(t, resp.Body, 2, 5*time.Second)
 	if len(events) != 2 {
 		t.Fatalf("got %d events, want 2 (catch-up + live)", len(events))
 	}
@@ -136,7 +141,7 @@ func TestGatewayBestEffortDropCounter(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("publish blocked on a slow SSE viewer")
 	}
-	events := readSSEEvents(t, bufio.NewScanner(resp.Body), 3, 5*time.Second)
+	events := readSSEEvents(t, resp.Body, 3, 5*time.Second)
 	if len(events) == 0 {
 		t.Fatal("no events arrived")
 	}

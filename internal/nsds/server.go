@@ -47,9 +47,11 @@ type Server struct {
 }
 
 // NewServer wraps a hub.
-func NewServer(hub *Hub) *Server {
+func NewServer(hub *Hub) *Server { return newServer(runtime.Env{}, hub) }
+
+func newServer(env runtime.Env, hub *Hub) *Server {
 	s := &Server{hub: hub}
-	s.tcp = runtime.NewConnServer("nsds", s.serve)
+	s.tcp = runtime.NewConnServer(env, "nsds", s.serve)
 	return s
 }
 

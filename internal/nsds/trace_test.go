@@ -10,7 +10,7 @@ import (
 func TestPublishBatchContextRecordsChildSpan(t *testing.T) {
 	hub := NewHub()
 	defer hub.Close()
-	tr := trace.NewTracer("site", trace.NewRecorder(16))
+	tr := trace.NewTracer(nil, "site", trace.NewRecorder(16))
 	hub.UseTracer(tr)
 
 	sub, err := hub.SubscribeBatches(8, false)
@@ -19,7 +19,7 @@ func TestPublishBatchContextRecordsChildSpan(t *testing.T) {
 	}
 	defer sub.Cancel()
 
-	parentTracer := trace.NewTracer("coordinator", trace.NewRecorder(16))
+	parentTracer := trace.NewTracer(nil, "coordinator", trace.NewRecorder(16))
 	ctx, parent := parentTracer.Start(context.Background(), "coord.step", trace.KindInternal)
 	hub.PublishBatchContext(ctx, []Sample{
 		{Channel: "a", T: 0.01, Value: 1},

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
 )
 
@@ -116,8 +117,6 @@ type Config struct {
 	// Client performs scrapes and profile captures; default has a
 	// per-request timeout tighter than Interval.
 	Client *http.Client
-
-	now func() time.Time // test clock
 }
 
 // siteState is the aggregator's record of one source.
@@ -188,7 +187,7 @@ type Aggregator struct {
 	cfg    Config
 	reg    *telemetry.Registry
 	client *http.Client
-	now    func() time.Time
+	env    runtime.Env // stamps scrapes, staleness, verdicts and roll-ups
 
 	mu      sync.Mutex
 	sites   map[string]*siteState
@@ -201,7 +200,9 @@ type Aggregator struct {
 }
 
 // New builds an Aggregator; Start begins the scrape loop.
-func New(cfg Config) *Aggregator {
+func New(cfg Config) *Aggregator { return newAggregator(runtime.Env{}, cfg) }
+
+func newAggregator(env runtime.Env, cfg Config) *Aggregator {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
@@ -211,14 +212,11 @@ func New(cfg Config) *Aggregator {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 120
 	}
-	if cfg.now == nil {
-		cfg.now = time.Now
-	}
 	a := &Aggregator{
 		cfg:    cfg,
 		reg:    telemetry.OrNew(cfg.Registry),
 		client: cfg.Client,
-		now:    cfg.now,
+		env:    env,
 		sites:  make(map[string]*siteState),
 		rings:  make(map[string]*ring),
 	}
@@ -336,7 +334,7 @@ func (a *Aggregator) ScrapeOnce(ctx context.Context) {
 			defer wg.Done()
 			snap, err := a.fetch(ctx, st.src)
 			resMu.Lock()
-			results = append(results, result{st: st, snap: snap, err: err, ts: a.now()})
+			results = append(results, result{st: st, snap: snap, err: err, ts: a.env.Now()})
 			resMu.Unlock()
 		}(st)
 	}
@@ -396,7 +394,7 @@ func (a *Aggregator) Push(name string, snap telemetry.Snapshot) {
 	a.addSourceLocked(Source{Name: name})
 	st := a.sites[name]
 	st.last = snap
-	st.lastOK = a.now()
+	st.lastOK = a.env.Now()
 	st.lastTry = st.lastOK
 	st.lastErr = nil
 	st.scrapes++
@@ -424,7 +422,7 @@ func (a *Aggregator) Merged() telemetry.Snapshot {
 // buildFleetLocked merges the latest per-site snapshots and derives
 // health. Caller holds a.mu.
 func (a *Aggregator) buildFleetLocked() FleetView {
-	now := a.now()
+	now := a.env.Now()
 	view := FleetView{TS: now}
 	var merged telemetry.Snapshot
 	var mergeErrs []error

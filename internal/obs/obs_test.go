@@ -7,32 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 	"neesgrid/internal/telemetry"
 )
-
-// testClock is a settable clock for deterministic health/rate tests.
-type testClock struct {
-	mu sync.Mutex
-	t  time.Time
-}
-
-func newTestClock() *testClock { return &testClock{t: time.Unix(1000, 0)} }
-
-func (c *testClock) now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-func (c *testClock) advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.t = c.t.Add(d)
-}
 
 // siteRegistry builds a registry with one counter and one RTT histogram.
 func siteRegistry(counter int64, rtts ...float64) *telemetry.Registry {
@@ -48,13 +29,12 @@ func siteRegistry(counter int64, rtts ...float64) *telemetry.Registry {
 func TestAggregatorMergesFetchSources(t *testing.T) {
 	ra := siteRegistry(3, 0.001, 0.002)
 	rb := siteRegistry(4, 0.004, 0.040)
-	clk := newTestClock()
-	a := New(Config{
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources: []Source{
 			{Name: "site-a", Fetch: ra.Snapshot},
 			{Name: "site-b", Fetch: rb.Snapshot},
 		},
-		now: clk.now,
 	})
 	a.ScrapeOnce(context.Background())
 
@@ -95,12 +75,11 @@ func TestAggregatorScrapesHTTPAndTracksHealth(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	clk := newTestClock()
-	a := New(Config{
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources:    []Source{{Name: "remote", URL: ts.URL}},
 		Interval:   time.Second,
 		StaleAfter: 3 * time.Second,
-		now:        clk.now,
 	})
 	a.ScrapeOnce(context.Background())
 	view := a.Fleet()
@@ -113,7 +92,7 @@ func TestAggregatorScrapesHTTPAndTracksHealth(t *testing.T) {
 
 	// A failing scrape flips the site down and keeps the last snapshot.
 	healthy = false
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	a.ScrapeOnce(context.Background())
 	view = a.Fleet()
 	if view.Sites[0].State != StateDown || view.Sites[0].Error == "" {
@@ -125,12 +104,12 @@ func TestAggregatorScrapesHTTPAndTracksHealth(t *testing.T) {
 
 	// Recovery, then silence past StaleAfter ⇒ degraded.
 	healthy = true
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	a.ScrapeOnce(context.Background())
 	if v := a.Fleet(); v.Sites[0].State != StateOK {
 		t.Fatalf("state after recovery = %s", v.Sites[0].State)
 	}
-	clk.advance(10 * time.Second)
+	clk.Advance(10 * time.Second)
 	if v := a.Fleet(); v.Sites[0].State != StateDegraded {
 		t.Fatalf("state after staleness = %s, want degraded", v.Sites[0].State)
 	}
@@ -139,21 +118,20 @@ func TestAggregatorScrapesHTTPAndTracksHealth(t *testing.T) {
 func TestAggregatorRatesFromRing(t *testing.T) {
 	var steps int64
 	reg := telemetry.NewRegistry()
-	clk := newTestClock()
-	a := New(Config{
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources: []Source{{Name: "coord", Fetch: func() telemetry.Snapshot {
 			reg.Counter("coord.steps").Add(steps)
 			steps = 0
 			return reg.Snapshot()
 		}}},
 		Interval: time.Second,
-		now:      clk.now,
 	})
 	// 10 steps/second for 5 scrape rounds.
 	for i := 0; i < 5; i++ {
 		steps = 10
 		a.ScrapeOnce(context.Background())
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 	}
 	view := a.Fleet()
 	rate := view.Rates["coord.steps"]
@@ -166,8 +144,8 @@ func TestAggregatorRatesFromRing(t *testing.T) {
 }
 
 func TestAggregatorPush(t *testing.T) {
-	clk := newTestClock()
-	a := New(Config{now: clk.now})
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{})
 	snap := siteRegistry(9, 0.002).Snapshot()
 	a.Push("pushed-site", snap)
 
@@ -182,7 +160,7 @@ func TestAggregatorPush(t *testing.T) {
 	// A run pushes its roll-up once, when it ends: scrape rounds long past
 	// StaleAfter (3 s by default) leave the row as the push left it.
 	for i := 0; i < 3; i++ {
-		clk.advance(10 * time.Second)
+		clk.Advance(10 * time.Second)
 		a.ScrapeOnce(context.Background())
 	}
 	if s := a.Fleet().Sites[0]; s.State != StateOK {
@@ -193,13 +171,12 @@ func TestAggregatorPush(t *testing.T) {
 func TestMuxEndpoints(t *testing.T) {
 	ra := siteRegistry(3, 0.001)
 	rb := siteRegistry(4, 0.050)
-	clk := newTestClock()
-	a := New(Config{
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources: []Source{
 			{Name: "site-a", Fetch: ra.Snapshot},
 			{Name: "site-b", Fetch: rb.Snapshot},
 		},
-		now: clk.now,
 	})
 	a.ScrapeOnce(context.Background())
 	srv := httptest.NewServer(a.Mux())

@@ -203,7 +203,7 @@ func (a *Aggregator) sloStatusLocked() []RuleStatus {
 func (a *Aggregator) Verdict() Verdict {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	v := Verdict{TS: a.now(), OK: true, Rules: a.sloStatusLocked()}
+	v := Verdict{TS: a.env.Now(), OK: true, Rules: a.sloStatusLocked()}
 	for _, r := range v.Rules {
 		if r.Breaches > 0 {
 			v.OK = false
@@ -228,7 +228,7 @@ type Rollup struct {
 // Rollup snapshots the fleet view and verdict for run. Call ScrapeOnce
 // first so that it reflects the finished run.
 func (a *Aggregator) Rollup(run string) Rollup {
-	return Rollup{Run: run, Finished: a.now(), Fleet: a.Fleet(), Verdict: a.Verdict()}
+	return Rollup{Run: run, Finished: a.env.Now(), Fleet: a.Fleet(), Verdict: a.Verdict()}
 }
 
 // WriteFile writes the roll-up to path as indented JSON.

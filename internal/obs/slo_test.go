@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 )
@@ -69,14 +70,13 @@ func TestSLOQuantileBreachEmitsEventAndExemplar(t *testing.T) {
 	h.ObserveExemplar(0.001, "fast-trace")
 	h.ObserveExemplar(2.5, traceID) // slow outlier carries the exemplar
 
-	clk := newTestClock()
-	a := New(Config{
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources: []Source{{Name: "site", Fetch: reg.Snapshot}},
 		SLOs: []SLO{
 			{Name: "rtt-p99", Kind: KindQuantile, Metric: "ntcp.client.rtt.seconds", Q: 0.99, Max: 0.1},
 			{Name: "absent", Kind: KindQuantile, Metric: "no.such.metric", Q: 0.5, Max: 1},
 		},
-		now: clk.now,
 	})
 	a.ScrapeOnce(context.Background())
 
@@ -121,9 +121,9 @@ func TestSLOQuantileBreachEmitsEventAndExemplar(t *testing.T) {
 
 func TestSLORecoveryKeepsBreachHistory(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	clk := newTestClock()
+	clk := envtest.NewClock(time.Unix(1000, 0))
 	var drops int64 = 1000
-	a := New(Config{
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources: []Source{{Name: "hub", Fetch: func() telemetry.Snapshot {
 			reg.Counter("nsds.sub.dropped").Add(drops)
 			drops = 0
@@ -131,11 +131,10 @@ func TestSLORecoveryKeepsBreachHistory(t *testing.T) {
 		}}},
 		Interval: time.Second,
 		SLOs:     []SLO{{Name: "drops", Kind: KindRate, Metric: "nsds.sub.dropped", Max: 50}},
-		now:      clk.now,
 	})
 	// Round 1 seeds the ring; round 2 sees 1000 drops over 1s ⇒ breach.
 	a.ScrapeOnce(context.Background())
-	clk.advance(time.Second)
+	clk.Advance(time.Second)
 	drops = 1000
 	a.ScrapeOnce(context.Background())
 	if v := a.Verdict(); v.OK || v.Rules[0].State != "breach" {
@@ -144,7 +143,7 @@ func TestSLORecoveryKeepsBreachHistory(t *testing.T) {
 	// Rates recover to zero; dashboard shows ok but the verdict still
 	// fails the run.
 	for i := 0; i < 60; i++ {
-		clk.advance(time.Second)
+		clk.Advance(time.Second)
 		a.ScrapeOnce(context.Background())
 	}
 	v := a.Verdict()
@@ -164,13 +163,12 @@ func TestSLOBreachCapturesProfile(t *testing.T) {
 
 	reg.Histogram("coord.step.seconds").Observe(10)
 	dir := t.TempDir()
-	clk := newTestClock()
-	a := New(Config{
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources:    []Source{{Name: "coord", Fetch: reg.Snapshot, PprofURL: func() string { return dbg.URL }}},
 		SLOs:       []SLO{{Name: "step-p99", Kind: KindQuantile, Metric: "coord.step.seconds", Q: 0.99, Max: 1}},
 		ProfileDir: dir,
 		Client:     &http.Client{Timeout: 5 * time.Second},
-		now:        clk.now,
 	})
 	a.ScrapeOnce(context.Background())
 
@@ -202,13 +200,12 @@ func TestSLOProfileFailureRecordsEvent(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	reg.Histogram("coord.step.seconds").Observe(10)
-	clk := newTestClock()
-	a := New(Config{
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	a := newAggregator(runtime.Env{Clock: clk}, Config{
 		Sources:    []Source{{Name: "coord", Fetch: reg.Snapshot, PprofURL: func() string { return dbg.URL }}},
 		SLOs:       []SLO{{Name: "step-p99", Kind: KindQuantile, Metric: "coord.step.seconds", Q: 0.99, Max: 1}},
 		ProfileDir: t.TempDir(),
 		Client:     &http.Client{Timeout: 5 * time.Second},
-		now:        clk.now,
 	})
 	a.ScrapeOnce(context.Background())
 

@@ -72,13 +72,18 @@ type Service struct {
 	Lifetimes *LifetimeManager
 }
 
-// NewService creates an empty service.
-func NewService(name string) *Service {
+// NewService creates an empty service on the real environment.
+func NewService(name string) *Service { return NewServiceOn(runtime.Env{}, name) }
+
+// NewServiceOn creates an empty service whose elements and lifetimes read
+// env's clock: a service built by a component on an Env (NTCP's server)
+// stamps and expires on that component's time.
+func NewServiceOn(env runtime.Env, name string) *Service {
 	return &Service{
 		name:      name,
 		ops:       make(map[string]Handler),
-		SDEs:      NewSDEStore(),
-		Lifetimes: NewLifetimeManager(),
+		SDEs:      newSDEStore(env),
+		Lifetimes: newLifetimeManager(env),
 	}
 }
 
@@ -170,7 +175,7 @@ type Container struct {
 	trust    *gsi.TrustStore
 	gridmap  *gsi.Gridmap
 	contexts *gsi.ContextTable
-	clock    func() time.Time
+	env      runtime.Env
 
 	mu       sync.RWMutex
 	services map[string]*Service
@@ -217,12 +222,18 @@ const (
 // the /metrics HTTP endpoint and as a computed "metrics" SDE on every
 // hosted service.
 func NewContainer(cred *gsi.Credential, trust *gsi.TrustStore, gridmap *gsi.Gridmap) *Container {
+	return newContainer(runtime.Env{}, cred, trust, gridmap)
+}
+
+// newContainer is NewContainer on env: its clock checks credentials and
+// security contexts, and its network carries the listener.
+func newContainer(env runtime.Env, cred *gsi.Credential, trust *gsi.TrustStore, gridmap *gsi.Gridmap) *Container {
 	c := &Container{
+		env:      env,
 		cred:     cred,
 		trust:    trust,
 		gridmap:  gridmap,
 		contexts: gsi.NewContextTable(trust),
-		clock:    time.Now,
 		services: make(map[string]*Service),
 		tel:      telemetry.NewRegistry(),
 		ops:      make(map[opKey]*opMetrics),
@@ -374,7 +385,7 @@ func (c *Container) dispatch(ctx context.Context, caller Caller, req *request) *
 	m.seconds.ObserveDuration(time.Since(start))
 	if !resp.OK {
 		tel.Counter(m.prefix + ".faults." + resp.Code).Inc()
-		tel.Event("ogsi", "fault", map[string]any{
+		tel.Events().Record(c.env.Now(), "ogsi", "fault", map[string]any{
 			"service": req.Service, "op": req.Op, "code": resp.Code, "error": resp.Error,
 		})
 	}
@@ -535,7 +546,7 @@ func (c *Container) handle(ctx context.Context, dst, body []byte) ([]byte, int) 
 	// recorded as a retroactive child span once the server span exists.
 	payloadBuf := getBuf()
 	defer putBuf(payloadBuf)
-	now := c.clock()
+	now := c.env.Now()
 	verifyStart := time.Now()
 	mode, authenticated := "mac", metricAuthMAC
 	var (
@@ -653,7 +664,7 @@ func (c *Container) Start(addr string) (string, error) {
 	mux.Handle("/ogsi", c)
 	mux.Handle("/metrics", telemetry.Handler(c.Telemetry()))
 	mux.Handle("/trace", trace.Handler(c.Tracer().Recorder()))
-	c.srv = runtime.NewHTTPServer(addr, mux)
+	c.srv = runtime.NewHTTPServer(c.env, addr, mux)
 	if err := c.srv.Start(context.Background()); err != nil {
 		return "", fmt.Errorf("ogsi: %w", err)
 	}

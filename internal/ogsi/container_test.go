@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/runtime"
 )
 
 // testFabric is a CA + container + authorized client wired over a real TCP
@@ -290,7 +291,7 @@ func TestOpError(t *testing.T) {
 }
 
 func TestWaitChangeLocal(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	_ = s.Set("status", "idle")
 	// Already-newer version returns immediately.
 	sde, err := s.WaitChange(context.Background(), "status", 0)
@@ -325,7 +326,7 @@ func TestWaitChangeLocal(t *testing.T) {
 }
 
 func TestWaitChangeSurvivesWatchOverflow(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	_ = s.Set("wanted", 0)
 	done := make(chan SDE, 1)
 	go func() {

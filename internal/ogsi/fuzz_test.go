@@ -10,13 +10,15 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"runtime"
+	goruntime "runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 	"neesgrid/internal/trace"
 	"neesgrid/internal/wirejson/wiretest"
 )
@@ -160,8 +162,8 @@ func FuzzContainerSession(f *testing.F) {
 			input = append(input, append(appendFrameHeader(nil), env...)...)
 			putFrameHeader(input[len(in):], 0)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
 		srv, cli := net.Pipe()
 		defer cli.Close()
 		_ = cli.SetDeadline(time.Now().Add(10 * time.Second))
@@ -202,30 +204,33 @@ func FuzzContainerSession(f *testing.F) {
 		<-wrote
 		_ = cli.Close()
 		<-done
-		runtime.ReadMemStats(&after)
+		goruntime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > ceiling+64*uint64(len(in)) {
 			t.Fatalf("one session of %d input bytes allocated %d bytes", len(in), grew)
 		}
 	})
 }
 
-// scriptPeer is a container that answers a Transport from a script, whatever
-// it is asked: the first connection after script is stored reads the upgrade
-// request and gets those bytes, then the end of the stream; a later one gets
-// only the end, as the script is spent. accepted counts its connections.
+// scriptPeer is a container on an in-memory network that answers a Transport
+// from a script, whatever it is asked: the first connection after script is
+// stored reads the upgrade request and gets those bytes, then the end of the
+// stream; a later one gets only the end, as the script is spent. accepted
+// counts its connections.
 type scriptPeer struct {
+	env      runtime.Env
 	addr     string
 	script   atomic.Pointer[[]byte]
 	accepted atomic.Int64
 }
 
 func newScriptPeer(f *testing.F) *scriptPeer {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	env := runtime.Env{Net: envtest.NewNet()}
+	ln, err := env.Listen("127.0.0.1:0")
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Cleanup(func() { _ = ln.Close() })
-	p := &scriptPeer{addr: ln.Addr().String()}
+	p := &scriptPeer{env: env, addr: ln.Addr().String()}
 	go func() {
 		for {
 			conn, err := ln.Accept()
@@ -248,7 +253,7 @@ func newScriptPeer(f *testing.F) *scriptPeer {
 				if in := p.script.Swap(nil); in != nil {
 					_, _ = conn.Write(*in)
 				}
-				_ = conn.(*net.TCPConn).CloseWrite()
+				_ = conn.(interface{ CloseWrite() error }).CloseWrite()
 				_, _ = io.Copy(io.Discard, br)
 			}()
 		}
@@ -299,10 +304,10 @@ func FuzzClientSession(f *testing.F) {
 		}
 		script := append([]byte(nil), in...)
 		peer.script.Store(&script)
-		tr := NewPinnedTransport(1)
+		tr := newTransport(peer.env, 1, 0) // NewPinnedTransport(1) on the peer's network
 		defer tr.CloseIdleConnections()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
 		failed := false
 		for i := 0; i < 2; i++ {
 			dials := peer.accepted.Load()
@@ -321,7 +326,7 @@ func FuzzClientSession(f *testing.F) {
 				t.Fatalf("round trip %d: a %d-byte reply from %d bytes sent", i+1, len(body), len(in))
 			}
 		}
-		runtime.ReadMemStats(&after)
+		goruntime.ReadMemStats(&after)
 		if grew := after.TotalAlloc - before.TotalAlloc; grew > ceiling+64*uint64(len(in)) {
 			t.Fatalf("two round trips on %d input bytes allocated %d bytes", len(in), grew)
 		}

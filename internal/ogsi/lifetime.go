@@ -4,6 +4,8 @@ import (
 	"container/heap"
 	"sync"
 	"time"
+
+	"neesgrid/internal/runtime"
 )
 
 // LifetimeManager implements OGSI soft-state lifetime management: resources
@@ -21,7 +23,7 @@ type LifetimeManager struct {
 	mu     sync.Mutex
 	byID   map[string]*lifetime
 	byTime deadlines
-	clock  func() time.Time
+	env    runtime.Env // sets and sweeps deadlines
 }
 
 // lifetime is one resource's entry in the index.
@@ -54,16 +56,9 @@ func (d *deadlines) Pop() any {
 	return l
 }
 
-// NewLifetimeManager returns an empty manager.
-func NewLifetimeManager() *LifetimeManager {
-	return &LifetimeManager{byID: make(map[string]*lifetime), clock: time.Now}
-}
-
-// SetClock overrides the time source (tests).
-func (lm *LifetimeManager) SetClock(clock func() time.Time) {
-	lm.mu.Lock()
-	defer lm.mu.Unlock()
-	lm.clock = clock
+// newLifetimeManager returns an empty manager on env's clock.
+func newLifetimeManager(env runtime.Env) *LifetimeManager {
+	return &LifetimeManager{env: env, byID: make(map[string]*lifetime)}
 }
 
 // Register adds a resource with an initial time-to-live and an optional
@@ -73,7 +68,7 @@ func (lm *LifetimeManager) SetClock(clock func() time.Time) {
 func (lm *LifetimeManager) Register(id string, ttl time.Duration, onExpire func(id string)) {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
-	deadline := lm.clock().Add(ttl)
+	deadline := lm.env.Now().Add(ttl)
 	if l, ok := lm.byID[id]; ok {
 		l.deadline, l.onExpire = deadline, onExpire
 		heap.Fix(&lm.byTime, l.index)
@@ -93,7 +88,7 @@ func (lm *LifetimeManager) RequestTermination(id string, ttl time.Duration) bool
 	if !ok {
 		return false
 	}
-	l.deadline = lm.clock().Add(ttl)
+	l.deadline = lm.env.Now().Add(ttl)
 	heap.Fix(&lm.byTime, l.index)
 	return true
 }
@@ -102,7 +97,7 @@ func (lm *LifetimeManager) RequestTermination(id string, ttl time.Duration) bool
 // returns the ids destroyed.
 func (lm *LifetimeManager) Sweep() []string {
 	lm.mu.Lock()
-	now := lm.clock()
+	now := lm.env.Now()
 	var expired []*lifetime
 	for len(lm.byTime) > 0 && !now.Before(lm.byTime[0].deadline) {
 		l := heap.Pop(&lm.byTime).(*lifetime)

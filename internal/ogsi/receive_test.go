@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 )
@@ -365,7 +366,7 @@ func (v *txSource) set(n int, at time.Time) {
 // the source's value, version and update time; the source shadows a stored
 // element of the same name, and Delete cannot remove what it holds.
 func TestSDESourceEncodesOnRead(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	src := &txSource{}
 	s.AddSource(src)
 	at := time.Date(2026, 8, 5, 12, 0, 0, 0, time.UTC)
@@ -418,7 +419,7 @@ func TestSDESourceEncodesOnRead(t *testing.T) {
 // TestSDESetEncodingFailure: a value that cannot be encoded — a NaN, a func,
 // an Appender that fails — fails at Set and leaves the store untouched.
 func TestSDESetEncodingFailure(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	_ = s.Set("kept", "v1")
 	calls := 0
 	for what, v := range map[string]any{

@@ -18,6 +18,7 @@ import (
 	"sync"
 	"time"
 
+	"neesgrid/internal/runtime"
 	"neesgrid/internal/wirejson"
 )
 
@@ -39,7 +40,7 @@ type SDEStore struct {
 	computed    map[string]func() any
 	sources     []SDESource
 	lastChanged string
-	clock       func() time.Time
+	env         runtime.Env // stamps UpdatedAt
 	watchers    map[int]chan SDE
 	nextWatcher int
 }
@@ -59,12 +60,12 @@ type SDESource interface {
 	SDENames(dst []string) []string
 }
 
-// NewSDEStore returns an empty store.
-func NewSDEStore() *SDEStore {
+// newSDEStore returns an empty store on env's clock.
+func newSDEStore(env runtime.Env) *SDEStore {
 	return &SDEStore{
+		env:      env,
 		elements: make(map[string]SDE),
 		computed: make(map[string]func() any),
-		clock:    time.Now,
 		watchers: make(map[int]chan SDE),
 	}
 }
@@ -138,14 +139,7 @@ func (s *SDEStore) materialize(name string, fn func() any) (SDE, bool) {
 	if err != nil {
 		return SDE{}, false
 	}
-	return SDE{Name: name, Value: raw, Version: 1, UpdatedAt: s.clock()}, true
-}
-
-// SetClock overrides the time source (tests).
-func (s *SDEStore) SetClock(clock func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.clock = clock
+	return SDE{Name: name, Value: raw, Version: 1, UpdatedAt: s.env.Now()}, true
 }
 
 // Set stores v under name, bumping the version.
@@ -155,7 +149,7 @@ func (s *SDEStore) Set(name string, v any) error {
 		return fmt.Errorf("ogsi: marshal SDE %s: %w", name, err)
 	}
 	s.mu.Lock()
-	sde := SDE{Name: name, Value: raw, Version: s.elements[name].Version + 1, UpdatedAt: s.clock()}
+	sde := SDE{Name: name, Value: raw, Version: s.elements[name].Version + 1, UpdatedAt: s.env.Now()}
 	s.elements[name] = sde
 	s.lastChanged = name
 	watchers := s.watching()

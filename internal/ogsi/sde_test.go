@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"neesgrid/internal/runtime"
+	"neesgrid/internal/runtime/envtest"
 )
 
 func TestSDESetGet(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	if err := s.Set("status", "running"); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +31,7 @@ func TestSDESetGet(t *testing.T) {
 }
 
 func TestSDEVersionBumps(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	_ = s.Set("x", 1)
 	_ = s.Set("x", 2)
 	sde, _ := s.Get("x")
@@ -38,7 +41,7 @@ func TestSDEVersionBumps(t *testing.T) {
 }
 
 func TestSDELastChanged(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	if _, ok := s.LastChanged(); ok {
 		t.Fatal("empty store has no last-changed")
 	}
@@ -56,7 +59,7 @@ func TestSDELastChanged(t *testing.T) {
 }
 
 func TestSDEQueryAllSorted(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	_ = s.Set("b", 1)
 	_ = s.Set("a", 2)
 	_ = s.Set("c", 3)
@@ -71,7 +74,7 @@ func TestSDEQueryAllSorted(t *testing.T) {
 }
 
 func TestSDEDelete(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	_ = s.Set("a", 1)
 	s.Delete("a")
 	if _, ok := s.Get("a"); ok {
@@ -86,7 +89,7 @@ func TestSDEDelete(t *testing.T) {
 }
 
 func TestSDEWatch(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	ch, cancel := s.Watch(4)
 	defer cancel()
 	_ = s.Set("tx", "proposed")
@@ -101,7 +104,7 @@ func TestSDEWatch(t *testing.T) {
 }
 
 func TestSDEWatchDropsWhenFull(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	ch, cancel := s.Watch(1)
 	defer cancel()
 	_ = s.Set("a", 1)
@@ -114,29 +117,28 @@ func TestSDEWatchDropsWhenFull(t *testing.T) {
 }
 
 func TestSDEWatchCancel(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	_, cancel := s.Watch(1)
 	cancel()
 	_ = s.Set("a", 1) // must not panic or block
 }
 
 func TestSDESetUnmarshalable(t *testing.T) {
-	s := NewSDEStore()
+	s := newSDEStore(runtime.Env{})
 	if err := s.Set("bad", func() {}); err == nil {
 		t.Fatal("functions are not JSON-marshalable; Set should fail")
 	}
 }
 
 func TestLifetimeRegisterAliveExpire(t *testing.T) {
-	lm := NewLifetimeManager()
-	now := time.Unix(1000, 0)
-	lm.SetClock(func() time.Time { return now })
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	lm := newLifetimeManager(runtime.Env{Clock: clk})
 	expired := false
 	lm.Register("tx-1", 10*time.Second, func(string) { expired = true })
 	if !lm.Alive("tx-1") {
 		t.Fatal("fresh resource should be alive")
 	}
-	now = now.Add(11 * time.Second)
+	clk.Advance(11 * time.Second)
 	if lm.Alive("tx-1") {
 		t.Fatal("resource should have expired")
 	}
@@ -150,15 +152,14 @@ func TestLifetimeRegisterAliveExpire(t *testing.T) {
 }
 
 func TestLifetimeKeepalive(t *testing.T) {
-	lm := NewLifetimeManager()
-	now := time.Unix(1000, 0)
-	lm.SetClock(func() time.Time { return now })
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	lm := newLifetimeManager(runtime.Env{Clock: clk})
 	lm.Register("tx", 10*time.Second, nil)
-	now = now.Add(8 * time.Second)
+	clk.Advance(8 * time.Second)
 	if !lm.RequestTermination("tx", 10*time.Second) {
 		t.Fatal("keepalive on live resource failed")
 	}
-	now = now.Add(9 * time.Second) // 17s after registration, 9s after extend
+	clk.Advance(9 * time.Second) // 17s after registration, 9s after extend
 	if !lm.Alive("tx") {
 		t.Fatal("extended resource should be alive")
 	}
@@ -168,13 +169,12 @@ func TestLifetimeKeepalive(t *testing.T) {
 }
 
 func TestLifetimeDestroySkipsCallback(t *testing.T) {
-	lm := NewLifetimeManager()
-	now := time.Unix(1000, 0)
-	lm.SetClock(func() time.Time { return now })
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	lm := newLifetimeManager(runtime.Env{Clock: clk})
 	fired := false
 	lm.Register("tx", time.Second, func(string) { fired = true })
 	lm.Destroy("tx")
-	now = now.Add(time.Hour)
+	clk.Advance(time.Hour)
 	lm.Sweep()
 	if fired {
 		t.Fatal("Destroy must not fire the expiry callback")
@@ -188,9 +188,8 @@ func TestLifetimeDestroySkipsCallback(t *testing.T) {
 // entries in deadline order and leaves the rest; a keepalive moves an entry
 // within the index, and one callback serves every id.
 func TestLifetimeSweepTakesOnlyTheExpired(t *testing.T) {
-	lm := NewLifetimeManager()
-	now := time.Unix(1000, 0)
-	lm.SetClock(func() time.Time { return now })
+	clk := envtest.NewClock(time.Unix(1000, 0))
+	lm := newLifetimeManager(runtime.Env{Clock: clk})
 	var fired []string
 	onExpire := func(id string) { fired = append(fired, id) }
 	for i, ttl := range []int{50, 10, 40, 20, 30} {
@@ -198,14 +197,14 @@ func TestLifetimeSweepTakesOnlyTheExpired(t *testing.T) {
 	}
 	lm.RequestTermination("tx-1", 60*time.Second) // was first to go, now last
 	lm.Destroy("tx-2")
-	now = now.Add(35 * time.Second)
+	clk.Advance(35 * time.Second)
 	if got := lm.Sweep(); fmt.Sprint(got) != "[tx-3 tx-4]" || fmt.Sprint(fired) != "[tx-3 tx-4]" {
 		t.Fatalf("Sweep = %v, fired %v", got, fired)
 	}
 	if lm.Len() != 2 || !lm.Alive("tx-0") || !lm.Alive("tx-1") {
 		t.Fatalf("%d left, tx-0 alive %v, tx-1 alive %v", lm.Len(), lm.Alive("tx-0"), lm.Alive("tx-1"))
 	}
-	now = now.Add(time.Hour)
+	clk.Advance(time.Hour)
 	if got := lm.Sweep(); fmt.Sprint(got) != "[tx-0 tx-1]" || lm.Len() != 0 {
 		t.Fatalf("Sweep = %v, %d left", got, lm.Len())
 	}
@@ -219,7 +218,7 @@ func (lm *LifetimeManager) Alive(id string) bool {
 	lm.mu.Lock()
 	defer lm.mu.Unlock()
 	l, ok := lm.byID[id]
-	return ok && lm.clock().Before(l.deadline)
+	return ok && lm.env.Now().Before(l.deadline)
 }
 
 // Deadline returns the current termination time.

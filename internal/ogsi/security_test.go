@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"neesgrid/internal/gsi"
+	"neesgrid/internal/runtime/envtest"
 	"neesgrid/internal/telemetry"
 	"neesgrid/internal/trace"
 )
@@ -59,7 +60,7 @@ func call(t *testing.T, cl *Client) {
 // handshake, then every envelope MAC'd — on the container and on the client.
 func TestFirstCallHandshakesThenMAC(t *testing.T) {
 	var n atomic.Int64
-	tracer := trace.NewTracer("container", trace.NewRecorder(64))
+	tracer := trace.NewTracer(nil, "container", trace.NewRecorder(64))
 	f := newFabric(t, func(c *Container) {
 		c.AddService(countingService(&n))
 		c.UseTracer(tracer)
@@ -152,10 +153,10 @@ func TestContextEvictionRehandshakes(t *testing.T) {
 // signed under the renewed proxy.
 func TestContextExpiryRehandshakes(t *testing.T) {
 	var n atomic.Int64
-	var skew atomic.Int64
+	clk := envtest.NewClock(time.Now())
 	f := newFabric(t, func(c *Container) {
 		c.AddService(countingService(&n))
-		c.clock = func() time.Time { return time.Now().Add(time.Duration(skew.Load())) }
+		c.env.Clock = clk
 	})
 	alice := f.client.Cred
 	proxy, err := alice.Delegate(20 * time.Minute)
@@ -167,7 +168,7 @@ func TestContextExpiryRehandshakes(t *testing.T) {
 	if f.client.Cred, err = alice.Delegate(50 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	skew.Store(int64(30 * time.Minute)) // the container's clock is past the first proxy
+	clk.Advance(30 * time.Minute) // the container's clock is past the first proxy
 	before := securityCounters(f.container.Telemetry())
 	call(t, f.client)
 	rehandshake(t, &n, before, securityCounters(f.container.Telemetry()), "expired")

@@ -14,12 +14,12 @@ import (
 // parented under it → retroactive gsi.verify children on both sides →
 // server span echoed in the signed response.
 func TestCallCreatesClientAndServerSpans(t *testing.T) {
-	serverTracer := trace.NewTracer("container", trace.NewRecorder(64))
+	serverTracer := trace.NewTracer(nil, "container", trace.NewRecorder(64))
 	f := newFabric(t, func(c *Container) {
 		c.AddService(echoService())
 		c.UseTracer(serverTracer)
 	})
-	f.client.Tracer = trace.NewTracer("client", trace.NewRecorder(64))
+	f.client.Tracer = trace.NewTracer(nil, "client", trace.NewRecorder(64))
 
 	var out map[string]string
 	if err := f.client.Call(context.Background(), "echo", "echo", map[string]string{"msg": "hi"}, &out); err != nil {
@@ -83,12 +83,12 @@ func TestCallCreatesClientAndServerSpans(t *testing.T) {
 // TestUntracedClientStillPropagatesContext: a caller span in ctx must
 // reach the server even when the ogsi.Client itself has no tracer.
 func TestUntracedClientStillPropagatesContext(t *testing.T) {
-	serverTracer := trace.NewTracer("container", trace.NewRecorder(64))
+	serverTracer := trace.NewTracer(nil, "container", trace.NewRecorder(64))
 	f := newFabric(t, func(c *Container) {
 		c.AddService(echoService())
 		c.UseTracer(serverTracer)
 	})
-	callerTracer := trace.NewTracer("caller", trace.NewRecorder(8))
+	callerTracer := trace.NewTracer(nil, "caller", trace.NewRecorder(8))
 	ctx, span := callerTracer.Start(context.Background(), "outer", trace.KindInternal)
 	if err := f.client.Call(ctx, "echo", "echo", map[string]string{}, nil); err != nil {
 		t.Fatal(err)
@@ -103,12 +103,12 @@ func TestUntracedClientStillPropagatesContext(t *testing.T) {
 }
 
 func TestTraceEndpoint(t *testing.T) {
-	serverTracer := trace.NewTracer("container", trace.NewRecorder(64))
+	serverTracer := trace.NewTracer(nil, "container", trace.NewRecorder(64))
 	f := newFabric(t, func(c *Container) {
 		c.AddService(echoService())
 		c.UseTracer(serverTracer)
 	})
-	f.client.Tracer = trace.NewTracer("client", trace.NewRecorder(64))
+	f.client.Tracer = trace.NewTracer(nil, "client", trace.NewRecorder(64))
 	if err := f.client.Call(context.Background(), "echo", "echo", map[string]string{}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -39,14 +39,14 @@ type Transport struct {
 	sessions *runtime.ConnPool[*clientSession] // built with limit and timeout
 }
 
-func newTransport(limit int, timeout time.Duration) *Transport {
+func newTransport(env runtime.Env, limit int, timeout time.Duration) *Transport {
 	return &Transport{limit: limit, timeout: timeout,
-		sessions: runtime.NewConnPool("ogsi", limit, 0, timeout, openSession)}
+		sessions: runtime.NewConnPool(env, "ogsi", limit, 0, timeout, openSession)}
 }
 
 // DefaultTransport is the transport of DefaultHTTPClient: no cap on sessions
 // per host, and every exchange bounded by defaultExchangeTimeout.
-var DefaultTransport = newTransport(0, defaultExchangeTimeout)
+var DefaultTransport = newTransport(runtime.Env{}, 0, defaultExchangeTimeout)
 
 // DefaultHTTPClient is the client used when Client.HTTP is nil.
 var DefaultHTTPClient = &http.Client{Transport: DefaultTransport}
@@ -60,7 +60,7 @@ func NewPinnedTransport(n int) *Transport {
 	if n <= 0 {
 		n = 2
 	}
-	return newTransport(n, 0)
+	return newTransport(runtime.Env{}, n, 0)
 }
 
 // RoundTrip sends req's body as one request frame on a session to req's

@@ -44,7 +44,7 @@ type LabViewDaemon struct {
 // NewLabViewDaemon wraps the tabletop rig.
 func NewLabViewDaemon(rig *control.StepperBeam) *LabViewDaemon {
 	d := &LabViewDaemon{rig: rig}
-	d.tcp = runtime.NewConnServer("labview", d.serve)
+	d.tcp = runtime.NewConnServer(runtime.Env{}, "labview", d.serve)
 	return d
 }
 
@@ -116,7 +116,7 @@ func (p *LabViewPlugin) Validate(_ context.Context, actions []core.Action) error
 
 func (p *LabViewPlugin) pool() *runtime.ConnPool[*daemonConn] {
 	p.once.Do(func() {
-		p.conns = runtime.NewConnPool("labview", 1, 0, 0, func(conn net.Conn, _ string) (*daemonConn, error) {
+		p.conns = runtime.NewConnPool(runtime.Env{}, "labview", 1, 0, 0, func(conn net.Conn, _ string) (*daemonConn, error) {
 			return &daemonConn{Conn: conn, sc: bufio.NewScanner(conn), enc: json.NewEncoder(conn)}, nil
 		})
 	})

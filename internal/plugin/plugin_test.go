@@ -210,7 +210,7 @@ func (c countingConn) Write(p []byte) (int, error) {
 // counted apart from it.
 func countingProxy(t *testing.T, addr string, writes *atomic.Int64) string {
 	t.Helper()
-	srv := runtime.NewConnServer("counting-proxy", func(_ context.Context, client net.Conn) {
+	srv := runtime.NewConnServer(runtime.Env{}, "counting-proxy", func(_ context.Context, client net.Conn) {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			return
@@ -320,7 +320,7 @@ func TestXPCPluginExecuteEndsWithItsContext(t *testing.T) {
 func silentPeer(t *testing.T) (addr string, heard chan struct{}) {
 	t.Helper()
 	heard = make(chan struct{}, 16)
-	srv := runtime.NewConnServer("silent-peer", func(ctx context.Context, conn net.Conn) {
+	srv := runtime.NewConnServer(runtime.Env{}, "silent-peer", func(ctx context.Context, conn net.Conn) {
 		if _, err := conn.Read(make([]byte, 1)); err == nil {
 			heard <- struct{}{}
 		}

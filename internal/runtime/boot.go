@@ -193,7 +193,7 @@ func (d *DebugFlags) Install(sup *Supervisor, reg *telemetry.Registry, rec *trac
 	if d.Addr == "" {
 		return nil
 	}
-	ds := NewHTTPServer(d.Addr, DebugMux(sup, reg, rec))
+	ds := NewHTTPServer(Env{}, d.Addr, DebugMux(sup, reg, rec))
 	sup.Add("debug-server", Funcs{
 		StartFunc: func(ctx context.Context) error {
 			if err := ds.Start(ctx); err != nil {

@@ -20,8 +20,9 @@ const (
 var dialer = net.Dialer{Timeout: dialTimeout, KeepAlive: keepAlivePeriod}
 
 // Dial opens a TCP connection to addr. It is the one dial of the module's
-// clients: a ConnPool dials through it, and so does a client that holds a
-// single connection for its whole life (an NSDS subscription).
+// clients and the real Env's: a ConnPool dials through its Env, and a client
+// that holds a single connection for its whole life (an NSDS subscription)
+// calls it directly.
 func Dial(ctx context.Context, addr string) (net.Conn, error) {
 	return dialer.DialContext(ctx, "tcp", addr)
 }
@@ -40,6 +41,7 @@ func Dial(ctx context.Context, addr string) (net.Conn, error) {
 // once, and the session is not kept. Close severs every connection, idle and
 // lent, and refuses later use; Sever does the same but leaves the pool usable.
 type ConnPool[S net.Conn] struct {
+	env     Env
 	name    string
 	open    func(conn net.Conn, addr string) (S, error)
 	limit   int           // sessions per address, open or being dialed; 0 is no cap
@@ -78,13 +80,13 @@ type lease[S net.Conn] struct {
 	stop func() bool
 }
 
-// NewConnPool makes a pool that opens its sessions with open, called on each
-// freshly dialed connection (an error closes the connection). limit caps the
-// sessions per address, idleCap the idle ones kept, and timeout bounds each
-// lease from Get to Put or Drop; 0 is no cap or bound. name prefixes the
-// pool's errors.
-func NewConnPool[S net.Conn](name string, limit, idleCap int, timeout time.Duration, open func(conn net.Conn, addr string) (S, error)) *ConnPool[S] {
-	return &ConnPool[S]{name: name, open: open, limit: limit, idleCap: idleCap, timeout: timeout,
+// NewConnPool makes a pool that dials on env's network and opens its sessions
+// with open, called on each freshly dialed connection (an error closes the
+// connection). limit caps the sessions per address, idleCap the idle ones
+// kept, and timeout bounds each lease from Get to Put or Drop; 0 is no cap or
+// bound. name prefixes the pool's errors.
+func NewConnPool[S net.Conn](env Env, name string, limit, idleCap int, timeout time.Duration, open func(conn net.Conn, addr string) (S, error)) *ConnPool[S] {
+	return &ConnPool[S]{env: env, name: name, open: open, limit: limit, idleCap: idleCap, timeout: timeout,
 		addrs: make(map[string]*addrConns[S]), lent: make(map[net.Conn]lease[S])}
 }
 
@@ -154,7 +156,7 @@ func (p *ConnPool[S]) dial(ctx context.Context, a *addrConns[S]) (s S, err error
 	var conn net.Conn
 	if closed {
 		err = p.errClosed()
-	} else if conn, err = Dial(ctx, a.addr); err != nil {
+	} else if conn, err = p.env.Dial(ctx, a.addr); err != nil {
 		err = fmt.Errorf("%s: %w", p.name, err)
 	}
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 // what it reads or, when silent, reads and never answers.
 type poolFixture struct {
 	pool     *ConnPool[net.Conn]
+	env      Env
 	addr     string
 	accepted atomic.Int32 // connections the server has taken
 }
@@ -28,10 +29,10 @@ type poolShape struct {
 	open           func(conn net.Conn, addr string) (net.Conn, error)
 }
 
-func newPoolFixture(t *testing.T, shape poolShape) *poolFixture {
+func newPoolFixture(t *testing.T, env Env, shape poolShape) *poolFixture {
 	t.Helper()
-	f := &poolFixture{}
-	srv := NewConnServer("peer", func(_ context.Context, conn net.Conn) {
+	f := &poolFixture{env: env}
+	srv := NewConnServer(env, "peer", func(_ context.Context, conn net.Conn) {
 		f.accepted.Add(1)
 		if shape.silent {
 			_, _ = io.Copy(io.Discard, conn)
@@ -48,7 +49,7 @@ func newPoolFixture(t *testing.T, shape poolShape) *poolFixture {
 	if open == nil {
 		open = func(conn net.Conn, _ string) (net.Conn, error) { return conn, nil }
 	}
-	f.pool = NewConnPool("test", shape.limit, shape.idleCap, shape.timeout, open)
+	f.pool = NewConnPool(env, "test", shape.limit, shape.idleCap, shape.timeout, open)
 	t.Cleanup(func() { _ = f.pool.Close() })
 	f.addr = addr
 	return f
@@ -168,6 +169,9 @@ func TestConnPoolContract(t *testing.T) {
 		}},
 		{name: "a dropped session is closed, never lent again, and frees its slot", shape: poolShape{limit: 1}, check: func(t *testing.T, f *poolFixture) {
 			a, _ := f.get(t, bg)
+			if err := ping(a); err != nil { // its handler has run
+				t.Fatal(err)
+			}
 			cause := fmt.Errorf("exchange failed")
 			if err := f.pool.Drop(a, cause); err != cause {
 				t.Fatalf("Drop = %v, want the exchange's error", err)
@@ -293,7 +297,7 @@ func TestConnPoolContract(t *testing.T) {
 			}
 		}},
 		{name: "a failed dial frees its slot", shape: poolShape{limit: 1}, check: func(t *testing.T, f *poolFixture) {
-			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			ln, err := f.env.Listen("127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -317,6 +321,8 @@ func TestConnPoolContract(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run(row.name, func(t *testing.T) { row.check(t, newPoolFixture(t, row.shape)) })
+		for _, nw := range testNets() {
+			t.Run(row.name+nw.suffix, func(t *testing.T) { row.check(t, newPoolFixture(t, nw.env, row.shape)) })
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 // or a subscription. Close is idempotent, and a closed server does not start
 // again.
 type ConnServer struct {
+	env    Env
 	name   string
 	handle func(ctx context.Context, conn net.Conn)
 	ctx    context.Context // every handler's; cancelled by Close
@@ -33,12 +34,12 @@ type ConnServer struct {
 	wg        sync.WaitGroup // the accept loop and one per handler
 }
 
-// NewConnServer makes a server that runs handle on each accepted connection,
-// in a goroutine of its own. handle need not close conn: the server does
-// once handle returns. name prefixes the server's errors.
-func NewConnServer(name string, handle func(ctx context.Context, conn net.Conn)) *ConnServer {
+// NewConnServer makes a server on env's network that runs handle on each
+// accepted connection, in a goroutine of its own. handle need not close conn:
+// the server does once handle returns. name prefixes the server's errors.
+func NewConnServer(env Env, name string, handle func(ctx context.Context, conn net.Conn)) *ConnServer {
 	ctx, cancel := context.WithCancel(context.Background())
-	return &ConnServer{name: name, handle: handle, ctx: ctx, cancel: cancel,
+	return &ConnServer{env: env, name: name, handle: handle, ctx: ctx, cancel: cancel,
 		conns: make(map[net.Conn]struct{})}
 }
 
@@ -53,7 +54,7 @@ func (s *ConnServer) Start(addr string) (string, error) {
 	case s.ln != nil:
 		return "", fmt.Errorf("%s: server already started", s.name)
 	}
-	ln, err := net.Listen("tcp", addr)
+	ln, err := s.env.Listen(addr)
 	if err != nil {
 		return "", fmt.Errorf("%s: listen %s: %w", s.name, addr, err)
 	}

@@ -9,12 +9,28 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"neesgrid/internal/runtime/envtest"
 )
+
+// testNets are the networks the lifecycle contracts hold on: the kernel's
+// TCP (the zero Env; its rows keep their bare names) and a fresh in-memory
+// one.
+func testNets() []struct {
+	suffix string
+	env    Env
+} {
+	return []struct {
+		suffix string
+		env    Env
+	}{{"", Env{}}, {", in memory", Env{Net: envtest.NewNet()}}}
+}
 
 // connFixture is one ConnServer whose handler reads its connection until the
 // read fails, or, when the row ignores ctx, waits for release whatever
 // happens to the connection or to ctx.
 type connFixture struct {
+	env     Env
 	srv     *ConnServer
 	entered chan struct{} // a handler has started (later starts are not sent)
 	ended   chan error    // the first handler's ctx.Err() as it returns
@@ -22,9 +38,9 @@ type connFixture struct {
 	release chan struct{} // closed at cleanup
 }
 
-func newConnFixture(t *testing.T, ignoreCtx bool) *connFixture {
-	f := &connFixture{entered: make(chan struct{}, 1), ended: make(chan error, 1), release: make(chan struct{})}
-	f.srv = NewConnServer("test", func(ctx context.Context, conn net.Conn) {
+func newConnFixture(t *testing.T, env Env, ignoreCtx bool) *connFixture {
+	f := &connFixture{env: env, entered: make(chan struct{}, 1), ended: make(chan error, 1), release: make(chan struct{})}
+	f.srv = NewConnServer(env, "test", func(ctx context.Context, conn net.Conn) {
 		f.running.Add(1)
 		defer f.running.Add(-1)
 		select {
@@ -60,7 +76,7 @@ func (f *connFixture) start(t *testing.T) string {
 // dial returns the client end of a connection to addr once a handler runs.
 func (f *connFixture) dial(t *testing.T, addr string) net.Conn {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	conn, err := f.env.Dial(context.Background(), addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +166,7 @@ func TestConnServerContract(t *testing.T) {
 						}
 					}()
 					for j := 0; j < 50; j++ {
-						c, err := net.Dial("tcp", addr)
+						c, err := f.env.Dial(context.Background(), addr)
 						if err != nil {
 							return // refused: the listener is closed
 						}
@@ -187,6 +203,8 @@ func TestConnServerContract(t *testing.T) {
 			}
 		}},
 	} {
-		t.Run(row.name, func(t *testing.T) { row.check(t, newConnFixture(t, row.ignoreCtx)) })
+		for _, nw := range testNets() {
+			t.Run(row.name+nw.suffix, func(t *testing.T) { row.check(t, newConnFixture(t, nw.env, row.ignoreCtx)) })
+		}
 	}
 }

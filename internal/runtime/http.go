@@ -3,7 +3,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync/atomic"
@@ -82,6 +81,7 @@ func ExportSpanDrops(reg *telemetry.Registry, rec *trace.Recorder) {
 // order, so the first-registered server is the last stopped and /readyz
 // keeps answering 503 for the whole drain.
 type HTTPServer struct {
+	env     Env
 	addr    string
 	handler http.Handler
 
@@ -90,11 +90,11 @@ type HTTPServer struct {
 	srv     *http.Server
 }
 
-// NewHTTPServer creates a server of handler for addr (e.g.
+// NewHTTPServer creates a server of handler for addr on env's network (e.g.
 // "127.0.0.1:6060"; port 0 picks a free one, readable from Addr after
 // Start).
-func NewHTTPServer(addr string, handler http.Handler) *HTTPServer {
-	return &HTTPServer{addr: addr, handler: handler}
+func NewHTTPServer(env Env, addr string, handler http.Handler) *HTTPServer {
+	return &HTTPServer{env: env, addr: addr, handler: handler}
 }
 
 // Addr returns the bound address once started ("" before).
@@ -107,7 +107,7 @@ func (d *HTTPServer) Addr() string {
 
 // Start binds the listener and serves in the background.
 func (d *HTTPServer) Start(ctx context.Context) error {
-	ln, err := net.Listen("tcp", d.addr)
+	ln, err := d.env.Listen(d.addr)
 	if err != nil {
 		return fmt.Errorf("listen %s: %w", d.addr, err)
 	}

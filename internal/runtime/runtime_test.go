@@ -388,7 +388,7 @@ func TestAddAfterStartPanics(t *testing.T) {
 
 func TestDebugServerServesProbes(t *testing.T) {
 	sup := NewSupervisor("test")
-	ds := NewHTTPServer("127.0.0.1:0", DebugMux(sup, telemetry.NewRegistry(), nil))
+	ds := NewHTTPServer(Env{}, "127.0.0.1:0", DebugMux(sup, telemetry.NewRegistry(), nil))
 	sup.Add("debug-server", ds)
 	sup.Add("x", Funcs{})
 	if err := sup.Start(context.Background()); err != nil {
@@ -420,7 +420,7 @@ func TestDebugMuxServesPprofAndTrace(t *testing.T) {
 	reg, rec := telemetry.NewRegistry(), trace.NewRecorder(2)
 	var flags DebugFlags
 	flags.Install(sup, reg, rec) // -pprof off: only the span gauge
-	tracer := trace.NewTracer("test", rec)
+	tracer := trace.NewTracer(nil, "test", rec)
 	for i := 0; i < 3; i++ {
 		_, span := tracer.Start(context.Background(), "step", trace.KindServer)
 		span.End()

@@ -43,7 +43,7 @@ func TestScrapeCountsRingEvictions(t *testing.T) {
 		}
 	}
 
-	tracer := trace.NewTracer("site", rec)
+	tracer := trace.NewTracer(nil, "site", rec)
 	for i := 0; i < 10; i++ {
 		reg.Event("test", "tick", nil)
 		_, span := tracer.Start(context.Background(), "step", trace.KindServer)

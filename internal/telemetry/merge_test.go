@@ -205,10 +205,8 @@ func TestMergeSnapshotsCountersGaugesEvents(t *testing.T) {
 	rb.Histogram("rtt.seconds").Observe(0.75)
 
 	t0 := time.Unix(100, 0)
-	ra.Events().SetClock(func() time.Time { return t0 })
-	rb.Events().SetClock(func() time.Time { return t0.Add(time.Second) })
-	rb.Event("site-b", "later", nil)
-	ra.Event("site-a", "earlier", nil)
+	rb.Events().Record(t0.Add(time.Second), "site-b", "later", nil)
+	ra.Events().Record(t0, "site-a", "earlier", nil)
 
 	m, err := MergeSnapshots(ra.Snapshot(), rb.Snapshot())
 	if err != nil {

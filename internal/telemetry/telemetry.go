@@ -329,7 +329,6 @@ type EventLog struct {
 	next    int
 	wrapped bool
 	dropped int64
-	clock   func() time.Time
 }
 
 // NewEventLog returns a ring holding the last capacity events (min 1).
@@ -337,14 +336,16 @@ func NewEventLog(capacity int) *EventLog {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &EventLog{ring: make([]Event, capacity), clock: time.Now}
+	return &EventLog{ring: make([]Event, capacity)}
 }
 
-// Record appends an event, evicting the oldest when full. The fields map
+// Record appends an event stamped at, evicting the oldest when full. The
+// log keeps no clock of its own: a component on a runtime.Env stamps with
+// its Env's clock (this package sits below runtime). The fields map
 // is copied before it is retained, so a caller that reuses or keeps
 // mutating its map after recording cannot race the log's readers or
 // retroactively rewrite history.
-func (l *EventLog) Record(component, event string, fields map[string]any) {
+func (l *EventLog) Record(at time.Time, component, event string, fields map[string]any) {
 	var copied map[string]any
 	if len(fields) > 0 {
 		copied = make(map[string]any, len(fields))
@@ -357,7 +358,7 @@ func (l *EventLog) Record(component, event string, fields map[string]any) {
 	if l.wrapped {
 		l.dropped++
 	}
-	l.ring[l.next] = Event{TS: l.clock(), Component: component, Event: event, Fields: copied}
+	l.ring[l.next] = Event{TS: at, Component: component, Event: event, Fields: copied}
 	l.next++
 	if l.next == len(l.ring) {
 		l.next = 0
@@ -488,9 +489,10 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	return h
 }
 
-// Event appends to the registry's event log.
+// Event appends to the registry's event log, stamped with wall time; a
+// component on a runtime.Env records through Events with its own clock.
 func (r *Registry) Event(component, event string, fields map[string]any) {
-	r.events.Record(component, event, fields)
+	r.events.Record(time.Now(), component, event, fields)
 }
 
 // Events exposes the registry's event log.

@@ -95,9 +95,8 @@ func TestHistogramEmptySnapshot(t *testing.T) {
 func TestEventLogRingEviction(t *testing.T) {
 	l := NewEventLog(3)
 	fixed := time.Date(2004, 6, 1, 0, 0, 0, 0, time.UTC)
-	l.SetClock(func() time.Time { return fixed })
 	for _, name := range []string{"a", "b", "c", "d", "e"} {
-		l.Record("test", name, nil)
+		l.Record(fixed, "test", name, nil)
 	}
 	evs := l.Events()
 	if len(evs) != 3 {
@@ -199,7 +198,7 @@ func TestSnapshotSortedNames(t *testing.T) {
 func TestEventLogRecordCopiesFields(t *testing.T) {
 	l := NewEventLog(8)
 	fields := map[string]any{"step": 1, "site": "uiuc"}
-	l.Record("coord", "fault", fields)
+	l.Record(time.Now(), "coord", "fault", fields)
 	fields["step"] = 99
 	delete(fields, "site")
 	evs := l.Events()
@@ -213,7 +212,7 @@ func TestEventLogRecordCopiesFields(t *testing.T) {
 	// Under -race: a caller that keeps writing its map after recording must
 	// not race readers of the log.
 	shared := map[string]any{"n": 0}
-	l.Record("coord", "reuse", shared)
+	l.Record(time.Now(), "coord", "reuse", shared)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -295,11 +294,4 @@ func TestHistogramSnapshotBuckets(t *testing.T) {
 	if s.Count != 5 {
 		t.Fatalf("count = %d", s.Count)
 	}
-}
-
-// SetClock overrides the time source (tests).
-func (l *EventLog) SetClock(clock func() time.Time) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.clock = clock
 }

@@ -321,16 +321,18 @@ func (s *Span) End() {
 type Tracer struct {
 	service string
 	rec     *Recorder
-	clock   func() time.Time
+	env     interface{ Now() time.Time }
 }
 
 // NewTracer builds a tracer recording into rec (a default-capacity
-// recorder is created when rec is nil).
-func NewTracer(service string, rec *Recorder) *Tracer {
+// recorder is created when rec is nil) whose spans start and end on env's
+// clock: the process's runtime.Env, of which this package, sitting below
+// runtime, names only the method it reads. A nil env is wall time.
+func NewTracer(env interface{ Now() time.Time }, service string, rec *Recorder) *Tracer {
 	if rec == nil {
 		rec = NewRecorder(0)
 	}
-	return &Tracer{service: service, rec: rec, clock: time.Now}
+	return &Tracer{service: service, rec: rec, env: env}
 }
 
 // Recorder returns the tracer's span sink (nil for a nil tracer).
@@ -342,10 +344,10 @@ func (t *Tracer) Recorder() *Recorder {
 }
 
 func (t *Tracer) now() time.Time {
-	if t == nil || t.clock == nil {
+	if t == nil || t.env == nil {
 		return time.Now()
 	}
-	return t.clock()
+	return t.env.Now()
 }
 
 // Start opens a span named name with the given kind. The parent is the

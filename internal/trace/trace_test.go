@@ -69,7 +69,7 @@ func TestTraceparentRoundTrip(t *testing.T) {
 }
 
 func TestStartPropagatesParent(t *testing.T) {
-	tr := NewTracer("svc", NewRecorder(16))
+	tr := NewTracer(nil, "svc", NewRecorder(16))
 	ctx, root := tr.Start(context.Background(), "root", KindInternal)
 	_, child := tr.Start(ctx, "child", KindClient)
 	if child.Context().TraceID != root.Context().TraceID {
@@ -95,7 +95,7 @@ func TestStartPropagatesParent(t *testing.T) {
 
 func TestRemoteParent(t *testing.T) {
 	remote := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
-	tr := NewTracer("server", NewRecorder(4))
+	tr := NewTracer(nil, "server", NewRecorder(4))
 	ctx := ContextWithRemote(context.Background(), remote)
 	if got := SpanContextFromContext(ctx); got != remote {
 		t.Fatalf("remote context %+v", got)
@@ -143,7 +143,7 @@ func TestNilSafety(t *testing.T) {
 }
 
 func TestSpanAttrsEventsError(t *testing.T) {
-	tr := NewTracer("svc", NewRecorder(4))
+	tr := NewTracer(nil, "svc", NewRecorder(4))
 	_, span := tr.Start(context.Background(), "op", KindInternal)
 	span.SetAttr("tx", "step-1")
 	span.Annotate("faultnet.delay", "25ms")
@@ -176,7 +176,7 @@ func TestSpanAttrsEventsError(t *testing.T) {
 // and repeated keys on either side of the spill, read back with map
 // semantics, through SetAttr and RecordSpan alike.
 func TestSpanAttrsSpillPastTheInlineArray(t *testing.T) {
-	tr := NewTracer("svc", NewRecorder(4))
+	tr := NewTracer(nil, "svc", NewRecorder(4))
 	// k1 is rewritten while inline, k6 after it spilled.
 	pairs := []Attr{{"k0", "v0"}, {"k1", "stale"}, {"k2", "v2"}, {"k3", "v3"},
 		{"k4", "v4"}, {"k5", "v5"}, {"k6", "stale"}, {"k1", "v1"}, {"k6", "v6"}}
@@ -208,7 +208,7 @@ func TestSpanAttrsSpillPastTheInlineArray(t *testing.T) {
 // TestSpanAllocations holds a span's cost to its two allocations, the span
 // and the context that carries it: attributes stay inline until a snapshot.
 func TestSpanAllocations(t *testing.T) {
-	tr := NewTracer("svc", NewRecorder(64))
+	tr := NewTracer(nil, "svc", NewRecorder(64))
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
 		_, span := tr.Start(ctx, "ntcp.propose", KindInternal)
@@ -231,7 +231,7 @@ func TestSpanAllocations(t *testing.T) {
 }
 
 func TestRecordSpanRetroactive(t *testing.T) {
-	tr := NewTracer("site", NewRecorder(4))
+	tr := NewTracer(nil, "site", NewRecorder(4))
 	parent := SpanContext{TraceID: NewTraceID(), SpanID: NewSpanID()}
 	start := time.Now().Add(-time.Millisecond)
 	end := time.Now()
@@ -288,7 +288,7 @@ func TestRecorderTraceFilter(t *testing.T) {
 }
 
 func TestConcurrentSpans(t *testing.T) {
-	tr := NewTracer("svc", NewRecorder(64))
+	tr := NewTracer(nil, "svc", NewRecorder(64))
 	ctx, root := tr.Start(context.Background(), "root", KindInternal)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -374,9 +374,8 @@ func TestHandler(t *testing.T) {
 // — is what it was when IDs were hex-encoded at Start.
 func TestSpanJSONUnchangedByLazyIDs(t *testing.T) {
 	rec := NewRecorder(8)
-	tr := NewTracer("coordinator", rec)
 	at := time.Date(2026, 8, 5, 12, 30, 45, 0, time.UTC)
-	tr.SetClock(func() time.Time { return at })
+	tr := NewTracer(fixedClock(at), "coordinator", rec)
 
 	ctx, root := tr.Start(context.Background(), "coord.step", KindInternal)
 	_, child := tr.Start(ctx, "ntcp.propose", KindClient)
@@ -437,9 +436,7 @@ func (t *Tracer) Service() string {
 	return t.service
 }
 
-// SetClock overrides the time source (tests only).
-func (t *Tracer) SetClock(clock func() time.Time) {
-	if t != nil && clock != nil {
-		t.clock = clock
-	}
-}
+// fixedClock is a clock that stands still.
+type fixedClock time.Time
+
+func (c fixedClock) Now() time.Time { return time.Time(c) }
